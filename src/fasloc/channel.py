@@ -38,8 +38,7 @@ class ChannelParams:
     reflect_coeff: float = 0.5        # target reflection, unitless
     noise_power: float = 1e-12        # W, AWGN on the measuring link (-90 dBm)
     n_ports: int = 32
-    fas_size: float = 5.0             # aperture length / wavelength
-    wavelength: float = LIGHT_SPEED / 2e9
+    fas_size: float = 5.0             # aperture / (LIGHT_SPEED / carrier_freq)
     carrier_freq: float = 2e9         # Hz, uplink carrier
     ref_distance: float = 1.0         # m
     path_loss_exp: float = 2.7

@@ -28,8 +28,8 @@ import time
 import numpy as np
 
 from . import analysis, marl, nn
-from .config import (ConfigError, ExperimentConfig, default_config,
-                     load_config, to_ini)
+from .config import (ConfigError, ExperimentConfig, apply_overrides,
+                     from_ini, load_config, to_ini)
 
 log = logging.getLogger("fasloc")
 
@@ -102,15 +102,7 @@ def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> i
 
 def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig, marl.MarlTrainer]:
     arrays, meta = nn.load_params(path)
-    from .config import _apply_items, from_ini
-    cfg = from_ini(meta["config_ini"])
-    if overrides:
-        items = []
-        for item in overrides:
-            dotted, raw = item.split("=", 1)
-            section, key = dotted.split(".", 1)
-            items.append((section, key, raw))
-        cfg = _apply_items(cfg, items)
+    cfg = apply_overrides(from_ini(meta["config_ini"]), overrides or [])
     trainer = marl.MarlTrainer(cfg, scheme=meta["scheme"])
     trainer.load_checkpoint_arrays(arrays)
     return cfg, trainer

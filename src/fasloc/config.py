@@ -57,7 +57,6 @@ class MarlConfig:
     eps_start: float = 1.0
     eps_end: float = 0.05
     port_eps_floor: float = 0.2     # ports keep exploring after the anneal
-    port_warmup_fraction: float = 0.0   # optional delay before port heads train
     port_lr_multiplier: float = 5.0     # faster port-head updates; the port
                                         # pathway is decoupled, so this cannot
                                         # destabilize the value fit
@@ -78,7 +77,6 @@ class MarlConfig:
                                       # gradient is zero where the clamp binds
     penalty_clip: float = 200.0     # training-side clamp of the raw penalty
     reward_scale: float = 100.0
-    update_cadence: str = "episode"  # or "slot"
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,16 @@ class RunConfig:
     eval_episodes: int = 30
 
 
-SCHEMES = ("ar_marl", "vd_marl", "independent_q", "no_fas", "no_rnn",
-           "no_transformer", "random")
+SCHEME_TRAITS = {
+    # (trains, learned_ports, recurrent, coordinator, mixer_mode)
+    "ar_marl":        (True,  True,  True,  True,  "hyper"),
+    "vd_marl":        (True,  True,  True,  False, "sum"),
+    "independent_q":  (True,  True,  True,  False, None),
+    "no_fas":         (True,  False, True,  True,  "hyper"),
+    "no_rnn":         (True,  True,  False, True,  "hyper"),
+    "no_transformer": (True,  True,  True,  False, "hyper"),
+    "random":         (False, False, False, False, None),
+}
 
 
 @dataclass(frozen=True)
@@ -105,15 +111,13 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self):
-        if self.run.scheme not in SCHEMES:
+        if self.run.scheme not in SCHEME_TRAITS:
             raise ConfigError(f"unknown scheme {self.run.scheme!r}; "
-                              f"choose from {', '.join(SCHEMES)}")
+                              f"choose from {', '.join(SCHEME_TRAITS)}")
         if self.scenario.channel_coherence not in ("episode", "slot"):
             raise ConfigError("channel_coherence must be 'episode' or 'slot'")
         if self.scenario.initial_heading not in ("toward_target", "level"):
             raise ConfigError("initial_heading must be 'toward_target' or 'level'")
-        if self.marl.update_cadence not in ("episode", "slot"):
-            raise ConfigError("update_cadence must be 'episode' or 'slot'")
 
 
 _SECTIONS = {
@@ -243,16 +247,22 @@ def from_ini(text: str, base: ExperimentConfig | None = None) -> ExperimentConfi
     return _apply_items(base, items, origin_text=text)
 
 
+def apply_overrides(base: ExperimentConfig, overrides) -> ExperimentConfig:
+    """Apply section.key=value strings to base; later ones win."""
+    items = []
+    for item in overrides:
+        if "=" not in item or "." not in item.split("=", 1)[0]:
+            raise ConfigError(f"override must look like section.key=value: {item!r}")
+        dotted, raw = item.split("=", 1)
+        section, key = dotted.split(".", 1)
+        items.append((section, key, raw))
+    return _apply_items(base, items)
+
+
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     """Read an INI file (optional) and apply section.key=value overrides."""
     cfg = default_config()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = from_ini(fh.read())
-    for item in overrides or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must look like section.key=value: {item!r}")
-        dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        cfg = _apply_items(cfg, [(section, key, raw)])
-    return cfg
+    return apply_overrides(cfg, overrides or [])

@@ -21,7 +21,7 @@ import numpy as np
 from . import channel as ch
 from . import positioning as pos
 from . import world as wd
-from .config import ExperimentConfig
+from .config import SCHEME_TRAITS, ExperimentConfig
 from .nn import MLP, AttentionUnit, GRUCell, Linear, Module, Param
 
 PENALTY_REWARD = -1.0e6
@@ -80,12 +80,8 @@ def encode_action(action: AgentAction, n_ports: int | None) -> int:
 
 def port_menu_mask(n_actions: int, n_ports: int, menu) -> np.ndarray:
     """Boolean mask over passive action ids whose port is in menu."""
-    allowed = np.zeros(n_actions, dtype=bool)
-    menu = set(int(p) for p in menu)
-    for a in range(n_actions):
-        if decode_action(a, n_ports).port in menu:
-            allowed[a] = True
-    return allowed
+    ports = np.arange(n_actions) % n_ports + 1     # decode_action's port
+    return np.isin(ports, [int(p) for p in menu])
 
 
 def build_observation(agent: int, positions: np.ndarray, aod: np.ndarray,
@@ -187,15 +183,19 @@ def build_td_targets(rewards: np.ndarray, next_values: np.ndarray,
 
 
 def weighted_td_loss(q_global: np.ndarray, q_target: np.ndarray,
-                     delta: float) -> tuple[float, np.ndarray]:
+                     delta: float,
+                     weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Sign-weighted squared TD error: weight 1 where the TD error is
-    negative, delta otherwise.  Returns (loss, per-slot weights)."""
+    negative, delta otherwise, unless per-slot weights are given (held
+    fixed, as across a finite-difference stencil).  Returns (loss,
+    per-slot weights)."""
     q_global = np.asarray(q_global, float)
     q_target = np.asarray(q_target, float)
     if q_global.shape != q_target.shape:
         raise ValueError("sequence length mismatch")
     diff = q_global - q_target
-    weights = np.where(diff < 0.0, 1.0, delta)
+    if weights is None:
+        weights = np.where(diff < 0.0, 1.0, delta)
     return float(np.sum(weights * diff * diff)), weights
 
 
@@ -333,6 +333,13 @@ class LocalQNet(Module):
         self.embed.backward(de * mask, c_embed)
         return dh_prev
 
+    def port_fit_loss(self, cache, port_fit: tuple[int, float]) -> float:
+        """The regression loss whose gradient backward's port_fit applies
+        to the port head."""
+        port, target = port_fit
+        *_, (_, port_raw) = cache
+        return float((port_raw[port] - target) ** 2)
+
 
 class Coordinator(Module):
     """Attention summary of the joint recent state-action history."""
@@ -465,25 +472,11 @@ class Mixer(Module):
 # policy container
 
 
-SCHEME_TRAITS = {
-    # (trains, learned_ports, recurrent, coordinator, mixer_mode)
-    "ar_marl":        (True,  True,  True,  True,  "hyper"),
-    "vd_marl":        (True,  True,  True,  False, "sum"),
-    "independent_q":  (True,  True,  True,  False, None),
-    "no_fas":         (True,  False, True,  True,  "hyper"),
-    "no_rnn":         (True,  True,  False, True,  "hyper"),
-    "no_transformer": (True,  True,  True,  False, "hyper"),
-    "random":         (False, False, False, False, None),
-}
-
-
 class PolicyNets:
     """All trainable pieces for one scheme, plus shape bookkeeping."""
 
     def __init__(self, cfg: ExperimentConfig, scheme: str,
                  rng: np.random.Generator):
-        if scheme not in SCHEME_TRAITS:
-            raise ValueError(f"unknown scheme {scheme!r}")
         self.scheme = scheme
         trains, ports, recurrent, coord, mixer_mode = SCHEME_TRAITS[scheme]
         self.learned_ports = ports
@@ -495,9 +488,6 @@ class PolicyNets:
 
         self.active_inputs = 3 + 2
         self.passive_inputs = (3 + n_paths + 1) + 3
-        self.active_actions = active_action_count()
-        self.passive_actions = (passive_action_count(n_ports) if ports
-                                else active_action_count())
 
         self.local: list[LocalQNet] = []
         if trains:
@@ -733,7 +723,6 @@ class EpisodeData:
     port_credit: list = field(default_factory=list)   # [t] -> (4,) credit
     live_caches: list = field(default_factory=list)   # [t][k] -> net cache
     live_q: list = field(default_factory=list)        # [t][k] -> q vector
-    hidden: list = field(default_factory=list)        # [t][k] -> h before slot t
 
     def __len__(self):
         return len(self.rewards_raw)
@@ -814,11 +803,8 @@ class MarlTrainer:
         self.updates = 0
         self.inter_agent_messages = 0
         self.n_ports = cfg.channel.n_ports
-        self._lr_scale = 1.0
-        self._port_frozen = False
-        self._port_floor_scale = 1.0
 
-    # -- epsilon schedule ---------------------------------------------------
+    # -- schedules ------------------------------------------------------------
 
     def epsilon_at(self, episode_index: int, total_episodes: int) -> float:
         m = self.cfg.marl
@@ -826,20 +812,17 @@ class MarlTrainer:
         frac = min(episode_index / horizon, 1.0)
         return m.eps_start + frac * (m.eps_end - m.eps_start)
 
+    def schedule(self, progress: float) -> tuple[float, float]:
+        """(learning-rate scale, port exploration floor) at a training
+        progress in [0, 1].  The rate decays linearly to lr_final_fraction.
+        The floor holds at port_eps_floor and fades out over the last sixth
+        of training, so late rollouts reflect the learned ports."""
+        m = self.cfg.marl
+        lr_scale = 1.0 - (1.0 - m.lr_final_fraction) * progress
+        port_floor = m.port_eps_floor * min(1.0, 6.0 * max(1.0 - progress, 0.0))
+        return lr_scale, port_floor
+
     # -- per-slot plumbing ----------------------------------------------------
-
-    def _net_input(self, agent: int, obs: np.ndarray,
-                   prev_action: AgentAction | None) -> np.ndarray:
-        scaled = scale_observation(agent, obs)
-        enc = encode_prev_action(prev_action, agent == 0, self.n_ports)
-        return np.concatenate([scaled, enc])
-
-    def _joint_row(self, observations, actions) -> np.ndarray:
-        parts = []
-        for k in range(N_AGENTS):
-            parts.append(scale_observation(k, observations[k]))
-            parts.append(encode_prev_action(actions[k], k == 0, self.n_ports))
-        return np.concatenate(parts)
 
     def _window(self, episode: EpisodeData, t: int):
         t_h = self.cfg.marl.history_window
@@ -851,86 +834,100 @@ class MarlTrainer:
         mask[t_h - len(chunk):] = True
         return rows, mask
 
-    def _choose_ports_randomly(self) -> np.ndarray:
-        return self.policy_rng.integers(1, self.n_ports + 1, size=4)
+    def act(self, qs, epsilon: float, port_eps: float,
+            rng: np.random.Generator, ports: np.ndarray,
+            allowed: np.ndarray):
+        """The team's action ids (indices into each agent's Q-vector) and
+        actions for one slot.
 
-    def _factored_select(self, q: np.ndarray, epsilon: float) -> int:
-        """Training-time action pick for a (steering, port) factored space.
-
-        Each factor draws its own exploration coin: a flat epsilon-greedy
-        over the product space stops producing counterfactual port data
-        the moment the policy goes greedy, and the port ranking then
-        freezes at whatever the anneal phase reached.  The port factor
-        additionally keeps a standing exploration floor.
+        ports are the selectable ports; allowed masks the passive action
+        ids that use them.  The random scheme draws one flat action id per
+        agent.  Otherwise the active UAV is epsilon-greedy over steering,
+        and so are passive UAVs without learned ports, which take uniform
+        ports drawn for all four at the start of the slot.  With learned
+        ports each factor draws its own exploration coin, the port's with
+        port_eps: a flat epsilon-greedy over the product space stops
+        producing counterfactual port data the moment the policy goes
+        greedy, and the port ranking then freezes at whatever the anneal
+        phase reached.
         """
-        greedy = decode_action(int(np.argmax(q)), self.n_ports)
-        rng = self.policy_rng
-        if epsilon > 0.0 and rng.uniform() < epsilon:
-            yaw = int(rng.integers(N_ANGLE))
-            pitch = int(rng.integers(N_ANGLE))
-        else:
-            yaw, pitch = greedy.yaw_idx, greedy.pitch_idx
-        floor = self.cfg.marl.port_eps_floor * self._port_floor_scale
-        port_eps = max(epsilon, floor)
-        if port_eps > 0.0 and rng.uniform() < port_eps:
-            port = int(rng.integers(1, self.n_ports + 1))
-        else:
-            port = greedy.port
-        return encode_action(AgentAction(yaw, pitch, port), self.n_ports)
+        n = self.n_ports
+        if self.nets is None:
+            ids = [int(rng.integers(active_action_count()))]
+            choices = np.flatnonzero(allowed)
+            ids += [int(choices[rng.integers(len(choices))]) for _ in range(4)]
+            return ids, [decode_action(a, n if k else None)
+                         for k, a in enumerate(ids)]
+        learned_ports = self.nets.learned_ports
+        slot_ports = (None if learned_ports
+                      else ports[rng.integers(len(ports), size=4)])
+        ids, acts = [], []
+        for k, q in enumerate(qs):
+            if k == 0 or not learned_ports:
+                a_id = select_action(q, epsilon, rng)
+                action = decode_action(a_id, None)
+                if k:
+                    action = AgentAction(action.yaw_idx, action.pitch_idx,
+                                         int(slot_ports[k - 1]))
+            else:
+                greedy = decode_action(select_action(q, 0.0, rng, allowed), n)
+                yaw, pitch = greedy.yaw_idx, greedy.pitch_idx
+                if epsilon > 0.0 and rng.uniform() < epsilon:
+                    yaw = int(rng.integers(N_ANGLE))
+                    pitch = int(rng.integers(N_ANGLE))
+                port = greedy.port
+                if port_eps > 0.0 and rng.uniform() < port_eps:
+                    port = int(ports[rng.integers(len(ports))])
+                action = AgentAction(yaw, pitch, port)
+                a_id = encode_action(action, n)
+            ids.append(a_id)
+            acts.append(action)
+        return ids, acts
 
     # -- rollout --------------------------------------------------------------
 
     def rollout(self, env: PositioningEnv, epsilon: float,
-                collect_caches: bool = True) -> EpisodeData:
+                port_eps: float | None = None,
+                rng: np.random.Generator | None = None,
+                port_menu=None) -> EpisodeData:
+        """Play one episode of env.
+
+        Steering explores with probability epsilon, ports with port_eps
+        (default: epsilon), drawing from rng (default: the trainer's policy
+        stream).  port_menu restricts the passive UAVs to those ports.  The
+        local nets' per-slot Q-vectors and caches are kept for the episode
+        loss.
+        """
+        rng = self.policy_rng if rng is None else rng
+        port_eps = epsilon if port_eps is None else port_eps
+        ports = np.arange(1, self.n_ports + 1)
+        if port_menu is not None:
+            ports = np.array(sorted(int(p) for p in port_menu), dtype=int)
+        allowed = port_menu_mask(passive_action_count(self.n_ports),
+                                 self.n_ports, ports)
+        m = self.cfg.marl
         ep = EpisodeData()
         observations = env.reset()
-        m = self.cfg.marl
-        hidden = None
-        prev_actions: list[AgentAction | None] = [None] * N_AGENTS
+        enc = [encode_prev_action(None, k == 0, self.n_ports)
+               for k in range(N_AGENTS)]
         if self.nets is not None:
             hidden = [net.initial_state() for net in self.nets.local]
-
-        for t in range(self.cfg.world.slots_per_episode):
-            inputs, qs, caches, h_before = [], [], [], []
-            ids, acts = [], []
-            random_ports = (None if self.nets is None or self.nets.learned_ports
-                            else self._choose_ports_randomly())
-            for k in range(N_AGENTS):
-                if self.nets is None:
-                    n_act = (active_action_count() if k == 0
-                             else passive_action_count(self.n_ports))
-                    a_id = int(self.policy_rng.integers(0, n_act))
-                    action = decode_action(a_id, None if k == 0 else self.n_ports)
-                    inputs.append(None)
-                    qs.append(None)
-                    caches.append(None)
-                    h_before.append(None)
-                else:
-                    x = self._net_input(k, observations[k], prev_actions[k])
-                    h_prev = hidden[k]
-                    q, h_new, cache = self.nets.local[k].forward(x, h_prev)
-                    if k == 0:
-                        a_id = select_action(q, epsilon, self.policy_rng)
-                        action = decode_action(a_id, None)
-                    elif self.nets.learned_ports:
-                        a_id = self._factored_select(q, epsilon)
-                        action = decode_action(a_id, self.n_ports)
-                    else:
-                        a_id = select_action(q, epsilon, self.policy_rng)
-                        angles = decode_action(a_id, None)
-                        action = AgentAction(angles.yaw_idx, angles.pitch_idx,
-                                             int(random_ports[k - 1]))
-                    inputs.append(x)
-                    qs.append(q)
-                    caches.append(cache if collect_caches else None)
-                    h_before.append(h_prev)
-                    hidden[k] = h_new
-                ids.append(a_id)
-                acts.append(action)
-
-            row = self._joint_row(observations, acts)
+        for _ in range(env.cfg.world.slots_per_episode):
+            scaled = [scale_observation(k, obs)
+                      for k, obs in enumerate(observations)]
+            inputs, qs, caches = ([None] * N_AGENTS for _ in range(3))
+            if self.nets is not None:
+                for k, net in enumerate(self.nets.local):
+                    inputs[k] = np.concatenate([scaled[k], enc[k]])
+                    qs[k], hidden[k], caches[k] = net.forward(inputs[k], hidden[k])
+            ids, acts = self.act(qs, epsilon, port_eps, rng, ports, allowed)
+            # an agent's input pairs its observation with its previous
+            # action; the joint history row pairs it with the action taken
+            enc = [encode_prev_action(a, k == 0, self.n_ports)
+                   for k, a in enumerate(acts)]
+            row = np.concatenate([part for pair in zip(scaled, enc)
+                                  for part in pair])
             observations, info = env.step(acts)
-            prev_actions = acts
 
             ep.net_inputs.append(inputs)
             ep.action_ids.append(ids)
@@ -948,90 +945,53 @@ class MarlTrainer:
             ep.violations.append(info["latency_violations"])
             ep.live_caches.append(caches)
             ep.live_q.append(qs)
-            ep.hidden.append(h_before)
         return ep
 
-    # -- global Q forward/backward letting gradients reach every piece -------
+    # -- targets and loss -----------------------------------------------------
 
-    def _global_q_forward(self, nets: PolicyNets, q_chosen: np.ndarray,
-                          rows: np.ndarray, mask: np.ndarray):
+    def _replay(self, nets: PolicyNets, episode: EpisodeData):
+        """Forward nets' local Q-nets over the episode's recorded inputs
+        from fresh recurrent states: ([t][k] -> q, [t][k] -> cache)."""
+        hidden = [net.initial_state() for net in nets.local]
+        qs, caches = [], []
+        for inputs in episode.net_inputs:
+            q_row, c_row = [], []
+            for k, net in enumerate(nets.local):
+                q, hidden[k], cache = net.forward(inputs[k], hidden[k])
+                q_row.append(q)
+                c_row.append(cache)
+            qs.append(q_row)
+            caches.append(c_row)
+        return qs, caches
+
+    def _mix(self, nets: PolicyNets, q_chosen: np.ndarray,
+             episode: EpisodeData, t: int):
+        """Global Q of slot t: the coordinator's context over the recent
+        joint history drives the mixer of the chosen local Q-values."""
         if nets.coordinator is not None:
-            omega, c_coord = nets.coordinator.forward(rows, mask)
-            self.inter_agent_messages += N_AGENTS
+            omega, c_coord = nets.coordinator.forward(*self._window(episode, t))
         else:
             omega, c_coord = np.zeros(nets.omega_width), None
         q_total, c_mix = nets.mixer.forward(q_chosen, omega)
-        self.inter_agent_messages += N_AGENTS
         return q_total, (c_coord, c_mix)
 
-    def _global_q_backward(self, nets: PolicyNets, d_qtotal: float, cache):
-        c_coord, c_mix = cache
-        dq, domega = nets.mixer.backward(d_qtotal, c_mix)
-        if nets.coordinator is not None and domega is not None:
-            nets.coordinator.backward(domega, c_coord)
-        return dq
-
-    def _target_values(self, episode: EpisodeData) -> np.ndarray:
-        """Target-network global values at per-agent greedy actions, one per
-        slot (used as the bootstrap for the preceding slot)."""
+    def td_targets(self, episode: EpisodeData) -> np.ndarray:
+        """Bootstrapped TD targets, one row per slot, from the target
+        networks at per-agent greedy actions.  One column for the mixed
+        global Q; one per agent for independent learners, which bootstrap
+        from their own greedy values."""
         tnets = self.target_nets
-        T = len(episode)
-        hidden = [net.initial_state() for net in tnets.local]
-        greedy = np.zeros((T, N_AGENTS))
-        for t in range(T):
-            for k in range(N_AGENTS):
-                q, h_new, _ = tnets.local[k].forward(episode.net_inputs[t][k],
-                                                     hidden[k])
-                hidden[k] = h_new
-                greedy[t, k] = float(np.max(q))
-        values = np.zeros(T)
-        for t in range(T):
-            if tnets.mixer is None:
-                values[t] = float(greedy[t].sum())
-            else:
-                if tnets.coordinator is not None:
-                    rows, mask = self._window(episode, t)
-                    omega, _ = tnets.coordinator.forward(rows, mask)
-                else:
-                    omega = np.zeros(tnets.omega_width)
-                values[t], _ = tnets.mixer.forward(greedy[t], omega)
-        return values
-
-    def _per_agent_target_values(self, episode: EpisodeData) -> np.ndarray:
-        tnets = self.target_nets
-        T = len(episode)
-        hidden = [net.initial_state() for net in tnets.local]
-        greedy = np.zeros((T, N_AGENTS))
-        for t in range(T):
-            for k in range(N_AGENTS):
-                q, h_new, _ = tnets.local[k].forward(episode.net_inputs[t][k],
-                                                     hidden[k])
-                hidden[k] = h_new
-                greedy[t, k] = float(np.max(q))
-        return greedy
-
-    # -- loss + updates -------------------------------------------------------
-
-    def _apply_sgd(self):
-        m = self.cfg.marl
-        for net in self.nets.local:
-            if net.port_head is None:
-                continue
-            for p in net.port_head.params():
-                if self._port_frozen:
-                    p.grad[...] = 0.0
-                else:
-                    p.grad *= m.port_lr_multiplier
-        params = self.nets.params()
-        total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-        scale = 1.0 if total <= m.grad_clip else m.grad_clip / total
-        rate = m.learning_rate * self._lr_scale
-        for p in params:
-            p.value -= rate * scale * p.grad
-        self.nets.zero_grads()
-        self.updates += 1
-        if self.updates % m.target_sync == 0:
-            self.target_nets.copy_from(self.nets)
+        qs, _ = self._replay(tnets, episode)
+        greedy = np.array([[float(np.max(q)) for q in row] for row in qs])
+        boot = greedy
+        if tnets.mixer is not None:
+            boot = np.zeros((len(episode), 1))
+            for t in range(len(episode)):
+                boot[t, 0], _ = self._mix(tnets, greedy[t], episode, t)
+        rewards = np.asarray(episode.rewards_train)
+        return np.column_stack([
+            build_td_targets(rewards, boot[1:, j], self.cfg.marl.discount)
+            for j in range(boot.shape[1])])
 
     def _port_fit(self, episode: EpisodeData, t: int, k: int):
         """(port index, credit) target of agent k's port head at slot t."""
@@ -1039,121 +999,102 @@ class MarlTrainer:
             return None
         return episode.actions[t][k].port - 1, episode.port_credit[t][k - 1]
 
-    def _bptt_locals(self, episode: EpisodeData, dq_scalars: np.ndarray):
-        """Backprop the per-slot chosen-action gradients through each local
-        net, carrying the recurrent gradient backward in time.  Port heads
-        fit their agent's port credit instead."""
+    def episode_loss(self, episode: EpisodeData, qs, caches,
+                     targets: np.ndarray, weights: np.ndarray | None = None,
+                     backward: bool = True):
+        """The loss training applies for one episode, and its gradient.
+
+        qs and caches ([t][k]) come from the live local nets' forward pass
+        over the episode: the rollout's own, or a replay.  The TD loss
+        compares the mixed global Q of the chosen actions with targets
+        (td_targets); independent learners have one TD column per agent.
+        weights are the TD-sign weights (computed here when None).  With
+        backward, gradients accumulate into every parameter: the TD
+        gradient through the mixer, the coordinator and each local net
+        (backprop through time), except that each port head receives the
+        gradient of its port-credit fit (LocalQNet.backward's port_fit).
+        Returns (TD loss, port-fit loss, weights).
+        """
+        nets = self.nets
         T = len(episode)
-        for k in range(N_AGENTS):
-            net = self.nets.local[k]
+        q_chosen = np.array([[qs[t][k][episode.action_ids[t][k]]
+                              for k in range(N_AGENTS)] for t in range(T)])
+        q_td = q_chosen
+        if nets.mixer is not None:
+            q_td = np.zeros((T, 1))
+            mix_caches = []
+            for t in range(T):
+                q_td[t, 0], cache = self._mix(nets, q_chosen[t], episode, t)
+                mix_caches.append(cache)
+            self.inter_agent_messages += T * N_AGENTS * (
+                2 if nets.coordinator is not None else 1)
+        td_loss, cols = 0.0, []
+        for j in range(q_td.shape[1]):
+            loss_j, w_j = weighted_td_loss(
+                q_td[:, j], targets[:, j], self.cfg.marl.delta,
+                None if weights is None else weights[:, j])
+            td_loss += loss_j
+            cols.append(w_j)
+        weights = np.column_stack(cols)
+        if not math.isfinite(td_loss):
+            raise TrainingDiverged(
+                "TD loss is not finite",
+                {"loss": td_loss, "q": q_td.tolist(),
+                 "targets": targets.tolist()})
+        port_loss = 0.0
+        for t in range(T):
+            for k, net in enumerate(nets.local):
+                fit = self._port_fit(episode, t, k)
+                if fit is not None:
+                    port_loss += net.port_fit_loss(caches[t][k], fit)
+        if not backward:
+            return td_loss, port_loss, weights
+
+        dq = 2.0 * weights * (q_td - targets)
+        if nets.mixer is not None:
+            dq_locals = np.zeros((T, N_AGENTS))
+            for t in range(T):
+                c_coord, c_mix = mix_caches[t]
+                dq_locals[t], domega = nets.mixer.backward(dq[t, 0], c_mix)
+                if nets.coordinator is not None and domega is not None:
+                    nets.coordinator.backward(domega, c_coord)
+            dq = dq_locals
+        for k, net in enumerate(nets.local):
             dh = np.zeros(max(net.hidden_size, 1))
             for t in reversed(range(T)):
                 dq_vec = np.zeros(net.n_actions)
-                dq_vec[episode.action_ids[t][k]] = dq_scalars[t, k]
-                dh = net.backward(dq_vec, dh, episode.live_caches[t][k],
+                dq_vec[episode.action_ids[t][k]] = dq[t, k]
+                dh = net.backward(dq_vec, dh, caches[t][k],
                                   port_fit=self._port_fit(episode, t, k))
+        return td_loss, port_loss, weights
 
-    def train_on_episode(self, episode: EpisodeData) -> float:
+    # -- updates --------------------------------------------------------------
+
+    def _apply_sgd(self, lr_scale: float):
         m = self.cfg.marl
-        T = len(episode)
-        rewards = np.asarray(episode.rewards_train)
+        for net in self.nets.local:
+            if net.port_head is not None:
+                for p in net.port_head.params():
+                    p.grad *= m.port_lr_multiplier
+        params = self.nets.params()
+        total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+        scale = 1.0 if total <= m.grad_clip else m.grad_clip / total
+        rate = m.learning_rate * lr_scale
+        for p in params:
+            p.value -= rate * scale * p.grad
+        self.nets.zero_grads()
+        self.updates += 1
+        if self.updates % m.target_sync == 0:
+            self.target_nets.copy_from(self.nets)
 
-        if self.scheme == "independent_q":
-            greedy = self._per_agent_target_values(episode)
-            total_loss = 0.0
-            dq_scalars = np.zeros((T, N_AGENTS))
-            for k in range(N_AGENTS):
-                q_taken = np.array([episode.live_q[t][k][episode.action_ids[t][k]]
-                                    for t in range(T)])
-                targets = build_td_targets(rewards, greedy[1:, k], m.discount)
-                loss_k, weights = weighted_td_loss(q_taken, targets, m.delta)
-                total_loss += loss_k
-                dq_scalars[:, k] = 2.0 * weights * (q_taken - targets)
-            self._bptt_locals(episode, dq_scalars)
-            if not math.isfinite(total_loss):
-                raise TrainingDiverged("independent-Q loss is not finite",
-                                       {"loss": total_loss})
-            self._apply_sgd()
-            return total_loss
-
-        # factorized schemes: one global TD per slot
-        q_chosen = np.array([[episode.live_q[t][k][episode.action_ids[t][k]]
-                              for k in range(N_AGENTS)] for t in range(T)])
-        q_global = np.zeros(T)
-        mix_caches = []
-        for t in range(T):
-            rows, mask = self._window(episode, t)
-            q_global[t], cache = self._global_q_forward(self.nets, q_chosen[t],
-                                                        rows, mask)
-            mix_caches.append(cache)
-
-        boot = self._target_values(episode)
-        targets = build_td_targets(rewards, boot[1:], m.discount)
-        loss, weights = weighted_td_loss(q_global, targets, m.delta)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(
-                "global TD loss is not finite",
-                {"loss": loss, "q_global": q_global.tolist(),
-                 "targets": targets.tolist()})
-
-        dq_scalars = np.zeros((T, N_AGENTS))
-        for t in range(T):
-            d_qtotal = 2.0 * weights[t] * (q_global[t] - targets[t])
-            dq_scalars[t] = self._global_q_backward(self.nets, d_qtotal,
-                                                    mix_caches[t])
-        self._bptt_locals(episode, dq_scalars)
-        self._apply_sgd()
+    def train_on_episode(self, episode: EpisodeData,
+                         lr_scale: float = 1.0) -> float:
+        """One update from the rollout's own caches; returns the TD loss."""
+        loss, _, _ = self.episode_loss(episode, episode.live_q,
+                                       episode.live_caches,
+                                       self.td_targets(episode))
+        self._apply_sgd(lr_scale)
         return loss
-
-    def train_on_episode_per_slot(self, episode: EpisodeData) -> float:
-        """Slot-cadence updates: one truncated gradient step per slot, with
-        the stored recurrent states treated as constants."""
-        m = self.cfg.marl
-        T = len(episode)
-        rewards = np.asarray(episode.rewards_train)
-        boot = self._target_values(episode)
-        total_loss = 0.0
-        for t in range(T):
-            target = rewards[t] + (m.discount * boot[t + 1] if t + 1 < T else 0.0)
-            q_fresh = []
-            caches = []
-            for k in range(N_AGENTS):
-                q, _, cache = self.nets.local[k].forward(
-                    episode.net_inputs[t][k], episode.hidden[t][k])
-                q_fresh.append(q)
-                caches.append(cache)
-            q_chosen = np.array([q_fresh[k][episode.action_ids[t][k]]
-                                 for k in range(N_AGENTS)])
-            if self.scheme == "independent_q":
-                for k in range(N_AGENTS):
-                    diff = q_chosen[k] - target
-                    w = 1.0 if diff < 0 else m.delta
-                    total_loss += w * diff * diff
-                    g = 2.0 * w * diff
-                    dq_vec = np.zeros(self.nets.local[k].n_actions)
-                    dq_vec[episode.action_ids[t][k]] = g
-                    self.nets.local[k].backward(
-                        dq_vec, np.zeros(max(self.nets.local[k].hidden_size, 1)),
-                        caches[k], port_fit=self._port_fit(episode, t, k))
-            else:
-                rows, mask = self._window(episode, t)
-                q_total, cache = self._global_q_forward(self.nets, q_chosen,
-                                                        rows, mask)
-                diff = q_total - target
-                w = 1.0 if diff < 0 else m.delta
-                total_loss += w * diff * diff
-                dq = self._global_q_backward(self.nets, 2.0 * w * diff, cache)
-                for k in range(N_AGENTS):
-                    dq_vec = np.zeros(self.nets.local[k].n_actions)
-                    dq_vec[episode.action_ids[t][k]] = dq[k]
-                    self.nets.local[k].backward(
-                        dq_vec, np.zeros(max(self.nets.local[k].hidden_size, 1)),
-                        caches[k], port_fit=self._port_fit(episode, t, k))
-            self._apply_sgd()
-        if not math.isfinite(total_loss):
-            raise TrainingDiverged("slot-cadence loss is not finite",
-                                   {"loss": total_loss})
-        return float(total_loss)
 
     # -- main loop ------------------------------------------------------------
 
@@ -1169,21 +1110,11 @@ class MarlTrainer:
             for _ in range(cfg.run.episodes_per_epoch):
                 eps = (self.epsilon_at(ep_index, total_eps)
                        if self.trains else 1.0)
-                progress = ep_index / max(total_eps - 1, 1)
-                self._lr_scale = 1.0 - (1.0 - cfg.marl.lr_final_fraction) * progress
-                self._port_frozen = progress < cfg.marl.port_warmup_fraction
-                # late-run rollouts should reflect the learned ports: fade
-                # the standing exploration floor near the end of training
-                self._port_floor_scale = min(1.0, 6.0 * max(1.0 - progress, 0.0))
-                episode = self.rollout(env, eps if self.trains else 1.0,
-                                       collect_caches=self.trains)
-                if self.trains:
-                    if cfg.marl.update_cadence == "slot":
-                        loss = self.train_on_episode_per_slot(episode)
-                    else:
-                        loss = self.train_on_episode(episode)
-                else:
-                    loss = 0.0
+                lr_scale, port_floor = self.schedule(
+                    ep_index / max(total_eps - 1, 1))
+                episode = self.rollout(env, eps, port_eps=max(eps, port_floor))
+                loss = (self.train_on_episode(episode, lr_scale)
+                        if self.trains else 0.0)
                 ep_index += 1
                 errs.extend(episode.errors)
                 rews.extend(episode.rewards_raw)
@@ -1221,8 +1152,6 @@ def train(cfg: ExperimentConfig) -> TrainingLog:
 
 def run_baseline(kind: str, cfg: ExperimentConfig) -> TrainingLog:
     """Run one of the comparison schemes under the same experiment config."""
-    if kind not in SCHEME_TRAITS:
-        raise ValueError(f"unknown baseline {kind!r}")
     return MarlTrainer(cfg, scheme=kind).run()
 
 
@@ -1238,72 +1167,27 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
     shadowing and measurement randomness episode for episode."""
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
-    nets = trainer.nets
-    n_ports = cfg.channel.n_ports
-    allowed = None
-    if port_menu is not None and nets is not None and nets.learned_ports:
-        allowed = port_menu_mask(nets.passive_actions, n_ports, port_menu)
-    menu_array = (np.array(sorted(int(p) for p in port_menu), dtype=int)
-                  if port_menu is not None else None)
-
     errors, rewards = [], []
     stale_slots = 0
     violation_slots = 0
-    total_slots = 0
     for ep in range(episodes):
         env_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, ep, 0))))
         pol_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, ep, 1))))
-        env = PositioningEnv(cfg, env_rng)
-        observations = env.reset()
-        prev_actions: list[AgentAction | None] = [None] * N_AGENTS
-        hidden = ([net.initial_state() for net in nets.local]
-                  if nets is not None else None)
-        for _ in range(cfg.world.slots_per_episode):
-            acts = []
-            for k in range(N_AGENTS):
-                if nets is None:
-                    if k == 0:
-                        a_id = int(pol_rng.integers(0, active_action_count()))
-                        acts.append(decode_action(a_id, None))
-                    else:
-                        yaw_pitch = int(pol_rng.integers(0, active_action_count()))
-                        base = decode_action(yaw_pitch, None)
-                        port = (int(menu_array[pol_rng.integers(len(menu_array))])
-                                if menu_array is not None
-                                else int(pol_rng.integers(1, n_ports + 1)))
-                        acts.append(AgentAction(base.yaw_idx, base.pitch_idx, port))
-                    continue
-                x = trainer._net_input(k, observations[k], prev_actions[k])
-                q, h_new, _ = nets.local[k].forward(x, hidden[k])
-                hidden[k] = h_new
-                if k == 0:
-                    acts.append(decode_action(select_action(q, 0.0, pol_rng), None))
-                elif nets.learned_ports:
-                    a_id = select_action(q, 0.0, pol_rng, allowed=allowed)
-                    acts.append(decode_action(a_id, n_ports))
-                else:
-                    a_id = select_action(q, 0.0, pol_rng)
-                    base = decode_action(a_id, None)
-                    port = (int(menu_array[pol_rng.integers(len(menu_array))])
-                            if menu_array is not None
-                            else int(pol_rng.integers(1, n_ports + 1)))
-                    acts.append(AgentAction(base.yaw_idx, base.pitch_idx, port))
-            observations, info = env.step(acts)
-            prev_actions = acts
-            errors.append(info["error"])
-            rewards.append(info["reward"])
-            stale_slots += int(info["stale"])
-            violation_slots += int(not info["feasible"])
-            total_slots += 1
+        played = trainer.rollout(PositioningEnv(cfg, env_rng), 0.0,
+                                 rng=pol_rng, port_menu=port_menu)
+        errors += played.errors
+        rewards += played.rewards_raw
+        stale_slots += sum(bool(s) for s in played.stales)
+        violation_slots += sum(not f for f in played.feasible)
     return {
         "episodes": episodes,
         "mean_error": float(np.mean(errors)),
         "std_error": float(np.std(errors)),
         "mean_reward": float(np.mean(rewards)),
-        "stale_rate": stale_slots / total_slots,
-        "violation_rate": violation_slots / total_slots,
+        "stale_rate": stale_slots / len(errors),
+        "violation_rate": violation_slots / len(errors),
     }
 
 
@@ -1311,88 +1195,51 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
 # end-to-end gradient verification
 
 
-def episode_loss_components(trainer: MarlTrainer, episode: EpisodeData,
-                            targets: np.ndarray, weights: np.ndarray,
-                            compute_grads: bool) -> float:
-    """Recompute the weighted TD loss from scratch under the current live
-    parameters (targets and TD-sign weights held fixed), optionally
-    accumulating analytic gradients for every parameter."""
-    nets = trainer.nets
-    T = len(episode)
-    hidden = [net.initial_state() for net in nets.local]
-    q_chosen = np.zeros((T, N_AGENTS))
-    local_caches = [[None] * N_AGENTS for _ in range(T)]
-    for t in range(T):
-        for k in range(N_AGENTS):
-            q, h_new, cache = nets.local[k].forward(episode.net_inputs[t][k],
-                                                    hidden[k])
-            hidden[k] = h_new
-            q_chosen[t, k] = q[episode.action_ids[t][k]]
-            local_caches[t][k] = cache
-    q_global = np.zeros(T)
-    mix_caches = []
-    for t in range(T):
-        rows, mask = trainer._window(episode, t)
-        q_global[t], cache = trainer._global_q_forward(nets, q_chosen[t],
-                                                       rows, mask)
-        mix_caches.append(cache)
-    diff = q_global - targets
-    loss = float(np.sum(weights * diff * diff))
-    if not compute_grads:
-        return loss
-    dq_scalars = np.zeros((T, N_AGENTS))
-    for t in range(T):
-        dq_scalars[t] = trainer._global_q_backward(
-            nets, 2.0 * weights[t] * diff[t], mix_caches[t])
-    for k in range(N_AGENTS):
-        net = nets.local[k]
-        dh = np.zeros(max(net.hidden_size, 1))
-        for t in reversed(range(T)):
-            dq_vec = np.zeros(net.n_actions)
-            dq_vec[episode.action_ids[t][k]] = dq_scalars[t, k]
-            dh = net.backward(dq_vec, dh, local_caches[t][k])
-    return loss
-
-
 def micro_gradcheck(cfg: ExperimentConfig, eps: float = 1e-5) -> float:
-    """Finite-difference check of the full loss path on one short episode.
+    """Finite-difference check of the gradient training applies, on one
+    short episode.
 
-    Returns the worst relative error over every trainable parameter of the
-    local nets, the attention coordinator, and the mixer.
+    The analytic gradient comes from MarlTrainer.episode_loss on the
+    rollout's own caches, as in train_on_episode; the finite differences
+    replay the local nets and go through the same function, with the TD
+    targets and TD-sign weights held at the base point so the loss stays
+    differentiable across the stencil.  Every parameter outside the port
+    heads is checked against the TD loss, and the port heads against
+    their port-credit fit.  The port heads' output layers start at zero,
+    which with zero credit would zero their gradient, so they are first
+    perturbed from a fixed seed.  Returns the worst relative error.
     """
     from .nn import finite_diff_check
 
     trainer = MarlTrainer(cfg)
     if trainer.nets is None:
         raise ValueError("gradient check needs a trainable scheme")
+    port_params = [p for net in trainer.nets.local if net.port_head is not None
+                   for p in net.port_head.params()]
+    perturb = np.random.default_rng(0)
+    for net in trainer.nets.local:
+        if net.port_head is not None:
+            for p in net.port_head.layers[-1].params():
+                p.value += 0.1 * perturb.standard_normal(p.value.shape)
+
     env = PositioningEnv(cfg, trainer.env_rng)
     episode = trainer.rollout(env, epsilon=0.3)
-    rewards = np.asarray(episode.rewards_train)
-    boot = trainer._target_values(episode)
-    targets = build_td_targets(rewards, boot[1:], cfg.marl.discount)
-    base_q = np.zeros(len(episode))
-    # establish the TD-sign weights at the base point, then freeze them so
-    # the loss stays differentiable across the finite-difference stencil
+    targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
-    hidden = [net.initial_state() for net in trainer.nets.local]
-    for t in range(len(episode)):
-        chosen = np.zeros(N_AGENTS)
-        for k in range(N_AGENTS):
-            q, h_new, _ = trainer.nets.local[k].forward(
-                episode.net_inputs[t][k], hidden[k])
-            hidden[k] = h_new
-            chosen[k] = q[episode.action_ids[t][k]]
-        rows, mask = trainer._window(episode, t)
-        base_q[t], _ = trainer._global_q_forward(trainer.nets, chosen, rows, mask)
-    _, weights = weighted_td_loss(base_q, targets, cfg.marl.delta)
+    _, _, weights = trainer.episode_loss(episode, episode.live_q,
+                                         episode.live_caches, targets)
+    if port_params and not any(np.any(p.grad) for p in port_params):
+        raise RuntimeError("the port heads' gradient is zero")
 
-    trainer.nets.zero_grads()
-    episode_loss_components(trainer, episode, targets, weights, True)
+    def losses():
+        qs, caches = trainer._replay(trainer.nets, episode)
+        return trainer.episode_loss(episode, qs, caches, targets, weights,
+                                    backward=False)
 
-    def loss_only():
-        return episode_loss_components(trainer, episode, targets, weights, False)
-
-    return finite_diff_check(loss_only, trainer.nets.params(), eps=eps)
+    in_port_heads = {id(p) for p in port_params}
+    others = [p for p in trainer.nets.params() if id(p) not in in_port_heads]
+    return max(finite_diff_check(lambda: losses()[0], others, eps=eps),
+               finite_diff_check(lambda: losses()[1], port_params, eps=eps))
 
 
 def micro_config(base: ExperimentConfig | None = None) -> ExperimentConfig:

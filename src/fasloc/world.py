@@ -167,11 +167,6 @@ class TargetTrajectory:
         return self.position.copy()
 
 
-def step_target(traj: TargetTrajectory, rng: np.random.Generator) -> Vec3:
-    """Functional wrapper over TargetTrajectory.step."""
-    return traj.step(rng)
-
-
 @dataclass
 class WorldState:
     """Snapshot of the scene after a slot's movements."""

@@ -138,6 +138,15 @@ class TestEvaluateVerb:
         with pytest.raises(nn.ShapeError):
             cli.evaluate_policy(str(out / "broken.npz"), episodes=1, seed=0)
 
+    def test_malformed_override_message(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                       "--episodes", "1", "--override", "bogus"])
+        assert rc == 2
+        assert "section.key=value" in capsys.readouterr().err
+
     def test_cli_main_evaluate(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fasloc import marl
+from fasloc import cli, marl
 from fasloc.config import MarlConfig, default_config
-from fasloc.marl import (AgentAction, Coordinator, EpochRecord, MarlTrainer,
-                         Mixer, PositioningEnv, TrainingLog, build_observation,
-                         build_td_targets, decode_action, encode_action,
-                         micro_config, micro_gradcheck, port_menu_mask,
-                         reward, select_action, weighted_td_loss)
+from fasloc.marl import (AgentAction, Coordinator, EpochRecord, LocalQNet,
+                         MarlTrainer, Mixer, PositioningEnv, TrainingLog,
+                         build_observation, build_td_targets, decode_action,
+                         encode_action, micro_config, micro_gradcheck,
+                         port_menu_mask, reward, select_action,
+                         weighted_td_loss)
 from fasloc.world import ConstraintReport
 
 FEASIBLE = ConstraintReport(True, True, True, True, True, True)
@@ -411,11 +412,11 @@ class TestTrainerMachinery:
         trainer = MarlTrainer(cfg)
         env = PositioningEnv(cfg, trainer.env_rng)
         episode = trainer.rollout(env, 0.5)
-        before = trainer._target_values(episode).copy()
+        before = trainer.td_targets(episode).copy()
         # mutate live parameters: target copies must not move until a sync
         for p in trainer.nets.params():
             p.value += 0.05
-        after = trainer._target_values(episode)
+        after = trainer.td_targets(episode)
         np.testing.assert_array_equal(before, after)
 
     def test_sync_copies_live_parameters(self):
@@ -466,8 +467,13 @@ class TestTrainerMachinery:
         cfg = dataclasses.replace(tiny_config(scheme="no_fas"))
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
-        draws = np.concatenate([trainer._choose_ports_randomly()
-                                for _ in range(25_000)])
+        ports = np.arange(1, n + 1)
+        allowed = port_menu_mask(25 * n, n, ports)
+        qs = [np.zeros(25)] * 5
+        draws = np.array([
+            [a.port for a in trainer.act(qs, 0.0, 0.0, trainer.policy_rng,
+                                         ports, allowed)[1][1:]]
+            for _ in range(25_000)]).ravel()
         counts = np.bincount(draws, minlength=n + 1)[1:]
         np.testing.assert_allclose(counts / len(draws), 1.0 / n, atol=0.01)
 
@@ -479,19 +485,74 @@ class TestTrainerMachinery:
         out, _ = trainer.nets.mixer.forward(qs, np.zeros(cfg.marl.omega_width))
         assert out == pytest.approx(-15.0)
 
-    def test_slot_cadence_runs(self):
-        cfg = tiny_config(epochs=2)
+    def test_zero_epsilon_rollout_is_greedy_in_every_factor(self):
+        cfg = default_config()
+        trainer = MarlTrainer(cfg)
+        rng = np.random.default_rng(5)
+        for net in trainer.nets.local[1:]:
+            for p in net.port_head.layers[-1].params():
+                p.value += rng.standard_normal(p.value.shape)
+        env = PositioningEnv(cfg, trainer.env_rng)
+        episode = trainer.rollout(env, 0.0)
+        n = cfg.channel.n_ports
+        greedy_ports = set()
+        for t in range(len(episode)):
+            for k in range(5):
+                q = episode.live_q[t][k]
+                assert episode.action_ids[t][k] == int(np.argmax(q))
+                if k:
+                    greedy = decode_action(int(np.argmax(q)), n).port
+                    assert episode.actions[t][k].port == greedy
+                    greedy_ports.add(greedy)
+        assert len(greedy_ports) > 1   # the perturbed heads disagree
+
+    @pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "random"])
+    def test_evaluation_sends_only_menu_ports(self, scheme, monkeypatch):
+        base = default_config()
         cfg = dataclasses.replace(
-            cfg, marl=dataclasses.replace(cfg.marl, update_cadence="slot"))
-        log = marl.train(cfg)
-        assert len(log.records) == 2
-        assert all(math.isfinite(r.loss) for r in log.records)
+            base, world=dataclasses.replace(base.world, slots_per_episode=4),
+            run=dataclasses.replace(base.run, scheme=scheme))
+        trainer = MarlTrainer(cfg)
+        if trainer.nets is not None and trainer.nets.learned_ports:
+            # spread the greedy ports beyond port 1
+            rng = np.random.default_rng(8)
+            for net in trainer.nets.local[1:]:
+                for p in net.port_head.layers[-1].params():
+                    p.value += rng.standard_normal(p.value.shape)
+        menu = cli.port_menu_for(32, 8)
+        sent = []
+        step = PositioningEnv.step
+
+        def recording_step(env, actions):
+            sent.extend(a.port for a in actions[1:])
+            return step(env, actions)
+
+        monkeypatch.setattr(PositioningEnv, "step", recording_step)
+        marl.evaluate_rollouts(cfg, trainer, 3, seed=2, port_menu=menu)
+        assert len(sent) == 3 * 4 * 4
+        assert set(sent) <= set(menu)
+        assert len(set(sent)) > 1
 
 
 class TestEndToEndGradient:
     def test_micro_episode_finite_difference(self):
         cfg = micro_config()
         assert micro_gradcheck(cfg) < 1e-4
+
+    def test_doubled_port_fit_gradient_is_caught(self, monkeypatch):
+        backward = LocalQNet.backward
+
+        def doubled(net, dq, dh_next, cache, port_fit=None):
+            heads = net.port_head.params() if net.port_head is not None else []
+            before = [p.grad.copy() for p in heads]
+            dh = backward(net, dq, dh_next, cache, port_fit=port_fit)
+            if port_fit is not None:
+                for p, old in zip(heads, before):
+                    p.grad += p.grad - old
+            return dh
+
+        monkeypatch.setattr(LocalQNet, "backward", doubled)
+        assert micro_gradcheck(micro_config()) > 1e-4
 
 
 class TestEnvironment:
