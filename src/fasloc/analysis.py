@@ -73,14 +73,19 @@ def build_geometry_matrix(u, q0, passive_positions, mode: str = "zero",
     return GeometryMatrix(matrix=w, min_singular_value=smin)
 
 
-def linearized_rms_error(geometry: GeometryMatrix | np.ndarray, variance: float) -> float:
-    """sqrt(var * trace((W^T W)^-1)); raises on degenerate geometry."""
+def _full_rank_matrix(geometry: GeometryMatrix | np.ndarray) -> np.ndarray:
+    """W as an array; raises GeometryDegenerateError if it is rank-deficient."""
     w = geometry.matrix if isinstance(geometry, GeometryMatrix) else np.asarray(geometry, float)
-    gram = w.T @ w
     s = np.linalg.svd(w, compute_uv=False)
     if s[-1] < 1e-12 * max(s[0], 1.0):
         raise GeometryDegenerateError("rank-deficient geometry matrix")
-    return math.sqrt(variance * float(np.trace(np.linalg.inv(gram))))
+    return w
+
+
+def linearized_rms_error(geometry: GeometryMatrix | np.ndarray, variance: float) -> float:
+    """sqrt(var * trace((W^T W)^-1)); raises on degenerate geometry."""
+    w = _full_rank_matrix(geometry)
+    return math.sqrt(variance * float(np.trace(np.linalg.inv(w.T @ w))))
 
 
 def min_error_closed_form(d0: float, dist_min: float, noise_std: float,
@@ -102,12 +107,8 @@ def monte_carlo_rms_error(geometry: GeometryMatrix | np.ndarray, variance: float
     """Simulate the linearized system du = (W^T W)^-1 W^T e directly."""
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
-    w = geometry.matrix if isinstance(geometry, GeometryMatrix) else np.asarray(geometry, float)
-    gram = w.T @ w
-    s = np.linalg.svd(w, compute_uv=False)
-    if s[-1] < 1e-12 * max(s[0], 1.0):
-        raise GeometryDegenerateError("rank-deficient geometry matrix")
-    solve_mat = np.linalg.solve(gram, w.T)             # (3, 4)
+    w = _full_rank_matrix(geometry)
+    solve_mat = np.linalg.solve(w.T @ w, w.T)          # (3, 4)
     errors = rng.normal(0.0, math.sqrt(variance), size=(w.shape[0], samples))
     du = solve_mat @ errors                            # (3, samples)
     return float(np.sqrt(np.mean(np.sum(du * du, axis=0))))

@@ -49,8 +49,18 @@ def _write_summary_csv(path, rows, header):
         writer.writerows(rows)
 
 
+def _write_metrics(out_dir, training_log: marl.TrainingLog):
+    with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write(training_log.to_jsonl())
+
+
 def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> int:
-    """Execute one training/baseline run and persist its outputs."""
+    """Execute one training/baseline run and persist its outputs.
+
+    Returns 0, 2 on a config error, or 3 if training diverged: the
+    completed epochs then still go to metrics.jsonl, and the divergence
+    diagnostics to diverged.json.
+    """
     try:
         cfg = load_config(config_path, overrides)
         if seed is not None:
@@ -69,11 +79,20 @@ def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> i
 
     started = time.time()
     trainer = marl.MarlTrainer(cfg)
-    training_log = trainer.run()
+    try:
+        training_log = trainer.run()
+    except marl.TrainingDiverged as exc:
+        _write_metrics(out_dir, exc.log)
+        with open(os.path.join(out_dir, "diverged.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump({"error": str(exc),
+                       "completed_epochs": len(exc.log.records),
+                       "diagnostics": exc.diagnostics}, fh, sort_keys=True)
+        print(f"error: training diverged after {len(exc.log.records)} "
+              f"epochs: {exc} (see diverged.json)", file=sys.stderr)
+        return 3
     elapsed = time.time() - started
-
-    with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(training_log.to_jsonl())
+    _write_metrics(out_dir, training_log)
 
     tail = min(20, len(training_log.records))
     final_err = training_log.final_mean_error(tail)

@@ -32,6 +32,11 @@ class PositioningConfig:
                                     # the gate widening after each rejection
                                     # so recovery stays possible; 0 disables
 
+    def __post_init__(self):
+        if not 1 <= self.min_usable <= 4:
+            raise ConfigError("min_usable must lie in 1..4 "
+                              "(there are 4 passive UAVs)")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -41,9 +46,7 @@ class ScenarioConfig:
                              (832.0, 497.0, 328.0),
                              (548.0, 647.0, 400.0))
     bs_position: tuple = (0.0, 0.0, 20.0)
-    channel_coherence: str = "episode"   # "episode" or "slot" departure angles
     latency_budget: float = 0.030        # s, per-uplink delivery deadline
-    initial_heading: str = "toward_target"  # or "level" (east, zero pitch)
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,14 @@ class MarlConfig:
     omega_width: int = 32
     history_window: int = 8
     mixing_hidden: int = 32
-    monotone_mixing: bool = True
-    mixing_weight_floor: float = 0.2  # monotone mixing clamps each |w1|
-                                      # entry from below at floor /
-                                      # mixing_hidden, so every agent keeps at
-                                      # least this much mixing weight; the
-                                      # gradient is zero where the clamp binds
     penalty_clip: float = 200.0     # training-side clamp of the raw penalty
     reward_scale: float = 100.0
+
+    def __post_init__(self):
+        if self.target_sync < 1:
+            raise ConfigError("target_sync must be at least 1")
+        if self.history_window < 1:
+            raise ConfigError("history_window must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,12 @@ class RunConfig:
     seed: int = 0
     scheme: str = "ar_marl"
     eval_episodes: int = 30
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError("epochs must be at least 1")
+        if self.episodes_per_epoch < 1:
+            raise ConfigError("episodes_per_epoch must be at least 1")
 
 
 SCHEME_TRAITS = {
@@ -114,10 +123,6 @@ class ExperimentConfig:
         if self.run.scheme not in SCHEME_TRAITS:
             raise ConfigError(f"unknown scheme {self.run.scheme!r}; "
                               f"choose from {', '.join(SCHEME_TRAITS)}")
-        if self.scenario.channel_coherence not in ("episode", "slot"):
-            raise ConfigError("channel_coherence must be 'episode' or 'slot'")
-        if self.scenario.initial_heading not in ("toward_target", "level"):
-            raise ConfigError("initial_heading must be 'toward_target' or 'level'")
 
 
 _SECTIONS = {

@@ -33,9 +33,13 @@ RANGE_SCALE = 1e-3
 
 
 class TrainingDiverged(RuntimeError):
+    """A non-finite loss.  MarlTrainer.run sets log to the TrainingLog of
+    the epochs completed before it."""
+
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+        self.log = None
 
 
 @dataclass(frozen=True)
@@ -398,12 +402,8 @@ MIX_LEAK = 0.2   # hidden-layer slope for negative inputs; Q sums are
 class Mixer(Module):
     """Hypernetwork mixer: weights for combining the local Q-values are
     produced from the context vector; absolute values keep the global
-    Q monotone in every local Q when configured.
+    Q monotone in every local Q (QMIX).
 
-    With monotone mixing each first-layer weight is max(|w1_raw|,
-    mixing_weight_floor / mixing_hidden): a lower bound, so every agent
-    keeps at least the floor's worth of mixing weight.  Where the clamp
-    binds the weight does not depend on w1_raw and its gradient is zero.
     Hypernetwork output biases start at plain-sum mixing so the local
     networks receive full-strength gradients from the first update.
     """
@@ -411,9 +411,7 @@ class Mixer(Module):
     def __init__(self, n_agents: int, cfg, rng, mode="hyper", name="mixer"):
         self.mode = mode
         self.n_agents = n_agents
-        self.monotone = cfg.monotone_mixing
         self.hidden = cfg.mixing_hidden
-        self.weight_floor = cfg.mixing_weight_floor
         if mode == "hyper":
             self.h_w1 = Linear(cfg.omega_width, n_agents * self.hidden, rng,
                                f"{name}.h_w1")
@@ -437,9 +435,8 @@ class Mixer(Module):
         b1, c_b1 = self.h_b1.forward(omega)
         w2_raw, c_w2 = self.h_w2.forward(omega)
         b2, c_b2 = self.h_b2.forward(omega)
-        w1 = (np.maximum(np.abs(w1_raw), self.weight_floor / self.hidden)
-              if self.monotone else w1_raw)
-        w2 = np.abs(w2_raw) if self.monotone else w2_raw
+        w1 = np.abs(w1_raw)
+        w2 = np.abs(w2_raw)
         pre = q_locals @ w1 + b1
         hid = np.where(pre > 0.0, pre, MIX_LEAK * pre)
         out = float(hid @ w2 + b2[0])
@@ -456,11 +453,8 @@ class Mixer(Module):
         dw2 = dout * hid
         dpre = dhid * np.where(pre > 0.0, 1.0, MIX_LEAK)
         dq = w1 @ dpre
-        dw1 = np.outer(q_locals, dpre)
-        if self.monotone:
-            dw1 = dw1 * np.sign(w1_raw) * (np.abs(w1_raw) > self.weight_floor
-                                           / self.hidden)
-            dw2 = dw2 * np.sign(w2_raw)
+        dw1 = np.outer(q_locals, dpre) * np.sign(w1_raw)
+        dw2 = dw2 * np.sign(w2_raw)
         domega = self.h_w1.backward(dw1.reshape(-1), c_w1)
         domega = domega + self.h_b1.backward(dpre, c_b1)
         domega = domega + self.h_w2.backward(dw2, c_w2)
@@ -472,7 +466,7 @@ class Mixer(Module):
 # policy container
 
 
-class PolicyNets:
+class PolicyNets(Module):
     """All trainable pieces for one scheme, plus shape bookkeeping."""
 
     def __init__(self, cfg: ExperimentConfig, scheme: str,
@@ -517,24 +511,6 @@ class PolicyNets:
     def params(self) -> list[Param]:
         return [p for m in self.modules() for p in m.params()]
 
-    def zero_grads(self):
-        for m in self.modules():
-            m.zero_grads()
-
-    def named_values(self) -> dict[str, np.ndarray]:
-        out = {}
-        for m in self.modules():
-            out.update(m.named_values())
-        return out
-
-    def load_values(self, values: dict[str, np.ndarray]):
-        for m in self.modules():
-            m.load_values(values)
-
-    def copy_from(self, other: "PolicyNets"):
-        for dst, src in zip(self.modules(), other.modules()):
-            dst.copy_from(src)
-
 
 # ---------------------------------------------------------------------------
 # environment
@@ -546,17 +522,16 @@ class PositioningEnv:
     Each UAV keeps a persistent flight heading; an action turns it by a
     bounded yaw/pitch increment for that slot (the bounded quantity in
     the feasibility constraints is the per-slot change).  Slot order:
-    agents observe (current positions, this slot's departure angles, last
-    measured range sums), act, everyone moves, the bistatic ranges are
-    measured at the new geometry, the passive UAVs upload through their
-    chosen ports, and the ground station refreshes the fix from whichever
-    reports met the latency budget.  Fewer than min_usable fresh reports
-    keeps the previous fix (a stale slot).
+    agents observe (current positions, their uplinks' departure angles,
+    drawn once per episode, and last measured range sums), act, everyone
+    moves, the bistatic ranges are measured at the new geometry, the
+    passive UAVs upload through their chosen ports, and the ground
+    station refreshes the fix from whichever reports met the latency
+    budget.  Fewer than min_usable fresh reports keeps the previous fix
+    (a stale slot).
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
-        if cfg.world.n_controlled != N_AGENTS:
-            raise ValueError("the team is fixed at 1 active + 4 passive UAVs")
         self.cfg = cfg
         self.rng = rng
         self.bs = np.array(cfg.scenario.bs_position, float)
@@ -569,13 +544,9 @@ class PositioningEnv:
         self.aods = np.zeros((4, cfg.channel.n_paths))
         self._gate_rejects = 0
 
-    def _draw_aods(self):
-        self.aods = self.rng.uniform(0.0, math.pi, size=(4, self.cfg.channel.n_paths))
-
-    def _initial_headings(self) -> np.ndarray:
+    def _headings_toward_target(self) -> np.ndarray:
+        """Each UAV starts headed at the target's start, pitch bounded."""
         headings = np.zeros((N_AGENTS, 2))
-        if self.cfg.scenario.initial_heading == "level":
-            return headings
         goal = np.array(self.cfg.target.start, float)
         wcfg = self.cfg.world
         for k in range(N_AGENTS):
@@ -589,14 +560,15 @@ class PositioningEnv:
         sc = self.cfg.scenario
         self.positions = np.vstack([np.array(sc.active_start, float),
                                     np.array(sc.passive_starts, float)])
-        self.headings = self._initial_headings()
+        self.headings = self._headings_toward_target()
         self.traj = wd.TargetTrajectory(self.cfg.target,
                                         self.cfg.world.slot_duration)
         self.estimate = self.positions[1:].mean(axis=0)
         self.prev_ranges = np.zeros(4)
         self.slot = 0
         self._gate_rejects = 0
-        self._draw_aods()
+        self.aods = self.rng.uniform(0.0, math.pi,
+                                     size=(4, self.cfg.channel.n_paths))
         return self.observations()
 
     @property
@@ -622,9 +594,8 @@ class PositioningEnv:
             pitch = self.headings[k, 1] + act.pitch
             pitch = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
             self.headings[k] = (yaw, pitch)
-            self.positions[k] = wd.step_controlled(
-                self.positions[k], wd.ControlAngles(yaw, pitch), wcfg,
-                enforce_bounds=False)
+            self.positions[k] = wd.step_controlled(self.positions[k], yaw,
+                                                   pitch, wcfg)
         target = self.traj.step(self.rng)
 
         ports = np.array([a.port if a.port is not None else 1
@@ -688,8 +659,6 @@ class PositioningEnv:
                 self.prev_ranges[i] = measurements[i].measured
 
         self.slot += 1
-        if cfg.scenario.channel_coherence == "slot":
-            self._draw_aods()
 
         late = latencies > cfg.scenario.latency_budget
         info = {
@@ -1102,6 +1071,15 @@ class MarlTrainer:
         cfg = self.cfg
         log = TrainingLog(scheme=self.scheme, seed=cfg.run.seed)
         env = PositioningEnv(cfg, self.env_rng)
+        try:
+            self._run_epochs(env, log)
+        except TrainingDiverged as exc:
+            exc.log = log
+            raise
+        return log
+
+    def _run_epochs(self, env: PositioningEnv, log: TrainingLog):
+        cfg = self.cfg
         total_eps = cfg.run.epochs * cfg.run.episodes_per_epoch
         ep_index = 0
         for epoch in range(cfg.run.epochs):
@@ -1127,7 +1105,6 @@ class MarlTrainer:
                 loss=float(np.mean(losses)),
                 violations=viols,
                 epsilon=float(eps if self.trains else 1.0)))
-        return log
 
     # -- checkpoints ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,7 @@ Vec3 = np.ndarray  # shape (3,), float64
 
 
 class WorldError(ValueError):
-    """Invalid kinematic input (out-of-bound angles, bad config)."""
-
-
-@dataclass(frozen=True)
-class ControlAngles:
-    """A slot steering command: yaw and pitch, radians."""
-
-    yaw: float
-    pitch: float
+    """Invalid world or target-trajectory configuration."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +32,6 @@ class WorldConfig:
     yaw_max: float = math.pi / 3.0
     pitch_min: float = -math.pi / 3.0
     pitch_max: float = math.pi / 3.0
-    n_controlled: int = 5              # 1 active + 4 passive
     slots_per_episode: int = 25
 
     def __post_init__(self):
@@ -48,6 +39,8 @@ class WorldConfig:
             raise WorldError("speed and slot_duration must be positive")
         if not 0 < self.dist_min < self.dist_max:
             raise WorldError("need 0 < dist_min < dist_max")
+        if self.slots_per_episode < 1:
+            raise WorldError("slots_per_episode must be at least 1")
 
 
 class TrajectoryMode(enum.Enum):
@@ -86,22 +79,17 @@ def heading_vector(yaw: float, pitch: float) -> Vec3:
     return np.array([math.cos(yaw) * cp, math.sin(yaw) * cp, math.sin(pitch)])
 
 
-def step_controlled(q: Vec3, angles: ControlAngles, cfg: WorldConfig,
-                    enforce_bounds: bool = True) -> Vec3:
-    """Advance a controlled UAV one slot.
+def step_controlled(q: Vec3, yaw: float, pitch: float,
+                    cfg: WorldConfig) -> Vec3:
+    """Advance a controlled UAV one slot along an absolute heading.
 
     q' = q + v*dt * [cos(yaw)cos(pitch), sin(yaw)cos(pitch), sin(pitch)],
-    so the displacement length is exactly v*dt for any angles.
+    so the displacement length is exactly v*dt for any angles.  The
+    heading is not bounded here: the feasibility constraints bound the
+    per-slot change (check_constraints).
     """
-    if enforce_bounds:
-        if not cfg.yaw_min <= angles.yaw <= cfg.yaw_max:
-            raise WorldError(f"yaw {angles.yaw:.4f} outside "
-                             f"[{cfg.yaw_min:.4f}, {cfg.yaw_max:.4f}]")
-        if not cfg.pitch_min <= angles.pitch <= cfg.pitch_max:
-            raise WorldError(f"pitch {angles.pitch:.4f} outside "
-                             f"[{cfg.pitch_min:.4f}, {cfg.pitch_max:.4f}]")
     q = np.asarray(q, dtype=float)
-    return q + cfg.speed * cfg.slot_duration * heading_vector(angles.yaw, angles.pitch)
+    return q + cfg.speed * cfg.slot_duration * heading_vector(yaw, pitch)
 
 
 class TargetTrajectory:

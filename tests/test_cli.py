@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -35,11 +36,35 @@ class TestConfig:
         assert back == cfg
 
     def test_unknown_key_rejected_with_line(self):
-        text = "[world]\nspeed = 5.0\nwarp_factor = 9\n"
+        # warp_factor never existed; the others are removed keys, which a
+        # checkpoint's config_ini from an older version may still carry
+        for section, known, key in (
+                ("world", "speed = 5.0", "warp_factor"),
+                ("world", "speed = 5.0", "n_controlled"),
+                ("scenario", "latency_budget = 0.03", "channel_coherence"),
+                ("scenario", "latency_budget = 0.03", "initial_heading"),
+                ("marl", "delta = 0.5", "monotone_mixing"),
+                ("marl", "delta = 0.5", "mixing_weight_floor")):
+            text = f"[{section}]\n{known}\n{key} = 9\n"
+            with pytest.raises(ConfigError) as err:
+                from_ini(text)
+            assert key in str(err.value)
+            assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("override", [
+        "marl.target_sync=0",
+        "marl.history_window=0",
+        "world.slots_per_episode=0",
+        "run.epochs=0",
+        "run.episodes_per_epoch=0",
+        "positioning.min_usable=0",
+        "positioning.min_usable=5",
+    ])
+    def test_out_of_range_value_rejected_at_load(self, override):
         with pytest.raises(ConfigError) as err:
-            from_ini(text)
-        assert "warp_factor" in str(err.value)
-        assert "line 3" in str(err.value)
+            load_config(None, [override])
+        key = override.split("=")[0].split(".")[1]
+        assert key in str(err.value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -104,6 +129,28 @@ class TestRunVerb:
         assert cli.run_experiment(str(snapshot), [], str(out2)) == 0
         assert ((out1 / "metrics.jsonl").read_bytes()
                 == (out2 / "metrics.jsonl").read_bytes())
+
+    def test_diverging_run_keeps_completed_epochs(self, tmp_path, monkeypatch,
+                                                  capsys):
+        real = marl.weighted_td_loss
+        calls = []
+
+        def nan_from_third_call(*args, **kwargs):
+            calls.append(None)
+            loss, weights = real(*args, **kwargs)
+            return (math.nan if len(calls) >= 3 else loss), weights
+
+        monkeypatch.setattr(marl, "weighted_td_loss", nan_from_third_call)
+        out = tmp_path / "diverged"
+        args = ["run", "--out", str(out), "--seed", "1"]
+        for ov in TINY_OVERRIDES:   # 3 epochs of one episode each
+            args += ["--override", ov]
+        assert cli.main(args) == 3
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(ln)["epoch"] for ln in lines[1:]] == [0, 1]
+        diverged = json.loads((out / "diverged.json").read_text())
+        assert diverged["completed_epochs"] == 2
+        assert "diverged" in capsys.readouterr().err
 
     def test_invalid_config_fails_with_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -273,7 +273,7 @@ class TestMixer:
         assert out == pytest.approx(qs.sum())
 
     def test_monotone_in_every_local_q(self):
-        cfg = MarlConfig(monotone_mixing=True)
+        cfg = MarlConfig()
         rng = np.random.default_rng(12)
         mixer = Mixer(5, cfg, rng)
         omega = self._omega()
@@ -301,30 +301,6 @@ class TestMixer:
         out, cache = mixer.forward(qs, omega)
         mixer.backward(1.0, cache)
         assert finite_diff_check(loss, mixer.params(), eps=1e-6) < 1e-5
-
-    def test_backward_is_zero_where_weight_floor_binds(self):
-        from fasloc.nn import finite_diff_check
-        cfg = MarlConfig(mixing_hidden=6, omega_width=5)
-        rng = np.random.default_rng(14)
-        mixer = Mixer(5, cfg, rng)
-        mixer.h_w1.b.value[...] = 0.0   # puts some |w1_raw| below the floor
-        omega = rng.standard_normal(5) * 0.05
-        qs = rng.standard_normal(5) - 2.0
-        floor = cfg.mixing_weight_floor / cfg.mixing_hidden
-        w1_raw, _ = mixer.h_w1.forward(omega)
-        below = np.abs(w1_raw) < floor
-        assert below.any() and not below.all()
-
-        def loss():
-            return mixer.forward(qs, omega)[0]
-
-        mixer.zero_grads()
-        out, cache = mixer.forward(qs, omega)
-        mixer.backward(1.0, cache)
-        # the bias gradient of a clamped entry is exactly zero
-        assert np.all(mixer.h_w1.b.grad[below] == 0.0)
-        assert np.all(mixer.h_w1.b.grad[~below] != 0.0)
-        assert finite_diff_check(loss, mixer.params(), eps=1e-7) < 1e-5
 
 
 class TestPortCredit:

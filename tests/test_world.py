@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasloc.world import (ConstraintReport, ControlAngles, TargetTrajectory,
+from fasloc.world import (ConstraintReport, TargetTrajectory,
                           TargetTrajectorySpec, TrajectoryMode, WorldConfig,
                           WorldError, WorldState, check_constraints,
                           heading_vector, step_controlled)
@@ -22,19 +22,18 @@ TARGET = np.array([445.0, 615.0, 533.0])
 
 class TestStepControlled:
     def test_pure_x_motion(self):
-        q = step_controlled(np.array([0.0, 0.0, 100.0]), ControlAngles(0.0, 0.0), CFG)
+        q = step_controlled(np.array([0.0, 0.0, 100.0]), 0.0, 0.0, CFG)
         np.testing.assert_allclose(q, [5.0, 0.0, 100.0], atol=1e-12)
 
     def test_straight_up_with_bounds_disabled(self):
-        # pitch of 90 degrees exceeds the configured bound
-        q = step_controlled(np.array([0.0, 0.0, 100.0]),
-                            ControlAngles(0.0, math.pi / 2), CFG,
-                            enforce_bounds=False)
+        # the absolute heading is unbounded: pitch 90 degrees exceeds the
+        # per-slot change bound
+        q = step_controlled(np.array([0.0, 0.0, 100.0]), 0.0, math.pi / 2, CFG)
         np.testing.assert_allclose(q, [0.0, 0.0, 105.0], atol=1e-12)
 
     def test_oblique_step_matches_direct_evaluation(self):
         q = step_controlled(np.array([300.0, 300.0, 300.0]),
-                            ControlAngles(math.pi / 4, math.pi / 6), CFG)
+                            math.pi / 4, math.pi / 6, CFG)
         expected = np.array([
             300.0 + 5.0 * math.cos(math.pi / 4) * math.cos(math.pi / 6),
             300.0 + 5.0 * math.sin(math.pi / 4) * math.cos(math.pi / 6),
@@ -43,18 +42,12 @@ class TestStepControlled:
         np.testing.assert_allclose(q, expected, rtol=1e-14)
         assert q[2] == pytest.approx(302.5)
 
-    def test_out_of_bound_angles_rejected(self):
-        with pytest.raises(WorldError):
-            step_controlled(np.zeros(3), ControlAngles(math.pi / 2, 0.0), CFG)
-        with pytest.raises(WorldError):
-            step_controlled(np.zeros(3), ControlAngles(0.0, -math.pi / 2), CFG)
-
     @given(yaw=st.floats(-math.pi / 3, math.pi / 3),
            pitch=st.floats(-math.pi / 3, math.pi / 3))
     @settings(max_examples=100, deadline=None)
     def test_step_length_is_speed_times_dt(self, yaw, pitch):
         q0 = np.array([10.0, -20.0, 55.0])
-        q1 = step_controlled(q0, ControlAngles(yaw, pitch), CFG)
+        q1 = step_controlled(q0, yaw, pitch, CFG)
         dist = np.linalg.norm(q1 - q0)
         assert dist == pytest.approx(CFG.speed * CFG.slot_duration, rel=1e-12)
 
