@@ -74,19 +74,22 @@ def sample_range(m: float, snr: float, rng: np.random.Generator,
                             measured=noisy, delay=m / light_speed)
 
 
-def _residuals(u: Vec3, measured: np.ndarray, q0: Vec3, qs: np.ndarray) -> np.ndarray:
-    d0 = np.linalg.norm(q0 - u)
-    dk = np.linalg.norm(qs - u[None, :], axis=1)
-    return measured - (d0 + dk)
+_EYE3 = np.eye(3)
 
 
-def _jacobian(u: Vec3, q0: Vec3, qs: np.ndarray) -> np.ndarray:
-    diff0 = u - q0
-    d0 = np.linalg.norm(diff0)
-    diffk = u - qs
-    dk = np.linalg.norm(diffk, axis=1)
-    # residual r = measured - (d0 + dk) so dr/du = -(unit0 + unitk)
-    return -(diff0 / d0 + (diffk.T / dk).T)
+def _residual_and_jacobian(u: Vec3, measured: np.ndarray, q0: Vec3,
+                           qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual r = measured - (|q0 - u| + |qs_k - u|) and its Jacobian
+    dr/du = (q0 - u)/|q0 - u| + (qs_k - u)/|qs_k - u|, from one pass over
+    the leg vectors.  The norms are numpy's own arithmetic for
+    ``np.linalg.norm`` (a dot product, or a row sum of squares), without
+    its call overhead.
+    """
+    e0 = q0 - u
+    ek = qs - u
+    d0 = math.sqrt(e0 @ e0)
+    dk = np.sqrt((ek * ek).sum(axis=1))
+    return measured - (d0 + dk), e0 / d0 + ek / dk[:, None]
 
 
 def linear_bootstrap(measured: np.ndarray, q0: Vec3,
@@ -117,35 +120,42 @@ def linear_bootstrap(measured: np.ndarray, q0: Vec3,
 def _lm_descend(measured, q0, qs, start, step_tol, max_iter, rank_tol):
     u = np.asarray(start, float).copy()
     lam = 1e-3
-    r = _residuals(u, measured, q0, qs)
+    r, jac = _residual_and_jacobian(u, measured, q0, qs)
     cost = float(r @ r)
+    jacs = []           # the Jacobian at every iterate the loop steps from
     converged = False
     degenerate = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        jac = _jacobian(u, q0, qs)
-        if np.linalg.matrix_rank(jac, tol=rank_tol) < 3:
-            degenerate = True
-        hess = jac.T @ jac + lam * np.eye(3)
+        if not jacs or jacs[-1] is not jac:
+            jacs.append(jac)
+        hess = jac.T @ jac + lam * _EYE3
         grad = jac.T @ r
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             degenerate = True
             break
-        if np.linalg.norm(step) < step_tol:
+        if math.sqrt(step @ step) < step_tol:
             converged = True
             break
         trial = u + step
-        r_trial = _residuals(trial, measured, q0, qs)
+        r_trial, jac_trial = _residual_and_jacobian(trial, measured, q0, qs)
         cost_trial = float(r_trial @ r_trial)
         if cost_trial < cost:
-            u, r, cost = trial, r_trial, cost_trial
+            u, r, jac, cost = trial, r_trial, jac_trial, cost_trial
             lam = max(lam * 0.3, 1e-12)
         else:
             lam *= 3.0
             if lam > 1e12:
                 break
+    # One batched SVD gives every iterate's singular values; the descent
+    # is degenerate when any iterate's Jacobian has rank below 3, as
+    # np.linalg.matrix_rank(jac, tol=rank_tol) counts it.  It runs even
+    # after a singular solve so that a non-finite Jacobian still raises.
+    if jacs:
+        sv = np.linalg.svd(np.stack(jacs), compute_uv=False)
+        degenerate = degenerate or bool(np.any((sv > rank_tol).sum(axis=-1) < 3))
     return PositionEstimate(position=u, residual_norm=math.sqrt(cost),
                             iterations=iterations, converged=converged,
                             degenerate=degenerate)
@@ -165,9 +175,14 @@ def estimate_position(measurements, q0, passive_positions, prior,
     """
     measured = np.array([m.measured if isinstance(m, RangeMeasurement) else float(m)
                          for m in measurements])
-    qs = np.asarray(passive_positions, float).reshape(len(measured), 3)
     if len(measured) < 1:
         raise PositioningError("need at least one measurement")
+    qs = np.asarray(passive_positions, float)
+    if qs.size != 3 * len(measured):
+        raise PositioningError(
+            f"passive_positions hold {qs.size} coordinates, expected 3 for "
+            f"each of the {len(measured)} measurements")
+    qs = qs.reshape(len(measured), 3)
     q0 = np.asarray(q0, float)
 
     starts = [np.asarray(prior, float)]

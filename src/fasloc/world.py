@@ -9,6 +9,7 @@ disturbed by random 90-degree turns.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,6 +189,16 @@ class ConstraintReport:
                 self.target_range_ok, self.pairwise_range_ok)
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the distinct pairs (i < j) of n UAVs, read-only because
+    every caller shares it."""
+    iu = np.triu_indices(n, k=1)
+    for idx in iu:
+        idx.setflags(write=False)
+    return iu
+
+
 def check_constraints(world: WorldState, latencies, cfg: WorldConfig,
                       latency_budget: float, n_ports: int) -> ConstraintReport:
     """Evaluate all feasibility constraints for one slot.
@@ -211,8 +222,7 @@ def check_constraints(world: WorldState, latencies, cfg: WorldConfig,
 
     diffs = world.positions[:, None, :] - world.positions[None, :, :]
     dists = np.linalg.norm(diffs, axis=2)
-    iu = np.triu_indices(len(world.positions), k=1)
-    pair = dists[iu]
+    pair = dists[_pairs(len(world.positions))]
     pairwise_range_ok = bool(np.all((pair >= cfg.dist_min)
                                     & (pair <= cfg.dist_max)))
 

@@ -5,8 +5,9 @@ import pytest
 
 from fasloc.analysis import (build_geometry_matrix, linearized_rms_error,
                              tetrahedral_geometry)
-from fasloc.positioning import (PositioningError, RangeMeasurement,
-                                estimate_position, position_error,
+from fasloc.positioning import (PositioningError, PositionEstimate,
+                                RangeMeasurement, estimate_position,
+                                linear_bootstrap, position_error,
                                 sample_range, true_range_sum)
 
 
@@ -152,6 +153,16 @@ class TestEstimatePosition:
         est = estimate_position(sums, q0, qs, np.array([50.0, 50.0, 150.0]))
         assert est.degenerate
 
+    def test_no_measurements_rejected(self):
+        with pytest.raises(PositioningError, match="at least one"):
+            estimate_position([], [0.0, 0.0, 0.0], np.ones((4, 3)),
+                              [1.0, 2.0, 3.0])
+
+    def test_position_count_mismatch_rejected(self):
+        with pytest.raises(PositioningError, match="3 measurements"):
+            estimate_position([500.0, 510.0, 520.0], [0.0, 0.0, 0.0],
+                              np.ones((4, 3)), [1.0, 2.0, 3.0])
+
     def test_rms_error_matches_linearized_theory(self):
         # symmetric placement, unit measurement noise
         rng = np.random.default_rng(77)
@@ -169,6 +180,148 @@ class TestEstimatePosition:
             sq += float(np.sum((est.position - u) ** 2))
         rms = math.sqrt(sq / trials)
         assert rms == pytest.approx(predicted, rel=0.05)
+
+
+# Reference solver: the plain descent, with a separate residual and
+# Jacobian pass and np.linalg.matrix_rank at every iterate.  The solver
+# in fasloc.positioning shares the geometry pass and batches the rank
+# test, and must return the same bits.
+
+def _oracle_residuals(u, measured, q0, qs):
+    d0 = np.linalg.norm(q0 - u)
+    dk = np.linalg.norm(qs - u[None, :], axis=1)
+    return measured - (d0 + dk)
+
+
+def _oracle_jacobian(u, q0, qs):
+    diff0 = u - q0
+    d0 = np.linalg.norm(diff0)
+    diffk = u - qs
+    dk = np.linalg.norm(diffk, axis=1)
+    return -(diff0 / d0 + (diffk.T / dk).T)
+
+
+def _oracle_descend(measured, q0, qs, start, step_tol, max_iter, rank_tol):
+    u = np.asarray(start, float).copy()
+    lam = 1e-3
+    r = _oracle_residuals(u, measured, q0, qs)
+    cost = float(r @ r)
+    converged = False
+    degenerate = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        jac = _oracle_jacobian(u, q0, qs)
+        if np.linalg.matrix_rank(jac, tol=rank_tol) < 3:
+            degenerate = True
+        hess = jac.T @ jac + lam * np.eye(3)
+        grad = jac.T @ r
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            degenerate = True
+            break
+        if np.linalg.norm(step) < step_tol:
+            converged = True
+            break
+        trial = u + step
+        r_trial = _oracle_residuals(trial, measured, q0, qs)
+        cost_trial = float(r_trial @ r_trial)
+        if cost_trial < cost:
+            u, r, cost = trial, r_trial, cost_trial
+            lam = max(lam * 0.3, 1e-12)
+        else:
+            lam *= 3.0
+            if lam > 1e12:
+                break
+    return PositionEstimate(position=u, residual_norm=math.sqrt(cost),
+                            iterations=iterations, converged=converged,
+                            degenerate=degenerate)
+
+
+def _oracle_estimate(measured, q0, qs, prior, step_tol=1e-9, max_iter=100,
+                     rank_tol=1e-8):
+    measured = np.asarray(measured, float)
+    starts = [np.asarray(prior, float)]
+    boot = linear_bootstrap(measured, q0, qs)
+    if boot is not None and np.all(np.isfinite(boot)):
+        starts.append(boot)
+    best = None
+    for start in starts:
+        est = _oracle_descend(measured, q0, qs, start, step_tol, max_iter,
+                              rank_tol)
+        if best is None or est.residual_norm < best.residual_norm:
+            best = est
+    return best
+
+
+def _solver_cases(rng):
+    """Seeded (measured, q0, qs, prior) tuples: generic 3- and
+    4-measurement fixes, passive UAVs clustered within millimetres,
+    coplanar and collinear layouts, and 1-2 measurements."""
+    cases = []
+    for i in range(360):
+        kind = i % 6
+        u = rng.uniform(200, 800, 3)
+        q0 = u + rng.uniform(-400, 400, 3)
+        n = 3 if kind == 1 else 4
+        qs = u + rng.uniform(-400, 400, (n, 3))
+        prior = u + rng.normal(0.0, 30.0, 3)
+        if kind == 2:      # passive UAVs within millimetres of each other
+            qs = qs[0] + rng.uniform(-1e-3, 1e-3, (4, 3))
+        elif kind == 3:    # everything, prior included, in one plane
+            q0[2] = qs[:, 2] = u[2] = prior[2] = 300.0
+        elif kind == 4:    # coplanar UAVs, target off the plane
+            q0[2] = qs[:, 2] = 300.0
+        elif kind == 5:    # collinear, or too few measurements
+            if i % 12 == 5:
+                axis = rng.standard_normal(3)
+                q0, *rows = [u + t * axis
+                             for t in rng.uniform(50, 300, 5)]
+                qs = np.array(rows)
+                prior = u + rng.normal(0.0, 30.0, 3)
+            else:
+                qs = qs[:1 + i % 2]
+        sums = (np.linalg.norm(q0 - u) + np.linalg.norm(qs - u, axis=1)
+                + rng.normal(0.0, 0.5, len(qs)))
+        cases.append((sums, q0, qs, prior))
+    return cases
+
+
+def _outcome(solve, *args, **kwargs):
+    """Every output field as bytes and scalars, or the LinAlgError type."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        try:
+            est = solve(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            return type(exc)
+    return (est.position.tobytes(), est.residual_norm, est.iterations,
+            est.converged, est.degenerate)
+
+
+def test_solver_matches_reference_bit_for_bit():
+    degenerate = []
+    for case in _solver_cases(np.random.default_rng(606)):
+        got = _outcome(estimate_position, *case)
+        assert got == _outcome(_oracle_estimate, *case)
+        degenerate.append(got[-1])
+    assert 0 < sum(degenerate) < len(degenerate)
+
+
+def test_solver_matches_reference_with_few_iterations():
+    # an exhausted iteration budget ends on a step whose Jacobian the
+    # reference never rank-tests
+    for case in _solver_cases(np.random.default_rng(7))[:60]:
+        for max_iter in (0, 1, 2, 5):
+            assert (_outcome(estimate_position, *case, max_iter=max_iter)
+                    == _outcome(_oracle_estimate, *case, max_iter=max_iter))
+
+
+def test_solver_matches_reference_when_prior_sits_on_a_uav():
+    # a zero leg makes the Jacobian non-finite at the first iterate
+    for measured, q0, qs, _ in _solver_cases(np.random.default_rng(3))[:12]:
+        for prior in (q0, qs[0]):
+            assert (_outcome(estimate_position, measured, q0, qs, prior)
+                    == _outcome(_oracle_estimate, measured, q0, qs, prior))
 
 
 class TestPositionError:

@@ -14,7 +14,12 @@ episode per epoch, seed 11):
 - the sha256 of every scheme's training log (``TrainingLog.to_jsonl``),
 - the greedy ``evaluate_rollouts`` statistics of the trained ar_marl and
   no_fas policies, with every port and with the 8-port menu of 32,
-- and the worst relative error of ``micro_gradcheck(micro_config())``.
+- the worst relative error of ``micro_gradcheck(micro_config())``,
+- and the sha256 of every ``estimate_position`` output field (position
+  bytes, residual norm, iterations, converged, degenerate) over a fixed
+  seeded batch of geometries, near-degenerate ones included.  Training
+  logs record neither ``iterations`` nor ``degenerate``, so only this
+  section sees a change in them.
 
 Only long-standing public names are used, so the script runs unchanged
 on older checkouts.
@@ -26,14 +31,19 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
+
 from fasloc import cli, marl
 from fasloc.config import default_config
+from fasloc.positioning import estimate_position
 
 SCHEMES = ("ar_marl", "vd_marl", "independent_q", "no_fas", "no_rnn",
            "no_transformer", "random")
 EVALUATED = ("ar_marl", "no_fas")
 EVAL_EPISODES = 10
 EVAL_SEED = 8000
+SOLVER_SEED = 6
+SOLVER_CASES = 2000
 
 
 def criterion_8_config(scheme: str):
@@ -43,6 +53,45 @@ def criterion_8_config(scheme: str):
         world=dataclasses.replace(cfg.world, slots_per_episode=10),
         run=dataclasses.replace(cfg.run, epochs=6, episodes_per_epoch=1,
                                 seed=11, scheme=scheme))
+
+
+def solver_cases(rng):
+    """Yield (measured, q0, qs, prior) for SOLVER_CASES fixes: generic 3-
+    and 4-measurement geometries, passive UAVs clustered within
+    millimetres, coplanar and collinear layouts, and one measurement."""
+    for i in range(SOLVER_CASES):
+        kind = i % 6
+        u = rng.uniform(200, 800, 3)
+        q0 = u + rng.uniform(-400, 400, 3)
+        qs = u + rng.uniform(-400, 400, (3 if kind == 1 else 4, 3))
+        prior = u + rng.normal(0.0, 50.0, 3)
+        if kind == 2:
+            qs = qs[0] + rng.uniform(-1e-3, 1e-3, qs.shape)
+        elif kind == 3:
+            q0[2] = qs[:, 2] = u[2] = prior[2] = 300.0
+        elif kind == 4:
+            axis = rng.standard_normal(3)
+            q0, *rows = [u + t * axis for t in rng.uniform(50, 300, 5)]
+            qs = np.array(rows)
+        elif kind == 5:
+            qs = qs[:1]
+        measured = (np.linalg.norm(q0 - u) + np.linalg.norm(qs - u, axis=1)
+                    + rng.normal(0.0, 1.0, len(qs)))
+        yield measured, q0, qs, prior
+
+
+def solver_digest() -> dict:
+    h = hashlib.sha256()
+    degenerate = 0
+    for measured, q0, qs, prior in solver_cases(
+            np.random.default_rng(SOLVER_SEED)):
+        est = estimate_position(measured, q0, qs, prior)
+        h.update(est.position.tobytes())
+        h.update(repr((est.residual_norm, est.iterations, bool(est.converged),
+                       bool(est.degenerate))).encode())
+        degenerate += bool(est.degenerate)
+    return {"cases": SOLVER_CASES, "degenerate": degenerate,
+            "sha256": h.hexdigest()}
 
 
 def digest() -> dict:
@@ -61,6 +110,7 @@ def digest() -> dict:
                                              EVAL_SEED, port_menu=menu)
                 for name, menu in menus.items()}
     out["micro_gradcheck"] = marl.micro_gradcheck(marl.micro_config())
+    out["solver"] = solver_digest()
     return out
 
 
