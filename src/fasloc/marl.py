@@ -148,7 +148,7 @@ def slot_port_credit(late: np.ndarray, report: wd.ConstraintReport,
     """
     late = np.asarray(late, dtype=bool)
     credit = np.zeros(len(late))
-    if late.sum() == 1 and all(report.flags()[1:]):   # flags()[0]: latency
+    if late.sum() == 1 and report.target_range_ok and report.pairwise_range_ok:
         credit[late] = train_reward - feasible_reward
     return credit
 
@@ -519,9 +519,10 @@ class PolicyNets(Module):
 class PositioningEnv:
     """One episode of the tracking scenario.
 
-    Each UAV keeps a persistent flight heading; an action turns it by a
-    bounded yaw/pitch increment for that slot (the bounded quantity in
-    the feasibility constraints is the per-slot change).  Slot order:
+    Each UAV keeps a persistent flight heading; an action turns it by
+    one of the ANGLE_CHOICES yaw/pitch increments, which bound the
+    per-slot change, and the new pitch is clamped to the world's
+    [pitch_min, pitch_max].  Slot order:
     agents observe (current positions, their uplinks' departure angles,
     drawn once per episode, and last measured range sums), act, everyone
     moves, the bistatic ranges are measured at the new geometry, the
@@ -535,7 +536,6 @@ class PositioningEnv:
         self.cfg = cfg
         self.rng = rng
         self.bs = np.array(cfg.scenario.bs_position, float)
-        self.slot = 0
         self.positions = np.zeros((N_AGENTS, 3))
         self.headings = np.zeros((N_AGENTS, 2))   # persistent [yaw, pitch]
         self.traj = None
@@ -565,15 +565,10 @@ class PositioningEnv:
                                         self.cfg.world.slot_duration)
         self.estimate = self.positions[1:].mean(axis=0)
         self.prev_ranges = np.zeros(4)
-        self.slot = 0
         self._gate_rejects = 0
         self.aods = self.rng.uniform(0.0, math.pi,
                                      size=(4, self.cfg.channel.n_paths))
         return self.observations()
-
-    @property
-    def target_position(self) -> np.ndarray:
-        return self.traj.position.copy()
 
     def observations(self) -> list[np.ndarray]:
         return [build_observation(k, self.positions,
@@ -586,9 +581,7 @@ class PositioningEnv:
         wcfg = cfg.world
         params = cfg.channel
 
-        deltas = np.zeros((N_AGENTS, 2))
         for k, act in enumerate(actions):
-            deltas[k] = (act.yaw, act.pitch)
             yaw = self.headings[k, 0] + act.yaw
             yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
             pitch = self.headings[k, 1] + act.pitch
@@ -606,11 +599,10 @@ class PositioningEnv:
         for i in range(4):
             snr = ch.bistatic_snr(self.positions[0], self.positions[1 + i],
                                   target, params)
-            m, _ = pos.true_range_sum(self.positions[0], self.positions[1 + i],
-                                      target, wcfg.light_speed)
+            m = pos.true_range_sum(self.positions[0], self.positions[1 + i],
+                                   target)
             meas = pos.sample_range(m, snr, self.rng,
-                                    cfg.positioning.variance_scale,
-                                    uav_index=i, light_speed=wcfg.light_speed)
+                                    cfg.positioning.variance_scale)
             measurements.append(meas)
 
         # uplink through the selected ports
@@ -621,11 +613,12 @@ class PositioningEnv:
             loss = ch.path_loss_db(r_bs, params, draw.shadow_db)
             gains[i] = ch.fas_gain(draw, int(ports[i]), params, loss)
         sinrs = ch.uplink_sinr(gains, params)
-        latencies = ch.uplink_latencies(sinrs, params)
+        # a NaN latency is no delivery either, so it counts as late
+        late = ~(ch.uplink_latencies(sinrs, params)
+                 <= cfg.scenario.latency_budget)
 
         usable = [(measurements[i], self.positions[1 + i]) for i in range(4)
-                  if measurements[i] is not None
-                  and latencies[i] <= cfg.scenario.latency_budget]
+                  if measurements[i] is not None and not late[i]]
         stale = len(usable) < cfg.positioning.min_usable
         if not stale:
             fit = pos.estimate_position(
@@ -647,20 +640,13 @@ class PositioningEnv:
                 self.estimate = fit.position
 
         error = pos.position_error(self.estimate, target)
-        state = wd.WorldState(self.positions.copy(), target, deltas, ports,
-                              self.slot)
-        report = wd.check_constraints(state, latencies, wcfg,
-                                      cfg.scenario.latency_budget,
-                                      params.n_ports)
+        report = wd.check_constraints(self.positions, target, late, wcfg)
         reward_raw = reward(self.estimate, target, report)
 
         for i in range(4):
             if measurements[i] is not None:
                 self.prev_ranges[i] = measurements[i].measured
 
-        self.slot += 1
-
-        late = latencies > cfg.scenario.latency_budget
         info = {
             "reward": reward_raw,
             "error": error,

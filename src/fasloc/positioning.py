@@ -22,11 +22,9 @@ class PositioningError(ValueError):
 
 @dataclass(frozen=True)
 class RangeMeasurement:
-    uav_index: int
     range_sum: float        # true m, meters
     variance: float         # measurement variance, m^2
     measured: float         # noisy range sum, meters
-    delay: float            # propagation delay, seconds
 
     def __post_init__(self):
         if self.range_sum <= 0:
@@ -44,8 +42,8 @@ class PositionEstimate:
     degenerate: bool = False
 
 
-def true_range_sum(q0, qk, u, light_speed: float = 3.0e8) -> tuple[float, float]:
-    """Total two-leg path length and its propagation delay."""
+def true_range_sum(q0, qk, u) -> float:
+    """Total two-leg path length active -> target -> passive."""
     q0 = np.asarray(q0, float)
     qk = np.asarray(qk, float)
     u = np.asarray(u, float)
@@ -53,13 +51,11 @@ def true_range_sum(q0, qk, u, light_speed: float = 3.0e8) -> tuple[float, float]
     dk = float(np.linalg.norm(u - qk))
     if d0 == 0.0 or dk == 0.0:
         raise PositioningError("coincident points give a degenerate range sum")
-    m = d0 + dk
-    return m, m / light_speed
+    return d0 + dk
 
 
 def sample_range(m: float, snr: float, rng: np.random.Generator,
-                 variance_scale: float = 1.0, uav_index: int = 0,
-                 light_speed: float = 3.0e8) -> RangeMeasurement | None:
+                 variance_scale: float = 1.0) -> RangeMeasurement | None:
     """Draw a noisy range sum with variance variance_scale / snr.
 
     Returns None when the SNR is zero (no usable echo this slot).
@@ -70,8 +66,7 @@ def sample_range(m: float, snr: float, rng: np.random.Generator,
         return None
     var = variance_scale / snr
     noisy = m + rng.normal(0.0, math.sqrt(var))
-    return RangeMeasurement(uav_index=uav_index, range_sum=m, variance=var,
-                            measured=noisy, delay=m / light_speed)
+    return RangeMeasurement(range_sum=m, variance=var, measured=noisy)
 
 
 _EYE3 = np.eye(3)
@@ -171,7 +166,7 @@ def estimate_position(measurements, q0, passive_positions, prior,
     Gauss-Newton runs from the prior and, because the range-sum cost has
     local minima when the prior is far off, also from the linear
     bootstrap when four measurements allow one; the lower final cost
-    wins.
+    wins.  A prior on a UAV is rejected: its zero leg has no direction.
     """
     measured = np.array([m.measured if isinstance(m, RangeMeasurement) else float(m)
                          for m in measurements])
@@ -184,8 +179,11 @@ def estimate_position(measurements, q0, passive_positions, prior,
             f"each of the {len(measured)} measurements")
     qs = qs.reshape(len(measured), 3)
     q0 = np.asarray(q0, float)
+    prior = np.asarray(prior, float)
+    if prior.tolist() in [q0.tolist(), *qs.tolist()]:
+        raise PositioningError("the prior sits on a UAV")
 
-    starts = [np.asarray(prior, float)]
+    starts = [prior]
     boot = linear_bootstrap(measured, q0, qs)
     if boot is not None and np.all(np.isfinite(boot)):
         starts.append(boot)

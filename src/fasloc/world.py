@@ -24,13 +24,17 @@ class WorldError(ValueError):
 
 @dataclass(frozen=True)
 class WorldConfig:
+    """Kinematics and range limits shared by all controlled UAVs.
+
+    The per-slot yaw/pitch change is bounded by the action set
+    (``marl.ANGLE_CHOICES``); pitch_min/pitch_max clamp the absolute
+    pitch of every heading.
+    """
+
     speed: float = 5.0                 # m/s, all controlled UAVs
     slot_duration: float = 1.0         # s
-    light_speed: float = 3.0e8         # m/s
     dist_min: float = 20.0             # m, pairwise and UAV-target floor
     dist_max: float = 1000.0           # m, pairwise and UAV-target ceiling
-    yaw_min: float = -math.pi / 3.0
-    yaw_max: float = math.pi / 3.0
     pitch_min: float = -math.pi / 3.0
     pitch_max: float = math.pi / 3.0
     slots_per_episode: int = 25
@@ -86,8 +90,8 @@ def step_controlled(q: Vec3, yaw: float, pitch: float,
 
     q' = q + v*dt * [cos(yaw)cos(pitch), sin(yaw)cos(pitch), sin(pitch)],
     so the displacement length is exactly v*dt for any angles.  The
-    heading is not bounded here: the feasibility constraints bound the
-    per-slot change (check_constraints).
+    heading is not bounded here: the action set bounds its per-slot
+    change and the environment clamps its pitch to [pitch_min, pitch_max].
     """
     q = np.asarray(q, dtype=float)
     return q + cfg.speed * cfg.slot_duration * heading_vector(yaw, pitch)
@@ -156,37 +160,23 @@ class TargetTrajectory:
         return self.position.copy()
 
 
-@dataclass
-class WorldState:
-    """Snapshot of the scene after a slot's movements."""
-
-    positions: np.ndarray            # (K, 3) controlled UAVs; row 0 = active
-    target: Vec3
-    angles: np.ndarray               # (K, 2) applied yaw/pitch this slot
-    ports: np.ndarray                # (K-1,) selected FAS ports, 1-based
-    slot: int = 0
-
-
 @dataclass(frozen=True)
 class ConstraintReport:
-    """Per-constraint feasibility flags for one slot."""
+    """Per-constraint feasibility flags for one slot: the constraints an
+    action can break.  Steering and port bounds are not among them; the
+    action set enforces those."""
 
     latency_ok: bool        # every passive uplink within the latency budget
-    yaw_ok: bool
-    pitch_ok: bool
-    ports_ok: bool          # all port indices within {1..n_ports}
     target_range_ok: bool   # dist_min <= |q_k - u| <= dist_max for all k
     pairwise_range_ok: bool  # dist_min <= |q_k - q_k'| <= dist_max, k != k'
 
     @property
     def feasible(self) -> bool:
-        return (self.latency_ok and self.yaw_ok and self.pitch_ok
-                and self.ports_ok and self.target_range_ok
+        return (self.latency_ok and self.target_range_ok
                 and self.pairwise_range_ok)
 
     def flags(self) -> tuple[bool, ...]:
-        return (self.latency_ok, self.yaw_ok, self.pitch_ok, self.ports_ok,
-                self.target_range_ok, self.pairwise_range_ok)
+        return (self.latency_ok, self.target_range_ok, self.pairwise_range_ok)
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,32 +189,23 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def check_constraints(world: WorldState, latencies, cfg: WorldConfig,
-                      latency_budget: float, n_ports: int) -> ConstraintReport:
-    """Evaluate all feasibility constraints for one slot.
+def check_constraints(positions: np.ndarray, target: Vec3, late: np.ndarray,
+                      cfg: WorldConfig) -> ConstraintReport:
+    """Evaluate the feasibility constraints for one slot.
 
-    latencies: seconds, one per passive UAV (may contain inf).
+    positions: (K, 3) controlled UAVs after the slot's moves; late: one
+    flag per passive UAV, true where its uplink missed the deadline.
     """
-    lat = np.asarray(latencies, dtype=float)
-    latency_ok = bool(np.all(lat <= latency_budget))
+    latency_ok = not np.any(late)
 
-    yaw = world.angles[:, 0]
-    pitch = world.angles[:, 1]
-    yaw_ok = bool(np.all((yaw >= cfg.yaw_min) & (yaw <= cfg.yaw_max)))
-    pitch_ok = bool(np.all((pitch >= cfg.pitch_min) & (pitch <= cfg.pitch_max)))
-
-    ports = np.asarray(world.ports)
-    ports_ok = bool(np.all((ports >= 1) & (ports <= n_ports)))
-
-    d_target = np.linalg.norm(world.positions - world.target[None, :], axis=1)
+    d_target = np.linalg.norm(positions - target[None, :], axis=1)
     target_range_ok = bool(np.all((d_target >= cfg.dist_min)
                                   & (d_target <= cfg.dist_max)))
 
-    diffs = world.positions[:, None, :] - world.positions[None, :, :]
+    diffs = positions[:, None, :] - positions[None, :, :]
     dists = np.linalg.norm(diffs, axis=2)
-    pair = dists[_pairs(len(world.positions))]
+    pair = dists[_pairs(len(positions))]
     pairwise_range_ok = bool(np.all((pair >= cfg.dist_min)
                                     & (pair <= cfg.dist_max)))
 
-    return ConstraintReport(latency_ok, yaw_ok, pitch_ok, ports_ok,
-                            target_range_ok, pairwise_range_ok)
+    return ConstraintReport(latency_ok, target_range_ok, pairwise_range_ok)

@@ -122,7 +122,7 @@ def test_criterion_4_zero_noise_localizer_exactness():
         if geom.min_singular_value < 0.3:
             continue
         trials += 1
-        sums = [true_range_sum(q0, qk, u)[0] for qk in qs]
+        sums = [true_range_sum(q0, qk, u) for qk in qs]
         est = estimate_position(sums, q0, qs, prior=qs.mean(axis=0))
         err = float(np.linalg.norm(est.position - u))
         worst = max(worst, err)

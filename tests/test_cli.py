@@ -41,6 +41,9 @@ class TestConfig:
         for section, known, key in (
                 ("world", "speed = 5.0", "warp_factor"),
                 ("world", "speed = 5.0", "n_controlled"),
+                ("world", "speed = 5.0", "yaw_min"),
+                ("world", "speed = 5.0", "yaw_max"),
+                ("world", "speed = 5.0", "light_speed"),
                 ("scenario", "latency_budget = 0.03", "channel_coherence"),
                 ("scenario", "latency_budget = 0.03", "initial_heading"),
                 ("marl", "delta = 0.5", "monotone_mixing"),

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fasloc import cli, marl
+from fasloc.channel import ChannelError
 from fasloc.config import MarlConfig, default_config
 from fasloc.marl import (AgentAction, Coordinator, EpochRecord, LocalQNet,
                          MarlTrainer, Mixer, PositioningEnv, TrainingLog,
@@ -15,8 +18,8 @@ from fasloc.marl import (AgentAction, Coordinator, EpochRecord, LocalQNet,
                          weighted_td_loss)
 from fasloc.world import ConstraintReport
 
-FEASIBLE = ConstraintReport(True, True, True, True, True, True)
-VIOLATED = ConstraintReport(False, True, True, True, True, True)
+FEASIBLE = ConstraintReport(True, True, True)
+VIOLATED = ConstraintReport(False, True, True)
 
 
 def tiny_config(**run_kw):
@@ -315,7 +318,7 @@ class TestPortCredit:
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_when_another_constraint_fails(self):
-        report = ConstraintReport(False, True, True, True, False, True)
+        report = ConstraintReport(False, False, True)
         credit = marl.slot_port_credit([False, False, True, False], report,
                                        -2.0, -0.07)
         np.testing.assert_array_equal(credit, np.zeros(4))
@@ -561,6 +564,50 @@ class TestEnvironment:
                 assert info["reward"] == pytest.approx(-info["error"])
             else:
                 assert info["reward"] == -1.0e6
+
+    @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid"])
+    def test_out_of_range_port_rejected(self, bad_port):
+        cfg = default_config()
+        port = 0 if bad_port == "zero" else cfg.channel.n_ports + 1
+        env = PositioningEnv(cfg, np.random.default_rng(0))
+        env.reset()
+        acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
+        acts[3] = AgentAction(2, 2, port)
+        with pytest.raises(ChannelError):
+            env.step(acts)
+
+    def test_nan_latency_counts_as_late(self, monkeypatch):
+        monkeypatch.setattr(marl.ch, "uplink_latencies",
+                            lambda sinrs, params: np.array([0.0, np.nan, 0.0, 0.0]))
+        env = PositioningEnv(default_config(), np.random.default_rng(0))
+        env.reset()
+        acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
+        _, info = env.step(acts)
+        assert info["late"].tolist() == [False, True, False, False]
+        assert info["latency_violations"] == 1
+        assert not info["report"].latency_ok
+
+
+_DEFAULT = default_config()
+_SLOTS = _DEFAULT.world.slots_per_episode
+_SLOT_ACTIONS = st.lists(
+    st.tuples(st.integers(0, marl.N_ANGLE - 1), st.integers(0, marl.N_ANGLE - 1),
+              st.integers(1, _DEFAULT.channel.n_ports)),
+    min_size=marl.N_AGENTS, max_size=marl.N_AGENTS)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       episode=st.lists(_SLOT_ACTIONS, min_size=_SLOTS, max_size=_SLOTS))
+def test_random_action_episode_stays_finite(seed, episode):
+    env = PositioningEnv(_DEFAULT, np.random.default_rng(seed))
+    env.reset()
+    for slot in episode:
+        acts = [AgentAction(y, p, None if k == 0 else port)
+                for k, (y, p, port) in enumerate(slot)]
+        _, info = env.step(acts)
+        assert math.isfinite(info["reward"])
+        assert math.isfinite(info["error"])
 
 
 class TestTrainingLog:

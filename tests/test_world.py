@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fasloc.world import (ConstraintReport, TargetTrajectory,
                           TargetTrajectorySpec, TrajectoryMode, WorldConfig,
-                          WorldError, WorldState, check_constraints,
+                          WorldError, check_constraints,
                           heading_vector, step_controlled)
 
 CFG = WorldConfig()
@@ -117,49 +117,35 @@ class TestTargetTrajectory:
             TargetTrajectorySpec(speed=-1.0)
 
 
-def _world_state(positions=None, target=TARGET, ports=(1, 2, 3, 4)):
-    if positions is None:
-        positions = np.vstack([ACTIVE, PASSIVE])
-    angles = np.zeros((len(positions), 2))
-    return WorldState(positions=np.asarray(positions, float),
-                      target=np.asarray(target, float),
-                      angles=angles, ports=np.array(ports))
+POSITIONS = np.vstack([ACTIVE, PASSIVE])
+ON_TIME = np.zeros(4, dtype=bool)
 
 
 class TestConstraints:
     def test_nominal_scene_is_feasible(self):
-        report = check_constraints(_world_state(), [0.010] * 4, CFG,
-                                   latency_budget=0.030, n_ports=32)
+        report = check_constraints(POSITIONS, TARGET, ON_TIME, CFG)
         assert report.feasible
         assert all(report.flags())
 
     def test_close_pair_violates_separation_only(self):
-        positions = np.vstack([ACTIVE, PASSIVE])
+        positions = POSITIONS.copy()
         positions[2] = positions[1] + np.array([10.0, 0.0, 0.0])
-        report = check_constraints(_world_state(positions), [0.010] * 4, CFG,
-                                   latency_budget=0.030, n_ports=32)
+        report = check_constraints(positions, TARGET, ON_TIME, CFG)
         assert not report.pairwise_range_ok
         assert report.latency_ok and report.target_range_ok
         assert not report.feasible
 
     def test_late_uplink_violates_latency_only(self):
-        report = check_constraints(_world_state(), [0.010, 0.031, 0.010, 0.010],
-                                   CFG, latency_budget=0.030, n_ports=32)
+        late = np.array([False, True, False, False])
+        report = check_constraints(POSITIONS, TARGET, late, CFG)
         assert not report.latency_ok
-        assert report.yaw_ok and report.pitch_ok and report.ports_ok
         assert report.target_range_ok and report.pairwise_range_ok
         assert not report.feasible
 
-    def test_port_out_of_range_flagged(self):
-        report = check_constraints(_world_state(ports=(1, 2, 33, 4)),
-                                   [0.010] * 4, CFG, latency_budget=0.030,
-                                   n_ports=32)
-        assert not report.ports_ok
-
     def test_feasible_iff_all_flags(self):
-        report = ConstraintReport(True, True, True, True, True, True)
+        report = ConstraintReport(True, True, True)
         assert report.feasible
-        report = ConstraintReport(True, True, True, True, True, False)
+        report = ConstraintReport(True, True, False)
         assert not report.feasible
 
     def test_relaxing_never_breaks_feasibility(self):
@@ -168,11 +154,11 @@ class TestConstraints:
             positions = rng.uniform(100, 900, size=(5, 3))
             target = rng.uniform(100, 900, size=3)
             lat = rng.uniform(0, 0.06, size=4)
-            state = _world_state(positions, target)
-            tight = check_constraints(state, lat, CFG, 0.030, 32)
+            tight = check_constraints(positions, target, lat > 0.030, CFG)
             loose_cfg = WorldConfig(dist_min=CFG.dist_min / 2,
                                     dist_max=CFG.dist_max * 2)
-            loose = check_constraints(state, lat, loose_cfg, 0.060, 32)
+            loose = check_constraints(positions, target, lat > 0.060,
+                                      loose_cfg)
             if tight.feasible:
                 assert loose.feasible
 

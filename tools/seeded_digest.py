@@ -19,7 +19,11 @@ episode per epoch, seed 11):
   bytes, residual norm, iterations, converged, degenerate) over a fixed
   seeded batch of geometries, near-degenerate ones included.  Training
   logs record neither ``iterations`` nor ``degenerate``, so only this
-  section sees a change in them.
+  section sees a change in them,
+- and the sha256 of every slot's ``(reward, error, stale, feasible,
+  late)`` over ENV_EPISODES seeded episodes of ``PositioningEnv`` at the
+  default config, each UAV taking uniformly random steering indices and
+  grid ports, with the count of infeasible slots.
 
 Only long-standing public names are used, so the script runs unchanged
 on older checkouts.
@@ -44,6 +48,8 @@ EVAL_EPISODES = 10
 EVAL_SEED = 8000
 SOLVER_SEED = 6
 SOLVER_CASES = 2000
+ENV_SEED = 21
+ENV_EPISODES = 40
 
 
 def criterion_8_config(scheme: str):
@@ -94,6 +100,31 @@ def solver_digest() -> dict:
             "sha256": h.hexdigest()}
 
 
+def env_digest() -> dict:
+    cfg = default_config()
+    n_ports = cfg.channel.n_ports
+    h = hashlib.sha256()
+    slots = infeasible = 0
+    for episode in range(ENV_EPISODES):
+        env = marl.PositioningEnv(cfg, np.random.default_rng(ENV_SEED + episode))
+        pick = np.random.default_rng(10_000 + ENV_SEED + episode)
+        env.reset()
+        for _ in range(cfg.world.slots_per_episode):
+            steer = pick.integers(0, marl.N_ANGLE, size=(marl.N_AGENTS, 2))
+            ports = pick.integers(1, n_ports + 1, size=marl.N_AGENTS)
+            actions = [marl.AgentAction(int(y), int(p),
+                                        int(port) if k > 0 else None)
+                       for k, ((y, p), port) in enumerate(zip(steer, ports))]
+            _, info = env.step(actions)
+            h.update(repr((info["reward"], info["error"], bool(info["stale"]),
+                           bool(info["feasible"]),
+                           np.asarray(info["late"]).tolist())).encode())
+            slots += 1
+            infeasible += not info["feasible"]
+    return {"episodes": ENV_EPISODES, "slots": slots,
+            "infeasible": infeasible, "sha256": h.hexdigest()}
+
+
 def digest() -> dict:
     out = {"train_log_sha256": {}, "evaluate": {}}
     for scheme in SCHEMES:
@@ -111,6 +142,7 @@ def digest() -> dict:
                 for name, menu in menus.items()}
     out["micro_gradcheck"] = marl.micro_gradcheck(marl.micro_config())
     out["solver"] = solver_digest()
+    out["env"] = env_digest()
     return out
 
 
