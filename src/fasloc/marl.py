@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import channel as ch
 from . import positioning as pos
 from . import world as wd
 from .config import SCHEME_TRAITS, ExperimentConfig
-from .nn import MLP, AttentionUnit, GRUCell, Linear, Module, Param
+from .nn import MLP, AttentionUnit, GRUCell, Linear, Module, Param, ordered_sum
 
 PENALTY_REWARD = -1.0e6
 ANGLE_CHOICES = np.deg2rad([-60.0, -30.0, 0.0, 30.0, 60.0])
@@ -275,74 +276,85 @@ class LocalQNet(Module):
     def initial_state(self) -> np.ndarray:
         return np.zeros(max(self.hidden_size, 1))
 
-    def forward(self, x: np.ndarray, h: np.ndarray):
+    def _embed(self, x):
         e_pre, c_embed = self.embed.forward(x)
-        mask = e_pre > 0.0
-        e = np.maximum(e_pre, 0.0)
-        if self.gru is not None:
-            h_new, c_gru = self.gru.forward(e, h)
-            trunk = h_new
-        else:
-            h_new, c_gru = h, None
-            trunk = e
+        return np.maximum(e_pre, 0.0), e_pre > 0.0, c_embed
+
+    def _heads(self, trunk, x):
+        """Q-values from the trunk features and the raw input, for one
+        slot or a stack of them, and the heads' caches."""
         value, c_value = self.value_head.forward(trunk)
         adv_angle, c_angle = self.angle_head.forward(trunk)
-        adv_angle = adv_angle - adv_angle.mean()
-        q_angle = value[0] + adv_angle
+        q = value + (adv_angle - adv_angle.mean(axis=-1, keepdims=True))
+        port_raw = c_port = None
         if self.port_head is not None:
             lo, hi = self.aod_slice
-            port_features = np.cos(math.pi * x[lo:hi])
-            port_raw, c_port = self.port_head.forward(port_features)
-            q = np.add.outer(q_angle, port_raw - port_raw.mean()).ravel()
-        else:
-            port_raw, c_port = None, None
-            q = q_angle
-        return q, h_new, (c_embed, mask, c_gru, c_value, c_angle,
-                          (c_port, port_raw))
+            port_raw, c_port = self.port_head.forward(
+                np.cos(math.pi * x[..., lo:hi]))
+            port = port_raw - port_raw.mean(axis=-1, keepdims=True)
+            q = (q[..., :, None] + port[..., None, :]).reshape(q.shape[:-1] + (-1,))
+        return q, (c_value, c_angle, c_port, port_raw)
 
-    def backward(self, dq: np.ndarray, dh_next: np.ndarray, cache,
-                 port_fit: tuple[int, float] | None = None):
-        """Exact loss backward; port_fit = (port index, target) instead
-        trains the port head on its own regression loss.
+    def step(self, x: np.ndarray, h: np.ndarray):
+        """One slot's Q-vector and next recurrent state, for acting; no
+        cache is kept.  forward gives the same Q-values bit for bit."""
+        trunk, _, _ = self._embed(x)
+        if self.gru is not None:
+            h, _ = self.gru.step(self.gru.project(trunk), h)
+            trunk = h
+        return self._heads(trunk, x)[0], h
 
-        With port_fit the port head receives the gradient of
-        (raw_score[port] - target)^2 on its uncentered output and nothing
-        from dq: the trainer fits it to the agent's own credit for the
-        port it chose (see slot_port_credit), while dq still trains the
-        value, steering and recurrent stack.
+    def forward(self, xs: np.ndarray):
+        """Q-values (T, n_actions) of a (T, n_in) input sequence from the
+        initial recurrent state, and the cache for backward.  Each slot is
+        a one-row block of the (T, 1, ·) stacks the layers see."""
+        xs = np.asarray(xs, float)[:, None, :]
+        trunk, mask, c_embed = self._embed(xs)
+        c_gru = None
+        if self.gru is not None:
+            trunk, c_gru = self.gru.forward(trunk, self.initial_state()[None])
+        q, c_heads = self._heads(trunk, xs)
+        return q[:, 0], (c_embed, mask, c_gru, c_heads)
+
+    def backward(self, dq: np.ndarray, cache, port_fit=None):
+        """Backprop through time of the loss gradient dq (T, n_actions) on
+        forward's Q-values, except into the port head: a net with one needs
+        port_fit = (ports, targets), a port index and a target per slot.
+
+        The port head receives the gradient of (raw_score[port] - target)^2
+        on its uncentered output and nothing from dq: the trainer fits it
+        to the agent's own credit for the port it chose (see
+        slot_port_credit), while dq trains the value, steering and
+        recurrent stack.  Weight gradients add up last slot first, the
+        order in which BPTT reaches them.
         """
-        c_embed, mask, c_gru, c_value, c_angle, (c_port, port_raw) = cache
+        c_embed, mask, c_gru, (c_value, c_angle, c_port, port_raw) = cache
+        dq = dq[:, None, :]
         if self.port_head is not None:
-            dq_grid = dq.reshape(self.n_angle, self.n_ports)
-            dangle = dq_grid.sum(axis=1)
-            if port_fit is None:
-                dport = dq_grid.sum(axis=0)
-                dport = dport - dport.mean()          # centering Jacobian
-            else:
-                port, target = port_fit
-                dport = np.zeros(self.n_ports)
-                dport[port] = 2.0 * (port_raw[port] - target)
-            self.port_head.backward(dport, c_port)  # reaches only its own stack
+            dq_grid = dq.reshape(dq.shape[:-1] + (self.n_angle, self.n_ports))
+            dangle = dq_grid.sum(axis=-1)
+            ports, targets = port_fit
+            slots = np.arange(len(ports))
+            dport = np.zeros_like(port_raw)
+            dport[slots, 0, ports] = 2.0 * (port_raw[slots, 0, ports] - targets)
+            # reaches only its own stack
+            self.port_head.backward(dport, c_port, reverse=True)
         else:
             dangle = dq
-        dvalue = dangle.sum()                      # dense value gradient
-        dangle = dangle - dangle.mean()            # centering Jacobian
-        dhid = self.angle_head.backward(dangle, c_angle)
-        dhid = dhid + self.value_head.backward(np.array([dvalue]), c_value)
+        dvalue = dangle.sum(axis=-1, keepdims=True)        # dense value gradient
+        dangle = dangle - dangle.mean(axis=-1, keepdims=True)  # centering Jacobian
+        dhid = self.angle_head.backward(dangle, c_angle, reverse=True)
+        dhid = dhid + self.value_head.backward(dvalue, c_value, reverse=True)
         if self.gru is not None:
-            dh_total = dhid + dh_next
-            de, dh_prev = self.gru.backward(dh_total, c_gru)
-        else:
-            de, dh_prev = dhid, np.zeros_like(dh_next)
-        self.embed.backward(de * mask, c_embed)
-        return dh_prev
+            dhid, _ = self.gru.backward(dhid, c_gru)
+        self.embed.backward(dhid * mask, c_embed, reverse=True)
 
-    def port_fit_loss(self, cache, port_fit: tuple[int, float]) -> float:
-        """The regression loss whose gradient backward's port_fit applies
-        to the port head."""
-        port, target = port_fit
-        *_, (_, port_raw) = cache
-        return float((port_raw[port] - target) ** 2)
+    def port_fit_loss(self, cache, port_fit) -> np.ndarray:
+        """Per slot, the regression loss whose gradient backward's port_fit
+        applies to the port head."""
+        ports, targets = port_fit
+        port_raw = cache[-1][-1]
+        return (port_raw[np.arange(len(ports)), 0, ports] - targets) ** 2
 
 
 class Coordinator(Module):
@@ -364,33 +376,35 @@ class Coordinator(Module):
         return ps + self.out_mlp.params()
 
     def forward(self, rows: np.ndarray, mask: np.ndarray):
-        if not mask.any():
+        """Context vectors (T, omega_width) of a (T, window, row_dim) stack
+        of history windows, each with its row of the (T, window) mask of
+        real rows; one (window, row_dim) window gives one vector."""
+        if not mask.any(axis=-1).all():
             raise ValueError("history window has no valid rows")
         e_pre, c_embed = self.row_embed.forward(rows)
         act_mask = e_pre > 0.0
         e = np.maximum(e_pre, 0.0)
+        keep = mask[..., None]
+        n_valid = mask.sum(axis=-1, keepdims=True)
         pooled, unit_caches = [], []
-        n_valid = int(mask.sum())
         for unit in self.units:
             out, c = unit.forward(e, mask)
-            pooled.append(out[mask].sum(axis=0) / n_valid)
+            pooled.append(np.where(keep, out, 0.0).sum(axis=-2) / n_valid)
             unit_caches.append(c)
-        concat = np.concatenate(pooled)
+        concat = np.concatenate(pooled, axis=-1)[..., None, :]   # a row per slot
         omega, c_out = self.out_mlp.forward(concat)
-        width = pooled[0].shape[0]
-        cache = (c_embed, act_mask, mask, n_valid, unit_caches, c_out,
-                 rows.shape[0], width)
-        return omega, cache
+        return omega[..., 0, :], (c_embed, act_mask, keep, n_valid,
+                                  unit_caches, c_out)
 
     def backward(self, domega: np.ndarray, cache):
-        c_embed, act_mask, mask, n_valid, unit_caches, c_out, n_rows, width = cache
-        dconcat = self.out_mlp.backward(domega, c_out)
-        de = np.zeros((n_rows, act_mask.shape[1]))
+        c_embed, act_mask, keep, n_valid, unit_caches, c_out = cache
+        dconcat = self.out_mlp.backward(domega[..., None, :], c_out)[..., 0, :]
+        width = dconcat.shape[-1] // len(self.units)
+        de = np.zeros(act_mask.shape)
         for i, unit in enumerate(self.units):
-            dpooled = dconcat[i * width:(i + 1) * width]
-            dout_rows = np.zeros((n_rows, width))
-            dout_rows[mask] = dpooled / n_valid
-            de += unit.backward(dout_rows, unit_caches[i])
+            dpooled = dconcat[..., i * width:(i + 1) * width] / n_valid
+            de += unit.backward(np.where(keep, dpooled[..., None, :], 0.0),
+                                unit_caches[i])
         self.row_embed.backward(de * act_mask, c_embed)
 
 
@@ -428,38 +442,43 @@ class Mixer(Module):
                 + self.h_b2.params())
 
     def forward(self, q_locals: np.ndarray, omega: np.ndarray):
+        """Global Q-values (T,) of the (T, n_agents) chosen local Q-values
+        and the (T, omega_width) contexts; one slot gives a scalar."""
         if self.mode == "sum":
-            return float(q_locals.sum()), ("sum", len(q_locals))
+            return q_locals.sum(axis=-1), None
+        omega = omega[..., None, :]                  # one row per slot
         w1_raw, c_w1 = self.h_w1.forward(omega)
-        w1_raw = w1_raw.reshape(self.n_agents, self.hidden)
+        w1_raw = w1_raw.reshape(omega.shape[:-2] + (self.n_agents, self.hidden))
         b1, c_b1 = self.h_b1.forward(omega)
         w2_raw, c_w2 = self.h_w2.forward(omega)
         b2, c_b2 = self.h_b2.forward(omega)
         w1 = np.abs(w1_raw)
         w2 = np.abs(w2_raw)
-        pre = q_locals @ w1 + b1
+        q = q_locals[..., None, :]
+        pre = q @ w1 + b1
         hid = np.where(pre > 0.0, pre, MIX_LEAK * pre)
-        out = float(hid @ w2 + b2[0])
-        cache = ("hyper", q_locals, w1_raw, w1, pre, hid, w2_raw, w2,
-                 c_w1, c_b1, c_w2, c_b2)
-        return out, cache
+        out = hid @ w2.swapaxes(-1, -2) + b2
+        cache = (q, w1_raw, w1, pre, hid, w2_raw, w2, c_w1, c_b1, c_w2, c_b2)
+        return out[..., 0, 0], cache
 
-    def backward(self, dout: float, cache):
-        if cache[0] == "sum":
-            return np.full(cache[1], dout), None
-        (_, q_locals, w1_raw, w1, pre, hid, w2_raw, w2,
-         c_w1, c_b1, c_w2, c_b2) = cache
+    def backward(self, dout, cache):
+        """(dq_locals, domega) for the gradient dout on forward's output;
+        domega is None in sum mode."""
+        if self.mode == "sum":
+            return np.repeat(np.asarray(dout)[..., None], self.n_agents, axis=-1), None
+        (q, w1_raw, w1, pre, hid, w2_raw, w2, c_w1, c_b1, c_w2, c_b2) = cache
+        dout = np.asarray(dout, float)[..., None, None]
         dhid = dout * w2
         dw2 = dout * hid
         dpre = dhid * np.where(pre > 0.0, 1.0, MIX_LEAK)
-        dq = w1 @ dpre
-        dw1 = np.outer(q_locals, dpre) * np.sign(w1_raw)
+        dq = (w1 @ dpre.swapaxes(-1, -2))[..., 0]
+        dw1 = q.swapaxes(-1, -2) * dpre * np.sign(w1_raw)
         dw2 = dw2 * np.sign(w2_raw)
-        domega = self.h_w1.backward(dw1.reshape(-1), c_w1)
+        domega = self.h_w1.backward(dw1.reshape(dout.shape[:-2] + (1, -1)), c_w1)
         domega = domega + self.h_b1.backward(dpre, c_b1)
         domega = domega + self.h_w2.backward(dw2, c_w2)
-        domega = domega + self.h_b2.backward(np.array([dout]), c_b2)
-        return dq, domega
+        domega = domega + self.h_b2.backward(dout, c_b2)
+        return dq, domega[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +664,7 @@ class PositioningEnv:
 
         for i in range(4):
             if measurements[i] is not None:
-                self.prev_ranges[i] = measurements[i].measured
+                self.prev_ranges[i] = measurements[i]
 
         info = {
             "reward": reward_raw,
@@ -676,8 +695,6 @@ class EpisodeData:
     stales: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     port_credit: list = field(default_factory=list)   # [t] -> (4,) credit
-    live_caches: list = field(default_factory=list)   # [t][k] -> net cache
-    live_q: list = field(default_factory=list)        # [t][k] -> q vector
 
     def __len__(self):
         return len(self.rewards_raw)
@@ -758,6 +775,9 @@ class MarlTrainer:
         self.updates = 0
         self.inter_agent_messages = 0
         self.n_ports = cfg.channel.n_ports
+        # process time run() has spent playing episodes and learning
+        self.rollout_s = 0.0
+        self.learn_s = 0.0
 
     # -- schedules ------------------------------------------------------------
 
@@ -779,15 +799,15 @@ class MarlTrainer:
 
     # -- per-slot plumbing ----------------------------------------------------
 
-    def _window(self, episode: EpisodeData, t: int):
+    def _windows(self, episode: EpisodeData):
+        """Every slot's history window as one (T, history_window, row_dim)
+        stack of the latest joint rows, zero rows before the first slot,
+        and the (T, history_window) mask of real rows."""
         t_h = self.cfg.marl.history_window
-        rows = np.zeros((t_h, self.nets.row_dim))
-        mask = np.zeros(t_h, dtype=bool)
-        start = max(0, t + 1 - t_h)
-        chunk = np.array(episode.window_rows[start:t + 1])
-        rows[t_h - len(chunk):] = chunk
-        mask[t_h - len(chunk):] = True
-        return rows, mask
+        rows = np.asarray(episode.window_rows)
+        padded = np.concatenate([np.zeros((t_h - 1, rows.shape[1])), rows])
+        index = np.arange(len(rows))[:, None] + np.arange(t_h)
+        return padded[index], index >= t_h - 1
 
     def act(self, qs, epsilon: float, port_eps: float,
             rng: np.random.Generator, ports: np.ndarray,
@@ -850,8 +870,8 @@ class MarlTrainer:
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon), drawing from rng (default: the trainer's policy
         stream).  port_menu restricts the passive UAVs to those ports.  The
-        local nets' per-slot Q-vectors and caches are kept for the episode
-        loss.
+        local nets act slot by slot (LocalQNet.step) and keep no caches:
+        the learner replays the recorded inputs in one sequence pass.
         """
         rng = self.policy_rng if rng is None else rng
         port_eps = epsilon if port_eps is None else port_eps
@@ -870,11 +890,11 @@ class MarlTrainer:
         for _ in range(env.cfg.world.slots_per_episode):
             scaled = [scale_observation(k, obs)
                       for k, obs in enumerate(observations)]
-            inputs, qs, caches = ([None] * N_AGENTS for _ in range(3))
+            inputs, qs = [None] * N_AGENTS, [None] * N_AGENTS
             if self.nets is not None:
                 for k, net in enumerate(self.nets.local):
                     inputs[k] = np.concatenate([scaled[k], enc[k]])
-                    qs[k], hidden[k], caches[k] = net.forward(inputs[k], hidden[k])
+                    qs[k], hidden[k] = net.step(inputs[k], hidden[k])
             ids, acts = self.act(qs, epsilon, port_eps, rng, ports, allowed)
             # an agent's input pairs its observation with its previous
             # action; the joint history row pairs it with the action taken
@@ -898,35 +918,25 @@ class MarlTrainer:
             ep.feasible.append(info["feasible"])
             ep.stales.append(info["stale"])
             ep.violations.append(info["latency_violations"])
-            ep.live_caches.append(caches)
-            ep.live_q.append(qs)
         return ep
 
     # -- targets and loss -----------------------------------------------------
 
     def _replay(self, nets: PolicyNets, episode: EpisodeData):
-        """Forward nets' local Q-nets over the episode's recorded inputs
-        from fresh recurrent states: ([t][k] -> q, [t][k] -> cache)."""
-        hidden = [net.initial_state() for net in nets.local]
-        qs, caches = [], []
-        for inputs in episode.net_inputs:
-            q_row, c_row = [], []
-            for k, net in enumerate(nets.local):
-                q, hidden[k], cache = net.forward(inputs[k], hidden[k])
-                q_row.append(q)
-                c_row.append(cache)
-            qs.append(q_row)
-            caches.append(c_row)
-        return qs, caches
+        """Each of nets' local Q-nets run once over the episode's recorded
+        inputs from a fresh recurrent state: [k] -> (q (T, n_actions),
+        cache)."""
+        return [net.forward(np.array(xs))
+                for net, xs in zip(nets.local, zip(*episode.net_inputs))]
 
-    def _mix(self, nets: PolicyNets, q_chosen: np.ndarray,
-             episode: EpisodeData, t: int):
-        """Global Q of slot t: the coordinator's context over the recent
-        joint history drives the mixer of the chosen local Q-values."""
+    def _mix(self, nets: PolicyNets, q_chosen: np.ndarray, windows):
+        """Global Q (T,) of the chosen local Q-values (T, N_AGENTS): the
+        coordinator's context over each slot's recent joint history
+        (_windows) drives the mixer."""
         if nets.coordinator is not None:
-            omega, c_coord = nets.coordinator.forward(*self._window(episode, t))
+            omega, c_coord = nets.coordinator.forward(*windows)
         else:
-            omega, c_coord = np.zeros(nets.omega_width), None
+            omega, c_coord = np.zeros((len(q_chosen), nets.omega_width)), None
         q_total, c_mix = nets.mixer.forward(q_chosen, omega)
         return q_total, (c_coord, c_mix)
 
@@ -936,51 +946,42 @@ class MarlTrainer:
         global Q; one per agent for independent learners, which bootstrap
         from their own greedy values."""
         tnets = self.target_nets
-        qs, _ = self._replay(tnets, episode)
-        greedy = np.array([[float(np.max(q)) for q in row] for row in qs])
-        boot = greedy
+        boot = np.column_stack([q.max(axis=1)
+                                for q, _ in self._replay(tnets, episode)])
         if tnets.mixer is not None:
-            boot = np.zeros((len(episode), 1))
-            for t in range(len(episode)):
-                boot[t, 0], _ = self._mix(tnets, greedy[t], episode, t)
+            boot = self._mix(tnets, boot, self._windows(episode))[0][:, None]
         rewards = np.asarray(episode.rewards_train)
         return np.column_stack([
             build_td_targets(rewards, boot[1:, j], self.cfg.marl.discount)
             for j in range(boot.shape[1])])
 
-    def _port_fit(self, episode: EpisodeData, t: int, k: int):
-        """(port index, credit) target of agent k's port head at slot t."""
-        if self.nets.local[k].port_head is None:
-            return None
-        return episode.actions[t][k].port - 1, episode.port_credit[t][k - 1]
-
-    def episode_loss(self, episode: EpisodeData, qs, caches,
-                     targets: np.ndarray, weights: np.ndarray | None = None,
-                     backward: bool = True):
+    def episode_loss(self, episode: EpisodeData, targets: np.ndarray,
+                     weights: np.ndarray | None = None, backward: bool = True):
         """The loss training applies for one episode, and its gradient.
 
-        qs and caches ([t][k]) come from the live local nets' forward pass
-        over the episode: the rollout's own, or a replay.  The TD loss
-        compares the mixed global Q of the chosen actions with targets
-        (td_targets); independent learners have one TD column per agent.
-        weights are the TD-sign weights (computed here when None).  With
-        backward, gradients accumulate into every parameter: the TD
-        gradient through the mixer, the coordinator and each local net
-        (backprop through time), except that each port head receives the
-        gradient of its port-credit fit (LocalQNet.backward's port_fit).
-        Returns (TD loss, port-fit loss, weights).
+        The live nets run once over the whole episode: the local nets over
+        their recorded inputs, the coordinator over every history window,
+        the mixer over every slot.  The TD loss compares the mixed global Q
+        of the chosen actions with targets (td_targets); independent
+        learners have one TD column per agent.  weights are the TD-sign
+        weights (computed here when None).  With backward, gradients
+        accumulate into every parameter: the TD gradient through the
+        mixer, the coordinator and each local net (backprop through time),
+        except that each port head receives the gradient of its
+        port-credit fit (LocalQNet.backward's port_fit).  Returns (TD loss,
+        port-fit loss, weights).
         """
         nets = self.nets
         T = len(episode)
-        q_chosen = np.array([[qs[t][k][episode.action_ids[t][k]]
-                              for k in range(N_AGENTS)] for t in range(T)])
-        q_td = q_chosen
+        slots = np.arange(T)
+        ids = np.asarray(episode.action_ids)
+        replay = self._replay(nets, episode)
+        q_td = q_chosen = np.column_stack([q[slots, ids[:, k]]
+                                           for k, (q, _) in enumerate(replay)])
         if nets.mixer is not None:
-            q_td = np.zeros((T, 1))
-            mix_caches = []
-            for t in range(T):
-                q_td[t, 0], cache = self._mix(nets, q_chosen[t], episode, t)
-                mix_caches.append(cache)
+            q_mix, (c_coord, c_mix) = self._mix(nets, q_chosen,
+                                                self._windows(episode))
+            q_td = q_mix[:, None]
             self.inter_agent_messages += T * N_AGENTS * (
                 2 if nets.coordinator is not None else 1)
         td_loss, cols = 0.0, []
@@ -996,31 +997,30 @@ class MarlTrainer:
                 "TD loss is not finite",
                 {"loss": td_loss, "q": q_td.tolist(),
                  "targets": targets.tolist()})
-        port_loss = 0.0
-        for t in range(T):
-            for k, net in enumerate(nets.local):
-                fit = self._port_fit(episode, t, k)
-                if fit is not None:
-                    port_loss += net.port_fit_loss(caches[t][k], fit)
+        # each port head's targets: per slot, the chosen port's index
+        # (decode_action's port - 1) and the agent's credit for it
+        credit = np.asarray(episode.port_credit)
+        fits = [None if net.port_head is None
+                else (ids[:, k] % self.n_ports, credit[:, k - 1])
+                for k, net in enumerate(nets.local)]
+        fit_losses = [net.port_fit_loss(cache, fit)
+                      for net, (_, cache), fit in zip(nets.local, replay, fits)
+                      if fit is not None]
+        # summed slot by slot, agent by agent
+        port_loss = (float(ordered_sum(np.column_stack(fit_losses).ravel()))
+                     if fit_losses else 0.0)
         if not backward:
             return td_loss, port_loss, weights
 
         dq = 2.0 * weights * (q_td - targets)
         if nets.mixer is not None:
-            dq_locals = np.zeros((T, N_AGENTS))
-            for t in range(T):
-                c_coord, c_mix = mix_caches[t]
-                dq_locals[t], domega = nets.mixer.backward(dq[t, 0], c_mix)
-                if nets.coordinator is not None and domega is not None:
-                    nets.coordinator.backward(domega, c_coord)
-            dq = dq_locals
-        for k, net in enumerate(nets.local):
-            dh = np.zeros(max(net.hidden_size, 1))
-            for t in reversed(range(T)):
-                dq_vec = np.zeros(net.n_actions)
-                dq_vec[episode.action_ids[t][k]] = dq[t, k]
-                dh = net.backward(dq_vec, dh, caches[t][k],
-                                  port_fit=self._port_fit(episode, t, k))
+            dq, domega = nets.mixer.backward(dq[:, 0], c_mix)
+            if nets.coordinator is not None:
+                nets.coordinator.backward(domega, c_coord)
+        for k, (net, (_, cache)) in enumerate(zip(nets.local, replay)):
+            dq_full = np.zeros((T, net.n_actions))
+            dq_full[slots, ids[:, k]] = dq[:, k]
+            net.backward(dq_full, cache, port_fit=fits[k])
         return td_loss, port_loss, weights
 
     # -- updates --------------------------------------------------------------
@@ -1044,10 +1044,8 @@ class MarlTrainer:
 
     def train_on_episode(self, episode: EpisodeData,
                          lr_scale: float = 1.0) -> float:
-        """One update from the rollout's own caches; returns the TD loss."""
-        loss, _, _ = self.episode_loss(episode, episode.live_q,
-                                       episode.live_caches,
-                                       self.td_targets(episode))
+        """One update from a played episode; returns the TD loss."""
+        loss, _, _ = self.episode_loss(episode, self.td_targets(episode))
         self._apply_sgd(lr_scale)
         return loss
 
@@ -1076,9 +1074,13 @@ class MarlTrainer:
                        if self.trains else 1.0)
                 lr_scale, port_floor = self.schedule(
                     ep_index / max(total_eps - 1, 1))
+                started = time.process_time()
                 episode = self.rollout(env, eps, port_eps=max(eps, port_floor))
+                played = time.process_time()
                 loss = (self.train_on_episode(episode, lr_scale)
                         if self.trains else 0.0)
+                self.rollout_s += played - started
+                self.learn_s += time.process_time() - played
                 ep_index += 1
                 errs.extend(episode.errors)
                 rews.extend(episode.rewards_raw)
@@ -1162,9 +1164,9 @@ def micro_gradcheck(cfg: ExperimentConfig, eps: float = 1e-5) -> float:
     """Finite-difference check of the gradient training applies, on one
     short episode.
 
-    The analytic gradient comes from MarlTrainer.episode_loss on the
-    rollout's own caches, as in train_on_episode; the finite differences
-    replay the local nets and go through the same function, with the TD
+    The analytic gradient comes from MarlTrainer.episode_loss, as in
+    train_on_episode; the finite differences go through the same
+    function, forward only, with the TD
     targets and TD-sign weights held at the base point so the loss stays
     differentiable across the stencil.  Every parameter outside the port
     heads is checked against the TD loss, and the port heads against
@@ -1189,15 +1191,12 @@ def micro_gradcheck(cfg: ExperimentConfig, eps: float = 1e-5) -> float:
     episode = trainer.rollout(env, epsilon=0.3)
     targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
-    _, _, weights = trainer.episode_loss(episode, episode.live_q,
-                                         episode.live_caches, targets)
+    _, _, weights = trainer.episode_loss(episode, targets)
     if port_params and not any(np.any(p.grad) for p in port_params):
         raise RuntimeError("the port heads' gradient is zero")
 
     def losses():
-        qs, caches = trainer._replay(trainer.nets, episode)
-        return trainer.episode_loss(episode, qs, caches, targets, weights,
-                                    backward=False)
+        return trainer.episode_loss(episode, targets, weights, backward=False)
 
     in_port_heads = {id(p) for p in port_params}
     others = [p for p in trainer.nets.params() if id(p) not in in_port_heads]

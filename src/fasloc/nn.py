@@ -3,10 +3,14 @@ single-head scaled dot-product attention.
 
 Only these fixed block types are differentiable; there is no general
 graph engine.  Every forward pass returns an explicit cache and every
-backward consumes one, so weight-sharing across timesteps is just
-repeated forward calls with the caches replayed in reverse.  All
-arithmetic is double precision; central-difference verification of each
-backward pass is part of the test suite.
+backward consumes one.  A whole episode goes through a block in one
+call as a (T, rows, ·) stack, one slot per leading index; the GRU alone
+steps through time.  The stacked products keep each slot's operand
+shapes (a one-row slot is a (1, n) matrix, which numpy multiplies with
+the same BLAS call as an n-vector), and weight gradients add the slots'
+terms in a fixed order, so a stack gives bit for bit what one call per
+slot would.  All arithmetic is double precision; central-difference
+verification of each backward pass is part of the test suite.
 """
 
 from __future__ import annotations
@@ -54,6 +58,41 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... added strictly left to right, as a loop
+    of += adds them.  numpy's axis-0 sum adds whole terms in order when a
+    term has more than one element, but a stack of one-element terms
+    collapses into a single run that it sums pairwise; that case goes
+    through cumsum.  terms must not be a reversed view, whose axis numpy
+    may walk backwards."""
+    if terms[0].size > 1:
+        return terms.sum(axis=0)
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def _as_stack(a: np.ndarray) -> np.ndarray:
+    """A vector or a single block as a one-slot (1, rows, n) stack."""
+    return a.reshape((1,) * (3 - a.ndim) + a.shape)
+
+
+def _weight_grad(x: np.ndarray, dy: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Gradient of x @ w for the output gradient dy: the per-slot x.T @ dy
+    of a (T, rows, ·) stack summed over the slots in order, last slot
+    first with reverse (a vector or one block is a single slot)."""
+    x, dy = _as_stack(x), _as_stack(dy)
+    if reverse:
+        x, dy = x[::-1], dy[::-1]
+    xt = x.swapaxes(1, 2)
+    # one row per slot: the outer product, as np.outer forms it
+    return ordered_sum(xt * dy if x.shape[1] == 1 else np.matmul(xt, dy))
+
+
+def _bias_grad(dy: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Gradient of a bias added to every row of dy, summed like _weight_grad."""
+    dy = _as_stack(dy)
+    return ordered_sum((dy[::-1] if reverse else dy).sum(axis=1))
+
+
 class Module:
     """Minimal parameter registry shared by all blocks."""
 
@@ -94,19 +133,18 @@ class Linear(Module):
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray):
+        """x is a vector, a block of rows or a (T, rows, n_in) stack."""
         x = np.asarray(x, float)
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"expected last dim {self.n_in}, got {x.shape}")
         return x @ self.w.value + self.b.value, x
 
-    def backward(self, dy: np.ndarray, cache) -> np.ndarray:
+    def backward(self, dy: np.ndarray, cache, reverse: bool = False) -> np.ndarray:
+        """Accumulate the weight gradients (over a stack's slots in order,
+        last slot first with reverse) and return the input gradient."""
         x = cache
-        if x.ndim == 1:
-            self.w.grad += np.outer(x, dy)
-            self.b.grad += dy
-        else:
-            self.w.grad += x.T @ dy
-            self.b.grad += dy.sum(axis=0)
+        self.w.grad += _weight_grad(x, dy, reverse)
+        self.b.grad += _bias_grad(dy, reverse)
         return dy @ self.w.value.T
 
 
@@ -135,12 +173,12 @@ class MLP(Module):
             caches.append((c, act_mask))
         return h, caches
 
-    def backward(self, dy: np.ndarray, caches) -> np.ndarray:
+    def backward(self, dy: np.ndarray, caches, reverse: bool = False) -> np.ndarray:
         for i in reversed(range(len(self.layers))):
             c, act_mask = caches[i]
             if act_mask is not None:
                 dy = dy * act_mask
-            dy = self.layers[i].backward(dy, c)
+            dy = self.layers[i].backward(dy, c, reverse)
         return dy
 
 
@@ -165,45 +203,70 @@ class GRUCell(Module):
         return [self.wz, self.uz, self.bz, self.wr, self.ur, self.br,
                 self.wh, self.uh, self.bh]
 
-    def forward(self, x: np.ndarray, h: np.ndarray):
-        if x.shape[-1] != self.n_in or h.shape[-1] != self.n_hidden:
-            raise ShapeError("GRU input/hidden size mismatch")
-        z = sigmoid(x @ self.wz.value + h @ self.uz.value + self.bz.value)
-        r = sigmoid(x @ self.wr.value + h @ self.ur.value + self.br.value)
+    def project(self, x: np.ndarray):
+        """The input-side products (x @ wz, x @ wr, x @ wh), for any
+        leading shape: they do not depend on the recurrent state."""
+        return x @ self.wz.value, x @ self.wr.value, x @ self.wh.value
+
+    def step(self, xw, h: np.ndarray):
+        """One recurrence step from the input-side products xw = project(x)
+        and the state h: the new state and the step's gates."""
+        xz, xr, xh = xw
+        z = sigmoid(xz + h @ self.uz.value + self.bz.value)
+        r = sigmoid(xr + h @ self.ur.value + self.br.value)
         rh = r * h
-        c = np.tanh(x @ self.wh.value + rh @ self.uh.value + self.bh.value)
-        h_new = (1.0 - z) * h + z * c
-        return h_new, (x, h, z, r, rh, c)
+        c = np.tanh(xh + rh @ self.uh.value + self.bh.value)
+        return (1.0 - z) * h + z * c, (z, r, rh, c)
 
-    def backward(self, dh_new: np.ndarray, cache):
-        x, h, z, r, rh, c = cache
-        dz = dh_new * (c - h)
-        dc = dh_new * z
-        dh = dh_new * (1.0 - z)
+    def forward(self, xs: np.ndarray, h0: np.ndarray):
+        """Run the cell over a (T, rows, n_in) sequence from the (rows,
+        n_hidden) state h0: the (T, rows, n_hidden) states and the cache.
+        Only the recurrence steps slot by slot."""
+        xs = np.asarray(xs, float)
+        if xs.shape[-1] != self.n_in or h0.shape[-1] != self.n_hidden:
+            raise ShapeError("GRU input/hidden size mismatch")
+        xz, xr, xh = self.project(xs)
+        hs = np.empty(xs.shape[:-1] + (self.n_hidden,))
+        gates = []
+        h = h0
+        for t in range(len(xs)):
+            h, g = self.step((xz[t], xr[t], xh[t]), h)
+            hs[t] = h
+            gates.append(g)
+        z, r, rh, c = (np.stack(g) for g in zip(*gates))
+        prev = np.concatenate([h0[None], hs[:-1]])     # each step's input state
+        return hs, (xs, prev, z, r, rh, c)
 
-        dac = dc * (1.0 - c * c)
-        self.wh.grad += np.outer(x, dac)
-        self.bh.grad += dac
-        drh = dac @ self.uh.value.T
-        self.uh.grad += np.outer(rh, dac)
-        dr = drh * h
-        dh += drh * r
-        dx = dac @ self.wh.value.T
+    def backward(self, dhs: np.ndarray, cache):
+        """Backprop through time of the gradient dhs on every step's output
+        state: returns (dxs, dh0).  The state gradient runs back slot by
+        slot; the weight gradients are summed afterwards, last slot first,
+        the order in which BPTT reaches them."""
+        xs, prev, z, r, rh, c = cache
+        uz, ur, uh = self.uz.value.T, self.ur.value.T, self.uh.value.T
+        daz, dar, dac = (np.empty_like(z) for _ in range(3))
+        dh = np.zeros_like(prev[0])
+        for t in reversed(range(len(z))):
+            dh_new = dhs[t] + dh
+            dz = dh_new * (c[t] - prev[t])
+            dc = dh_new * z[t]
+            dh = dh_new * (1.0 - z[t])
+            dac[t] = dc * (1.0 - c[t] * c[t])
+            drh = dac[t] @ uh
+            dh += drh * r[t]
+            dar[t] = drh * prev[t] * r[t] * (1.0 - r[t])
+            dh += dar[t] @ ur
+            daz[t] = dz * z[t] * (1.0 - z[t])
+            dh += daz[t] @ uz
 
-        dar = dr * r * (1.0 - r)
-        self.wr.grad += np.outer(x, dar)
-        self.ur.grad += np.outer(h, dar)
-        self.br.grad += dar
-        dx += dar @ self.wr.value.T
-        dh += dar @ self.ur.value.T
-
-        daz = dz * z * (1.0 - z)
-        self.wz.grad += np.outer(x, daz)
-        self.uz.grad += np.outer(h, daz)
-        self.bz.grad += daz
-        dx += daz @ self.wz.value.T
-        dh += daz @ self.uz.value.T
-        return dx, dh
+        for w, u, b, da, state in ((self.wh, self.uh, self.bh, dac, rh),
+                                   (self.wr, self.ur, self.br, dar, prev),
+                                   (self.wz, self.uz, self.bz, daz, prev)):
+            w.grad += _weight_grad(xs, da, reverse=True)
+            u.grad += _weight_grad(state, da, reverse=True)
+            b.grad += _bias_grad(da, reverse=True)
+        dxs = dac @ self.wh.value.T + dar @ self.wr.value.T + daz @ self.wz.value.T
+        return dxs, dh
 
 
 class AttentionUnit(Module):
@@ -225,31 +288,34 @@ class AttentionUnit(Module):
         return [self.wq, self.wk, self.wv]
 
     def forward(self, window: np.ndarray, mask: np.ndarray | None = None):
+        """window is one (rows, n_in) block or a (T, rows, n_in) stack of
+        them, with a matching (rows,) or (T, rows) key mask."""
         window = np.asarray(window, float)
-        if window.ndim != 2 or window.shape[0] == 0:
-            raise ShapeError("attention window must be a nonempty 2-D array")
+        if window.ndim not in (2, 3) or window.shape[-2] == 0:
+            raise ShapeError("attention window must be a nonempty 2-D array "
+                             "or a stack of them")
         q = window @ self.wq.value
         k = window @ self.wk.value
         v = window @ self.wv.value
-        scores = q @ k.T / math.sqrt(self.n_att)
+        scores = q @ k.swapaxes(-1, -2) / math.sqrt(self.n_att)
         if mask is not None:
-            scores = np.where(mask[None, :], scores, -1e30)
+            scores = np.where(mask[..., None, :], scores, -1e30)
         probs = softmax_rows(scores)
         out = probs @ v
         return out, (window, q, k, v, probs)
 
     def backward(self, dout: np.ndarray, cache):
         window, q, k, v, probs = cache
-        dprobs = dout @ v.T
-        dv = probs.T @ dout
+        dprobs = dout @ v.swapaxes(-1, -2)
+        dv = probs.swapaxes(-1, -2) @ dout
         # softmax rows: dS = P * (dP - sum(dP * P))
         dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
         scale = 1.0 / math.sqrt(self.n_att)
         dq = dscores @ k * scale
-        dk = dscores.T @ q * scale
-        self.wq.grad += window.T @ dq
-        self.wk.grad += window.T @ dk
-        self.wv.grad += window.T @ dv
+        dk = dscores.swapaxes(-1, -2) @ q * scale
+        self.wq.grad += _weight_grad(window, dq)
+        self.wk.grad += _weight_grad(window, dk)
+        self.wv.grad += _weight_grad(window, dv)
         return dq @ self.wq.value.T + dk @ self.wk.value.T + dv @ self.wv.value.T
 
 

@@ -20,19 +20,6 @@ class PositioningError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RangeMeasurement:
-    range_sum: float        # true m, meters
-    variance: float         # measurement variance, m^2
-    measured: float         # noisy range sum, meters
-
-    def __post_init__(self):
-        if self.range_sum <= 0:
-            raise PositioningError("range sum must be positive")
-        if self.variance <= 0:
-            raise PositioningError("variance must be positive")
-
-
 @dataclass
 class PositionEstimate:
     position: Vec3
@@ -55,8 +42,9 @@ def true_range_sum(q0, qk, u) -> float:
 
 
 def sample_range(m: float, snr: float, rng: np.random.Generator,
-                 variance_scale: float = 1.0) -> RangeMeasurement | None:
-    """Draw a noisy range sum with variance variance_scale / snr.
+                 variance_scale: float = 1.0) -> float | None:
+    """The measured range sum: the true sum m plus Gaussian noise of
+    variance variance_scale / snr.
 
     Returns None when the SNR is zero (no usable echo this slot).
     """
@@ -64,9 +52,7 @@ def sample_range(m: float, snr: float, rng: np.random.Generator,
         raise PositioningError("snr must be nonnegative")
     if snr == 0.0:
         return None
-    var = variance_scale / snr
-    noisy = m + rng.normal(0.0, math.sqrt(var))
-    return RangeMeasurement(range_sum=m, variance=var, measured=noisy)
+    return m + rng.normal(0.0, math.sqrt(variance_scale / snr))
 
 
 _EYE3 = np.eye(3)
@@ -161,15 +147,14 @@ def estimate_position(measurements, q0, passive_positions, prior,
                       rank_tol: float = 1e-8) -> PositionEstimate:
     """Least-squares target fix from range-sum measurements.
 
-    measurements may be RangeMeasurement objects or bare floats (the
-    measured sums); passive_positions rows must align with them.  Damped
+    measurements are the measured range sums; passive_positions rows
+    must align with them.  Damped
     Gauss-Newton runs from the prior and, because the range-sum cost has
     local minima when the prior is far off, also from the linear
     bootstrap when four measurements allow one; the lower final cost
     wins.  A prior on a UAV is rejected: its zero leg has no direction.
     """
-    measured = np.array([m.measured if isinstance(m, RangeMeasurement) else float(m)
-                         for m in measurements])
+    measured = np.array(measurements, dtype=float).reshape(-1)
     if len(measured) < 1:
         raise PositioningError("need at least one measurement")
     qs = np.asarray(passive_positions, float)

@@ -105,6 +105,16 @@ class TestRunVerb:
         assert {"metrics.jsonl", "summary.csv", "config_resolved.ini",
                 "checkpoint.npz", "run_info.json"} <= names
 
+    def test_run_info_times_the_phases(self, tmp_path):
+        out = tmp_path / "timed"
+        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=1) == 0
+        info = json.loads((out / "run_info.json").read_text())
+        for key in ("wall_time_s", "rollout_s", "learn_s"):
+            assert math.isfinite(info[key]) and info[key] > 0.0, key
+        # timings stay out of the deterministic metrics
+        for line in (out / "metrics.jsonl").read_text().splitlines():
+            assert not {"rollout_s", "learn_s"} & set(json.loads(line))
+
     def test_identical_runs_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):

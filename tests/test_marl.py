@@ -89,18 +89,20 @@ class TestLocalQ:
         net = trainer.nets.local[1]
         for p in net.params():
             p.value[...] = 0.0
-        q, _, _ = net.forward(np.zeros(12), net.initial_state())
+        q, _ = net.step(np.zeros(12), net.initial_state())
         assert np.all(q == q[0])
 
     def test_q_vector_lengths(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        q0, _, _ = trainer.nets.local[0].forward(
+        q0, _ = trainer.nets.local[0].step(
             np.zeros(5), trainer.nets.local[0].initial_state())
-        q1, _, _ = trainer.nets.local[1].forward(
+        q1, _ = trainer.nets.local[1].step(
             np.zeros(12), trainer.nets.local[1].initial_state())
         assert len(q0) == 25
         assert len(q1) == 25 * cfg.channel.n_ports
+        q_seq, _ = trainer.nets.local[1].forward(np.zeros((3, 12)))
+        assert q_seq.shape == (3, 25 * cfg.channel.n_ports)
 
     def test_recurrent_state_changes_output(self):
         cfg = default_config()
@@ -112,8 +114,8 @@ class TestLocalQ:
         net.angle_head.layers[-1].w.value[...] = rng.standard_normal(
             net.angle_head.layers[-1].w.value.shape) * 0.1
         x = rng.standard_normal(12) * 0.5
-        q_a, _, _ = net.forward(x, np.zeros(net.hidden_size))
-        q_b, _, _ = net.forward(x, 0.5 * np.ones(net.hidden_size))
+        q_a, _ = net.step(x, np.zeros(net.hidden_size))
+        q_b, _ = net.step(x, 0.5 * np.ones(net.hidden_size))
         assert np.max(np.abs(q_a - q_b)) > 1e-9
 
     def test_additive_head_structure(self):
@@ -126,7 +128,7 @@ class TestLocalQ:
             lay.w.value[...] = rng.standard_normal(lay.w.value.shape) * 0.1
             lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
         x = rng.standard_normal(12) * 0.3
-        q, _, _ = net.forward(x, net.initial_state())
+        q, _ = net.step(x, net.initial_state())
         grid = q.reshape(25, cfg.channel.n_ports)
         # additive decomposition: grid rows differ by constants
         rows = grid - grid[:, :1]
@@ -141,13 +143,13 @@ class TestLocalQ:
         lay = net.port_head.layers[-1]
         lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
         x = rng.standard_normal(12) * 0.3
-        _, _, cache = net.forward(x, net.initial_state())
+        _, cache = net.forward(x[None])            # a one-slot sequence
         port, target = 4, -1.5
-        dq = np.zeros(net.n_actions)
-        dq[7 * cfg.channel.n_ports + port] = 0.8
+        dq = np.zeros((1, net.n_actions))
+        dq[0, 7 * cfg.channel.n_ports + port] = 0.8
         net.zero_grads()
-        net.backward(dq, np.zeros(net.hidden_size), cache, port_fit=(port, target))
-        port_raw = cache[5][1]     # (port-head cache, raw port scores)
+        net.backward(dq, cache, port_fit=(np.array([port]), np.array([target])))
+        port_raw = cache[-1][-1][0, 0]     # (..., (..., raw port scores))
         expected = np.zeros(cfg.channel.n_ports)
         expected[port] = 2.0 * (port_raw[port] - target)
         np.testing.assert_allclose(lay.b.grad, expected, atol=1e-12)
@@ -473,11 +475,12 @@ class TestTrainerMachinery:
                 p.value += rng.standard_normal(p.value.shape)
         env = PositioningEnv(cfg, trainer.env_rng)
         episode = trainer.rollout(env, 0.0)
+        live_q = [q for q, _ in trainer._replay(trainer.nets, episode)]
         n = cfg.channel.n_ports
         greedy_ports = set()
         for t in range(len(episode)):
             for k in range(5):
-                q = episode.live_q[t][k]
+                q = live_q[k][t]
                 assert episode.action_ids[t][k] == int(np.argmax(q))
                 if k:
                     greedy = decode_action(int(np.argmax(q)), n).port
@@ -521,14 +524,13 @@ class TestEndToEndGradient:
     def test_doubled_port_fit_gradient_is_caught(self, monkeypatch):
         backward = LocalQNet.backward
 
-        def doubled(net, dq, dh_next, cache, port_fit=None):
+        def doubled(net, dq, cache, port_fit=None):
             heads = net.port_head.params() if net.port_head is not None else []
             before = [p.grad.copy() for p in heads]
-            dh = backward(net, dq, dh_next, cache, port_fit=port_fit)
+            backward(net, dq, cache, port_fit=port_fit)
             if port_fit is not None:
                 for p, old in zip(heads, before):
                     p.grad += p.grad - old
-            return dh
 
         monkeypatch.setattr(LocalQNet, "backward", doubled)
         assert micro_gradcheck(micro_config()) > 1e-4
@@ -627,3 +629,394 @@ class TestTrainingLog:
                              "loss": 0.0, "violations": 0, "epsilon": 1.0})]
         with pytest.raises(ValueError):
             TrainingLog.from_jsonl("\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# per-slot reference learner
+#
+# The learner as it ran before it was batched over time: one forward and
+# one backward call per slot and agent, one coordinator call per history
+# window, one mixer call per slot.  It reads and accumulates into the same
+# Param objects as the sequence path, and the sequence path must match it
+# bit for bit.
+
+
+def _ref_linear(layer, x):
+    return x @ layer.w.value + layer.b.value
+
+
+def _ref_linear_back(layer, dy, x):
+    if x.ndim == 1:
+        layer.w.grad += np.outer(x, dy)
+        layer.b.grad += dy
+    else:
+        layer.w.grad += x.T @ dy
+        layer.b.grad += dy.sum(axis=0)
+    return dy @ layer.w.value.T
+
+
+def _ref_mlp(mlp, x):
+    caches, h = [], x
+    for i, layer in enumerate(mlp.layers):
+        c, h = h, _ref_linear(layer, h)
+        act_mask = None
+        if i + 1 < len(mlp.layers):
+            act_mask = h > 0.0
+            h = np.maximum(h, 0.0)
+        caches.append((c, act_mask))
+    return h, caches
+
+
+def _ref_mlp_back(mlp, dy, caches):
+    for i in reversed(range(len(mlp.layers))):
+        c, act_mask = caches[i]
+        if act_mask is not None:
+            dy = dy * act_mask
+        dy = _ref_linear_back(mlp.layers[i], dy, c)
+    return dy
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _ref_gru(g, x, h):
+    z = _sigmoid(x @ g.wz.value + h @ g.uz.value + g.bz.value)
+    r = _sigmoid(x @ g.wr.value + h @ g.ur.value + g.br.value)
+    rh = r * h
+    c = np.tanh(x @ g.wh.value + rh @ g.uh.value + g.bh.value)
+    return (1.0 - z) * h + z * c, (x, h, z, r, rh, c)
+
+
+def _ref_gru_back(g, dh_new, cache):
+    x, h, z, r, rh, c = cache
+    dz = dh_new * (c - h)
+    dc = dh_new * z
+    dh = dh_new * (1.0 - z)
+    dac = dc * (1.0 - c * c)
+    g.wh.grad += np.outer(x, dac)
+    g.bh.grad += dac
+    drh = dac @ g.uh.value.T
+    g.uh.grad += np.outer(rh, dac)
+    dr = drh * h
+    dh += drh * r
+    dx = dac @ g.wh.value.T
+    dar = dr * r * (1.0 - r)
+    g.wr.grad += np.outer(x, dar)
+    g.ur.grad += np.outer(h, dar)
+    g.br.grad += dar
+    dx += dar @ g.wr.value.T
+    dh += dar @ g.ur.value.T
+    daz = dz * z * (1.0 - z)
+    g.wz.grad += np.outer(x, daz)
+    g.uz.grad += np.outer(h, daz)
+    g.bz.grad += daz
+    dx += daz @ g.wz.value.T
+    dh += daz @ g.uz.value.T
+    return dx, dh
+
+
+def _ref_attention(unit, window, mask):
+    q = window @ unit.wq.value
+    k = window @ unit.wk.value
+    v = window @ unit.wv.value
+    scores = q @ k.T / math.sqrt(unit.n_att)
+    scores = np.where(mask[None, :], scores, -1e30)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return probs @ v, (window, q, k, v, probs)
+
+
+def _ref_attention_back(unit, dout, cache):
+    window, q, k, v, probs = cache
+    dprobs = dout @ v.T
+    dv = probs.T @ dout
+    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    scale = 1.0 / math.sqrt(unit.n_att)
+    dq = dscores @ k * scale
+    dk = dscores.T @ q * scale
+    unit.wq.grad += window.T @ dq
+    unit.wk.grad += window.T @ dk
+    unit.wv.grad += window.T @ dv
+    return (dq @ unit.wq.value.T + dk @ unit.wk.value.T
+            + dv @ unit.wv.value.T)
+
+
+def _ref_local(net, x, h):
+    e_pre = _ref_linear(net.embed, x)
+    mask = e_pre > 0.0
+    e = np.maximum(e_pre, 0.0)
+    if net.gru is not None:
+        h_new, c_gru = _ref_gru(net.gru, e, h)
+        trunk = h_new
+    else:
+        h_new, c_gru = h, None
+        trunk = e
+    value = _ref_linear(net.value_head, trunk)
+    adv_angle, c_angle = _ref_mlp(net.angle_head, trunk)
+    adv_angle = adv_angle - adv_angle.mean()
+    q_angle = value[0] + adv_angle
+    if net.port_head is not None:
+        lo, hi = net.aod_slice
+        port_raw, c_port = _ref_mlp(net.port_head, np.cos(math.pi * x[lo:hi]))
+        q = np.add.outer(q_angle, port_raw - port_raw.mean()).ravel()
+    else:
+        port_raw, c_port = None, None
+        q = q_angle
+    return q, h_new, (x, mask, c_gru, trunk, c_angle, (c_port, port_raw))
+
+
+def _ref_local_back(net, dq, dh_next, cache, port_fit):
+    x, mask, c_gru, trunk, c_angle, (c_port, port_raw) = cache
+    if net.port_head is not None:
+        dq_grid = dq.reshape(net.n_angle, net.n_ports)
+        dangle = dq_grid.sum(axis=1)
+        port, target = port_fit
+        dport = np.zeros(net.n_ports)
+        dport[port] = 2.0 * (port_raw[port] - target)
+        _ref_mlp_back(net.port_head, dport, c_port)
+    else:
+        dangle = dq
+    dvalue = dangle.sum()
+    dangle = dangle - dangle.mean()
+    dhid = _ref_mlp_back(net.angle_head, dangle, c_angle)
+    dhid = dhid + _ref_linear_back(net.value_head, np.array([dvalue]), trunk)
+    if net.gru is not None:
+        de, dh_prev = _ref_gru_back(net.gru, dhid + dh_next, c_gru)
+    else:
+        de, dh_prev = dhid, np.zeros_like(dh_next)
+    _ref_linear_back(net.embed, de * mask, x)
+    return dh_prev
+
+
+def _ref_coordinator(coord, rows, mask):
+    e_pre = _ref_linear(coord.row_embed, rows)
+    act_mask = e_pre > 0.0
+    e = np.maximum(e_pre, 0.0)
+    pooled, unit_caches = [], []
+    n_valid = int(mask.sum())
+    for unit in coord.units:
+        out, c = _ref_attention(unit, e, mask)
+        pooled.append(out[mask].sum(axis=0) / n_valid)
+        unit_caches.append(c)
+    concat = np.concatenate(pooled)
+    omega, c_out = _ref_mlp(coord.out_mlp, concat)
+    return omega, (rows, act_mask, mask, n_valid, unit_caches, c_out,
+                   pooled[0].shape[0])
+
+
+def _ref_coordinator_back(coord, domega, cache):
+    rows, act_mask, mask, n_valid, unit_caches, c_out, width = cache
+    dconcat = _ref_mlp_back(coord.out_mlp, domega, c_out)
+    de = np.zeros((rows.shape[0], act_mask.shape[1]))
+    for i, unit in enumerate(coord.units):
+        dout_rows = np.zeros((rows.shape[0], width))
+        dout_rows[mask] = dconcat[i * width:(i + 1) * width] / n_valid
+        de += _ref_attention_back(unit, dout_rows, unit_caches[i])
+    _ref_linear_back(coord.row_embed, de * act_mask, rows)
+
+
+def _ref_mixer(mixer, q_locals, omega):
+    if mixer.mode == "sum":
+        return float(q_locals.sum()), None
+    w1_raw = _ref_linear(mixer.h_w1, omega).reshape(mixer.n_agents, mixer.hidden)
+    b1 = _ref_linear(mixer.h_b1, omega)
+    w2_raw = _ref_linear(mixer.h_w2, omega)
+    b2 = _ref_linear(mixer.h_b2, omega)
+    w1, w2 = np.abs(w1_raw), np.abs(w2_raw)
+    pre = q_locals @ w1 + b1
+    hid = np.where(pre > 0.0, pre, marl.MIX_LEAK * pre)
+    return float(hid @ w2 + b2[0]), (q_locals, w1_raw, w1, pre, hid,
+                                      w2_raw, w2, omega)
+
+
+def _ref_mixer_back(mixer, dout, cache):
+    if cache is None:
+        return np.full(mixer.n_agents, dout), None
+    q_locals, w1_raw, w1, pre, hid, w2_raw, w2, omega = cache
+    dhid = dout * w2
+    dw2 = dout * hid
+    dpre = dhid * np.where(pre > 0.0, 1.0, marl.MIX_LEAK)
+    dq = w1 @ dpre
+    dw1 = np.outer(q_locals, dpre) * np.sign(w1_raw)
+    dw2 = dw2 * np.sign(w2_raw)
+    domega = _ref_linear_back(mixer.h_w1, dw1.reshape(-1), omega)
+    domega = domega + _ref_linear_back(mixer.h_b1, dpre, omega)
+    domega = domega + _ref_linear_back(mixer.h_w2, dw2, omega)
+    domega = domega + _ref_linear_back(mixer.h_b2, np.array([dout]), omega)
+    return dq, domega
+
+
+def _ref_window(trainer, episode, t):
+    t_h = trainer.cfg.marl.history_window
+    rows = np.zeros((t_h, trainer.nets.row_dim))
+    mask = np.zeros(t_h, dtype=bool)
+    chunk = np.array(episode.window_rows[max(0, t + 1 - t_h):t + 1])
+    rows[t_h - len(chunk):] = chunk
+    mask[t_h - len(chunk):] = True
+    return rows, mask
+
+
+def _ref_replay(nets, episode):
+    hidden = [net.initial_state() for net in nets.local]
+    qs, caches = [], []
+    for inputs in episode.net_inputs:
+        q_row, c_row = [], []
+        for k, net in enumerate(nets.local):
+            q, hidden[k], cache = _ref_local(net, inputs[k], hidden[k])
+            q_row.append(q)
+            c_row.append(cache)
+        qs.append(q_row)
+        caches.append(c_row)
+    return qs, caches
+
+
+def _ref_mix(trainer, nets, q_chosen, episode, t):
+    if nets.coordinator is not None:
+        omega, c_coord = _ref_coordinator(nets.coordinator,
+                                          *_ref_window(trainer, episode, t))
+    else:
+        omega, c_coord = np.zeros(nets.omega_width), None
+    q_total, c_mix = _ref_mixer(nets.mixer, q_chosen, omega)
+    return q_total, (c_coord, c_mix)
+
+
+def _ref_td_targets(trainer, episode):
+    tnets = trainer.target_nets
+    qs, _ = _ref_replay(tnets, episode)
+    greedy = np.array([[float(np.max(q)) for q in row] for row in qs])
+    boot = greedy
+    if tnets.mixer is not None:
+        boot = np.zeros((len(episode), 1))
+        for t in range(len(episode)):
+            boot[t, 0], _ = _ref_mix(trainer, tnets, greedy[t], episode, t)
+    rewards = np.asarray(episode.rewards_train)
+    return np.column_stack([
+        build_td_targets(rewards, boot[1:, j], trainer.cfg.marl.discount)
+        for j in range(boot.shape[1])])
+
+
+def _ref_port_fit(trainer, episode, t, k):
+    if trainer.nets.local[k].port_head is None:
+        return None
+    return episode.actions[t][k].port - 1, episode.port_credit[t][k - 1]
+
+
+def _ref_episode_loss(trainer, episode, targets):
+    nets = trainer.nets
+    T = len(episode)
+    qs, caches = _ref_replay(nets, episode)
+    q_chosen = np.array([[qs[t][k][episode.action_ids[t][k]]
+                          for k in range(5)] for t in range(T)])
+    q_td = q_chosen
+    if nets.mixer is not None:
+        q_td = np.zeros((T, 1))
+        mix_caches = []
+        for t in range(T):
+            q_td[t, 0], cache = _ref_mix(trainer, nets, q_chosen[t], episode, t)
+            mix_caches.append(cache)
+    td_loss, cols = 0.0, []
+    for j in range(q_td.shape[1]):
+        loss_j, w_j = weighted_td_loss(q_td[:, j], targets[:, j],
+                                       trainer.cfg.marl.delta)
+        td_loss += loss_j
+        cols.append(w_j)
+    weights = np.column_stack(cols)
+    port_loss = 0.0
+    for t in range(T):
+        for k in range(5):
+            fit = _ref_port_fit(trainer, episode, t, k)
+            if fit is not None:
+                port_raw = caches[t][k][5][1]
+                port_loss += float((port_raw[fit[0]] - fit[1]) ** 2)
+    dq = 2.0 * weights * (q_td - targets)
+    if nets.mixer is not None:
+        dq_locals = np.zeros((T, 5))
+        for t in range(T):
+            c_coord, c_mix = mix_caches[t]
+            dq_locals[t], domega = _ref_mixer_back(nets.mixer, dq[t, 0], c_mix)
+            if nets.coordinator is not None:
+                _ref_coordinator_back(nets.coordinator, domega, c_coord)
+        dq = dq_locals
+    for k, net in enumerate(nets.local):
+        dh = np.zeros(max(net.hidden_size, 1))
+        for t in reversed(range(T)):
+            dq_vec = np.zeros(net.n_actions)
+            dq_vec[episode.action_ids[t][k]] = dq[t, k]
+            dh = _ref_local_back(net, dq_vec, dh, caches[t][k],
+                                 _ref_port_fit(trainer, episode, t, k))
+    return td_loss, port_loss, weights, qs
+
+
+TRAINABLE = ("ar_marl", "vd_marl", "independent_q", "no_fas", "no_rnn",
+             "no_transformer")
+SHAPES = {"T25": {}, "T1": {"slots": 1},
+          "window_past_T": {"slots": 5, "history_window": 9}}
+
+
+def _perturbed_trainer(scheme, slots=None, history_window=None):
+    """A trainer whose live and target nets differ and whose zero-started
+    output layers are not zero, so that every gradient path carries a
+    signal."""
+    base = default_config()
+    world, mcfg = base.world, base.marl
+    if slots is not None:
+        world = dataclasses.replace(world, slots_per_episode=slots)
+    if history_window is not None:
+        mcfg = dataclasses.replace(mcfg, history_window=history_window)
+    cfg = dataclasses.replace(base, world=world, marl=mcfg, run=dataclasses.replace(
+        base.run, scheme=scheme, seed=4))
+    trainer = MarlTrainer(cfg)
+    rng = np.random.default_rng(17)
+    for nets in (trainer.nets, trainer.target_nets):
+        for p in nets.params():
+            p.value += 0.05 * rng.standard_normal(p.value.shape)
+    return trainer
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+@pytest.mark.parametrize("scheme", TRAINABLE)
+def test_sequence_learner_matches_per_slot_reference(scheme, shape):
+    trainer = _perturbed_trainer(scheme, **SHAPES[shape])
+    env = PositioningEnv(trainer.cfg, trainer.env_rng)
+    episode = trainer.rollout(env, 0.5)
+
+    ref_targets = _ref_td_targets(trainer, episode)
+    trainer.nets.zero_grads()
+    ref_td, ref_port, ref_weights, ref_q = _ref_episode_loss(
+        trainer, episode, ref_targets)
+    ref_grads = [p.grad.copy() for p in trainer.nets.params()]
+
+    targets = trainer.td_targets(episode)
+    trainer.nets.zero_grads()
+    td, port, weights = trainer.episode_loss(episode, targets)
+
+    assert np.array_equal(targets, ref_targets)
+    assert td == ref_td and port == ref_port
+    assert np.array_equal(weights, ref_weights)
+    for p, ref in zip(trainer.nets.params(), ref_grads):
+        assert p.grad.tobytes() == ref.tobytes(), p.name
+    assert any(np.any(g) for g in ref_grads)
+    for k, (q, _) in enumerate(trainer._replay(trainer.nets, episode)):
+        assert np.array_equal(q, np.array([row[k] for row in ref_q]))
+
+
+@pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "no_rnn"])
+def test_acting_q_equals_sequence_q(scheme, monkeypatch):
+    trainer = _perturbed_trainer(scheme)
+    acted = []
+    step = LocalQNet.step
+
+    def recording_step(net, x, h):
+        q, h = step(net, x, h)
+        acted.append(q)
+        return q, h
+
+    monkeypatch.setattr(LocalQNet, "step", recording_step)
+    episode = trainer.rollout(PositioningEnv(trainer.cfg, trainer.env_rng), 0.5)
+    replay = trainer._replay(trainer.nets, episode)
+    assert len(acted) == len(episode) * len(replay)
+    for i, q in enumerate(acted):
+        t, k = divmod(i, len(replay))
+        assert np.array_equal(q, replay[k][0][t])

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from fasloc.nn import (MLP, AttentionUnit, GRUCell, Linear, Param, ShapeError,
-                       finite_diff_check, load_params, save_params,
-                       softmax_rows)
+                       finite_diff_check, load_params, ordered_sum,
+                       save_params, softmax_rows)
 
 RNG = np.random.default_rng(0)
+
+
+def _probe(arr, grad):
+    """A Param over arr itself, so finite differences perturb the array a
+    loss reads, carrying its analytic gradient."""
+    p = Param("probe", arr)
+    p.value, p.grad = arr, grad
+    return p
 
 
 def _loss_through(forward, params, proj):
@@ -48,6 +56,40 @@ class TestLinearAndMLP:
                                 mlp.params(), eps=1e-6)
         assert err < 1e-5
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_stacked_mlp_gradient_matches_central_differences(self, rows, reverse):
+        rng = np.random.default_rng(25)
+        mlp = MLP([4, 6, 3], rng)
+        x = rng.standard_normal((5, rows, 4))
+        proj = rng.standard_normal((5, rows, 3))
+        mlp.zero_grads()
+        _, cache = mlp.forward(x)
+        dx = mlp.backward(proj, cache, reverse=reverse)
+        loss = _loss_through(lambda: mlp.forward(x)[0], mlp.params(), proj)
+        assert finite_diff_check(loss, mlp.params(), eps=1e-6) < 1e-5
+        assert finite_diff_check(loss, [_probe(x, dx)], eps=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_stack_matches_slot_by_slot(self, reverse):
+        # the stacked backward adds the per-slot gradients in slot order
+        # (last slot first with reverse), bit for bit as one call per slot
+        rng = np.random.default_rng(26)
+        layer = Linear(7, 1, rng)
+        x = rng.standard_normal((30, 1, 7))
+        dy = rng.standard_normal((30, 1, 1))
+        layer.zero_grads()
+        y, cache = layer.forward(x)
+        dx = layer.backward(dy, cache, reverse=reverse)
+        stacked = [p.grad.copy() for p in layer.params()]
+        layer.zero_grads()
+        for t in (reversed(range(30)) if reverse else range(30)):
+            y_t, c_t = layer.forward(x[t, 0])
+            assert y_t.tobytes() == y[t, 0].tobytes()
+            assert layer.backward(dy[t, 0], c_t).tobytes() == dx[t, 0].tobytes()
+        for p, g in zip(layer.params(), stacked):
+            assert p.grad.tobytes() == g.tobytes()
+
     def test_shape_mismatch_raises(self):
         layer = Linear(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeError):
@@ -60,7 +102,7 @@ class TestGRU:
         for p in gru.params():
             p.value[...] = 0.0
         h = np.array([1.0, -2.0, 0.5, 4.0, -1.0])
-        h_new, _ = gru.forward(np.array([0.3, 0.1, -0.2]), h)
+        h_new, _ = gru.step(gru.project(np.array([0.3, 0.1, -0.2])), h)
         # gates sit at 1/2 and the candidate at tanh(0)=0
         np.testing.assert_allclose(h_new, 0.5 * h, rtol=1e-14)
 
@@ -73,7 +115,7 @@ class TestGRU:
         h = rng.standard_normal(8)
         prev = h
         for _ in range(300):
-            h, _ = gru.forward(x, h)
+            h, _ = gru.step(gru.project(x), h)
             delta = np.linalg.norm(h - prev)
             prev = h
         assert delta < 1e-8
@@ -81,33 +123,56 @@ class TestGRU:
     def test_hidden_state_stays_bounded(self):
         rng = np.random.default_rng(6)
         gru = GRUCell(4, 6, rng)
-        h = np.zeros(6)
-        for _ in range(100):
-            h, _ = gru.forward(rng.standard_normal(4) * 3.0, h)
-            assert np.max(np.abs(h)) <= 1.0 + 1e-12
+        hs, _ = gru.forward(rng.standard_normal((100, 1, 4)) * 3.0,
+                            np.zeros((1, 6)))
+        assert np.max(np.abs(hs)) <= 1.0 + 1e-12
 
     def test_unrolled_gradient_matches_central_differences(self):
         rng = np.random.default_rng(7)
         gru = GRUCell(3, 4, rng)
-        xs = rng.standard_normal((8, 3))
+        xs = rng.standard_normal((8, 1, 3))
         proj = rng.standard_normal(4)
 
         def loss():
-            h = np.zeros(4)
-            for t in range(8):
-                h, _ = gru.forward(xs[t], h)
-            return float(h @ proj)
+            hs, _ = gru.forward(xs, np.zeros((1, 4)))
+            return float(hs[-1, 0] @ proj)
 
         gru.zero_grads()
-        h = np.zeros(4)
-        caches = []
-        for t in range(8):
-            h, c = gru.forward(xs[t], h)
-            caches.append(c)
-        dh = proj.copy()
-        for t in reversed(range(8)):
-            _, dh = gru.backward(dh, caches[t])
+        _, cache = gru.forward(xs, np.zeros((1, 4)))
+        dhs = np.zeros((8, 1, 4))
+        dhs[-1, 0] = proj
+        gru.backward(dhs, cache)
         assert finite_diff_check(loss, gru.params(), eps=1e-6) < 1e-4
+
+    def test_sequence_gradient_matches_central_differences(self):
+        # a loss on every step's state, two independent rows per step and a
+        # nonzero initial state: the parameter, input and initial-state
+        # gradients all match central differences
+        rng = np.random.default_rng(21)
+        gru = GRUCell(3, 4, rng)
+        xs = rng.standard_normal((6, 2, 3))
+        h0 = rng.standard_normal((2, 4)) * 0.5
+        proj = rng.standard_normal((6, 2, 4))
+
+        def loss():
+            return float(np.sum(gru.forward(xs, h0)[0] * proj))
+
+        gru.zero_grads()
+        _, cache = gru.forward(xs, h0)
+        dxs, dh0 = gru.backward(proj, cache)
+        assert finite_diff_check(loss, gru.params(), eps=1e-6) < 1e-4
+        for arr, grad in ((xs, dxs), (h0, dh0)):
+            assert finite_diff_check(loss, [_probe(arr, grad)], eps=1e-6) < 1e-4
+
+    def test_forward_matches_step_by_step(self):
+        rng = np.random.default_rng(22)
+        gru = GRUCell(5, 7, rng)
+        xs = rng.standard_normal((9, 1, 5))
+        hs, _ = gru.forward(xs, np.zeros((1, 7)))
+        h = np.zeros(7)
+        for t in range(9):
+            h, _ = gru.step(gru.project(xs[t, 0]), h)
+            assert hs[t, 0].tobytes() == h.tobytes()
 
 
 class TestAttention:
@@ -162,10 +227,59 @@ class TestAttention:
         att.backward(proj, cache)
         assert finite_diff_check(loss, att.params(), eps=1e-6) < 1e-4
 
+    def test_stacked_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(23)
+        att = AttentionUnit(4, 3, rng)
+        windows = rng.standard_normal((3, 5, 4))
+        mask = np.ones((3, 5), dtype=bool)
+        mask[0, :3] = False
+        mask[1, :1] = False
+        proj = rng.standard_normal((3, 5, 3))
+
+        def loss():
+            return float(np.sum(att.forward(windows, mask)[0] * proj))
+
+        att.zero_grads()
+        _, cache = att.forward(windows, mask)
+        dwindows = att.backward(proj, cache)
+        assert finite_diff_check(loss, att.params(), eps=1e-6) < 1e-4
+        assert finite_diff_check(loss, [_probe(windows, dwindows)], eps=1e-6) < 1e-4
+
+    def test_stack_matches_window_by_window(self):
+        rng = np.random.default_rng(24)
+        att = AttentionUnit(6, 4, rng)
+        windows = rng.standard_normal((5, 8, 6))
+        mask = np.arange(8) >= np.array([7, 4, 0, 0, 2])[:, None]
+        dout = rng.standard_normal((5, 8, 4))
+        att.zero_grads()
+        out, cache = att.forward(windows, mask)
+        dwin = att.backward(dout, cache)
+        stacked = [p.grad.copy() for p in att.params()]
+        att.zero_grads()
+        for t in range(5):
+            out_t, cache_t = att.forward(windows[t], mask[t])
+            assert out_t.tobytes() == out[t].tobytes()
+            assert att.backward(dout[t], cache_t).tobytes() == dwin[t].tobytes()
+        for p, g in zip(att.params(), stacked):
+            assert p.grad.tobytes() == g.tobytes()
+
     def test_empty_window_rejected(self):
         att = AttentionUnit(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             att.forward(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 2), (40, 1, 32),
+                                   (40, 64, 64)])
+def test_ordered_sum_adds_left_to_right(shape):
+    # magnitudes spread over 16 decades, so that any other order rounds
+    # differently
+    rng = np.random.default_rng(27)
+    terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    acc = terms[0].copy()
+    for t in terms[1:]:
+        acc += t
+    assert ordered_sum(terms).tobytes() == acc.tobytes()
 
 
 def test_softmax_shift_invariance():
@@ -208,26 +322,17 @@ class TestFiniteDiff:
         proj = rng.standard_normal(3)
 
         def forward(with_grads=False):
-            h = np.zeros(4)
-            rows = []
-            caches = []
-            for t in range(4):
-                e, c_mlp = mlp.forward(x[t])
-                h, c_gru = gru.forward(e, h)
-                rows.append(h)
-                caches.append((c_mlp, c_gru))
-            window = np.array(rows)
+            e, c_mlp = mlp.forward(x[:, None, :])
+            hs, c_gru = gru.forward(e, np.zeros((1, 4)))
+            window = hs[:, 0]
             out, c_att = att.forward(window)
             pooled = out.mean(axis=0)
             if not with_grads:
                 return float(pooled @ proj)
             dout = np.tile(proj / 4.0, (4, 1))
             dwindow = att.backward(dout, c_att)
-            dh = np.zeros(4)
-            for t in reversed(range(4)):
-                c_mlp, c_gru = caches[t]
-                de, dh = gru.backward(dwindow[t] + dh, c_gru)
-                mlp.backward(de, c_mlp)
+            de, _ = gru.backward(dwindow[:, None, :], c_gru)
+            mlp.backward(de, c_mlp, reverse=True)
             return float(pooled @ proj)
 
         params = mlp.params() + gru.params() + att.params()

@@ -6,9 +6,8 @@ import pytest
 from fasloc.analysis import (build_geometry_matrix, linearized_rms_error,
                              tetrahedral_geometry)
 from fasloc.positioning import (PositioningError, PositionEstimate,
-                                RangeMeasurement, estimate_position,
-                                linear_bootstrap, position_error,
-                                sample_range, true_range_sum)
+                                estimate_position, linear_bootstrap,
+                                position_error, sample_range, true_range_sum)
 
 
 class TestTrueRangeSum:
@@ -41,18 +40,19 @@ class TestSampleRange:
     def test_noiseless_limit(self):
         rng = np.random.default_rng(0)
         meas = sample_range(500.0, 1e30, rng)
-        assert meas.measured == pytest.approx(500.0, abs=1e-9)
+        assert meas == pytest.approx(500.0, abs=1e-9)
 
     def test_direct_sigma_substitution(self):
         rng = np.random.default_rng(0)
         meas = sample_range(100.0, 4.0, rng, variance_scale=1.0)
-        assert meas.variance == pytest.approx(0.25)
-        assert math.sqrt(meas.variance) == pytest.approx(0.5)
+        # sigma = sqrt(variance_scale / snr) = 0.5 scales one standard draw
+        z = np.random.default_rng(0).normal()
+        assert meas - 100.0 == pytest.approx(0.5 * z, rel=1e-12)
 
     def test_monte_carlo_variance(self):
         rng = np.random.default_rng(12)
         snr, scale = 0.04, 1.0
-        draws = np.array([sample_range(1000.0, snr, rng, scale).measured
+        draws = np.array([sample_range(1000.0, snr, rng, scale)
                           for _ in range(100_000)])
         assert draws.var() == pytest.approx(scale / snr, rel=0.03)
 
@@ -66,7 +66,7 @@ class TestSampleRange:
         errs = np.empty((4, n))
         for i in range(n):
             for k in range(4):
-                errs[k, i] = sample_range(100.0, 1.0, rng).measured - 100.0
+                errs[k, i] = sample_range(100.0, 1.0, rng) - 100.0
         corr = np.corrcoef(errs)
         off_diag = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 0.02
@@ -127,13 +127,10 @@ class TestEstimatePosition:
         np.testing.assert_allclose(est_shifted.position,
                                    est.position + shift, atol=1e-6)
 
-    def test_accepts_measurement_objects(self):
+    def test_accepts_a_list_of_floats(self):
         rng = np.random.default_rng(2)
         u, q0, qs = _generic_geometry(rng)
-        ms = []
-        for qk in qs:
-            m = true_range_sum(q0, qk, u)
-            ms.append(RangeMeasurement(m, 1.0, m))
+        ms = [true_range_sum(q0, qk, u) for qk in qs]
         est = estimate_position(ms, q0, qs, qs.mean(axis=0))
         assert np.linalg.norm(est.position - u) < 1e-6
 

@@ -23,7 +23,14 @@ episode per epoch, seed 11):
 - and the sha256 of every slot's ``(reward, error, stale, feasible,
   late)`` over ENV_EPISODES seeded episodes of ``PositioningEnv`` at the
   default config, each UAV taking uniformly random steering indices and
-  grid ports, with the count of infeasible slots.
+  grid ports, with the count of infeasible slots,
+- and, for every trainable scheme at the default config (25 slots, so
+  the history windows fill and slide), the sha256 of LEARNER_ROUNDS
+  seeded learner rounds: the ``td_targets`` bytes and the loss
+  ``train_on_episode`` returns each round, and every
+  ``checkpoint_arrays()`` value after the last round.  The rounds cross
+  one target-network sync.  Only this section sees a change in a
+  gradient that the short criterion-8 runs happen not to reach.
 
 Only long-standing public names are used, so the script runs unchanged
 on older checkouts.
@@ -50,6 +57,9 @@ SOLVER_SEED = 6
 SOLVER_CASES = 2000
 ENV_SEED = 21
 ENV_EPISODES = 40
+LEARNER_SEED = 31
+LEARNER_ROUNDS = 12
+LEARNER_EPSILON = 0.5
 
 
 def criterion_8_config(scheme: str):
@@ -125,6 +135,29 @@ def env_digest() -> dict:
             "infeasible": infeasible, "sha256": h.hexdigest()}
 
 
+def learner_digest() -> dict:
+    out = {}
+    for scheme in SCHEMES:
+        cfg = default_config()
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(
+            cfg.run, seed=LEARNER_SEED, scheme=scheme))
+        trainer = marl.MarlTrainer(cfg)
+        if trainer.nets is None:
+            continue
+        env = marl.PositioningEnv(cfg, trainer.env_rng)
+        h = hashlib.sha256()
+        for _ in range(LEARNER_ROUNDS):
+            episode = trainer.rollout(env, LEARNER_EPSILON)
+            h.update(np.ascontiguousarray(trainer.td_targets(episode)).tobytes())
+            h.update(repr(float(trainer.train_on_episode(episode))).encode())
+        for name, value in sorted(trainer.checkpoint_arrays().items()):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        out[scheme] = h.hexdigest()
+    return {"rounds": LEARNER_ROUNDS, "slots": cfg.world.slots_per_episode,
+            "sha256": out}
+
+
 def digest() -> dict:
     out = {"train_log_sha256": {}, "evaluate": {}}
     for scheme in SCHEMES:
@@ -143,6 +176,7 @@ def digest() -> dict:
     out["micro_gradcheck"] = marl.micro_gradcheck(marl.micro_config())
     out["solver"] = solver_digest()
     out["env"] = env_digest()
+    out["learner"] = learner_digest()
     return out
 
 
