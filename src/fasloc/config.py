@@ -33,6 +33,9 @@ class PositioningConfig:
                                     # so recovery stays possible; 0 disables
 
     def __post_init__(self):
+        if not self.variance_scale >= 0.0:
+            raise ConfigError("variance_scale must be at least 0 "
+                              "(0 gives noiseless ranges)")
         if not 1 <= self.min_usable <= 4:
             raise ConfigError("min_usable must lie in 1..4 "
                               "(there are 4 passive UAVs)")

@@ -23,7 +23,8 @@ from . import channel as ch
 from . import positioning as pos
 from . import world as wd
 from .config import SCHEME_TRAITS, ExperimentConfig
-from .nn import MLP, AttentionUnit, GRUCell, Linear, Module, Param, ordered_sum
+from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
+                 ordered_sum, stack_agents)
 
 PENALTY_REWARD = -1.0e6
 ANGLE_CHOICES = np.deg2rad([-60.0, -30.0, 0.0, 30.0, 60.0])
@@ -235,6 +236,10 @@ class LocalQNet(Module):
     A port acts on this slot's uplink only, so in training the port head
     does not learn from the TD signal: it regresses its agent's own credit
     for the chosen port (slot_port_credit, via backward's port_fit).
+
+    A net is built for one agent; nn.stack_agents joins same-shaped nets
+    into one with a leading agent axis, which runs all its agents in each
+    call: inputs, states, Q-values and gradients are (A, ...) stacks.
     """
 
     def __init__(self, n_in: int, n_angle: int, n_ports: int, cfg, rng,
@@ -265,16 +270,21 @@ class LocalQNet(Module):
             head.layers[-1].b.value[...] = 0.0
         self.hidden_size = cfg.gru_hidden if recurrent else 0
 
-    def params(self):
-        ps = self.embed.params() + self.value_head.params() + self.angle_head.params()
+    def stacks(self):
+        ss = self.embed.stacks() + self.value_head.stacks() + self.angle_head.stacks()
         if self.port_head is not None:
-            ps += self.port_head.params()
+            ss += self.port_head.stacks()
         if self.gru is not None:
-            ps += self.gru.params()
-        return ps
+            ss += self.gru.stacks()
+        return ss
+
+    @property
+    def n_agents(self) -> int:
+        return len(self.embed.w.params)
 
     def initial_state(self) -> np.ndarray:
-        return np.zeros(max(self.hidden_size, 1))
+        """The agents' (A, 1, hidden) recurrent states before the first slot."""
+        return np.zeros((self.n_agents, 1, max(self.hidden_size, 1)))
 
     def _embed(self, x):
         e_pre, c_embed = self.embed.forward(x)
@@ -296,8 +306,10 @@ class LocalQNet(Module):
         return q, (c_value, c_angle, c_port, port_raw)
 
     def step(self, x: np.ndarray, h: np.ndarray):
-        """One slot's Q-vector and next recurrent state, for acting; no
-        cache is kept.  forward gives the same Q-values bit for bit."""
+        """One slot's (A, 1, n_actions) Q-values and (A, 1, hidden) next
+        recurrent states from the agents' (A, 1, n_in) inputs and states,
+        for acting; no cache is kept.  forward gives the same Q-values bit
+        for bit."""
         trunk, _, _ = self._embed(x)
         if self.gru is not None:
             h, _ = self.gru.step(self.gru.project(trunk), h)
@@ -305,21 +317,23 @@ class LocalQNet(Module):
         return self._heads(trunk, x)[0], h
 
     def forward(self, xs: np.ndarray):
-        """Q-values (T, n_actions) of a (T, n_in) input sequence from the
-        initial recurrent state, and the cache for backward.  Each slot is
-        a one-row block of the (T, 1, ·) stacks the layers see."""
-        xs = np.asarray(xs, float)[:, None, :]
+        """Q-values (A, T, n_actions) of the agents' (A, T, n_in) input
+        sequences from the initial recurrent states, and the cache for
+        backward.  Each (agent, slot) is a one-row block of the (A, T, 1, ·)
+        stacks the layers see."""
+        xs = np.asarray(xs, float)[:, :, None, :]
         trunk, mask, c_embed = self._embed(xs)
         c_gru = None
         if self.gru is not None:
-            trunk, c_gru = self.gru.forward(trunk, self.initial_state()[None])
+            trunk, c_gru = self.gru.forward(trunk, self.initial_state())
         q, c_heads = self._heads(trunk, xs)
-        return q[:, 0], (c_embed, mask, c_gru, c_heads)
+        return q[:, :, 0], (c_embed, mask, c_gru, c_heads)
 
     def backward(self, dq: np.ndarray, cache, port_fit=None):
-        """Backprop through time of the loss gradient dq (T, n_actions) on
-        forward's Q-values, except into the port head: a net with one needs
-        port_fit = (ports, targets), a port index and a target per slot.
+        """Backprop through time of the loss gradient dq (A, T, n_actions)
+        on forward's Q-values, except into the port head: a net with one
+        needs port_fit = (ports, targets), an (A, T) port index and target
+        per agent and slot.
 
         The port head receives the gradient of (raw_score[port] - target)^2
         on its uncentered output and nothing from dq: the trainer fits it
@@ -329,14 +343,15 @@ class LocalQNet(Module):
         order in which BPTT reaches them.
         """
         c_embed, mask, c_gru, (c_value, c_angle, c_port, port_raw) = cache
-        dq = dq[:, None, :]
+        dq = dq[:, :, None, :]
         if self.port_head is not None:
             dq_grid = dq.reshape(dq.shape[:-1] + (self.n_angle, self.n_ports))
             dangle = dq_grid.sum(axis=-1)
             ports, targets = port_fit
-            slots = np.arange(len(ports))
+            agents, slots = np.indices(ports.shape)
             dport = np.zeros_like(port_raw)
-            dport[slots, 0, ports] = 2.0 * (port_raw[slots, 0, ports] - targets)
+            dport[agents, slots, 0, ports] = 2.0 * (
+                port_raw[agents, slots, 0, ports] - targets)
             # reaches only its own stack
             self.port_head.backward(dport, c_port, reverse=True)
         else:
@@ -350,11 +365,12 @@ class LocalQNet(Module):
         self.embed.backward(dhid * mask, c_embed, reverse=True)
 
     def port_fit_loss(self, cache, port_fit) -> np.ndarray:
-        """Per slot, the regression loss whose gradient backward's port_fit
-        applies to the port head."""
+        """Per agent and slot (A, T), the regression loss whose gradient
+        backward's port_fit applies to the port head."""
         ports, targets = port_fit
         port_raw = cache[-1][-1]
-        return (port_raw[np.arange(len(ports)), 0, ports] - targets) ** 2
+        agents, slots = np.indices(ports.shape)
+        return (port_raw[agents, slots, 0, ports] - targets) ** 2
 
 
 class Coordinator(Module):
@@ -381,7 +397,9 @@ class Coordinator(Module):
         real rows; one (window, row_dim) window gives one vector."""
         if not mask.any(axis=-1).all():
             raise ValueError("history window has no valid rows")
-        e_pre, c_embed = self.row_embed.forward(rows)
+        # the dense layers see one agent: a unit agent axis leads
+        e_pre, c_embed = self.row_embed.forward(rows[None])
+        e_pre = e_pre[0]
         act_mask = e_pre > 0.0
         e = np.maximum(e_pre, 0.0)
         keep = mask[..., None]
@@ -391,21 +409,21 @@ class Coordinator(Module):
             out, c = unit.forward(e, mask)
             pooled.append(np.where(keep, out, 0.0).sum(axis=-2) / n_valid)
             unit_caches.append(c)
-        concat = np.concatenate(pooled, axis=-1)[..., None, :]   # a row per slot
+        concat = np.concatenate(pooled, axis=-1)[None, ..., None, :]  # a row per slot
         omega, c_out = self.out_mlp.forward(concat)
-        return omega[..., 0, :], (c_embed, act_mask, keep, n_valid,
-                                  unit_caches, c_out)
+        return omega[0, ..., 0, :], (c_embed, act_mask, keep, n_valid,
+                                     unit_caches, c_out)
 
     def backward(self, domega: np.ndarray, cache):
         c_embed, act_mask, keep, n_valid, unit_caches, c_out = cache
-        dconcat = self.out_mlp.backward(domega[..., None, :], c_out)[..., 0, :]
+        dconcat = self.out_mlp.backward(domega[None, ..., None, :], c_out)[0, ..., 0, :]
         width = dconcat.shape[-1] // len(self.units)
         de = np.zeros(act_mask.shape)
         for i, unit in enumerate(self.units):
             dpooled = dconcat[..., i * width:(i + 1) * width] / n_valid
             de += unit.backward(np.where(keep, dpooled[..., None, :], 0.0),
                                 unit_caches[i])
-        self.row_embed.backward(de * act_mask, c_embed)
+        self.row_embed.backward((de * act_mask)[None], c_embed)
 
 
 MIX_LEAK = 0.2   # hidden-layer slope for negative inputs; Q sums are
@@ -446,12 +464,13 @@ class Mixer(Module):
         and the (T, omega_width) contexts; one slot gives a scalar."""
         if self.mode == "sum":
             return q_locals.sum(axis=-1), None
-        omega = omega[..., None, :]                  # one row per slot
+        omega = omega[None, ..., None, :]   # one agent, one row per slot
         w1_raw, c_w1 = self.h_w1.forward(omega)
-        w1_raw = w1_raw.reshape(omega.shape[:-2] + (self.n_agents, self.hidden))
+        w1_raw = w1_raw[0].reshape(omega.shape[1:-2] + (self.n_agents, self.hidden))
         b1, c_b1 = self.h_b1.forward(omega)
         w2_raw, c_w2 = self.h_w2.forward(omega)
         b2, c_b2 = self.h_b2.forward(omega)
+        b1, w2_raw, b2 = b1[0], w2_raw[0], b2[0]
         w1 = np.abs(w1_raw)
         w2 = np.abs(w2_raw)
         q = q_locals[..., None, :]
@@ -474,11 +493,18 @@ class Mixer(Module):
         dq = (w1 @ dpre.swapaxes(-1, -2))[..., 0]
         dw1 = q.swapaxes(-1, -2) * dpre * np.sign(w1_raw)
         dw2 = dw2 * np.sign(w2_raw)
-        domega = self.h_w1.backward(dw1.reshape(dout.shape[:-2] + (1, -1)), c_w1)
-        domega = domega + self.h_b1.backward(dpre, c_b1)
-        domega = domega + self.h_w2.backward(dw2, c_w2)
-        domega = domega + self.h_b2.backward(dout, c_b2)
-        return dq, domega[..., 0, :]
+        domega = self.h_w1.backward(dw1.reshape(dout.shape[:-2] + (1, -1))[None], c_w1)
+        domega = domega + self.h_b1.backward(dpre[None], c_b1)
+        domega = domega + self.h_w2.backward(dw2[None], c_w2)
+        domega = domega + self.h_b2.backward(dout[None], c_b2)
+        return dq, domega[0, ..., 0, :]
+
+
+def _team_columns(rows: list[np.ndarray]) -> np.ndarray:
+    """The local nets' (A, T) per-agent rows as one C-contiguous (T,
+    agents) array, one column per agent in team order: the layout the
+    mixer's per-slot products need."""
+    return np.ascontiguousarray(np.concatenate(rows).T)
 
 
 # ---------------------------------------------------------------------------
@@ -502,22 +528,33 @@ class PolicyNets(Module):
         self.active_inputs = 3 + 2
         self.passive_inputs = (3 + n_paths + 1) + 3
 
+        def local_net(k):
+            n_in = self.active_inputs if k == 0 else self.passive_inputs
+            head_ports = n_ports if (k > 0 and ports) else 0
+            return LocalQNet(n_in, active_action_count(), head_ports, mcfg,
+                             rng, recurrent=recurrent, name=f"local{k}",
+                             aod_slice=(3, 3 + n_paths))
+
+        # the active UAV's net, then one net stacking the four passive
+        # UAVs' on a leading agent axis; the agents' initial weights are
+        # drawn agent by agent, in team order
         self.local: list[LocalQNet] = []
         if trains:
-            for k in range(N_AGENTS):
-                n_in = self.active_inputs if k == 0 else self.passive_inputs
-                head_ports = n_ports if (k > 0 and ports) else 0
-                self.local.append(LocalQNet(n_in, active_action_count(),
-                                            head_ports, mcfg, rng,
-                                            recurrent=recurrent,
-                                            name=f"local{k}",
-                                            aod_slice=(3, 3 + n_paths)))
+            self.local = [local_net(0), stack_agents([local_net(k)
+                                                      for k in range(1, N_AGENTS)])]
+        # the team agents each local net runs
+        self.agent_slices = [slice(0, 1), slice(1, N_AGENTS)]
         self.row_dim = self.active_inputs + 4 * self.passive_inputs
         self.coordinator = (Coordinator(self.row_dim, mcfg, rng)
                             if trains and coord else None)
         self.mixer = (Mixer(N_AGENTS, mcfg, rng, mode=mixer_mode)
                       if trains and mixer_mode else None)
         self.omega_width = mcfg.omega_width
+
+    def local_agents(self):
+        """Each local net with the slice of team agents (0 active, 1-4
+        passive) that it runs."""
+        return zip(self.local, self.agent_slices)
 
     def modules(self) -> list[Module]:
         mods: list[Module] = list(self.local)
@@ -775,9 +812,14 @@ class MarlTrainer:
         self.updates = 0
         self.inter_agent_messages = 0
         self.n_ports = cfg.channel.n_ports
-        # process time run() has spent playing episodes and learning
+        # process time run() has spent playing episodes and learning, and
+        # that every rollout has spent in PositioningEnv.step and every
+        # td_targets call in all; in run() the last two are parts of the
+        # first two
         self.rollout_s = 0.0
+        self.env_s = 0.0
         self.learn_s = 0.0
+        self.target_s = 0.0
 
     # -- schedules ------------------------------------------------------------
 
@@ -870,8 +912,10 @@ class MarlTrainer:
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon), drawing from rng (default: the trainer's policy
         stream).  port_menu restricts the passive UAVs to those ports.  The
-        local nets act slot by slot (LocalQNet.step) and keep no caches:
-        the learner replays the recorded inputs in one sequence pass.
+        local nets act slot by slot (LocalQNet.step, one call per net for
+        all its agents) and keep no caches: the learner replays the
+        recorded inputs in one sequence pass.  The process time spent in
+        env.step is added to env_s.
         """
         rng = self.policy_rng if rng is None else rng
         port_eps = epsilon if port_eps is None else port_eps
@@ -892,9 +936,11 @@ class MarlTrainer:
                       for k, obs in enumerate(observations)]
             inputs, qs = [None] * N_AGENTS, [None] * N_AGENTS
             if self.nets is not None:
-                for k, net in enumerate(self.nets.local):
-                    inputs[k] = np.concatenate([scaled[k], enc[k]])
-                    qs[k], hidden[k] = net.step(inputs[k], hidden[k])
+                inputs = [np.concatenate(pair) for pair in zip(scaled, enc)]
+                for i, (net, agents) in enumerate(self.nets.local_agents()):
+                    q, hidden[i] = net.step(np.array(inputs[agents])[:, None],
+                                            hidden[i])
+                    qs[agents] = q[:, 0]
             ids, acts = self.act(qs, epsilon, port_eps, rng, ports, allowed)
             # an agent's input pairs its observation with its previous
             # action; the joint history row pairs it with the action taken
@@ -902,7 +948,9 @@ class MarlTrainer:
                    for k, a in enumerate(acts)]
             row = np.concatenate([part for pair in zip(scaled, enc)
                                   for part in pair])
+            started = time.process_time()
             observations, info = env.step(acts)
+            self.env_s += time.process_time() - started
 
             ep.net_inputs.append(inputs)
             ep.action_ids.append(ids)
@@ -923,11 +971,12 @@ class MarlTrainer:
     # -- targets and loss -----------------------------------------------------
 
     def _replay(self, nets: PolicyNets, episode: EpisodeData):
-        """Each of nets' local Q-nets run once over the episode's recorded
-        inputs from a fresh recurrent state: [k] -> (q (T, n_actions),
+        """Each of nets' local Q-nets run once over its agents' recorded
+        inputs from fresh recurrent states: [i] -> (q (A, T, n_actions),
         cache)."""
-        return [net.forward(np.array(xs))
-                for net, xs in zip(nets.local, zip(*episode.net_inputs))]
+        return [net.forward(np.stack([row[agents] for row in episode.net_inputs],
+                                     axis=1))
+                for net, agents in nets.local_agents()]
 
     def _mix(self, nets: PolicyNets, q_chosen: np.ndarray, windows):
         """Global Q (T,) of the chosen local Q-values (T, N_AGENTS): the
@@ -945,15 +994,18 @@ class MarlTrainer:
         networks at per-agent greedy actions.  One column for the mixed
         global Q; one per agent for independent learners, which bootstrap
         from their own greedy values."""
+        started = time.process_time()
         tnets = self.target_nets
-        boot = np.column_stack([q.max(axis=1)
-                                for q, _ in self._replay(tnets, episode)])
+        boot = _team_columns([q.max(axis=-1)
+                              for q, _ in self._replay(tnets, episode)])
         if tnets.mixer is not None:
             boot = self._mix(tnets, boot, self._windows(episode))[0][:, None]
         rewards = np.asarray(episode.rewards_train)
-        return np.column_stack([
+        targets = np.column_stack([
             build_td_targets(rewards, boot[1:, j], self.cfg.marl.discount)
             for j in range(boot.shape[1])])
+        self.target_s += time.process_time() - started
+        return targets
 
     def episode_loss(self, episode: EpisodeData, targets: np.ndarray,
                      weights: np.ndarray | None = None, backward: bool = True):
@@ -973,11 +1025,13 @@ class MarlTrainer:
         """
         nets = self.nets
         T = len(episode)
-        slots = np.arange(T)
         ids = np.asarray(episode.action_ids)
+        # each local net's (A, T, 1) chosen action ids
+        chosen = [ids[:, agents].T[..., None] for _, agents in nets.local_agents()]
         replay = self._replay(nets, episode)
-        q_td = q_chosen = np.column_stack([q[slots, ids[:, k]]
-                                           for k, (q, _) in enumerate(replay)])
+        q_td = q_chosen = _team_columns([
+            np.take_along_axis(q, a, axis=-1)[..., 0]
+            for (q, _), a in zip(replay, chosen)])
         if nets.mixer is not None:
             q_mix, (c_coord, c_mix) = self._mix(nets, q_chosen,
                                                 self._windows(episode))
@@ -997,17 +1051,18 @@ class MarlTrainer:
                 "TD loss is not finite",
                 {"loss": td_loss, "q": q_td.tolist(),
                  "targets": targets.tolist()})
-        # each port head's targets: per slot, the chosen port's index
-        # (decode_action's port - 1) and the agent's credit for it
-        credit = np.asarray(episode.port_credit)
+        # each port head's targets: per agent and slot, the chosen port's
+        # index (decode_action's port - 1) and the agent's credit for it
+        # (the active UAV, column 0, picks no port)
+        credit = np.column_stack([np.zeros(T), episode.port_credit])
         fits = [None if net.port_head is None
-                else (ids[:, k] % self.n_ports, credit[:, k - 1])
-                for k, net in enumerate(nets.local)]
+                else (a[..., 0] % self.n_ports, credit[:, agents].T)
+                for (net, agents), a in zip(nets.local_agents(), chosen)]
         fit_losses = [net.port_fit_loss(cache, fit)
                       for net, (_, cache), fit in zip(nets.local, replay, fits)
                       if fit is not None]
         # summed slot by slot, agent by agent
-        port_loss = (float(ordered_sum(np.column_stack(fit_losses).ravel()))
+        port_loss = (float(ordered_sum(_team_columns(fit_losses).ravel()))
                      if fit_losses else 0.0)
         if not backward:
             return td_loss, port_loss, weights
@@ -1017,10 +1072,11 @@ class MarlTrainer:
             dq, domega = nets.mixer.backward(dq[:, 0], c_mix)
             if nets.coordinator is not None:
                 nets.coordinator.backward(domega, c_coord)
-        for k, (net, (_, cache)) in enumerate(zip(nets.local, replay)):
-            dq_full = np.zeros((T, net.n_actions))
-            dq_full[slots, ids[:, k]] = dq[:, k]
-            net.backward(dq_full, cache, port_fit=fits[k])
+        for (net, agents), (_, cache), a, fit in zip(nets.local_agents(), replay,
+                                                     chosen, fits):
+            dq_full = np.zeros(a.shape[:2] + (net.n_actions,))
+            np.put_along_axis(dq_full, a, dq[:, agents].T[..., None], axis=-1)
+            net.backward(dq_full, cache, port_fit=fit)
         return td_loss, port_loss, weights
 
     # -- updates --------------------------------------------------------------
@@ -1029,8 +1085,8 @@ class MarlTrainer:
         m = self.cfg.marl
         for net in self.nets.local:
             if net.port_head is not None:
-                for p in net.port_head.params():
-                    p.grad *= m.port_lr_multiplier
+                for s in net.port_head.stacks():
+                    s.grad *= m.port_lr_multiplier
         params = self.nets.params()
         total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
         scale = 1.0 if total <= m.grad_clip else m.grad_clip / total

@@ -3,21 +3,25 @@ single-head scaled dot-product attention.
 
 Only these fixed block types are differentiable; there is no general
 graph engine.  Every forward pass returns an explicit cache and every
-backward consumes one.  A whole episode goes through a block in one
-call as a (T, rows, ·) stack, one slot per leading index; the GRU alone
-steps through time.  The stacked products keep each slot's operand
-shapes (a one-row slot is a (1, n) matrix, which numpy multiplies with
+backward consumes one.  Dense layers and the GRU cell hold one weight
+set per agent, as (A, ...) stacks, so that same-shaped agents run as one
+module; their inputs carry the agent axis first, as (A, rows, ·) blocks
+or (A, T, rows, ·) stacks with one slot per index of the second axis.  A
+whole episode goes through a block in one call; the GRU alone steps
+through time.  The stacked products keep each (agent, slot) operand
+shape (a one-row slot is a (1, n) matrix, which numpy multiplies with
 the same BLAS call as an n-vector), and weight gradients add the slots'
 terms in a fixed order, so a stack gives bit for bit what one call per
-slot would.  All arithmetic is double precision; central-difference
-verification of each backward pass is part of the test suite.
+agent and slot would.  All arithmetic is double precision;
+central-difference verification of each backward pass is part of the
+test suite.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +32,34 @@ class ShapeError(ValueError):
 
 @dataclass
 class Param:
-    """A weight array paired with its gradient accumulator."""
+    """A weight array paired with its gradient accumulator (a new zero
+    array unless given)."""
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
+    grad: np.ndarray | None = None
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=float)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+
+
+class Stack:
+    """One weight per agent: the C-contiguous (A, ...) arrays value and
+    grad, and params, agent k's Param, whose value and grad are views of
+    row k of the two stacks."""
+
+    def __init__(self, names: list[str], value: np.ndarray):
+        self.value = np.ascontiguousarray(value, dtype=float)
         self.grad = np.zeros_like(self.value)
+        self.params = [Param(n, v, g)
+                       for n, v, g in zip(names, self.value, self.grad)]
+
+    def join(self, parts: list["Stack"]):
+        """Become the stack of every agent of parts, in order."""
+        self.__init__([p.name for s in parts for p in s.params],
+                      np.concatenate([s.value for s in parts]))
 
 
 def uniform_init(rng: np.random.Generator, n_in: int, shape) -> np.ndarray:
@@ -58,46 +81,67 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... added strictly left to right, as a loop
-    of += adds them.  numpy's axis-0 sum adds whole terms in order when a
-    term has more than one element, but a stack of one-element terms
-    collapses into a single run that it sums pairwise; that case goes
-    through cumsum.  terms must not be a reversed view, whose axis numpy
-    may walk backwards."""
-    if terms[0].size > 1:
-        return terms.sum(axis=0)
-    return np.cumsum(terms, axis=0)[-1]
+def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The terms along axis added strictly in order, as a loop of += adds
+    them.  numpy's sum adds whole terms in order when a term has more
+    than one element, but one-element terms collapse into a single run
+    that it sums pairwise; that case goes through cumsum.  terms must
+    not be a reversed view, whose axis numpy may walk backwards."""
+    if math.prod(terms.shape[axis + 1:]) > 1:
+        return terms.sum(axis=axis)
+    return np.take(np.cumsum(terms, axis=axis), -1, axis=axis)
+
+
+def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
+    """An (A, ...) stack with unit axes after the agent axis, so that it
+    broadcasts per agent against an ndim-dimensional operand."""
+    if a.ndim == ndim:
+        return a
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
 def _as_stack(a: np.ndarray) -> np.ndarray:
-    """A vector or a single block as a one-slot (1, rows, n) stack."""
-    return a.reshape((1,) * (3 - a.ndim) + a.shape)
+    """An (A, rows, n) block as a one-slot (A, 1, rows, n) stack."""
+    return a[:, None] if a.ndim == 3 else a
 
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Gradient of x @ w for the output gradient dy: the per-slot x.T @ dy
-    of a (T, rows, ·) stack summed over the slots in order, last slot
-    first with reverse (a vector or one block is a single slot)."""
+    """Per agent, the gradient of x @ w for the output gradient dy: the
+    per-slot x.T @ dy of an (A, T, rows, ·) stack summed over the slots in
+    order, last slot first with reverse (an (A, rows, ·) block is a single
+    slot)."""
     x, dy = _as_stack(x), _as_stack(dy)
     if reverse:
-        x, dy = x[::-1], dy[::-1]
-    xt = x.swapaxes(1, 2)
-    # one row per slot: the outer product, as np.outer forms it
-    return ordered_sum(xt * dy if x.shape[1] == 1 else np.matmul(xt, dy))
+        x, dy = x[:, ::-1], dy[:, ::-1]
+    if x.shape[2] > 1:
+        return ordered_sum(np.matmul(x.swapaxes(2, 3), dy), axis=1)
+    if x.shape[3] * dy.shape[3] == 1:
+        # a 1x1 weight: einsum's loop would run over the slots and add
+        # them in its own order
+        return ordered_sum(x * dy, axis=1)
+    # one row per slot: einsum adds the slots' outer products in order,
+    # each entry one product, as the stack of them summed in order would
+    return np.einsum("ati,atj->aij", np.ascontiguousarray(x[:, :, 0]),
+                     np.ascontiguousarray(dy[:, :, 0]))
 
 
 def _bias_grad(dy: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Gradient of a bias added to every row of dy, summed like _weight_grad."""
     dy = _as_stack(dy)
-    return ordered_sum((dy[::-1] if reverse else dy).sum(axis=1))
+    return ordered_sum((dy[:, ::-1] if reverse else dy).sum(axis=2), axis=1)
 
 
 class Module:
-    """Minimal parameter registry shared by all blocks."""
+    """Minimal parameter registry shared by all blocks.  A block with an
+    agent axis lists its weight stacks (stacks); its params are every
+    agent's views, agent by agent, in stacks order."""
+
+    def stacks(self) -> list[Stack]:
+        raise NotImplementedError
 
     def params(self) -> list[Param]:
-        raise NotImplementedError
+        stacks = self.stacks()
+        return [s.params[k] for k in range(len(stacks[0].params)) for s in stacks]
 
     def zero_grads(self):
         for p in self.params():
@@ -122,22 +166,36 @@ class Module:
             dst.value[...] = src.value
 
 
+def stack_agents(modules: list[Module]) -> Module:
+    """Same-shaped modules as one module with a leading agent axis, whose
+    agents are those of modules in order, with their weights and names.
+    Returns the first module, its stacks joined with the others'."""
+    for parts in zip(*(m.stacks() for m in modules)):
+        parts[0].join(parts)
+    return modules[0]
+
+
+def _check_agents(x: np.ndarray, n_agents: int, n_in: int):
+    if x.ndim < 3 or x.shape[0] != n_agents or x.shape[-1] != n_in:
+        raise ShapeError(f"expected ({n_agents}, ..., rows, {n_in}), "
+                         f"got {x.shape}")
+
+
 class Linear(Module):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  name: str = "linear"):
         self.n_in, self.n_out = n_in, n_out
-        self.w = Param(f"{name}.w", uniform_init(rng, n_in, (n_in, n_out)))
-        self.b = Param(f"{name}.b", uniform_init(rng, n_in, (n_out,)))
+        self.w = Stack([f"{name}.w"], uniform_init(rng, n_in, (1, n_in, n_out)))
+        self.b = Stack([f"{name}.b"], uniform_init(rng, n_in, (1, n_out)))
 
-    def params(self):
+    def stacks(self):
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray):
-        """x is a vector, a block of rows or a (T, rows, n_in) stack."""
+        """x is an (A, rows, n_in) block or an (A, T, rows, n_in) stack."""
         x = np.asarray(x, float)
-        if x.shape[-1] != self.n_in:
-            raise ShapeError(f"expected last dim {self.n_in}, got {x.shape}")
-        return x @ self.w.value + self.b.value, x
+        _check_agents(x, len(self.w.params), self.n_in)
+        return x @ _lift(self.w.value, x.ndim) + _lift(self.b.value, x.ndim), x
 
     def backward(self, dy: np.ndarray, cache, reverse: bool = False) -> np.ndarray:
         """Accumulate the weight gradients (over a stack's slots in order,
@@ -145,7 +203,7 @@ class Linear(Module):
         x = cache
         self.w.grad += _weight_grad(x, dy, reverse)
         self.b.grad += _bias_grad(dy, reverse)
-        return dy @ self.w.value.T
+        return dy @ _lift(self.w.value.swapaxes(1, 2), dy.ndim)
 
 
 class MLP(Module):
@@ -158,8 +216,8 @@ class MLP(Module):
         self.layers = [Linear(sizes[i], sizes[i + 1], rng, f"{name}.{i}")
                        for i in range(len(sizes) - 1)]
 
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
+    def stacks(self):
+        return [s for layer in self.layers for s in layer.stacks()]
 
     def forward(self, x: np.ndarray):
         caches = []
@@ -190,51 +248,55 @@ class GRUCell(Module):
         self.n_in, self.n_hidden = n_in, n_hidden
 
         def mk(tag, rows):
-            return Param(f"{name}.{tag}", uniform_init(rng, rows, (rows, n_hidden)))
+            return Stack([f"{name}.{tag}"],
+                         uniform_init(rng, rows, (1, rows, n_hidden)))
+
+        def zeros(tag):
+            return Stack([f"{name}.{tag}"], np.zeros((1, n_hidden)))
 
         self.wz, self.uz = mk("wz", n_in), mk("uz", n_hidden)
         self.wr, self.ur = mk("wr", n_in), mk("ur", n_hidden)
         self.wh, self.uh = mk("wh", n_in), mk("uh", n_hidden)
-        self.bz = Param(f"{name}.bz", np.zeros(n_hidden))
-        self.br = Param(f"{name}.br", np.zeros(n_hidden))
-        self.bh = Param(f"{name}.bh", np.zeros(n_hidden))
+        self.bz, self.br, self.bh = zeros("bz"), zeros("br"), zeros("bh")
 
-    def params(self):
+    def stacks(self):
         return [self.wz, self.uz, self.bz, self.wr, self.ur, self.br,
                 self.wh, self.uh, self.bh]
 
     def project(self, x: np.ndarray):
-        """The input-side products (x @ wz, x @ wr, x @ wh), for any
-        leading shape: they do not depend on the recurrent state."""
-        return x @ self.wz.value, x @ self.wr.value, x @ self.wh.value
+        """The input-side products (x @ wz, x @ wr, x @ wh) of an (A, ...,
+        rows, n_in) input: they do not depend on the recurrent state."""
+        return tuple(x @ _lift(w.value, x.ndim) for w in (self.wz, self.wr, self.wh))
 
     def step(self, xw, h: np.ndarray):
         """One recurrence step from the input-side products xw = project(x)
-        and the state h: the new state and the step's gates."""
+        of an (A, rows, n_in) block and the (A, rows, n_hidden) state h:
+        the new state and the step's gates."""
         xz, xr, xh = xw
-        z = sigmoid(xz + h @ self.uz.value + self.bz.value)
-        r = sigmoid(xr + h @ self.ur.value + self.br.value)
+        z = sigmoid(xz + h @ self.uz.value + _lift(self.bz.value, 3))
+        r = sigmoid(xr + h @ self.ur.value + _lift(self.br.value, 3))
         rh = r * h
-        c = np.tanh(xh + rh @ self.uh.value + self.bh.value)
+        c = np.tanh(xh + rh @ self.uh.value + _lift(self.bh.value, 3))
         return (1.0 - z) * h + z * c, (z, r, rh, c)
 
     def forward(self, xs: np.ndarray, h0: np.ndarray):
-        """Run the cell over a (T, rows, n_in) sequence from the (rows,
-        n_hidden) state h0: the (T, rows, n_hidden) states and the cache.
-        Only the recurrence steps slot by slot."""
+        """Run the cell over an (A, T, rows, n_in) sequence from the (A,
+        rows, n_hidden) state h0: the (A, T, rows, n_hidden) states and the
+        cache.  Only the recurrence steps slot by slot."""
         xs = np.asarray(xs, float)
-        if xs.shape[-1] != self.n_in or h0.shape[-1] != self.n_hidden:
+        _check_agents(xs, len(self.wz.params), self.n_in)
+        if h0.shape[-1] != self.n_hidden:
             raise ShapeError("GRU input/hidden size mismatch")
         xz, xr, xh = self.project(xs)
         hs = np.empty(xs.shape[:-1] + (self.n_hidden,))
         gates = []
         h = h0
-        for t in range(len(xs)):
-            h, g = self.step((xz[t], xr[t], xh[t]), h)
-            hs[t] = h
+        for t in range(xs.shape[1]):
+            h, g = self.step((xz[:, t], xr[:, t], xh[:, t]), h)
+            hs[:, t] = h
             gates.append(g)
-        z, r, rh, c = (np.stack(g) for g in zip(*gates))
-        prev = np.concatenate([h0[None], hs[:-1]])     # each step's input state
+        z, r, rh, c = (np.stack(g, axis=1) for g in zip(*gates))
+        prev = np.concatenate([h0[:, None], hs[:, :-1]], axis=1)  # step inputs
         return hs, (xs, prev, z, r, rh, c)
 
     def backward(self, dhs: np.ndarray, cache):
@@ -243,21 +305,21 @@ class GRUCell(Module):
         slot; the weight gradients are summed afterwards, last slot first,
         the order in which BPTT reaches them."""
         xs, prev, z, r, rh, c = cache
-        uz, ur, uh = self.uz.value.T, self.ur.value.T, self.uh.value.T
+        uz, ur, uh = (u.value.swapaxes(1, 2) for u in (self.uz, self.ur, self.uh))
         daz, dar, dac = (np.empty_like(z) for _ in range(3))
-        dh = np.zeros_like(prev[0])
-        for t in reversed(range(len(z))):
-            dh_new = dhs[t] + dh
-            dz = dh_new * (c[t] - prev[t])
-            dc = dh_new * z[t]
-            dh = dh_new * (1.0 - z[t])
-            dac[t] = dc * (1.0 - c[t] * c[t])
-            drh = dac[t] @ uh
-            dh += drh * r[t]
-            dar[t] = drh * prev[t] * r[t] * (1.0 - r[t])
-            dh += dar[t] @ ur
-            daz[t] = dz * z[t] * (1.0 - z[t])
-            dh += daz[t] @ uz
+        dh = np.zeros_like(prev[:, 0])
+        for t in reversed(range(z.shape[1])):
+            dh_new = dhs[:, t] + dh
+            dz = dh_new * (c[:, t] - prev[:, t])
+            dc = dh_new * z[:, t]
+            dh = dh_new * (1.0 - z[:, t])
+            dac[:, t] = dc * (1.0 - c[:, t] * c[:, t])
+            drh = dac[:, t] @ uh
+            dh += drh * r[:, t]
+            dar[:, t] = drh * prev[:, t] * r[:, t] * (1.0 - r[:, t])
+            dh += dar[:, t] @ ur
+            daz[:, t] = dz * z[:, t] * (1.0 - z[:, t])
+            dh += daz[:, t] @ uz
 
         for w, u, b, da, state in ((self.wh, self.uh, self.bh, dac, rh),
                                    (self.wr, self.ur, self.br, dar, prev),
@@ -265,8 +327,9 @@ class GRUCell(Module):
             w.grad += _weight_grad(xs, da, reverse=True)
             u.grad += _weight_grad(state, da, reverse=True)
             b.grad += _bias_grad(da, reverse=True)
-        dxs = dac @ self.wh.value.T + dar @ self.wr.value.T + daz @ self.wz.value.T
-        return dxs, dh
+        wh, wr, wz = (_lift(w.value.swapaxes(1, 2), xs.ndim)
+                      for w in (self.wh, self.wr, self.wz))
+        return dac @ wh + dar @ wr + daz @ wz, dh
 
 
 class AttentionUnit(Module):
@@ -313,9 +376,9 @@ class AttentionUnit(Module):
         scale = 1.0 / math.sqrt(self.n_att)
         dq = dscores @ k * scale
         dk = dscores.swapaxes(-1, -2) @ q * scale
-        self.wq.grad += _weight_grad(window, dq)
-        self.wk.grad += _weight_grad(window, dk)
-        self.wv.grad += _weight_grad(window, dv)
+        # one agent: the window or stack of windows behind a unit agent axis
+        for w, dy in ((self.wq, dq), (self.wk, dk), (self.wv, dv)):
+            w.grad += _weight_grad(window[None], dy[None])[0]
         return dq @ self.wq.value.T + dk @ self.wk.value.T + dv @ self.wv.value.T
 
 

@@ -62,6 +62,7 @@ class TestConfig:
         "run.episodes_per_epoch=0",
         "positioning.min_usable=0",
         "positioning.min_usable=5",
+        "positioning.variance_scale=-1",
     ])
     def test_out_of_range_value_rejected_at_load(self, override):
         with pytest.raises(ConfigError) as err:
@@ -109,11 +110,15 @@ class TestRunVerb:
         out = tmp_path / "timed"
         assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=1) == 0
         info = json.loads((out / "run_info.json").read_text())
-        for key in ("wall_time_s", "rollout_s", "learn_s"):
+        for key in ("wall_time_s", "rollout_s", "env_s", "learn_s", "target_s"):
             assert math.isfinite(info[key]) and info[key] > 0.0, key
+        # each inner phase is part of its outer one
+        assert info["env_s"] <= info["rollout_s"]
+        assert info["target_s"] <= info["learn_s"]
         # timings stay out of the deterministic metrics
         for line in (out / "metrics.jsonl").read_text().splitlines():
-            assert not {"rollout_s", "learn_s"} & set(json.loads(line))
+            assert not {"rollout_s", "env_s", "learn_s", "target_s"} & set(
+                json.loads(line))
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         outs = []

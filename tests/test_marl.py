@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasloc import cli, marl
+from fasloc import cli, marl, nn
 from fasloc.channel import ChannelError
-from fasloc.config import MarlConfig, default_config
+from fasloc.config import MarlConfig, default_config, to_ini
 from fasloc.marl import (AgentAction, Coordinator, EpochRecord, LocalQNet,
                          MarlTrainer, Mixer, PositioningEnv, TrainingLog,
                          build_observation, build_td_targets, decode_action,
@@ -83,26 +84,29 @@ class TestObservations:
 
 
 class TestLocalQ:
+    # nets.local[0] is the active UAV's net (one agent), nets.local[1] the
+    # four passive UAVs' nets stacked on a leading agent axis
+
     def test_zero_parameters_give_flat_q(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
         net = trainer.nets.local[1]
         for p in net.params():
             p.value[...] = 0.0
-        q, _ = net.step(np.zeros(12), net.initial_state())
-        assert np.all(q == q[0])
+        q, _ = net.step(np.zeros((4, 1, 12)), net.initial_state())
+        assert np.all(q == q[..., :1])
 
     def test_q_vector_lengths(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
         q0, _ = trainer.nets.local[0].step(
-            np.zeros(5), trainer.nets.local[0].initial_state())
+            np.zeros((1, 1, 5)), trainer.nets.local[0].initial_state())
         q1, _ = trainer.nets.local[1].step(
-            np.zeros(12), trainer.nets.local[1].initial_state())
-        assert len(q0) == 25
-        assert len(q1) == 25 * cfg.channel.n_ports
-        q_seq, _ = trainer.nets.local[1].forward(np.zeros((3, 12)))
-        assert q_seq.shape == (3, 25 * cfg.channel.n_ports)
+            np.zeros((4, 1, 12)), trainer.nets.local[1].initial_state())
+        assert q0.shape == (1, 1, 25)
+        assert q1.shape == (4, 1, 25 * cfg.channel.n_ports)
+        q_seq, _ = trainer.nets.local[1].forward(np.zeros((4, 3, 12)))
+        assert q_seq.shape == (4, 3, 25 * cfg.channel.n_ports)
 
     def test_recurrent_state_changes_output(self):
         cfg = default_config()
@@ -113,10 +117,10 @@ class TestLocalQ:
         # the trunk at all
         net.angle_head.layers[-1].w.value[...] = rng.standard_normal(
             net.angle_head.layers[-1].w.value.shape) * 0.1
-        x = rng.standard_normal(12) * 0.5
-        q_a, _ = net.step(x, np.zeros(net.hidden_size))
-        q_b, _ = net.step(x, 0.5 * np.ones(net.hidden_size))
-        assert np.max(np.abs(q_a - q_b)) > 1e-9
+        x = rng.standard_normal((4, 1, 12)) * 0.5
+        q_a, _ = net.step(x, np.zeros((4, 1, net.hidden_size)))
+        q_b, _ = net.step(x, 0.5 * np.ones((4, 1, net.hidden_size)))
+        assert np.all(np.max(np.abs(q_a - q_b), axis=-1) > 1e-9)
 
     def test_additive_head_structure(self):
         cfg = default_config()
@@ -127,13 +131,14 @@ class TestLocalQ:
             lay = head.layers[-1]
             lay.w.value[...] = rng.standard_normal(lay.w.value.shape) * 0.1
             lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
-        x = rng.standard_normal(12) * 0.3
+        x = rng.standard_normal((4, 1, 12)) * 0.3
         q, _ = net.step(x, net.initial_state())
-        grid = q.reshape(25, cfg.channel.n_ports)
-        # additive decomposition: grid rows differ by constants
-        rows = grid - grid[:, :1]
-        np.testing.assert_allclose(rows, np.tile(rows[0], (25, 1)), atol=1e-12)
-        assert np.std(grid[:, 0]) > 0 and np.std(grid[0]) > 0
+        for grid in q[:, 0].reshape(4, 25, cfg.channel.n_ports):
+            # additive decomposition: grid rows differ by constants
+            rows = grid - grid[:, :1]
+            np.testing.assert_allclose(rows, np.tile(rows[0], (25, 1)),
+                                       atol=1e-12)
+            assert np.std(grid[:, 0]) > 0 and np.std(grid[0]) > 0
 
     def test_port_fit_trains_only_the_chosen_port_score(self):
         cfg = default_config()
@@ -142,19 +147,20 @@ class TestLocalQ:
         rng = np.random.default_rng(3)
         lay = net.port_head.layers[-1]
         lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
-        x = rng.standard_normal(12) * 0.3
-        _, cache = net.forward(x[None])            # a one-slot sequence
-        port, target = 4, -1.5
-        dq = np.zeros((1, net.n_actions))
-        dq[0, 7 * cfg.channel.n_ports + port] = 0.8
+        x = rng.standard_normal((4, 1, 12)) * 0.3    # one-slot sequences
+        _, cache = net.forward(x)
+        ports, target = np.array([[4], [0], [4], [7]]), -1.5
+        dq = np.zeros((4, 1, net.n_actions))
+        dq[:, 0, 7 * cfg.channel.n_ports + 4] = 0.8
         net.zero_grads()
-        net.backward(dq, cache, port_fit=(np.array([port]), np.array([target])))
-        port_raw = cache[-1][-1][0, 0]     # (..., (..., raw port scores))
-        expected = np.zeros(cfg.channel.n_ports)
-        expected[port] = 2.0 * (port_raw[port] - target)
+        net.backward(dq, cache, port_fit=(ports, np.full((4, 1), target)))
+        port_raw = cache[-1][-1][:, 0, 0]   # (..., (..., raw port scores))
+        expected = np.zeros((4, cfg.channel.n_ports))
+        for k, port in enumerate(ports[:, 0]):
+            expected[k, port] = 2.0 * (port_raw[k, port] - target)
         np.testing.assert_allclose(lay.b.grad, expected, atol=1e-12)
-        # dq still reaches the steering and value heads
-        assert np.any(net.value_head.b.grad != 0.0)
+        # dq still reaches every agent's steering and value heads
+        assert np.all(net.value_head.b.grad != 0.0)
 
 
 class TestSelectAction:
@@ -206,10 +212,11 @@ class TestCoordinator:
         mask = np.ones(5, dtype=bool)
         omega, _ = coord.forward(rows, mask)
         # uniform attention over identical rows = value projection of the row
-        e = np.maximum(row @ coord.row_embed.w.value + coord.row_embed.b.value, 0.0)
+        embed = coord.row_embed
+        e = np.maximum(row @ embed.w.value[0] + embed.b.value[0], 0.0)
         v = e @ coord.units[0].wv.value
-        expected, _ = coord.out_mlp.forward(v)
-        np.testing.assert_allclose(omega, expected, atol=1e-10)
+        expected, _ = coord.out_mlp.forward(v[None, None])   # one agent, one row
+        np.testing.assert_allclose(omega, expected[0, 0], atol=1e-10)
 
     def test_swapping_identical_agent_blocks_is_invariant(self):
         cfg = MarlConfig(attn_units=2, attn_width=4, embed_width=6,
@@ -475,7 +482,8 @@ class TestTrainerMachinery:
                 p.value += rng.standard_normal(p.value.shape)
         env = PositioningEnv(cfg, trainer.env_rng)
         episode = trainer.rollout(env, 0.0)
-        live_q = [q for q, _ in trainer._replay(trainer.nets, episode)]
+        live_q = [q_k for q, _ in trainer._replay(trainer.nets, episode)
+                  for q_k in q]                 # one (T, n_actions) per agent
         n = cfg.channel.n_ports
         greedy_ports = set()
         for t in range(len(episode)):
@@ -634,31 +642,33 @@ class TestTrainingLog:
 # ---------------------------------------------------------------------------
 # per-slot reference learner
 #
-# The learner as it ran before it was batched over time: one forward and
-# one backward call per slot and agent, one coordinator call per history
-# window, one mixer call per slot.  It reads and accumulates into the same
-# Param objects as the sequence path, and the sequence path must match it
-# bit for bit.
+# The learner as it ran before it was batched over time and agents: one
+# forward and one backward call per slot and agent, one coordinator call
+# per history window, one mixer call per slot.  Each agent's arithmetic
+# reads and accumulates into that agent's own Param views (agent k of a
+# stacked block), the objects the checkpoint and the update see, and the
+# batched path must match it bit for bit.
 
 
-def _ref_linear(layer, x):
-    return x @ layer.w.value + layer.b.value
+def _ref_linear(layer, x, k=0):
+    return x @ layer.w.params[k].value + layer.b.params[k].value
 
 
-def _ref_linear_back(layer, dy, x):
+def _ref_linear_back(layer, dy, x, k=0):
+    w, b = layer.w.params[k], layer.b.params[k]
     if x.ndim == 1:
-        layer.w.grad += np.outer(x, dy)
-        layer.b.grad += dy
+        w.grad += np.outer(x, dy)
+        b.grad += dy
     else:
-        layer.w.grad += x.T @ dy
-        layer.b.grad += dy.sum(axis=0)
-    return dy @ layer.w.value.T
+        w.grad += x.T @ dy
+        b.grad += dy.sum(axis=0)
+    return dy @ w.value.T
 
 
-def _ref_mlp(mlp, x):
+def _ref_mlp(mlp, x, k=0):
     caches, h = [], x
     for i, layer in enumerate(mlp.layers):
-        c, h = h, _ref_linear(layer, h)
+        c, h = h, _ref_linear(layer, h, k)
         act_mask = None
         if i + 1 < len(mlp.layers):
             act_mask = h > 0.0
@@ -667,12 +677,12 @@ def _ref_mlp(mlp, x):
     return h, caches
 
 
-def _ref_mlp_back(mlp, dy, caches):
+def _ref_mlp_back(mlp, dy, caches, k=0):
     for i in reversed(range(len(mlp.layers))):
         c, act_mask = caches[i]
         if act_mask is not None:
             dy = dy * act_mask
-        dy = _ref_linear_back(mlp.layers[i], dy, c)
+        dy = _ref_linear_back(mlp.layers[i], dy, c, k)
     return dy
 
 
@@ -680,39 +690,46 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _ref_gru(g, x, h):
-    z = _sigmoid(x @ g.wz.value + h @ g.uz.value + g.bz.value)
-    r = _sigmoid(x @ g.wr.value + h @ g.ur.value + g.br.value)
+def _gru_params(g, k):
+    """Agent k's (wz, uz, bz, wr, ur, br, wh, uh, bh) Params."""
+    return [s.params[k] for s in g.stacks()]
+
+
+def _ref_gru(g, x, h, k):
+    wz, uz, bz, wr, ur, br, wh, uh, bh = _gru_params(g, k)
+    z = _sigmoid(x @ wz.value + h @ uz.value + bz.value)
+    r = _sigmoid(x @ wr.value + h @ ur.value + br.value)
     rh = r * h
-    c = np.tanh(x @ g.wh.value + rh @ g.uh.value + g.bh.value)
+    c = np.tanh(x @ wh.value + rh @ uh.value + bh.value)
     return (1.0 - z) * h + z * c, (x, h, z, r, rh, c)
 
 
-def _ref_gru_back(g, dh_new, cache):
+def _ref_gru_back(g, dh_new, cache, k):
+    wz, uz, bz, wr, ur, br, wh, uh, bh = _gru_params(g, k)
     x, h, z, r, rh, c = cache
     dz = dh_new * (c - h)
     dc = dh_new * z
     dh = dh_new * (1.0 - z)
     dac = dc * (1.0 - c * c)
-    g.wh.grad += np.outer(x, dac)
-    g.bh.grad += dac
-    drh = dac @ g.uh.value.T
-    g.uh.grad += np.outer(rh, dac)
+    wh.grad += np.outer(x, dac)
+    bh.grad += dac
+    drh = dac @ uh.value.T
+    uh.grad += np.outer(rh, dac)
     dr = drh * h
     dh += drh * r
-    dx = dac @ g.wh.value.T
+    dx = dac @ wh.value.T
     dar = dr * r * (1.0 - r)
-    g.wr.grad += np.outer(x, dar)
-    g.ur.grad += np.outer(h, dar)
-    g.br.grad += dar
-    dx += dar @ g.wr.value.T
-    dh += dar @ g.ur.value.T
+    wr.grad += np.outer(x, dar)
+    ur.grad += np.outer(h, dar)
+    br.grad += dar
+    dx += dar @ wr.value.T
+    dh += dar @ ur.value.T
     daz = dz * z * (1.0 - z)
-    g.wz.grad += np.outer(x, daz)
-    g.uz.grad += np.outer(h, daz)
-    g.bz.grad += daz
-    dx += daz @ g.wz.value.T
-    dh += daz @ g.uz.value.T
+    wz.grad += np.outer(x, daz)
+    uz.grad += np.outer(h, daz)
+    bz.grad += daz
+    dx += daz @ wz.value.T
+    dh += daz @ uz.value.T
     return dx, dh
 
 
@@ -743,23 +760,23 @@ def _ref_attention_back(unit, dout, cache):
             + dv @ unit.wv.value.T)
 
 
-def _ref_local(net, x, h):
-    e_pre = _ref_linear(net.embed, x)
+def _ref_local(net, x, h, k):
+    e_pre = _ref_linear(net.embed, x, k)
     mask = e_pre > 0.0
     e = np.maximum(e_pre, 0.0)
     if net.gru is not None:
-        h_new, c_gru = _ref_gru(net.gru, e, h)
+        h_new, c_gru = _ref_gru(net.gru, e, h, k)
         trunk = h_new
     else:
         h_new, c_gru = h, None
         trunk = e
-    value = _ref_linear(net.value_head, trunk)
-    adv_angle, c_angle = _ref_mlp(net.angle_head, trunk)
+    value = _ref_linear(net.value_head, trunk, k)
+    adv_angle, c_angle = _ref_mlp(net.angle_head, trunk, k)
     adv_angle = adv_angle - adv_angle.mean()
     q_angle = value[0] + adv_angle
     if net.port_head is not None:
         lo, hi = net.aod_slice
-        port_raw, c_port = _ref_mlp(net.port_head, np.cos(math.pi * x[lo:hi]))
+        port_raw, c_port = _ref_mlp(net.port_head, np.cos(math.pi * x[lo:hi]), k)
         q = np.add.outer(q_angle, port_raw - port_raw.mean()).ravel()
     else:
         port_raw, c_port = None, None
@@ -767,7 +784,7 @@ def _ref_local(net, x, h):
     return q, h_new, (x, mask, c_gru, trunk, c_angle, (c_port, port_raw))
 
 
-def _ref_local_back(net, dq, dh_next, cache, port_fit):
+def _ref_local_back(net, dq, dh_next, cache, port_fit, k):
     x, mask, c_gru, trunk, c_angle, (c_port, port_raw) = cache
     if net.port_head is not None:
         dq_grid = dq.reshape(net.n_angle, net.n_ports)
@@ -775,18 +792,18 @@ def _ref_local_back(net, dq, dh_next, cache, port_fit):
         port, target = port_fit
         dport = np.zeros(net.n_ports)
         dport[port] = 2.0 * (port_raw[port] - target)
-        _ref_mlp_back(net.port_head, dport, c_port)
+        _ref_mlp_back(net.port_head, dport, c_port, k)
     else:
         dangle = dq
     dvalue = dangle.sum()
     dangle = dangle - dangle.mean()
-    dhid = _ref_mlp_back(net.angle_head, dangle, c_angle)
-    dhid = dhid + _ref_linear_back(net.value_head, np.array([dvalue]), trunk)
+    dhid = _ref_mlp_back(net.angle_head, dangle, c_angle, k)
+    dhid = dhid + _ref_linear_back(net.value_head, np.array([dvalue]), trunk, k)
     if net.gru is not None:
-        de, dh_prev = _ref_gru_back(net.gru, dhid + dh_next, c_gru)
+        de, dh_prev = _ref_gru_back(net.gru, dhid + dh_next, c_gru, k)
     else:
         de, dh_prev = dhid, np.zeros_like(dh_next)
-    _ref_linear_back(net.embed, de * mask, x)
+    _ref_linear_back(net.embed, de * mask, x, k)
     return dh_prev
 
 
@@ -858,13 +875,20 @@ def _ref_window(trainer, episode, t):
     return rows, mask
 
 
+def _team(nets):
+    """Per team agent (0 active, 1-4 passive): its local net and its index
+    on that net's agent axis."""
+    return [(net, j) for net in nets.local for j in range(net.n_agents)]
+
+
 def _ref_replay(nets, episode):
-    hidden = [net.initial_state() for net in nets.local]
+    team = _team(nets)
+    hidden = [np.zeros(max(net.hidden_size, 1)) for net, _ in team]
     qs, caches = [], []
     for inputs in episode.net_inputs:
         q_row, c_row = [], []
-        for k, net in enumerate(nets.local):
-            q, hidden[k], cache = _ref_local(net, inputs[k], hidden[k])
+        for k, (net, j) in enumerate(team):
+            q, hidden[k], cache = _ref_local(net, inputs[k], hidden[k], j)
             q_row.append(q)
             c_row.append(cache)
         qs.append(q_row)
@@ -898,7 +922,7 @@ def _ref_td_targets(trainer, episode):
 
 
 def _ref_port_fit(trainer, episode, t, k):
-    if trainer.nets.local[k].port_head is None:
+    if _team(trainer.nets)[k][0].port_head is None:
         return None
     return episode.actions[t][k].port - 1, episode.port_credit[t][k - 1]
 
@@ -939,13 +963,13 @@ def _ref_episode_loss(trainer, episode, targets):
             if nets.coordinator is not None:
                 _ref_coordinator_back(nets.coordinator, domega, c_coord)
         dq = dq_locals
-    for k, net in enumerate(nets.local):
+    for k, (net, j) in enumerate(_team(nets)):
         dh = np.zeros(max(net.hidden_size, 1))
         for t in reversed(range(T)):
             dq_vec = np.zeros(net.n_actions)
             dq_vec[episode.action_ids[t][k]] = dq[t, k]
             dh = _ref_local_back(net, dq_vec, dh, caches[t][k],
-                                 _ref_port_fit(trainer, episode, t, k))
+                                 _ref_port_fit(trainer, episode, t, k), j)
     return td_loss, port_loss, weights, qs
 
 
@@ -998,7 +1022,9 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     for p, ref in zip(trainer.nets.params(), ref_grads):
         assert p.grad.tobytes() == ref.tobytes(), p.name
     assert any(np.any(g) for g in ref_grads)
-    for k, (q, _) in enumerate(trainer._replay(trainer.nets, episode)):
+    seq_q = [q_k for q, _ in trainer._replay(trainer.nets, episode) for q_k in q]
+    assert len(seq_q) == 5
+    for k, q in enumerate(seq_q):
         assert np.array_equal(q, np.array([row[k] for row in ref_q]))
 
 
@@ -1016,7 +1042,145 @@ def test_acting_q_equals_sequence_q(scheme, monkeypatch):
     monkeypatch.setattr(LocalQNet, "step", recording_step)
     episode = trainer.rollout(PositioningEnv(trainer.cfg, trainer.env_rng), 0.5)
     replay = trainer._replay(trainer.nets, episode)
+    # one acting call per local net and slot, for all of the net's agents
     assert len(acted) == len(episode) * len(replay)
     for i, q in enumerate(acted):
         t, k = divmod(i, len(replay))
-        assert np.array_equal(q, replay[k][0][t])
+        assert np.array_equal(q[:, 0], replay[k][0][:, t])
+
+
+# ---------------------------------------------------------------------------
+# the passive UAVs' nets stacked on a leading agent axis
+
+
+def _single_agent_nets(trainer):
+    """Four one-agent passive nets built like the stacked one and loaded
+    from the trainer's checkpoint arrays."""
+    nets, cfg = trainer.nets, trainer.cfg
+    arrays = trainer.checkpoint_arrays()
+    singles = []
+    for k in range(1, 5):
+        net = LocalQNet(nets.passive_inputs, 25,
+                        cfg.channel.n_ports if nets.learned_ports else 0,
+                        cfg.marl, np.random.default_rng(0),
+                        recurrent=nets.recurrent, name=f"local{k}",
+                        aod_slice=(3, 3 + cfg.channel.n_paths))
+        net.load_values(arrays)
+        singles.append(net)
+    return singles
+
+
+@pytest.mark.parametrize("scheme", TRAINABLE)
+def test_stacked_passive_net_equals_four_single_agent_nets(scheme):
+    trainer = _perturbed_trainer(scheme)
+    stacked = trainer.nets.local[1]
+    assert stacked.n_agents == 4
+    singles = _single_agent_nets(trainer)
+    rng = np.random.default_rng(41)
+    n_in, hid = trainer.nets.passive_inputs, max(stacked.hidden_size, 1)
+
+    x, h = rng.standard_normal((4, 1, n_in)), rng.standard_normal((4, 1, hid))
+    q, h_next = stacked.step(x, h)
+    for k, net in enumerate(singles):
+        q_k, h_k = net.step(x[k:k + 1], h[k:k + 1])
+        assert q_k.tobytes() == q[k:k + 1].tobytes()
+        assert h_k.tobytes() == h_next[k:k + 1].tobytes()
+
+    T = 25
+    xs = rng.standard_normal((4, T, n_in))
+    dq = rng.standard_normal((4, T, stacked.n_actions))
+    fit = None
+    if stacked.port_head is not None:
+        fit = (rng.integers(0, stacked.n_ports, (4, T)),
+               rng.standard_normal((4, T)))
+    stacked.zero_grads()
+    q_seq, cache = stacked.forward(xs)
+    stacked.backward(dq, cache, port_fit=fit)
+    for k, net in enumerate(singles):
+        net.zero_grads()
+        q_k, cache_k = net.forward(xs[k:k + 1])
+        net.backward(dq[k:k + 1], cache_k, port_fit=None if fit is None else
+                     (fit[0][k:k + 1], fit[1][k:k + 1]))
+        assert q_k.tobytes() == q_seq[k:k + 1].tobytes()
+        if fit is not None:
+            assert (net.port_fit_loss(cache_k, (fit[0][k:k + 1], fit[1][k:k + 1]))
+                    .tobytes() == stacked.port_fit_loss(cache, fit)[k:k + 1].tobytes())
+        mine = stacked.params()[k * len(net.params()):(k + 1) * len(net.params())]
+        for p, own in zip(net.params(), mine):
+            assert p.name == own.name
+            assert p.grad.tobytes() == own.grad.tobytes(), p.name
+
+
+@pytest.mark.parametrize("scheme", TRAINABLE)
+def test_agent_params_are_contiguous_views_of_their_stacks(scheme):
+    trainer = MarlTrainer(dataclasses.replace(
+        default_config(), run=dataclasses.replace(default_config().run,
+                                                  scheme=scheme)))
+    for nets in (trainer.nets, trainer.target_nets):
+        for net in nets.local:
+            views = net.params()
+            assert len(views) == net.n_agents * len(net.stacks())
+            for s in net.stacks():
+                assert s.value.flags.c_contiguous and s.grad.flags.c_contiguous
+                for p in s.params:
+                    assert any(p is v for v in views)
+                    for arr, stack in ((p.value, s.value), (p.grad, s.grad)):
+                        assert np.shares_memory(arr, stack)
+                        assert arr.flags.c_contiguous
+
+
+def test_sgd_step_moves_every_agent_slice_as_a_per_agent_update():
+    trainer = _perturbed_trainer("ar_marl")
+    m = trainer.cfg.marl
+    rng = np.random.default_rng(43)
+    params = trainer.nets.params()
+    for p in params:
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    in_port_heads = {id(p) for net in trainer.nets.local
+                     if net.port_head is not None for p in net.port_head.params()}
+    grads = [p.grad * (m.port_lr_multiplier if id(p) in in_port_heads else 1.0)
+             for p in params]
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    scale = 1.0 if total <= m.grad_clip else m.grad_clip / total
+    rate = m.learning_rate * 0.7
+    expected = [p.value - rate * scale * g for p, g in zip(params, grads)]
+    trainer._apply_sgd(0.7)
+    assert scale < 1.0        # the clip binds, so its norm is exercised
+    for p, want in zip(params, expected):
+        assert p.value.tobytes() == want.tobytes(), p.name
+        assert not np.any(p.grad)
+
+
+# sha256 of the ordered [key, shape] list of checkpoint_arrays() at the
+# default config, as written before the passive nets were stacked
+CHECKPOINT_LAYOUT = {
+    "ar_marl": (135, "343a6aeca5f3a7854dbc5dd9b7d47748b71611e49298aa07c4eaf50e4f157fce"),
+    "no_fas": (111, "27ff056f1b0bdf1ba1af0a7f86d145470ac5405330a2ae600252531547fc6e22"),
+    "no_rnn": (90, "5ff1f252dccd3b0d93781bf7481edcd5ffa6dc475cfac16895302c520554f4f7"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(CHECKPOINT_LAYOUT))
+def test_checkpoint_layout_is_unchanged(scheme):
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, scheme=scheme))
+    arrays = MarlTrainer(cfg).checkpoint_arrays()
+    layout = json.dumps([[k, list(v.shape)] for k, v in arrays.items()])
+    assert (len(arrays), hashlib.sha256(layout.encode()).hexdigest()) \
+        == CHECKPOINT_LAYOUT[scheme]
+    assert "local3.gru.uz" in arrays or scheme == "no_rnn"
+
+
+def test_checkpoint_round_trips_through_the_cli_loader(tmp_path):
+    trainer = _perturbed_trainer("ar_marl")
+    path = tmp_path / "ckpt.npz"
+    nn.save_params(path, trainer.checkpoint_arrays(),
+                   meta={"scheme": "ar_marl",
+                         "config_ini": to_ini(trainer.cfg)})
+    _, loaded = cli.load_trainer_from_checkpoint(path)
+    saved, back = trainer.checkpoint_arrays(), loaded.checkpoint_arrays()
+    assert list(saved) == list(back)
+    for key in saved:
+        assert saved[key].tobytes() == back[key].tobytes(), key
+    for live, tgt in zip(loaded.nets.params(), loaded.target_nets.params()):
+        assert live.value.tobytes() == tgt.value.tobytes()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fasloc.nn import (MLP, AttentionUnit, GRUCell, Linear, Param, ShapeError,
-                       finite_diff_check, load_params, ordered_sum,
-                       save_params, softmax_rows)
+                       _weight_grad, finite_diff_check, load_params,
+                       ordered_sum, save_params, softmax_rows, stack_agents)
 
 RNG = np.random.default_rng(0)
 
@@ -29,21 +29,21 @@ class TestLinearAndMLP:
         layer.w.value[...] = np.eye(4)
         layer.b.value[...] = 0.0
         x = np.array([0.5, -1.0, 2.0, 0.25])
-        y, _ = layer.forward(x)
-        np.testing.assert_array_equal(y, x)
+        y, _ = layer.forward(x[None, None])      # one agent, one row
+        np.testing.assert_array_equal(y[0, 0], x)
 
     def test_zero_weights_give_bias(self):
         layer = Linear(3, 2, np.random.default_rng(2))
         layer.w.value[...] = 0.0
         layer.b.value[...] = [0.7, -0.3]
-        y, _ = layer.forward(np.array([5.0, 6.0, 7.0]))
-        np.testing.assert_allclose(y, [0.7, -0.3])
+        y, _ = layer.forward(np.array([[[5.0, 6.0, 7.0]]]))
+        np.testing.assert_allclose(y[0, 0], [0.7, -0.3])
 
     def test_mlp_gradient_matches_central_differences(self):
         rng = np.random.default_rng(3)
         mlp = MLP([4, 6, 3], rng)
-        x = rng.standard_normal(4)
-        proj = rng.standard_normal(3)
+        x = rng.standard_normal(4)[None, None]
+        proj = rng.standard_normal(3)[None, None]
 
         def forward_and_backward():
             y, cache = mlp.forward(x)
@@ -61,8 +61,8 @@ class TestLinearAndMLP:
     def test_stacked_mlp_gradient_matches_central_differences(self, rows, reverse):
         rng = np.random.default_rng(25)
         mlp = MLP([4, 6, 3], rng)
-        x = rng.standard_normal((5, rows, 4))
-        proj = rng.standard_normal((5, rows, 3))
+        x = rng.standard_normal((5, rows, 4))[None]
+        proj = rng.standard_normal((5, rows, 3))[None]
         mlp.zero_grads()
         _, cache = mlp.forward(x)
         dx = mlp.backward(proj, cache, reverse=reverse)
@@ -76,24 +76,27 @@ class TestLinearAndMLP:
         # (last slot first with reverse), bit for bit as one call per slot
         rng = np.random.default_rng(26)
         layer = Linear(7, 1, rng)
-        x = rng.standard_normal((30, 1, 7))
-        dy = rng.standard_normal((30, 1, 1))
+        x = rng.standard_normal((30, 1, 7))[None]
+        dy = rng.standard_normal((30, 1, 1))[None]
         layer.zero_grads()
         y, cache = layer.forward(x)
         dx = layer.backward(dy, cache, reverse=reverse)
         stacked = [p.grad.copy() for p in layer.params()]
         layer.zero_grads()
         for t in (reversed(range(30)) if reverse else range(30)):
-            y_t, c_t = layer.forward(x[t, 0])
-            assert y_t.tobytes() == y[t, 0].tobytes()
-            assert layer.backward(dy[t, 0], c_t).tobytes() == dx[t, 0].tobytes()
+            y_t, c_t = layer.forward(x[:, t])
+            assert y_t.tobytes() == y[:, t].tobytes()
+            assert layer.backward(dy[:, t], c_t).tobytes() == dx[:, t].tobytes()
         for p, g in zip(layer.params(), stacked):
             assert p.grad.tobytes() == g.tobytes()
 
     def test_shape_mismatch_raises(self):
         layer = Linear(3, 2, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros(4))
+        for bad in (np.zeros((1, 1, 4)),     # input width
+                    np.zeros((2, 1, 3)),     # agent count
+                    np.zeros(3)):            # no agent axis
+            with pytest.raises(ShapeError):
+                layer.forward(bad)
 
 
 class TestGRU:
@@ -101,8 +104,8 @@ class TestGRU:
         gru = GRUCell(3, 5, np.random.default_rng(4))
         for p in gru.params():
             p.value[...] = 0.0
-        h = np.array([1.0, -2.0, 0.5, 4.0, -1.0])
-        h_new, _ = gru.step(gru.project(np.array([0.3, 0.1, -0.2])), h)
+        h = np.array([[[1.0, -2.0, 0.5, 4.0, -1.0]]])
+        h_new, _ = gru.step(gru.project(np.array([[[0.3, 0.1, -0.2]]])), h)
         # gates sit at 1/2 and the candidate at tanh(0)=0
         np.testing.assert_allclose(h_new, 0.5 * h, rtol=1e-14)
 
@@ -111,8 +114,8 @@ class TestGRU:
         gru = GRUCell(2, 8, rng)
         for p in gru.params():
             p.value *= 0.3
-        x = np.zeros(2)
-        h = rng.standard_normal(8)
+        x = np.zeros((1, 1, 2))
+        h = rng.standard_normal(8)[None, None]
         prev = h
         for _ in range(300):
             h, _ = gru.step(gru.project(x), h)
@@ -123,24 +126,24 @@ class TestGRU:
     def test_hidden_state_stays_bounded(self):
         rng = np.random.default_rng(6)
         gru = GRUCell(4, 6, rng)
-        hs, _ = gru.forward(rng.standard_normal((100, 1, 4)) * 3.0,
-                            np.zeros((1, 6)))
+        hs, _ = gru.forward(rng.standard_normal((100, 1, 4))[None] * 3.0,
+                            np.zeros((1, 1, 6)))
         assert np.max(np.abs(hs)) <= 1.0 + 1e-12
 
     def test_unrolled_gradient_matches_central_differences(self):
         rng = np.random.default_rng(7)
         gru = GRUCell(3, 4, rng)
-        xs = rng.standard_normal((8, 1, 3))
+        xs = rng.standard_normal((8, 1, 3))[None]
         proj = rng.standard_normal(4)
 
         def loss():
-            hs, _ = gru.forward(xs, np.zeros((1, 4)))
-            return float(hs[-1, 0] @ proj)
+            hs, _ = gru.forward(xs, np.zeros((1, 1, 4)))
+            return float(hs[0, -1, 0] @ proj)
 
         gru.zero_grads()
-        _, cache = gru.forward(xs, np.zeros((1, 4)))
-        dhs = np.zeros((8, 1, 4))
-        dhs[-1, 0] = proj
+        _, cache = gru.forward(xs, np.zeros((1, 1, 4)))
+        dhs = np.zeros((1, 8, 1, 4))
+        dhs[0, -1, 0] = proj
         gru.backward(dhs, cache)
         assert finite_diff_check(loss, gru.params(), eps=1e-6) < 1e-4
 
@@ -150,9 +153,9 @@ class TestGRU:
         # gradients all match central differences
         rng = np.random.default_rng(21)
         gru = GRUCell(3, 4, rng)
-        xs = rng.standard_normal((6, 2, 3))
-        h0 = rng.standard_normal((2, 4)) * 0.5
-        proj = rng.standard_normal((6, 2, 4))
+        xs = rng.standard_normal((6, 2, 3))[None]
+        h0 = rng.standard_normal((2, 4))[None] * 0.5
+        proj = rng.standard_normal((6, 2, 4))[None]
 
         def loss():
             return float(np.sum(gru.forward(xs, h0)[0] * proj))
@@ -167,12 +170,12 @@ class TestGRU:
     def test_forward_matches_step_by_step(self):
         rng = np.random.default_rng(22)
         gru = GRUCell(5, 7, rng)
-        xs = rng.standard_normal((9, 1, 5))
-        hs, _ = gru.forward(xs, np.zeros((1, 7)))
-        h = np.zeros(7)
+        xs = rng.standard_normal((9, 1, 5))[None]
+        hs, _ = gru.forward(xs, np.zeros((1, 1, 7)))
+        h = np.zeros((1, 1, 7))
         for t in range(9):
-            h, _ = gru.step(gru.project(xs[t, 0]), h)
-            assert hs[t, 0].tobytes() == h.tobytes()
+            h, _ = gru.step(gru.project(xs[:, t]), h)
+            assert hs[:, t].tobytes() == h.tobytes()
 
 
 class TestAttention:
@@ -282,6 +285,65 @@ def test_ordered_sum_adds_left_to_right(shape):
     assert ordered_sum(terms).tobytes() == acc.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(4, 40), (4, 40, 1), (4, 40, 2),
+                                   (1, 40, 1), (4, 40, 64, 64)])
+def test_ordered_sum_adds_left_to_right_behind_an_agent_axis(shape):
+    rng = np.random.default_rng(28)
+    terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    acc = terms[:, 0].copy()
+    for t in range(1, shape[1]):
+        acc += terms[:, t]
+    assert ordered_sum(terms, axis=1).tobytes() == acc.tobytes()
+
+
+@pytest.mark.parametrize("slots", [1, 2, 5, 25, 100])
+@pytest.mark.parametrize("agents", [1, 4])
+def test_one_row_weight_grad_equals_the_broadcast_sum(slots, agents):
+    # the one-row weight gradient (einsum over the slots) against the
+    # stack of per-slot outer products it replaced, summed slot by slot:
+    # byte-equal for the local nets' layer shapes, both slot orders
+    rng = np.random.default_rng(29)
+    for n, m in ((13, 32), (5, 32), (32, 64), (64, 64), (64, 25), (64, 1),
+                 (1, 1)):
+        x = rng.standard_normal((agents, slots, 1, n)) * 10.0 ** rng.integers(
+            -6, 6, (agents, slots, 1, n))
+        dy = rng.standard_normal((agents, slots, 1, m))
+        for reverse in (False, True):
+            order = range(slots)[::-1] if reverse else range(slots)
+            terms = x.swapaxes(2, 3) * dy             # (A, T, n, m)
+            acc = terms[:, order[0]].copy()
+            for t in order[1:]:
+                acc += terms[:, t]
+            got = _weight_grad(x, dy, reverse=reverse)
+            assert got.tobytes() == acc.tobytes(), (n, m, reverse)
+
+
+def test_stacked_gru_matches_single_agents():
+    # one stacked GRU over four agents gives each agent's states and
+    # gradients bit for bit as that agent's own one-agent GRU
+    rng = np.random.default_rng(30)
+    singles = [GRUCell(6, 8, rng, f"g{k}") for k in range(4)]
+    stacked = stack_agents([GRUCell(6, 8, np.random.default_rng(0), f"g{k}")
+                            for k in range(4)])
+    for p in stacked.params():
+        p.value[...] = 0.0
+    stacked.load_values({p.name: p.value for g in singles for p in g.params()})
+    xs = rng.standard_normal((4, 25, 1, 6))
+    h0 = rng.standard_normal((4, 1, 8)) * 0.5
+    dhs = rng.standard_normal((4, 25, 1, 8))
+    hs, cache = stacked.forward(xs, h0)
+    dxs, dh0 = stacked.backward(dhs, cache)
+    for k, g in enumerate(singles):
+        hs_k, cache_k = g.forward(xs[k:k + 1], h0[k:k + 1])
+        dxs_k, dh0_k = g.backward(dhs[k:k + 1], cache_k)
+        assert hs_k.tobytes() == hs[k:k + 1].tobytes()
+        assert dxs_k.tobytes() == dxs[k:k + 1].tobytes()
+        assert dh0_k.tobytes() == dh0[k:k + 1].tobytes()
+        for p in g.params():
+            mine = next(q for q in stacked.params() if q.name == p.name)
+            assert p.grad.tobytes() == mine.grad.tobytes(), p.name
+
+
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(13)
     scores = rng.standard_normal((4, 6))
@@ -322,16 +384,16 @@ class TestFiniteDiff:
         proj = rng.standard_normal(3)
 
         def forward(with_grads=False):
-            e, c_mlp = mlp.forward(x[:, None, :])
-            hs, c_gru = gru.forward(e, np.zeros((1, 4)))
-            window = hs[:, 0]
+            e, c_mlp = mlp.forward(x[None, :, None, :])
+            hs, c_gru = gru.forward(e, np.zeros((1, 1, 4)))
+            window = hs[0, :, 0]
             out, c_att = att.forward(window)
             pooled = out.mean(axis=0)
             if not with_grads:
                 return float(pooled @ proj)
             dout = np.tile(proj / 4.0, (4, 1))
             dwindow = att.backward(dout, c_att)
-            de, _ = gru.backward(dwindow[:, None, :], c_gru)
+            de, _ = gru.backward(dwindow[None, :, None, :], c_gru)
             mlp.backward(de, c_mlp, reverse=True)
             return float(pooled @ proj)
 
@@ -346,7 +408,7 @@ class TestDeterminismAndCheckpoints:
     def test_repeat_forward_is_bit_identical(self):
         rng = np.random.default_rng(17)
         mlp = MLP([4, 8, 2], rng)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal(4)[None, None]
         y1, _ = mlp.forward(x)
         y2, _ = mlp.forward(x)
         assert np.array_equal(y1, y2)
