@@ -95,23 +95,21 @@ def path_power_profile(params: ChannelParams) -> np.ndarray:
 
 
 def draw_channel(rng: np.random.Generator, params: ChannelParams,
-                 aod: np.ndarray | None = None) -> ChannelDraw:
-    """Draw a per-slot channel realization.
+                 aod: np.ndarray) -> ChannelDraw:
+    """Draw a per-slot channel realization at the departure angles aod,
+    which the episode draws once and every slot reuses (coherent
+    geometry).
 
     Every path has unit mean power, E|fading_i|^2 = 1; path_power_profile
     sets how the total of n_paths is split across the paths (path i gets
     n_paths * profile_i).  A positive rician_k concentrates each path's
     power in a deterministic zero-phase component so that the port
-    response is predictable from the departure angles.  Pass aod to reuse
-    angles across slots (coherent geometry).
+    response is predictable from the departure angles.
     """
     i = params.n_paths
-    if aod is None:
-        aod = rng.uniform(0.0, math.pi, i)
-    else:
-        aod = np.asarray(aod, dtype=float)
-        if aod.shape != (i,):
-            raise ChannelError(f"aod must have shape ({i},)")
+    aod = np.asarray(aod, dtype=float)
+    if aod.shape != (i,):
+        raise ChannelError(f"aod must have shape ({i},)")
     k = params.rician_k
     scatter = (rng.standard_normal(i) + 1j * rng.standard_normal(i)) / math.sqrt(2.0)
     fading = math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * scatter

@@ -135,8 +135,6 @@ def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig
 def evaluate_policy(checkpoint, episodes, seed, overrides=None,
                     port_menu=None) -> dict:
     """Greedy rollouts from a checkpoint; summary statistics only."""
-    if episodes < 1:
-        raise ValueError("episodes must be positive")
     cfg, trainer = load_trainer_from_checkpoint(checkpoint, overrides)
     stats = marl.evaluate_rollouts(cfg, trainer, episodes, seed,
                                    port_menu=port_menu)
@@ -161,13 +159,16 @@ def sweep(config_path, overrides, axis, values, out_dir, seeds=None,
 
     target_speed and uncertainty change the evaluation environment;
     port_count restricts the selectable-port menu of the trained policy.
+    eval_episodes (default: the config's) replaces run.eval_episodes.
     Per-cell failures are recorded in the table and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     cfg = load_config(config_path, overrides)
+    if eval_episodes is not None:
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(
+            cfg.run, eval_episodes=eval_episodes))
     seeds = seeds or [cfg.run.seed]
-    eval_episodes = eval_episodes or cfg.run.eval_episodes
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
@@ -190,7 +191,8 @@ def sweep(config_path, overrides, axis, values, out_dir, seeds=None,
                             run_cfg.target, uncertainty=float(value)))
                 else:
                     menu = port_menu_for(run_cfg.channel.n_ports, int(value))
-                stats = marl.evaluate_rollouts(eval_cfg, trainer, eval_episodes,
+                stats = marl.evaluate_rollouts(eval_cfg, trainer,
+                                               cfg.run.eval_episodes,
                                                seed=10_000 + seed,
                                                port_menu=menu)
                 cell.update(stats)

@@ -79,10 +79,16 @@ class MarlConfig:
     reward_scale: float = 100.0
 
     def __post_init__(self):
-        if self.target_sync < 1:
-            raise ConfigError("target_sync must be at least 1")
-        if self.history_window < 1:
-            raise ConfigError("history_window must be at least 1")
+        for name in ("target_sync", "history_window", "gru_hidden",
+                     "mlp_hidden", "embed_width", "attn_units", "attn_width",
+                     "omega_width", "mixing_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if not self.reward_scale > 0.0:
+            raise ConfigError("reward_scale must be above 0")
+        for name in ("eps_start", "eps_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -94,10 +100,9 @@ class RunConfig:
     eval_episodes: int = 30
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.episodes_per_epoch < 1:
-            raise ConfigError("episodes_per_epoch must be at least 1")
+        for name in ("epochs", "episodes_per_epoch", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
 
 SCHEME_TRAITS = {
@@ -140,8 +145,6 @@ _SECTIONS = {
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, TrajectoryMode):
         return value.value
     if isinstance(value, float):
@@ -156,16 +159,9 @@ def _format_value(value) -> str:
 def _parse_value(text: str, default, section: str, key: str):
     text = text.strip()
     try:
-        if isinstance(default, bool):
-            low = text.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if isinstance(default, TrajectoryMode):
             return TrajectoryMode(text.lower())
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
             value = float(text)

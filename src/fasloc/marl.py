@@ -84,9 +84,10 @@ def encode_action(action: AgentAction, n_ports: int | None) -> int:
             + (action.port - 1))
 
 
-def port_menu_mask(n_actions: int, n_ports: int, menu) -> np.ndarray:
+def port_menu_mask(n_ports: int, menu) -> np.ndarray:
     """Boolean mask over passive action ids whose port is in menu."""
-    ports = np.arange(n_actions) % n_ports + 1     # decode_action's port
+    # decode_action's port of every id
+    ports = np.arange(passive_action_count(n_ports)) % n_ports + 1
     return np.isin(ports, [int(p) for p in menu])
 
 
@@ -242,13 +243,12 @@ class LocalQNet(Module):
     call: inputs, states, Q-values and gradients are (A, ...) stacks.
     """
 
-    def __init__(self, n_in: int, n_angle: int, n_ports: int, cfg, rng,
-                 recurrent=True, name="local", aod_slice: tuple = (3, 8)):
-        self.recurrent = recurrent
-        self.n_angle = n_angle
+    def __init__(self, n_in: int, n_ports: int, aod_slice: tuple, cfg, rng,
+                 recurrent=True, name="local"):
+        self.n_angle = active_action_count()   # the steering combos
         self.n_ports = n_ports            # 0 -> steering-only action space
-        self.n_actions = n_angle * max(n_ports, 1)
-        self.aod_slice = aod_slice
+        self.n_actions = self.n_angle * max(n_ports, 1)
+        self.aod_slice = aod_slice   # (lo, hi) of the input's departure angles
         self.embed = Linear(n_in, cfg.embed_width, rng, f"{name}.embed")
         self.gru = GRUCell(cfg.embed_width, cfg.gru_hidden, rng, f"{name}.gru") \
             if recurrent else None
@@ -256,7 +256,7 @@ class LocalQNet(Module):
         self.value_head = Linear(head_in, 1, rng, f"{name}.value")
         self.value_head.w.value[...] = 0.0
         self.value_head.b.value[...] = 0.0
-        self.angle_head = MLP([head_in, cfg.mlp_hidden, n_angle], rng,
+        self.angle_head = MLP([head_in, cfg.mlp_hidden, self.n_angle], rng,
                               f"{name}.angle")
         # the port pathway owns its embedding and reads only the departure
         # angles, as their cosines: the port response depends on the angles
@@ -394,7 +394,7 @@ class Coordinator(Module):
     def forward(self, rows: np.ndarray, mask: np.ndarray):
         """Context vectors (T, omega_width) of a (T, window, row_dim) stack
         of history windows, each with its row of the (T, window) mask of
-        real rows; one (window, row_dim) window gives one vector."""
+        real rows."""
         if not mask.any(axis=-1).all():
             raise ValueError("history window has no valid rows")
         # the dense layers see one agent: a unit agent axis leads
@@ -409,14 +409,14 @@ class Coordinator(Module):
             out, c = unit.forward(e, mask)
             pooled.append(np.where(keep, out, 0.0).sum(axis=-2) / n_valid)
             unit_caches.append(c)
-        concat = np.concatenate(pooled, axis=-1)[None, ..., None, :]  # a row per slot
+        concat = np.concatenate(pooled, axis=-1)[None, :, None]  # a row per slot
         omega, c_out = self.out_mlp.forward(concat)
-        return omega[0, ..., 0, :], (c_embed, act_mask, keep, n_valid,
+        return omega[0, :, 0], (c_embed, act_mask, keep, n_valid,
                                      unit_caches, c_out)
 
     def backward(self, domega: np.ndarray, cache):
         c_embed, act_mask, keep, n_valid, unit_caches, c_out = cache
-        dconcat = self.out_mlp.backward(domega[None, ..., None, :], c_out)[0, ..., 0, :]
+        dconcat = self.out_mlp.backward(domega[None, :, None], c_out)[0, :, 0]
         width = dconcat.shape[-1] // len(self.units)
         de = np.zeros(act_mask.shape)
         for i, unit in enumerate(self.units):
@@ -461,43 +461,43 @@ class Mixer(Module):
 
     def forward(self, q_locals: np.ndarray, omega: np.ndarray):
         """Global Q-values (T,) of the (T, n_agents) chosen local Q-values
-        and the (T, omega_width) contexts; one slot gives a scalar."""
+        and the (T, omega_width) contexts."""
         if self.mode == "sum":
             return q_locals.sum(axis=-1), None
-        omega = omega[None, ..., None, :]   # one agent, one row per slot
+        omega = omega[None, :, None]   # one agent, one row per slot
         w1_raw, c_w1 = self.h_w1.forward(omega)
-        w1_raw = w1_raw[0].reshape(omega.shape[1:-2] + (self.n_agents, self.hidden))
+        w1_raw = w1_raw[0].reshape(-1, self.n_agents, self.hidden)
         b1, c_b1 = self.h_b1.forward(omega)
         w2_raw, c_w2 = self.h_w2.forward(omega)
         b2, c_b2 = self.h_b2.forward(omega)
         b1, w2_raw, b2 = b1[0], w2_raw[0], b2[0]
         w1 = np.abs(w1_raw)
         w2 = np.abs(w2_raw)
-        q = q_locals[..., None, :]
+        q = q_locals[:, None]
         pre = q @ w1 + b1
         hid = np.where(pre > 0.0, pre, MIX_LEAK * pre)
         out = hid @ w2.swapaxes(-1, -2) + b2
         cache = (q, w1_raw, w1, pre, hid, w2_raw, w2, c_w1, c_b1, c_w2, c_b2)
-        return out[..., 0, 0], cache
+        return out[:, 0, 0], cache
 
     def backward(self, dout, cache):
-        """(dq_locals, domega) for the gradient dout on forward's output;
-        domega is None in sum mode."""
+        """(dq_locals, domega) for the (T,) gradient dout on forward's
+        output; domega is None in sum mode."""
         if self.mode == "sum":
-            return np.repeat(np.asarray(dout)[..., None], self.n_agents, axis=-1), None
+            return np.repeat(dout[:, None], self.n_agents, axis=-1), None
         (q, w1_raw, w1, pre, hid, w2_raw, w2, c_w1, c_b1, c_w2, c_b2) = cache
-        dout = np.asarray(dout, float)[..., None, None]
+        dout = dout[:, None, None]
         dhid = dout * w2
         dw2 = dout * hid
         dpre = dhid * np.where(pre > 0.0, 1.0, MIX_LEAK)
-        dq = (w1 @ dpre.swapaxes(-1, -2))[..., 0]
+        dq = (w1 @ dpre.swapaxes(-1, -2))[:, :, 0]
         dw1 = q.swapaxes(-1, -2) * dpre * np.sign(w1_raw)
         dw2 = dw2 * np.sign(w2_raw)
-        domega = self.h_w1.backward(dw1.reshape(dout.shape[:-2] + (1, -1))[None], c_w1)
+        domega = self.h_w1.backward(dw1.reshape(len(dout), 1, -1)[None], c_w1)
         domega = domega + self.h_b1.backward(dpre[None], c_b1)
         domega = domega + self.h_w2.backward(dw2[None], c_w2)
         domega = domega + self.h_b2.backward(dout[None], c_b2)
-        return dq, domega[0, ..., 0, :]
+        return dq, domega[0, :, 0]
 
 
 def _team_columns(rows: list[np.ndarray]) -> np.ndarray:
@@ -512,15 +512,13 @@ def _team_columns(rows: list[np.ndarray]) -> np.ndarray:
 
 
 class PolicyNets(Module):
-    """All trainable pieces for one scheme, plus shape bookkeeping."""
+    """All trainable pieces for one scheme, plus shape bookkeeping.  A
+    scheme that does not train has none."""
 
     def __init__(self, cfg: ExperimentConfig, scheme: str,
                  rng: np.random.Generator):
-        self.scheme = scheme
         trains, ports, recurrent, coord, mixer_mode = SCHEME_TRAITS[scheme]
         self.learned_ports = ports
-        self.recurrent = recurrent
-        self.mixer_mode = mixer_mode
         mcfg = cfg.marl
         n_ports = cfg.channel.n_ports
         n_paths = cfg.channel.n_paths
@@ -531,9 +529,8 @@ class PolicyNets(Module):
         def local_net(k):
             n_in = self.active_inputs if k == 0 else self.passive_inputs
             head_ports = n_ports if (k > 0 and ports) else 0
-            return LocalQNet(n_in, active_action_count(), head_ports, mcfg,
-                             rng, recurrent=recurrent, name=f"local{k}",
-                             aod_slice=(3, 3 + n_paths))
+            return LocalQNet(n_in, head_ports, (3, 3 + n_paths), mcfg, rng,
+                             recurrent=recurrent, name=f"local{k}")
 
         # the active UAV's net, then one net stacking the four passive
         # UAVs' on a leading agent axis; the agents' initial weights are
@@ -803,12 +800,9 @@ class MarlTrainer:
         self.policy_rng = np.random.Generator(np.random.PCG64(pol_ss))
 
         self.trains = SCHEME_TRAITS[self.scheme][0]
-        self.nets = (PolicyNets(cfg, self.scheme, self.init_rng)
-                     if self.trains else None)
-        self.target_nets = None
-        if self.trains:
-            self.target_nets = PolicyNets(cfg, self.scheme, self.init_rng)
-            self.target_nets.copy_from(self.nets)
+        self.nets = PolicyNets(cfg, self.scheme, self.init_rng)
+        self.target_nets = PolicyNets(cfg, self.scheme, self.init_rng)
+        self.target_nets.copy_from(self.nets)
         self.updates = 0
         self.inter_agent_messages = 0
         self.n_ports = cfg.channel.n_ports
@@ -869,7 +863,7 @@ class MarlTrainer:
         phase reached.
         """
         n = self.n_ports
-        if self.nets is None:
+        if not self.trains:
             ids = [int(rng.integers(active_action_count()))]
             choices = np.flatnonzero(allowed)
             ids += [int(choices[rng.integers(len(choices))]) for _ in range(4)]
@@ -922,20 +916,18 @@ class MarlTrainer:
         ports = np.arange(1, self.n_ports + 1)
         if port_menu is not None:
             ports = np.array(sorted(int(p) for p in port_menu), dtype=int)
-        allowed = port_menu_mask(passive_action_count(self.n_ports),
-                                 self.n_ports, ports)
+        allowed = port_menu_mask(self.n_ports, ports)
         m = self.cfg.marl
         ep = EpisodeData()
         observations = env.reset()
         enc = [encode_prev_action(None, k == 0, self.n_ports)
                for k in range(N_AGENTS)]
-        if self.nets is not None:
-            hidden = [net.initial_state() for net in self.nets.local]
+        hidden = [net.initial_state() for net in self.nets.local]
         for _ in range(env.cfg.world.slots_per_episode):
             scaled = [scale_observation(k, obs)
                       for k, obs in enumerate(observations)]
             inputs, qs = [None] * N_AGENTS, [None] * N_AGENTS
-            if self.nets is not None:
+            if self.trains:
                 inputs = [np.concatenate(pair) for pair in zip(scaled, enc)]
                 for i, (net, agents) in enumerate(self.nets.local_agents()):
                     q, hidden[i] = net.step(np.array(inputs[agents])[:, None],
@@ -1148,32 +1140,22 @@ class MarlTrainer:
                 mean_reward=float(np.mean(rews)),
                 loss=float(np.mean(losses)),
                 violations=viols,
-                epsilon=float(eps if self.trains else 1.0)))
+                epsilon=float(eps)))
 
     # -- checkpoints ----------------------------------------------------------
 
     def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        if self.nets is None:
-            return {}
         return self.nets.named_values()
 
     def load_checkpoint_arrays(self, arrays: dict[str, np.ndarray]):
-        if self.nets is None:
-            if arrays:
-                raise ValueError("random policy carries no parameters")
-            return
+        """Load every parameter of the scheme's nets from arrays, which
+        must hold no other array."""
+        extra = sorted(set(arrays) - set(self.checkpoint_arrays()))
+        if extra:
+            raise ValueError(f"{len(extra)} checkpoint arrays are not "
+                             f"{self.scheme} parameters, e.g. {extra[0]}")
         self.nets.load_values(arrays)
         self.target_nets.copy_from(self.nets)
-
-
-def train(cfg: ExperimentConfig) -> TrainingLog:
-    """Train the configured scheme and return the per-epoch log."""
-    return MarlTrainer(cfg).run()
-
-
-def run_baseline(kind: str, cfg: ExperimentConfig) -> TrainingLog:
-    """Run one of the comparison schemes under the same experiment config."""
-    return MarlTrainer(cfg, scheme=kind).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1233,7 +1215,7 @@ def micro_gradcheck(cfg: ExperimentConfig, eps: float = 1e-5) -> float:
     from .nn import finite_diff_check
 
     trainer = MarlTrainer(cfg)
-    if trainer.nets is None:
+    if not trainer.trains:
         raise ValueError("gradient check needs a trainable scheme")
     port_params = [p for net in trainer.nets.local if net.port_head is not None
                    for p in net.port_head.params()]

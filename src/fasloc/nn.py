@@ -100,17 +100,10 @@ def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
     return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
-def _as_stack(a: np.ndarray) -> np.ndarray:
-    """An (A, rows, n) block as a one-slot (A, 1, rows, n) stack."""
-    return a[:, None] if a.ndim == 3 else a
-
-
 def _weight_grad(x: np.ndarray, dy: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Per agent, the gradient of x @ w for the output gradient dy: the
     per-slot x.T @ dy of an (A, T, rows, ·) stack summed over the slots in
-    order, last slot first with reverse (an (A, rows, ·) block is a single
-    slot)."""
-    x, dy = _as_stack(x), _as_stack(dy)
+    order, last slot first with reverse."""
     if reverse:
         x, dy = x[:, ::-1], dy[:, ::-1]
     if x.shape[2] > 1:
@@ -127,7 +120,6 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray, reverse: bool = False) -> np.nda
 
 def _bias_grad(dy: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Gradient of a bias added to every row of dy, summed like _weight_grad."""
-    dy = _as_stack(dy)
     return ordered_sum((dy[:, ::-1] if reverse else dy).sum(axis=2), axis=1)
 
 
@@ -147,17 +139,16 @@ class Module:
         for p in self.params():
             p.grad[...] = 0.0
 
-    def named_values(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {prefix + p.name: p.value for p in self.params()}
+    def named_values(self) -> dict[str, np.ndarray]:
+        return {p.name: p.value for p in self.params()}
 
-    def load_values(self, values: dict[str, np.ndarray], prefix: str = ""):
+    def load_values(self, values: dict[str, np.ndarray]):
         for p in self.params():
-            key = prefix + p.name
-            if key not in values:
-                raise ShapeError(f"missing parameter {key}")
-            src = values[key]
+            if p.name not in values:
+                raise ShapeError(f"missing parameter {p.name}")
+            src = values[p.name]
             if src.shape != p.value.shape:
-                raise ShapeError(f"shape mismatch for {key}: "
+                raise ShapeError(f"shape mismatch for {p.name}: "
                                  f"{src.shape} vs {p.value.shape}")
             p.value[...] = src
 
@@ -198,8 +189,9 @@ class Linear(Module):
         return x @ _lift(self.w.value, x.ndim) + _lift(self.b.value, x.ndim), x
 
     def backward(self, dy: np.ndarray, cache, reverse: bool = False) -> np.ndarray:
-        """Accumulate the weight gradients (over a stack's slots in order,
-        last slot first with reverse) and return the input gradient."""
+        """For a forward on an (A, T, rows, n_in) stack: accumulate the
+        weight gradients (over the slots in order, last slot first with
+        reverse) and return the input gradient."""
         x = cache
         self.w.grad += _weight_grad(x, dy, reverse)
         self.b.grad += _bias_grad(dy, reverse)
@@ -333,7 +325,7 @@ class GRUCell(Module):
 
 
 class AttentionUnit(Module):
-    """Single-head scaled dot-product attention over a window of rows.
+    """Single-head scaled dot-product attention over windows of rows.
 
     Scores are divided by sqrt of the value width; rows flagged False in
     the mask are excluded as keys.  Output keeps one attended row per
@@ -350,19 +342,18 @@ class AttentionUnit(Module):
     def params(self):
         return [self.wq, self.wk, self.wv]
 
-    def forward(self, window: np.ndarray, mask: np.ndarray | None = None):
-        """window is one (rows, n_in) block or a (T, rows, n_in) stack of
-        them, with a matching (rows,) or (T, rows) key mask."""
+    def forward(self, window: np.ndarray, mask: np.ndarray):
+        """window is a (T, rows, n_in) stack of windows, mask the (T, rows)
+        key mask."""
         window = np.asarray(window, float)
-        if window.ndim not in (2, 3) or window.shape[-2] == 0:
-            raise ShapeError("attention window must be a nonempty 2-D array "
-                             "or a stack of them")
+        if window.ndim != 3 or window.shape[1] == 0:
+            raise ShapeError("attention windows must be a (T, rows, n_in) "
+                             "stack with rows > 0")
         q = window @ self.wq.value
         k = window @ self.wk.value
         v = window @ self.wv.value
         scores = q @ k.swapaxes(-1, -2) / math.sqrt(self.n_att)
-        if mask is not None:
-            scores = np.where(mask[..., None, :], scores, -1e30)
+        scores = np.where(mask[:, None, :], scores, -1e30)
         probs = softmax_rows(scores)
         out = probs @ v
         return out, (window, q, k, v, probs)
@@ -376,7 +367,7 @@ class AttentionUnit(Module):
         scale = 1.0 / math.sqrt(self.n_att)
         dq = dscores @ k * scale
         dk = dscores.swapaxes(-1, -2) @ q * scale
-        # one agent: the window or stack of windows behind a unit agent axis
+        # one agent: the stack of windows behind a unit agent axis
         for w, dy in ((self.wq, dq), (self.wk, dk), (self.wv, dv)):
             w.grad += _weight_grad(window[None], dy[None])[0]
         return dq @ self.wq.value.T + dk @ self.wk.value.T + dv @ self.wv.value.T

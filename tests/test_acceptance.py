@@ -221,8 +221,8 @@ def test_criterion_8_bitwise_determinism():
         world=dataclasses.replace(cfg.world, slots_per_episode=10),
         run=dataclasses.replace(cfg.run, epochs=6, episodes_per_epoch=1,
                                 seed=11))
-    first = marl.train(cfg).to_jsonl().encode()
-    second = marl.train(cfg).to_jsonl().encode()
+    first = marl.MarlTrainer(cfg).run().to_jsonl().encode()
+    second = marl.MarlTrainer(cfg).run().to_jsonl().encode()
     assert first == second
     _report("criterion 8", f"two runs produced identical "
             f"{len(first)}-byte training logs")

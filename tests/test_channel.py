@@ -153,7 +153,7 @@ class TestFasGain:
         p32 = ChannelParams(n_paths=5, n_ports=32)
         best8, best32 = [], []
         for _ in range(2000):
-            draw = draw_channel(rng, p8)
+            draw = draw_channel(rng, p8, rng.uniform(0.0, math.pi, p8.n_paths))
             best8.append(np.abs(fas_gain_all_ports(draw, p8)).max() ** 2)
             best32.append(np.abs(fas_gain_all_ports(draw, p32)).max() ** 2)
         assert np.mean(best32) >= np.mean(best8) * 0.98
@@ -163,8 +163,9 @@ class TestDrawChannel:
     def test_unit_power_fading(self):
         rng = np.random.default_rng(1)
         p = ChannelParams(n_paths=4, rician_k=10.0)
-        power = np.mean([np.mean(np.abs(draw_channel(rng, p).fading) ** 2)
-                         for _ in range(4000)])
+        draws = [draw_channel(rng, p, rng.uniform(0.0, math.pi, p.n_paths))
+                 for _ in range(4000)]
+        power = np.mean([np.mean(np.abs(d.fading) ** 2) for d in draws])
         assert power == pytest.approx(1.0, rel=0.05)
 
     def test_aod_reuse(self):

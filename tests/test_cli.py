@@ -63,6 +63,19 @@ class TestConfig:
         "positioning.min_usable=0",
         "positioning.min_usable=5",
         "positioning.variance_scale=-1",
+        # values that would stop the first episode or every sweep cell
+        "marl.gru_hidden=0",
+        "marl.embed_width=0",
+        "marl.mlp_hidden=0",
+        "marl.attn_units=0",
+        "marl.attn_width=0",
+        "marl.omega_width=0",
+        "marl.mixing_hidden=0",
+        "marl.attn_units=-1",
+        "marl.reward_scale=0",
+        "marl.eps_start=2",
+        "marl.eps_end=-0.5",
+        "run.eval_episodes=0",
     ])
     def test_out_of_range_value_rejected_at_load(self, override):
         with pytest.raises(ConfigError) as err:
@@ -255,6 +268,16 @@ class TestSweepVerb:
                          str(out), seeds=[0], eval_episodes=2)
         assert all("error" not in r for r in rows)
         assert {r["value"] for r in rows} == {"5", "15"}
+
+    def test_zero_episodes_rejected_before_training(self, tmp_path, capsys):
+        # 0 is a count, not "unset": it must not fall back to the config's
+        args = ["sweep", "--axis", "port_count", "--values", "4",
+                "--episodes", "0", "--out", str(tmp_path / "s")]
+        for ov in TINY_OVERRIDES:
+            args += ["--override", ov]
+        assert cli.main(args) == 2
+        assert "eval_episodes" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -53,7 +53,7 @@ class TestActions:
         assert act.pitch == pytest.approx(math.radians(60.0))
 
     def test_port_menu_mask(self):
-        mask = port_menu_mask(25 * 8, 8, [1, 5])
+        mask = port_menu_mask(8, [1, 5])
         assert mask.sum() == 25 * 2
         for idx in np.flatnonzero(mask):
             assert decode_action(int(idx), 8).port in (1, 5)
@@ -202,15 +202,18 @@ class TestSelectAction:
 
 
 class TestCoordinator:
+    # one history window is a one-window stack: a unit leading axis
+
     def test_identical_rows_reduce_to_mean_row_projection(self):
         cfg = MarlConfig(attn_units=1, attn_width=4, embed_width=6,
                         mlp_hidden=8, omega_width=3)
         rng = np.random.default_rng(3)
         coord = Coordinator(7, cfg, rng)
         row = rng.standard_normal(7) * 0.5
-        rows = np.tile(row, (5, 1))
-        mask = np.ones(5, dtype=bool)
+        rows = np.tile(row, (1, 5, 1))
+        mask = np.ones((1, 5), dtype=bool)
         omega, _ = coord.forward(rows, mask)
+        omega = omega[0]
         # uniform attention over identical rows = value projection of the row
         embed = coord.row_embed
         e = np.maximum(row @ embed.w.value[0] + embed.b.value[0], 0.0)
@@ -228,10 +231,10 @@ class TestCoordinator:
         head = rng2.standard_normal(2)
         row = np.concatenate([head, block, block])        # two identical agents
         swapped = np.concatenate([head, block, block])
-        rows = np.tile(row, (4, 1))
-        mask = np.ones(4, dtype=bool)
+        rows = np.tile(row, (1, 4, 1))
+        mask = np.ones((1, 4), dtype=bool)
         omega_a, _ = coord.forward(rows, mask)
-        omega_b, _ = coord.forward(np.tile(swapped, (4, 1)), mask)
+        omega_b, _ = coord.forward(np.tile(swapped, (1, 4, 1)), mask)
         np.testing.assert_array_equal(omega_a, omega_b)
 
     def test_output_width_independent_of_window_fill(self):
@@ -239,24 +242,27 @@ class TestCoordinator:
                         mlp_hidden=8, omega_width=5, history_window=6)
         rng = np.random.default_rng(6)
         coord = Coordinator(9, cfg, rng)
-        rows = rng.standard_normal((6, 9))
+        rows = rng.standard_normal((1, 6, 9))
         for valid in (1, 3, 6):
-            mask = np.zeros(6, dtype=bool)
-            mask[-valid:] = True
+            mask = np.zeros((1, 6), dtype=bool)
+            mask[0, -valid:] = True
             omega, _ = coord.forward(rows, mask)
-            assert omega.shape == (5,)
+            assert omega[0].shape == (5,)
 
     def test_empty_window_rejected(self):
         cfg = MarlConfig(attn_units=1, attn_width=2, embed_width=4,
                         mlp_hidden=4, omega_width=2)
         coord = Coordinator(5, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            coord.forward(np.zeros((3, 5)), np.zeros(3, dtype=bool))
+            coord.forward(np.zeros((1, 3, 5)), np.zeros((1, 3), dtype=bool))
 
 
 class TestMixer:
+    # one slot is a one-slot sequence: a unit leading axis on the local
+    # Q-values, the context and the output
+
     def _omega(self, width=32):
-        return np.random.default_rng(9).standard_normal(width) * 0.3
+        return np.random.default_rng(9).standard_normal((1, width)) * 0.3
 
     def test_identity_construction_reduces_to_sum(self):
         cfg = MarlConfig()
@@ -273,45 +279,45 @@ class TestMixer:
         mixer.h_w2.b.value[...] = 1.0 / m
         mixer.h_b2.w.value[...] = 0.0
         mixer.h_b2.b.value[...] = -shift
-        qs = np.array([-3.0, -1.5, 0.2, -0.7, -2.2])
+        qs = np.array([[-3.0, -1.5, 0.2, -0.7, -2.2]])
         out, _ = mixer.forward(qs, self._omega())
-        assert out == pytest.approx(qs.sum(), rel=1e-12)
+        assert out[0] == pytest.approx(qs.sum(), rel=1e-12)
 
     def test_sum_mode_matches_identity_construction(self):
         cfg = MarlConfig()
         plain = Mixer(5, cfg, np.random.default_rng(11), mode="sum")
-        qs = np.array([-5.0, -1.0, -0.5, -2.0, -3.3])
-        out, _ = plain.forward(qs, np.zeros(cfg.omega_width))
-        assert out == pytest.approx(qs.sum())
+        qs = np.array([[-5.0, -1.0, -0.5, -2.0, -3.3]])
+        out, _ = plain.forward(qs, np.zeros((1, cfg.omega_width)))
+        assert out[0] == pytest.approx(qs.sum())
 
     def test_monotone_in_every_local_q(self):
         cfg = MarlConfig()
         rng = np.random.default_rng(12)
         mixer = Mixer(5, cfg, rng)
         omega = self._omega()
-        qs = rng.standard_normal(5) * 2.0 - 3.0
+        qs = rng.standard_normal((1, 5)) * 2.0 - 3.0
         base, _ = mixer.forward(qs, omega)
         for k in range(5):
             for bump in (0.1, 1.0, 10.0):
                 qs2 = qs.copy()
-                qs2[k] += bump
+                qs2[0, k] += bump
                 out, _ = mixer.forward(qs2, omega)
-                assert out >= base - 1e-12
+                assert out[0] >= base[0] - 1e-12
 
     def test_backward_matches_finite_differences(self):
         from fasloc.nn import finite_diff_check
         cfg = MarlConfig(mixing_hidden=6, omega_width=5)
         rng = np.random.default_rng(13)
         mixer = Mixer(5, cfg, rng)
-        omega = rng.standard_normal(5) * 0.5
-        qs = rng.standard_normal(5) - 2.0
+        omega = rng.standard_normal((1, 5)) * 0.5
+        qs = rng.standard_normal((1, 5)) - 2.0
 
         def loss():
-            return mixer.forward(qs, omega)[0]
+            return mixer.forward(qs, omega)[0][0]
 
         mixer.zero_grads()
         out, cache = mixer.forward(qs, omega)
-        mixer.backward(1.0, cache)
+        mixer.backward(np.ones(1), cache)
         assert finite_diff_check(loss, mixer.params(), eps=1e-6) < 1e-5
 
 
@@ -423,21 +429,21 @@ class TestTrainerMachinery:
         logs = []
         for _ in range(2):
             cfg = tiny_config(epochs=4, seed=3)
-            logs.append(marl.train(cfg).to_jsonl())
+            logs.append(MarlTrainer(cfg).run().to_jsonl())
         assert logs[0] == logs[1]
 
     def test_schemes_all_run(self):
         for scheme in ("ar_marl", "vd_marl", "independent_q", "no_fas",
                        "no_rnn", "no_transformer", "random"):
             cfg = tiny_config(epochs=2, scheme=scheme)
-            log = marl.run_baseline(scheme, cfg)
+            log = MarlTrainer(cfg, scheme=scheme).run()
             assert len(log.records) == 2
             assert log.scheme == scheme
 
     def test_unknown_scheme_rejected(self):
         cfg = tiny_config()
         with pytest.raises(ValueError):
-            marl.run_baseline("nonsense", cfg)
+            MarlTrainer(cfg, scheme="nonsense").run()
 
     def test_independent_q_exchanges_no_messages(self):
         cfg = tiny_config(epochs=3, scheme="independent_q")
@@ -456,7 +462,7 @@ class TestTrainerMachinery:
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
         ports = np.arange(1, n + 1)
-        allowed = port_menu_mask(25 * n, n, ports)
+        allowed = port_menu_mask(n, ports)
         qs = [np.zeros(25)] * 5
         draws = np.array([
             [a.port for a in trainer.act(qs, 0.0, 0.0, trainer.policy_rng,
@@ -469,9 +475,9 @@ class TestTrainerMachinery:
         cfg = tiny_config(scheme="vd_marl")
         trainer = MarlTrainer(cfg)
         assert trainer.nets.mixer.mode == "sum"
-        qs = np.array([-1.0, -2.0, -3.0, -4.0, -5.0])
-        out, _ = trainer.nets.mixer.forward(qs, np.zeros(cfg.marl.omega_width))
-        assert out == pytest.approx(-15.0)
+        qs = np.array([[-1.0, -2.0, -3.0, -4.0, -5.0]])    # one slot
+        out, _ = trainer.nets.mixer.forward(qs, np.zeros((1, cfg.marl.omega_width)))
+        assert out[0] == pytest.approx(-15.0)
 
     def test_zero_epsilon_rollout_is_greedy_in_every_factor(self):
         cfg = default_config()
@@ -503,7 +509,7 @@ class TestTrainerMachinery:
             base, world=dataclasses.replace(base.world, slots_per_episode=4),
             run=dataclasses.replace(base.run, scheme=scheme))
         trainer = MarlTrainer(cfg)
-        if trainer.nets is not None and trainer.nets.learned_ports:
+        if trainer.nets.learned_ports:
             # spread the greedy ports beyond port 1
             rng = np.random.default_rng(8)
             for net in trainer.nets.local[1:]:
@@ -1060,11 +1066,12 @@ def _single_agent_nets(trainer):
     arrays = trainer.checkpoint_arrays()
     singles = []
     for k in range(1, 5):
-        net = LocalQNet(nets.passive_inputs, 25,
+        net = LocalQNet(nets.passive_inputs,
                         cfg.channel.n_ports if nets.learned_ports else 0,
-                        cfg.marl, np.random.default_rng(0),
-                        recurrent=nets.recurrent, name=f"local{k}",
-                        aod_slice=(3, 3 + cfg.channel.n_paths))
+                        (3, 3 + cfg.channel.n_paths), cfg.marl,
+                        np.random.default_rng(0),
+                        recurrent=nets.local[1].gru is not None,
+                        name=f"local{k}")
         net.load_values(arrays)
         singles.append(net)
     return singles
@@ -1184,3 +1191,26 @@ def test_checkpoint_round_trips_through_the_cli_loader(tmp_path):
         assert saved[key].tobytes() == back[key].tobytes(), key
     for live, tgt in zip(loaded.nets.params(), loaded.target_nets.params()):
         assert live.value.tobytes() == tgt.value.tobytes()
+
+
+@pytest.mark.parametrize("scheme", TRAINABLE)
+def test_checkpoint_with_an_extra_array_is_rejected(scheme):
+    cfg = micro_config()
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, scheme=scheme))
+    trainer = MarlTrainer(cfg)
+    arrays = dict(trainer.checkpoint_arrays())
+    trainer.load_checkpoint_arrays(arrays)          # its own arrays load
+    arrays["coord.att9.wq"] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="coord.att9.wq"):
+        trainer.load_checkpoint_arrays(arrays)
+
+
+def test_random_scheme_rejects_any_checkpoint_array():
+    cfg = micro_config()
+    trainer = MarlTrainer(dataclasses.replace(
+        cfg, run=dataclasses.replace(cfg.run, scheme="random")))
+    assert trainer.checkpoint_arrays() == {}
+    trainer.load_checkpoint_arrays({})
+    with pytest.raises(ValueError):
+        trainer.load_checkpoint_arrays(
+            MarlTrainer(cfg).checkpoint_arrays())   # an ar_marl checkpoint

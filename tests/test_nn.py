@@ -42,8 +42,8 @@ class TestLinearAndMLP:
     def test_mlp_gradient_matches_central_differences(self):
         rng = np.random.default_rng(3)
         mlp = MLP([4, 6, 3], rng)
-        x = rng.standard_normal(4)[None, None]
-        proj = rng.standard_normal(3)[None, None]
+        x = rng.standard_normal(4)[None, None, None]   # one agent, slot and row
+        proj = rng.standard_normal(3)[None, None, None]
 
         def forward_and_backward():
             y, cache = mlp.forward(x)
@@ -84,9 +84,10 @@ class TestLinearAndMLP:
         stacked = [p.grad.copy() for p in layer.params()]
         layer.zero_grads()
         for t in (reversed(range(30)) if reverse else range(30)):
-            y_t, c_t = layer.forward(x[:, t])
-            assert y_t.tobytes() == y[:, t].tobytes()
-            assert layer.backward(dy[:, t], c_t).tobytes() == dx[:, t].tobytes()
+            y_t, c_t = layer.forward(x[:, t:t + 1])
+            assert y_t.tobytes() == y[:, t:t + 1].tobytes()
+            assert (layer.backward(dy[:, t:t + 1], c_t).tobytes()
+                    == dx[:, t:t + 1].tobytes())
         for p, g in zip(layer.params(), stacked):
             assert p.grad.tobytes() == g.tobytes()
 
@@ -178,14 +179,21 @@ class TestGRU:
             assert hs[:, t].tobytes() == h.tobytes()
 
 
+def _all_rows(windows):
+    """The key mask that keeps every row of a (T, rows, n) stack."""
+    return np.ones(windows.shape[:2], dtype=bool)
+
+
 class TestAttention:
+    # one window is a one-window stack: a unit leading axis
+
     def test_identical_rows_give_uniform_weights(self):
         rng = np.random.default_rng(8)
         att = AttentionUnit(5, 3, rng)
         row = rng.standard_normal(5)
-        window = np.tile(row, (6, 1))
-        out, cache = att.forward(window)
-        probs = cache[4]
+        window = np.tile(row, (1, 6, 1))
+        out, cache = att.forward(window, _all_rows(window))
+        out, probs = out[0], cache[4][0]
         np.testing.assert_allclose(probs, np.full((6, 6), 1.0 / 6.0), atol=1e-12)
         np.testing.assert_allclose(out, np.tile(row @ att.wv.value, (6, 1)),
                                    atol=1e-12)
@@ -195,38 +203,39 @@ class TestAttention:
         att = AttentionUnit(2, 2, rng)
         att.wq.value[...] = np.eye(2) * 10.0
         att.wk.value[...] = np.eye(2) * 10.0
-        window = np.array([[5.0, 0.0], [0.1, 0.0], [0.05, 0.0]])
-        _, cache = att.forward(window)
-        probs = cache[4]
+        window = np.array([[[5.0, 0.0], [0.1, 0.0], [0.05, 0.0]]])
+        _, cache = att.forward(window, _all_rows(window))
+        probs = cache[4][0]
         assert probs[0, 0] > 0.99
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(10)
         att = AttentionUnit(4, 3, rng)
-        window = rng.standard_normal((7, 4))
-        _, cache = att.forward(window)
-        np.testing.assert_allclose(cache[4].sum(axis=1), np.ones(7), atol=1e-6)
+        window = rng.standard_normal((1, 7, 4))
+        _, cache = att.forward(window, _all_rows(window))
+        np.testing.assert_allclose(cache[4][0].sum(axis=1), np.ones(7), atol=1e-6)
 
     def test_mask_excludes_keys(self):
         rng = np.random.default_rng(11)
         att = AttentionUnit(3, 2, rng)
-        window = rng.standard_normal((5, 3))
-        mask = np.array([False, False, True, True, True])
+        window = rng.standard_normal((1, 5, 3))
+        mask = np.array([[False, False, True, True, True]])
         _, cache = att.forward(window, mask)
-        probs = cache[4]
+        probs = cache[4][0]
         assert np.all(probs[:, :2] < 1e-12)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(12)
         att = AttentionUnit(4, 3, rng)
-        window = rng.standard_normal((5, 4))
-        proj = rng.standard_normal((5, 3))
+        window = rng.standard_normal((5, 4))[None]
+        proj = rng.standard_normal((5, 3))[None]
+        mask = _all_rows(window)
 
         def loss():
-            return float(np.sum(att.forward(window)[0] * proj))
+            return float(np.sum(att.forward(window, mask)[0] * proj))
 
         att.zero_grads()
-        _, cache = att.forward(window)
+        _, cache = att.forward(window, mask)
         att.backward(proj, cache)
         assert finite_diff_check(loss, att.params(), eps=1e-6) < 1e-4
 
@@ -260,16 +269,17 @@ class TestAttention:
         stacked = [p.grad.copy() for p in att.params()]
         att.zero_grads()
         for t in range(5):
-            out_t, cache_t = att.forward(windows[t], mask[t])
-            assert out_t.tobytes() == out[t].tobytes()
-            assert att.backward(dout[t], cache_t).tobytes() == dwin[t].tobytes()
+            out_t, cache_t = att.forward(windows[t:t + 1], mask[t:t + 1])
+            assert out_t.tobytes() == out[t:t + 1].tobytes()
+            assert (att.backward(dout[t:t + 1], cache_t).tobytes()
+                    == dwin[t:t + 1].tobytes())
         for p, g in zip(att.params(), stacked):
             assert p.grad.tobytes() == g.tobytes()
 
     def test_empty_window_rejected(self):
         att = AttentionUnit(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            att.forward(np.zeros((0, 3)))
+            att.forward(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=bool))
 
 
 @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 2), (40, 1, 32),
@@ -386,14 +396,14 @@ class TestFiniteDiff:
         def forward(with_grads=False):
             e, c_mlp = mlp.forward(x[None, :, None, :])
             hs, c_gru = gru.forward(e, np.zeros((1, 1, 4)))
-            window = hs[0, :, 0]
-            out, c_att = att.forward(window)
-            pooled = out.mean(axis=0)
+            window = hs[:, :, 0]            # one window of four rows
+            out, c_att = att.forward(window, _all_rows(window))
+            pooled = out[0].mean(axis=0)
             if not with_grads:
                 return float(pooled @ proj)
-            dout = np.tile(proj / 4.0, (4, 1))
+            dout = np.tile(proj / 4.0, (1, 4, 1))
             dwindow = att.backward(dout, c_att)
-            de, _ = gru.backward(dwindow[None, :, None, :], c_gru)
+            de, _ = gru.backward(dwindow[:, :, None, :], c_gru)
             mlp.backward(de, c_mlp, reverse=True)
             return float(pooled @ proj)
 

@@ -142,7 +142,7 @@ def learner_digest() -> dict:
         cfg = dataclasses.replace(cfg, run=dataclasses.replace(
             cfg.run, seed=LEARNER_SEED, scheme=scheme))
         trainer = marl.MarlTrainer(cfg)
-        if trainer.nets is None:
+        if not trainer.trains:
             continue
         env = marl.PositioningEnv(cfg, trainer.env_rng)
         h = hashlib.sha256()
