@@ -134,10 +134,12 @@ def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig
 
 def evaluate_policy(checkpoint, episodes, seed, overrides=None,
                     port_menu=None) -> dict:
-    """Greedy rollouts from a checkpoint; summary statistics only."""
+    """Greedy rollouts from a checkpoint, episodes of them (None: the
+    checkpoint config's run.eval_episodes); summary statistics only."""
     cfg, trainer = load_trainer_from_checkpoint(checkpoint, overrides)
-    stats = marl.evaluate_rollouts(cfg, trainer, episodes, seed,
-                                   port_menu=port_menu)
+    stats = marl.evaluate_rollouts(
+        cfg, trainer, cfg.run.eval_episodes if episodes is None else episodes,
+        seed, port_menu=port_menu)
     stats["scheme"] = trainer.scheme
     return stats
 
@@ -291,7 +293,8 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("evaluate", help="greedy rollouts from a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--episodes", type=int, default=30)
+    p_eval.add_argument("--episodes", type=int, default=None,
+                        help="default: the checkpoint config's run.eval_episodes")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--override", action="append", default=[])
 

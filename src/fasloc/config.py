@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelParams
-from .world import TargetTrajectorySpec, TrajectoryMode, WorldConfig
+from .world import TargetTrajectorySpec, WorldConfig
 
 
 class ConfigError(ValueError):
@@ -50,6 +50,15 @@ class ScenarioConfig:
                              (548.0, 647.0, 400.0))
     bs_position: tuple = (0.0, 0.0, 20.0)
     latency_budget: float = 0.030        # s, per-uplink delivery deadline
+
+    def __post_init__(self):
+        for name in ("active_start", "bs_position"):
+            if len(getattr(self, name)) != 3:
+                raise ConfigError(f"{name} must have 3 coordinates")
+        if (len(self.passive_starts) != 4
+                or any(len(q) != 3 for q in self.passive_starts)):
+            raise ConfigError("passive_starts must hold 4 positions of "
+                              "3 coordinates each")
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,6 @@ SCHEME_TRAITS = {
     # (trains, learned_ports, recurrent, coordinator, mixer_mode)
     "ar_marl":        (True,  True,  True,  True,  "hyper"),
     "vd_marl":        (True,  True,  True,  False, "sum"),
-    "independent_q":  (True,  True,  True,  False, None),
     "no_fas":         (True,  False, True,  True,  "hyper"),
     "no_rnn":         (True,  True,  False, True,  "hyper"),
     "no_transformer": (True,  True,  True,  False, "hyper"),
@@ -145,8 +153,6 @@ _SECTIONS = {
 
 
 def _format_value(value) -> str:
-    if isinstance(value, TrajectoryMode):
-        return value.value
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -156,23 +162,25 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_value(text: str, default, section: str, key: str):
     text = text.strip()
     try:
-        if isinstance(default, TrajectoryMode):
-            return TrajectoryMode(text.lower())
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("must be finite")
-            return value
+            return _finite(text)
         if isinstance(default, tuple):
             if default and isinstance(default[0], tuple):
                 rows = [row.strip() for row in text.split(",") if row.strip()]
-                return tuple(tuple(float(x) for x in row.split()) for row in rows)
-            return tuple(float(x) for x in text.split())
+                return tuple(tuple(_finite(x) for x in row.split()) for row in rows)
+            return tuple(_finite(x) for x in text.split())
         return text
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None

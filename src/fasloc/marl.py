@@ -5,9 +5,9 @@ Q-network over their own observations.  A ground-station side attention
 block summarizes the joint recent history into a context vector, and a
 hypernetwork mixer folds the five chosen-action Q-values plus that
 context into one global Q-value trained against a sign-weighted TD
-loss.  Baselines strip individual pieces: plain-sum mixing, independent
-learners, random ports, feedforward-only locals, context-free mixing,
-and a uniform random policy.
+loss.  Baselines strip individual pieces: plain-sum mixing, random
+ports, feedforward-only locals, context-free mixing, and a uniform
+random policy.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def encode_prev_action(action: AgentAction | None, is_active: bool,
         return np.zeros(dim)
     enc = [(action.yaw_idx - 2) / 2.0, (action.pitch_idx - 2) / 2.0]
     if not is_active:
-        port = action.port if action.port is not None else 1
-        enc.append(2.0 * (port - 1) / max(n_ports - 1, 1) - 1.0)
+        enc.append(2.0 * (action.port - 1) / max(n_ports - 1, 1) - 1.0)
     return np.array(enc)
 
 
@@ -544,8 +543,7 @@ class PolicyNets(Module):
         self.row_dim = self.active_inputs + 4 * self.passive_inputs
         self.coordinator = (Coordinator(self.row_dim, mcfg, rng)
                             if trains and coord else None)
-        self.mixer = (Mixer(N_AGENTS, mcfg, rng, mode=mixer_mode)
-                      if trains and mixer_mode else None)
+        self.mixer = Mixer(N_AGENTS, mcfg, rng, mode=mixer_mode) if trains else None
         self.omega_width = mcfg.omega_width
 
     def local_agents(self):
@@ -720,7 +718,6 @@ class PositioningEnv:
 class EpisodeData:
     net_inputs: list = field(default_factory=list)    # [t][k] -> np.ndarray
     action_ids: list = field(default_factory=list)    # [t][k] -> int
-    actions: list = field(default_factory=list)       # [t][k] -> AgentAction
     window_rows: list = field(default_factory=list)   # [t] -> (T, row_dim)
     rewards_raw: list = field(default_factory=list)
     rewards_train: list = field(default_factory=list)
@@ -765,20 +762,6 @@ class TrainingLog:
             }, sort_keys=True))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "TrainingLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = json.loads(lines[0])
-        log = cls(scheme=head["scheme"], seed=head["seed"])
-        prev_epoch = -1
-        for ln in lines[1:]:
-            d = json.loads(ln)
-            if d["epoch"] <= prev_epoch:
-                raise ValueError("epoch indices must increase")
-            prev_epoch = d["epoch"]
-            log.records.append(EpochRecord(**d))
-        return log
-
 
 # ---------------------------------------------------------------------------
 # trainer
@@ -804,7 +787,6 @@ class MarlTrainer:
         self.target_nets = PolicyNets(cfg, self.scheme, self.init_rng)
         self.target_nets.copy_from(self.nets)
         self.updates = 0
-        self.inter_agent_messages = 0
         self.n_ports = cfg.channel.n_ports
         # process time run() has spent playing episodes and learning, and
         # that every rollout has spent in PositioningEnv.step and every
@@ -946,7 +928,6 @@ class MarlTrainer:
 
             ep.net_inputs.append(inputs)
             ep.action_ids.append(ids)
-            ep.actions.append(acts)
             ep.window_rows.append(row)
             ep.rewards_raw.append(info["reward"])
             train_reward = max(info["reward"], -m.penalty_clip) / m.reward_scale
@@ -982,20 +963,15 @@ class MarlTrainer:
         return q_total, (c_coord, c_mix)
 
     def td_targets(self, episode: EpisodeData) -> np.ndarray:
-        """Bootstrapped TD targets, one row per slot, from the target
-        networks at per-agent greedy actions.  One column for the mixed
-        global Q; one per agent for independent learners, which bootstrap
-        from their own greedy values."""
+        """Bootstrapped TD targets (T,) for the mixed global Q: the target
+        networks' mixed value at per-agent greedy actions."""
         started = time.process_time()
         tnets = self.target_nets
-        boot = _team_columns([q.max(axis=-1)
-                              for q, _ in self._replay(tnets, episode)])
-        if tnets.mixer is not None:
-            boot = self._mix(tnets, boot, self._windows(episode))[0][:, None]
-        rewards = np.asarray(episode.rewards_train)
-        targets = np.column_stack([
-            build_td_targets(rewards, boot[1:, j], self.cfg.marl.discount)
-            for j in range(boot.shape[1])])
+        greedy = _team_columns([q.max(axis=-1)
+                                for q, _ in self._replay(tnets, episode)])
+        boot = self._mix(tnets, greedy, self._windows(episode))[0]
+        targets = build_td_targets(np.asarray(episode.rewards_train), boot[1:],
+                                   self.cfg.marl.discount)
         self.target_s += time.process_time() - started
         return targets
 
@@ -1006,9 +982,8 @@ class MarlTrainer:
         The live nets run once over the whole episode: the local nets over
         their recorded inputs, the coordinator over every history window,
         the mixer over every slot.  The TD loss compares the mixed global Q
-        of the chosen actions with targets (td_targets); independent
-        learners have one TD column per agent.  weights are the TD-sign
-        weights (computed here when None).  With backward, gradients
+        of the chosen actions with targets (td_targets).  weights are the
+        TD-sign weights (computed here when None).  With backward, gradients
         accumulate into every parameter: the TD gradient through the
         mixer, the coordinator and each local net (backprop through time),
         except that each port head receives the gradient of its
@@ -1021,27 +996,15 @@ class MarlTrainer:
         # each local net's (A, T, 1) chosen action ids
         chosen = [ids[:, agents].T[..., None] for _, agents in nets.local_agents()]
         replay = self._replay(nets, episode)
-        q_td = q_chosen = _team_columns([
-            np.take_along_axis(q, a, axis=-1)[..., 0]
-            for (q, _), a in zip(replay, chosen)])
-        if nets.mixer is not None:
-            q_mix, (c_coord, c_mix) = self._mix(nets, q_chosen,
-                                                self._windows(episode))
-            q_td = q_mix[:, None]
-            self.inter_agent_messages += T * N_AGENTS * (
-                2 if nets.coordinator is not None else 1)
-        td_loss, cols = 0.0, []
-        for j in range(q_td.shape[1]):
-            loss_j, w_j = weighted_td_loss(
-                q_td[:, j], targets[:, j], self.cfg.marl.delta,
-                None if weights is None else weights[:, j])
-            td_loss += loss_j
-            cols.append(w_j)
-        weights = np.column_stack(cols)
+        q_chosen = _team_columns([np.take_along_axis(q, a, axis=-1)[..., 0]
+                                  for (q, _), a in zip(replay, chosen)])
+        q_mix, (c_coord, c_mix) = self._mix(nets, q_chosen, self._windows(episode))
+        td_loss, weights = weighted_td_loss(q_mix, targets, self.cfg.marl.delta,
+                                            weights)
         if not math.isfinite(td_loss):
             raise TrainingDiverged(
                 "TD loss is not finite",
-                {"loss": td_loss, "q": q_td.tolist(),
+                {"loss": td_loss, "q": q_mix.tolist(),
                  "targets": targets.tolist()})
         # each port head's targets: per agent and slot, the chosen port's
         # index (decode_action's port - 1) and the agent's credit for it
@@ -1059,11 +1022,9 @@ class MarlTrainer:
         if not backward:
             return td_loss, port_loss, weights
 
-        dq = 2.0 * weights * (q_td - targets)
-        if nets.mixer is not None:
-            dq, domega = nets.mixer.backward(dq[:, 0], c_mix)
-            if nets.coordinator is not None:
-                nets.coordinator.backward(domega, c_coord)
+        dq, domega = nets.mixer.backward(2.0 * weights * (q_mix - targets), c_mix)
+        if nets.coordinator is not None:
+            nets.coordinator.backward(domega, c_coord)
         for (net, agents), (_, cache), a, fit in zip(nets.local_agents(), replay,
                                                      chosen, fits):
             dq_full = np.zeros(a.shape[:2] + (net.n_actions,))

@@ -2,13 +2,12 @@
 
 Controlled UAVs fly at constant speed; a slot action fixes the yaw and
 pitch for that slot and the position integrates one straight segment.
-The target follows one of three canned trajectory families, optionally
+The target follows a C-line, a large arc in a tilted plane, optionally
 disturbed by random 90-degree turns.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -48,15 +47,8 @@ class WorldConfig:
             raise WorldError("slots_per_episode must be at least 1")
 
 
-class TrajectoryMode(enum.Enum):
-    C_LINE = "cline"
-    UNIFORM_CIRCLE = "uniform_circle"
-    S_LINE = "sline"
-
-
 @dataclass(frozen=True)
 class TargetTrajectorySpec:
-    mode: TrajectoryMode = TrajectoryMode.C_LINE
     speed: float = 5.0            # m/s
     uncertainty: float = 0.0      # total probability of a 90-degree turn per slot
     start: tuple = (445.0, 615.0, 533.0)
@@ -66,16 +58,14 @@ class TargetTrajectorySpec:
             raise WorldError("uncertainty must lie in [0, 1]")
         if self.speed < 0:
             raise WorldError("speed must be nonnegative")
+        if len(self.start) != 3:
+            raise WorldError("start must have 3 coordinates")
 
 
-# Fixed trajectory-family geometry; chosen so all three families stay well
-# inside dist_max at the configured speeds.
+# Fixed C-line geometry; chosen so the path stays well inside dist_max at
+# the configured speeds.
 C_LINE_RADIUS = 400.0          # m, large smooth arc
 C_LINE_TILT = math.radians(10.0)
-HELIX_RADIUS = 200.0           # m
-HELIX_CLIMB_RATE = 1.0         # m/s vertical
-S_LINE_AMPLITUDE = math.radians(60.0)
-S_LINE_PERIOD = 10.0           # slots
 
 
 def heading_vector(yaw: float, pitch: float) -> Vec3:
@@ -111,38 +101,17 @@ class TargetTrajectory:
         self.spec = spec
         self.dt = slot_duration
         self.position = np.array(spec.start, dtype=float)
-        self.slot = 0
-        self._phase = 0.0  # arc parameter for the circular families
+        self._phase = 0.0  # arc parameter of the C-line
 
     def _nominal_heading(self) -> tuple[float, float]:
-        mode, v = self.spec.mode, self.spec.speed
-        if mode is TrajectoryMode.C_LINE:
-            # tangent of a radius-R circle in a plane tilted about the x axis
-            s = self._phase
-            e1 = np.array([1.0, 0.0, 0.0])
-            e2 = np.array([0.0, math.cos(C_LINE_TILT), math.sin(C_LINE_TILT)])
-            tangent = -math.sin(s) * e1 + math.cos(s) * e2
-            yaw = math.atan2(tangent[1], tangent[0])
-            pitch = math.asin(max(-1.0, min(1.0, tangent[2])))
-            return yaw, pitch
-        if mode is TrajectoryMode.UNIFORM_CIRCLE:
-            # fixed-pitch helix: vertical rate HELIX_CLIMB_RATE, arc speed v
-            h = math.sqrt(max(v * v - HELIX_CLIMB_RATE ** 2, 0.0))
-            s = self._phase
-            yaw = math.atan2(math.cos(s), -math.sin(s))
-            pitch = math.atan2(HELIX_CLIMB_RATE, h) if h > 0 else math.pi / 2
-            return yaw, pitch
-        # S_LINE: sinusoidal yaw, level flight
-        yaw = S_LINE_AMPLITUDE * math.sin(2.0 * math.pi * self.slot / S_LINE_PERIOD)
-        return yaw, 0.0
-
-    def _advance_phase(self):
-        v = self.spec.speed
-        if self.spec.mode is TrajectoryMode.C_LINE:
-            self._phase += v * self.dt / C_LINE_RADIUS
-        elif self.spec.mode is TrajectoryMode.UNIFORM_CIRCLE:
-            h = math.sqrt(max(v * v - HELIX_CLIMB_RATE ** 2, 0.0))
-            self._phase += h * self.dt / HELIX_RADIUS
+        # tangent of a radius-R circle in a plane tilted about the x axis
+        s = self._phase
+        e1 = np.array([1.0, 0.0, 0.0])
+        e2 = np.array([0.0, math.cos(C_LINE_TILT), math.sin(C_LINE_TILT)])
+        tangent = -math.sin(s) * e1 + math.cos(s) * e2
+        yaw = math.atan2(tangent[1], tangent[0])
+        pitch = math.asin(max(-1.0, min(1.0, tangent[2])))
+        return yaw, pitch
 
     def step(self, rng: np.random.Generator) -> Vec3:
         """Advance one slot and return the new position."""
@@ -155,8 +124,7 @@ class TargetTrajectory:
             elif roll < u:
                 yaw -= math.pi / 2.0
         self.position = self.position + self.spec.speed * self.dt * heading_vector(yaw, pitch)
-        self._advance_phase()
-        self.slot += 1
+        self._phase += self.spec.speed * self.dt / C_LINE_RADIUS
         return self.position.copy()
 
 

@@ -47,7 +47,8 @@ class TestConfig:
                 ("scenario", "latency_budget = 0.03", "channel_coherence"),
                 ("scenario", "latency_budget = 0.03", "initial_heading"),
                 ("marl", "delta = 0.5", "monotone_mixing"),
-                ("marl", "delta = 0.5", "mixing_weight_floor")):
+                ("marl", "delta = 0.5", "mixing_weight_floor"),
+                ("target", "speed = 5.0", "mode")):
             text = f"[{section}]\n{known}\n{key} = 9\n"
             with pytest.raises(ConfigError) as err:
                 from_ini(text)
@@ -76,6 +77,13 @@ class TestConfig:
         "marl.eps_start=2",
         "marl.eps_end=-0.5",
         "run.eval_episodes=0",
+        # positions of the wrong shape or with a non-finite coordinate
+        "scenario.passive_starts=1 2 3, 4 5 6, 7 8 9",
+        "scenario.active_start=1 2",
+        "scenario.bs_position=0 0",
+        "target.start=1 2",
+        "scenario.active_start=nan 300 300",
+        "target.start=inf 615 533",
     ])
     def test_out_of_range_value_rejected_at_load(self, override):
         with pytest.raises(ConfigError) as err:
@@ -234,6 +242,15 @@ class TestEvaluateVerb:
         assert rc == 0
         stats = json.loads(capsys.readouterr().out)
         assert "mean_error" in stats
+
+    def test_episodes_default_to_the_checkpoint_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.eval_episodes=2"],
+                                  str(out), seed=4) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint",
+                         str(out / "checkpoint.npz")]) == 0
+        assert json.loads(capsys.readouterr().out)["episodes"] == 2
 
 
 class TestSweepVerb:

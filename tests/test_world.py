@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fasloc.world import (ConstraintReport, TargetTrajectory,
-                          TargetTrajectorySpec, TrajectoryMode, WorldConfig,
+                          TargetTrajectorySpec, WorldConfig,
                           WorldError, check_constraints,
                           heading_vector, step_controlled)
 
@@ -54,8 +54,7 @@ class TestStepControlled:
 
 class TestTargetTrajectory:
     def test_deterministic_given_seed(self):
-        spec = TargetTrajectorySpec(mode=TrajectoryMode.C_LINE, speed=5.0,
-                                    uncertainty=0.3)
+        spec = TargetTrajectorySpec(speed=5.0, uncertainty=0.3)
         paths = []
         for _ in range(2):
             rng = np.random.default_rng(42)
@@ -63,22 +62,20 @@ class TestTargetTrajectory:
             paths.append(np.array([traj.step(rng) for _ in range(50)]))
         np.testing.assert_array_equal(paths[0], paths[1])
 
-    def test_helix_advances_by_arc_length_with_unit_climb(self):
-        spec = TargetTrajectorySpec(mode=TrajectoryMode.UNIFORM_CIRCLE, speed=5.0,
-                                    uncertainty=0.0)
-        traj = TargetTrajectory(spec)
-        rng = np.random.default_rng(0)
-        prev = traj.position.copy()
-        for _ in range(30):
-            cur = traj.step(rng)
-            step = cur - prev
-            assert np.linalg.norm(step) == pytest.approx(5.0, rel=1e-12)
-            assert step[2] == pytest.approx(1.0, rel=1e-9)
-            prev = cur
+    def test_cline_advances_by_speed_times_dt(self):
+        # with and without turns: a turn rotates the heading, not its length
+        for uncertainty in (0.0, 0.5):
+            spec = TargetTrajectorySpec(speed=7.0, uncertainty=uncertainty)
+            traj = TargetTrajectory(spec, slot_duration=0.5)
+            rng = np.random.default_rng(0)
+            prev = traj.position.copy()
+            for _ in range(60):
+                cur = traj.step(rng)
+                assert np.linalg.norm(cur - prev) == pytest.approx(3.5, rel=1e-12)
+                prev = cur
 
     def test_turn_frequency_matches_uncertainty(self):
-        spec = TargetTrajectorySpec(mode=TrajectoryMode.C_LINE, speed=5.0,
-                                    uncertainty=0.2)
+        spec = TargetTrajectorySpec(speed=5.0, uncertainty=0.2)
         traj = TargetTrajectory(spec)
         rng = np.random.default_rng(7)
         turns = 0
@@ -93,22 +90,6 @@ class TestTargetTrajectory:
             if dyaw > math.pi / 4:
                 turns += 1
         assert turns / steps == pytest.approx(0.2, abs=0.01)
-
-    def test_sline_heading_oscillates(self):
-        spec = TargetTrajectorySpec(mode=TrajectoryMode.S_LINE, speed=15.0,
-                                    uncertainty=0.0)
-        traj = TargetTrajectory(spec)
-        rng = np.random.default_rng(0)
-        prev = traj.position.copy()
-        yaws = []
-        for _ in range(40):
-            cur = traj.step(rng)
-            d = cur - prev
-            yaws.append(math.atan2(d[1], d[0]))
-            prev = cur
-        signs = np.sign([y for y in yaws if abs(y) > 1e-6])
-        flips = np.sum(np.diff(signs) != 0)
-        assert flips >= 6  # sign alternates every half period of 10 slots
 
     def test_uncertainty_validation(self):
         with pytest.raises(WorldError):

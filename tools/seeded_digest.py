@@ -45,11 +45,10 @@ import json
 import numpy as np
 
 from fasloc import cli, marl
-from fasloc.config import default_config
+from fasloc.config import SCHEME_TRAITS, default_config
 from fasloc.positioning import estimate_position
 
-SCHEMES = ("ar_marl", "vd_marl", "independent_q", "no_fas", "no_rnn",
-           "no_transformer", "random")
+SCHEMES = tuple(SCHEME_TRAITS)
 EVALUATED = ("ar_marl", "no_fas")
 EVAL_EPISODES = 10
 EVAL_SEED = 8000
