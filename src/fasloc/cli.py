@@ -22,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
 import math
 import os
 import sys
@@ -34,15 +33,7 @@ from . import analysis, marl, nn
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      from_ini, load_config, to_ini)
 
-log = logging.getLogger("fasloc")
-
 SWEEP_AXES = ("target_speed", "uncertainty", "port_count")
-
-
-def _setup_logging():
-    level = os.environ.get("FASLOC_LOG", "INFO").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _write_summary_csv(path, rows, header):
@@ -117,8 +108,6 @@ def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> i
                    "env_s": trainer.env_s, "learn_s": trainer.learn_s,
                    "target_s": trainer.target_s, "numpy": np.__version__}, fh)
 
-    log.info("run complete: scheme=%s seed=%d final20 error=%.3f m (%.1f s)",
-             training_log.scheme, cfg.run.seed, final_err, elapsed)
     print(f"{training_log.scheme} seed={cfg.run.seed} "
           f"final20_mean_error={final_err:.4f}")
     return 0
@@ -200,8 +189,8 @@ def sweep(config_path, overrides, axis, values, out_dir, seeds=None,
                 cell.update(stats)
             except Exception as exc:  # keep sweeping, record the failure
                 cell["error"] = f"{type(exc).__name__}: {exc}"
-                log.warning("sweep cell failed (%s=%s seed=%d): %s",
-                            axis, value, seed, exc)
+                print(f"sweep cell failed ({axis}={value} seed={seed}): "
+                      f"{cell['error']}", file=sys.stderr)
             rows.append(cell)
 
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
@@ -278,7 +267,6 @@ def _parse_values(text: str):
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = argparse.ArgumentParser(prog="fasloc",
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -24,8 +24,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class PositioningConfig:
     variance_scale: float = 1e-3   # multiplies 1/SNR into the range variance
-    solver_tol: float = 1e-9
-    solver_max_iter: int = 100
     min_usable: int = 3            # fixes need at least this many fresh ranges
     innovation_gate: float = 150.0  # m; fixes jumping further than this from
                                     # the running estimate are rejected, with

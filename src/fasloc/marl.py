@@ -29,6 +29,7 @@ from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
 PENALTY_REWARD = -1.0e6
 ANGLE_CHOICES = np.deg2rad([-60.0, -30.0, 0.0, 30.0, 60.0])
 N_ANGLE = len(ANGLE_CHOICES)
+N_STEER = N_ANGLE * N_ANGLE     # the (yaw, pitch) steering combos
 N_AGENTS = 5
 POSITION_SCALE = 1e-3
 RANGE_SCALE = 1e-3
@@ -58,37 +59,17 @@ class AgentAction:
     def pitch(self) -> float:
         return float(ANGLE_CHOICES[self.pitch_idx])
 
-
-def active_action_count() -> int:
-    return N_ANGLE * N_ANGLE
-
-
-def passive_action_count(n_ports: int) -> int:
-    return N_ANGLE * N_ANGLE * n_ports
+    @property
+    def steer(self) -> int:
+        """The steering combo: an index into a local net's N_STEER
+        steering Q-values."""
+        return self.yaw_idx * N_ANGLE + self.pitch_idx
 
 
-def decode_action(index: int, n_ports: int | None) -> AgentAction:
-    """Flat action id -> (yaw level, pitch level[, port])."""
-    if n_ports is None:
-        yaw, pitch = divmod(int(index), N_ANGLE)
-        return AgentAction(yaw, pitch, None)
-    rest, port0 = divmod(int(index), n_ports)
-    yaw, pitch = divmod(rest, N_ANGLE)
-    return AgentAction(yaw, pitch, port0 + 1)
-
-
-def encode_action(action: AgentAction, n_ports: int | None) -> int:
-    if n_ports is None:
-        return action.yaw_idx * N_ANGLE + action.pitch_idx
-    return ((action.yaw_idx * N_ANGLE + action.pitch_idx) * n_ports
-            + (action.port - 1))
-
-
-def port_menu_mask(n_ports: int, menu) -> np.ndarray:
-    """Boolean mask over passive action ids whose port is in menu."""
-    # decode_action's port of every id
-    ports = np.arange(passive_action_count(n_ports)) % n_ports + 1
-    return np.isin(ports, [int(p) for p in menu])
+def steering_action(steer: int, port: int | None = None) -> AgentAction:
+    """The action of steering combo steer (AgentAction.steer) and port."""
+    yaw, pitch = divmod(int(steer), N_ANGLE)
+    return AgentAction(yaw, pitch, port)
 
 
 def build_observation(agent: int, positions: np.ndarray, aod: np.ndarray,
@@ -156,19 +137,13 @@ def slot_port_credit(late: np.ndarray, report: wd.ConstraintReport,
 
 
 def select_action(q_values: np.ndarray, epsilon: float,
-                  rng: np.random.Generator,
-                  allowed: np.ndarray | None = None) -> int:
+                  rng: np.random.Generator) -> int:
     """Epsilon-greedy over a Q-vector; ties break to the lowest index."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if allowed is None:
-        if epsilon > 0.0 and rng.uniform() < epsilon:
-            return int(rng.integers(0, len(q_values)))
-        return int(np.argmax(q_values))
-    idx = np.flatnonzero(allowed)
     if epsilon > 0.0 and rng.uniform() < epsilon:
-        return int(idx[rng.integers(0, len(idx))])
-    return int(idx[np.argmax(q_values[idx])])
+        return int(rng.integers(0, len(q_values)))
+    return int(np.argmax(q_values))
 
 
 def build_td_targets(rewards: np.ndarray, next_values: np.ndarray,
@@ -212,13 +187,14 @@ def weighted_td_loss(q_global: np.ndarray, q_target: np.ndarray,
 class LocalQNet(Module):
     """Observation embed -> GRU -> additive heads over the action factors.
 
-    The exposed Q-vector covers the full discrete action space.  For a
-    passive UAV that space factors into (steering combo, port) and the
-    value decomposes additively: one dense head scores the 25 steering
-    combos, a second scores the N ports, and q[a] is their sum.  Steering
-    affects future geometry while the port decides this slot's uplink, so
-    the additive form is the natural inductive bias and every slot trains
-    all of both heads' outputs instead of one cell of a 25*N table.
+    An action is a steering combo plus, for a passive UAV, a port, and
+    the net scores the two factors separately (action branching): it
+    returns (q, port), the N_STEER steering Q-values and the N centered
+    port advantages (None for a net without a port head), and action
+    (s, p) is worth q[s] + port[p - 1].  Steering affects future geometry
+    while the port decides this slot's uplink, so the additive form is
+    the natural inductive bias and every slot trains all of both heads'
+    outputs instead of one cell of a 25*N table.
 
     The decomposition is dueling-style.  A scalar state-value output
     carries the level of the Q function and receives the full TD gradient
@@ -244,9 +220,7 @@ class LocalQNet(Module):
 
     def __init__(self, n_in: int, n_ports: int, aod_slice: tuple, cfg, rng,
                  recurrent=True, name="local"):
-        self.n_angle = active_action_count()   # the steering combos
-        self.n_ports = n_ports            # 0 -> steering-only action space
-        self.n_actions = self.n_angle * max(n_ports, 1)
+        # n_ports 0 -> no port head: steering-only actions
         self.aod_slice = aod_slice   # (lo, hi) of the input's departure angles
         self.embed = Linear(n_in, cfg.embed_width, rng, f"{name}.embed")
         self.gru = GRUCell(cfg.embed_width, cfg.gru_hidden, rng, f"{name}.gru") \
@@ -255,7 +229,7 @@ class LocalQNet(Module):
         self.value_head = Linear(head_in, 1, rng, f"{name}.value")
         self.value_head.w.value[...] = 0.0
         self.value_head.b.value[...] = 0.0
-        self.angle_head = MLP([head_in, cfg.mlp_hidden, self.n_angle], rng,
+        self.angle_head = MLP([head_in, cfg.mlp_hidden, N_STEER], rng,
                               f"{name}.angle")
         # the port pathway owns its embedding and reads only the departure
         # angles, as their cosines: the port response depends on the angles
@@ -290,24 +264,25 @@ class LocalQNet(Module):
         return np.maximum(e_pre, 0.0), e_pre > 0.0, c_embed
 
     def _heads(self, trunk, x):
-        """Q-values from the trunk features and the raw input, for one
-        slot or a stack of them, and the heads' caches."""
+        """The steering Q-values and port advantages (q, port) from the
+        trunk features and the raw input, for one slot or a stack of
+        them, and the heads' caches."""
         value, c_value = self.value_head.forward(trunk)
         adv_angle, c_angle = self.angle_head.forward(trunk)
         q = value + (adv_angle - adv_angle.mean(axis=-1, keepdims=True))
-        port_raw = c_port = None
+        port = port_raw = c_port = None
         if self.port_head is not None:
             lo, hi = self.aod_slice
             port_raw, c_port = self.port_head.forward(
                 np.cos(math.pi * x[..., lo:hi]))
             port = port_raw - port_raw.mean(axis=-1, keepdims=True)
-            q = (q[..., :, None] + port[..., None, :]).reshape(q.shape[:-1] + (-1,))
-        return q, (c_value, c_angle, c_port, port_raw)
+        return (q, port), (c_value, c_angle, c_port, port_raw)
 
     def step(self, x: np.ndarray, h: np.ndarray):
-        """One slot's (A, 1, n_actions) Q-values and (A, 1, hidden) next
+        """One slot's (q, port), (A, 1, N_STEER) steering Q-values and
+        (A, 1, n_ports) port advantages or None, and (A, 1, hidden) next
         recurrent states from the agents' (A, 1, n_in) inputs and states,
-        for acting; no cache is kept.  forward gives the same Q-values bit
+        for acting; no cache is kept.  forward gives the same values bit
         for bit."""
         trunk, _, _ = self._embed(x)
         if self.gru is not None:
@@ -316,23 +291,25 @@ class LocalQNet(Module):
         return self._heads(trunk, x)[0], h
 
     def forward(self, xs: np.ndarray):
-        """Q-values (A, T, n_actions) of the agents' (A, T, n_in) input
-        sequences from the initial recurrent states, and the cache for
-        backward.  Each (agent, slot) is a one-row block of the (A, T, 1, ·)
-        stacks the layers see."""
+        """(q, port), the steering Q-values (A, T, N_STEER) and the port
+        advantages (A, T, n_ports) or None, of the agents' (A, T, n_in)
+        input sequences from the initial recurrent states, and the cache
+        for backward.  Each (agent, slot) is a one-row block of the
+        (A, T, 1, ·) stacks the layers see."""
         xs = np.asarray(xs, float)[:, :, None, :]
         trunk, mask, c_embed = self._embed(xs)
         c_gru = None
         if self.gru is not None:
             trunk, c_gru = self.gru.forward(trunk, self.initial_state())
-        q, c_heads = self._heads(trunk, xs)
-        return q[:, :, 0], (c_embed, mask, c_gru, c_heads)
+        (q, port), c_heads = self._heads(trunk, xs)
+        port = None if port is None else port[:, :, 0]
+        return (q[:, :, 0], port), (c_embed, mask, c_gru, c_heads)
 
     def backward(self, dq: np.ndarray, cache, port_fit=None):
-        """Backprop through time of the loss gradient dq (A, T, n_actions)
-        on forward's Q-values, except into the port head: a net with one
-        needs port_fit = (ports, targets), an (A, T) port index and target
-        per agent and slot.
+        """Backprop through time of the loss gradient dq (A, T, N_STEER)
+        on forward's steering Q-values, and into the port head: a net with
+        one needs port_fit = (ports, targets), an (A, T) port index and
+        target per agent and slot.
 
         The port head receives the gradient of (raw_score[port] - target)^2
         on its uncentered output and nothing from dq: the trainer fits it
@@ -342,10 +319,8 @@ class LocalQNet(Module):
         order in which BPTT reaches them.
         """
         c_embed, mask, c_gru, (c_value, c_angle, c_port, port_raw) = cache
-        dq = dq[:, :, None, :]
+        dangle = dq[:, :, None, :]
         if self.port_head is not None:
-            dq_grid = dq.reshape(dq.shape[:-1] + (self.n_angle, self.n_ports))
-            dangle = dq_grid.sum(axis=-1)
             ports, targets = port_fit
             agents, slots = np.indices(ports.shape)
             dport = np.zeros_like(port_raw)
@@ -353,8 +328,6 @@ class LocalQNet(Module):
                 port_raw[agents, slots, 0, ports] - targets)
             # reaches only its own stack
             self.port_head.backward(dport, c_port, reverse=True)
-        else:
-            dangle = dq
         dvalue = dangle.sum(axis=-1, keepdims=True)        # dense value gradient
         dangle = dangle - dangle.mean(axis=-1, keepdims=True)  # centering Jacobian
         dhid = self.angle_head.backward(dangle, c_angle, reverse=True)
@@ -631,6 +604,10 @@ class PositioningEnv:
         cfg = self.cfg
         wcfg = cfg.world
         params = cfg.channel
+        ports = [a.port for a in actions[1:]]
+        if None in ports:
+            raise ch.ChannelError(f"passive UAV {ports.index(None) + 1} "
+                                  f"chose no port")
 
         for k, act in enumerate(actions):
             yaw = self.headings[k, 0] + act.yaw
@@ -641,9 +618,6 @@ class PositioningEnv:
             self.positions[k] = wd.step_controlled(self.positions[k], yaw,
                                                    pitch, wcfg)
         target = self.traj.step(self.rng)
-
-        ports = np.array([a.port if a.port is not None else 1
-                          for a in actions[1:]], dtype=int)
 
         # bistatic range measurements at the new geometry
         measurements = []
@@ -674,9 +648,7 @@ class PositioningEnv:
         if not stale:
             fit = pos.estimate_position(
                 [m for m, _ in usable], self.positions[0],
-                np.array([p for _, p in usable]), self.estimate,
-                step_tol=cfg.positioning.solver_tol,
-                max_iter=cfg.positioning.solver_max_iter)
+                np.array([p for _, p in usable]), self.estimate)
             gate = cfg.positioning.innovation_gate
             if gate > 0.0:
                 jump = float(np.linalg.norm(fit.position - self.estimate))
@@ -717,7 +689,7 @@ class PositioningEnv:
 @dataclass
 class EpisodeData:
     net_inputs: list = field(default_factory=list)    # [t][k] -> np.ndarray
-    action_ids: list = field(default_factory=list)    # [t][k] -> int
+    actions: list = field(default_factory=list)       # [t][k] -> AgentAction
     window_rows: list = field(default_factory=list)   # [t] -> (T, row_dim)
     rewards_raw: list = field(default_factory=list)
     rewards_train: list = field(default_factory=list)
@@ -827,55 +799,52 @@ class MarlTrainer:
         index = np.arange(len(rows))[:, None] + np.arange(t_h)
         return padded[index], index >= t_h - 1
 
-    def act(self, qs, epsilon: float, port_eps: float,
-            rng: np.random.Generator, ports: np.ndarray,
-            allowed: np.ndarray):
-        """The team's action ids (indices into each agent's Q-vector) and
-        actions for one slot.
+    def act(self, values, epsilon: float, port_eps: float,
+            rng: np.random.Generator, ports: np.ndarray) -> list[AgentAction]:
+        """The team's actions for one slot from each agent's (q, port), its
+        local net's steering Q-values and port advantages (port None
+        without a port head).
 
-        ports are the selectable ports; allowed masks the passive action
-        ids that use them.  The random scheme draws one flat action id per
-        agent.  Otherwise the active UAV is epsilon-greedy over steering,
-        and so are passive UAVs without learned ports, which take uniform
-        ports drawn for all four at the start of the slot.  With learned
-        ports each factor draws its own exploration coin, the port's with
-        port_eps: a flat epsilon-greedy over the product space stops
-        producing counterfactual port data the moment the policy goes
-        greedy, and the port ranking then freezes at whatever the anneal
-        phase reached.
+        ports are the selectable ports, in ascending order.  The random
+        scheme draws each agent's action uniformly: one draw over the
+        steering combos for the active UAV, and one over the steering
+        combos times ports for each passive UAV.  Otherwise the active UAV
+        is epsilon-greedy over steering, and so are passive UAVs without
+        learned ports, which take uniform ports drawn for all four at the
+        start of the slot.  With learned ports the greedy action is the
+        first maximum of q and the selectable port with the first maximum
+        advantage, and each factor draws its own exploration coin, the
+        port's with port_eps: a single epsilon-greedy over the joint
+        actions stops producing counterfactual port data the moment the
+        policy goes greedy, and the port ranking then freezes at whatever
+        the anneal phase reached.
         """
-        n = self.n_ports
         if not self.trains:
-            ids = [int(rng.integers(active_action_count()))]
-            choices = np.flatnonzero(allowed)
-            ids += [int(choices[rng.integers(len(choices))]) for _ in range(4)]
-            return ids, [decode_action(a, n if k else None)
-                         for k, a in enumerate(ids)]
+            acts = [steering_action(rng.integers(N_STEER))]
+            for _ in range(4):
+                steer, i = divmod(int(rng.integers(N_STEER * len(ports))),
+                                  len(ports))
+                acts.append(steering_action(steer, int(ports[i])))
+            return acts
         learned_ports = self.nets.learned_ports
         slot_ports = (None if learned_ports
                       else ports[rng.integers(len(ports), size=4)])
-        ids, acts = [], []
-        for k, q in enumerate(qs):
+        acts = []
+        for k, (q, port_adv) in enumerate(values):
             if k == 0 or not learned_ports:
-                a_id = select_action(q, epsilon, rng)
-                action = decode_action(a_id, None)
-                if k:
-                    action = AgentAction(action.yaw_idx, action.pitch_idx,
-                                         int(slot_ports[k - 1]))
+                action = steering_action(select_action(q, epsilon, rng),
+                                         int(slot_ports[k - 1]) if k else None)
             else:
-                greedy = decode_action(select_action(q, 0.0, rng, allowed), n)
-                yaw, pitch = greedy.yaw_idx, greedy.pitch_idx
+                steer = int(np.argmax(q))
                 if epsilon > 0.0 and rng.uniform() < epsilon:
                     yaw = int(rng.integers(N_ANGLE))
-                    pitch = int(rng.integers(N_ANGLE))
-                port = greedy.port
+                    steer = yaw * N_ANGLE + int(rng.integers(N_ANGLE))
+                port = int(ports[np.argmax(port_adv[ports - 1])])
                 if port_eps > 0.0 and rng.uniform() < port_eps:
                     port = int(ports[rng.integers(len(ports))])
-                action = AgentAction(yaw, pitch, port)
-                a_id = encode_action(action, n)
-            ids.append(a_id)
+                action = steering_action(steer, port)
             acts.append(action)
-        return ids, acts
+        return acts
 
     # -- rollout --------------------------------------------------------------
 
@@ -887,18 +856,20 @@ class MarlTrainer:
 
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon), drawing from rng (default: the trainer's policy
-        stream).  port_menu restricts the passive UAVs to those ports.  The
-        local nets act slot by slot (LocalQNet.step, one call per net for
-        all its agents) and keep no caches: the learner replays the
-        recorded inputs in one sequence pass.  The process time spent in
-        env.step is added to env_s.
+        stream).  port_menu restricts the passive UAVs to those ports of the
+        grid (ValueError for any other).  The local nets act slot by slot
+        (LocalQNet.step, one call per net for all its agents) and keep no
+        caches: the learner replays the recorded inputs in one sequence
+        pass.  The process time spent in env.step is added to env_s.
         """
         rng = self.policy_rng if rng is None else rng
         port_eps = epsilon if port_eps is None else port_eps
         ports = np.arange(1, self.n_ports + 1)
         if port_menu is not None:
-            ports = np.array(sorted(int(p) for p in port_menu), dtype=int)
-        allowed = port_menu_mask(self.n_ports, ports)
+            ports = np.unique(np.asarray(port_menu, dtype=int))
+            if not np.all((ports >= 1) & (ports <= self.n_ports)):
+                raise ValueError(f"port menu {ports.tolist()} leaves "
+                                 f"1..{self.n_ports}")
         m = self.cfg.marl
         ep = EpisodeData()
         observations = env.reset()
@@ -908,14 +879,15 @@ class MarlTrainer:
         for _ in range(env.cfg.world.slots_per_episode):
             scaled = [scale_observation(k, obs)
                       for k, obs in enumerate(observations)]
-            inputs, qs = [None] * N_AGENTS, [None] * N_AGENTS
+            inputs, values = [None] * N_AGENTS, [None] * N_AGENTS
             if self.trains:
                 inputs = [np.concatenate(pair) for pair in zip(scaled, enc)]
                 for i, (net, agents) in enumerate(self.nets.local_agents()):
-                    q, hidden[i] = net.step(np.array(inputs[agents])[:, None],
-                                            hidden[i])
-                    qs[agents] = q[:, 0]
-            ids, acts = self.act(qs, epsilon, port_eps, rng, ports, allowed)
+                    (q, port), hidden[i] = net.step(
+                        np.array(inputs[agents])[:, None], hidden[i])
+                    values[agents] = zip(q[:, 0], [None] * len(q) if port is None
+                                         else port[:, 0])
+            acts = self.act(values, epsilon, port_eps, rng, ports)
             # an agent's input pairs its observation with its previous
             # action; the joint history row pairs it with the action taken
             enc = [encode_prev_action(a, k == 0, self.n_ports)
@@ -927,7 +899,7 @@ class MarlTrainer:
             self.env_s += time.process_time() - started
 
             ep.net_inputs.append(inputs)
-            ep.action_ids.append(ids)
+            ep.actions.append(acts)
             ep.window_rows.append(row)
             ep.rewards_raw.append(info["reward"])
             train_reward = max(info["reward"], -m.penalty_clip) / m.reward_scale
@@ -945,8 +917,8 @@ class MarlTrainer:
 
     def _replay(self, nets: PolicyNets, episode: EpisodeData):
         """Each of nets' local Q-nets run once over its agents' recorded
-        inputs from fresh recurrent states: [i] -> (q (A, T, n_actions),
-        cache)."""
+        inputs from fresh recurrent states: [i] -> ((q, port), cache), as
+        LocalQNet.forward returns them."""
         return [net.forward(np.stack([row[agents] for row in episode.net_inputs],
                                      axis=1))
                 for net, agents in nets.local_agents()]
@@ -967,8 +939,11 @@ class MarlTrainer:
         networks' mixed value at per-agent greedy actions."""
         started = time.process_time()
         tnets = self.target_nets
-        greedy = _team_columns([q.max(axis=-1)
-                                for q, _ in self._replay(tnets, episode)])
+        # the greedy action's value q[s] + port[p] is the sum of the
+        # maxima: rounded addition is monotone in each argument
+        greedy = _team_columns([q.max(axis=-1) if port is None
+                                else q.max(axis=-1) + port.max(axis=-1)
+                                for (q, port), _ in self._replay(tnets, episode)])
         boot = self._mix(tnets, greedy, self._windows(episode))[0]
         targets = build_td_targets(np.asarray(episode.rewards_train), boot[1:],
                                    self.cfg.marl.discount)
@@ -992,13 +967,21 @@ class MarlTrainer:
         """
         nets = self.nets
         T = len(episode)
-        ids = np.asarray(episode.action_ids)
-        # each local net's (A, T, 1) chosen action ids
-        chosen = [ids[:, agents].T[..., None] for _, agents in nets.local_agents()]
+        # the team's (N_AGENTS, T, 1) chosen steering combos and port
+        # indices, port - 1 (the active UAV, agent 0, picks no port)
+        steer = np.array([[a.steer for a in row] for row in episode.actions])
+        port_ids = np.array([[0] + [a.port - 1 for a in row[1:]]
+                             for row in episode.actions])
+        steer, port_ids = steer.T[..., None], port_ids.T[..., None]
         replay = self._replay(nets, episode)
-        q_chosen = _team_columns([np.take_along_axis(q, a, axis=-1)[..., 0]
-                                  for (q, _), a in zip(replay, chosen)])
-        q_mix, (c_coord, c_mix) = self._mix(nets, q_chosen, self._windows(episode))
+        q_chosen = []
+        for ((q, port), _), (_, agents) in zip(replay, nets.local_agents()):
+            value = np.take_along_axis(q, steer[agents], axis=-1)
+            if port is not None:   # action (s, p) is worth q[s] + port[p]
+                value = value + np.take_along_axis(port, port_ids[agents], axis=-1)
+            q_chosen.append(value[..., 0])
+        q_mix, (c_coord, c_mix) = self._mix(nets, _team_columns(q_chosen),
+                                            self._windows(episode))
         td_loss, weights = weighted_td_loss(q_mix, targets, self.cfg.marl.delta,
                                             weights)
         if not math.isfinite(td_loss):
@@ -1007,12 +990,12 @@ class MarlTrainer:
                 {"loss": td_loss, "q": q_mix.tolist(),
                  "targets": targets.tolist()})
         # each port head's targets: per agent and slot, the chosen port's
-        # index (decode_action's port - 1) and the agent's credit for it
-        # (the active UAV, column 0, picks no port)
+        # index and the agent's credit for it (the active UAV, column 0,
+        # picks no port)
         credit = np.column_stack([np.zeros(T), episode.port_credit])
         fits = [None if net.port_head is None
-                else (a[..., 0] % self.n_ports, credit[:, agents].T)
-                for (net, agents), a in zip(nets.local_agents(), chosen)]
+                else (port_ids[agents, :, 0], credit[:, agents].T)
+                for net, agents in nets.local_agents()]
         fit_losses = [net.port_fit_loss(cache, fit)
                       for net, (_, cache), fit in zip(nets.local, replay, fits)
                       if fit is not None]
@@ -1025,11 +1008,11 @@ class MarlTrainer:
         dq, domega = nets.mixer.backward(2.0 * weights * (q_mix - targets), c_mix)
         if nets.coordinator is not None:
             nets.coordinator.backward(domega, c_coord)
-        for (net, agents), (_, cache), a, fit in zip(nets.local_agents(), replay,
-                                                     chosen, fits):
-            dq_full = np.zeros(a.shape[:2] + (net.n_actions,))
-            np.put_along_axis(dq_full, a, dq[:, agents].T[..., None], axis=-1)
-            net.backward(dq_full, cache, port_fit=fit)
+        for (net, agents), (_, cache), fit in zip(nets.local_agents(), replay, fits):
+            dq_steer = np.zeros((net.n_agents, T, N_STEER))
+            np.put_along_axis(dq_steer, steer[agents], dq[:, agents].T[..., None],
+                              axis=-1)
+            net.backward(dq_steer, cache, port_fit=fit)
         return td_loss, port_loss, weights
 
     # -- updates --------------------------------------------------------------

@@ -48,7 +48,9 @@ class TestConfig:
                 ("scenario", "latency_budget = 0.03", "initial_heading"),
                 ("marl", "delta = 0.5", "monotone_mixing"),
                 ("marl", "delta = 0.5", "mixing_weight_floor"),
-                ("target", "speed = 5.0", "mode")):
+                ("target", "speed = 5.0", "mode"),
+                ("positioning", "min_usable = 3", "solver_tol"),
+                ("positioning", "min_usable = 3", "solver_max_iter")):
             text = f"[{section}]\n{known}\n{key} = 9\n"
             with pytest.raises(ConfigError) as err:
                 from_ini(text)
@@ -267,7 +269,7 @@ class TestSweepVerb:
         with pytest.raises(ValueError):
             cli.port_menu_for(32, 64)
 
-    def test_sweep_table_with_failure_cell(self, tmp_path):
+    def test_sweep_table_with_failure_cell(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         rows = cli.sweep(None, TINY_OVERRIDES, "port_count", ["2", "3"],
                          str(out), seeds=[1], eval_episodes=2)
@@ -275,6 +277,8 @@ class TestSweepVerb:
         ok = [r for r in rows if "error" not in r]
         bad = [r for r in rows if "error" in r]
         assert len(ok) == 1 and len(bad) == 1  # 3 does not divide 4 ports
+        assert ("sweep cell failed (port_count=3 seed=1): ValueError"
+                in capsys.readouterr().err)
         assert (out / "sweep.csv").exists()
         data = json.loads((out / "sweep.json").read_text())
         assert len(data) == 2

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from fasloc import cli, marl, nn
 from fasloc.channel import ChannelError
 from fasloc.config import MarlConfig, default_config, to_ini
-from fasloc.marl import (AgentAction, Coordinator, EpochRecord, LocalQNet,
-                         MarlTrainer, Mixer, PositioningEnv, TrainingLog,
-                         build_observation, build_td_targets, decode_action,
-                         encode_action, micro_config, micro_gradcheck,
-                         port_menu_mask, reward, select_action,
-                         weighted_td_loss)
+from fasloc.marl import (N_STEER, AgentAction, Coordinator, EpochRecord,
+                         LocalQNet, MarlTrainer, Mixer, PositioningEnv,
+                         TrainingLog, build_observation, build_td_targets,
+                         micro_config, micro_gradcheck, reward,
+                         select_action, steering_action, weighted_td_loss)
 from fasloc.world import ConstraintReport
 
 FEASIBLE = ConstraintReport(True, True, True)
@@ -30,33 +29,51 @@ def tiny_config(**run_kw):
     return dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, **run_kw))
 
 
+def _flat_greedy(q, port, menu):
+    """The first argmax of the flat steering x port outer sum restricted to
+    the menu's ports, as an id steer * n_ports + port - 1."""
+    flat = np.add.outer(q, port).ravel()
+    ids = np.flatnonzero(np.isin(np.arange(flat.size) % len(port) + 1, menu))
+    return int(ids[np.argmax(flat[ids])])
+
+
 class TestActions:
     def test_action_space_sizes(self):
-        assert marl.active_action_count() == 25
-        assert marl.passive_action_count(32) == 800
+        assert N_STEER == marl.N_ANGLE ** 2 == 25
 
     def test_encode_decode_roundtrip(self):
-        for n_ports in (None, 8, 32):
-            count = 25 * (n_ports or 1)
-            for idx in range(0, count, 7):
-                act = decode_action(idx, n_ports)
-                assert encode_action(act, n_ports) == idx
+        seen = set()
+        for steer in range(N_STEER):
+            for port in (None, 1, 32):
+                act = steering_action(steer, port)
+                assert act.steer == steer and act.port == port
                 assert 0 <= act.yaw_idx < 5 and 0 <= act.pitch_idx < 5
-                if n_ports:
-                    assert 1 <= act.port <= n_ports
-                else:
-                    assert act.port is None
+                seen.add((act.yaw_idx, act.pitch_idx))
+        assert len(seen) == N_STEER
 
     def test_angle_levels(self):
-        act = decode_action(encode_action(AgentAction(0, 4, 3), 8), 8)
+        act = steering_action(AgentAction(0, 4, 3).steer, 3)
         assert act.yaw == pytest.approx(math.radians(-60.0))
         assert act.pitch == pytest.approx(math.radians(60.0))
 
-    def test_port_menu_mask(self):
-        mask = port_menu_mask(8, [1, 5])
-        assert mask.sum() == 25 * 2
-        for idx in np.flatnonzero(mask):
-            assert decode_action(int(idx), 8).port in (1, 5)
+    @pytest.mark.parametrize("count", [8, 16, 32])
+    def test_greedy_act_is_first_argmax_of_menu_masked_outer_sum(self, count):
+        cfg = default_config()
+        trainer = MarlTrainer(cfg)
+        n = cfg.channel.n_ports
+        menu = cli.port_menu_for(n, count)
+        rng = np.random.default_rng(count)
+        for trial in range(200):
+            # generic values, then small integers, whose sums tie exactly
+            draw = ((lambda size: rng.standard_normal(size)) if trial % 2 == 0
+                    else (lambda size: rng.integers(0, 3, size).astype(float)))
+            values = [(draw(N_STEER), None)] + [(draw(N_STEER), draw(n))
+                                                for _ in range(4)]
+            acts = trainer.act(values, 0.0, 0.0, rng, np.array(menu))
+            assert acts[0].steer == int(np.argmax(values[0][0]))
+            assert acts[0].port is None
+            for (q, port), a in zip(values[1:], acts[1:]):
+                assert a.steer * n + a.port - 1 == _flat_greedy(q, port, menu)
 
 
 class TestObservations:
@@ -93,20 +110,23 @@ class TestLocalQ:
         net = trainer.nets.local[1]
         for p in net.params():
             p.value[...] = 0.0
-        q, _ = net.step(np.zeros((4, 1, 12)), net.initial_state())
+        (q, port), _ = net.step(np.zeros((4, 1, 12)), net.initial_state())
         assert np.all(q == q[..., :1])
+        assert np.all(port == 0.0)
 
     def test_q_vector_lengths(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        q0, _ = trainer.nets.local[0].step(
+        (q0, port0), _ = trainer.nets.local[0].step(
             np.zeros((1, 1, 5)), trainer.nets.local[0].initial_state())
-        q1, _ = trainer.nets.local[1].step(
+        (q1, port1), _ = trainer.nets.local[1].step(
             np.zeros((4, 1, 12)), trainer.nets.local[1].initial_state())
-        assert q0.shape == (1, 1, 25)
-        assert q1.shape == (4, 1, 25 * cfg.channel.n_ports)
-        q_seq, _ = trainer.nets.local[1].forward(np.zeros((4, 3, 12)))
-        assert q_seq.shape == (4, 3, 25 * cfg.channel.n_ports)
+        assert q0.shape == (1, 1, 25) and port0 is None
+        assert q1.shape == (4, 1, 25)
+        assert port1.shape == (4, 1, cfg.channel.n_ports)
+        (q_seq, port_seq), _ = trainer.nets.local[1].forward(np.zeros((4, 3, 12)))
+        assert q_seq.shape == (4, 3, 25)
+        assert port_seq.shape == (4, 3, cfg.channel.n_ports)
 
     def test_recurrent_state_changes_output(self):
         cfg = default_config()
@@ -118,8 +138,8 @@ class TestLocalQ:
         net.angle_head.layers[-1].w.value[...] = rng.standard_normal(
             net.angle_head.layers[-1].w.value.shape) * 0.1
         x = rng.standard_normal((4, 1, 12)) * 0.5
-        q_a, _ = net.step(x, np.zeros((4, 1, net.hidden_size)))
-        q_b, _ = net.step(x, 0.5 * np.ones((4, 1, net.hidden_size)))
+        (q_a, _), _ = net.step(x, np.zeros((4, 1, net.hidden_size)))
+        (q_b, _), _ = net.step(x, 0.5 * np.ones((4, 1, net.hidden_size)))
         assert np.all(np.max(np.abs(q_a - q_b), axis=-1) > 1e-9)
 
     def test_additive_head_structure(self):
@@ -132,13 +152,15 @@ class TestLocalQ:
             lay.w.value[...] = rng.standard_normal(lay.w.value.shape) * 0.1
             lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
         x = rng.standard_normal((4, 1, 12)) * 0.3
-        q, _ = net.step(x, net.initial_state())
-        for grid in q[:, 0].reshape(4, 25, cfg.channel.n_ports):
-            # additive decomposition: grid rows differ by constants
-            rows = grid - grid[:, :1]
-            np.testing.assert_allclose(rows, np.tile(rows[0], (25, 1)),
-                                       atol=1e-12)
-            assert np.std(grid[:, 0]) > 0 and np.std(grid[0]) > 0
+        (q, port), _ = net.step(x, net.initial_state())
+        lo, hi = net.aod_slice
+        raw = net.port_head.forward(np.cos(math.pi * x[..., lo:hi]))[0]
+        for k in range(4):
+            # the port head's output enters as a centered advantage
+            np.testing.assert_allclose(port[k, 0], raw[k, 0] - raw[k, 0].mean(),
+                                       atol=1e-15)
+            assert abs(port[k, 0].mean()) < 1e-12
+            assert np.std(q[k, 0]) > 0 and np.std(port[k, 0]) > 0
 
     def test_port_fit_trains_only_the_chosen_port_score(self):
         cfg = default_config()
@@ -150,8 +172,8 @@ class TestLocalQ:
         x = rng.standard_normal((4, 1, 12)) * 0.3    # one-slot sequences
         _, cache = net.forward(x)
         ports, target = np.array([[4], [0], [4], [7]]), -1.5
-        dq = np.zeros((4, 1, net.n_actions))
-        dq[:, 0, 7 * cfg.channel.n_ports + 4] = 0.8
+        dq = np.zeros((4, 1, N_STEER))
+        dq[:, 0, 7] = 0.8
         net.zero_grads()
         net.backward(dq, cache, port_fit=(ports, np.full((4, 1), target)))
         port_raw = cache[-1][-1][:, 0, 0]   # (..., (..., raw port scores))
@@ -187,14 +209,6 @@ class TestSelectAction:
         for _ in range(n):
             counts[select_action(q, 1.0, rng)] += 1
         np.testing.assert_allclose(counts / n, 0.1, atol=0.01)
-
-    def test_allowed_mask_respected(self):
-        rng = np.random.default_rng(1)
-        q = np.array([9.0, 1.0, 5.0, 7.0])
-        allowed = np.array([False, True, True, False])
-        assert select_action(q, 0.0, rng, allowed) == 2
-        for _ in range(100):
-            assert allowed[select_action(q, 1.0, rng, allowed)]
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
@@ -450,11 +464,10 @@ class TestTrainerMachinery:
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
         ports = np.arange(1, n + 1)
-        allowed = port_menu_mask(n, ports)
-        qs = [np.zeros(25)] * 5
+        values = [(np.zeros(25), None)] * 5
         draws = np.array([
-            [a.port for a in trainer.act(qs, 0.0, 0.0, trainer.policy_rng,
-                                         ports, allowed)[1][1:]]
+            [a.port for a in trainer.act(values, 0.0, 0.0, trainer.policy_rng,
+                                         ports)[1:]]
             for _ in range(25_000)]).ravel()
         counts = np.bincount(draws, minlength=n + 1)[1:]
         np.testing.assert_allclose(counts / len(draws), 1.0 / n, atol=0.01)
@@ -484,18 +497,22 @@ class TestTrainerMachinery:
         monkeypatch.setattr(PositioningEnv, "step", recording_step)
         env = PositioningEnv(cfg, trainer.env_rng)
         episode = trainer.rollout(env, 0.0)
-        live_q = [q_k for q, _ in trainer._replay(trainer.nets, episode)
-                  for q_k in q]                 # one (T, n_actions) per agent
+        # one (T, 25) steering and (T, n_ports) port block per agent
+        live = [(q_k, None if port is None else port[j])
+                for (q, port), _ in trainer._replay(trainer.nets, episode)
+                for j, q_k in enumerate(q)]
         n = cfg.channel.n_ports
         greedy_ports = set()
         for t in range(len(episode)):
-            for k in range(5):
-                q = live_q[k][t]
-                assert episode.action_ids[t][k] == int(np.argmax(q))
-                if k:
-                    greedy = decode_action(int(np.argmax(q)), n).port
-                    assert sent[t][k].port == greedy
-                    greedy_ports.add(greedy)
+            for k, (q, port) in enumerate(live):
+                a = episode.actions[t][k]
+                assert sent[t][k] == a
+                if k == 0:
+                    assert a.steer == int(np.argmax(q[t]))
+                    continue
+                assert (a.steer * n + a.port - 1
+                        == int(np.argmax(np.add.outer(q[t], port[t]))))
+                greedy_ports.add(a.port)
         assert len(greedy_ports) > 1   # the perturbed heads disagree
 
     @pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "random"])
@@ -524,6 +541,14 @@ class TestTrainerMachinery:
         assert len(sent) == 3 * 4 * 4
         assert set(sent) <= set(menu)
         assert len(set(sent)) > 1
+
+    @pytest.mark.parametrize("scheme", ["ar_marl", "random"])
+    @pytest.mark.parametrize("menu", [[0, 5], [5, 33]])
+    def test_menu_port_off_the_grid_rejected(self, scheme, menu):
+        cfg = tiny_config(scheme=scheme)
+        with pytest.raises(ValueError, match="port menu"):
+            marl.evaluate_rollouts(cfg, MarlTrainer(cfg), 1, seed=0,
+                                   port_menu=menu)
 
 
 class TestEndToEndGradient:
@@ -577,16 +602,19 @@ class TestEnvironment:
             else:
                 assert info["reward"] == -1.0e6
 
-    @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid"])
+    @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid", "none"])
     def test_out_of_range_port_rejected(self, bad_port):
         cfg = default_config()
-        port = 0 if bad_port == "zero" else cfg.channel.n_ports + 1
+        port = {"zero": 0, "past_the_grid": cfg.channel.n_ports + 1,
+                "none": None}[bad_port]
         env = PositioningEnv(cfg, np.random.default_rng(0))
         env.reset()
         acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
         acts[3] = AgentAction(2, 2, port)
-        with pytest.raises(ChannelError):
+        with pytest.raises(ChannelError) as err:
             env.step(acts)
+        if port is None:
+            assert "passive UAV 3" in str(err.value)
 
     def test_nan_latency_counts_as_late(self, monkeypatch):
         monkeypatch.setattr(marl.ch, "uplink_latencies",
@@ -785,10 +813,10 @@ def _ref_local(net, x, h, k):
 def _ref_local_back(net, dq, dh_next, cache, port_fit, k):
     x, mask, c_gru, trunk, c_angle, (c_port, port_raw) = cache
     if net.port_head is not None:
-        dq_grid = dq.reshape(net.n_angle, net.n_ports)
+        dq_grid = dq.reshape(N_STEER, len(port_raw))
         dangle = dq_grid.sum(axis=1)
         port, target = port_fit
-        dport = np.zeros(net.n_ports)
+        dport = np.zeros(len(port_raw))
         dport[port] = 2.0 * (port_raw[port] - target)
         _ref_mlp_back(net.port_head, dport, c_port, k)
     else:
@@ -918,15 +946,23 @@ def _ref_td_targets(trainer, episode):
 def _ref_port_fit(trainer, episode, t, k):
     if _team(trainer.nets)[k][0].port_head is None:
         return None
-    port = decode_action(episode.action_ids[t][k], trainer.n_ports).port
-    return port - 1, episode.port_credit[t][k - 1]
+    return episode.actions[t][k].port - 1, episode.port_credit[t][k - 1]
+
+
+def _ref_action_id(trainer, episode, t, k):
+    """The flat id of agent k's action at slot t in the reference's Q-vector:
+    steer * n_ports + port - 1 with a port head, steer without."""
+    a = episode.actions[t][k]
+    if _team(trainer.nets)[k][0].port_head is None:
+        return a.steer
+    return a.steer * trainer.n_ports + a.port - 1
 
 
 def _ref_episode_loss(trainer, episode, targets):
     nets = trainer.nets
     T = len(episode)
     qs, caches = _ref_replay(nets, episode)
-    q_chosen = np.array([[qs[t][k][episode.action_ids[t][k]]
+    q_chosen = np.array([[qs[t][k][_ref_action_id(trainer, episode, t, k)]
                           for k in range(5)] for t in range(T)])
     q_mix = np.zeros(T)
     mix_caches = []
@@ -951,8 +987,8 @@ def _ref_episode_loss(trainer, episode, targets):
     for k, (net, j) in enumerate(_team(nets)):
         dh = np.zeros(max(net.hidden_size, 1))
         for t in reversed(range(T)):
-            dq_vec = np.zeros(net.n_actions)
-            dq_vec[episode.action_ids[t][k]] = dq[t, k]
+            dq_vec = np.zeros(len(qs[t][k]))
+            dq_vec[_ref_action_id(trainer, episode, t, k)] = dq[t, k]
             dh = _ref_local_back(net, dq_vec, dh, caches[t][k],
                                  _ref_port_fit(trainer, episode, t, k), j)
     return td_loss, port_loss, weights, qs
@@ -1006,7 +1042,11 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     for p, ref in zip(trainer.nets.params(), ref_grads):
         assert p.grad.tobytes() == ref.tobytes(), p.name
     assert any(np.any(g) for g in ref_grads)
-    seq_q = [q_k for q, _ in trainer._replay(trainer.nets, episode) for q_k in q]
+    # the flat outer sum of the factored values is the reference's Q-vector
+    seq_q = [q_k if port is None else
+             (q_k[:, :, None] + port[j][:, None, :]).reshape(len(q_k), -1)
+             for (q, port), _ in trainer._replay(trainer.nets, episode)
+             for j, q_k in enumerate(q)]
     assert len(seq_q) == 5
     for k, q in enumerate(seq_q):
         assert np.array_equal(q, np.array([row[k] for row in ref_q]))
@@ -1019,18 +1059,22 @@ def test_acting_q_equals_sequence_q(scheme, monkeypatch):
     step = LocalQNet.step
 
     def recording_step(net, x, h):
-        q, h = step(net, x, h)
-        acted.append(q)
-        return q, h
+        values, h = step(net, x, h)
+        acted.append(values)
+        return values, h
 
     monkeypatch.setattr(LocalQNet, "step", recording_step)
     episode = trainer.rollout(PositioningEnv(trainer.cfg, trainer.env_rng), 0.5)
     replay = trainer._replay(trainer.nets, episode)
     # one acting call per local net and slot, for all of the net's agents
     assert len(acted) == len(episode) * len(replay)
-    for i, q in enumerate(acted):
+    for i, (q, port) in enumerate(acted):
         t, k = divmod(i, len(replay))
-        assert np.array_equal(q[:, 0], replay[k][0][:, t])
+        (q_seq, port_seq), _ = replay[k]
+        assert np.array_equal(q[:, 0], q_seq[:, t])
+        assert (port is None) == (port_seq is None)
+        if port is not None:
+            assert np.array_equal(port[:, 0], port_seq[:, t])
 
 
 # ---------------------------------------------------------------------------
@@ -1064,29 +1108,33 @@ def test_stacked_passive_net_equals_four_single_agent_nets(scheme):
     rng = np.random.default_rng(41)
     n_in, hid = trainer.nets.passive_inputs, max(stacked.hidden_size, 1)
 
+    def agent_bytes(values, k):
+        """Agent k's slice of (q, port) as bytes."""
+        return [None if v is None else v[k:k + 1].tobytes() for v in values]
+
     x, h = rng.standard_normal((4, 1, n_in)), rng.standard_normal((4, 1, hid))
-    q, h_next = stacked.step(x, h)
+    values, h_next = stacked.step(x, h)
     for k, net in enumerate(singles):
-        q_k, h_k = net.step(x[k:k + 1], h[k:k + 1])
-        assert q_k.tobytes() == q[k:k + 1].tobytes()
+        values_k, h_k = net.step(x[k:k + 1], h[k:k + 1])
+        assert agent_bytes(values_k, 0) == agent_bytes(values, k)
         assert h_k.tobytes() == h_next[k:k + 1].tobytes()
 
     T = 25
     xs = rng.standard_normal((4, T, n_in))
-    dq = rng.standard_normal((4, T, stacked.n_actions))
+    dq = rng.standard_normal((4, T, N_STEER))
     fit = None
     if stacked.port_head is not None:
-        fit = (rng.integers(0, stacked.n_ports, (4, T)),
+        fit = (rng.integers(0, trainer.n_ports, (4, T)),
                rng.standard_normal((4, T)))
     stacked.zero_grads()
-    q_seq, cache = stacked.forward(xs)
+    values_seq, cache = stacked.forward(xs)
     stacked.backward(dq, cache, port_fit=fit)
     for k, net in enumerate(singles):
         net.zero_grads()
-        q_k, cache_k = net.forward(xs[k:k + 1])
+        values_k, cache_k = net.forward(xs[k:k + 1])
         net.backward(dq[k:k + 1], cache_k, port_fit=None if fit is None else
                      (fit[0][k:k + 1], fit[1][k:k + 1]))
-        assert q_k.tobytes() == q_seq[k:k + 1].tobytes()
+        assert agent_bytes(values_k, 0) == agent_bytes(values_seq, k)
         if fit is not None:
             assert (net.port_fit_loss(cache_k, (fit[0][k:k + 1], fit[1][k:k + 1]))
                     .tobytes() == stacked.port_fit_loss(cache, fit)[k:k + 1].tobytes())

@@ -13,7 +13,8 @@ episode per epoch, seed 11):
 
 - the sha256 of every scheme's training log (``TrainingLog.to_jsonl``),
 - the greedy ``evaluate_rollouts`` statistics of the trained ar_marl and
-  no_fas policies, with every port and with the 8-port menu of 32,
+  no_fas policies and of the random policy, with every port and with the
+  8-port menu of 32 (the random policy's menu-restricted draw included),
 - the worst relative error of ``micro_gradcheck(micro_config())``,
 - and the sha256 of every ``estimate_position`` output field (position
   bytes, residual norm, iterations, converged, degenerate) over a fixed
@@ -49,7 +50,7 @@ from fasloc.config import SCHEME_TRAITS, default_config
 from fasloc.positioning import estimate_position
 
 SCHEMES = tuple(SCHEME_TRAITS)
-EVALUATED = ("ar_marl", "no_fas")
+EVALUATED = ("ar_marl", "no_fas", "random")
 EVAL_EPISODES = 10
 EVAL_SEED = 8000
 SOLVER_SEED = 6
