@@ -91,9 +91,14 @@ class MarlConfig:
                      "omega_width", "mixing_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if not self.reward_scale > 0.0:
-            raise ConfigError("reward_scale must be above 0")
-        for name in ("eps_start", "eps_end"):
+        for name in ("reward_scale", "grad_clip", "learning_rate",
+                     "penalty_clip", "port_lr_multiplier"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be above 0")
+        if not self.delta >= 0.0:
+            raise ConfigError("delta must be at least 0")
+        for name in ("eps_start", "eps_end", "port_eps_floor", "discount",
+                     "lr_final_fraction", "anneal_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
 

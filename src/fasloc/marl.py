@@ -72,40 +72,18 @@ def steering_action(steer: int, port: int | None = None) -> AgentAction:
     return AgentAction(yaw, pitch, port)
 
 
-def build_observation(agent: int, positions: np.ndarray, aod: np.ndarray,
-                      prev_range: float) -> np.ndarray:
-    """Raw per-agent observation.
-
-    Agent 0 (active) sees only its own position.  Passive agent k sees
-    position, the current departure angles of its uplink paths, and its
-    previous slot's measured range sum (0 before the first measurement).
-    """
-    if agent == 0:
-        return positions[0].copy()
-    return np.concatenate([positions[agent], aod, [prev_range]])
-
-
-def scale_observation(agent: int, obs: np.ndarray) -> np.ndarray:
-    """Feature scaling applied before any network sees an observation."""
-    if agent == 0:
-        return obs * POSITION_SCALE
-    scaled = obs.copy()
-    scaled[:3] *= POSITION_SCALE
-    scaled[3:-1] /= math.pi
-    scaled[-1] *= RANGE_SCALE
-    return scaled
-
-
-def encode_prev_action(action: AgentAction | None, is_active: bool,
-                       n_ports: int) -> np.ndarray:
-    """Compact [-1, 1] encoding of the previous slot's action."""
-    dim = 2 if is_active else 3
-    if action is None:
-        return np.zeros(dim)
-    enc = [(action.yaw_idx - 2) / 2.0, (action.pitch_idx - 2) / 2.0]
-    if not is_active:
-        enc.append(2.0 * (action.port - 1) / max(n_ports - 1, 1) - 1.0)
-    return np.array(enc)
+def encode_actions(steer: np.ndarray, ports: np.ndarray,
+                   n_ports: int) -> list[np.ndarray]:
+    """The team's actions as each local net's (A, ..., 2 or 3) [-1, 1]
+    action features, in PolicyNets.local_agents() order.  steer
+    (N_AGENTS, ...) holds the steering combos (AgentAction.steer) and
+    ports (4, ...) the passive UAVs' 1-based ports.  Every agent's
+    features are its yaw and pitch index; a passive UAV's add its port's
+    place on the grid (ChannelParams rejects n_ports < 2)."""
+    yaw, pitch = np.divmod(steer, N_ANGLE)
+    angles = np.stack([(yaw - 2) / 2.0, (pitch - 2) / 2.0], axis=-1)
+    port = 2.0 * (ports - 1) / (n_ports - 1) - 1.0
+    return [angles[:1], np.concatenate([angles[1:], port[..., None]], axis=-1)]
 
 
 def reward(estimate, truth, report: wd.ConstraintReport) -> float:
@@ -116,24 +94,28 @@ def reward(estimate, truth, report: wd.ConstraintReport) -> float:
     return -pos.position_error(estimate, truth)
 
 
-def slot_port_credit(late: np.ndarray, report: wd.ConstraintReport,
-                     train_reward: float, feasible_reward: float) -> np.ndarray:
-    """Per-agent credit for the passive UAVs' port choices in one slot.
+def training_rewards(episode: EpisodeData, m) -> np.ndarray:
+    """The (T,) rewards the learner trains on: each slot's raw reward with
+    the penalty clipped to m.penalty_clip, over m.reward_scale."""
+    return np.maximum(episode.rewards_raw, -m.penalty_clip) / m.reward_scale
+
+
+def difference_credit(episode: EpisodeData, m) -> np.ndarray:
+    """Per slot and passive UAV (T, 4), the credit for its port choice.
 
     A difference reward (Wolpert and Tumer): the shared training reward
     minus the reward had that agent's report met the latency deadline,
     everything else held fixed.  That counterfactual changes the slot
     only when agent k's is the one late report and every other
     constraint holds: the slot then turns feasible, with its reward taken
-    at the realised fix (feasible_reward).  Elsewhere the credit is 0, so
-    the other uplinks' deadline misses, which a port cannot change, add
-    no noise to an agent's port signal.
+    at the realised fix.  Elsewhere the credit is 0, so the other
+    uplinks' deadline misses, which a port cannot change, add no noise to
+    an agent's port signal.
     """
-    late = np.asarray(late, dtype=bool)
-    credit = np.zeros(len(late))
-    if late.sum() == 1 and report.target_range_ok and report.pairwise_range_ok:
-        credit[late] = train_reward - feasible_reward
-    return credit
+    feasible_reward = -episode.errors / m.reward_scale   # at the realised fix
+    margin = training_rewards(episode, m) - feasible_reward
+    sole = (episode.late.sum(axis=1) == 1) & episode.range_ok.all(axis=1)
+    return np.where(episode.late & sole[:, None], margin[:, None], 0.0)
 
 
 def select_action(q_values: np.ndarray, epsilon: float,
@@ -211,7 +193,7 @@ class LocalQNet(Module):
 
     A port acts on this slot's uplink only, so in training the port head
     does not learn from the TD signal: it regresses its agent's own credit
-    for the chosen port (slot_port_credit, via backward's port_fit).
+    for the chosen port (difference_credit, via backward's port_fit).
 
     A net is built for one agent; nn.stack_agents joins same-shaped nets
     into one with a leading agent axis, which runs all its agents in each
@@ -314,7 +296,7 @@ class LocalQNet(Module):
         The port head receives the gradient of (raw_score[port] - target)^2
         on its uncentered output and nothing from dq: the trainer fits it
         to the agent's own credit for the port it chose (see
-        slot_port_credit), while dq trains the value, steering and
+        difference_credit), while dq trains the value, steering and
         recurrent stack.  Weight gradients add up last slot first, the
         order in which BPTT reaches them.
         """
@@ -493,15 +475,19 @@ class PolicyNets(Module):
         self.learned_ports = ports
         mcfg = cfg.marl
         n_ports = cfg.channel.n_ports
-        n_paths = cfg.channel.n_paths
+        # a net's inputs: observations (PositioningEnv.observations), then
+        # previous actions (encode_actions); a passive UAV's departure angles
+        # sit between its position (the active UAV's observation) and range
+        observed = PositioningEnv(cfg, None).observations()
+        self.input_widths = [obs.shape[-1] + act.shape[-1] for obs, act in zip(
+            observed,
+            encode_actions(np.zeros(N_AGENTS, int), np.ones(4, int), n_ports))]
+        aod_slice = (observed[0].shape[-1], observed[1].shape[-1] - 1)
+        active_in, passive_in = self.input_widths
 
-        self.active_inputs = 3 + 2
-        self.passive_inputs = (3 + n_paths + 1) + 3
-
-        def local_net(k):
-            n_in = self.active_inputs if k == 0 else self.passive_inputs
+        def local_net(k, n_in):
             head_ports = n_ports if (k > 0 and ports) else 0
-            return LocalQNet(n_in, head_ports, (3, 3 + n_paths), mcfg, rng,
+            return LocalQNet(n_in, head_ports, aod_slice, mcfg, rng,
                              recurrent=recurrent, name=f"local{k}")
 
         # the active UAV's net, then one net stacking the four passive
@@ -509,11 +495,12 @@ class PolicyNets(Module):
         # drawn agent by agent, in team order
         self.local: list[LocalQNet] = []
         if trains:
-            self.local = [local_net(0), stack_agents([local_net(k)
-                                                      for k in range(1, N_AGENTS)])]
+            self.local = [local_net(0, active_in),
+                          stack_agents([local_net(k, passive_in)
+                                        for k in range(1, N_AGENTS)])]
         # the team agents each local net runs
         self.agent_slices = [slice(0, 1), slice(1, N_AGENTS)]
-        self.row_dim = self.active_inputs + 4 * self.passive_inputs
+        self.row_dim = active_in + 4 * passive_in
         self.coordinator = (Coordinator(self.row_dim, mcfg, rng)
                             if trains and coord else None)
         self.mixer = Mixer(N_AGENTS, mcfg, rng, mode=mixer_mode) if trains else None
@@ -595,10 +582,15 @@ class PositioningEnv:
         return self.observations()
 
     def observations(self) -> list[np.ndarray]:
-        return [build_observation(k, self.positions,
-                                  self.aods[k - 1] if k > 0 else None,
-                                  self.prev_ranges[k - 1] if k > 0 else 0.0)
-                for k in range(N_AGENTS)]
+        """Each local net's agents' scaled observations, in
+        PolicyNets.local_agents() order: the active UAV's (1, 3) position,
+        then the passive UAVs' (4, 3 + n_paths + 1) positions, departure
+        angles of their uplink paths and previous measured range sums (0
+        before the first measurement)."""
+        scaled = self.positions * POSITION_SCALE
+        ranges = self.prev_ranges[:, None] * RANGE_SCALE
+        return [scaled[:1], np.concatenate([scaled[1:], self.aods / math.pi,
+                                            ranges], axis=1)]
 
     def step(self, actions: list[AgentAction]):
         cfg = self.cfg
@@ -676,7 +668,6 @@ class PositioningEnv:
             "stale": stale,
             "feasible": report.feasible,
             "late": late,
-            "latency_violations": int(late.sum()),
             "report": report,
         }
         return self.observations(), info
@@ -688,16 +679,17 @@ class PositioningEnv:
 
 @dataclass
 class EpisodeData:
-    net_inputs: list = field(default_factory=list)    # [t][k] -> np.ndarray
-    actions: list = field(default_factory=list)       # [t][k] -> AgentAction
-    window_rows: list = field(default_factory=list)   # [t] -> (T, row_dim)
-    rewards_raw: list = field(default_factory=list)
-    rewards_train: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    feasible: list = field(default_factory=list)
-    stales: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    port_credit: list = field(default_factory=list)   # [t] -> (4,) credit
+    """What rollout records of one played episode of T slots.  The
+    learner derives its training signals from it."""
+    observations: list         # [i] -> local net i's agents' (A, T, n_obs)
+    steer: np.ndarray          # (T, N_AGENTS) steering combos
+    ports: np.ndarray          # (T, 4) the passive UAVs' ports, 1-based
+    rewards_raw: np.ndarray    # (T,) shared rewards, full penalty
+    errors: np.ndarray         # (T,) position errors
+    stales: np.ndarray         # (T,) bool
+    feasible: np.ndarray       # (T,) bool
+    late: np.ndarray           # (T, 4) bool, info["late"]
+    range_ok: np.ndarray       # (T, 2) bool, target_range_ok, pairwise_range_ok
 
     def __len__(self):
         return len(self.rewards_raw)
@@ -789,12 +781,28 @@ class MarlTrainer:
 
     # -- per-slot plumbing ----------------------------------------------------
 
+    def _agent_inputs(self, episode: EpisodeData, previous: bool) -> list:
+        """Per local net, its agents' (A, T, n_in) inputs: each slot's
+        observations and the features (encode_actions) of the actions taken
+        in the slot before, zero at the first slot, as the net read them to
+        act (previous), or of the slot's own actions."""
+        encoded = encode_actions(episode.steer.T, episode.ports.T, self.n_ports)
+        if previous:
+            encoded = [np.concatenate([np.zeros_like(enc[:, :1]), enc[:, :-1]],
+                                      axis=1) for enc in encoded]
+        return [np.concatenate([obs, enc], axis=-1)
+                for obs, enc in zip(episode.observations, encoded)]
+
     def _windows(self, episode: EpisodeData):
         """Every slot's history window as one (T, history_window, row_dim)
         stack of the latest joint rows, zero rows before the first slot,
-        and the (T, history_window) mask of real rows."""
+        and the (T, history_window) mask of real rows.  A slot's joint row
+        holds every agent's observation and the action taken on it, in team
+        order."""
         t_h = self.cfg.marl.history_window
-        rows = np.asarray(episode.window_rows)
+        inputs = self._agent_inputs(episode, previous=False)
+        rows = np.concatenate([xs.swapaxes(0, 1).reshape(len(episode), -1)
+                               for xs in inputs], axis=1)
         padded = np.concatenate([np.zeros((t_h - 1, rows.shape[1])), rows])
         index = np.arange(len(rows))[:, None] + np.arange(t_h)
         return padded[index], index >= t_h - 1
@@ -852,15 +860,16 @@ class MarlTrainer:
                 port_eps: float | None = None,
                 rng: np.random.Generator | None = None,
                 port_menu=None) -> EpisodeData:
-        """Play one episode of env.
+        """Play one episode of env and record it (EpisodeData).
 
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon), drawing from rng (default: the trainer's policy
         stream).  port_menu restricts the passive UAVs to those ports of the
         grid (ValueError for any other).  The local nets act slot by slot
         (LocalQNet.step, one call per net for all its agents) and keep no
-        caches: the learner replays the recorded inputs in one sequence
-        pass.  The process time spent in env.step is added to env_s.
+        caches: the learner derives their inputs from the record and
+        replays them in one sequence pass.  The process time spent in
+        env.step is added to env_s.
         """
         rng = self.policy_rng if rng is None else rng
         port_eps = epsilon if port_eps is None else port_eps
@@ -870,48 +879,39 @@ class MarlTrainer:
             if not np.all((ports >= 1) & (ports <= self.n_ports)):
                 raise ValueError(f"port menu {ports.tolist()} leaves "
                                  f"1..{self.n_ports}")
-        m = self.cfg.marl
-        ep = EpisodeData()
         observations = env.reset()
-        enc = [encode_prev_action(None, k == 0, self.n_ports)
-               for k in range(N_AGENTS)]
+        # each net's agents' previous-action features: none before slot 0
+        previous = [np.zeros((len(obs), width - obs.shape[-1])) for obs, width
+                    in zip(observations, self.nets.input_widths)]
         hidden = [net.initial_state() for net in self.nets.local]
+        observed, steers, played, infos = [], [], [], []
         for _ in range(env.cfg.world.slots_per_episode):
-            scaled = [scale_observation(k, obs)
-                      for k, obs in enumerate(observations)]
-            inputs, values = [None] * N_AGENTS, [None] * N_AGENTS
-            if self.trains:
-                inputs = [np.concatenate(pair) for pair in zip(scaled, enc)]
-                for i, (net, agents) in enumerate(self.nets.local_agents()):
-                    (q, port), hidden[i] = net.step(
-                        np.array(inputs[agents])[:, None], hidden[i])
-                    values[agents] = zip(q[:, 0], [None] * len(q) if port is None
-                                         else port[:, 0])
+            values = [None] * N_AGENTS
+            for i, (net, agents) in enumerate(self.nets.local_agents()):
+                x = np.concatenate([observations[i], previous[i]], axis=-1)
+                (q, port), hidden[i] = net.step(x[:, None], hidden[i])
+                values[agents] = zip(q[:, 0], [None] * len(q) if port is None
+                                     else port[:, 0])
             acts = self.act(values, epsilon, port_eps, rng, ports)
-            # an agent's input pairs its observation with its previous
-            # action; the joint history row pairs it with the action taken
-            enc = [encode_prev_action(a, k == 0, self.n_ports)
-                   for k, a in enumerate(acts)]
-            row = np.concatenate([part for pair in zip(scaled, enc)
-                                  for part in pair])
+            observed.append(observations)
+            steers.append(np.array([a.steer for a in acts]))
+            played.append(np.array([a.port for a in acts[1:]]))
+            previous = encode_actions(steers[-1], played[-1], self.n_ports)
             started = time.process_time()
             observations, info = env.step(acts)
             self.env_s += time.process_time() - started
+            infos.append(info)
 
-            ep.net_inputs.append(inputs)
-            ep.actions.append(acts)
-            ep.window_rows.append(row)
-            ep.rewards_raw.append(info["reward"])
-            train_reward = max(info["reward"], -m.penalty_clip) / m.reward_scale
-            ep.rewards_train.append(train_reward)
-            ep.port_credit.append(slot_port_credit(
-                info["late"], info["report"], train_reward,
-                -info["error"] / m.reward_scale))
-            ep.errors.append(info["error"])
-            ep.feasible.append(info["feasible"])
-            ep.stales.append(info["stale"])
-            ep.violations.append(info["latency_violations"])
-        return ep
+        def column(key):
+            return np.array([info[key] for info in infos])
+
+        return EpisodeData(
+            observations=[np.stack(obs, axis=1) for obs in zip(*observed)],
+            steer=np.array(steers), ports=np.array(played),
+            rewards_raw=column("reward"), errors=column("error"),
+            stales=column("stale"), feasible=column("feasible"),
+            late=column("late"),
+            range_ok=np.array([info["report"].flags()[1:] for info in infos]))
 
     # -- targets and loss -----------------------------------------------------
 
@@ -919,9 +919,8 @@ class MarlTrainer:
         """Each of nets' local Q-nets run once over its agents' recorded
         inputs from fresh recurrent states: [i] -> ((q, port), cache), as
         LocalQNet.forward returns them."""
-        return [net.forward(np.stack([row[agents] for row in episode.net_inputs],
-                                     axis=1))
-                for net, agents in nets.local_agents()]
+        return [net.forward(xs) for net, xs
+                in zip(nets.local, self._agent_inputs(episode, previous=True))]
 
     def _mix(self, nets: PolicyNets, q_chosen: np.ndarray, windows):
         """Global Q (T,) of the chosen local Q-values (T, N_AGENTS): the
@@ -945,8 +944,8 @@ class MarlTrainer:
                                 else q.max(axis=-1) + port.max(axis=-1)
                                 for (q, port), _ in self._replay(tnets, episode)])
         boot = self._mix(tnets, greedy, self._windows(episode))[0]
-        targets = build_td_targets(np.asarray(episode.rewards_train), boot[1:],
-                                   self.cfg.marl.discount)
+        targets = build_td_targets(training_rewards(episode, self.cfg.marl),
+                                   boot[1:], self.cfg.marl.discount)
         self.target_s += time.process_time() - started
         return targets
 
@@ -969,10 +968,9 @@ class MarlTrainer:
         T = len(episode)
         # the team's (N_AGENTS, T, 1) chosen steering combos and port
         # indices, port - 1 (the active UAV, agent 0, picks no port)
-        steer = np.array([[a.steer for a in row] for row in episode.actions])
-        port_ids = np.array([[0] + [a.port - 1 for a in row[1:]]
-                             for row in episode.actions])
-        steer, port_ids = steer.T[..., None], port_ids.T[..., None]
+        steer = episode.steer.T[..., None]
+        port_ids = np.column_stack([np.zeros(T, int),
+                                    episode.ports - 1]).T[..., None]
         replay = self._replay(nets, episode)
         q_chosen = []
         for ((q, port), _), (_, agents) in zip(replay, nets.local_agents()):
@@ -992,7 +990,8 @@ class MarlTrainer:
         # each port head's targets: per agent and slot, the chosen port's
         # index and the agent's credit for it (the active UAV, column 0,
         # picks no port)
-        credit = np.column_stack([np.zeros(T), episode.port_credit])
+        credit = np.column_stack([np.zeros(T),
+                                  difference_credit(episode, self.cfg.marl)])
         fits = [None if net.port_head is None
                 else (port_ids[agents, :, 0], credit[:, agents].T)
                 for net, agents in nets.local_agents()]
@@ -1077,7 +1076,7 @@ class MarlTrainer:
                 errs.extend(episode.errors)
                 rews.extend(episode.rewards_raw)
                 losses.append(loss)
-                viols += int(np.sum(np.asarray(episode.feasible) == False))
+                viols += int(np.sum(~episode.feasible))
             log.records.append(EpochRecord(
                 epoch=epoch,
                 mean_error=float(np.mean(errs)),
@@ -1124,10 +1123,10 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
             np.random.SeedSequence((seed, ep, 1))))
         played = trainer.rollout(PositioningEnv(cfg, env_rng), 0.0,
                                  rng=pol_rng, port_menu=port_menu)
-        errors += played.errors
-        rewards += played.rewards_raw
-        stale_slots += sum(bool(s) for s in played.stales)
-        violation_slots += sum(not f for f in played.feasible)
+        errors.extend(played.errors)
+        rewards.extend(played.rewards_raw)
+        stale_slots += int(played.stales.sum())
+        violation_slots += int((~played.feasible).sum())
     return {
         "episodes": episodes,
         "mean_error": float(np.mean(errors)),

@@ -79,6 +79,17 @@ class TestConfig:
         "marl.eps_start=2",
         "marl.eps_end=-0.5",
         "run.eval_episodes=0",
+        # values that load and train silently wrong: gradient ascent, a
+        # negative loss, a penalty that trains as a bonus
+        "marl.grad_clip=-5",
+        "marl.learning_rate=-0.05",
+        "marl.penalty_clip=-200",
+        "marl.port_lr_multiplier=0",
+        "marl.delta=-1",
+        "marl.port_eps_floor=1.5",
+        "marl.discount=1.5",
+        "marl.lr_final_fraction=-0.2",
+        "marl.anneal_fraction=2",
         # positions of the wrong shape or with a non-finite coordinate
         "scenario.passive_starts=1 2 3, 4 5 6, 7 8 9",
         "scenario.active_start=1 2",
@@ -92,6 +103,16 @@ class TestConfig:
             load_config(None, [override])
         key = override.split("=")[0].split(".")[1]
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("override", [
+        "marl.delta=0", "marl.port_eps_floor=0", "marl.port_eps_floor=1",
+        "marl.discount=0", "marl.discount=1", "marl.lr_final_fraction=0",
+        "marl.lr_final_fraction=1", "marl.anneal_fraction=0",
+        "marl.anneal_fraction=1"])
+    def test_closed_range_ends_load(self, override):
+        key, value = override.split("=")
+        assert getattr(load_config(None, [override]).marl,
+                       key.split(".")[1]) == float(value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):

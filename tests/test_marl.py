@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from fasloc import cli, marl, nn
 from fasloc.channel import ChannelError
 from fasloc.config import MarlConfig, default_config, to_ini
-from fasloc.marl import (N_STEER, AgentAction, Coordinator, EpochRecord,
-                         LocalQNet, MarlTrainer, Mixer, PositioningEnv,
-                         TrainingLog, build_observation, build_td_targets,
-                         micro_config, micro_gradcheck, reward,
-                         select_action, steering_action, weighted_td_loss)
+from fasloc.marl import (N_STEER, AgentAction, Coordinator, EpisodeData,
+                         EpochRecord, LocalQNet, MarlTrainer, Mixer,
+                         PositioningEnv, TrainingLog, build_td_targets,
+                         encode_actions, micro_config, micro_gradcheck,
+                         reward, select_action, steering_action,
+                         weighted_td_loss)
 from fasloc.world import ConstraintReport
 
 FEASIBLE = ConstraintReport(True, True, True)
@@ -76,28 +77,85 @@ class TestActions:
                 assert a.steer * n + a.port - 1 == _flat_greedy(q, port, menu)
 
 
+def _ref_observation(agent, positions, aod, prev_range):
+    """One agent's scaled observation: the active UAV (agent 0) sees its
+    position; a passive agent its position, its uplink paths' departure
+    angles and its previous measured range sum."""
+    if agent == 0:
+        return positions[0].copy() * marl.POSITION_SCALE
+    scaled = np.concatenate([positions[agent], aod, [prev_range]])
+    scaled[:3] *= marl.POSITION_SCALE
+    scaled[3:-1] /= math.pi
+    scaled[-1] *= marl.RANGE_SCALE
+    return scaled
+
+
+def _ref_encode_action(action, is_active, n_ports):
+    """One agent's [-1, 1] action features; zeros for no action."""
+    dim = 2 if is_active else 3
+    if action is None:
+        return np.zeros(dim)
+    enc = [(action.yaw_idx - 2) / 2.0, (action.pitch_idx - 2) / 2.0]
+    if not is_active:
+        enc.append(2.0 * (action.port - 1) / max(n_ports - 1, 1) - 1.0)
+    return np.array(enc)
+
+
 class TestObservations:
+    def _env(self):
+        env = PositioningEnv(default_config(), np.random.default_rng(0))
+        env.reset()
+        env.positions = np.arange(15, dtype=float).reshape(5, 3)
+        env.aods = np.linspace(0.1, 2.8, 20).reshape(4, 5)
+        env.prev_ranges = np.array([812.5, 0.0, 640.0, 901.25])
+        return env
+
     def test_active_observation_is_position(self):
-        positions = np.arange(15, dtype=float).reshape(5, 3)
-        obs = build_observation(0, positions, None, 0.0)
-        np.testing.assert_array_equal(obs, positions[0])
-        assert obs.shape == (3,)
+        env = self._env()
+        obs = env.observations()[0]
+        assert obs.shape == (1, 3)
+        np.testing.assert_array_equal(obs[0], env.positions[0] * marl.POSITION_SCALE)
 
     def test_passive_layout_and_length(self):
-        positions = np.arange(15, dtype=float).reshape(5, 3)
-        aod = np.linspace(0.1, 2.8, 5)
-        obs = build_observation(2, positions, aod, 812.5)
-        assert obs.shape == (3 + 5 + 1,)
-        np.testing.assert_array_equal(obs[:3], positions[2])
-        np.testing.assert_array_equal(obs[3:8], aod)
-        assert obs[-1] == 812.5
+        env = self._env()
+        obs = env.observations()[1]
+        assert obs.shape == (4, 3 + 5 + 1)
+        np.testing.assert_array_equal(obs[:, :3],
+                                      env.positions[1:] * marl.POSITION_SCALE)
+        np.testing.assert_array_equal(obs[:, 3:8], env.aods / math.pi)
+        np.testing.assert_array_equal(obs[:, -1], env.prev_ranges * marl.RANGE_SCALE)
 
     def test_first_slot_has_zero_prev_range(self):
         cfg = tiny_config()
         env = PositioningEnv(cfg, np.random.default_rng(0))
         obs = env.reset()
-        for k in range(1, 5):
-            assert obs[k][-1] == 0.0
+        assert np.all(obs[1][:, -1] == 0.0)
+
+    def test_arrays_equal_the_per_agent_reference(self):
+        """The per-net observation arrays and action features are byte-
+        equal to the agent-by-agent ones."""
+        cfg = default_config()
+        n_ports = cfg.channel.n_ports
+        env = PositioningEnv(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            env.positions = rng.uniform(-50.0, 1500.0, (5, 3))
+            env.aods = rng.uniform(0.0, math.pi, (4, cfg.channel.n_paths))
+            env.prev_ranges = rng.uniform(0.0, 3000.0, 4)
+            steer = rng.integers(0, N_STEER, 5)
+            ports = rng.integers(1, n_ports + 1, 4)
+            acts = [steering_action(s, int(p) if k else None)
+                    for k, (s, p) in enumerate(zip(steer, [None, *ports]))]
+            net_obs = env.observations()
+            net_enc = encode_actions(steer, ports, n_ports)
+            team = [(i, j) for i, o in enumerate(net_obs) for j in range(len(o))]
+            for k, (i, j) in enumerate(team):
+                aod = env.aods[k - 1] if k else None
+                prev = env.prev_ranges[k - 1] if k else 0.0
+                assert (net_obs[i][j].tobytes()
+                        == _ref_observation(k, env.positions, aod, prev).tobytes())
+                assert (net_enc[i][j].tobytes()
+                        == _ref_encode_action(acts[k], k == 0, n_ports).tobytes())
 
 
 class TestLocalQ:
@@ -335,26 +393,60 @@ class TestMixer:
         assert finite_diff_check(loss, mixer.params(), eps=1e-6) < 1e-5
 
 
+def _slot_records(late, reports, rewards_raw, errors):
+    """An episode record of the given slot outcomes; every action is hold
+    course on port 1."""
+    T = len(late)
+    return EpisodeData(
+        observations=[], steer=np.full((T, 5), 12), ports=np.ones((T, 4), int),
+        rewards_raw=np.asarray(rewards_raw, float),
+        errors=np.asarray(errors, float), stales=np.zeros(T, bool),
+        feasible=np.array([r.feasible for r in reports]),
+        late=np.asarray(late, bool),
+        range_ok=np.array([r.flags()[1:] for r in reports]))
+
+
 class TestPortCredit:
+    # a 7 m error trains as -0.07 when feasible, the penalty as -2.0
+
+    def _credit(self, late, report, reward_raw):
+        episode = _slot_records([late], [report], [reward_raw], [7.0])
+        return marl.difference_credit(episode, MarlConfig())[0]
+
     def test_sole_late_agent_gets_the_penalty_margin(self):
-        credit = marl.slot_port_credit([False, True, False, False], VIOLATED,
-                                       -2.0, -0.07)
+        credit = self._credit([False, True, False, False], VIOLATED, -1.0e6)
         np.testing.assert_allclose(credit, [0.0, -1.93, 0.0, 0.0])
 
     def test_no_credit_when_several_are_late(self):
-        credit = marl.slot_port_credit([True, True, False, False], VIOLATED,
-                                       -2.0, -0.07)
+        credit = self._credit([True, True, False, False], VIOLATED, -1.0e6)
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_when_another_constraint_fails(self):
         report = ConstraintReport(False, False, True)
-        credit = marl.slot_port_credit([False, False, True, False], report,
-                                       -2.0, -0.07)
+        credit = self._credit([False, False, True, False], report, -1.0e6)
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_in_a_feasible_slot(self):
-        credit = marl.slot_port_credit([False] * 4, FEASIBLE, -0.07, -0.07)
+        credit = self._credit([False] * 4, FEASIBLE, -7.0)
         np.testing.assert_array_equal(credit, np.zeros(4))
+
+    def test_equals_the_per_slot_reference(self):
+        rng = np.random.default_rng(29)
+        T = 2000
+        late = rng.random((T, 4)) < 0.2
+        reports = [ConstraintReport(not lt.any(), *(rng.random(2) < 0.9))
+                   for lt in late]
+        errors = rng.exponential(8.0, T)
+        rewards = np.where([r.feasible for r in reports], -errors, -1.0e6)
+        m = MarlConfig()
+        episode = _slot_records(late, reports, rewards, errors)
+        credit = marl.difference_credit(episode, m)
+        assert np.count_nonzero(credit) > 100
+        for t in range(T):
+            train = max(rewards[t], -m.penalty_clip) / m.reward_scale
+            ref = _ref_slot_port_credit(late[t], reports[t], train,
+                                        -errors[t] / m.reward_scale)
+            assert credit[t].tobytes() == ref.tobytes()
 
 
 class TestRewardAndLoss:
@@ -505,11 +597,12 @@ class TestTrainerMachinery:
         greedy_ports = set()
         for t in range(len(episode)):
             for k, (q, port) in enumerate(live):
-                a = episode.actions[t][k]
-                assert sent[t][k] == a
+                a = sent[t][k]
+                assert a.steer == episode.steer[t, k]
                 if k == 0:
                     assert a.steer == int(np.argmax(q[t]))
                     continue
+                assert a.port == episode.ports[t, k - 1]
                 assert (a.steer * n + a.port - 1
                         == int(np.argmax(np.add.outer(q[t], port[t]))))
                 greedy_ports.add(a.port)
@@ -541,6 +634,18 @@ class TestTrainerMachinery:
         assert len(sent) == 3 * 4 * 4
         assert set(sent) <= set(menu)
         assert len(set(sent)) > 1
+
+    @pytest.mark.parametrize("scheme", ["ar_marl", "random"])
+    def test_evaluation_derives_no_training_signal(self, scheme, monkeypatch):
+        def learner_only(*args, **kwargs):
+            raise AssertionError("evaluation derived a training signal")
+
+        monkeypatch.setattr(marl, "training_rewards", learner_only)
+        monkeypatch.setattr(marl, "difference_credit", learner_only)
+        monkeypatch.setattr(MarlTrainer, "_agent_inputs", learner_only)
+        cfg = tiny_config(scheme=scheme)
+        stats = marl.evaluate_rollouts(cfg, MarlTrainer(cfg), 2, seed=0)
+        assert stats["episodes"] == 2 and math.isfinite(stats["mean_error"])
 
     @pytest.mark.parametrize("scheme", ["ar_marl", "random"])
     @pytest.mark.parametrize("menu", [[0, 5], [5, 33]])
@@ -624,7 +729,6 @@ class TestEnvironment:
         acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
         _, info = env.step(acts)
         assert info["late"].tolist() == [False, True, False, False]
-        assert info["latency_violations"] == 1
         assert not info["report"].latency_ok
 
 
@@ -648,9 +752,13 @@ def test_random_action_episode_stays_finite(seed, uncertainty, episode):
     for slot in episode:
         acts = [AgentAction(y, p, None if k == 0 else port)
                 for k, (y, p, port) in enumerate(slot)]
-        _, info = env.step(acts)
-        assert math.isfinite(info["reward"])
-        assert math.isfinite(info["error"])
+        observations, info = env.step(acts)
+        for key, value in info.items():
+            if isinstance(value, ConstraintReport):
+                value = value.flags()
+            assert np.all(np.isfinite(np.asarray(value, float))), key
+        for obs in observations:
+            assert np.all(np.isfinite(obs))
 
 
 class TestTrainingLog:
@@ -670,10 +778,56 @@ class TestTrainingLog:
 #
 # The learner as it ran before it was batched over time and agents: one
 # forward and one backward call per slot and agent, one coordinator call
-# per history window, one mixer call per slot.  Each agent's arithmetic
-# reads and accumulates into that agent's own Param views (agent k of a
-# stacked block), the objects the checkpoint and the update see, and the
-# batched path must match it bit for bit.
+# per history window, one mixer call per slot, with each slot's training
+# reward, port credit, net inputs and history row built from the recorded
+# episode slot by slot and agent by agent.  Each agent's arithmetic reads
+# and accumulates into that agent's own Param views (agent k of a stacked
+# block), the objects the checkpoint and the update see, and the batched
+# path must match it bit for bit.
+
+
+def _ref_slot_port_credit(late, report, train_reward, feasible_reward):
+    """Per passive UAV, the credit for its port choice in one slot: the
+    training reward minus the reward at the realised fix when its report is
+    the only late one and both range constraints hold, else 0."""
+    late = np.asarray(late, dtype=bool)
+    credit = np.zeros(len(late))
+    if late.sum() == 1 and report.target_range_ok and report.pairwise_range_ok:
+        credit[late] = train_reward - feasible_reward
+    return credit
+
+
+def _ref_train_reward(trainer, episode, t):
+    m = trainer.cfg.marl
+    return max(episode.rewards_raw[t], -m.penalty_clip) / m.reward_scale
+
+
+def _ref_action(episode, t, k):
+    """Agent k's action at slot t, or None before the first slot."""
+    if t < 0:
+        return None
+    return steering_action(episode.steer[t, k],
+                           int(episode.ports[t, k - 1]) if k else None)
+
+
+def _ref_observation_of(episode, t, k):
+    """Agent k's recorded observation at slot t."""
+    return [obs[j, t] for obs in episode.observations for j in range(len(obs))][k]
+
+
+def _ref_net_input(trainer, episode, t, k):
+    """Agent k's observation at slot t and its action of the slot before."""
+    return np.concatenate([_ref_observation_of(episode, t, k),
+                           _ref_encode_action(_ref_action(episode, t - 1, k),
+                                              k == 0, trainer.n_ports)])
+
+
+def _ref_window_row(trainer, episode, t):
+    """The joint history row of slot t: each agent's observation and the
+    action taken on it, in team order."""
+    return np.concatenate([part for k in range(5) for part in (
+        _ref_observation_of(episode, t, k),
+        _ref_encode_action(_ref_action(episode, t, k), k == 0, trainer.n_ports))])
 
 
 def _ref_linear(layer, x, k=0):
@@ -895,7 +1049,8 @@ def _ref_window(trainer, episode, t):
     t_h = trainer.cfg.marl.history_window
     rows = np.zeros((t_h, trainer.nets.row_dim))
     mask = np.zeros(t_h, dtype=bool)
-    chunk = np.array(episode.window_rows[max(0, t + 1 - t_h):t + 1])
+    chunk = np.array([_ref_window_row(trainer, episode, s)
+                      for s in range(max(0, t + 1 - t_h), t + 1)])
     rows[t_h - len(chunk):] = chunk
     mask[t_h - len(chunk):] = True
     return rows, mask
@@ -907,14 +1062,15 @@ def _team(nets):
     return [(net, j) for net in nets.local for j in range(net.n_agents)]
 
 
-def _ref_replay(nets, episode):
+def _ref_replay(trainer, nets, episode):
     team = _team(nets)
     hidden = [np.zeros(max(net.hidden_size, 1)) for net, _ in team]
     qs, caches = [], []
-    for inputs in episode.net_inputs:
+    for t in range(len(episode)):
         q_row, c_row = [], []
         for k, (net, j) in enumerate(team):
-            q, hidden[k], cache = _ref_local(net, inputs[k], hidden[k], j)
+            q, hidden[k], cache = _ref_local(
+                net, _ref_net_input(trainer, episode, t, k), hidden[k], j)
             q_row.append(q)
             c_row.append(cache)
         qs.append(q_row)
@@ -934,25 +1090,31 @@ def _ref_mix(trainer, nets, q_chosen, episode, t):
 
 def _ref_td_targets(trainer, episode):
     tnets = trainer.target_nets
-    qs, _ = _ref_replay(tnets, episode)
+    qs, _ = _ref_replay(trainer, tnets, episode)
     greedy = np.array([[float(np.max(q)) for q in row] for row in qs])
     boot = np.zeros(len(episode))
     for t in range(len(episode)):
         boot[t], _ = _ref_mix(trainer, tnets, greedy[t], episode, t)
-    return build_td_targets(np.asarray(episode.rewards_train), boot[1:],
-                            trainer.cfg.marl.discount)
+    rewards = np.array([_ref_train_reward(trainer, episode, t)
+                        for t in range(len(episode))])
+    return build_td_targets(rewards, boot[1:], trainer.cfg.marl.discount)
 
 
 def _ref_port_fit(trainer, episode, t, k):
     if _team(trainer.nets)[k][0].port_head is None:
         return None
-    return episode.actions[t][k].port - 1, episode.port_credit[t][k - 1]
+    late = episode.late[t]
+    report = ConstraintReport(not late.any(), *episode.range_ok[t])
+    credit = _ref_slot_port_credit(
+        late, report, _ref_train_reward(trainer, episode, t),
+        -episode.errors[t] / trainer.cfg.marl.reward_scale)
+    return _ref_action(episode, t, k).port - 1, credit[k - 1]
 
 
 def _ref_action_id(trainer, episode, t, k):
     """The flat id of agent k's action at slot t in the reference's Q-vector:
     steer * n_ports + port - 1 with a port head, steer without."""
-    a = episode.actions[t][k]
+    a = _ref_action(episode, t, k)
     if _team(trainer.nets)[k][0].port_head is None:
         return a.steer
     return a.steer * trainer.n_ports + a.port - 1
@@ -961,7 +1123,7 @@ def _ref_action_id(trainer, episode, t, k):
 def _ref_episode_loss(trainer, episode, targets):
     nets = trainer.nets
     T = len(episode)
-    qs, caches = _ref_replay(nets, episode)
+    qs, caches = _ref_replay(trainer, nets, episode)
     q_chosen = np.array([[qs[t][k][_ref_action_id(trainer, episode, t, k)]
                           for k in range(5)] for t in range(T)])
     q_mix = np.zeros(T)
@@ -1088,7 +1250,7 @@ def _single_agent_nets(trainer):
     arrays = trainer.checkpoint_arrays()
     singles = []
     for k in range(1, 5):
-        net = LocalQNet(nets.passive_inputs,
+        net = LocalQNet(nets.input_widths[1],
                         cfg.channel.n_ports if nets.learned_ports else 0,
                         (3, 3 + cfg.channel.n_paths), cfg.marl,
                         np.random.default_rng(0),
@@ -1106,7 +1268,7 @@ def test_stacked_passive_net_equals_four_single_agent_nets(scheme):
     assert stacked.n_agents == 4
     singles = _single_agent_nets(trainer)
     rng = np.random.default_rng(41)
-    n_in, hid = trainer.nets.passive_inputs, max(stacked.hidden_size, 1)
+    n_in, hid = trainer.nets.input_widths[1], max(stacked.hidden_size, 1)
 
     def agent_bytes(values, k):
         """Agent k's slice of (q, port) as bytes."""
