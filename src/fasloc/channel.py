@@ -58,12 +58,20 @@ class ChannelParams:
     uplink_noise: float = 3e-12       # W, denominator noise term of the SINR
 
     def __post_init__(self):
-        if self.tx_power_active <= 0 or self.tx_power_passive <= 0:
-            raise ChannelError("transmit powers must be positive")
+        for name in ("tx_power_active", "tx_power_passive", "unit_path_gain",
+                     "reflect_coeff", "noise_power", "fas_size",
+                     "carrier_freq", "ref_distance", "amp_db_divisor",
+                     "data_bits", "bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ChannelError(f"{name} must be positive")
+        for name in ("shadow_std_db", "rician_k", "uplink_noise",
+                     "dominant_paths"):
+            if not getattr(self, name) >= 0:
+                raise ChannelError(f"{name} must be at least 0")
+        if not 0.0 <= self.dominant_share <= 1.0:
+            raise ChannelError("dominant_share must lie in [0, 1]")
         if self.n_ports < 2:
             raise ChannelError("need at least 2 antenna ports")
-        if self.fas_size <= 0:
-            raise ChannelError("fas_size must be positive")
         if self.n_paths < 1:
             raise ChannelError("need at least one propagation path")
 

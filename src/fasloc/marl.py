@@ -45,41 +45,15 @@ class TrainingDiverged(RuntimeError):
         self.log = None
 
 
-@dataclass(frozen=True)
-class AgentAction:
-    yaw_idx: int
-    pitch_idx: int
-    port: int | None = None      # 1-based; None for the active UAV
-
-    @property
-    def yaw(self) -> float:
-        return float(ANGLE_CHOICES[self.yaw_idx])
-
-    @property
-    def pitch(self) -> float:
-        return float(ANGLE_CHOICES[self.pitch_idx])
-
-    @property
-    def steer(self) -> int:
-        """The steering combo: an index into a local net's N_STEER
-        steering Q-values."""
-        return self.yaw_idx * N_ANGLE + self.pitch_idx
-
-
-def steering_action(steer: int, port: int | None = None) -> AgentAction:
-    """The action of steering combo steer (AgentAction.steer) and port."""
-    yaw, pitch = divmod(int(steer), N_ANGLE)
-    return AgentAction(yaw, pitch, port)
-
-
 def encode_actions(steer: np.ndarray, ports: np.ndarray,
                    n_ports: int) -> list[np.ndarray]:
     """The team's actions as each local net's (A, ..., 2 or 3) [-1, 1]
     action features, in PolicyNets.local_agents() order.  steer
-    (N_AGENTS, ...) holds the steering combos (AgentAction.steer) and
-    ports (4, ...) the passive UAVs' 1-based ports.  Every agent's
-    features are its yaw and pitch index; a passive UAV's add its port's
-    place on the grid (ChannelParams rejects n_ports < 2)."""
+    (N_AGENTS, ...) holds the steering combos, yaw * N_ANGLE + pitch
+    indices into ANGLE_CHOICES, and ports (4, ...) the passive UAVs'
+    1-based ports.  Every agent's features are its yaw and pitch index; a
+    passive UAV's add its port's place on the grid (ChannelParams rejects
+    n_ports < 2)."""
     yaw, pitch = np.divmod(steer, N_ANGLE)
     angles = np.stack([(yaw - 2) / 2.0, (pitch - 2) / 2.0], axis=-1)
     port = 2.0 * (ports - 1) / (n_ports - 1) - 1.0
@@ -592,19 +566,19 @@ class PositioningEnv:
         return [scaled[:1], np.concatenate([scaled[1:], self.aods / math.pi,
                                             ranges], axis=1)]
 
-    def step(self, actions: list[AgentAction]):
+    def step(self, steer: np.ndarray, ports: np.ndarray):
+        """Play one slot of the team's actions: steer holds the (N_AGENTS,)
+        steering combos (as in encode_actions), ports the passive UAVs'
+        (4,) 1-based ports.  Returns the next observations and the slot's
+        info."""
         cfg = self.cfg
         wcfg = cfg.world
         params = cfg.channel
-        ports = [a.port for a in actions[1:]]
-        if None in ports:
-            raise ch.ChannelError(f"passive UAV {ports.index(None) + 1} "
-                                  f"chose no port")
+        turns = ANGLE_CHOICES[np.stack(np.divmod(steer, N_ANGLE), axis=-1)]
 
-        for k, act in enumerate(actions):
-            yaw = self.headings[k, 0] + act.yaw
+        for k in range(N_AGENTS):
+            yaw, pitch = self.headings[k] + turns[k]
             yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
-            pitch = self.headings[k, 1] + act.pitch
             pitch = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
             self.headings[k] = (yaw, pitch)
             self.positions[k] = wd.step_controlled(self.positions[k], yaw,
@@ -808,10 +782,12 @@ class MarlTrainer:
         return padded[index], index >= t_h - 1
 
     def act(self, values, epsilon: float, port_eps: float,
-            rng: np.random.Generator, ports: np.ndarray) -> list[AgentAction]:
-        """The team's actions for one slot from each agent's (q, port), its
-        local net's steering Q-values and port advantages (port None
-        without a port head).
+            rng: np.random.Generator, ports: np.ndarray):
+        """The team's actions for one slot, (steer, ports): the (N_AGENTS,)
+        steering combos and the passive UAVs' (4,) 1-based ports, as
+        PositioningEnv.step takes them.  values holds each local net's
+        (q, port) as LocalQNet.step returns them, in PolicyNets.local_agents()
+        order (none for the random scheme).
 
         ports are the selectable ports, in ascending order.  The random
         scheme draws each agent's action uniformly: one draw over the
@@ -827,32 +803,32 @@ class MarlTrainer:
         policy goes greedy, and the port ranking then freezes at whatever
         the anneal phase reached.
         """
+        steer = np.zeros(N_AGENTS, int)
         if not self.trains:
-            acts = [steering_action(rng.integers(N_STEER))]
-            for _ in range(4):
-                steer, i = divmod(int(rng.integers(N_STEER * len(ports))),
-                                  len(ports))
-                acts.append(steering_action(steer, int(ports[i])))
-            return acts
-        learned_ports = self.nets.learned_ports
-        slot_ports = (None if learned_ports
-                      else ports[rng.integers(len(ports), size=4)])
-        acts = []
-        for k, (q, port_adv) in enumerate(values):
-            if k == 0 or not learned_ports:
-                action = steering_action(select_action(q, epsilon, rng),
-                                         int(slot_ports[k - 1]) if k else None)
-            else:
-                steer = int(np.argmax(q))
-                if epsilon > 0.0 and rng.uniform() < epsilon:
-                    yaw = int(rng.integers(N_ANGLE))
-                    steer = yaw * N_ANGLE + int(rng.integers(N_ANGLE))
-                port = int(ports[np.argmax(port_adv[ports - 1])])
-                if port_eps > 0.0 and rng.uniform() < port_eps:
-                    port = int(ports[rng.integers(len(ports))])
-                action = steering_action(steer, port)
-            acts.append(action)
-        return acts
+            chosen = np.zeros(4, int)
+            steer[0] = rng.integers(N_STEER)
+            for k in range(1, N_AGENTS):
+                steer[k], i = divmod(int(rng.integers(N_STEER * len(ports))),
+                                     len(ports))
+                chosen[k - 1] = ports[i]
+            return steer, chosen
+        q = np.concatenate([q for q, _ in values])[:, 0]
+        _, port_adv = values[1]   # the passive UAVs'; None: no port head
+        if port_adv is None:
+            chosen = ports[rng.integers(len(ports), size=4)]
+        else:
+            chosen = ports[np.argmax(port_adv[:, 0, ports - 1], axis=-1)]
+        for k in range(N_AGENTS):
+            if k == 0 or port_adv is None:
+                steer[k] = select_action(q[k], epsilon, rng)
+                continue
+            steer[k] = np.argmax(q[k])
+            if epsilon > 0.0 and rng.uniform() < epsilon:
+                yaw = rng.integers(N_ANGLE)
+                steer[k] = yaw * N_ANGLE + rng.integers(N_ANGLE)
+            if port_eps > 0.0 and rng.uniform() < port_eps:
+                chosen[k - 1] = ports[rng.integers(len(ports))]
+        return steer, chosen
 
     # -- rollout --------------------------------------------------------------
 
@@ -865,20 +841,21 @@ class MarlTrainer:
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon), drawing from rng (default: the trainer's policy
         stream).  port_menu restricts the passive UAVs to those ports of the
-        grid (ValueError for any other).  The local nets act slot by slot
-        (LocalQNet.step, one call per net for all its agents) and keep no
-        caches: the learner derives their inputs from the record and
-        replays them in one sequence pass.  The process time spent in
-        env.step is added to env_s.
+        grid (ValueError if it is empty or holds anything else).  The local
+        nets act slot by slot (LocalQNet.step, one call per net for all its
+        agents) and keep no caches: the learner derives their inputs from
+        the record and replays them in one sequence pass.  The process time
+        spent in env.step is added to env_s.
         """
         rng = self.policy_rng if rng is None else rng
         port_eps = epsilon if port_eps is None else port_eps
         ports = np.arange(1, self.n_ports + 1)
         if port_menu is not None:
-            ports = np.unique(np.asarray(port_menu, dtype=int))
-            if not np.all((ports >= 1) & (ports <= self.n_ports)):
-                raise ValueError(f"port menu {ports.tolist()} leaves "
+            if not (np.size(port_menu) and np.isin(port_menu, ports).all()):
+                raise ValueError(f"port menu {np.asarray(port_menu).tolist()} "
+                                 f"is not a nonempty set of ports in "
                                  f"1..{self.n_ports}")
+            ports = np.unique(np.asarray(port_menu, dtype=int))
         observations = env.reset()
         # each net's agents' previous-action features: none before slot 0
         previous = [np.zeros((len(obs), width - obs.shape[-1])) for obs, width
@@ -886,19 +863,18 @@ class MarlTrainer:
         hidden = [net.initial_state() for net in self.nets.local]
         observed, steers, played, infos = [], [], [], []
         for _ in range(env.cfg.world.slots_per_episode):
-            values = [None] * N_AGENTS
-            for i, (net, agents) in enumerate(self.nets.local_agents()):
+            values = []
+            for i, net in enumerate(self.nets.local):
                 x = np.concatenate([observations[i], previous[i]], axis=-1)
-                (q, port), hidden[i] = net.step(x[:, None], hidden[i])
-                values[agents] = zip(q[:, 0], [None] * len(q) if port is None
-                                     else port[:, 0])
-            acts = self.act(values, epsilon, port_eps, rng, ports)
+                value, hidden[i] = net.step(x[:, None], hidden[i])
+                values.append(value)
+            steer, chosen = self.act(values, epsilon, port_eps, rng, ports)
             observed.append(observations)
-            steers.append(np.array([a.steer for a in acts]))
-            played.append(np.array([a.port for a in acts[1:]]))
-            previous = encode_actions(steers[-1], played[-1], self.n_ports)
+            steers.append(steer)
+            played.append(chosen)
+            previous = encode_actions(steer, chosen, self.n_ports)
             started = time.process_time()
-            observations, info = env.step(acts)
+            observations, info = env.step(steer, chosen)
             self.env_s += time.process_time() - started
             infos.append(info)
 

@@ -45,6 +45,8 @@ class WorldConfig:
             raise WorldError("need 0 < dist_min < dist_max")
         if self.slots_per_episode < 1:
             raise WorldError("slots_per_episode must be at least 1")
+        if not -math.pi / 2 <= self.pitch_min <= self.pitch_max <= math.pi / 2:
+            raise WorldError("need -pi/2 <= pitch_min <= pitch_max <= pi/2")
 
 
 @dataclass(frozen=True)

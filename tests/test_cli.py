@@ -97,6 +97,26 @@ class TestConfig:
         "target.start=1 2",
         "scenario.active_start=nan 300 300",
         "target.start=inf 615 533",
+        # radio and kinematic values that crash the first slot with a
+        # ZeroDivisionError, make every slot stale or every uplink late,
+        # give negative latencies, or clamp every pitch to pitch_max
+        "channel.noise_power=0",
+        "channel.bandwidth=0",
+        "channel.rician_k=-1",
+        "channel.amp_db_divisor=0",
+        "channel.reflect_coeff=0",
+        "channel.dominant_share=1.5",
+        "channel.dominant_share=-0.5",
+        "channel.data_bits=-1",
+        "channel.unit_path_gain=0",
+        "channel.carrier_freq=0",
+        "channel.ref_distance=0",
+        "channel.shadow_std_db=-1",
+        "channel.uplink_noise=-1",
+        "channel.dominant_paths=-1",
+        "world.pitch_min=2",
+        "world.pitch_min=-2",
+        "world.pitch_max=2",
     ])
     def test_out_of_range_value_rejected_at_load(self, override):
         with pytest.raises(ConfigError) as err:
@@ -108,11 +128,17 @@ class TestConfig:
         "marl.delta=0", "marl.port_eps_floor=0", "marl.port_eps_floor=1",
         "marl.discount=0", "marl.discount=1", "marl.lr_final_fraction=0",
         "marl.lr_final_fraction=1", "marl.anneal_fraction=0",
-        "marl.anneal_fraction=1"])
+        "marl.anneal_fraction=1", "channel.shadow_std_db=0",
+        "channel.rician_k=0", "channel.uplink_noise=0",
+        "channel.dominant_paths=0", "channel.dominant_share=0",
+        "channel.dominant_share=1", "world.pitch_min=-1.5707963267948966",
+        "world.pitch_max=1.5707963267948966",
+        "world.pitch_min=1.0471975511965976"])
     def test_closed_range_ends_load(self, override):
         key, value = override.split("=")
-        assert getattr(load_config(None, [override]).marl,
-                       key.split(".")[1]) == float(value)
+        section, name = key.split(".")
+        assert getattr(getattr(load_config(None, [override]), section),
+                       name) == float(value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from hypothesis import strategies as st
 from fasloc import cli, marl, nn
 from fasloc.channel import ChannelError
 from fasloc.config import MarlConfig, default_config, to_ini
-from fasloc.marl import (N_STEER, AgentAction, Coordinator, EpisodeData,
-                         EpochRecord, LocalQNet, MarlTrainer, Mixer,
-                         PositioningEnv, TrainingLog, build_td_targets,
-                         encode_actions, micro_config, micro_gradcheck,
-                         reward, select_action, steering_action,
+from fasloc.marl import (N_STEER, Coordinator, EpisodeData, EpochRecord,
+                         LocalQNet, MarlTrainer, Mixer, PositioningEnv,
+                         TrainingLog, build_td_targets, encode_actions,
+                         micro_config, micro_gradcheck, reward, select_action,
                          weighted_td_loss)
 from fasloc.world import ConstraintReport
 
@@ -38,24 +38,67 @@ def _flat_greedy(q, port, menu):
     return int(ids[np.argmax(flat[ids])])
 
 
+def _ref_act(trainer, values, epsilon, port_eps, rng, ports):
+    """MarlTrainer.act as it ran agent by agent before the team's actions
+    were arrays: values holds each agent's (q, port) and the actions are
+    (steer, port) pairs, port None for the active UAV."""
+    if not trainer.trains:
+        acts = [(int(rng.integers(N_STEER)), None)]
+        for _ in range(4):
+            steer, i = divmod(int(rng.integers(N_STEER * len(ports))),
+                              len(ports))
+            acts.append((steer, int(ports[i])))
+        return acts
+    learned_ports = trainer.nets.learned_ports
+    slot_ports = (None if learned_ports
+                  else ports[rng.integers(len(ports), size=4)])
+    acts = []
+    for k, (q, port_adv) in enumerate(values):
+        if k == 0 or not learned_ports:
+            acts.append((select_action(q, epsilon, rng),
+                         int(slot_ports[k - 1]) if k else None))
+            continue
+        steer = int(np.argmax(q))
+        if epsilon > 0.0 and rng.uniform() < epsilon:
+            yaw = int(rng.integers(marl.N_ANGLE))
+            steer = yaw * marl.N_ANGLE + int(rng.integers(marl.N_ANGLE))
+        port = int(ports[np.argmax(port_adv[ports - 1])])
+        if port_eps > 0.0 and rng.uniform() < port_eps:
+            port = int(ports[rng.integers(len(ports))])
+        acts.append((steer, port))
+    return acts
+
+
 class TestActions:
     def test_action_space_sizes(self):
         assert N_STEER == marl.N_ANGLE ** 2 == 25
 
     def test_encode_decode_roundtrip(self):
-        seen = set()
-        for steer in range(N_STEER):
-            for port in (None, 1, 32):
-                act = steering_action(steer, port)
-                assert act.steer == steer and act.port == port
-                assert 0 <= act.yaw_idx < 5 and 0 <= act.pitch_idx < 5
-                seen.add((act.yaw_idx, act.pitch_idx))
-        assert len(seen) == N_STEER
+        """Each steering combo is yaw * N_ANGLE + pitch, and its action
+        features give back both indices and the port."""
+        n = 32
+        steer = np.tile(np.arange(N_STEER), (5, 1))
+        ports = np.tile(np.arange(N_STEER) % n + 1, (4, 1))
+        active, passive = encode_actions(steer, ports, n)
+        for features in (active, passive):
+            yaw, pitch = np.rint(features[..., :2] * 2.0 + 2.0).astype(int).T
+            assert set(yaw.ravel()) | set(pitch.ravel()) == set(range(5))
+            np.testing.assert_array_equal((yaw * 5 + pitch).T, steer[:len(features)])
+        np.testing.assert_array_equal(
+            np.rint((passive[..., 2] + 1.0) * (n - 1) / 2.0 + 1.0), ports)
 
     def test_angle_levels(self):
-        act = steering_action(AgentAction(0, 4, 3).steer, 3)
-        assert act.yaw == pytest.approx(math.radians(-60.0))
-        assert act.pitch == pytest.approx(math.radians(60.0))
+        """A steering combo turns the heading by ANGLE_CHOICES[yaw] and
+        ANGLE_CHOICES[pitch]; combo 12 holds course."""
+        env = PositioningEnv(default_config(), np.random.default_rng(0))
+        env.reset()
+        env.headings[:] = 0.0
+        env.step(np.array([0 * 5 + 4, 12, 4 * 5 + 0, 0 * 5 + 2, 4 * 5 + 2]),
+                 np.ones(4, int))
+        np.testing.assert_allclose(
+            env.headings,
+            np.radians([[-60, 60], [0, 0], [60, -60], [-60, 0], [60, 0]]),
+            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("count", [8, 16, 32])
     def test_greedy_act_is_first_argmax_of_menu_masked_outer_sum(self, count):
@@ -68,13 +111,54 @@ class TestActions:
             # generic values, then small integers, whose sums tie exactly
             draw = ((lambda size: rng.standard_normal(size)) if trial % 2 == 0
                     else (lambda size: rng.integers(0, 3, size).astype(float)))
-            values = [(draw(N_STEER), None)] + [(draw(N_STEER), draw(n))
-                                                for _ in range(4)]
-            acts = trainer.act(values, 0.0, 0.0, rng, np.array(menu))
-            assert acts[0].steer == int(np.argmax(values[0][0]))
-            assert acts[0].port is None
-            for (q, port), a in zip(values[1:], acts[1:]):
-                assert a.steer * n + a.port - 1 == _flat_greedy(q, port, menu)
+            values = [(draw((1, 1, N_STEER)), None),
+                      (draw((4, 1, N_STEER)), draw((4, 1, n)))]
+            steer, ports = trainer.act(values, 0.0, 0.0, rng, np.array(menu))
+            assert steer[0] == int(np.argmax(values[0][0]))
+            assert ports.shape == (4,)
+            q, port = values[1]
+            for j in range(4):
+                assert (steer[j + 1] * n + ports[j] - 1
+                        == _flat_greedy(q[j, 0], port[j, 0], menu))
+
+
+    @pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "random"])
+    def test_act_matches_the_per_agent_reference(self, scheme):
+        """act returns the reference's actions as arrays and leaves the
+        generator where the reference leaves it, draw for draw."""
+        base = default_config()
+        cfg = dataclasses.replace(base, run=dataclasses.replace(base.run,
+                                                                scheme=scheme))
+        trainer = MarlTrainer(cfg)
+        n = cfg.channel.n_ports
+        learned = trainer.nets.learned_ports
+        rng = np.random.default_rng(41)
+        for menu in (np.arange(1, n + 1), np.array(cli.port_menu_for(n, 8))):
+            for epsilon in (0.0, 0.3, 1.0):
+                for port_eps in (0.0, 0.3, 1.0):
+                    for trial in range(20):
+                        # generic values, then small integers that tie
+                        q, port = ((rng.standard_normal(size) if trial % 2
+                                    else rng.integers(0, 3, size).astype(float))
+                                   for size in ((5, N_STEER), (4, n)))
+                        port = port if learned else None
+                        values = [] if not trainer.trains else [
+                            (q[:1, None], None),
+                            (q[1:, None], None if port is None else port[:, None])]
+                        per_agent = [(q[0], None)] + [
+                            (q[k], None if port is None else port[k - 1])
+                            for k in range(1, 5)]
+                        seed = int(rng.integers(2**32))
+                        new_rng = np.random.default_rng(seed)
+                        ref_rng = np.random.default_rng(seed)
+                        steer, ports = trainer.act(values, epsilon, port_eps,
+                                                   new_rng, menu)
+                        ref = _ref_act(trainer, per_agent, epsilon, port_eps,
+                                       ref_rng, menu)
+                        assert steer.tolist() == [s for s, _ in ref]
+                        assert ports.tolist() == [p for _, p in ref[1:]]
+                        assert (new_rng.bit_generator.state
+                                == ref_rng.bit_generator.state)
 
 
 def _ref_observation(agent, positions, aod, prev_range):
@@ -91,13 +175,16 @@ def _ref_observation(agent, positions, aod, prev_range):
 
 
 def _ref_encode_action(action, is_active, n_ports):
-    """One agent's [-1, 1] action features; zeros for no action."""
+    """One agent's [-1, 1] action features from its (steer, port) pair
+    (port None for the active UAV); zeros for no action."""
     dim = 2 if is_active else 3
     if action is None:
         return np.zeros(dim)
-    enc = [(action.yaw_idx - 2) / 2.0, (action.pitch_idx - 2) / 2.0]
+    steer, port = action
+    yaw_idx, pitch_idx = divmod(int(steer), marl.N_ANGLE)
+    enc = [(yaw_idx - 2) / 2.0, (pitch_idx - 2) / 2.0]
     if not is_active:
-        enc.append(2.0 * (action.port - 1) / max(n_ports - 1, 1) - 1.0)
+        enc.append(2.0 * (port - 1) / max(n_ports - 1, 1) - 1.0)
     return np.array(enc)
 
 
@@ -144,7 +231,7 @@ class TestObservations:
             env.prev_ranges = rng.uniform(0.0, 3000.0, 4)
             steer = rng.integers(0, N_STEER, 5)
             ports = rng.integers(1, n_ports + 1, 4)
-            acts = [steering_action(s, int(p) if k else None)
+            acts = [(s, int(p) if k else None)
                     for k, (s, p) in enumerate(zip(steer, [None, *ports]))]
             net_obs = env.observations()
             net_enc = encode_actions(steer, ports, n_ports)
@@ -556,10 +643,9 @@ class TestTrainerMachinery:
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
         ports = np.arange(1, n + 1)
-        values = [(np.zeros(25), None)] * 5
+        values = [(np.zeros((1, 1, 25)), None), (np.zeros((4, 1, 25)), None)]
         draws = np.array([
-            [a.port for a in trainer.act(values, 0.0, 0.0, trainer.policy_rng,
-                                         ports)[1:]]
+            trainer.act(values, 0.0, 0.0, trainer.policy_rng, ports)[1]
             for _ in range(25_000)]).ravel()
         counts = np.bincount(draws, minlength=n + 1)[1:]
         np.testing.assert_allclose(counts / len(draws), 1.0 / n, atol=0.01)
@@ -582,9 +668,9 @@ class TestTrainerMachinery:
         sent = []
         step = PositioningEnv.step
 
-        def recording_step(env, actions):
-            sent.append(actions)
-            return step(env, actions)
+        def recording_step(env, steer, ports):
+            sent.append((steer, ports))
+            return step(env, steer, ports)
 
         monkeypatch.setattr(PositioningEnv, "step", recording_step)
         env = PositioningEnv(cfg, trainer.env_rng)
@@ -596,16 +682,16 @@ class TestTrainerMachinery:
         n = cfg.channel.n_ports
         greedy_ports = set()
         for t in range(len(episode)):
+            steer, ports = sent[t]
+            np.testing.assert_array_equal(steer, episode.steer[t])
+            np.testing.assert_array_equal(ports, episode.ports[t])
             for k, (q, port) in enumerate(live):
-                a = sent[t][k]
-                assert a.steer == episode.steer[t, k]
                 if k == 0:
-                    assert a.steer == int(np.argmax(q[t]))
+                    assert steer[0] == int(np.argmax(q[t]))
                     continue
-                assert a.port == episode.ports[t, k - 1]
-                assert (a.steer * n + a.port - 1
+                assert (steer[k] * n + ports[k - 1] - 1
                         == int(np.argmax(np.add.outer(q[t], port[t]))))
-                greedy_ports.add(a.port)
+                greedy_ports.add(int(ports[k - 1]))
         assert len(greedy_ports) > 1   # the perturbed heads disagree
 
     @pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "random"])
@@ -625,9 +711,9 @@ class TestTrainerMachinery:
         sent = []
         step = PositioningEnv.step
 
-        def recording_step(env, actions):
-            sent.extend(a.port for a in actions[1:])
-            return step(env, actions)
+        def recording_step(env, steer, ports):
+            sent.extend(ports.tolist())
+            return step(env, steer, ports)
 
         monkeypatch.setattr(PositioningEnv, "step", recording_step)
         marl.evaluate_rollouts(cfg, trainer, 3, seed=2, port_menu=menu)
@@ -647,11 +733,12 @@ class TestTrainerMachinery:
         stats = marl.evaluate_rollouts(cfg, MarlTrainer(cfg), 2, seed=0)
         assert stats["episodes"] == 2 and math.isfinite(stats["mean_error"])
 
-    @pytest.mark.parametrize("scheme", ["ar_marl", "random"])
-    @pytest.mark.parametrize("menu", [[0, 5], [5, 33]])
+    @pytest.mark.parametrize("scheme", ["ar_marl", "random", "no_fas"])
+    # off the grid, empty, fractional (which an int cast would truncate)
+    @pytest.mark.parametrize("menu", [[0, 5], [5, 33], [], [1.5, 2.7]])
     def test_menu_port_off_the_grid_rejected(self, scheme, menu):
         cfg = tiny_config(scheme=scheme)
-        with pytest.raises(ValueError, match="port menu"):
+        with pytest.raises(ValueError, match=re.escape(f"port menu {menu}")):
             marl.evaluate_rollouts(cfg, MarlTrainer(cfg), 1, seed=0,
                                    port_menu=menu)
 
@@ -676,6 +763,11 @@ class TestEndToEndGradient:
         assert micro_gradcheck(micro_config()) > 1e-4
 
 
+# every UAV holds course (steering combo 12: no yaw, no pitch change), and
+# every passive UAV sends through port 1
+_HOLD_COURSE = (np.full(5, 12), np.ones(4, int))
+
+
 class TestEnvironment:
     def test_stale_slots_keep_previous_estimate(self):
         cfg = tiny_config()
@@ -685,9 +777,8 @@ class TestEnvironment:
         env = PositioningEnv(cfg, np.random.default_rng(0))
         env.reset()
         first_fix = env.estimate.copy()
-        acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
         for _ in range(2):
-            _, info = env.step(acts)
+            _, info = env.step(*_HOLD_COURSE)
             assert info["stale"]
             assert not info["feasible"]
         np.testing.assert_array_equal(env.estimate, first_fix)
@@ -698,36 +789,31 @@ class TestEnvironment:
         env.reset()
         rng = np.random.default_rng(2)
         for _ in range(20):
-            acts = [AgentAction(int(rng.integers(5)), int(rng.integers(5)),
-                                None if k == 0 else int(rng.integers(1, 4)))
-                    for k in range(5)]
-            _, info = env.step(acts)
+            _, info = env.step(rng.integers(N_STEER, size=5),
+                               rng.integers(1, 4, size=4))
             if info["feasible"]:
                 assert info["reward"] == pytest.approx(-info["error"])
             else:
                 assert info["reward"] == -1.0e6
 
-    @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid", "none"])
+    @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid"])
     def test_out_of_range_port_rejected(self, bad_port):
         cfg = default_config()
-        port = {"zero": 0, "past_the_grid": cfg.channel.n_ports + 1,
-                "none": None}[bad_port]
+        port = {"zero": 0, "past_the_grid": cfg.channel.n_ports + 1}[bad_port]
         env = PositioningEnv(cfg, np.random.default_rng(0))
         env.reset()
-        acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
-        acts[3] = AgentAction(2, 2, port)
-        with pytest.raises(ChannelError) as err:
-            env.step(acts)
-        if port is None:
-            assert "passive UAV 3" in str(err.value)
+        steer, ports = _HOLD_COURSE
+        ports = ports.copy()
+        ports[2] = port
+        with pytest.raises(ChannelError, match=f"port {port} outside"):
+            env.step(steer, ports)
 
     def test_nan_latency_counts_as_late(self, monkeypatch):
         monkeypatch.setattr(marl.ch, "uplink_latencies",
                             lambda sinrs, params: np.array([0.0, np.nan, 0.0, 0.0]))
         env = PositioningEnv(default_config(), np.random.default_rng(0))
         env.reset()
-        acts = [AgentAction(2, 2, None if k == 0 else 1) for k in range(5)]
-        _, info = env.step(acts)
+        _, info = env.step(*_HOLD_COURSE)
         assert info["late"].tolist() == [False, True, False, False]
         assert not info["report"].latency_ok
 
@@ -750,9 +836,8 @@ def test_random_action_episode_stays_finite(seed, uncertainty, episode):
     env = PositioningEnv(cfg, np.random.default_rng(seed))
     env.reset()
     for slot in episode:
-        acts = [AgentAction(y, p, None if k == 0 else port)
-                for k, (y, p, port) in enumerate(slot)]
-        observations, info = env.step(acts)
+        (yaw, pitch, ports) = np.array(slot).T
+        observations, info = env.step(yaw * marl.N_ANGLE + pitch, ports[1:])
         for key, value in info.items():
             if isinstance(value, ConstraintReport):
                 value = value.flags()
@@ -803,11 +888,12 @@ def _ref_train_reward(trainer, episode, t):
 
 
 def _ref_action(episode, t, k):
-    """Agent k's action at slot t, or None before the first slot."""
+    """Agent k's action (steer, port) at slot t, port None for the active
+    UAV, or None before the first slot."""
     if t < 0:
         return None
-    return steering_action(episode.steer[t, k],
-                           int(episode.ports[t, k - 1]) if k else None)
+    return (int(episode.steer[t, k]),
+            int(episode.ports[t, k - 1]) if k else None)
 
 
 def _ref_observation_of(episode, t, k):
@@ -1108,16 +1194,16 @@ def _ref_port_fit(trainer, episode, t, k):
     credit = _ref_slot_port_credit(
         late, report, _ref_train_reward(trainer, episode, t),
         -episode.errors[t] / trainer.cfg.marl.reward_scale)
-    return _ref_action(episode, t, k).port - 1, credit[k - 1]
+    return _ref_action(episode, t, k)[1] - 1, credit[k - 1]
 
 
 def _ref_action_id(trainer, episode, t, k):
     """The flat id of agent k's action at slot t in the reference's Q-vector:
     steer * n_ports + port - 1 with a port head, steer without."""
-    a = _ref_action(episode, t, k)
+    steer, port = _ref_action(episode, t, k)
     if _team(trainer.nets)[k][0].port_head is None:
-        return a.steer
-    return a.steer * trainer.n_ports + a.port - 1
+        return steer
+    return steer * trainer.n_ports + port - 1
 
 
 def _ref_episode_loss(trainer, episode, targets):

@@ -1,10 +1,11 @@
 """Print a JSON digest of fasloc's seeded outputs.
 
 A change meant to leave behaviour alone is checked by running this script
-against the source tree before and after the change and diffing the two
-outputs:
+in a checkout from before and one from after the change and diffing the
+two outputs.  The script calls fasloc's current interfaces, so each
+checkout runs its own copy against its own source tree:
 
-    PYTHONPATH=<old checkout>/src python3 tools/seeded_digest.py > old.json
+    (cd <old checkout> && PYTHONPATH=src python3 tools/seeded_digest.py) > old.json
     PYTHONPATH=src python3 tools/seeded_digest.py > new.json
     diff old.json new.json
 
@@ -32,9 +33,6 @@ episode per epoch, seed 11):
   ``checkpoint_arrays()`` value after the last round.  The rounds cross
   one target-network sync.  Only this section sees a change in a
   gradient that the short criterion-8 runs happen not to reach.
-
-Only long-standing public names are used, so the script runs unchanged
-on older checkouts.
 """
 
 from __future__ import annotations
@@ -122,10 +120,9 @@ def env_digest() -> dict:
         for _ in range(cfg.world.slots_per_episode):
             steer = pick.integers(0, marl.N_ANGLE, size=(marl.N_AGENTS, 2))
             ports = pick.integers(1, n_ports + 1, size=marl.N_AGENTS)
-            actions = [marl.AgentAction(int(y), int(p),
-                                        int(port) if k > 0 else None)
-                       for k, ((y, p), port) in enumerate(zip(steer, ports))]
-            _, info = env.step(actions)
+            # a port is drawn for every UAV, the active one's unused
+            _, info = env.step(steer[:, 0] * marl.N_ANGLE + steer[:, 1],
+                               ports[1:])
             h.update(repr((info["reward"], info["error"], bool(info["stale"]),
                            bool(info["feasible"]),
                            np.asarray(info["late"]).tolist())).encode())
