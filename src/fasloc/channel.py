@@ -10,10 +10,13 @@ is selected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .world import norms
 
 LIGHT_SPEED = 3.0e8
 
@@ -78,15 +81,23 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ChannelDraw:
-    """One slot's uplink channel realization for one passive UAV."""
+    """One slot's uplink channel realization for passive UAVs (...)."""
 
-    fading: np.ndarray      # (I,) complex path coefficients
-    aod: np.ndarray         # (I,) departure angles, radians in [0, pi]
-    shadow_db: float        # shadowing sample, dB
+    fading: np.ndarray      # (..., I) complex path coefficients
+    cos_aod: np.ndarray     # (..., I) cosines of the departure angles
+    shadow_db: np.ndarray   # (...) shadowing samples, dB
 
 
+def _per_element(fn, x) -> np.ndarray:
+    """fn over the elements of x as Python floats, for the math (log10,
+    log2, powers) whose numpy ufunc or array power rounds differently."""
+    x = np.asarray(x, float)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=16)
 def path_power_profile(params: ChannelParams) -> np.ndarray:
-    """Per-path power weights, unit total.
+    """Per-path power weights, unit total, read-only: every draw shares it.
 
     With dominant_paths > 0 the first paths share dominant_share of the
     power (direct ray plus strong reflections), the rest split the rest;
@@ -95,99 +106,89 @@ def path_power_profile(params: ChannelParams) -> np.ndarray:
     i = params.n_paths
     d = min(params.dominant_paths, i)
     if d <= 0 or d == i:
-        return np.full(i, 1.0 / i)
-    profile = np.empty(i)
-    profile[:d] = params.dominant_share / d
-    profile[d:] = (1.0 - params.dominant_share) / (i - d)
+        profile = np.full(i, 1.0 / i)
+    else:
+        share = params.dominant_share
+        profile = np.repeat([share / d, (1.0 - share) / (i - d)], [d, i - d])
+    profile.setflags(write=False)
     return profile
 
 
 def draw_channel(rng: np.random.Generator, params: ChannelParams,
-                 aod: np.ndarray) -> ChannelDraw:
-    """Draw a per-slot channel realization at the departure angles aod,
-    which the episode draws once and every slot reuses (coherent
-    geometry).
+                 cos_aod: np.ndarray) -> ChannelDraw:
+    """Draw a per-slot channel realization per row of cos_aod (..., I), the
+    cosines of the departure angles the episode draws once (coherent geometry).
 
     Every path has unit mean power, E|fading_i|^2 = 1; path_power_profile
     sets how the total of n_paths is split across the paths (path i gets
     n_paths * profile_i).  A positive rician_k concentrates each path's
     power in a deterministic zero-phase component so that the port
-    response is predictable from the departure angles.
+    response is predictable from the departure angles.  Each row draws
+    its scatter's real parts, imaginary parts and shadowing in turn.
     """
     i = params.n_paths
-    aod = np.asarray(aod, dtype=float)
-    if aod.shape != (i,):
-        raise ChannelError(f"aod must have shape ({i},)")
+    cos_aod = np.asarray(cos_aod, dtype=float)
+    if cos_aod.shape[-1:] != (i,):
+        raise ChannelError(f"cos_aod must have shape (..., {i})")
+    z = rng.standard_normal((*cos_aod.shape[:-1], 2 * i + 1))
     k = params.rician_k
-    scatter = (rng.standard_normal(i) + 1j * rng.standard_normal(i)) / math.sqrt(2.0)
+    scatter = (z[..., :i] + 1j * z[..., i:2 * i]) / math.sqrt(2.0)
     fading = math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * scatter
     fading = fading * np.sqrt(i * path_power_profile(params))
-    shadow = rng.normal(0.0, params.shadow_std_db)
-    return ChannelDraw(fading=fading, aod=aod, shadow_db=float(shadow))
+    return ChannelDraw(fading=fading, cos_aod=cos_aod,
+                       shadow_db=params.shadow_std_db * z[..., -1])
 
 
-def bistatic_snr(q0, qk, u, params: ChannelParams) -> float:
-    """Linear SNR of the reflected measuring signal at passive UAV k.
-
-    p0 * a0^2 * beta^2 / (noise * d0^2 * dk^2) with d0 the active-target
-    and dk the target-passive distance.
-    """
-    q0 = np.asarray(q0, float)
-    qk = np.asarray(qk, float)
-    u = np.asarray(u, float)
-    d0 = float(np.linalg.norm(q0 - u))
-    dk = float(np.linalg.norm(u - qk))
-    if d0 == 0.0 or dk == 0.0:
+def bistatic_snr(q0, qk, u, params: ChannelParams) -> np.ndarray:
+    """Linear SNR p0 * a0^2 * beta^2 / (noise * d0^2 * dk^2) of the reflected
+    measuring signal at passive UAVs qk (..., 3), with d0 the active-target
+    and dk the target-passive distance."""
+    d0 = norms(np.asarray(q0, float) - u)
+    dk = norms(np.asarray(u, float) - qk)
+    if ((d0 == 0.0) | (dk == 0.0)).any():
         raise ChannelError("target coincides with a UAV")
     num = (params.tx_power_active * params.unit_path_gain ** 2
            * params.reflect_coeff ** 2)
-    return num / (params.noise_power * d0 ** 2 * dk ** 2)
+    sq0, sqk = (_per_element(lambda d: d ** 2, d) for d in (d0, dk))
+    return (num / (params.noise_power * sq0 * sqk))[()]
 
 
-def path_loss_db(r: float, params: ChannelParams, shadow_db: float = 0.0) -> float:
-    """Distance-dependent uplink path loss in dB, plus a shadowing sample."""
-    if r < params.ref_distance:
+def path_loss_db(r, params: ChannelParams, shadow_db=0.0) -> np.ndarray:
+    """Distance-dependent uplink path loss in dB at distances r (...),
+    plus shadowing samples."""
+    r = np.asarray(r, float)
+    if (r < params.ref_distance).any():
         raise ChannelError(f"distance {r} below reference {params.ref_distance}")
     free_space = 20.0 * math.log10(params.ref_distance * params.carrier_freq
                                    * 4.0 * math.pi / LIGHT_SPEED)
-    return (free_space + 10.0 * params.path_loss_exp * math.log10(r)
-            + shadow_db)
+    return (free_space + 10.0 * params.path_loss_exp * _per_element(math.log10, r)
+            + shadow_db)[()]
 
 
-def _port_phases(params: ChannelParams, port: np.ndarray, aod: np.ndarray) -> np.ndarray:
+def fas_gain(draw: ChannelDraw, port, params: ChannelParams,
+             loss_db=0.0) -> np.ndarray:
+    """Complex uplink gains of draw's rows (...) at their antenna ports (...)
+    (one draw's at every port: fas_gain(draw, arange(1, N + 1), params)).
+    loss_db is path_loss_db's output for these UAVs and this slot; 0 keeps
+    the response unscaled, which the geometry-only tests use."""
+    port = np.asarray(port)
+    off = port[(port < 1) | (port > params.n_ports)]
+    if off.size:
+        raise ChannelError(f"port {off[0]} outside 1..{params.n_ports}")
+    amp = _per_element(lambda loss: 10.0 ** (-loss / params.amp_db_divisor),
+                       loss_db)
     # phase slope per port index: 2*pi*S/(N-1) * n * cos(aod)
     coeff = 2.0 * math.pi * params.fas_size / (params.n_ports - 1)
-    return np.exp(-1j * coeff * np.multiply.outer(port, np.cos(aod)))
-
-
-def fas_gain(draw: ChannelDraw, port: int, params: ChannelParams,
-             loss_db: float = 0.0) -> complex:
-    """Complex uplink gain at one antenna port.
-
-    loss_db is the output of path_loss_db for this UAV and slot; 0 keeps
-    the response unscaled, which the geometry-only tests use.
-    """
-    if not 1 <= port <= params.n_ports:
-        raise ChannelError(f"port {port} outside 1..{params.n_ports}")
-    amp = 10.0 ** (-loss_db / params.amp_db_divisor)
-    phases = _port_phases(params, np.array([float(port)]), draw.aod)[0]
-    return complex(np.sum(draw.fading * amp * phases))
-
-
-def fas_gain_all_ports(draw: ChannelDraw, params: ChannelParams,
-                       loss_db: float = 0.0) -> np.ndarray:
-    """Complex gains for every port 1..N at once."""
-    amp = 10.0 ** (-loss_db / params.amp_db_divisor)
-    ports = np.arange(1, params.n_ports + 1, dtype=float)
-    phases = _port_phases(params, ports, draw.aod)
-    return phases @ (draw.fading * amp)
+    phases = np.exp(-1j * coeff * (port.astype(float)[..., None] * draw.cos_aod))
+    return np.sum(draw.fading * amp[..., None] * phases, axis=-1)[()]
 
 
 def uplink_sinr(gains, params: ChannelParams) -> np.ndarray:
-    """Per-UAV uplink SINR; every other passive UAV acts as interference."""
+    """Uplink SINRs over the last axis of gains (..., K); every other
+    passive UAV of a row acts as interference."""
     g2 = np.abs(np.asarray(gains)) ** 2
     own = params.tx_power_passive * g2
-    total = own.sum()
+    total = own.sum(axis=-1, keepdims=True)
     return own / (total - own + params.uplink_noise)
 
 
@@ -202,4 +203,4 @@ def uplink_latency(sinr: float, params: ChannelParams) -> float:
 
 
 def uplink_latencies(sinrs, params: ChannelParams) -> np.ndarray:
-    return np.array([uplink_latency(float(s), params) for s in np.asarray(sinrs)])
+    return _per_element(lambda s: uplink_latency(s, params), sinrs)

@@ -30,6 +30,9 @@ PENALTY_REWARD = -1.0e6
 ANGLE_CHOICES = np.deg2rad([-60.0, -30.0, 0.0, 30.0, 60.0])
 N_ANGLE = len(ANGLE_CHOICES)
 N_STEER = N_ANGLE * N_ANGLE     # the (yaw, pitch) steering combos
+# (N_STEER, 2) yaw and pitch turn of each combo yaw * N_ANGLE + pitch
+STEER_TURNS = ANGLE_CHOICES[np.stack(np.divmod(np.arange(N_STEER), N_ANGLE),
+                                     axis=-1)]
 N_AGENTS = 5
 POSITION_SCALE = 1e-3
 RANGE_SCALE = 1e-3
@@ -527,6 +530,7 @@ class PositioningEnv:
         self.estimate = np.zeros(3)
         self.prev_ranges = np.zeros(4)
         self.aods = np.zeros((4, cfg.channel.n_paths))
+        self.cos_aods = np.ones((4, cfg.channel.n_paths))
         self._gate_rejects = 0
 
     def _headings_toward_target(self) -> np.ndarray:
@@ -553,6 +557,7 @@ class PositioningEnv:
         self._gate_rejects = 0
         self.aods = self.rng.uniform(0.0, math.pi,
                                      size=(4, self.cfg.channel.n_paths))
+        self.cos_aods = np.cos(self.aods)
         return self.observations()
 
     def observations(self) -> list[np.ndarray]:
@@ -567,57 +572,50 @@ class PositioningEnv:
                                             ranges], axis=1)]
 
     def step(self, steer: np.ndarray, ports: np.ndarray):
-        """Play one slot of the team's actions: steer holds the (N_AGENTS,)
-        steering combos (as in encode_actions), ports the passive UAVs'
-        (4,) 1-based ports.  Returns the next observations and the slot's
-        info."""
+        """Play one slot of the team's actions, all UAVs in one array pass:
+        steer holds the (N_AGENTS,) steering combos (as in encode_actions),
+        ports the passive UAVs' (4,) 1-based ports.  Returns the next
+        observations and the slot's info."""
+        steer, ports = np.asarray(steer), np.asarray(ports)
+        if (steer.shape != (N_AGENTS,) or steer.dtype.kind not in "iu"
+                or not 0 <= steer.min() <= steer.max() < N_STEER):
+            raise ValueError(f"steer must be an integer ({N_AGENTS},) array in "
+                             f"0..{N_STEER - 1}, got {steer!r}")
+        if ports.shape != (4,) or ports.dtype.kind not in "iu":
+            raise ValueError(f"ports must be an integer (4,) array, got {ports!r}")
         cfg = self.cfg
         wcfg = cfg.world
         params = cfg.channel
-        turns = ANGLE_CHOICES[np.stack(np.divmod(steer, N_ANGLE), axis=-1)]
-
-        for k in range(N_AGENTS):
-            yaw, pitch = self.headings[k] + turns[k]
-            yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
-            pitch = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
-            self.headings[k] = (yaw, pitch)
-            self.positions[k] = wd.step_controlled(self.positions[k], yaw,
-                                                   pitch, wcfg)
+        yaw, pitch = (self.headings + STEER_TURNS[steer]).T
+        yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
+        pitch = np.minimum(np.maximum(pitch, wcfg.pitch_min), wcfg.pitch_max)
+        self.headings[:, 0], self.headings[:, 1] = yaw, pitch
+        self.positions = wd.step_controlled(self.positions, yaw, pitch, wcfg)
         target = self.traj.step(self.rng)
+        q0, qs = self.positions[0], self.positions[1:]
 
-        # bistatic range measurements at the new geometry
-        measurements = []
-        for i in range(4):
-            snr = ch.bistatic_snr(self.positions[0], self.positions[1 + i],
-                                  target, params)
-            m = pos.true_range_sum(self.positions[0], self.positions[1 + i],
-                                   target)
-            meas = pos.sample_range(m, snr, self.rng,
-                                    cfg.positioning.variance_scale)
-            measurements.append(meas)
+        # bistatic range measurements at the new geometry, NaN without echo
+        snr = ch.bistatic_snr(q0, qs, target, params)
+        measured = pos.sample_range(pos.true_range_sum(q0, qs, target), snr,
+                                    self.rng, cfg.positioning.variance_scale)
+        echo = snr > 0.0
 
         # uplink through the selected ports
-        gains = np.zeros(4, dtype=complex)
-        for i in range(4):
-            draw = ch.draw_channel(self.rng, params, aod=self.aods[i])
-            r_bs = float(np.linalg.norm(self.positions[1 + i] - self.bs))
-            loss = ch.path_loss_db(r_bs, params, draw.shadow_db)
-            gains[i] = ch.fas_gain(draw, int(ports[i]), params, loss)
-        sinrs = ch.uplink_sinr(gains, params)
+        draw = ch.draw_channel(self.rng, params, self.cos_aods)
+        loss = ch.path_loss_db(wd.norms(qs - self.bs), params, draw.shadow_db)
+        sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, params, loss), params)
         # a NaN latency is no delivery either, so it counts as late
         late = ~(ch.uplink_latencies(sinrs, params)
                  <= cfg.scenario.latency_budget)
 
-        usable = [(measurements[i], self.positions[1 + i]) for i in range(4)
-                  if measurements[i] is not None and not late[i]]
-        stale = len(usable) < cfg.positioning.min_usable
+        usable = echo & ~late
+        stale = int(np.count_nonzero(usable)) < cfg.positioning.min_usable
         if not stale:
-            fit = pos.estimate_position(
-                [m for m, _ in usable], self.positions[0],
-                np.array([p for _, p in usable]), self.estimate)
+            fit = pos.estimate_position(measured[usable], q0, qs[usable],
+                                        self.estimate)
             gate = cfg.positioning.innovation_gate
             if gate > 0.0:
-                jump = float(np.linalg.norm(fit.position - self.estimate))
+                jump = float(wd.norms(fit.position - self.estimate))
                 if jump > gate * (1 + self._gate_rejects):
                     # implausible jump: treat like a missing fix
                     self._gate_rejects += 1
@@ -631,10 +629,7 @@ class PositioningEnv:
         error = pos.position_error(self.estimate, target)
         report = wd.check_constraints(self.positions, target, late, wcfg)
         reward_raw = reward(self.estimate, target, report)
-
-        for i in range(4):
-            if measurements[i] is not None:
-                self.prev_ranges[i] = measurements[i]
+        self.prev_ranges[echo] = measured[echo]
 
         info = {
             "reward": reward_raw,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import Vec3
+from .world import Vec3, norms
 
 
 class PositioningError(ValueError):
@@ -29,30 +29,30 @@ class PositionEstimate:
     degenerate: bool = False
 
 
-def true_range_sum(q0, qk, u) -> float:
-    """Total two-leg path length active -> target -> passive."""
-    q0 = np.asarray(q0, float)
-    qk = np.asarray(qk, float)
-    u = np.asarray(u, float)
-    d0 = float(np.linalg.norm(q0 - u))
-    dk = float(np.linalg.norm(u - qk))
-    if d0 == 0.0 or dk == 0.0:
+def true_range_sum(q0, qk, u) -> np.ndarray:
+    """Total two-leg path lengths active -> target -> passive UAVs qk
+    (..., 3)."""
+    d0 = norms(np.asarray(q0, float) - u)
+    dk = norms(np.asarray(u, float) - qk)
+    if ((d0 == 0.0) | (dk == 0.0)).any():
         raise PositioningError("coincident points give a degenerate range sum")
-    return d0 + dk
+    return (d0 + dk)[()]
 
 
-def sample_range(m: float, snr: float, rng: np.random.Generator,
-                 variance_scale: float = 1.0) -> float | None:
-    """The measured range sum: the true sum m plus Gaussian noise of
-    variance variance_scale / snr.
+def sample_range(m, snr, rng: np.random.Generator,
+                 variance_scale: float = 1.0) -> np.ndarray:
+    """The measured range sums: the true sums m (...) plus Gaussian noise
+    of variance variance_scale / snr, one draw per positive SNR in order.
 
-    Returns None when the SNR is zero (no usable echo this slot).
+    NaN where the SNR is zero (no usable echo this slot).
     """
-    if snr < 0:
+    m, snr = np.broadcast_arrays(np.asarray(m, float), np.asarray(snr, float))
+    if (snr < 0).any():
         raise PositioningError("snr must be nonnegative")
-    if snr == 0.0:
-        return None
-    return m + rng.normal(0.0, math.sqrt(variance_scale / snr))
+    echo = snr > 0.0
+    z = np.full(snr.shape, np.nan)
+    z[echo] = rng.standard_normal(np.count_nonzero(echo))
+    return (m + np.sqrt(variance_scale / np.where(echo, snr, np.nan)) * z)[()]
 
 
 _EYE3 = np.eye(3)
@@ -83,12 +83,12 @@ def linear_bootstrap(measured: np.ndarray, q0: Vec3,
     n = len(measured)
     if n < 4:
         return None
-    a = np.zeros((n, 4))
-    b = np.zeros(n)
-    for k in range(n):
-        a[k, :3] = 2.0 * (q0 - qs[k])
-        a[k, 3] = 2.0 * measured[k]
-        b[k] = measured[k] ** 2 - qs[k] @ qs[k] + q0 @ q0
+    a = np.empty((n, 4))
+    a[:, :3] = 2.0 * (q0 - qs)
+    a[:, 3] = 2.0 * measured
+    # scalar squares and BLAS dots, not an array power or a row sum
+    squares = np.array([m ** 2 for m in measured.tolist()])
+    b = squares - np.matmul(qs[:, None, :], qs[:, :, None])[:, 0, 0] + q0 @ q0
     try:
         sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
     except np.linalg.LinAlgError:

@@ -70,15 +70,26 @@ C_LINE_RADIUS = 400.0          # m, large smooth arc
 C_LINE_TILT = math.radians(10.0)
 
 
-def heading_vector(yaw: float, pitch: float) -> Vec3:
-    """Unit direction for a yaw/pitch pair."""
-    cp = math.cos(pitch)
-    return np.array([math.cos(yaw) * cp, math.sin(yaw) * cp, math.sin(pitch)])
+def heading_vector(yaw, pitch) -> np.ndarray:
+    """Unit directions (..., 3) for yaw/pitch arrays of one shape (...)."""
+    cp = np.cos(pitch)
+    out = np.empty((*np.shape(yaw), 3))
+    out[..., 0] = np.cos(yaw) * cp
+    out[..., 1] = np.sin(yaw) * cp
+    out[..., 2] = np.sin(pitch)
+    return out
 
 
-def step_controlled(q: Vec3, yaw: float, pitch: float,
-                    cfg: WorldConfig) -> Vec3:
-    """Advance a controlled UAV one slot along an absolute heading.
+def norms(v) -> np.ndarray:
+    """Lengths over the last axis of v (..., 3), each np.linalg.norm's bits
+    for its row: a BLAS dot through a stacked matmul, not a row sum."""
+    v = np.asarray(v, float)
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
+
+
+def step_controlled(q, yaw, pitch, cfg: WorldConfig) -> np.ndarray:
+    """Advance controlled UAVs q (..., 3) one slot along absolute headings
+    yaw, pitch (...).
 
     q' = q + v*dt * [cos(yaw)cos(pitch), sin(yaw)cos(pitch), sin(pitch)],
     so the displacement length is exactly v*dt for any angles.  The
@@ -107,12 +118,9 @@ class TargetTrajectory:
 
     def _nominal_heading(self) -> tuple[float, float]:
         # tangent of a radius-R circle in a plane tilted about the x axis
-        s = self._phase
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, math.cos(C_LINE_TILT), math.sin(C_LINE_TILT)])
-        tangent = -math.sin(s) * e1 + math.cos(s) * e2
-        yaw = math.atan2(tangent[1], tangent[0])
-        pitch = math.asin(max(-1.0, min(1.0, tangent[2])))
+        c = math.cos(self._phase)
+        yaw = math.atan2(c * math.cos(C_LINE_TILT), -math.sin(self._phase))
+        pitch = math.asin(max(-1.0, min(1.0, c * math.sin(C_LINE_TILT))))
         return yaw, pitch
 
     def step(self, rng: np.random.Generator) -> Vec3:
@@ -166,16 +174,11 @@ def check_constraints(positions: np.ndarray, target: Vec3, late: np.ndarray,
     positions: (K, 3) controlled UAVs after the slot's moves; late: one
     flag per passive UAV, true where its uplink missed the deadline.
     """
-    latency_ok = not np.any(late)
-
-    d_target = np.linalg.norm(positions - target[None, :], axis=1)
-    target_range_ok = bool(np.all((d_target >= cfg.dist_min)
-                                  & (d_target <= cfg.dist_max)))
-
-    diffs = positions[:, None, :] - positions[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    pair = dists[_pairs(len(positions))]
-    pairwise_range_ok = bool(np.all((pair >= cfg.dist_min)
-                                    & (pair <= cfg.dist_max)))
-
-    return ConstraintReport(latency_ok, target_range_ok, pairwise_range_ok)
+    n = len(positions)
+    i, j = _pairs(n)
+    # np.linalg.norm(axis=1)'s arithmetic: a row sum of squares
+    legs = np.concatenate([positions - target, positions[i] - positions[j]])
+    dist = np.sqrt((legs * legs).sum(axis=1))
+    ok = (dist >= cfg.dist_min) & (dist <= cfg.dist_max)
+    return ConstraintReport(not np.any(late), bool(ok[:n].all()),
+                            bool(ok[n:].all()))

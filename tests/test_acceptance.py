@@ -29,7 +29,7 @@ from fasloc.cli import port_menu_for
 from fasloc.config import default_config
 from fasloc.marl import micro_config, micro_gradcheck
 from fasloc.positioning import estimate_position, true_range_sum
-from fasloc.channel import ChannelDraw, ChannelParams, fas_gain_all_ports
+from fasloc.channel import ChannelDraw, ChannelParams, fas_gain
 
 from conftest import ACCEPTANCE_SEEDS
 
@@ -142,8 +142,8 @@ def test_criterion_5_single_path_port_invariance():
         draw = ChannelDraw(
             fading=(rng.standard_normal(1) + 1j * rng.standard_normal(1))
             / math.sqrt(2),
-            aod=rng.uniform(0, math.pi, 1), shadow_db=0.0)
-        mags = np.abs(fas_gain_all_ports(draw, params))
+            cos_aod=np.cos(rng.uniform(0, math.pi, 1)), shadow_db=0.0)
+        mags = np.abs(fas_gain(draw, np.arange(1, 33), params))
         spread = (mags.max() - mags.min()) / mags.max()
         worst = max(worst, spread)
         assert spread < 1e-12

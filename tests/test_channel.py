@@ -6,8 +6,8 @@ import pytest
 
 from fasloc.channel import (ChannelDraw, ChannelError, ChannelParams,
                             bistatic_snr, draw_channel, fas_gain,
-                            fas_gain_all_ports, path_loss_db, uplink_latency,
-                            uplink_sinr)
+                            path_loss_db, path_power_profile,
+                            uplink_latencies, uplink_latency, uplink_sinr)
 
 PARAMS = ChannelParams()
 
@@ -91,7 +91,7 @@ def _fixed_draw(n_paths, rng=None, aod=None, fading=None):
     if fading is None:
         fading = (rng.standard_normal(n_paths)
                   + 1j * rng.standard_normal(n_paths)) / math.sqrt(2)
-    return ChannelDraw(fading=np.asarray(fading), aod=np.asarray(aod),
+    return ChannelDraw(fading=np.asarray(fading), cos_aod=np.cos(aod),
                        shadow_db=0.0)
 
 
@@ -107,22 +107,23 @@ class TestFasGain:
         p = ChannelParams(n_paths=5)
         draw = _fixed_draw(5)
         rotated = ChannelDraw(fading=draw.fading * cmath.exp(0.7j),
-                              aod=draw.aod, shadow_db=0.0)
+                              cos_aod=draw.cos_aod, shadow_db=0.0)
         for port in (1, 7, 32):
             assert abs(fas_gain(rotated, port, p)) == pytest.approx(
                 abs(fas_gain(draw, port, p)), rel=1e-12)
 
     def test_best_port_matches_independent_exhaustive_search(self):
         p = ChannelParams(n_paths=5, n_ports=32, fas_size=5.0)
-        draw = _fixed_draw(5)
-        gains = fas_gain_all_ports(draw, p)
+        aod = np.random.default_rng(5).uniform(0, math.pi, 5)
+        draw = _fixed_draw(5, aod=aod)
+        gains = fas_gain(draw, np.arange(1, 33), p)
         best = int(np.argmax(np.abs(gains))) + 1
 
         # brute force straight from the per-port sum, written independently
         best_brute, best_mag = None, -1.0
         for n in range(1, 33):
             total = 0.0 + 0.0j
-            for eps, phi in zip(draw.fading, draw.aod):
+            for eps, phi in zip(draw.fading, aod):
                 total += eps * cmath.exp(-1j * 2.0 * math.pi * 5.0 / 31.0
                                          * n * math.cos(phi))
             if abs(total) > best_mag:
@@ -153,9 +154,9 @@ class TestFasGain:
         p32 = ChannelParams(n_paths=5, n_ports=32)
         best8, best32 = [], []
         for _ in range(2000):
-            draw = draw_channel(rng, p8, rng.uniform(0.0, math.pi, p8.n_paths))
-            best8.append(np.abs(fas_gain_all_ports(draw, p8)).max() ** 2)
-            best32.append(np.abs(fas_gain_all_ports(draw, p32)).max() ** 2)
+            draw = draw_channel(rng, p8, np.cos(rng.uniform(0.0, math.pi, p8.n_paths)))
+            best8.append(np.abs(fas_gain(draw, np.arange(1, 9), p8)).max() ** 2)
+            best32.append(np.abs(fas_gain(draw, np.arange(1, 33), p32)).max() ** 2)
         assert np.mean(best32) >= np.mean(best8) * 0.98
 
 
@@ -163,7 +164,7 @@ class TestDrawChannel:
     def test_unit_power_fading(self):
         rng = np.random.default_rng(1)
         p = ChannelParams(n_paths=4, rician_k=10.0)
-        draws = [draw_channel(rng, p, rng.uniform(0.0, math.pi, p.n_paths))
+        draws = [draw_channel(rng, p, np.cos(rng.uniform(0.0, math.pi, p.n_paths)))
                  for _ in range(4000)]
         power = np.mean([np.mean(np.abs(d.fading) ** 2) for d in draws])
         assert power == pytest.approx(1.0, rel=0.05)
@@ -172,10 +173,10 @@ class TestDrawChannel:
         rng = np.random.default_rng(2)
         aod = np.array([0.3, 1.1, 2.0])
         p = ChannelParams(n_paths=3)
-        d = draw_channel(rng, p, aod=aod)
-        np.testing.assert_array_equal(d.aod, aod)
+        d = draw_channel(rng, p, np.cos(aod))
+        np.testing.assert_array_equal(d.cos_aod, np.cos(aod))
         with pytest.raises(ChannelError):
-            draw_channel(rng, p, aod=np.array([0.1, 0.2]))
+            draw_channel(rng, p, np.cos(np.array([0.1, 0.2])))
 
 
 class TestUplink:
@@ -234,3 +235,89 @@ class TestLatency:
     def test_negative_sinr_rejected(self):
         with pytest.raises(ChannelError):
             uplink_latency(-0.1, PARAMS)
+
+
+class TestUavAxis:
+    """Each helper on a (4, ...) stack of passive UAVs gives the bits of
+    its scalar calls row by row, errors included."""
+
+    def test_bistatic_snr_rows(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            q0, u = rng.uniform(0, 1000, 3), rng.uniform(0, 1000, 3)
+            qs = rng.uniform(0, 1000, (4, 3))
+            got = bistatic_snr(q0, qs, u, PARAMS)
+            ref = [bistatic_snr(q0, q, u, PARAMS) for q in qs]
+            assert got.tobytes() == np.array(ref).tobytes()
+        qs[2] = u
+        with pytest.raises(ChannelError, match="coincides"):
+            bistatic_snr(q0, qs, u, PARAMS)
+        with pytest.raises(ChannelError, match="coincides"):
+            bistatic_snr(u, qs[:2], u, PARAMS)
+
+    @pytest.mark.parametrize("params", [
+        PARAMS, ChannelParams(rician_k=0.0), ChannelParams(shadow_std_db=0.0),
+        ChannelParams(dominant_paths=0), ChannelParams(n_paths=1)])
+    def test_draw_channel_rows(self, params):
+        """One (4, 2I+1) block of draws equals each row's draw, and each
+        row's draw the per-path real parts, imaginary parts and shadowing
+        drawn in turn."""
+        i, k = params.n_paths, params.rician_k
+        aod = np.random.default_rng(21).uniform(0, math.pi, (4, i))
+        rngs = [np.random.default_rng(22) for _ in range(3)]
+        for _ in range(50):
+            got = draw_channel(rngs[0], params, np.cos(aod))
+            for row in range(4):
+                ref = draw_channel(rngs[1], params, np.cos(aod[row]))
+                scatter = (rngs[2].standard_normal(i)
+                           + 1j * rngs[2].standard_normal(i)) / math.sqrt(2.0)
+                fading = (math.sqrt(k / (k + 1.0))
+                          + math.sqrt(1.0 / (k + 1.0)) * scatter)
+                fading = fading * np.sqrt(i * path_power_profile(params))
+                shadow = rngs[2].normal(0.0, params.shadow_std_db)
+                assert (got.fading[row].tobytes() == ref.fading.tobytes()
+                        == fading.tobytes())
+                assert got.shadow_db[row] == ref.shadow_db == shadow
+            states = [r.bit_generator.state for r in rngs]
+            assert states[0] == states[1] == states[2]
+
+    def test_path_loss_rows(self):
+        rng = np.random.default_rng(23)
+        r = rng.uniform(1.0, 3000.0, (500, 4))
+        shadow = rng.normal(0.0, 4.0, (500, 4))
+        got = path_loss_db(r, PARAMS, shadow)
+        for k in np.ndindex(r.shape):
+            assert got[k] == path_loss_db(float(r[k]), PARAMS, float(shadow[k]))
+        with pytest.raises(ChannelError):
+            path_loss_db(np.array([10.0, 0.5, 10.0, 10.0]), PARAMS)
+
+    def test_fas_gain_rows(self):
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            draw = _fixed_draw(5, rng, aod=rng.uniform(0, math.pi, (4, 5)),
+                               fading=rng.standard_normal((4, 5))
+                               + 1j * rng.standard_normal((4, 5)))
+            ports = rng.integers(1, PARAMS.n_ports + 1, 4)
+            loss = rng.uniform(40.0, 120.0, 4)
+            got = fas_gain(draw, ports, PARAMS, loss)
+            for k in range(4):
+                row = ChannelDraw(fading=draw.fading[k], cos_aod=draw.cos_aod[k],
+                                  shadow_db=0.0)
+                ref = fas_gain(row, int(ports[k]), PARAMS, float(loss[k]))
+                assert got[k] == ref
+        for bad in (0, PARAMS.n_ports + 1):
+            with pytest.raises(ChannelError, match=f"port {bad} outside"):
+                fas_gain(draw, np.array([1, bad, 2, 3]), PARAMS, loss)
+
+    def test_uplink_sinr_and_latency_rows(self):
+        rng = np.random.default_rng(25)
+        gains = 1e-6 * (rng.standard_normal((300, 4))
+                        + 1j * rng.standard_normal((300, 4)))
+        sinrs = uplink_sinr(gains, PARAMS)
+        latencies = uplink_latencies(sinrs, PARAMS)
+        for k in range(len(gains)):
+            assert sinrs[k].tobytes() == uplink_sinr(gains[k], PARAMS).tobytes()
+            assert latencies[k].tobytes() == np.array(
+                [uplink_latency(float(s), PARAMS) for s in sinrs[k]]).tobytes()
+        with pytest.raises(ChannelError):
+            uplink_latencies(np.array([0.5, -0.1]), PARAMS)

@@ -818,6 +818,148 @@ class TestEnvironment:
         assert not info["report"].latency_ok
 
 
+    @pytest.mark.parametrize("steer, ports, name", [
+        (np.full(5, 12), np.ones(5, int), "ports"),
+        (np.full(6, 12), np.ones(4, int), "steer"),
+        (np.full(5, 12), np.array([1.5, 2.7, 1.0, 1.0]), "ports"),
+        (np.full(5, N_STEER), np.ones(4, int), "steer"),
+        (np.array([12, 12, -1, 12, 12]), np.ones(4, int), "steer"),
+        (np.full(5, 12.0), np.ones(4, int), "steer"),
+    ])
+    def test_malformed_actions_rejected(self, steer, ports, name):
+        env = PositioningEnv(default_config(), np.random.default_rng(0))
+        env.reset()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            env.step(steer, ports)
+
+
+def _ref_step(env, steer, ports):
+    """The per-UAV slot that PositioningEnv.step replaced, with the
+    channel and ranging helpers inlined as they were: Python-float math
+    per UAV and one RNG call per draw."""
+    cfg, wcfg, params = env.cfg, env.cfg.world, env.cfg.channel
+    turns = marl.ANGLE_CHOICES[np.stack(np.divmod(steer, marl.N_ANGLE), axis=-1)]
+    for k in range(marl.N_AGENTS):
+        yaw, pitch = env.headings[k] + turns[k]
+        yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
+        pitch = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
+        env.headings[k] = (yaw, pitch)
+        cp = math.cos(pitch)
+        env.positions[k] = env.positions[k] + wcfg.speed * wcfg.slot_duration * np.array(
+            [math.cos(yaw) * cp, math.sin(yaw) * cp, math.sin(pitch)])
+    target = env.traj.step(env.rng)
+    q0 = env.positions[0]
+
+    measurements = []
+    num = (params.tx_power_active * params.unit_path_gain ** 2
+           * params.reflect_coeff ** 2)
+    for i in range(4):
+        d0 = float(np.linalg.norm(q0 - target))
+        dk = float(np.linalg.norm(target - env.positions[1 + i]))
+        snr = num / (params.noise_power * d0 ** 2 * dk ** 2)
+        measurements.append(None if snr == 0.0 else d0 + dk + env.rng.normal(
+            0.0, math.sqrt(cfg.positioning.variance_scale / snr)))
+
+    n, k = params.n_paths, params.rician_k
+    coeff = 2.0 * math.pi * params.fas_size / (params.n_ports - 1)
+    free_space = 20.0 * math.log10(params.ref_distance * params.carrier_freq
+                                   * 4.0 * math.pi / marl.ch.LIGHT_SPEED)
+    gains = np.zeros(4, dtype=complex)
+    for i in range(4):
+        scatter = (env.rng.standard_normal(n)
+                   + 1j * env.rng.standard_normal(n)) / math.sqrt(2.0)
+        fading = math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * scatter
+        fading = fading * np.sqrt(n * marl.ch.path_power_profile(params))
+        shadow = float(env.rng.normal(0.0, params.shadow_std_db))
+        r_bs = float(np.linalg.norm(env.positions[1 + i] - env.bs))
+        loss = (free_space + 10.0 * params.path_loss_exp * math.log10(r_bs)
+                + shadow)
+        amp = 10.0 ** (-loss / params.amp_db_divisor)
+        phases = np.exp(-1j * coeff * np.multiply.outer(
+            np.array([float(ports[i])]), np.cos(env.aods[i])))[0]
+        gains[i] = complex(np.sum(fading * amp * phases))
+    sinrs = marl.ch.uplink_sinr(gains, params)
+    latencies = np.array([marl.ch.uplink_latency(float(s), params) for s in sinrs])
+    late = ~(latencies <= cfg.scenario.latency_budget)
+
+    usable = [(measurements[i], env.positions[1 + i]) for i in range(4)
+              if measurements[i] is not None and not late[i]]
+    stale = len(usable) < cfg.positioning.min_usable
+    if not stale:
+        fit = marl.pos.estimate_position(
+            [m for m, _ in usable], env.positions[0],
+            np.array([p for _, p in usable]), env.estimate)
+        gate = cfg.positioning.innovation_gate
+        if gate > 0.0:
+            jump = float(np.linalg.norm(fit.position - env.estimate))
+            if jump > gate * (1 + env._gate_rejects):
+                env._gate_rejects += 1
+                stale = True
+            else:
+                env._gate_rejects = 0
+                env.estimate = fit.position
+        else:
+            env.estimate = fit.position
+
+    error = marl.pos.position_error(env.estimate, target)
+    d_target = np.linalg.norm(env.positions - target[None, :], axis=1)
+    dists = np.linalg.norm(env.positions[:, None, :] - env.positions[None, :, :],
+                           axis=2)
+    pair = dists[np.triu_indices(marl.N_AGENTS, k=1)]
+    report = ConstraintReport(
+        not np.any(late),
+        bool(np.all((d_target >= wcfg.dist_min) & (d_target <= wcfg.dist_max))),
+        bool(np.all((pair >= wcfg.dist_min) & (pair <= wcfg.dist_max))))
+    reward_raw = reward(env.estimate, target, report)
+    for i in range(4):
+        if measurements[i] is not None:
+            env.prev_ranges[i] = measurements[i]
+    info = {"reward": reward_raw, "error": error, "stale": stale,
+            "feasible": report.feasible, "late": late, "report": report}
+    return env.observations(), info
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"channel": {"rician_k": 0.0}}, {"channel": {"shadow_std_db": 0.0}},
+    {"channel": {"dominant_paths": 0}}, {"channel": {"n_paths": 1}},
+    {"target": {"uncertainty": 0.3}}, {"positioning": {"innovation_gate": 0.0}},
+], ids=["default", "rician_k=0", "shadow_std_db=0", "dominant_paths=0",
+        "n_paths=1", "uncertainty=0.3", "innovation_gate=0"])
+def test_step_matches_per_uav_reference(overrides):
+    """The array-pass step is byte-equal to the per-UAV loop: every info
+    value, the observations, headings, positions, fix, last ranges and
+    the Generator state, over seeded random action sequences."""
+    cfg = _DEFAULT
+    for section, values in overrides.items():
+        cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(
+            getattr(cfg, section), **values)})
+    pick = np.random.default_rng(40)
+    for seed in range(3):
+        envs = [PositioningEnv(cfg, np.random.default_rng(seed)) for _ in range(2)]
+        for env in envs:
+            env.reset()
+        for _ in range(cfg.world.slots_per_episode):
+            steer = pick.integers(0, N_STEER, marl.N_AGENTS)
+            ports = pick.integers(1, cfg.channel.n_ports + 1, 4)
+            obs, info = envs[0].step(steer, ports)
+            ref_obs, ref_info = _ref_step(envs[1], steer, ports)
+            assert info.keys() == ref_info.keys()
+            for key, value in info.items():
+                ref = ref_info[key]
+                if isinstance(value, ConstraintReport):
+                    assert value.flags() == ref.flags()
+                else:
+                    assert type(value) is type(ref), key
+                    assert np.asarray(value).tobytes() == np.asarray(ref).tobytes(), key
+            for a, b in zip(obs, ref_obs):
+                assert a.tobytes() == b.tobytes()
+            for name in ("headings", "positions", "estimate", "prev_ranges"):
+                assert (getattr(envs[0], name).tobytes()
+                        == getattr(envs[1], name).tobytes()), name
+            assert (envs[0].rng.bit_generator.state
+                    == envs[1].rng.bit_generator.state)
+
+
 _DEFAULT = default_config()
 _SLOTS = _DEFAULT.world.slots_per_episode
 _SLOT_ACTIONS = st.lists(

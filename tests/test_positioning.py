@@ -52,21 +52,21 @@ class TestSampleRange:
     def test_monte_carlo_variance(self):
         rng = np.random.default_rng(12)
         snr, scale = 0.04, 1.0
-        draws = np.array([sample_range(1000.0, snr, rng, scale)
-                          for _ in range(100_000)])
+        draws = sample_range(np.full(100_000, 1000.0), snr, rng, scale)
         assert draws.var() == pytest.approx(scale / snr, rel=0.03)
 
     def test_zero_snr_yields_no_measurement(self):
         rng = np.random.default_rng(0)
-        assert sample_range(100.0, 0.0, rng) is None
+        state = rng.bit_generator.state
+        assert math.isnan(sample_range(100.0, 0.0, rng))
+        assert rng.bit_generator.state == state
 
     def test_errors_independent_across_uavs(self):
         rng = np.random.default_rng(99)
         n = 100_000
         errs = np.empty((4, n))
         for i in range(n):
-            for k in range(4):
-                errs[k, i] = sample_range(100.0, 1.0, rng) - 100.0
+            errs[:, i] = sample_range(np.full(4, 100.0), np.ones(4), rng) - 100.0
         corr = np.corrcoef(errs)
         off_diag = corr[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 0.02
@@ -327,3 +327,85 @@ class TestPositionError:
             a, b = rng.uniform(-100, 100, (2, 3))
             expected = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
             assert position_error(a, b) == pytest.approx(expected, rel=1e-14)
+
+
+class TestUavAxis:
+    """The ranging helpers on a (4, ...) stack give their scalar calls'
+    bits row by row, errors included."""
+
+    def test_true_range_sum_rows(self):
+        rng = np.random.default_rng(30)
+        for _ in range(500):
+            q0, u = rng.uniform(0, 1000, 3), rng.uniform(0, 1000, 3)
+            qs = rng.uniform(0, 1000, (4, 3))
+            got = true_range_sum(q0, qs, u)
+            ref = np.array([true_range_sum(q0, q, u) for q in qs])
+            assert got.tobytes() == ref.tobytes()
+        qs[1] = u
+        with pytest.raises(PositioningError):
+            true_range_sum(q0, qs, u)
+
+    def test_sample_range_rows(self):
+        """One draw per positive SNR, in row order; a zero SNR neither
+        measures nor draws."""
+        rng = np.random.default_rng(31)
+        stacked_rng, row_rng = np.random.default_rng(32), np.random.default_rng(32)
+        for _ in range(500):
+            m = rng.uniform(100.0, 3000.0, 4)
+            snr = np.where(rng.uniform(size=4) < 0.2, 0.0,
+                           10.0 ** rng.uniform(-3, 3, 4))
+            got = sample_range(m, snr, stacked_rng, 1.5)
+            ref = np.array([sample_range(float(a), float(b), row_rng, 1.5)
+                            for a, b in zip(m, snr)])
+            assert got.tobytes() == ref.tobytes()
+            assert np.array_equal(np.isnan(got), snr == 0.0)
+            assert (stacked_rng.bit_generator.state
+                    == row_rng.bit_generator.state)
+        with pytest.raises(PositioningError):
+            sample_range(m, np.array([1.0, -1.0, 1.0, 1.0]), stacked_rng)
+
+    def test_sample_range_is_the_normal_draw(self):
+        rng, ref_rng = np.random.default_rng(33), np.random.default_rng(33)
+        for snr in (1e-3, 0.5, 4.0, 1e30):
+            got = sample_range(700.0, snr, rng, 2.0)
+            assert got == 700.0 + ref_rng.normal(0.0, math.sqrt(2.0 / snr))
+
+
+def _ref_bootstrap(measured, q0, qs):
+    """linear_bootstrap's equations built row by row."""
+    n = len(measured)
+    if n < 4:
+        return None
+    a = np.zeros((n, 4))
+    b = np.zeros(n)
+    for k in range(n):
+        a[k, :3] = 2.0 * (q0 - qs[k])
+        a[k, 3] = 2.0 * measured[k]
+        b[k] = measured[k] ** 2 - qs[k] @ qs[k] + q0 @ q0
+    try:
+        sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    if rank < 4 or sv[-1] < 1e-9 * sv[0]:
+        return None
+    return sol[:3]
+
+
+def _bytes(x):
+    return None if x is None else x.tobytes()
+
+
+def test_bootstrap_matches_row_loop():
+    cases = _solver_cases(np.random.default_rng(606))
+    rng = np.random.default_rng(34)
+    for _ in range(20_000):
+        u = rng.uniform(0, 1000, 3)
+        q0 = rng.uniform(0, 1000, 3)
+        qs = rng.uniform(0, 1000, (4, 3))
+        measured = (np.linalg.norm(q0 - u) + np.linalg.norm(qs - u, axis=1)
+                    + rng.normal(0.0, 1.0, 4))
+        cases.append((measured, q0, qs, None))
+    for measured, q0, qs, _ in cases:
+        measured = np.asarray(measured, float)
+        assert (_bytes(linear_bootstrap(measured, q0, qs))
+                == _bytes(_ref_bootstrap(measured, q0, qs)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fasloc.world import (ConstraintReport, TargetTrajectory,
                           TargetTrajectorySpec, WorldConfig,
                           WorldError, check_constraints,
-                          heading_vector, step_controlled)
+                          heading_vector, norms, step_controlled)
 
 CFG = WorldConfig()
 
@@ -147,3 +147,55 @@ class TestConstraints:
 def test_heading_vector_is_unit():
     for yaw, pitch in [(0.3, -0.2), (1.0, 0.9), (-2.0, 0.0)]:
         assert np.linalg.norm(heading_vector(yaw, pitch)) == pytest.approx(1.0)
+
+
+class TestUavAxis:
+    """The helpers on a stack of UAVs give each row's scalar-call bits."""
+
+    def test_heading_vector_matches_math(self):
+        rng = np.random.default_rng(8)
+        yaw = rng.uniform(-math.pi, math.pi, 2000)
+        pitch = rng.uniform(-math.pi / 2, math.pi / 2, 2000)
+        stacked = heading_vector(yaw, pitch)
+        for row, a, b in zip(stacked, yaw.tolist(), pitch.tolist()):
+            cp = math.cos(b)
+            ref = np.array([math.cos(a) * cp, math.sin(a) * cp, math.sin(b)])
+            assert heading_vector(a, b).tobytes() == ref.tobytes()
+            assert row.tobytes() == ref.tobytes()
+
+    def test_step_controlled_rows(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            q = rng.uniform(-100.0, 1500.0, (5, 3))
+            yaw = rng.uniform(-math.pi, math.pi, 5)
+            pitch = rng.uniform(-math.pi / 3, math.pi / 3, 5)
+            stacked = step_controlled(q, yaw, pitch, CFG)
+            for k in range(5):
+                assert (stacked[k].tobytes() == step_controlled(
+                    q[k], float(yaw[k]), float(pitch[k]), CFG).tobytes())
+
+    def test_norms_are_linalg_norm_bits(self):
+        rng = np.random.default_rng(10)
+        v = rng.uniform(-2000.0, 2000.0, (5000, 4, 3))
+        stacked = norms(v)
+        assert stacked.shape == (5000, 4)
+        for rows, got in zip(v, stacked):
+            for row, value in zip(rows, got):
+                assert value == np.linalg.norm(row) == norms(row)
+
+    def test_constraints_match_full_distance_matrix(self):
+        rng = np.random.default_rng(11)
+        cfg = WorldConfig(dist_min=150.0, dist_max=700.0)
+        for _ in range(2000):
+            positions = rng.uniform(100, 900, size=(5, 3))
+            target = rng.uniform(100, 900, size=3)
+            late = rng.uniform(size=4) < 0.1
+            d_target = np.linalg.norm(positions - target[None, :], axis=1)
+            dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :],
+                                   axis=2)
+            pair = dists[np.triu_indices(5, k=1)]
+            ref = (not np.any(late),
+                   bool(np.all((d_target >= cfg.dist_min)
+                               & (d_target <= cfg.dist_max))),
+                   bool(np.all((pair >= cfg.dist_min) & (pair <= cfg.dist_max))))
+            assert check_constraints(positions, target, late, cfg).flags() == ref
