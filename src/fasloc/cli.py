@@ -12,8 +12,8 @@ Metric files are deterministic for a fixed config and seed; timing goes
 to the separate run_info.json, which is the one output not reproduced
 byte-for-byte: the wall time of the run and the process time training
 spent playing episodes (rollout_s), inside them in the environment's
-step (env_s), learning from them (learn_s), and inside that on the TD
-targets (target_s).
+step (env_s) and inside that in the position solver (solver_s), learning
+from them (learn_s), and inside that on the TD targets (target_s).
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> i
 
     with open(os.path.join(out_dir, "run_info.json"), "w", encoding="utf-8") as fh:
         json.dump({"wall_time_s": elapsed, "rollout_s": trainer.rollout_s,
-                   "env_s": trainer.env_s, "learn_s": trainer.learn_s,
+                   "env_s": trainer.env_s, "solver_s": trainer.solver_s,
+                   "learn_s": trainer.learn_s,
                    "target_s": trainer.target_s, "numpy": np.__version__}, fh)
 
     print(f"{training_log.scheme} seed={cfg.run.seed} "

@@ -63,12 +63,12 @@ def encode_actions(steer: np.ndarray, ports: np.ndarray,
     return [angles[:1], np.concatenate([angles[1:], port[..., None]], axis=-1)]
 
 
-def reward(estimate, truth, report: wd.ConstraintReport) -> float:
-    """Shared slot reward: negative position error, or the flat penalty
-    whenever any feasibility constraint is broken."""
+def reward(error: float, report: wd.ConstraintReport) -> float:
+    """Shared slot reward: the negative position error, or the flat
+    penalty whenever any feasibility constraint is broken."""
     if not report.feasible:
         return PENALTY_REWARD
-    return -pos.position_error(estimate, truth)
+    return -error
 
 
 def training_rewards(episode: EpisodeData, m) -> np.ndarray:
@@ -530,8 +530,23 @@ class PositioningEnv:
         self.estimate = np.zeros(3)
         self.prev_ranges = np.zeros(4)
         self.aods = np.zeros((4, cfg.channel.n_paths))
-        self.cos_aods = np.ones((4, cfg.channel.n_paths))
         self._gate_rejects = 0
+        self.solver_s = 0.0     # process time spent in estimate_position
+
+    @property
+    def aods(self) -> np.ndarray:
+        """The passive UAVs' (4, n_paths) uplink departure angles, drawn
+        at reset and fixed for the episode.  Setting them stores a
+        read-only copy, their cosines (cos_aods, which the uplink reads)
+        and their observation block."""
+        return self._aods
+
+    @aods.setter
+    def aods(self, value):
+        self._aods = np.array(value, dtype=float)
+        self._aods.flags.writeable = False
+        self.cos_aods = np.cos(self._aods)
+        self._scaled_aods = self._aods / math.pi
 
     def _headings_toward_target(self) -> np.ndarray:
         """Each UAV starts headed at the target's start, pitch bounded."""
@@ -557,7 +572,6 @@ class PositioningEnv:
         self._gate_rejects = 0
         self.aods = self.rng.uniform(0.0, math.pi,
                                      size=(4, self.cfg.channel.n_paths))
-        self.cos_aods = np.cos(self.aods)
         return self.observations()
 
     def observations(self) -> list[np.ndarray]:
@@ -568,7 +582,7 @@ class PositioningEnv:
         before the first measurement)."""
         scaled = self.positions * POSITION_SCALE
         ranges = self.prev_ranges[:, None] * RANGE_SCALE
-        return [scaled[:1], np.concatenate([scaled[1:], self.aods / math.pi,
+        return [scaled[:1], np.concatenate([scaled[1:], self._scaled_aods,
                                             ranges], axis=1)]
 
     def step(self, steer: np.ndarray, ports: np.ndarray):
@@ -611,8 +625,10 @@ class PositioningEnv:
         usable = echo & ~late
         stale = int(np.count_nonzero(usable)) < cfg.positioning.min_usable
         if not stale:
+            started = time.process_time()
             fit = pos.estimate_position(measured[usable], q0, qs[usable],
                                         self.estimate)
+            self.solver_s += time.process_time() - started
             gate = cfg.positioning.innovation_gate
             if gate > 0.0:
                 jump = float(wd.norms(fit.position - self.estimate))
@@ -628,7 +644,7 @@ class PositioningEnv:
 
         error = pos.position_error(self.estimate, target)
         report = wd.check_constraints(self.positions, target, late, wcfg)
-        reward_raw = reward(self.estimate, target, report)
+        reward_raw = reward(error, report)
         self.prev_ranges[echo] = measured[echo]
 
         info = {
@@ -722,11 +738,12 @@ class MarlTrainer:
         self.updates = 0
         self.n_ports = cfg.channel.n_ports
         # process time run() has spent playing episodes and learning, and
-        # that every rollout has spent in PositioningEnv.step and every
-        # td_targets call in all; in run() the last two are parts of the
-        # first two
+        # that every rollout has spent in PositioningEnv.step (and in its
+        # solver) and every td_targets call in all; in run() env_s and
+        # target_s are parts of the first two
         self.rollout_s = 0.0
         self.env_s = 0.0
+        self.solver_s = 0.0
         self.learn_s = 0.0
         self.target_s = 0.0
 
@@ -840,7 +857,8 @@ class MarlTrainer:
         nets act slot by slot (LocalQNet.step, one call per net for all its
         agents) and keep no caches: the learner derives their inputs from
         the record and replays them in one sequence pass.  The process time
-        spent in env.step is added to env_s.
+        spent in env.step is added to env_s, and the part of it env spent
+        in its solver to solver_s.
         """
         rng = self.policy_rng if rng is None else rng
         port_eps = epsilon if port_eps is None else port_eps
@@ -851,6 +869,7 @@ class MarlTrainer:
                                  f"is not a nonempty set of ports in "
                                  f"1..{self.n_ports}")
             ports = np.unique(np.asarray(port_menu, dtype=int))
+        solver_before = env.solver_s
         observations = env.reset()
         # each net's agents' previous-action features: none before slot 0
         previous = [np.zeros((len(obs), width - obs.shape[-1])) for obs, width
@@ -872,6 +891,7 @@ class MarlTrainer:
             observations, info = env.step(steer, chosen)
             self.env_s += time.process_time() - started
             infos.append(info)
+        self.solver_s += env.solver_s - solver_before
 
         def column(key):
             return np.array([info[key] for info in infos])

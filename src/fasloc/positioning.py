@@ -8,10 +8,12 @@ damped Gauss-Newton (Levenberg-Marquardt) iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _linalg, _umath_linalg
 
 from .world import Vec3, norms
 
@@ -55,30 +57,25 @@ def sample_range(m, snr, rng: np.random.Generator,
     return (m + np.sqrt(variance_scale / np.where(echo, snr, np.nan)) * z)[()]
 
 
+def _lapack(gufunc, on_error, signature: str):
+    """The numpy.linalg gufunc as its np.linalg wrapper calls it, under the
+    same error handlers, minus the wrapper (most of a 3x3 solve's cost)."""
+    return np.errstate(call=on_error, all="ignore", invalid="call")(
+        functools.partial(gufunc, signature=signature))
+
+
+_solve = _lapack(_umath_linalg.solve1, _linalg._raise_linalgerror_singular, "dd->d")
+_singular_values = _lapack(_umath_linalg.svd,
+                           _linalg._raise_linalgerror_svd_nonconvergence, "d->d")
+_lstsq = _lapack(_umath_linalg.lstsq, _linalg._raise_linalgerror_lstsq, "ddd->ddid")
 _EYE3 = np.eye(3)
-
-
-def _residual_and_jacobian(u: Vec3, measured: np.ndarray, q0: Vec3,
-                           qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual r = measured - (|q0 - u| + |qs_k - u|) and its Jacobian
-    dr/du = (q0 - u)/|q0 - u| + (qs_k - u)/|qs_k - u|, from one pass over
-    the leg vectors.  The norms are numpy's own arithmetic for
-    ``np.linalg.norm`` (a dot product, or a row sum of squares), without
-    its call overhead.
-    """
-    e0 = q0 - u
-    ek = qs - u
-    d0 = math.sqrt(e0 @ e0)
-    dk = np.sqrt((ek * ek).sum(axis=1))
-    return measured - (d0 + dk), e0 / d0 + ek / dk[:, None]
 
 
 def linear_bootstrap(measured: np.ndarray, q0: Vec3,
                      qs: np.ndarray) -> Vec3 | None:
     """Closed-form start point: subtracting the active-leg equation from
-    each squared range sum leaves equations linear in (u, d0).
-
-    Returns None when the system is too ill-conditioned to trust.
+    each squared range sum leaves equations linear in (u, d0).  None when
+    the system is too ill-conditioned to trust.
     """
     n = len(measured)
     if n < 4:
@@ -90,56 +87,62 @@ def linear_bootstrap(measured: np.ndarray, q0: Vec3,
     squares = np.array([m ** 2 for m in measured.tolist()])
     b = squares - np.matmul(qs[:, None, :], qs[:, :, None])[:, 0, 0] + q0 @ q0
     try:
-        sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError:
+        # np.linalg.lstsq's rcond=None, eps * max(a.shape), as a has n >= 4 rows
+        sol, _, rank, sv = _lstsq(a, b[:, None], np.finfo(float).eps * n)
+    except LinAlgError:
         return None
     if rank < 4 or sv[-1] < 1e-9 * sv[0]:
         return None
-    return sol[:3]
+    return sol[:3, 0]
 
 
-def _lm_descend(measured, q0, qs, start, step_tol, max_iter, rank_tol):
-    u = np.asarray(start, float).copy()
+def _evaluate(u, measured, legs):
+    """u, its legs e = legs - u (active UAV first), their lengths as norm
+    takes them (a BLAS dot, row sums of squares), residual r and cost."""
+    e = legs - u
+    ek = e[1:]
+    d0 = math.sqrt(e[0] @ e[0])
+    dk = np.sqrt(np.add.reduce(ek * ek, axis=1))
+    r = measured - (d0 + dk)
+    return u, e, d0, dk, r, float(r @ r)
+
+
+def _lm_descend(measured, legs, start, step_tol, max_iter, rank_tol):
+    u, e, d0, dk, r, cost = _evaluate(np.array(start, float), measured, legs)
     lam = 1e-3
-    r, jac = _residual_and_jacobian(u, measured, q0, qs)
-    cost = float(r @ r)
+    jac = None          # None until u's Jacobian is built
     jacs = []           # the Jacobian at every iterate the loop steps from
-    converged = False
-    degenerate = False
-    iterations = 0
+    iterations, converged, degenerate = 0, False, False
     for iterations in range(1, max_iter + 1):
-        if not jacs or jacs[-1] is not jac:
+        if jac is None:
+            # dr/du, and the normal equations every trial from u shares
+            jac = e[0] / d0 + e[1:] / dk[:, None]
             jacs.append(jac)
-        hess = jac.T @ jac + lam * _EYE3
-        grad = jac.T @ r
+            jtj, neg_grad = jac.T @ jac, -(jac.T @ r)
         try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
+            step = _solve(jtj + lam * _EYE3, neg_grad)
+        except LinAlgError:
             degenerate = True
             break
         if math.sqrt(step @ step) < step_tol:
             converged = True
             break
-        trial = u + step
-        r_trial, jac_trial = _residual_and_jacobian(trial, measured, q0, qs)
-        cost_trial = float(r_trial @ r_trial)
-        if cost_trial < cost:
-            u, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+        trial = _evaluate(u + step, measured, legs)
+        if trial[-1] < cost:
+            u, e, d0, dk, r, cost = trial
+            jac = None
             lam = max(lam * 0.3, 1e-12)
         else:
             lam *= 3.0
             if lam > 1e12:
                 break
-    # One batched SVD gives every iterate's singular values; the descent
-    # is degenerate when any iterate's Jacobian has rank below 3, as
-    # np.linalg.matrix_rank(jac, tol=rank_tol) counts it.  It runs even
-    # after a singular solve so that a non-finite Jacobian still raises.
+    # Degenerate when any iterate's Jacobian has rank below 3, as
+    # np.linalg.matrix_rank(jac, tol=rank_tol) counts it; even after a
+    # singular solve, so that a NaN Jacobian still raises.
     if jacs:
-        sv = np.linalg.svd(np.stack(jacs), compute_uv=False)
+        sv = _singular_values(np.stack(jacs))
         degenerate = degenerate or bool(np.any((sv > rank_tol).sum(axis=-1) < 3))
-    return PositionEstimate(position=u, residual_norm=math.sqrt(cost),
-                            iterations=iterations, converged=converged,
-                            degenerate=degenerate)
+    return PositionEstimate(u, math.sqrt(cost), iterations, converged, degenerate)
 
 
 def estimate_position(measurements, q0, passive_positions, prior,
@@ -147,12 +150,11 @@ def estimate_position(measurements, q0, passive_positions, prior,
                       rank_tol: float = 1e-8) -> PositionEstimate:
     """Least-squares target fix from range-sum measurements.
 
-    measurements are the measured range sums; passive_positions rows
-    must align with them.  Damped
-    Gauss-Newton runs from the prior and, because the range-sum cost has
-    local minima when the prior is far off, also from the linear
-    bootstrap when four measurements allow one; the lower final cost
-    wins.  A prior on a UAV is rejected: its zero leg has no direction.
+    passive_positions rows align with the range sums.  The descent runs
+    from the prior and, as the cost has local minima when the prior is
+    far off, from the linear bootstrap when four measurements allow one;
+    the lower final cost wins.  A prior on a UAV is rejected: its zero
+    leg has no direction.
     """
     measured = np.array(measurements, dtype=float).reshape(-1)
     if len(measured) < 1:
@@ -164,18 +166,16 @@ def estimate_position(measurements, q0, passive_positions, prior,
             f"each of the {len(measured)} measurements")
     qs = qs.reshape(len(measured), 3)
     q0 = np.asarray(q0, float)
+    legs = np.concatenate([q0[None], qs])
     prior = np.asarray(prior, float)
-    if prior.tolist() in [q0.tolist(), *qs.tolist()]:
+    if prior.tolist() in legs.tolist():
         raise PositioningError("the prior sits on a UAV")
 
-    starts = [prior]
+    best = _lm_descend(measured, legs, prior, step_tol, max_iter, rank_tol)
     boot = linear_bootstrap(measured, q0, qs)
-    if boot is not None and np.all(np.isfinite(boot)):
-        starts.append(boot)
-    best = None
-    for start in starts:
-        est = _lm_descend(measured, q0, qs, start, step_tol, max_iter, rank_tol)
-        if best is None or est.residual_norm < best.residual_norm:
+    if boot is not None and np.isfinite(boot).all():
+        est = _lm_descend(measured, legs, boot, step_tol, max_iter, rank_tol)
+        if est.residual_norm < best.residual_norm:
             best = est
     return best
 

@@ -180,15 +180,16 @@ class TestRunVerb:
         out = tmp_path / "timed"
         assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=1) == 0
         info = json.loads((out / "run_info.json").read_text())
-        for key in ("wall_time_s", "rollout_s", "env_s", "learn_s", "target_s"):
+        timers = ("rollout_s", "env_s", "solver_s", "learn_s", "target_s")
+        for key in ("wall_time_s", *timers):
             assert math.isfinite(info[key]) and info[key] > 0.0, key
         # each inner phase is part of its outer one
         assert info["env_s"] <= info["rollout_s"]
+        assert 0.0 < info["solver_s"] <= info["env_s"]
         assert info["target_s"] <= info["learn_s"]
         # timings stay out of the deterministic metrics
         for line in (out / "metrics.jsonl").read_text().splitlines():
-            assert not {"rollout_s", "env_s", "learn_s", "target_s"} & set(
-                json.loads(line))
+            assert not set(timers) & set(json.loads(line))
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         outs = []

@@ -538,19 +538,27 @@ class TestPortCredit:
 
 class TestRewardAndLoss:
     def test_perfect_feasible_estimate(self):
-        assert reward([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], FEASIBLE) == 0.0
+        error = marl.pos.position_error([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert reward(error, FEASIBLE) == 0.0
 
     def test_violation_gives_exact_penalty(self):
-        assert reward([0.0, 0.0, 0.0], [500.0, 0.0, 0.0], VIOLATED) == -1.0e6
+        assert reward(500.0, VIOLATED) == -1.0e6
 
     def test_five_meter_error(self):
-        assert reward([3.0, 4.0, 0.0], [0.0, 0.0, 0.0], FEASIBLE) == pytest.approx(-5.0)
+        error = marl.pos.position_error([3.0, 4.0, 0.0], [0.0, 0.0, 0.0])
+        assert reward(error, FEASIBLE) == pytest.approx(-5.0)
 
     def test_reward_never_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             est, tru = rng.uniform(-100, 100, (2, 3))
-            assert reward(est, tru, FEASIBLE) <= 0.0
+            assert reward(marl.pos.position_error(est, tru), FEASIBLE) <= 0.0
+
+    def test_feasible_reward_is_the_negated_error(self):
+        rng = np.random.default_rng(4)
+        for error in rng.uniform(0.0, 100.0, 50):
+            assert reward(float(error), FEASIBLE) == -float(error)
+            assert reward(float(error), VIOLATED) == marl.PENALTY_REWARD
 
     def test_td_targets_terminal_and_zero_discount(self):
         rewards = np.array([-1.0, -2.0, -3.0])
@@ -910,13 +918,41 @@ def _ref_step(env, steer, ports):
         not np.any(late),
         bool(np.all((d_target >= wcfg.dist_min) & (d_target <= wcfg.dist_max))),
         bool(np.all((pair >= wcfg.dist_min) & (pair <= wcfg.dist_max))))
-    reward_raw = reward(env.estimate, target, report)
+    reward_raw = (-marl.pos.position_error(env.estimate, target)
+                  if report.feasible else -1.0e6)
     for i in range(4):
         if measurements[i] is not None:
             env.prev_ranges[i] = measurements[i]
     info = {"reward": reward_raw, "error": error, "stale": stale,
             "feasible": report.feasible, "late": late, "report": report}
     return env.observations(), info
+
+
+def test_assigned_aods_reach_the_next_uplink(monkeypatch):
+    """Assigning env.aods after reset replaces the cosines the next step's
+    uplink draws with and the observation block, not only the angles."""
+    cfg = default_config()
+    n_paths = cfg.channel.n_paths
+    env = PositioningEnv(cfg, np.random.default_rng(5))
+    env.reset()
+    aods = np.linspace(0.2, 3.0, 4 * n_paths).reshape(4, n_paths)
+    env.aods = aods
+    seen = []
+    draw_channel = marl.ch.draw_channel
+
+    def recording(rng, params, cos_aod):
+        seen.append(np.array(cos_aod))
+        return draw_channel(rng, params, cos_aod)
+
+    monkeypatch.setattr(marl.ch, "draw_channel", recording)
+    obs, _ = env.step(np.full(marl.N_AGENTS, 12), np.ones(4, dtype=int))
+    assert len(seen) == 1 and seen[0].tobytes() == np.cos(aods).tobytes()
+    assert obs[1][:, 3:3 + n_paths].tobytes() == (aods / math.pi).tobytes()
+    # the env holds its own read-only copy, so the three cannot drift apart
+    aods[0, 0] = 1.0
+    assert env.aods[0, 0] == 0.2
+    with pytest.raises(ValueError):
+        env.aods[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fasloc import positioning
 from fasloc.analysis import (build_geometry_matrix, linearized_rms_error,
                              tetrahedral_geometry)
+from fasloc.config import default_config
+from fasloc.marl import MarlTrainer, PositioningEnv
 from fasloc.positioning import (PositioningError, PositionEstimate,
                                 estimate_position, linear_bootstrap,
                                 position_error, sample_range, true_range_sum)
@@ -172,10 +176,12 @@ class TestEstimatePosition:
         assert rms == pytest.approx(predicted, rel=0.05)
 
 
-# Reference solver: the plain descent, with a separate residual and
-# Jacobian pass and np.linalg.matrix_rank at every iterate.  The solver
-# in fasloc.positioning shares the geometry pass and batches the rank
-# test, and must return the same bits.
+# Reference solver: the plain descent through the np.linalg wrappers,
+# with a separate residual and Jacobian pass and np.linalg.matrix_rank at
+# every iterate.  The solver in fasloc.positioning evaluates a trial point
+# without its Jacobian, reuses the normal equations across rejected
+# trials, batches the rank test and calls LAPACK directly, and must
+# return the same bits.
 
 def _oracle_residuals(u, measured, q0, qs):
     d0 = np.linalg.norm(q0 - u)
@@ -247,7 +253,9 @@ def _oracle_estimate(measured, q0, qs, prior, step_tol=1e-9, max_iter=100,
 def _solver_cases(rng):
     """Seeded (measured, q0, qs, prior) tuples: generic 3- and
     4-measurement fixes, passive UAVs clustered within millimetres,
-    coplanar and collinear layouts, and 1-2 measurements."""
+    coplanar and collinear layouts, 1-2 measurements, and last a few
+    non-finite priors, whose Jacobian makes the rank test raise, and
+    infinite range sums, which no step can lower the cost of."""
     cases = []
     for i in range(360):
         kind = i % 6
@@ -274,6 +282,11 @@ def _solver_cases(rng):
         sums = (np.linalg.norm(q0 - u) + np.linalg.norm(qs - u, axis=1)
                 + rng.normal(0.0, 0.5, len(qs)))
         cases.append((sums, q0, qs, prior))
+    for sums, q0, qs, prior in cases[:6]:
+        cases.append((sums, q0, qs, np.where(np.arange(3) == len(cases) % 3,
+                                             np.nan, prior)))
+        cases.append((sums, q0, qs, prior + np.array([np.inf, 0.0, 0.0])))
+        cases.append((np.append(sums[:2], np.inf), q0, qs[:3], prior))
     return cases
 
 
@@ -289,12 +302,16 @@ def _outcome(solve, *args, **kwargs):
 
 
 def test_solver_matches_reference_bit_for_bit():
-    degenerate = []
+    degenerate, raised = [], 0
     for case in _solver_cases(np.random.default_rng(606)):
         got = _outcome(estimate_position, *case)
         assert got == _outcome(_oracle_estimate, *case)
-        degenerate.append(got[-1])
+        if got is np.linalg.LinAlgError:
+            raised += 1
+        else:
+            degenerate.append(got[-1])
     assert 0 < sum(degenerate) < len(degenerate)
+    assert raised == 12
 
 
 def test_solver_matches_reference_with_few_iterations():
@@ -304,6 +321,139 @@ def test_solver_matches_reference_with_few_iterations():
         for max_iter in (0, 1, 2, 5):
             assert (_outcome(estimate_position, *case, max_iter=max_iter)
                     == _outcome(_oracle_estimate, *case, max_iter=max_iter))
+
+
+@pytest.mark.parametrize("scheme", ["random", "ar_marl"])
+def test_solver_matches_reference_on_episode_traffic(scheme, monkeypatch):
+    """Every fix of one seeded default-config episode."""
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=3))
+    trainer = MarlTrainer(cfg, scheme)
+    fixes = []
+    solve = positioning.estimate_position
+
+    def recording(*args):
+        fixes.append(tuple(np.array(a, dtype=float) for a in args))
+        return solve(*args)
+
+    monkeypatch.setattr(positioning, "estimate_position", recording)
+    trainer.rollout(PositioningEnv(cfg, trainer.env_rng), 0.5)
+    assert len(fixes) >= 15
+    for fix in fixes:
+        assert _outcome(estimate_position, *fix) == _outcome(_oracle_estimate, *fix)
+
+
+def test_cases_reach_every_exit_of_the_descent(monkeypatch):
+    """_solver_cases drive each way out of the descent: step-size
+    convergence, lam past 1e12, an exhausted max_iter and the rank test's
+    LinAlgError on a non-finite Jacobian.  No input is known to make the
+    damped 3x3 solve singular (JtJ + lam*I with lam >= 1e-12 and unit-scale
+    Jacobian rows has no zero pivot), so that exit is reached by making
+    LAPACK report one, in the solver and the reference alike."""
+    exits = set()
+    descend = positioning._lm_descend
+
+    def recording(measured, legs, start, step_tol, max_iter, rank_tol):
+        try:
+            est = descend(measured, legs, start, step_tol, max_iter, rank_tol)
+        except np.linalg.LinAlgError:
+            exits.add("rank test raised")
+            raise
+        if est.converged:
+            exits.add("converged")
+        elif est.iterations == max_iter:
+            exits.add("max_iter")
+        else:
+            exits.add("lam")
+        return est
+
+    monkeypatch.setattr(positioning, "_lm_descend", recording)
+    for case in _solver_cases(np.random.default_rng(606)):
+        for max_iter in (2, 100):
+            _outcome(estimate_position, *case, max_iter=max_iter)
+    assert exits == {"converged", "lam", "max_iter", "rank test raised"}
+
+    # LAPACK reports a singular matrix at the third solve of each descent
+    calls = {"solver": 0, "reference": 0}
+
+    def singular_at_third(solve, who):
+        def wrapped(a, b):
+            calls[who] += 1
+            if calls[who] % 3 == 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+        return wrapped
+
+    monkeypatch.setattr(positioning, "_lm_descend", descend)
+    monkeypatch.setattr(positioning, "_solve",
+                        singular_at_third(positioning._solve, "solver"))
+    oracle_solve = singular_at_third(np.linalg.solve, "reference")
+    singular = 0
+    for case in _solver_cases(np.random.default_rng(7))[:60]:
+        calls["solver"] = calls["reference"] = 0
+        got = _outcome(estimate_position, *case)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", oracle_solve)
+            assert got == _outcome(_oracle_estimate, *case)
+        if len(case[0]) < 4 and calls["solver"] == 3:
+            # no bootstrap, so the one descent ended at its third solve
+            assert got[2:] == (3, False, True)
+            singular += 1
+    assert singular > 0
+
+
+def _lapack_outcome(f, *args):
+    """Every output's bytes, or the LinAlgError and its message."""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+    return [np.asarray(o).tobytes() for o in (out if isinstance(out, tuple)
+                                              else (out,))]
+
+
+def _lapack_inputs(rng, shape):
+    """Random, singular, rank-deficient and NaN-holding matrices."""
+    mats = [rng.standard_normal(shape) for _ in range(50)]
+    mats += [np.zeros(shape), np.ones(shape)]
+    for _ in range(20):
+        low_rank = rng.standard_normal(shape)
+        low_rank[..., -1, :] = low_rank[..., 0, :]
+        mats.append(low_rank)
+        with_nan = rng.standard_normal(shape)
+        with_nan[..., rng.integers(shape[-2]), rng.integers(shape[-1])] = np.nan
+        mats.append(with_nan)
+    if shape == (3, 3):     # a NaN pattern LAPACK's LU pivots to a zero on
+        mats.append(np.array([[np.nan, 0.0, np.nan], [0.0, 0.0, np.nan],
+                              [np.nan, np.nan, np.nan]]))
+    return mats
+
+
+def test_direct_lapack_calls_match_np_linalg():
+    rng = np.random.default_rng(35)
+    raised = set()
+    for a in _lapack_inputs(rng, (3, 3)):
+        b = rng.standard_normal(3)
+        got = _lapack_outcome(positioning._solve, a, b)
+        assert got == _lapack_outcome(np.linalg.solve, a, b)
+        raised.add(got[0] if isinstance(got, tuple) else None)
+    for shape in ((4, 3), (3, 3), (2, 3), (5, 4, 3)):
+        for a in _lapack_inputs(rng, shape):
+            got = _lapack_outcome(positioning._singular_values, a)
+            assert got == _lapack_outcome(
+                lambda x: np.linalg.svd(x, compute_uv=False), a)
+            raised.add(got[0] if isinstance(got, tuple) else None)
+    for shape in ((4, 4), (6, 4)):
+        rcond = np.finfo(float).eps * max(shape)
+        for a in _lapack_inputs(rng, shape):
+            b = rng.standard_normal((shape[0], 1))
+            got = _lapack_outcome(positioning._lstsq, a, b, rcond)
+            ref = _lapack_outcome(np.linalg.lstsq, a, b, None)
+            if isinstance(ref, tuple):
+                assert got == ref
+            else:       # the wrapper empties the residuals of a square system
+                assert got[0] == ref[0] and got[2:] == ref[2:]
+    assert raised == {None, np.linalg.LinAlgError}
 
 
 def test_prior_on_a_uav_rejected():
