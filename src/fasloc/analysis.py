@@ -12,24 +12,12 @@ here by direct simulation of the linearized system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class GeometryDegenerateError(ValueError):
     """W^T W is singular: passive UAVs and target nearly collinear."""
-
-
-@dataclass(frozen=True)
-class GeometryMatrix:
-    matrix: np.ndarray            # (4, 3); row k belongs to passive UAV k
-    min_singular_value: float
-
-    @property
-    def rank(self) -> int:
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return int(np.sum(s > 1e-9 * max(s[0], 1.0)))
 
 
 def error_gain_ratio(noise_std: float, unit_gain: float, reflect: float,
@@ -41,8 +29,9 @@ def error_gain_ratio(noise_std: float, unit_gain: float, reflect: float,
 def build_geometry_matrix(u, q0, passive_positions, mode: str = "zero",
                           noise_std: float = 0.0, unit_gain: float = 1.0,
                           reflect: float = 1.0, power: float = 1.0,
-                          error_coeff: float = 0.0) -> GeometryMatrix:
-    """Linearization matrix of the range-sum map.
+                          error_coeff: float = 0.0) -> np.ndarray:
+    """Linearization matrix W of the range-sum map, (rows, 3); row k
+    belongs to passive UAV k.
 
     mode "zero": rows are (u - q_k)/d_k + (u - q0)/d0 (the error term's
     gradient treated as zero mean and dropped).
@@ -68,21 +57,20 @@ def build_geometry_matrix(u, q0, passive_positions, mode: str = "zero",
         w = (1.0 + ratio) * passive_terms
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    smin = float(np.linalg.svd(w, compute_uv=False)[-1])
-    return GeometryMatrix(matrix=w, min_singular_value=smin)
+    return w
 
 
-def _full_rank_matrix(geometry: GeometryMatrix | np.ndarray) -> np.ndarray:
-    """W as an array; raises GeometryDegenerateError if it is rank-deficient."""
-    w = geometry.matrix if isinstance(geometry, GeometryMatrix) else np.asarray(geometry, float)
+def _full_rank_matrix(geometry: np.ndarray) -> np.ndarray:
+    """W as a float array; raises GeometryDegenerateError if it is
+    rank-deficient."""
+    w = np.asarray(geometry, float)
     s = np.linalg.svd(w, compute_uv=False)
     if s[-1] < 1e-12 * max(s[0], 1.0):
         raise GeometryDegenerateError("rank-deficient geometry matrix")
     return w
 
 
-def linearized_rms_error(geometry: GeometryMatrix | np.ndarray, variance: float) -> float:
+def linearized_rms_error(geometry: np.ndarray, variance: float) -> float:
     """sqrt(var * trace((W^T W)^-1)); raises on degenerate geometry."""
     w = _full_rank_matrix(geometry)
     return math.sqrt(variance * float(np.trace(np.linalg.inv(w.T @ w))))
@@ -102,7 +90,7 @@ def min_error_closed_form(d0: float, dist_min: float, noise_std: float,
     return 3.0 * d0 * dist_min * noise_std / denom
 
 
-def monte_carlo_rms_error(geometry: GeometryMatrix | np.ndarray, variance: float,
+def monte_carlo_rms_error(geometry: np.ndarray, variance: float,
                           samples: int, rng: np.random.Generator) -> float:
     """Simulate the linearized system du = (W^T W)^-1 W^T e directly."""
     if samples < 1000:

@@ -27,13 +27,8 @@ class ChannelError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """All radio constants.
-
-    dB figures convert to linear amplitude via 10^(-L/amp_db_divisor);
-    the divisor 10 applies the path-loss exponent literally to the field
-    amplitude, 20 reads the dB figure as a power loss (the physically
-    standard convention, and the default here).
-    """
+    """All radio constants.  A dB loss L is a power loss: the field
+    amplitude scales by 10^(-L/20)."""
 
     tx_power_active: float = 10.0     # W, measuring signal
     tx_power_passive: float = 5.0     # W, uplink
@@ -55,7 +50,6 @@ class ChannelParams:
                                       # a direct + ground-reflection geometry;
                                       # 0 -> equal power on every path
     dominant_share: float = 0.75      # total power carried by the dominant set
-    amp_db_divisor: float = 20.0      # 10 = verbatim amplitude reading
     data_bits: float = 1000.0         # payload per slot
     bandwidth: float = 1e6            # Hz
     uplink_noise: float = 3e-12       # W, denominator noise term of the SINR
@@ -63,8 +57,8 @@ class ChannelParams:
     def __post_init__(self):
         for name in ("tx_power_active", "tx_power_passive", "unit_path_gain",
                      "reflect_coeff", "noise_power", "fas_size",
-                     "carrier_freq", "ref_distance", "amp_db_divisor",
-                     "data_bits", "bandwidth"):
+                     "carrier_freq", "ref_distance", "data_bits",
+                     "bandwidth"):
             if not getattr(self, name) > 0:
                 raise ChannelError(f"{name} must be positive")
         for name in ("shadow_std_db", "rician_k", "uplink_noise",
@@ -175,8 +169,7 @@ def fas_gain(draw: ChannelDraw, port, params: ChannelParams,
     off = port[(port < 1) | (port > params.n_ports)]
     if off.size:
         raise ChannelError(f"port {off[0]} outside 1..{params.n_ports}")
-    amp = _per_element(lambda loss: 10.0 ** (-loss / params.amp_db_divisor),
-                       loss_db)
+    amp = _per_element(lambda loss: 10.0 ** (-loss / 20.0), loss_db)
     # phase slope per port index: 2*pi*S/(N-1) * n * cos(aod)
     coeff = 2.0 * math.pi * params.fas_size / (params.n_ports - 1)
     phases = np.exp(-1j * coeff * (port.astype(float)[..., None] * draw.cos_aod))

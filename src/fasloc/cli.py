@@ -1,12 +1,11 @@
 """Experiment orchestration: seeded runs, metric persistence, evaluation
-of saved policies, axis sweeps, and the analytic self-checks.
+of saved policies, axis sweeps, and the gradient self-check.
 
 Verbs:
   run        train (or roll out) one scheme, write metrics + checkpoint
   evaluate   greedy rollouts from a saved checkpoint
   sweep      evaluate across target_speed / uncertainty / port_count values
   gradcheck  finite-difference verification of the full training gradient
-  oracle     closed-form error theory vs Monte Carlo cross-checks
 
 Metric files are deterministic for a fixed config and seed; timing goes
 to the separate run_info.json, which is the one output not reproduced
@@ -22,14 +21,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import analysis, marl, nn
+from . import marl, nn
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      from_ini, load_config, to_ini)
 
@@ -117,19 +115,18 @@ def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> i
 def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig, marl.MarlTrainer]:
     arrays, meta = nn.load_params(path)
     cfg = apply_overrides(from_ini(meta["config_ini"]), overrides or [])
-    trainer = marl.MarlTrainer(cfg, scheme=meta["scheme"])
+    trainer = marl.MarlTrainer(cfg)
     trainer.load_checkpoint_arrays(arrays)
     return cfg, trainer
 
 
-def evaluate_policy(checkpoint, episodes, seed, overrides=None,
-                    port_menu=None) -> dict:
+def evaluate_policy(checkpoint, episodes, seed, overrides=None) -> dict:
     """Greedy rollouts from a checkpoint, episodes of them (None: the
     checkpoint config's run.eval_episodes); summary statistics only."""
     cfg, trainer = load_trainer_from_checkpoint(checkpoint, overrides)
     stats = marl.evaluate_rollouts(
         cfg, trainer, cfg.run.eval_episodes if episodes is None else episodes,
-        seed, port_menu=port_menu)
+        seed)
     stats["scheme"] = trainer.scheme
     return stats
 
@@ -206,61 +203,15 @@ def sweep(config_path, overrides, axis, values, out_dir, seeds=None,
     return rows
 
 
-def gradcheck(threshold: float = 1e-4) -> int:
-    cfg = marl.micro_config()
-    worst = marl.micro_gradcheck(cfg)
-    status = "PASS" if worst < threshold else "FAIL"
-    print(f"[{status}] end-to-end gradient check: max rel err = {worst:.3e} "
-          f"(threshold {threshold:.0e})")
-    return 0 if worst < threshold else 1
+GRADCHECK_THRESHOLD = 1e-4
 
 
-def oracle_checks(seed: int = 0) -> int:
-    """Run the analytic error-theory cross-checks and print one line each."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-
-    for trial in range(5):
-        u = rng.uniform(200, 800, 3)
-        d0 = rng.uniform(100, 500)
-        dk = rng.uniform(50, 400)
-        rot = _random_rotation(rng)
-        q0, qs = analysis.tetrahedral_geometry(u, rng.standard_normal(3), d0,
-                                               dk, rotation=rot)
-        geom = analysis.build_geometry_matrix(u, q0, qs, mode="zero")
-        var = rng.uniform(0.5, 4.0)
-        closed = analysis.linearized_rms_error(geom, var)
-        mc = analysis.monte_carlo_rms_error(geom, var, 100_000, rng)
-        rel = abs(mc - closed) / closed
-        ok = rel < 0.02
-        failures += not ok
-        print(f"[{'PASS' if ok else 'FAIL'}] linearized vs Monte Carlo "
-              f"(trial {trial}): {closed:.4f} vs {mc:.4f} (rel {rel:.4f})")
-
-    noise_std, unit_gain, reflect, power, coeff = 1e-6, 1e-3, 0.5, 10.0, 2.0
-    d0, dist_min = 300.0, 20.0
-    u = np.array([500.0, 500.0, 500.0])
-    q0, qs = analysis.tetrahedral_geometry(u, np.array([0.3, -0.5, 0.8]),
-                                           d0, dist_min)
-    geom = analysis.build_geometry_matrix(
-        u, q0, qs, mode="deterministic", noise_std=noise_std,
-        unit_gain=unit_gain, reflect=reflect, power=power, error_coeff=coeff)
-    var = (noise_std * d0 * dist_min / (unit_gain * reflect * math.sqrt(power))) ** 2
-    chain = analysis.linearized_rms_error(geom, var)
-    closed = analysis.min_error_closed_form(d0, dist_min, noise_std, unit_gain,
-                                            reflect, power, coeff)
-    rel = abs(chain - closed) / closed
-    ok = rel < 1e-9
-    failures += not ok
-    print(f"[{'PASS' if ok else 'FAIL'}] closed-form minimum chain: "
-          f"{chain:.6e} vs {closed:.6e} (rel {rel:.2e})")
-    return 1 if failures else 0
-
-
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    m = rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(m)
-    return q * np.sign(np.diag(r))
+def gradcheck() -> int:
+    worst = marl.micro_gradcheck(marl.micro_config())
+    ok = worst < GRADCHECK_THRESHOLD
+    print(f"[{'PASS' if ok else 'FAIL'}] end-to-end gradient check: max rel "
+          f"err = {worst:.3e} (threshold {GRADCHECK_THRESHOLD:.0e})")
+    return 0 if ok else 1
 
 
 def _parse_values(text: str):
@@ -300,9 +251,6 @@ def main(argv=None) -> int:
 
     sub.add_parser("gradcheck", help="finite-difference training-gradient check")
 
-    p_oracle = sub.add_parser("oracle", help="error-theory cross-checks")
-    p_oracle.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
@@ -321,8 +269,6 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "gradcheck":
             return gradcheck()
-        if args.verb == "oracle":
-            return oracle_checks(args.seed)
     except (ConfigError, ValueError, nn.ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

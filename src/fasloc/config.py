@@ -118,7 +118,7 @@ class RunConfig:
 
 
 SCHEME_TRAITS = {
-    # (trains, learned_ports, recurrent, coordinator, mixer_mode)
+    # (trains, port_heads, recurrent, coordinator, mixer_mode)
     "ar_marl":        (True,  True,  True,  True,  "hyper"),
     "vd_marl":        (True,  True,  True,  False, "sum"),
     "no_fas":         (True,  False, True,  True,  "hyper"),
@@ -249,8 +249,7 @@ def _apply_items(base: ExperimentConfig, items, origin_text: str | None = None):
         raise ConfigError(str(exc)) from None
 
 
-def from_ini(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    base = base or default_config()
+def from_ini(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
@@ -259,7 +258,7 @@ def from_ini(text: str, base: ExperimentConfig | None = None) -> ExperimentConfi
     items = [(section, key, parser.get(section, key))
              for section in parser.sections()
              for key in parser[section]]
-    return _apply_items(base, items, origin_text=text)
+    return _apply_items(default_config(), items, origin_text=text)
 
 
 def apply_overrides(base: ExperimentConfig, overrides) -> ExperimentConfig:

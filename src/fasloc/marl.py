@@ -12,6 +12,7 @@ random policy.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -449,7 +450,6 @@ class PolicyNets(Module):
     def __init__(self, cfg: ExperimentConfig, scheme: str,
                  rng: np.random.Generator):
         trains, ports, recurrent, coord, mixer_mode = SCHEME_TRAITS[scheme]
-        self.learned_ports = ports
         mcfg = cfg.marl
         n_ports = cfg.channel.n_ports
         # a net's inputs: observations (PositioningEnv.observations), then
@@ -703,12 +703,8 @@ class TrainingLog:
     def to_jsonl(self) -> str:
         lines = [json.dumps({"scheme": self.scheme, "seed": self.seed},
                             sort_keys=True)]
-        for r in self.records:
-            lines.append(json.dumps({
-                "epoch": r.epoch, "mean_error": r.mean_error,
-                "mean_reward": r.mean_reward, "loss": r.loss,
-                "violations": r.violations, "epsilon": r.epsilon,
-            }, sort_keys=True))
+        lines += [json.dumps(dataclasses.asdict(r), sort_keys=True)
+                  for r in self.records]
         return "\n".join(lines) + "\n"
 
 
@@ -717,14 +713,13 @@ class TrainingLog:
 
 
 class MarlTrainer:
-    """Rollout, loss, explicit backprop and parameter updates for every
-    scheme.  Baselines reuse the same machinery with pieces disabled."""
+    """Rollout, loss, explicit backprop and parameter updates for the
+    scheme cfg.run.scheme.  Baselines reuse the same machinery with pieces
+    disabled."""
 
-    def __init__(self, cfg: ExperimentConfig, scheme: str | None = None):
+    def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.scheme = scheme or cfg.run.scheme
-        if self.scheme not in SCHEME_TRAITS:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        self.scheme = cfg.run.scheme
         seq = np.random.SeedSequence(cfg.run.seed)
         init_ss, env_ss, pol_ss = seq.spawn(3)
         self.init_rng = np.random.Generator(np.random.PCG64(init_ss))
@@ -749,21 +744,23 @@ class MarlTrainer:
 
     # -- schedules ------------------------------------------------------------
 
-    def epsilon_at(self, episode_index: int, total_episodes: int) -> float:
+    def schedule(self, episode: int, total: int) -> tuple[float, float, float]:
+        """(epsilon, port exploration rate, learning-rate scale) for training
+        episode `episode` of `total`.  Epsilon anneals linearly from eps_start
+        to eps_end over the first anneal_fraction of the episodes (1 for a
+        scheme that does not train).  The port rate is epsilon, but at least
+        a floor that holds at port_eps_floor and fades out over the last
+        sixth of training, so late rollouts reflect the learned ports.  The
+        rate decays linearly to lr_final_fraction."""
         m = self.cfg.marl
-        horizon = max(int(m.anneal_fraction * total_episodes), 1)
-        frac = min(episode_index / horizon, 1.0)
-        return m.eps_start + frac * (m.eps_end - m.eps_start)
-
-    def schedule(self, progress: float) -> tuple[float, float]:
-        """(learning-rate scale, port exploration floor) at a training
-        progress in [0, 1].  The rate decays linearly to lr_final_fraction.
-        The floor holds at port_eps_floor and fades out over the last sixth
-        of training, so late rollouts reflect the learned ports."""
-        m = self.cfg.marl
-        lr_scale = 1.0 - (1.0 - m.lr_final_fraction) * progress
+        horizon = max(int(m.anneal_fraction * total), 1)
+        frac = min(episode / horizon, 1.0)
+        epsilon = (m.eps_start + frac * (m.eps_end - m.eps_start)
+                   if self.trains else 1.0)
+        progress = episode / max(total - 1, 1)
         port_floor = m.port_eps_floor * min(1.0, 6.0 * max(1.0 - progress, 0.0))
-        return lr_scale, port_floor
+        lr_scale = 1.0 - (1.0 - m.lr_final_fraction) * progress
+        return epsilon, max(epsilon, port_floor), lr_scale
 
     # -- per-slot plumbing ----------------------------------------------------
 
@@ -1052,12 +1049,9 @@ class MarlTrainer:
             errs, rews, losses, viols = [], [], [], 0
             eps = 0.0
             for _ in range(cfg.run.episodes_per_epoch):
-                eps = (self.epsilon_at(ep_index, total_eps)
-                       if self.trains else 1.0)
-                lr_scale, port_floor = self.schedule(
-                    ep_index / max(total_eps - 1, 1))
+                eps, port_eps, lr_scale = self.schedule(ep_index, total_eps)
                 started = time.process_time()
-                episode = self.rollout(env, eps, port_eps=max(eps, port_floor))
+                episode = self.rollout(env, eps, port_eps=port_eps)
                 played = time.process_time()
                 loss = (self.train_on_episode(episode, lr_scale)
                         if self.trains else 0.0)
@@ -1132,13 +1126,13 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
 # end-to-end gradient verification
 
 
-def micro_gradcheck(cfg: ExperimentConfig, eps: float = 1e-5) -> float:
+def micro_gradcheck(cfg: ExperimentConfig) -> float:
     """Finite-difference check of the gradient training applies, on one
     short episode.
 
     The analytic gradient comes from MarlTrainer.episode_loss, as in
-    train_on_episode; the finite differences go through the same
-    function, forward only, with the TD
+    train_on_episode; the central differences, of step 1e-5, go through
+    the same function, forward only, with the TD
     targets and TD-sign weights held at the base point so the loss stays
     differentiable across the stencil.  Every parameter outside the port
     heads is checked against the TD loss, and the port heads against
@@ -1172,16 +1166,14 @@ def micro_gradcheck(cfg: ExperimentConfig, eps: float = 1e-5) -> float:
 
     in_port_heads = {id(p) for p in port_params}
     others = [p for p in trainer.nets.params() if id(p) not in in_port_heads]
-    return max(finite_diff_check(lambda: losses()[0], others, eps=eps),
-               finite_diff_check(lambda: losses()[1], port_params, eps=eps))
+    return max(finite_diff_check(lambda: losses()[0], others, eps=1e-5),
+               finite_diff_check(lambda: losses()[1], port_params, eps=1e-5))
 
 
-def micro_config(base: ExperimentConfig | None = None) -> ExperimentConfig:
+def micro_config() -> ExperimentConfig:
     """Shrunken sizes for gradient checks: tiny nets, few ports and paths,
     two-slot episodes."""
-    import dataclasses
-
-    cfg = base or ExperimentConfig()
+    cfg = ExperimentConfig()
     return dataclasses.replace(
         cfg,
         world=dataclasses.replace(cfg.world, slots_per_episode=2),

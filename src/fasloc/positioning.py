@@ -108,7 +108,8 @@ def _evaluate(u, measured, legs):
 
 
 def _lm_descend(measured, legs, start, step_tol, max_iter, rank_tol):
-    u, e, d0, dk, r, cost = _evaluate(np.array(start, float), measured, legs)
+    """Levenberg-Marquardt from start, _evaluate's tuple at the start point."""
+    u, e, d0, dk, r, cost = start
     lam = 1e-3
     jac = None          # None until u's Jacobian is built
     jacs = []           # the Jacobian at every iterate the loop steps from
@@ -153,8 +154,9 @@ def estimate_position(measurements, q0, passive_positions, prior,
     passive_positions rows align with the range sums.  The descent runs
     from the prior and, as the cost has local minima when the prior is
     far off, from the linear bootstrap when four measurements allow one;
-    the lower final cost wins.  A prior on a UAV is rejected: its zero
-    leg has no direction.
+    the lower final cost wins.  A prior on a UAV, or so close to one that
+    a leg's length underflows to 0, is rejected: a zero leg has no
+    direction.
     """
     measured = np.array(measurements, dtype=float).reshape(-1)
     if len(measured) < 1:
@@ -167,14 +169,16 @@ def estimate_position(measurements, q0, passive_positions, prior,
     qs = qs.reshape(len(measured), 3)
     q0 = np.asarray(q0, float)
     legs = np.concatenate([q0[None], qs])
-    prior = np.asarray(prior, float)
-    if prior.tolist() in legs.tolist():
+    start = _evaluate(np.array(prior, float), measured, legs)
+    if start[2] == 0.0 or 0.0 in start[3].tolist():
         raise PositioningError("the prior sits on a UAV")
 
-    best = _lm_descend(measured, legs, prior, step_tol, max_iter, rank_tol)
+    best = _lm_descend(measured, legs, start, step_tol, max_iter, rank_tol)
     boot = linear_bootstrap(measured, q0, qs)
     if boot is not None and np.isfinite(boot).all():
-        est = _lm_descend(measured, legs, boot, step_tol, max_iter, rank_tol)
+        est = _lm_descend(measured, legs,
+                          _evaluate(np.array(boot), measured, legs),
+                          step_tol, max_iter, rank_tol)
         if est.residual_norm < best.residual_norm:
             best = est
     return best

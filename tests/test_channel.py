@@ -132,13 +132,12 @@ class TestFasGain:
         assert abs(gains[best - 1]) == pytest.approx(best_mag, rel=1e-12)
 
     def test_amplitude_conventions(self):
+        # a dB loss is a power loss: the amplitude scales by 10^(-loss/20)
         draw = _fixed_draw(3)
-        loss = 60.0
-        p10 = ChannelParams(n_paths=3, amp_db_divisor=10.0)
-        p20 = ChannelParams(n_paths=3, amp_db_divisor=20.0)
-        g10 = fas_gain(draw, 4, p10, loss)
-        g20 = fas_gain(draw, 4, p20, loss)
-        assert abs(g10) == pytest.approx(abs(g20) * 10 ** (-loss / 20), rel=1e-12)
+        p = ChannelParams(n_paths=3)
+        for loss in (0.0, 6.0, 60.0, 120.0):
+            assert abs(fas_gain(draw, 4, p, loss)) == pytest.approx(
+                abs(fas_gain(draw, 4, p)) * 10 ** (-loss / 20), rel=1e-12)
 
     def test_port_out_of_range(self):
         draw = _fixed_draw(2)

@@ -50,7 +50,8 @@ class TestConfig:
                 ("marl", "delta = 0.5", "mixing_weight_floor"),
                 ("target", "speed = 5.0", "mode"),
                 ("positioning", "min_usable = 3", "solver_tol"),
-                ("positioning", "min_usable = 3", "solver_max_iter")):
+                ("positioning", "min_usable = 3", "solver_max_iter"),
+                ("channel", "n_ports = 32", "amp_db_divisor")):
             text = f"[{section}]\n{known}\n{key} = 9\n"
             with pytest.raises(ConfigError) as err:
                 from_ini(text)
@@ -103,7 +104,6 @@ class TestConfig:
         "channel.noise_power=0",
         "channel.bandwidth=0",
         "channel.rician_k=-1",
-        "channel.amp_db_divisor=0",
         "channel.reflect_coeff=0",
         "channel.dominant_share=1.5",
         "channel.dominant_share=-0.5",
@@ -258,6 +258,15 @@ class TestEvaluateVerb:
         assert stats["mean_error"] > 0.0
         assert 0.0 <= stats["violation_rate"] <= 1.0
 
+    def test_scheme_override_must_fit_the_checkpoint(self, tmp_path):
+        # the trainer's scheme is the overridden config's, not the one the
+        # checkpoint records, so no_fas finds ar_marl's port heads extra
+        out = tmp_path / "run"
+        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        with pytest.raises(ValueError, match="not no_fas parameters"):
+            cli.evaluate_policy(str(out / "checkpoint.npz"), episodes=1,
+                                seed=0, overrides=["run.scheme=no_fas"])
+
     def test_zero_episodes_rejected(self, tmp_path):
         out = tmp_path / "run"
         assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
@@ -359,11 +368,11 @@ class TestOtherVerbs:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_oracle_verb(self, capsys):
-        rc = cli.main(["oracle", "--seed", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+    def test_oracle_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["oracle"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
     def test_run_verb_through_main(self, tmp_path):
         args = ["run", "--out", str(tmp_path / "o"), "--seed", "1"]

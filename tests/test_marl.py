@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fasloc import cli, marl, nn
 from fasloc.channel import ChannelError
-from fasloc.config import MarlConfig, default_config, to_ini
+from fasloc.config import ConfigError, MarlConfig, default_config, to_ini
 from fasloc.marl import (N_STEER, Coordinator, EpisodeData, EpochRecord,
                          LocalQNet, MarlTrainer, Mixer, PositioningEnv,
                          TrainingLog, build_td_targets, encode_actions,
@@ -49,7 +49,7 @@ def _ref_act(trainer, values, epsilon, port_eps, rng, ports):
                               len(ports))
             acts.append((steer, int(ports[i])))
         return acts
-    learned_ports = trainer.nets.learned_ports
+    learned_ports = trainer.nets.local[1].port_head is not None
     slot_ports = (None if learned_ports
                   else ports[rng.integers(len(ports), size=4)])
     acts = []
@@ -131,7 +131,7 @@ class TestActions:
                                                                 scheme=scheme))
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
-        learned = trainer.nets.learned_ports
+        learned = trainer.trains and trainer.nets.local[1].port_head is not None
         rng = np.random.default_rng(41)
         for menu in (np.arange(1, n + 1), np.array(cli.port_menu_for(n, 8))):
             for epsilon in (0.0, 0.3, 1.0):
@@ -637,14 +637,13 @@ class TestTrainerMachinery:
         for scheme in ("ar_marl", "vd_marl", "no_fas", "no_rnn",
                        "no_transformer", "random"):
             cfg = tiny_config(epochs=2, scheme=scheme)
-            log = MarlTrainer(cfg, scheme=scheme).run()
+            log = MarlTrainer(cfg).run()
             assert len(log.records) == 2
             assert log.scheme == scheme
 
     def test_unknown_scheme_rejected(self):
-        cfg = tiny_config()
-        with pytest.raises(ValueError):
-            MarlTrainer(cfg, scheme="nonsense").run()
+        with pytest.raises(ConfigError, match="unknown scheme 'nonsense'"):
+            tiny_config(scheme="nonsense")
 
     def test_random_port_assignment_is_uniform(self):
         cfg = dataclasses.replace(tiny_config(scheme="no_fas"))
@@ -709,7 +708,7 @@ class TestTrainerMachinery:
             base, world=dataclasses.replace(base.world, slots_per_episode=4),
             run=dataclasses.replace(base.run, scheme=scheme))
         trainer = MarlTrainer(cfg)
-        if trainer.nets.learned_ports:
+        if trainer.trains and trainer.nets.local[1].port_head is not None:
             # spread the greedy ports beyond port 1
             rng = np.random.default_rng(8)
             for net in trainer.nets.local[1:]:
@@ -882,7 +881,7 @@ def _ref_step(env, steer, ports):
         r_bs = float(np.linalg.norm(env.positions[1 + i] - env.bs))
         loss = (free_space + 10.0 * params.path_loss_exp * math.log10(r_bs)
                 + shadow)
-        amp = 10.0 ** (-loss / params.amp_db_divisor)
+        amp = 10.0 ** (-loss / 20.0)
         phases = np.exp(-1j * coeff * np.multiply.outer(
             np.array([float(ports[i])]), np.cos(env.aods[i])))[0]
         gains[i] = complex(np.sum(fading * amp * phases))
@@ -1512,10 +1511,10 @@ def _single_agent_nets(trainer):
     from the trainer's checkpoint arrays."""
     nets, cfg = trainer.nets, trainer.cfg
     arrays = trainer.checkpoint_arrays()
+    head_ports = cfg.channel.n_ports if nets.local[1].port_head is not None else 0
     singles = []
     for k in range(1, 5):
-        net = LocalQNet(nets.input_widths[1],
-                        cfg.channel.n_ports if nets.learned_ports else 0,
+        net = LocalQNet(nets.input_widths[1], head_ports,
                         (3, 3 + cfg.channel.n_paths), cfg.marl,
                         np.random.default_rng(0),
                         recurrent=nets.local[1].gru is not None,

@@ -84,7 +84,7 @@ def _generic_geometry(rng):
     if np.linalg.norm(q0 - u) < 50 or np.min(np.linalg.norm(qs - u, axis=1)) < 50:
         return _generic_geometry(rng)
     w = build_geometry_matrix(u, q0, qs, mode="zero")
-    if w.min_singular_value < 0.3:
+    if np.linalg.svd(w, compute_uv=False)[-1] < 0.3:
         return _generic_geometry(rng)
     return u, q0, qs
 
@@ -327,8 +327,9 @@ def test_solver_matches_reference_with_few_iterations():
 def test_solver_matches_reference_on_episode_traffic(scheme, monkeypatch):
     """Every fix of one seeded default-config episode."""
     cfg = default_config()
-    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=3))
-    trainer = MarlTrainer(cfg, scheme)
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=3,
+                                                           scheme=scheme))
+    trainer = MarlTrainer(cfg)
     fixes = []
     solve = positioning.estimate_position
 
@@ -456,12 +457,18 @@ def test_direct_lapack_calls_match_np_linalg():
     assert raised == {None, np.linalg.LinAlgError}
 
 
-def test_prior_on_a_uav_rejected():
+def test_prior_on_a_uav_rejected(capfd):
     # a zero leg would make the Jacobian non-finite at the first iterate
-    for measured, q0, qs, _ in _solver_cases(np.random.default_rng(3))[:12]:
-        for prior in (q0, qs[0]):
-            with pytest.raises(PositioningError):
-                estimate_position(measured, q0, qs, prior)
+    cases = [(measured, q0, qs, prior) for measured, q0, qs, _
+             in _solver_cases(np.random.default_rng(3))[:12]
+             for prior in (q0, qs[0])]
+    # a leg that is not zero but whose length underflows to 0
+    cases.append((np.full(3, 200.0), np.zeros(3), 100.0 * np.eye(3),
+                  np.full(3, 1e-170)))
+    for measured, q0, qs, prior in cases:
+        with pytest.raises(PositioningError, match="the prior sits on a UAV"):
+            estimate_position(measured, q0, qs, prior)
+    assert capfd.readouterr().err == ""
 
 
 class TestPositionError:

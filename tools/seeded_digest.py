@@ -16,6 +16,10 @@ episode per epoch, seed 11):
 - the greedy ``evaluate_rollouts`` statistics of the trained ar_marl and
   no_fas policies and of the random policy, with every port and with the
   8-port menu of 32 (the random policy's menu-restricted draw included),
+- the checkpoint path of the trained ar_marl policy: saved with
+  ``nn.save_params`` and the meta ``fasloc run`` writes, reloaded through
+  ``cli.load_trainer_from_checkpoint``, whether every array round-trips,
+  and the reloaded policy's greedy ``evaluate_rollouts`` statistics,
 - the worst relative error of ``micro_gradcheck(micro_config())``,
 - and the sha256 of every ``estimate_position`` output field (position
   bytes, residual norm, iterations, converged, degenerate) over a fixed
@@ -40,11 +44,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 
-from fasloc import cli, marl
-from fasloc.config import SCHEME_TRAITS, default_config
+from fasloc import cli, marl, nn
+from fasloc.config import SCHEME_TRAITS, default_config, to_ini
 from fasloc.positioning import estimate_position
 
 SCHEMES = tuple(SCHEME_TRAITS)
@@ -155,6 +161,24 @@ def learner_digest() -> dict:
             "sha256": out}
 
 
+def checkpoint_digest(cfg, trainer) -> dict:
+    saved = trainer.checkpoint_arrays()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.npz")
+        nn.save_params(path, saved, meta={"scheme": trainer.scheme,
+                                          "seed": cfg.run.seed,
+                                          "config_ini": to_ini(cfg)})
+        loaded_cfg, loaded = cli.load_trainer_from_checkpoint(path)
+    back = loaded.checkpoint_arrays()
+    return {
+        "arrays": len(saved),
+        "round_trip": list(saved) == list(back) and all(
+            saved[k].tobytes() == back[k].tobytes() for k in saved),
+        "evaluate": marl.evaluate_rollouts(loaded_cfg, loaded, EVAL_EPISODES,
+                                           EVAL_SEED),
+    }
+
+
 def digest() -> dict:
     out = {"train_log_sha256": {}, "evaluate": {}}
     for scheme in SCHEMES:
@@ -170,6 +194,8 @@ def digest() -> dict:
                 name: marl.evaluate_rollouts(cfg, trainer, EVAL_EPISODES,
                                              EVAL_SEED, port_menu=menu)
                 for name, menu in menus.items()}
+        if scheme == "ar_marl":
+            out["checkpoint"] = checkpoint_digest(cfg, trainer)
     out["micro_gradcheck"] = marl.micro_gradcheck(marl.micro_config())
     out["solver"] = solver_digest()
     out["env"] = env_digest()
