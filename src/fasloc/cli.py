@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -46,7 +45,7 @@ def _write_metrics(out_dir, training_log: marl.TrainingLog):
         fh.write(training_log.to_jsonl())
 
 
-def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> int:
+def run_experiment(config_path, overrides, out_dir) -> int:
     """Execute one training/baseline run and persist its outputs.
 
     Returns 0, 2 on a config error, or 3 if training diverged: the
@@ -55,10 +54,6 @@ def run_experiment(config_path, overrides, out_dir, seed=None, scheme=None) -> i
     """
     try:
         cfg = load_config(config_path, overrides)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=seed))
-        if scheme is not None:
-            cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, scheme=scheme))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -120,13 +115,11 @@ def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig
     return cfg, trainer
 
 
-def evaluate_policy(checkpoint, episodes, seed, overrides=None) -> dict:
-    """Greedy rollouts from a checkpoint, episodes of them (None: the
-    checkpoint config's run.eval_episodes); summary statistics only."""
+def evaluate_policy(checkpoint, seed, overrides=None) -> dict:
+    """Greedy rollouts from a checkpoint, run.eval_episodes of them (the
+    checkpoint config's, after overrides); summary statistics only."""
     cfg, trainer = load_trainer_from_checkpoint(checkpoint, overrides)
-    stats = marl.evaluate_rollouts(
-        cfg, trainer, cfg.run.eval_episodes if episodes is None else episodes,
-        seed)
+    stats = marl.evaluate_rollouts(cfg, trainer, cfg.run.eval_episodes, seed)
     stats["scheme"] = trainer.scheme
     return stats
 
@@ -142,44 +135,41 @@ def port_menu_for(total_ports: int, count: int):
     return list(range(1, total_ports + 1, stride))
 
 
-def sweep(config_path, overrides, axis, values, out_dir, seeds=None,
-          eval_episodes=None) -> list[dict]:
+def sweep(config_path, overrides, axis, values, out_dir, seeds=None) -> list[dict]:
     """Train per seed, then one evaluation row per axis value.
 
-    target_speed and uncertainty change the evaluation environment;
-    port_count restricts the selectable-port menu of the trained policy.
-    eval_episodes (default: the config's) replaces run.eval_episodes.
-    Per-cell failures are recorded in the table and the sweep continues.
+    target_speed and uncertainty override target.speed and
+    target.uncertainty of the evaluation environment; port_count restricts
+    the selectable-port menu of the trained policy.  Per-cell failures,
+    every cell of a seed whose training diverged among them, are recorded
+    in the table and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     cfg = load_config(config_path, overrides)
-    if eval_episodes is not None:
-        cfg = dataclasses.replace(cfg, run=dataclasses.replace(
-            cfg.run, eval_episodes=eval_episodes))
     seeds = seeds or [cfg.run.seed]
+    run_cfgs = [apply_overrides(cfg, [f"run.seed={seed}"]) for seed in seeds]
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
-    for seed in seeds:
-        run_cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seed=seed))
+    for seed, run_cfg in zip(seeds, run_cfgs):
         trainer = marl.MarlTrainer(run_cfg)
-        trainer.run()
+        try:
+            trainer.run()
+            diverged = None
+        except marl.TrainingDiverged as exc:
+            diverged = exc
         for value in values:
             cell = {"axis": axis, "value": value, "seed": seed}
             try:
-                eval_cfg = run_cfg
-                menu = None
-                if axis == "target_speed":
-                    eval_cfg = dataclasses.replace(
-                        run_cfg, target=dataclasses.replace(run_cfg.target,
-                                                            speed=float(value)))
-                elif axis == "uncertainty":
-                    eval_cfg = dataclasses.replace(
-                        run_cfg, target=dataclasses.replace(
-                            run_cfg.target, uncertainty=float(value)))
-                else:
+                if diverged is not None:  # fails every cell of the seed
+                    raise diverged
+                eval_cfg, menu = run_cfg, None
+                if axis == "port_count":
                     menu = port_menu_for(run_cfg.channel.n_ports, int(value))
+                else:
+                    key = "speed" if axis == "target_speed" else "uncertainty"
+                    eval_cfg = apply_overrides(run_cfg, [f"target.{key}={value}"])
                 stats = marl.evaluate_rollouts(eval_cfg, trainer,
                                                cfg.run.eval_episodes,
                                                seed=10_000 + seed,
@@ -225,15 +215,18 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="train or roll out one scheme")
     p_run.add_argument("--config", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--scheme", default=None)
+    # --seed, --scheme and --episodes stand for the run.* key their dest
+    # names; main applies them after every --override
+    p_run.add_argument("--seed", dest="run.seed", metavar="SEED", type=int)
+    p_run.add_argument("--scheme", dest="run.scheme", metavar="SCHEME")
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--override", action="append", default=[],
                        metavar="section.key=value")
 
     p_eval = sub.add_parser("evaluate", help="greedy rollouts from a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--episodes", type=int, default=None,
+    p_eval.add_argument("--episodes", dest="run.eval_episodes",
+                        metavar="EPISODES", type=int,
                         help="default: the checkpoint config's run.eval_episodes")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--override", action="append", default=[])
@@ -245,27 +238,29 @@ def main(argv=None) -> int:
                          help="comma separated, e.g. 5,10,15")
     p_sweep.add_argument("--seeds", default=None,
                          help="comma separated seeds (default: config seed)")
-    p_sweep.add_argument("--episodes", type=int, default=None)
+    p_sweep.add_argument("--episodes", dest="run.eval_episodes",
+                         metavar="EPISODES", type=int)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--override", action="append", default=[])
 
     sub.add_parser("gradcheck", help="finite-difference training-gradient check")
 
     args = parser.parse_args(argv)
+    flags = [f"{key}={value}" for key, value in vars(args).items()
+             if key.startswith("run.") and value is not None]
     try:
         if args.verb == "run":
-            return run_experiment(args.config, args.override, args.out,
-                                  seed=args.seed, scheme=args.scheme)
+            return run_experiment(args.config, args.override + flags, args.out)
         if args.verb == "evaluate":
-            stats = evaluate_policy(args.checkpoint, args.episodes, args.seed,
-                                    overrides=args.override)
+            stats = evaluate_policy(args.checkpoint, args.seed,
+                                    overrides=args.override + flags)
             print(json.dumps(stats, indent=2, sort_keys=True))
             return 0
         if args.verb == "sweep":
             seeds = [int(s) for s in _parse_values(args.seeds)] if args.seeds else None
             values = _parse_values(args.values)
-            sweep(args.config, args.override, args.axis, values, args.out,
-                  seeds=seeds, eval_episodes=args.episodes)
+            sweep(args.config, args.override + flags, args.axis, values,
+                  args.out, seeds=seeds)
             return 0
         if args.verb == "gradcheck":
             return gradcheck()

@@ -115,6 +115,8 @@ class RunConfig:
         for name in ("epochs", "episodes_per_epoch", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be at least 0")
 
 
 SCHEME_TRAITS = {
@@ -142,17 +144,6 @@ class ExperimentConfig:
         if self.run.scheme not in SCHEME_TRAITS:
             raise ConfigError(f"unknown scheme {self.run.scheme!r}; "
                               f"choose from {', '.join(SCHEME_TRAITS)}")
-
-
-_SECTIONS = {
-    "world": WorldConfig,
-    "target": TargetTrajectorySpec,
-    "scenario": ScenarioConfig,
-    "channel": ChannelParams,
-    "positioning": PositioningConfig,
-    "marl": MarlConfig,
-    "run": RunConfig,
-}
 
 
 def _format_value(value) -> str:
@@ -208,10 +199,10 @@ def default_config() -> ExperimentConfig:
 def to_ini(cfg: ExperimentConfig) -> str:
     """Render every field of every section; reparsing reproduces cfg."""
     out = io.StringIO()
-    for sect_name, sect_cls in _SECTIONS.items():
-        sect = getattr(cfg, sect_name)
-        out.write(f"[{sect_name}]\n")
-        for f in fields(sect_cls):
+    for sect_field in fields(cfg):
+        sect = getattr(cfg, sect_field.name)
+        out.write(f"[{sect_field.name}]\n")
+        for f in fields(sect):
             out.write(f"{f.name} = {_format_value(getattr(sect, f.name))}\n")
         out.write("\n")
     return out.getvalue()
@@ -223,7 +214,7 @@ def _apply_items(base: ExperimentConfig, items, origin_text: str | None = None):
     for section, key, raw in items:
         section = section.strip().lower()
         key = key.strip()
-        if section not in _SECTIONS:
+        if section not in (f.name for f in fields(base)):
             raise ConfigError(f"unknown section [{section}]")
         sect_obj = getattr(base, section)
         sect_fields = {f.name: f for f in fields(type(sect_obj))}

@@ -23,7 +23,7 @@ import numpy as np
 from . import channel as ch
 from . import positioning as pos
 from . import world as wd
-from .config import SCHEME_TRAITS, ExperimentConfig
+from .config import SCHEME_TRAITS, ExperimentConfig, apply_overrides
 from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
                  ordered_sum, stack_agents)
 
@@ -600,6 +600,10 @@ class PositioningEnv:
         cfg = self.cfg
         wcfg = cfg.world
         params = cfg.channel
+        if not 1 <= ports.min() <= ports.max() <= params.n_ports:
+            # fas_gain's error, raised before the slot changes any state
+            bad = ports[(ports < 1) | (ports > params.n_ports)][0]
+            raise ch.ChannelError(f"port {bad} outside 1..{params.n_ports}")
         yaw, pitch = (self.headings + STEER_TURNS[steer]).T
         yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
         pitch = np.minimum(np.maximum(pitch, wcfg.pitch_min), wcfg.pitch_max)
@@ -1173,14 +1177,8 @@ def micro_gradcheck(cfg: ExperimentConfig) -> float:
 def micro_config() -> ExperimentConfig:
     """Shrunken sizes for gradient checks: tiny nets, few ports and paths,
     two-slot episodes."""
-    cfg = ExperimentConfig()
-    return dataclasses.replace(
-        cfg,
-        world=dataclasses.replace(cfg.world, slots_per_episode=2),
-        channel=dataclasses.replace(cfg.channel, n_ports=3, n_paths=2),
-        marl=dataclasses.replace(cfg.marl, gru_hidden=6, mlp_hidden=6,
-                                 embed_width=5, attn_units=2, attn_width=3,
-                                 omega_width=4, history_window=2,
-                                 mixing_hidden=4),
-        run=dataclasses.replace(cfg.run, scheme="ar_marl"),
-    )
+    return apply_overrides(ExperimentConfig(), [
+        "world.slots_per_episode=2", "channel.n_ports=3", "channel.n_paths=2",
+        "marl.gru_hidden=6", "marl.mlp_hidden=6", "marl.embed_width=5",
+        "marl.attn_units=2", "marl.attn_width=3", "marl.omega_width=4",
+        "marl.history_window=2", "marl.mixing_hidden=4", "run.scheme=ar_marl"])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,7 @@ class TestConfig:
         "marl.eps_start=2",
         "marl.eps_end=-0.5",
         "run.eval_episodes=0",
+        "run.seed=-1",
         # values that load and train silently wrong: gradient ascent, a
         # negative loss, a penalty that trains as a bonus
         "marl.grad_clip=-5",
@@ -170,7 +172,7 @@ class TestConfig:
 class TestRunVerb:
     def test_run_writes_expected_files(self, tmp_path):
         out = tmp_path / "run1"
-        rc = cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=1)
+        rc = cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=1"], str(out))
         assert rc == 0
         names = set(os.listdir(out))
         assert {"metrics.jsonl", "summary.csv", "config_resolved.ini",
@@ -178,7 +180,8 @@ class TestRunVerb:
 
     def test_run_info_times_the_phases(self, tmp_path):
         out = tmp_path / "timed"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=1) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=1"],
+                                  str(out)) == 0
         info = json.loads((out / "run_info.json").read_text())
         timers = ("rollout_s", "env_s", "solver_s", "learn_s", "target_s")
         for key in ("wall_time_s", *timers):
@@ -195,7 +198,8 @@ class TestRunVerb:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=5) == 0
+            assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=5"],
+                                      str(out)) == 0
             outs.append(out)
         for fname in ("metrics.jsonl", "summary.csv", "config_resolved.ini"):
             a = (outs[0] / fname).read_bytes()
@@ -204,15 +208,16 @@ class TestRunVerb:
 
     def test_scheme_override_lands_in_log(self, tmp_path):
         out = tmp_path / "nofas"
-        rc = cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=1,
-                                scheme="no_fas")
+        rc = cli.run_experiment(
+            None, TINY_OVERRIDES + ["run.seed=1", "run.scheme=no_fas"], str(out))
         assert rc == 0
         head = (out / "metrics.jsonl").read_text().splitlines()[0]
         assert json.loads(head)["scheme"] == "no_fas"
 
     def test_rerunning_from_snapshot_reproduces_metrics(self, tmp_path):
         out1 = tmp_path / "orig"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out1), seed=2) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=2"],
+                                  str(out1)) == 0
         out2 = tmp_path / "snap"
         snapshot = out1 / "config_resolved.ini"
         assert cli.run_experiment(str(snapshot), [], str(out2)) == 0
@@ -241,6 +246,38 @@ class TestRunVerb:
         assert diverged["completed_epochs"] == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_flags_are_overrides_applied_last(self, tmp_path, capsys):
+        tiny = [arg for ov in TINY_OVERRIDES for arg in ("--override", ov)]
+        argvs = {
+            "flags": ["--seed", "3", "--scheme", "no_fas"],
+            "overrides": ["--override", "run.seed=3",
+                          "--override", "run.scheme=no_fas"],
+            "flag_after_override": ["--override", "run.seed=9",
+                                    "--override", "run.scheme=vd_marl",
+                                    "--seed", "3", "--scheme", "no_fas"],
+        }
+        for name, argv in argvs.items():
+            assert cli.main(["run", "--out", str(tmp_path / name)]
+                            + tiny + argv) == 0
+        capsys.readouterr()
+        for name in ("overrides", "flag_after_override"):
+            for fname in ("metrics.jsonl", "summary.csv", "config_resolved.ini"):
+                assert ((tmp_path / "flags" / fname).read_bytes()
+                        == (tmp_path / name / fname).read_bytes()), (name, fname)
+            want, want_meta = nn.load_params(tmp_path / "flags" / "checkpoint.npz")
+            got, got_meta = nn.load_params(tmp_path / name / "checkpoint.npz")
+            assert got_meta == want_meta and list(got) == list(want)
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        head = (tmp_path / "flags" / "metrics.jsonl").read_text().splitlines()[0]
+        assert json.loads(head)["scheme"] == "no_fas"
+        assert "seed = 3\n" in (tmp_path / "flags" / "config_resolved.ini").read_text()
+
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        assert cli.main(["run", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_fails_with_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[world]\nspeed = -3\n")
@@ -251,9 +288,10 @@ class TestRunVerb:
 class TestEvaluateVerb:
     def test_evaluate_checkpoint(self, tmp_path):
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
-        stats = cli.evaluate_policy(str(out / "checkpoint.npz"), episodes=2,
-                                    seed=0)
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
+        stats = cli.evaluate_policy(str(out / "checkpoint.npz"), seed=0,
+                                    overrides=["run.eval_episodes=2"])
         assert stats["episodes"] == 2
         assert stats["mean_error"] > 0.0
         assert 0.0 <= stats["violation_rate"] <= 1.0
@@ -262,30 +300,37 @@ class TestEvaluateVerb:
         # the trainer's scheme is the overridden config's, not the one the
         # checkpoint records, so no_fas finds ar_marl's port heads extra
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
         with pytest.raises(ValueError, match="not no_fas parameters"):
-            cli.evaluate_policy(str(out / "checkpoint.npz"), episodes=1,
-                                seed=0, overrides=["run.scheme=no_fas"])
+            cli.evaluate_policy(str(out / "checkpoint.npz"), seed=0,
+                                overrides=["run.eval_episodes=1",
+                                           "run.scheme=no_fas"])
 
     def test_zero_episodes_rejected(self, tmp_path):
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
         with pytest.raises(ValueError):
-            cli.evaluate_policy(str(out / "checkpoint.npz"), episodes=0, seed=0)
+            cli.evaluate_policy(str(out / "checkpoint.npz"), seed=0,
+                                overrides=["run.eval_episodes=0"])
 
     def test_manifest_mismatch_detected(self, tmp_path):
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
         arrays, meta = nn.load_params(out / "checkpoint.npz")
         key = next(iter(arrays))
         arrays[key] = np.zeros((2, 2))
         nn.save_params(out / "broken.npz", arrays, meta)
         with pytest.raises(nn.ShapeError):
-            cli.evaluate_policy(str(out / "broken.npz"), episodes=1, seed=0)
+            cli.evaluate_policy(str(out / "broken.npz"), seed=0,
+                                overrides=["run.eval_episodes=1"])
 
     def test_malformed_override_message(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
         capsys.readouterr()
         rc = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
                        "--episodes", "1", "--override", "bogus"])
@@ -294,7 +339,8 @@ class TestEvaluateVerb:
 
     def test_cli_main_evaluate(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES, str(out), seed=4) == 0
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
         capsys.readouterr()  # drop the run's own console line
         rc = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
                        "--episodes", "1", "--seed", "3"])
@@ -304,8 +350,9 @@ class TestEvaluateVerb:
 
     def test_episodes_default_to_the_checkpoint_config(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.eval_episodes=2"],
-                                  str(out), seed=4) == 0
+        assert cli.run_experiment(
+            None, TINY_OVERRIDES + ["run.eval_episodes=2", "run.seed=4"],
+            str(out)) == 0
         capsys.readouterr()
         assert cli.main(["evaluate", "--checkpoint",
                          str(out / "checkpoint.npz")]) == 0
@@ -328,8 +375,8 @@ class TestSweepVerb:
 
     def test_sweep_table_with_failure_cell(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        rows = cli.sweep(None, TINY_OVERRIDES, "port_count", ["2", "3"],
-                         str(out), seeds=[1], eval_episodes=2)
+        rows = cli.sweep(None, TINY_OVERRIDES + ["run.eval_episodes=2"],
+                         "port_count", ["2", "3"], str(out), seeds=[1])
         assert len(rows) == 2
         ok = [r for r in rows if "error" not in r]
         bad = [r for r in rows if "error" in r]
@@ -342,10 +389,51 @@ class TestSweepVerb:
 
     def test_speed_axis_changes_environment(self, tmp_path):
         out = tmp_path / "sweep2"
-        rows = cli.sweep(None, TINY_OVERRIDES, "target_speed", ["5", "15"],
-                         str(out), seeds=[0], eval_episodes=2)
+        rows = cli.sweep(None, TINY_OVERRIDES + ["run.eval_episodes=2"],
+                         "target_speed", ["5", "15"], str(out), seeds=[0])
         assert all("error" not in r for r in rows)
         assert {r["value"] for r in rows} == {"5", "15"}
+
+    def test_non_finite_speed_cells_fail_as_config_errors(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "speeds"
+        rows = cli.sweep(None, TINY_OVERRIDES + ["run.eval_episodes=2"],
+                         "target_speed", ["nan", "inf", "5"], str(out),
+                         seeds=[0])
+        assert [r["value"] for r in rows] == ["nan", "inf", "5"]
+        for row in rows[:2]:
+            assert row["error"].startswith("ConfigError: [target] speed")
+            assert "mean_error" not in row
+        assert "error" not in rows[2] and math.isfinite(rows[2]["mean_error"])
+        assert capsys.readouterr().err.count("sweep cell failed") == 2
+
+    def test_diverging_seed_fails_its_cells_and_the_sweep_goes_on(
+            self, tmp_path, monkeypatch, capsys):
+        real = marl.weighted_td_loss
+        calls = []
+
+        def nan_on_third_call(*args, **kwargs):
+            calls.append(None)
+            loss, weights = real(*args, **kwargs)
+            return (math.nan if len(calls) == 3 else loss), weights
+
+        monkeypatch.setattr(marl, "weighted_td_loss", nan_on_third_call)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--axis", "port_count", "--values", "2,4",
+                "--seeds", "1,2", "--episodes", "1", "--out", str(out)]
+        for ov in TINY_OVERRIDES:   # 3 epochs of one episode per seed
+            args += ["--override", ov]
+        assert cli.main(args) == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [(r["seed"], r["value"]) for r in rows] == [
+            (1, "2"), (1, "4"), (2, "2"), (2, "4")]
+        for row in rows[:2]:
+            assert row["error"].startswith("TrainingDiverged: ")
+            assert "mean_error" not in row
+        assert all("error" not in r for r in rows[2:])
+        assert capsys.readouterr().err.count(
+            "sweep cell failed (port_count=") == 2
+        assert len((out / "sweep.csv").read_text().splitlines()) == 5
 
     def test_zero_episodes_rejected_before_training(self, tmp_path, capsys):
         # 0 is a count, not "unset": it must not fall back to the config's
@@ -356,6 +444,16 @@ class TestSweepVerb:
         assert cli.main(args) == 2
         assert "eval_episodes" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    def test_negative_sweep_seed_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        args = ["sweep", "--axis", "port_count", "--values", "4",
+                "--seeds", "0,-1", "--out", str(out)]
+        for ov in TINY_OVERRIDES:
+            args += ["--override", ov]
+        assert cli.main(args) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -373,6 +471,28 @@ class TestOtherVerbs:
             cli.main(["oracle"])
         assert exit_.value.code == 2
         assert "invalid choice: 'oracle'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, flags", [
+        (None, ["-h"]),
+        ("run", ["-h", "--config", "--seed", "--scheme", "--out", "--override"]),
+        ("evaluate", ["-h", "--checkpoint", "--episodes", "--seed",
+                      "--override"]),
+        ("sweep", ["-h", "--config", "--axis", "--values", "--seeds",
+                   "--episodes", "--out", "--override"]),
+        ("gradcheck", ["-h"]),
+    ])
+    def test_help_lists_the_same_flags(self, verb, flags, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(([verb] if verb else []) + ["--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        options = text[text.index("options:"):]
+        assert re.findall(r"^  (-h|--[a-z]+)", options, re.M) == flags
+        usage = " ".join(text[:text.index("options:")].split())
+        for flag, metavar in (("--seed", "SEED"), ("--scheme", "SCHEME"),
+                              ("--episodes", "EPISODES")):
+            if flag in flags:
+                assert f"{flag} {metavar}" in usage
 
     def test_run_verb_through_main(self, tmp_path):
         args = ["run", "--out", str(tmp_path / "o"), "--seed", "1"]

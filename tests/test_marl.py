@@ -815,6 +815,24 @@ class TestEnvironment:
         with pytest.raises(ChannelError, match=f"port {port} outside"):
             env.step(steer, ports)
 
+    def test_out_of_range_port_rejected_before_the_slot_moves(self):
+        env = PositioningEnv(default_config(), np.random.default_rng(0))
+        env.reset()
+        env.step(*_HOLD_COURSE)
+
+        def state():
+            return (env.positions.copy(), env.headings.copy(),
+                    env.estimate.copy(), env.traj.position.copy(),
+                    env.prev_ranges.copy(), env.rng.bit_generator.state)
+
+        before = state()
+        with pytest.raises(ValueError, match="port 99 outside"):
+            env.step(np.zeros(5, int), np.array([1, 2, 3, 99]))
+        after = state()
+        for a, b in zip(before[:-1], after[:-1]):
+            np.testing.assert_array_equal(a, b)
+        assert before[-1] == after[-1]
+
     def test_nan_latency_counts_as_late(self, monkeypatch):
         monkeypatch.setattr(marl.ch, "uplink_latencies",
                             lambda sinrs, params: np.array([0.0, np.nan, 0.0, 0.0]))

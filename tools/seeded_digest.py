@@ -36,13 +36,23 @@ episode per epoch, seed 11):
   ``train_on_episode`` returns each round, and every
   ``checkpoint_arrays()`` value after the last round.  The rounds cross
   one target-network sync.  Only this section sees a change in a
-  gradient that the short criterion-8 runs happen not to reach.
+  gradient that the short criterion-8 runs happen not to reach,
+- and a ``cli`` section that drives only ``cli.main`` argument lists at
+  tiny sizes in a temporary directory: ``run`` with ``--seed/--scheme``,
+  with the same values as ``--override``, and with the flags after
+  conflicting overrides; ``evaluate --episodes`` of the first run's
+  checkpoint; and a ``sweep`` on each axis with ``--seeds`` and
+  ``--episodes``.  It records each exit code and the sha256 of each
+  stdout and of every output file but ``run_info.json`` (a checkpoint by
+  its archive members, whose bytes do not depend on the zip timestamps).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -64,6 +74,22 @@ ENV_EPISODES = 40
 LEARNER_SEED = 31
 LEARNER_ROUNDS = 12
 LEARNER_EPSILON = 0.5
+CLI_TINY = ("run.epochs=3", "run.episodes_per_epoch=1",
+            "world.slots_per_episode=4", "channel.n_ports=4",
+            "channel.n_paths=2", "marl.gru_hidden=6", "marl.mlp_hidden=6",
+            "marl.embed_width=5", "marl.attn_units=2", "marl.attn_width=3",
+            "marl.omega_width=4", "marl.history_window=2",
+            "marl.mixing_hidden=4")
+CLI_RUNS = {
+    "run_flags": ["--seed", "3", "--scheme", "no_fas"],
+    "run_overrides": ["--override", "run.seed=3",
+                      "--override", "run.scheme=no_fas"],
+    "run_flags_after_overrides": ["--override", "run.seed=9",
+                                  "--override", "run.scheme=vd_marl",
+                                  "--seed", "3", "--scheme", "no_fas"],
+}
+CLI_SWEEPS = {"target_speed": "5,10", "uncertainty": "0,0.5",
+              "port_count": "2,4"}
 
 
 def criterion_8_config(scheme: str):
@@ -179,6 +205,54 @@ def checkpoint_digest(cfg, trainer) -> dict:
     }
 
 
+def _file_sha256(path) -> str:
+    h = hashlib.sha256()
+    if path.endswith(".npz"):
+        with np.load(path) as data:
+            for name in sorted(data.files):
+                h.update(name.encode())
+                h.update(data[name].tobytes())
+    else:
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def _cli(argv) -> dict:
+    """Exit code, stdout hash and output-file hashes of cli.main(argv);
+    the output directory is the argument after --out, if any."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    out = {"exit": code,
+           "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    if "--out" in argv:
+        out_dir = argv[argv.index("--out") + 1]
+        out["files"] = {name: _file_sha256(os.path.join(out_dir, name))
+                        for name in sorted(os.listdir(out_dir))
+                        if name != "run_info.json"}
+    return out
+
+
+def cli_digest() -> dict:
+    tiny = [arg for ov in CLI_TINY for arg in ("--override", ov)]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in CLI_RUNS.items():
+            out[name] = _cli(["run", "--out", os.path.join(tmp, name),
+                              *tiny, *flags])
+        out["evaluate"] = _cli([
+            "evaluate", "--checkpoint",
+            os.path.join(tmp, "run_flags", "checkpoint.npz"),
+            "--episodes", "2", "--seed", "5"])
+        for axis, values in CLI_SWEEPS.items():
+            out[f"sweep_{axis}"] = _cli([
+                "sweep", "--axis", axis, "--values", values, "--seeds", "0,1",
+                "--episodes", "2", "--out", os.path.join(tmp, f"sweep_{axis}"),
+                *tiny])
+    return out
+
+
 def digest() -> dict:
     out = {"train_log_sha256": {}, "evaluate": {}}
     for scheme in SCHEMES:
@@ -200,6 +274,7 @@ def digest() -> dict:
     out["solver"] = solver_digest()
     out["env"] = env_digest()
     out["learner"] = learner_digest()
+    out["cli"] = cli_digest()
     return out
 
 
