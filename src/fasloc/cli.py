@@ -109,6 +109,8 @@ def run_experiment(config_path, overrides, out_dir) -> int:
 
 def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig, marl.MarlTrainer]:
     arrays, meta = nn.load_params(path)
+    if "config_ini" not in meta:
+        raise nn.ShapeError(f"{path} records no run config")
     cfg = apply_overrides(from_ini(meta["config_ini"]), overrides or [])
     trainer = marl.MarlTrainer(cfg)
     trainer.load_checkpoint_arrays(arrays)
@@ -264,7 +266,7 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "gradcheck":
             return gradcheck()
-    except (ConfigError, ValueError, nn.ShapeError) as exc:
+    except (ConfigError, ValueError, nn.ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

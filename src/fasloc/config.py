@@ -82,7 +82,8 @@ class MarlConfig:
     omega_width: int = 32
     history_window: int = 8
     mixing_hidden: int = 32
-    penalty_clip: float = 200.0     # training-side clamp of the raw penalty
+    penalty_clip: float = 200.0     # an infeasible slot's reward is minus this,
+                                    # and no slot's reward falls below it
     reward_scale: float = 100.0
 
     def __post_init__(self):

@@ -27,7 +27,6 @@ from .config import SCHEME_TRAITS, ExperimentConfig, apply_overrides
 from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
                  ordered_sum, stack_agents)
 
-PENALTY_REWARD = -1.0e6
 ANGLE_CHOICES = np.deg2rad([-60.0, -30.0, 0.0, 30.0, 60.0])
 N_ANGLE = len(ANGLE_CHOICES)
 N_STEER = N_ANGLE * N_ANGLE     # the (yaw, pitch) steering combos
@@ -64,18 +63,17 @@ def encode_actions(steer: np.ndarray, ports: np.ndarray,
     return [angles[:1], np.concatenate([angles[1:], port[..., None]], axis=-1)]
 
 
-def reward(error: float, report: wd.ConstraintReport) -> float:
-    """Shared slot reward: the negative position error, or the flat
-    penalty whenever any feasibility constraint is broken."""
-    if not report.feasible:
-        return PENALTY_REWARD
-    return -error
+def slot_rewards(episode: EpisodeData, m) -> np.ndarray:
+    """The (T,) shared team reward of each slot, unscaled: the negative
+    position error, floored at -m.penalty_clip, or -m.penalty_clip
+    whenever any feasibility constraint is broken."""
+    floor = -m.penalty_clip
+    return np.maximum(np.where(episode.feasible, -episode.errors, floor), floor)
 
 
 def training_rewards(episode: EpisodeData, m) -> np.ndarray:
-    """The (T,) rewards the learner trains on: each slot's raw reward with
-    the penalty clipped to m.penalty_clip, over m.reward_scale."""
-    return np.maximum(episode.rewards_raw, -m.penalty_clip) / m.reward_scale
+    """The (T,) rewards the learner trains on: slot_rewards / reward_scale."""
+    return slot_rewards(episode, m) / m.reward_scale
 
 
 def difference_credit(episode: EpisodeData, m) -> np.ndarray:
@@ -589,7 +587,8 @@ class PositioningEnv:
         """Play one slot of the team's actions, all UAVs in one array pass:
         steer holds the (N_AGENTS,) steering combos (as in encode_actions),
         ports the passive UAVs' (4,) 1-based ports.  Returns the next
-        observations and the slot's info."""
+        observations and the slot's outcomes, which the learner scores
+        (slot_rewards): error, stale, feasible, late (4,) and report."""
         steer, ports = np.asarray(steer), np.asarray(ports)
         if (steer.shape != (N_AGENTS,) or steer.dtype.kind not in "iu"
                 or not 0 <= steer.min() <= steer.max() < N_STEER):
@@ -648,11 +647,9 @@ class PositioningEnv:
 
         error = pos.position_error(self.estimate, target)
         report = wd.check_constraints(self.positions, target, late, wcfg)
-        reward_raw = reward(error, report)
         self.prev_ranges[echo] = measured[echo]
 
         info = {
-            "reward": reward_raw,
             "error": error,
             "stale": stale,
             "feasible": report.feasible,
@@ -673,7 +670,6 @@ class EpisodeData:
     observations: list         # [i] -> local net i's agents' (A, T, n_obs)
     steer: np.ndarray          # (T, N_AGENTS) steering combos
     ports: np.ndarray          # (T, 4) the passive UAVs' ports, 1-based
-    rewards_raw: np.ndarray    # (T,) shared rewards, full penalty
     errors: np.ndarray         # (T,) position errors
     stales: np.ndarray         # (T,) bool
     feasible: np.ndarray       # (T,) bool
@@ -681,7 +677,7 @@ class EpisodeData:
     range_ok: np.ndarray       # (T, 2) bool, target_range_ok, pairwise_range_ok
 
     def __len__(self):
-        return len(self.rewards_raw)
+        return len(self.errors)
 
 
 @dataclass(frozen=True)
@@ -900,9 +896,8 @@ class MarlTrainer:
         return EpisodeData(
             observations=[np.stack(obs, axis=1) for obs in zip(*observed)],
             steer=np.array(steers), ports=np.array(played),
-            rewards_raw=column("reward"), errors=column("error"),
-            stales=column("stale"), feasible=column("feasible"),
-            late=column("late"),
+            errors=column("error"), stales=column("stale"),
+            feasible=column("feasible"), late=column("late"),
             range_ok=np.array([info["report"].flags()[1:] for info in infos]))
 
     # -- targets and loss -----------------------------------------------------
@@ -1063,7 +1058,7 @@ class MarlTrainer:
                 self.learn_s += time.process_time() - played
                 ep_index += 1
                 errs.extend(episode.errors)
-                rews.extend(episode.rewards_raw)
+                rews.extend(slot_rewards(episode, cfg.marl))
                 losses.append(loss)
                 viols += int(np.sum(~episode.feasible))
             log.records.append(EpochRecord(
@@ -1102,6 +1097,8 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
     shadowing and measurement randomness episode for episode."""
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
+    if seed < 0:
+        raise ValueError(f"evaluation seed must be non-negative, got {seed}")
     errors, rewards = [], []
     stale_slots = 0
     violation_slots = 0
@@ -1113,7 +1110,7 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
         played = trainer.rollout(PositioningEnv(cfg, env_rng), 0.0,
                                  rng=pol_rng, port_menu=port_menu)
         errors.extend(played.errors)
-        rewards.extend(played.rewards_raw)
+        rewards.extend(slot_rewards(played, cfg.marl))
         stale_slots += int(played.stales.sum())
         violation_slots += int((~played.feasible).sum())
     return {

@@ -423,6 +423,8 @@ def save_params(path, named_arrays: dict[str, np.ndarray], meta: dict | None = N
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint, validating the manifest against the payload."""
     with np.load(path) as data:
+        if "__manifest__" not in data.files:
+            raise ShapeError(f"{path} holds no fasloc checkpoint manifest")
         raw = bytes(data["__manifest__"].tobytes())
         manifest = json.loads(raw.decode())
         if manifest.get("version") != CHECKPOINT_VERSION:
@@ -430,6 +432,8 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
                              f"{manifest.get('version')}")
         arrays = {}
         for key, shape in manifest["shapes"].items():
+            if f"param::{key}" not in data.files:
+                raise ShapeError(f"{path} lacks the listed array {key}")
             arr = data[f"param::{key}"]
             if list(arr.shape) != shape:
                 raise ShapeError(f"manifest mismatch for {key}")

@@ -348,6 +348,17 @@ class TestEvaluateVerb:
         stats = json.loads(capsys.readouterr().out)
         assert "mean_error" in stats
 
+    def test_negative_seed_names_the_evaluation_seed(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.npz"),
+                       "--episodes", "1", "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation seed must be non-negative, got -1\n")
+
     def test_episodes_default_to_the_checkpoint_config(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.run_experiment(
@@ -493,6 +504,36 @@ class TestOtherVerbs:
                               ("--episodes", "EPISODES")):
             if flag in flags:
                 assert f"{flag} {metavar}" in usage
+
+    @pytest.mark.parametrize("case", [
+        "missing_checkpoint", "checkpoint_is_a_directory",
+        "npz_without_manifest", "checkpoint_without_run_config",
+        "missing_sweep_config", "run_out_is_a_file"])
+    def test_unreadable_input_ends_in_one_error_line(self, case, tmp_path,
+                                                      capsys):
+        """An input that cannot be read exits 2 with one error: line that
+        names the path, not a traceback."""
+        plain = tmp_path / "plain.npz"
+        np.savez(plain, weights=np.zeros(3))
+        bare = tmp_path / "bare.npz"
+        nn.save_params(bare, {"w": np.zeros(2)})
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        evaluate = ["evaluate", "--checkpoint"]
+        sweep = ["sweep", "--axis", "port_count", "--values", "2",
+                 "--out", str(tmp_path / "sweep"), "--config"]
+        path, argv = {
+            "missing_checkpoint": (tmp_path / "none.npz", evaluate),
+            "checkpoint_is_a_directory": (tmp_path, evaluate),
+            "npz_without_manifest": (plain, evaluate),
+            "checkpoint_without_run_config": (bare, evaluate),
+            "missing_sweep_config": (tmp_path / "none.ini", sweep),
+            "run_out_is_a_file": (taken, ["run", "--out"]),
+        }[case]
+        assert cli.main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(path) in err[0]
 
     def test_run_verb_through_main(self, tmp_path):
         args = ["run", "--out", str(tmp_path / "o"), "--seed", "1"]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from fasloc import cli, marl, nn
 from fasloc.channel import ChannelError
-from fasloc.config import ConfigError, MarlConfig, default_config, to_ini
+from fasloc.config import (ConfigError, MarlConfig, apply_overrides,
+                           default_config, to_ini)
 from fasloc.marl import (N_STEER, Coordinator, EpisodeData, EpochRecord,
                          LocalQNet, MarlTrainer, Mixer, PositioningEnv,
                          TrainingLog, build_td_targets, encode_actions,
-                         micro_config, micro_gradcheck, reward, select_action,
-                         weighted_td_loss)
+                         micro_config, micro_gradcheck, select_action,
+                         slot_rewards, weighted_td_loss)
 from fasloc.world import ConstraintReport
 
 FEASIBLE = ConstraintReport(True, True, True)
@@ -480,41 +482,51 @@ class TestMixer:
         assert finite_diff_check(loss, mixer.params(), eps=1e-6) < 1e-5
 
 
-def _slot_records(late, reports, rewards_raw, errors):
+def _slot_records(late, reports, errors):
     """An episode record of the given slot outcomes; every action is hold
     course on port 1."""
     T = len(late)
     return EpisodeData(
         observations=[], steer=np.full((T, 5), 12), ports=np.ones((T, 4), int),
-        rewards_raw=np.asarray(rewards_raw, float),
         errors=np.asarray(errors, float), stales=np.zeros(T, bool),
         feasible=np.array([r.feasible for r in reports]),
         late=np.asarray(late, bool),
         range_ok=np.array([r.flags()[1:] for r in reports]))
 
 
+def _ref_slot_reward(feasible, error, m):
+    """One slot's shared reward, unscaled: the negated error when the slot
+    is feasible, -penalty_clip otherwise, and never below -penalty_clip."""
+    return max(-error if feasible else -m.penalty_clip, -m.penalty_clip)
+
+
+def _slot_reward(error, report, m=MarlConfig()):
+    """slot_rewards of a one-slot record with the given error and report."""
+    return slot_rewards(_slot_records([[False] * 4], [report], [error]), m)[0]
+
+
 class TestPortCredit:
     # a 7 m error trains as -0.07 when feasible, the penalty as -2.0
 
-    def _credit(self, late, report, reward_raw):
-        episode = _slot_records([late], [report], [reward_raw], [7.0])
+    def _credit(self, late, report):
+        episode = _slot_records([late], [report], [7.0])
         return marl.difference_credit(episode, MarlConfig())[0]
 
     def test_sole_late_agent_gets_the_penalty_margin(self):
-        credit = self._credit([False, True, False, False], VIOLATED, -1.0e6)
+        credit = self._credit([False, True, False, False], VIOLATED)
         np.testing.assert_allclose(credit, [0.0, -1.93, 0.0, 0.0])
 
     def test_no_credit_when_several_are_late(self):
-        credit = self._credit([True, True, False, False], VIOLATED, -1.0e6)
+        credit = self._credit([True, True, False, False], VIOLATED)
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_when_another_constraint_fails(self):
         report = ConstraintReport(False, False, True)
-        credit = self._credit([False, False, True, False], report, -1.0e6)
+        credit = self._credit([False, False, True, False], report)
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_in_a_feasible_slot(self):
-        credit = self._credit([False] * 4, FEASIBLE, -7.0)
+        credit = self._credit([False] * 4, FEASIBLE)
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_equals_the_per_slot_reference(self):
@@ -524,13 +536,13 @@ class TestPortCredit:
         reports = [ConstraintReport(not lt.any(), *(rng.random(2) < 0.9))
                    for lt in late]
         errors = rng.exponential(8.0, T)
-        rewards = np.where([r.feasible for r in reports], -errors, -1.0e6)
         m = MarlConfig()
-        episode = _slot_records(late, reports, rewards, errors)
+        episode = _slot_records(late, reports, errors)
         credit = marl.difference_credit(episode, m)
         assert np.count_nonzero(credit) > 100
         for t in range(T):
-            train = max(rewards[t], -m.penalty_clip) / m.reward_scale
+            train = (_ref_slot_reward(reports[t].feasible, errors[t], m)
+                     / m.reward_scale)
             ref = _ref_slot_port_credit(late[t], reports[t], train,
                                         -errors[t] / m.reward_scale)
             assert credit[t].tobytes() == ref.tobytes()
@@ -539,26 +551,41 @@ class TestPortCredit:
 class TestRewardAndLoss:
     def test_perfect_feasible_estimate(self):
         error = marl.pos.position_error([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert reward(error, FEASIBLE) == 0.0
+        assert _slot_reward(error, FEASIBLE) == 0.0
 
     def test_violation_gives_exact_penalty(self):
-        assert reward(500.0, VIOLATED) == -1.0e6
+        assert MarlConfig().penalty_clip == 200.0
+        assert _slot_reward(500.0, VIOLATED) == -200.0
+        # the penalty does not depend on the error
+        assert _slot_reward(3.0, VIOLATED) == -200.0
 
     def test_five_meter_error(self):
         error = marl.pos.position_error([3.0, 4.0, 0.0], [0.0, 0.0, 0.0])
-        assert reward(error, FEASIBLE) == pytest.approx(-5.0)
+        assert _slot_reward(error, FEASIBLE) == pytest.approx(-5.0)
 
     def test_reward_never_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             est, tru = rng.uniform(-100, 100, (2, 3))
-            assert reward(marl.pos.position_error(est, tru), FEASIBLE) <= 0.0
+            error = marl.pos.position_error(est, tru)
+            assert _slot_reward(error, FEASIBLE) <= 0.0
 
     def test_feasible_reward_is_the_negated_error(self):
+        m = MarlConfig()
         rng = np.random.default_rng(4)
         for error in rng.uniform(0.0, 100.0, 50):
-            assert reward(float(error), FEASIBLE) == -float(error)
-            assert reward(float(error), VIOLATED) == marl.PENALTY_REWARD
+            assert _slot_reward(float(error), FEASIBLE) == -float(error)
+            assert _slot_reward(float(error), VIOLATED) == -m.penalty_clip
+        # an error past penalty_clip is floored at the penalty
+        assert _slot_reward(250.0, FEASIBLE) == -m.penalty_clip
+        # the whole record at once equals the per-slot reference bit for bit
+        errors = rng.uniform(0.0, 400.0, 200)
+        reports = [FEASIBLE if ok else VIOLATED for ok in rng.random(200) < 0.6]
+        rewards = slot_rewards(_slot_records(np.zeros((200, 4), bool), reports,
+                                             errors), m)
+        ref = np.array([_ref_slot_reward(r.feasible, e, m)
+                        for r, e in zip(reports, errors)])
+        assert rewards.tobytes() == ref.tobytes()
 
     def test_td_targets_terminal_and_zero_discount(self):
         rewards = np.array([-1.0, -2.0, -3.0])
@@ -740,6 +767,44 @@ class TestTrainerMachinery:
         stats = marl.evaluate_rollouts(cfg, MarlTrainer(cfg), 2, seed=0)
         assert stats["episodes"] == 2 and math.isfinite(stats["mean_error"])
 
+    @pytest.mark.parametrize("scheme", ["ar_marl", "random"])
+    def test_logged_mean_reward_is_the_reward_training_uses(self, scheme,
+                                                            monkeypatch):
+        """Each epoch's mean_reward and greedy evaluation's mean_reward
+        average the per-slot reward the learner trains on, unscaled: it
+        lies in [-penalty_clip, 0] even with infeasible slots played."""
+        cfg = tiny_config(scheme=scheme, epochs=4)
+        m = cfg.marl
+        played = []
+        rollout = MarlTrainer.rollout
+
+        def recording(trainer, *args, **kwargs):
+            played.append(rollout(trainer, *args, **kwargs))
+            return played[-1]
+
+        def expected(episodes):
+            return float(np.mean([_ref_slot_reward(f, e, m) for ep in episodes
+                                  for f, e in zip(ep.feasible, ep.errors)]))
+
+        monkeypatch.setattr(MarlTrainer, "rollout", recording)
+        trainer = MarlTrainer(cfg)
+        log = trainer.run()
+        training = list(played)
+        played.clear()
+        stats = marl.evaluate_rollouts(cfg, trainer, 3, seed=0)
+        # one episode per epoch
+        logged = [(r.mean_reward, [ep]) for r, ep in zip(log.records, training)]
+        for mean_reward, episodes in logged + [(stats["mean_reward"], played)]:
+            assert -m.penalty_clip <= mean_reward <= 0.0
+            assert mean_reward == pytest.approx(expected(episodes))
+        assert not all(f for ep in training + played for f in ep.feasible)
+
+    def test_negative_evaluation_seed_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="evaluation seed must be "
+                                             "non-negative, got -1"):
+            marl.evaluate_rollouts(cfg, MarlTrainer(cfg), 1, seed=-1)
+
     @pytest.mark.parametrize("scheme", ["ar_marl", "random", "no_fas"])
     # off the grid, empty, fractional (which an int cast would truncate)
     @pytest.mark.parametrize("menu", [[0, 5], [5, 33], [], [1.5, 2.7]])
@@ -791,17 +856,29 @@ class TestEnvironment:
         np.testing.assert_array_equal(env.estimate, first_fix)
 
     def test_rewards_match_reported_errors_when_feasible(self):
+        """The env reports outcomes only; the learner scores each slot as
+        the negated reported error when feasible, the penalty otherwise."""
         cfg = tiny_config()
         env = PositioningEnv(cfg, np.random.default_rng(1))
         env.reset()
         rng = np.random.default_rng(2)
+        infos = []
         for _ in range(20):
             _, info = env.step(rng.integers(N_STEER, size=5),
                                rng.integers(1, 4, size=4))
+            assert info.keys() == {"error", "stale", "feasible", "late",
+                                   "report"}
+            infos.append(info)
+        episode = _slot_records([i["late"] for i in infos],
+                                [i["report"] for i in infos],
+                                [i["error"] for i in infos])
+        rewards = slot_rewards(episode, cfg.marl)
+        assert {i["feasible"] for i in infos} == {True, False}
+        for r, info in zip(rewards, infos):
             if info["feasible"]:
-                assert info["reward"] == pytest.approx(-info["error"])
+                assert r == pytest.approx(-info["error"])
             else:
-                assert info["reward"] == -1.0e6
+                assert r == -cfg.marl.penalty_clip
 
     @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid"])
     def test_out_of_range_port_rejected(self, bad_port):
@@ -935,12 +1012,10 @@ def _ref_step(env, steer, ports):
         not np.any(late),
         bool(np.all((d_target >= wcfg.dist_min) & (d_target <= wcfg.dist_max))),
         bool(np.all((pair >= wcfg.dist_min) & (pair <= wcfg.dist_max))))
-    reward_raw = (-marl.pos.position_error(env.estimate, target)
-                  if report.feasible else -1.0e6)
     for i in range(4):
         if measurements[i] is not None:
             env.prev_ranges[i] = measurements[i]
-    info = {"reward": reward_raw, "error": error, "stale": stale,
+    info = {"error": error, "stale": stale,
             "feasible": report.feasible, "late": late, "report": report}
     return env.observations(), info
 
@@ -1014,31 +1089,49 @@ def test_step_matches_per_uav_reference(overrides):
 
 
 _DEFAULT = default_config()
-_SLOTS = _DEFAULT.world.slots_per_episode
-_SLOT_ACTIONS = st.lists(
-    st.tuples(st.integers(0, marl.N_ANGLE - 1), st.integers(0, marl.N_ANGLE - 1),
-              st.integers(1, _DEFAULT.channel.n_ports)),
-    min_size=marl.N_AGENTS, max_size=marl.N_AGENTS)
+# the default config, or one extreme but valid corner of it
+_EXTREME_OVERRIDES = st.one_of(
+    st.just([]),
+    st.floats(0.0, 50.0, exclude_min=True).map(
+        lambda v: [f"world.speed={v!r}"]),
+    st.sampled_from([
+        ["target.speed=0"],
+        ["positioning.min_usable=1"],
+        ["positioning.variance_scale=0"],
+        ["channel.n_paths=1", "channel.rician_k=0", "channel.shadow_std_db=0"],
+        ["positioning.innovation_gate=0"],
+        [f"world.pitch_min={-math.pi / 2!r}",
+         f"world.pitch_max={math.pi / 2!r}"],
+    ]))
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        uncertainty=st.floats(0.0, 1.0),
-       episode=st.lists(_SLOT_ACTIONS, min_size=_SLOTS, max_size=_SLOTS))
-def test_random_action_episode_stays_finite(seed, uncertainty, episode):
-    cfg = dataclasses.replace(_DEFAULT, target=dataclasses.replace(
-        _DEFAULT.target, uncertainty=uncertainty))
+       overrides=_EXTREME_OVERRIDES,
+       slots=st.integers(1, 300))
+def test_random_action_episode_stays_finite(seed, uncertainty, overrides,
+                                            slots):
+    """Uniformly random steering and ports, for up to 300 slots, at the
+    default config or an extreme valid one: env.step never raises or
+    warns, and every info value and observation stays finite."""
+    cfg = apply_overrides(_DEFAULT, [f"target.uncertainty={uncertainty!r}",
+                                     *overrides])
     env = PositioningEnv(cfg, np.random.default_rng(seed))
+    pick = np.random.default_rng([seed, 1])
     env.reset()
-    for slot in episode:
-        (yaw, pitch, ports) = np.array(slot).T
-        observations, info = env.step(yaw * marl.N_ANGLE + pitch, ports[1:])
-        for key, value in info.items():
-            if isinstance(value, ConstraintReport):
-                value = value.flags()
-            assert np.all(np.isfinite(np.asarray(value, float))), key
-        for obs in observations:
-            assert np.all(np.isfinite(obs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(slots):
+            steer = pick.integers(0, N_STEER, marl.N_AGENTS)
+            ports = pick.integers(1, cfg.channel.n_ports + 1, 4)
+            observations, info = env.step(steer, ports)
+            for key, value in info.items():
+                if isinstance(value, ConstraintReport):
+                    value = value.flags()
+                assert np.all(np.isfinite(np.asarray(value, float))), key
+            for obs in observations:
+                assert np.all(np.isfinite(obs))
 
 
 class TestTrainingLog:
@@ -1079,7 +1172,8 @@ def _ref_slot_port_credit(late, report, train_reward, feasible_reward):
 
 def _ref_train_reward(trainer, episode, t):
     m = trainer.cfg.marl
-    return max(episode.rewards_raw[t], -m.penalty_clip) / m.reward_scale
+    return (_ref_slot_reward(episode.feasible[t], episode.errors[t], m)
+            / m.reward_scale)
 
 
 def _ref_action(episode, t, k):

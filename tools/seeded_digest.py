@@ -26,8 +26,8 @@ episode per epoch, seed 11):
   seeded batch of geometries, near-degenerate ones included.  Training
   logs record neither ``iterations`` nor ``degenerate``, so only this
   section sees a change in them,
-- and the sha256 of every slot's ``(reward, error, stale, feasible,
-  late)`` over ENV_EPISODES seeded episodes of ``PositioningEnv`` at the
+- and the sha256 of every slot's ``(error, stale, feasible, late)``
+  outcomes over ENV_EPISODES seeded episodes of ``PositioningEnv`` at the
   default config, each UAV taking uniformly random steering indices and
   grid ports, with the count of infeasible slots,
 - and, for every trainable scheme at the default config (25 slots, so
@@ -155,7 +155,7 @@ def env_digest() -> dict:
             # a port is drawn for every UAV, the active one's unused
             _, info = env.step(steer[:, 0] * marl.N_ANGLE + steer[:, 1],
                                ports[1:])
-            h.update(repr((info["reward"], info["error"], bool(info["stale"]),
+            h.update(repr((info["error"], bool(info["stale"]),
                            bool(info["feasible"]),
                            np.asarray(info["late"]).tolist())).encode())
             slots += 1
