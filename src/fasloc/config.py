@@ -61,19 +61,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class MarlConfig:
-    discount: float = 0.9
-    delta: float = 0.5              # weight on nonnegative TD errors
-    learning_rate: float = 0.05
-    lr_final_fraction: float = 0.2  # linear decay floor as a share of the rate
-    grad_clip: float = 5.0
-    target_sync: int = 10           # updates between target-copy refreshes
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    port_eps_floor: float = 0.2     # ports keep exploring after the anneal
-    port_lr_multiplier: float = 5.0     # faster port-head updates; the port
-                                        # pathway is decoupled, so this cannot
-                                        # destabilize the value fit
-    anneal_fraction: float = 0.6
+    """The networks' shapes; the training recipe is marl's constants."""
     gru_hidden: int = 64
     mlp_hidden: int = 64
     embed_width: int = 32
@@ -82,26 +70,11 @@ class MarlConfig:
     omega_width: int = 32
     history_window: int = 8
     mixing_hidden: int = 32
-    penalty_clip: float = 200.0     # an infeasible slot's reward is minus this,
-                                    # and no slot's reward falls below it
-    reward_scale: float = 100.0
 
     def __post_init__(self):
-        for name in ("target_sync", "history_window", "gru_hidden",
-                     "mlp_hidden", "embed_width", "attn_units", "attn_width",
-                     "omega_width", "mixing_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        for name in ("reward_scale", "grad_clip", "learning_rate",
-                     "penalty_clip", "port_lr_multiplier"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be above 0")
-        if not self.delta >= 0.0:
-            raise ConfigError("delta must be at least 0")
-        for name in ("eps_start", "eps_end", "port_eps_floor", "discount",
-                     "lr_final_fraction", "anneal_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -145,6 +118,13 @@ class ExperimentConfig:
         if self.run.scheme not in SCHEME_TRAITS:
             raise ConfigError(f"unknown scheme {self.run.scheme!r}; "
                               f"choose from {', '.join(SCHEME_TRAITS)}")
+        # a UAV at the target's start has no heading toward it
+        sc, goal = self.scenario, tuple(self.target.start)
+        for name, starts in (("active_start", [sc.active_start]),
+                             ("passive_starts", sc.passive_starts)):
+            if any(tuple(q) == goal for q in starts):
+                raise ConfigError(f"[scenario] {name}: no UAV may start at "
+                                  f"target.start {goal}")
 
 
 def _format_value(value) -> str:

@@ -37,6 +37,24 @@ N_AGENTS = 5
 POSITION_SCALE = 1e-3
 RANGE_SCALE = 1e-3
 
+# the training recipe, shared by every trained scheme and seed
+DISCOUNT = 0.9
+DELTA = 0.5                 # weight on nonnegative TD errors
+LEARNING_RATE = 0.05
+LR_FINAL_FRACTION = 0.2     # linear decay floor as a share of the rate
+GRAD_CLIP = 5.0
+TARGET_SYNC = 10            # updates between target-copy refreshes
+EPS_START = 1.0
+EPS_END = 0.05
+PORT_EPS_FLOOR = 0.2        # ports keep exploring after the anneal
+PORT_LR_MULTIPLIER = 5.0    # faster port-head updates; the port pathway is
+                            # decoupled, so this cannot destabilize the
+                            # value fit
+ANNEAL_FRACTION = 0.6
+PENALTY_CLIP = 200.0        # an infeasible slot's reward is minus this, and
+                            # no slot's reward falls below it
+REWARD_SCALE = 100.0
+
 
 class TrainingDiverged(RuntimeError):
     """A non-finite loss.  MarlTrainer.run sets log to the TrainingLog of
@@ -63,20 +81,20 @@ def encode_actions(steer: np.ndarray, ports: np.ndarray,
     return [angles[:1], np.concatenate([angles[1:], port[..., None]], axis=-1)]
 
 
-def slot_rewards(episode: EpisodeData, m) -> np.ndarray:
+def slot_rewards(episode: EpisodeData) -> np.ndarray:
     """The (T,) shared team reward of each slot, unscaled: the negative
-    position error, floored at -m.penalty_clip, or -m.penalty_clip
-    whenever any feasibility constraint is broken."""
-    floor = -m.penalty_clip
+    position error, floored at -PENALTY_CLIP, or -PENALTY_CLIP whenever
+    any feasibility constraint is broken."""
+    floor = -PENALTY_CLIP
     return np.maximum(np.where(episode.feasible, -episode.errors, floor), floor)
 
 
-def training_rewards(episode: EpisodeData, m) -> np.ndarray:
-    """The (T,) rewards the learner trains on: slot_rewards / reward_scale."""
-    return slot_rewards(episode, m) / m.reward_scale
+def training_rewards(episode: EpisodeData) -> np.ndarray:
+    """The (T,) rewards the learner trains on: slot_rewards / REWARD_SCALE."""
+    return slot_rewards(episode) / REWARD_SCALE
 
 
-def difference_credit(episode: EpisodeData, m) -> np.ndarray:
+def difference_credit(episode: EpisodeData) -> np.ndarray:
     """Per slot and passive UAV (T, 4), the credit for its port choice.
 
     A difference reward (Wolpert and Tumer): the shared training reward
@@ -88,8 +106,8 @@ def difference_credit(episode: EpisodeData, m) -> np.ndarray:
     uplinks' deadline misses, which a port cannot change, add no noise to
     an agent's port signal.
     """
-    feasible_reward = -episode.errors / m.reward_scale   # at the realised fix
-    margin = training_rewards(episode, m) - feasible_reward
+    feasible_reward = -episode.errors / REWARD_SCALE   # at the realised fix
+    margin = training_rewards(episode) - feasible_reward
     sole = (episode.late.sum(axis=1) == 1) & episode.range_ok.all(axis=1)
     return np.where(episode.late & sole[:, None], margin[:, None], 0.0)
 
@@ -746,20 +764,19 @@ class MarlTrainer:
 
     def schedule(self, episode: int, total: int) -> tuple[float, float, float]:
         """(epsilon, port exploration rate, learning-rate scale) for training
-        episode `episode` of `total`.  Epsilon anneals linearly from eps_start
-        to eps_end over the first anneal_fraction of the episodes (1 for a
+        episode `episode` of `total`.  Epsilon anneals linearly from EPS_START
+        to EPS_END over the first ANNEAL_FRACTION of the episodes (1 for a
         scheme that does not train).  The port rate is epsilon, but at least
-        a floor that holds at port_eps_floor and fades out over the last
+        a floor that holds at PORT_EPS_FLOOR and fades out over the last
         sixth of training, so late rollouts reflect the learned ports.  The
-        rate decays linearly to lr_final_fraction."""
-        m = self.cfg.marl
-        horizon = max(int(m.anneal_fraction * total), 1)
+        rate decays linearly to LR_FINAL_FRACTION."""
+        horizon = max(int(ANNEAL_FRACTION * total), 1)
         frac = min(episode / horizon, 1.0)
-        epsilon = (m.eps_start + frac * (m.eps_end - m.eps_start)
+        epsilon = (EPS_START + frac * (EPS_END - EPS_START)
                    if self.trains else 1.0)
         progress = episode / max(total - 1, 1)
-        port_floor = m.port_eps_floor * min(1.0, 6.0 * max(1.0 - progress, 0.0))
-        lr_scale = 1.0 - (1.0 - m.lr_final_fraction) * progress
+        port_floor = PORT_EPS_FLOOR * min(1.0, 6.0 * max(1.0 - progress, 0.0))
+        lr_scale = 1.0 - (1.0 - LR_FINAL_FRACTION) * progress
         return epsilon, max(epsilon, port_floor), lr_scale
 
     # -- per-slot plumbing ----------------------------------------------------
@@ -931,8 +948,8 @@ class MarlTrainer:
                                 else q.max(axis=-1) + port.max(axis=-1)
                                 for (q, port), _ in self._replay(tnets, episode)])
         boot = self._mix(tnets, greedy, self._windows(episode))[0]
-        targets = build_td_targets(training_rewards(episode, self.cfg.marl),
-                                   boot[1:], self.cfg.marl.discount)
+        targets = build_td_targets(training_rewards(episode), boot[1:],
+                                   DISCOUNT)
         self.target_s += time.process_time() - started
         return targets
 
@@ -967,8 +984,7 @@ class MarlTrainer:
             q_chosen.append(value[..., 0])
         q_mix, (c_coord, c_mix) = self._mix(nets, _team_columns(q_chosen),
                                             self._windows(episode))
-        td_loss, weights = weighted_td_loss(q_mix, targets, self.cfg.marl.delta,
-                                            weights)
+        td_loss, weights = weighted_td_loss(q_mix, targets, DELTA, weights)
         if not math.isfinite(td_loss):
             raise TrainingDiverged(
                 "TD loss is not finite",
@@ -977,8 +993,7 @@ class MarlTrainer:
         # each port head's targets: per agent and slot, the chosen port's
         # index and the agent's credit for it (the active UAV, column 0,
         # picks no port)
-        credit = np.column_stack([np.zeros(T),
-                                  difference_credit(episode, self.cfg.marl)])
+        credit = np.column_stack([np.zeros(T), difference_credit(episode)])
         fits = [None if net.port_head is None
                 else (port_ids[agents, :, 0], credit[:, agents].T)
                 for net, agents in nets.local_agents()]
@@ -1004,20 +1019,19 @@ class MarlTrainer:
     # -- updates --------------------------------------------------------------
 
     def _apply_sgd(self, lr_scale: float):
-        m = self.cfg.marl
         for net in self.nets.local:
             if net.port_head is not None:
                 for s in net.port_head.stacks():
-                    s.grad *= m.port_lr_multiplier
+                    s.grad *= PORT_LR_MULTIPLIER
         params = self.nets.params()
         total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
-        scale = 1.0 if total <= m.grad_clip else m.grad_clip / total
-        rate = m.learning_rate * lr_scale
+        scale = 1.0 if total <= GRAD_CLIP else GRAD_CLIP / total
+        rate = LEARNING_RATE * lr_scale
         for p in params:
             p.value -= rate * scale * p.grad
         self.nets.zero_grads()
         self.updates += 1
-        if self.updates % m.target_sync == 0:
+        if self.updates % TARGET_SYNC == 0:
             self.target_nets.copy_from(self.nets)
 
     def train_on_episode(self, episode: EpisodeData,
@@ -1058,7 +1072,7 @@ class MarlTrainer:
                 self.learn_s += time.process_time() - played
                 ep_index += 1
                 errs.extend(episode.errors)
-                rews.extend(slot_rewards(episode, cfg.marl))
+                rews.extend(slot_rewards(episode))
                 losses.append(loss)
                 viols += int(np.sum(~episode.feasible))
             log.records.append(EpochRecord(
@@ -1110,7 +1124,7 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
         played = trainer.rollout(PositioningEnv(cfg, env_rng), 0.0,
                                  rng=pol_rng, port_menu=port_menu)
         errors.extend(played.errors)
-        rewards.extend(slot_rewards(played, cfg.marl))
+        rewards.extend(slot_rewards(played))
         stale_slots += int(played.stales.sum())
         violation_slots += int((~played.feasible).sum())
     return {

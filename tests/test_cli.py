@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fasloc import cli, marl, nn
-from fasloc.config import (ConfigError, default_config, from_ini, load_config,
-                           to_ini)
+from fasloc.config import (ConfigError, MarlConfig, default_config, from_ini,
+                           load_config, to_ini)
 from fasloc.marl import micro_config
 
 TINY_OVERRIDES = [
@@ -47,8 +47,13 @@ class TestConfig:
                 ("world", "speed = 5.0", "light_speed"),
                 ("scenario", "latency_budget = 0.03", "channel_coherence"),
                 ("scenario", "latency_budget = 0.03", "initial_heading"),
-                ("marl", "delta = 0.5", "monotone_mixing"),
-                ("marl", "delta = 0.5", "mixing_weight_floor"),
+                ("marl", "gru_hidden = 64", "monotone_mixing"),
+                ("marl", "gru_hidden = 64", "mixing_weight_floor"),
+                *(("marl", "gru_hidden = 64", key) for key in (
+                    "discount", "delta", "learning_rate", "lr_final_fraction",
+                    "grad_clip", "target_sync", "eps_start", "eps_end",
+                    "port_eps_floor", "port_lr_multiplier", "anneal_fraction",
+                    "penalty_clip", "reward_scale")),
                 ("target", "speed = 5.0", "mode"),
                 ("positioning", "min_usable = 3", "solver_tol"),
                 ("positioning", "min_usable = 3", "solver_max_iter"),
@@ -60,7 +65,6 @@ class TestConfig:
             assert "line 3" in str(err.value)
 
     @pytest.mark.parametrize("override", [
-        "marl.target_sync=0",
         "marl.history_window=0",
         "world.slots_per_episode=0",
         "run.epochs=0",
@@ -77,13 +81,14 @@ class TestConfig:
         "marl.omega_width=0",
         "marl.mixing_hidden=0",
         "marl.attn_units=-1",
+        "run.eval_episodes=0",
+        "run.seed=-1",
+        # the learner's recipe is marl's constants, so an override of a
+        # removed key fails as an unknown key whatever its value
+        "marl.target_sync=0",
         "marl.reward_scale=0",
         "marl.eps_start=2",
         "marl.eps_end=-0.5",
-        "run.eval_episodes=0",
-        "run.seed=-1",
-        # values that load and train silently wrong: gradient ascent, a
-        # negative loss, a penalty that trains as a bonus
         "marl.grad_clip=-5",
         "marl.learning_rate=-0.05",
         "marl.penalty_clip=-200",
@@ -100,6 +105,10 @@ class TestConfig:
         "target.start=1 2",
         "scenario.active_start=nan 300 300",
         "target.start=inf 615 533",
+        # a UAV starting at the target's start has no heading toward it
+        "scenario.active_start=445 615 533",
+        "scenario.passive_starts=445 615 533, 310 743 891, 832 497 328, "
+        "548 647 400",
         # radio and kinematic values that crash the first slot with a
         # ZeroDivisionError, make every slot stale or every uplink late,
         # give negative latencies, or clamp every pitch to pitch_max
@@ -127,10 +136,7 @@ class TestConfig:
         assert key in str(err.value)
 
     @pytest.mark.parametrize("override", [
-        "marl.delta=0", "marl.port_eps_floor=0", "marl.port_eps_floor=1",
-        "marl.discount=0", "marl.discount=1", "marl.lr_final_fraction=0",
-        "marl.lr_final_fraction=1", "marl.anneal_fraction=0",
-        "marl.anneal_fraction=1", "channel.shadow_std_db=0",
+        "channel.shadow_std_db=0",
         "channel.rician_k=0", "channel.uplink_noise=0",
         "channel.dominant_paths=0", "channel.dominant_share=0",
         "channel.dominant_share=1", "world.pitch_min=-1.5707963267948966",
@@ -142,6 +148,12 @@ class TestConfig:
         assert getattr(getattr(load_config(None, [override]), section),
                        name) == float(value)
 
+    def test_marl_section_holds_only_the_network_shapes(self):
+        # the training recipe is marl's constants (marl.DISCOUNT, ...)
+        assert [f.name for f in dataclasses.fields(MarlConfig)] == [
+            "gru_hidden", "mlp_hidden", "embed_width", "attn_units",
+            "attn_width", "omega_width", "history_window", "mixing_hidden"]
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             from_ini("[quantum]\nfoo = 1\n")
@@ -152,8 +164,8 @@ class TestConfig:
         assert "[world] speed" in str(err.value)
 
     def test_override_parsing(self):
-        cfg = load_config(None, ["marl.delta=0.75", "run.seed=9"])
-        assert cfg.marl.delta == 0.75
+        cfg = load_config(None, ["marl.gru_hidden=12", "run.seed=9"])
+        assert cfg.marl.gru_hidden == 12
         assert cfg.run.seed == 9
         with pytest.raises(ConfigError):
             load_config(None, ["nonsense"])

@@ -494,15 +494,15 @@ def _slot_records(late, reports, errors):
         range_ok=np.array([r.flags()[1:] for r in reports]))
 
 
-def _ref_slot_reward(feasible, error, m):
+def _ref_slot_reward(feasible, error):
     """One slot's shared reward, unscaled: the negated error when the slot
-    is feasible, -penalty_clip otherwise, and never below -penalty_clip."""
-    return max(-error if feasible else -m.penalty_clip, -m.penalty_clip)
+    is feasible, -PENALTY_CLIP otherwise, and never below -PENALTY_CLIP."""
+    return max(-error if feasible else -marl.PENALTY_CLIP, -marl.PENALTY_CLIP)
 
 
-def _slot_reward(error, report, m=MarlConfig()):
+def _slot_reward(error, report):
     """slot_rewards of a one-slot record with the given error and report."""
-    return slot_rewards(_slot_records([[False] * 4], [report], [error]), m)[0]
+    return slot_rewards(_slot_records([[False] * 4], [report], [error]))[0]
 
 
 class TestPortCredit:
@@ -510,7 +510,7 @@ class TestPortCredit:
 
     def _credit(self, late, report):
         episode = _slot_records([late], [report], [7.0])
-        return marl.difference_credit(episode, MarlConfig())[0]
+        return marl.difference_credit(episode)[0]
 
     def test_sole_late_agent_gets_the_penalty_margin(self):
         credit = self._credit([False, True, False, False], VIOLATED)
@@ -536,15 +536,14 @@ class TestPortCredit:
         reports = [ConstraintReport(not lt.any(), *(rng.random(2) < 0.9))
                    for lt in late]
         errors = rng.exponential(8.0, T)
-        m = MarlConfig()
         episode = _slot_records(late, reports, errors)
-        credit = marl.difference_credit(episode, m)
+        credit = marl.difference_credit(episode)
         assert np.count_nonzero(credit) > 100
         for t in range(T):
-            train = (_ref_slot_reward(reports[t].feasible, errors[t], m)
-                     / m.reward_scale)
+            train = (_ref_slot_reward(reports[t].feasible, errors[t])
+                     / marl.REWARD_SCALE)
             ref = _ref_slot_port_credit(late[t], reports[t], train,
-                                        -errors[t] / m.reward_scale)
+                                        -errors[t] / marl.REWARD_SCALE)
             assert credit[t].tobytes() == ref.tobytes()
 
 
@@ -554,7 +553,7 @@ class TestRewardAndLoss:
         assert _slot_reward(error, FEASIBLE) == 0.0
 
     def test_violation_gives_exact_penalty(self):
-        assert MarlConfig().penalty_clip == 200.0
+        assert marl.PENALTY_CLIP == 200.0
         assert _slot_reward(500.0, VIOLATED) == -200.0
         # the penalty does not depend on the error
         assert _slot_reward(3.0, VIOLATED) == -200.0
@@ -571,19 +570,18 @@ class TestRewardAndLoss:
             assert _slot_reward(error, FEASIBLE) <= 0.0
 
     def test_feasible_reward_is_the_negated_error(self):
-        m = MarlConfig()
         rng = np.random.default_rng(4)
         for error in rng.uniform(0.0, 100.0, 50):
             assert _slot_reward(float(error), FEASIBLE) == -float(error)
-            assert _slot_reward(float(error), VIOLATED) == -m.penalty_clip
-        # an error past penalty_clip is floored at the penalty
-        assert _slot_reward(250.0, FEASIBLE) == -m.penalty_clip
+            assert _slot_reward(float(error), VIOLATED) == -marl.PENALTY_CLIP
+        # an error past PENALTY_CLIP is floored at the penalty
+        assert _slot_reward(250.0, FEASIBLE) == -marl.PENALTY_CLIP
         # the whole record at once equals the per-slot reference bit for bit
         errors = rng.uniform(0.0, 400.0, 200)
         reports = [FEASIBLE if ok else VIOLATED for ok in rng.random(200) < 0.6]
         rewards = slot_rewards(_slot_records(np.zeros((200, 4), bool), reports,
-                                             errors), m)
-        ref = np.array([_ref_slot_reward(r.feasible, e, m)
+                                             errors))
+        ref = np.array([_ref_slot_reward(r.feasible, e)
                         for r, e in zip(reports, errors)])
         assert rewards.tobytes() == ref.tobytes()
 
@@ -646,7 +644,7 @@ class TestTrainerMachinery:
         trainer = MarlTrainer(cfg)
         for p in trainer.nets.params():
             p.value += 0.1
-        trainer.updates = cfg.marl.target_sync - 1
+        trainer.updates = marl.TARGET_SYNC - 1
         env = PositioningEnv(cfg, trainer.env_rng)
         episode = trainer.rollout(env, 0.5)
         trainer.train_on_episode(episode)
@@ -772,9 +770,8 @@ class TestTrainerMachinery:
                                                             monkeypatch):
         """Each epoch's mean_reward and greedy evaluation's mean_reward
         average the per-slot reward the learner trains on, unscaled: it
-        lies in [-penalty_clip, 0] even with infeasible slots played."""
+        lies in [-PENALTY_CLIP, 0] even with infeasible slots played."""
         cfg = tiny_config(scheme=scheme, epochs=4)
-        m = cfg.marl
         played = []
         rollout = MarlTrainer.rollout
 
@@ -783,7 +780,7 @@ class TestTrainerMachinery:
             return played[-1]
 
         def expected(episodes):
-            return float(np.mean([_ref_slot_reward(f, e, m) for ep in episodes
+            return float(np.mean([_ref_slot_reward(f, e) for ep in episodes
                                   for f, e in zip(ep.feasible, ep.errors)]))
 
         monkeypatch.setattr(MarlTrainer, "rollout", recording)
@@ -795,7 +792,7 @@ class TestTrainerMachinery:
         # one episode per epoch
         logged = [(r.mean_reward, [ep]) for r, ep in zip(log.records, training)]
         for mean_reward, episodes in logged + [(stats["mean_reward"], played)]:
-            assert -m.penalty_clip <= mean_reward <= 0.0
+            assert -marl.PENALTY_CLIP <= mean_reward <= 0.0
             assert mean_reward == pytest.approx(expected(episodes))
         assert not all(f for ep in training + played for f in ep.feasible)
 
@@ -872,13 +869,13 @@ class TestEnvironment:
         episode = _slot_records([i["late"] for i in infos],
                                 [i["report"] for i in infos],
                                 [i["error"] for i in infos])
-        rewards = slot_rewards(episode, cfg.marl)
+        rewards = slot_rewards(episode)
         assert {i["feasible"] for i in infos} == {True, False}
         for r, info in zip(rewards, infos):
             if info["feasible"]:
                 assert r == pytest.approx(-info["error"])
             else:
-                assert r == -cfg.marl.penalty_clip
+                assert r == -marl.PENALTY_CLIP
 
     @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid"])
     def test_out_of_range_port_rejected(self, bad_port):
@@ -1170,10 +1167,9 @@ def _ref_slot_port_credit(late, report, train_reward, feasible_reward):
     return credit
 
 
-def _ref_train_reward(trainer, episode, t):
-    m = trainer.cfg.marl
-    return (_ref_slot_reward(episode.feasible[t], episode.errors[t], m)
-            / m.reward_scale)
+def _ref_train_reward(episode, t):
+    return (_ref_slot_reward(episode.feasible[t], episode.errors[t])
+            / marl.REWARD_SCALE)
 
 
 def _ref_action(episode, t, k):
@@ -1470,9 +1466,9 @@ def _ref_td_targets(trainer, episode):
     boot = np.zeros(len(episode))
     for t in range(len(episode)):
         boot[t], _ = _ref_mix(trainer, tnets, greedy[t], episode, t)
-    rewards = np.array([_ref_train_reward(trainer, episode, t)
+    rewards = np.array([_ref_train_reward(episode, t)
                         for t in range(len(episode))])
-    return build_td_targets(rewards, boot[1:], trainer.cfg.marl.discount)
+    return build_td_targets(rewards, boot[1:], marl.DISCOUNT)
 
 
 def _ref_port_fit(trainer, episode, t, k):
@@ -1481,8 +1477,8 @@ def _ref_port_fit(trainer, episode, t, k):
     late = episode.late[t]
     report = ConstraintReport(not late.any(), *episode.range_ok[t])
     credit = _ref_slot_port_credit(
-        late, report, _ref_train_reward(trainer, episode, t),
-        -episode.errors[t] / trainer.cfg.marl.reward_scale)
+        late, report, _ref_train_reward(episode, t),
+        -episode.errors[t] / marl.REWARD_SCALE)
     return _ref_action(episode, t, k)[1] - 1, credit[k - 1]
 
 
@@ -1506,7 +1502,7 @@ def _ref_episode_loss(trainer, episode, targets):
     for t in range(T):
         q_mix[t], cache = _ref_mix(trainer, nets, q_chosen[t], episode, t)
         mix_caches.append(cache)
-    td_loss, weights = weighted_td_loss(q_mix, targets, trainer.cfg.marl.delta)
+    td_loss, weights = weighted_td_loss(q_mix, targets, marl.DELTA)
     port_loss = 0.0
     for t in range(T):
         for k in range(5):
@@ -1701,18 +1697,18 @@ def test_agent_params_are_contiguous_views_of_their_stacks(scheme):
 
 def test_sgd_step_moves_every_agent_slice_as_a_per_agent_update():
     trainer = _perturbed_trainer("ar_marl")
-    m = trainer.cfg.marl
     rng = np.random.default_rng(43)
     params = trainer.nets.params()
     for p in params:
         p.grad[...] = rng.standard_normal(p.grad.shape)
     in_port_heads = {id(p) for net in trainer.nets.local
                      if net.port_head is not None for p in net.port_head.params()}
-    grads = [p.grad * (m.port_lr_multiplier if id(p) in in_port_heads else 1.0)
+    grads = [p.grad * (marl.PORT_LR_MULTIPLIER if id(p) in in_port_heads
+                       else 1.0)
              for p in params]
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    scale = 1.0 if total <= m.grad_clip else m.grad_clip / total
-    rate = m.learning_rate * 0.7
+    scale = 1.0 if total <= marl.GRAD_CLIP else marl.GRAD_CLIP / total
+    rate = marl.LEARNING_RATE * 0.7
     expected = [p.value - rate * scale * g for p, g in zip(params, grads)]
     trainer._apply_sgd(0.7)
     assert scale < 1.0        # the clip binds, so its norm is exercised

@@ -44,7 +44,10 @@ episode per epoch, seed 11):
   checkpoint; and a ``sweep`` on each axis with ``--seeds`` and
   ``--episodes``.  It records each exit code and the sha256 of each
   stdout and of every output file but ``run_info.json`` (a checkpoint by
-  its archive members, whose bytes do not depend on the zip timestamps).
+  its archive members, whose bytes do not depend on the zip timestamps),
+- and a ``config`` section: the sorted ``section.key`` list of every
+  settable config value and the sha256 of ``to_ini(default_config())``,
+  so a change to the config surface shows as one named entry.
 """
 
 from __future__ import annotations
@@ -253,6 +256,14 @@ def cli_digest() -> dict:
     return out
 
 
+def config_digest() -> dict:
+    cfg = default_config()
+    keys = [f"{sect.name}.{f.name}" for sect in dataclasses.fields(cfg)
+            for f in dataclasses.fields(getattr(cfg, sect.name))]
+    return {"keys": sorted(keys),
+            "ini_sha256": hashlib.sha256(to_ini(cfg).encode()).hexdigest()}
+
+
 def digest() -> dict:
     out = {"train_log_sha256": {}, "evaluate": {}}
     for scheme in SCHEMES:
@@ -275,6 +286,7 @@ def digest() -> dict:
     out["env"] = env_digest()
     out["learner"] = learner_digest()
     out["cli"] = cli_digest()
+    out["config"] = config_digest()
     return out
 
 
