@@ -111,7 +111,12 @@ def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig
     arrays, meta = nn.load_params(path)
     if "config_ini" not in meta:
         raise nn.ShapeError(f"{path} records no run config")
-    cfg = apply_overrides(from_ini(meta["config_ini"]), overrides or [])
+    try:
+        stored = from_ini(meta["config_ini"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: the run config stored in this checkpoint "
+                          f"does not load: {exc}") from None
+    cfg = apply_overrides(stored, overrides or [])
     trainer = marl.MarlTrainer(cfg)
     trainer.load_checkpoint_arrays(arrays)
     return cfg, trainer

@@ -20,22 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel as ch
-from . import positioning as pos
-from . import world as wd
 from .config import SCHEME_TRAITS, ExperimentConfig, apply_overrides
+from .env import N_AGENTS, N_ANGLE, N_STEER, EpisodeData, PositioningEnv
 from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
                  ordered_sum, stack_agents)
-
-ANGLE_CHOICES = np.deg2rad([-60.0, -30.0, 0.0, 30.0, 60.0])
-N_ANGLE = len(ANGLE_CHOICES)
-N_STEER = N_ANGLE * N_ANGLE     # the (yaw, pitch) steering combos
-# (N_STEER, 2) yaw and pitch turn of each combo yaw * N_ANGLE + pitch
-STEER_TURNS = ANGLE_CHOICES[np.stack(np.divmod(np.arange(N_STEER), N_ANGLE),
-                                     axis=-1)]
-N_AGENTS = 5
-POSITION_SCALE = 1e-3
-RANGE_SCALE = 1e-3
 
 # the training recipe, shared by every trained scheme and seed
 DISCOUNT = 0.9
@@ -71,12 +59,13 @@ def encode_actions(steer: np.ndarray, ports: np.ndarray,
     """The team's actions as each local net's (A, ..., 2 or 3) [-1, 1]
     action features, in PolicyNets.local_agents() order.  steer
     (N_AGENTS, ...) holds the steering combos, yaw * N_ANGLE + pitch
-    indices into ANGLE_CHOICES, and ports (4, ...) the passive UAVs'
+    indices into env.ANGLE_CHOICES, and ports (4, ...) the passive UAVs'
     1-based ports.  Every agent's features are its yaw and pitch index; a
     passive UAV's add its port's place on the grid (ChannelParams rejects
     n_ports < 2)."""
     yaw, pitch = np.divmod(steer, N_ANGLE)
-    angles = np.stack([(yaw - 2) / 2.0, (pitch - 2) / 2.0], axis=-1)
+    centre = (N_ANGLE - 1) / 2
+    angles = (np.stack([yaw, pitch], axis=-1) - centre) / centre
     port = 2.0 * (ports - 1) / (n_ports - 1) - 1.0
     return [angles[:1], np.concatenate([angles[1:], port[..., None]], axis=-1)]
 
@@ -517,185 +506,7 @@ class PolicyNets(Module):
 
 
 # ---------------------------------------------------------------------------
-# environment
-
-
-class PositioningEnv:
-    """One episode of the tracking scenario.
-
-    Each UAV keeps a persistent flight heading; an action turns it by
-    one of the ANGLE_CHOICES yaw/pitch increments, which bound the
-    per-slot change, and the new pitch is clamped to the world's
-    [pitch_min, pitch_max].  Slot order:
-    agents observe (current positions, their uplinks' departure angles,
-    drawn once per episode, and last measured range sums), act, everyone
-    moves, the bistatic ranges are measured at the new geometry, the
-    passive UAVs upload through their chosen ports, and the ground
-    station refreshes the fix from whichever reports met the latency
-    budget.  Fewer than min_usable fresh reports keeps the previous fix
-    (a stale slot).
-    """
-
-    def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
-        self.bs = np.array(cfg.scenario.bs_position, float)
-        self.positions = np.zeros((N_AGENTS, 3))
-        self.headings = np.zeros((N_AGENTS, 2))   # persistent [yaw, pitch]
-        self.traj = None
-        self.estimate = np.zeros(3)
-        self.prev_ranges = np.zeros(4)
-        self.aods = np.zeros((4, cfg.channel.n_paths))
-        self._gate_rejects = 0
-        self.solver_s = 0.0     # process time spent in estimate_position
-
-    @property
-    def aods(self) -> np.ndarray:
-        """The passive UAVs' (4, n_paths) uplink departure angles, drawn
-        at reset and fixed for the episode.  Setting them stores a
-        read-only copy, their cosines (cos_aods, which the uplink reads)
-        and their observation block."""
-        return self._aods
-
-    @aods.setter
-    def aods(self, value):
-        self._aods = np.array(value, dtype=float)
-        self._aods.flags.writeable = False
-        self.cos_aods = np.cos(self._aods)
-        self._scaled_aods = self._aods / math.pi
-
-    def _headings_toward_target(self) -> np.ndarray:
-        """Each UAV starts headed at the target's start, pitch bounded."""
-        headings = np.zeros((N_AGENTS, 2))
-        goal = np.array(self.cfg.target.start, float)
-        wcfg = self.cfg.world
-        for k in range(N_AGENTS):
-            d = goal - self.positions[k]
-            headings[k, 0] = math.atan2(d[1], d[0])
-            pitch = math.asin(max(-1.0, min(1.0, d[2] / np.linalg.norm(d))))
-            headings[k, 1] = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
-        return headings
-
-    def reset(self) -> list[np.ndarray]:
-        sc = self.cfg.scenario
-        self.positions = np.vstack([np.array(sc.active_start, float),
-                                    np.array(sc.passive_starts, float)])
-        self.headings = self._headings_toward_target()
-        self.traj = wd.TargetTrajectory(self.cfg.target,
-                                        self.cfg.world.slot_duration)
-        self.estimate = self.positions[1:].mean(axis=0)
-        self.prev_ranges = np.zeros(4)
-        self._gate_rejects = 0
-        self.aods = self.rng.uniform(0.0, math.pi,
-                                     size=(4, self.cfg.channel.n_paths))
-        return self.observations()
-
-    def observations(self) -> list[np.ndarray]:
-        """Each local net's agents' scaled observations, in
-        PolicyNets.local_agents() order: the active UAV's (1, 3) position,
-        then the passive UAVs' (4, 3 + n_paths + 1) positions, departure
-        angles of their uplink paths and previous measured range sums (0
-        before the first measurement)."""
-        scaled = self.positions * POSITION_SCALE
-        ranges = self.prev_ranges[:, None] * RANGE_SCALE
-        return [scaled[:1], np.concatenate([scaled[1:], self._scaled_aods,
-                                            ranges], axis=1)]
-
-    def step(self, steer: np.ndarray, ports: np.ndarray):
-        """Play one slot of the team's actions, all UAVs in one array pass:
-        steer holds the (N_AGENTS,) steering combos (as in encode_actions),
-        ports the passive UAVs' (4,) 1-based ports.  Returns the next
-        observations and the slot's outcomes, which the learner scores
-        (slot_rewards): error, stale, feasible, late (4,) and report."""
-        steer, ports = np.asarray(steer), np.asarray(ports)
-        if (steer.shape != (N_AGENTS,) or steer.dtype.kind not in "iu"
-                or not 0 <= steer.min() <= steer.max() < N_STEER):
-            raise ValueError(f"steer must be an integer ({N_AGENTS},) array in "
-                             f"0..{N_STEER - 1}, got {steer!r}")
-        if ports.shape != (4,) or ports.dtype.kind not in "iu":
-            raise ValueError(f"ports must be an integer (4,) array, got {ports!r}")
-        cfg = self.cfg
-        wcfg = cfg.world
-        params = cfg.channel
-        if not 1 <= ports.min() <= ports.max() <= params.n_ports:
-            # fas_gain's error, raised before the slot changes any state
-            bad = ports[(ports < 1) | (ports > params.n_ports)][0]
-            raise ch.ChannelError(f"port {bad} outside 1..{params.n_ports}")
-        yaw, pitch = (self.headings + STEER_TURNS[steer]).T
-        yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
-        pitch = np.minimum(np.maximum(pitch, wcfg.pitch_min), wcfg.pitch_max)
-        self.headings[:, 0], self.headings[:, 1] = yaw, pitch
-        self.positions = wd.step_controlled(self.positions, yaw, pitch, wcfg)
-        target = self.traj.step(self.rng)
-        q0, qs = self.positions[0], self.positions[1:]
-
-        # bistatic range measurements at the new geometry, NaN without echo
-        snr = ch.bistatic_snr(q0, qs, target, params)
-        measured = pos.sample_range(pos.true_range_sum(q0, qs, target), snr,
-                                    self.rng, cfg.positioning.variance_scale)
-        echo = snr > 0.0
-
-        # uplink through the selected ports
-        draw = ch.draw_channel(self.rng, params, self.cos_aods)
-        loss = ch.path_loss_db(wd.norms(qs - self.bs), params, draw.shadow_db)
-        sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, params, loss), params)
-        # a NaN latency is no delivery either, so it counts as late
-        late = ~(ch.uplink_latencies(sinrs, params)
-                 <= cfg.scenario.latency_budget)
-
-        usable = echo & ~late
-        stale = int(np.count_nonzero(usable)) < cfg.positioning.min_usable
-        if not stale:
-            started = time.process_time()
-            fit = pos.estimate_position(measured[usable], q0, qs[usable],
-                                        self.estimate)
-            self.solver_s += time.process_time() - started
-            gate = cfg.positioning.innovation_gate
-            if gate > 0.0:
-                jump = float(wd.norms(fit.position - self.estimate))
-                if jump > gate * (1 + self._gate_rejects):
-                    # implausible jump: treat like a missing fix
-                    self._gate_rejects += 1
-                    stale = True
-                else:
-                    self._gate_rejects = 0
-                    self.estimate = fit.position
-            else:
-                self.estimate = fit.position
-
-        error = pos.position_error(self.estimate, target)
-        report = wd.check_constraints(self.positions, target, late, wcfg)
-        self.prev_ranges[echo] = measured[echo]
-
-        info = {
-            "error": error,
-            "stale": stale,
-            "feasible": report.feasible,
-            "late": late,
-            "report": report,
-        }
-        return self.observations(), info
-
-
-# ---------------------------------------------------------------------------
-# episode storage
-
-
-@dataclass
-class EpisodeData:
-    """What rollout records of one played episode of T slots.  The
-    learner derives its training signals from it."""
-    observations: list         # [i] -> local net i's agents' (A, T, n_obs)
-    steer: np.ndarray          # (T, N_AGENTS) steering combos
-    ports: np.ndarray          # (T, 4) the passive UAVs' ports, 1-based
-    errors: np.ndarray         # (T,) position errors
-    stales: np.ndarray         # (T,) bool
-    feasible: np.ndarray       # (T,) bool
-    late: np.ndarray           # (T, 4) bool, info["late"]
-    range_ok: np.ndarray       # (T, 2) bool, target_range_ok, pairwise_range_ok
-
-    def __len__(self):
-        return len(self.errors)
+# training log
 
 
 @dataclass(frozen=True)
@@ -915,7 +726,7 @@ class MarlTrainer:
             steer=np.array(steers), ports=np.array(played),
             errors=column("error"), stales=column("stale"),
             feasible=column("feasible"), late=column("late"),
-            range_ok=np.array([info["report"].flags()[1:] for info in infos]))
+            range_ok=column("range_ok"))
 
     # -- targets and loss -----------------------------------------------------
 

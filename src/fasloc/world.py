@@ -26,7 +26,7 @@ class WorldConfig:
     """Kinematics and range limits shared by all controlled UAVs.
 
     The per-slot yaw/pitch change is bounded by the action set
-    (``marl.ANGLE_CHOICES``); pitch_min/pitch_max clamp the absolute
+    (``env.ANGLE_CHOICES``); pitch_min/pitch_max clamp the absolute
     pitch of every heading.
     """
 
@@ -138,25 +138,6 @@ class TargetTrajectory:
         return self.position.copy()
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Per-constraint feasibility flags for one slot: the constraints an
-    action can break.  Steering and port bounds are not among them; the
-    action set enforces those."""
-
-    latency_ok: bool        # every passive uplink within the latency budget
-    target_range_ok: bool   # dist_min <= |q_k - u| <= dist_max for all k
-    pairwise_range_ok: bool  # dist_min <= |q_k - q_k'| <= dist_max, k != k'
-
-    @property
-    def feasible(self) -> bool:
-        return (self.latency_ok and self.target_range_ok
-                and self.pairwise_range_ok)
-
-    def flags(self) -> tuple[bool, ...]:
-        return (self.latency_ok, self.target_range_ok, self.pairwise_range_ok)
-
-
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of the distinct pairs (i < j) of n UAVs, read-only because
@@ -167,18 +148,16 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def check_constraints(positions: np.ndarray, target: Vec3, late: np.ndarray,
-                      cfg: WorldConfig) -> ConstraintReport:
-    """Evaluate the feasibility constraints for one slot.
-
-    positions: (K, 3) controlled UAVs after the slot's moves; late: one
-    flag per passive UAV, true where its uplink missed the deadline.
-    """
+def check_constraints(positions: np.ndarray, target: Vec3,
+                      cfg: WorldConfig) -> tuple[bool, bool]:
+    """One slot's range constraints on the (K, 3) controlled UAVs after
+    their moves, (target_range_ok, pairwise_range_ok): dist_min <= |q_k -
+    u| <= dist_max for every k, and dist_min <= |q_k - q_k'| <= dist_max
+    for k != k'.  The action set enforces the steering and port bounds."""
     n = len(positions)
     i, j = _pairs(n)
     # np.linalg.norm(axis=1)'s arithmetic: a row sum of squares
     legs = np.concatenate([positions - target, positions[i] - positions[j]])
     dist = np.sqrt((legs * legs).sum(axis=1))
     ok = (dist >= cfg.dist_min) & (dist <= cfg.dist_max)
-    return ConstraintReport(not np.any(late), bool(ok[:n].all()),
-                            bool(ok[n:].all()))
+    return bool(ok[:n].all()), bool(ok[n:].all())

@@ -349,6 +349,25 @@ class TestEvaluateVerb:
         assert rc == 2
         assert "section.key=value" in capsys.readouterr().err
 
+    def test_stored_config_error_names_the_checkpoint(self, tmp_path, capsys):
+        # a checkpoint from before a key removal stores that key; its
+        # config error must not read as one in a file the user passed
+        out = tmp_path / "run"
+        assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                  str(out)) == 0
+        arrays, meta = nn.load_params(out / "checkpoint.npz")
+        meta["config_ini"] = meta["config_ini"].replace(
+            "[marl]\n", "[marl]\ndiscount = 0.9\n")
+        old = out / "old.npz"
+        nn.save_params(old, arrays, meta)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--checkpoint", str(old), "--episodes", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: the run config stored in this "
+                              f"checkpoint does not load: unknown key "
+                              f"'discount' in section [marl]")
+
     def test_cli_main_evaluate(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],

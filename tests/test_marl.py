@@ -3,26 +3,22 @@ import hashlib
 import json
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fasloc import cli, marl, nn
-from fasloc.channel import ChannelError
-from fasloc.config import (ConfigError, MarlConfig, apply_overrides,
-                           default_config, to_ini)
-from fasloc.marl import (N_STEER, Coordinator, EpisodeData, EpochRecord,
-                         LocalQNet, MarlTrainer, Mixer, PositioningEnv,
-                         TrainingLog, build_td_targets, encode_actions,
+from fasloc import channel, cli, marl, nn, positioning, world
+from fasloc.config import ConfigError, MarlConfig, default_config, to_ini
+from fasloc.env import N_ANGLE, N_STEER, EpisodeData, PositioningEnv
+from fasloc.marl import (Coordinator, EpochRecord, LocalQNet, MarlTrainer,
+                         Mixer, TrainingLog, build_td_targets, encode_actions,
                          micro_config, micro_gradcheck, select_action,
                          slot_rewards, weighted_td_loss)
-from fasloc.world import ConstraintReport
 
-FEASIBLE = ConstraintReport(True, True, True)
-VIOLATED = ConstraintReport(False, True, True)
+# one slot's (late, range_ok) outcomes: every report on time and both
+# range constraints held, or one report late
+FEASIBLE = ([False] * 4, (True, True))
+VIOLATED = ([True, False, False, False], (True, True))
 
 
 def tiny_config(**run_kw):
@@ -62,8 +58,8 @@ def _ref_act(trainer, values, epsilon, port_eps, rng, ports):
             continue
         steer = int(np.argmax(q))
         if epsilon > 0.0 and rng.uniform() < epsilon:
-            yaw = int(rng.integers(marl.N_ANGLE))
-            steer = yaw * marl.N_ANGLE + int(rng.integers(marl.N_ANGLE))
+            yaw = int(rng.integers(N_ANGLE))
+            steer = yaw * N_ANGLE + int(rng.integers(N_ANGLE))
         port = int(ports[np.argmax(port_adv[ports - 1])])
         if port_eps > 0.0 and rng.uniform() < port_eps:
             port = int(ports[rng.integers(len(ports))])
@@ -73,7 +69,7 @@ def _ref_act(trainer, values, epsilon, port_eps, rng, ports):
 
 class TestActions:
     def test_action_space_sizes(self):
-        assert N_STEER == marl.N_ANGLE ** 2 == 25
+        assert N_STEER == N_ANGLE ** 2 == 25
 
     def test_encode_decode_roundtrip(self):
         """Each steering combo is yaw * N_ANGLE + pitch, and its action
@@ -123,6 +119,21 @@ class TestActions:
                 assert (steer[j + 1] * n + ports[j] - 1
                         == _flat_greedy(q[j, 0], port[j, 0], menu))
 
+    def test_features_equal_the_per_agent_reference(self):
+        """The per-net action features are byte-equal to the agent-by-agent
+        ones (tests/test_env.py checks the observations the same way)."""
+        n_ports = default_config().channel.n_ports
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            steer = rng.integers(0, N_STEER, 5)
+            ports = rng.integers(1, n_ports + 1, 4)
+            acts = [(s, int(p) if k else None)
+                    for k, (s, p) in enumerate(zip(steer, [None, *ports]))]
+            net_enc = encode_actions(steer, ports, n_ports)
+            team = [(i, j) for i, e in enumerate(net_enc) for j in range(len(e))]
+            for k, (i, j) in enumerate(team):
+                assert (net_enc[i][j].tobytes()
+                        == _ref_encode_action(acts[k], k == 0, n_ports).tobytes())
 
     @pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "random"])
     def test_act_matches_the_per_agent_reference(self, scheme):
@@ -163,19 +174,6 @@ class TestActions:
                                 == ref_rng.bit_generator.state)
 
 
-def _ref_observation(agent, positions, aod, prev_range):
-    """One agent's scaled observation: the active UAV (agent 0) sees its
-    position; a passive agent its position, its uplink paths' departure
-    angles and its previous measured range sum."""
-    if agent == 0:
-        return positions[0].copy() * marl.POSITION_SCALE
-    scaled = np.concatenate([positions[agent], aod, [prev_range]])
-    scaled[:3] *= marl.POSITION_SCALE
-    scaled[3:-1] /= math.pi
-    scaled[-1] *= marl.RANGE_SCALE
-    return scaled
-
-
 def _ref_encode_action(action, is_active, n_ports):
     """One agent's [-1, 1] action features from its (steer, port) pair
     (port None for the active UAV); zeros for no action."""
@@ -183,68 +181,11 @@ def _ref_encode_action(action, is_active, n_ports):
     if action is None:
         return np.zeros(dim)
     steer, port = action
-    yaw_idx, pitch_idx = divmod(int(steer), marl.N_ANGLE)
+    yaw_idx, pitch_idx = divmod(int(steer), N_ANGLE)
     enc = [(yaw_idx - 2) / 2.0, (pitch_idx - 2) / 2.0]
     if not is_active:
         enc.append(2.0 * (port - 1) / max(n_ports - 1, 1) - 1.0)
     return np.array(enc)
-
-
-class TestObservations:
-    def _env(self):
-        env = PositioningEnv(default_config(), np.random.default_rng(0))
-        env.reset()
-        env.positions = np.arange(15, dtype=float).reshape(5, 3)
-        env.aods = np.linspace(0.1, 2.8, 20).reshape(4, 5)
-        env.prev_ranges = np.array([812.5, 0.0, 640.0, 901.25])
-        return env
-
-    def test_active_observation_is_position(self):
-        env = self._env()
-        obs = env.observations()[0]
-        assert obs.shape == (1, 3)
-        np.testing.assert_array_equal(obs[0], env.positions[0] * marl.POSITION_SCALE)
-
-    def test_passive_layout_and_length(self):
-        env = self._env()
-        obs = env.observations()[1]
-        assert obs.shape == (4, 3 + 5 + 1)
-        np.testing.assert_array_equal(obs[:, :3],
-                                      env.positions[1:] * marl.POSITION_SCALE)
-        np.testing.assert_array_equal(obs[:, 3:8], env.aods / math.pi)
-        np.testing.assert_array_equal(obs[:, -1], env.prev_ranges * marl.RANGE_SCALE)
-
-    def test_first_slot_has_zero_prev_range(self):
-        cfg = tiny_config()
-        env = PositioningEnv(cfg, np.random.default_rng(0))
-        obs = env.reset()
-        assert np.all(obs[1][:, -1] == 0.0)
-
-    def test_arrays_equal_the_per_agent_reference(self):
-        """The per-net observation arrays and action features are byte-
-        equal to the agent-by-agent ones."""
-        cfg = default_config()
-        n_ports = cfg.channel.n_ports
-        env = PositioningEnv(cfg, np.random.default_rng(0))
-        rng = np.random.default_rng(23)
-        for _ in range(500):
-            env.positions = rng.uniform(-50.0, 1500.0, (5, 3))
-            env.aods = rng.uniform(0.0, math.pi, (4, cfg.channel.n_paths))
-            env.prev_ranges = rng.uniform(0.0, 3000.0, 4)
-            steer = rng.integers(0, N_STEER, 5)
-            ports = rng.integers(1, n_ports + 1, 4)
-            acts = [(s, int(p) if k else None)
-                    for k, (s, p) in enumerate(zip(steer, [None, *ports]))]
-            net_obs = env.observations()
-            net_enc = encode_actions(steer, ports, n_ports)
-            team = [(i, j) for i, o in enumerate(net_obs) for j in range(len(o))]
-            for k, (i, j) in enumerate(team):
-                aod = env.aods[k - 1] if k else None
-                prev = env.prev_ranges[k - 1] if k else 0.0
-                assert (net_obs[i][j].tobytes()
-                        == _ref_observation(k, env.positions, aod, prev).tobytes())
-                assert (net_enc[i][j].tobytes()
-                        == _ref_encode_action(acts[k], k == 0, n_ports).tobytes())
 
 
 class TestLocalQ:
@@ -482,16 +423,20 @@ class TestMixer:
         assert finite_diff_check(loss, mixer.params(), eps=1e-6) < 1e-5
 
 
-def _slot_records(late, reports, errors):
+def _feasible(late, range_ok):
+    """PositioningEnv.step's rule: no report late, both ranges held."""
+    return not np.any(late) and all(range_ok)
+
+
+def _slot_records(late, range_ok, errors):
     """An episode record of the given slot outcomes; every action is hold
     course on port 1."""
     T = len(late)
     return EpisodeData(
         observations=[], steer=np.full((T, 5), 12), ports=np.ones((T, 4), int),
         errors=np.asarray(errors, float), stales=np.zeros(T, bool),
-        feasible=np.array([r.feasible for r in reports]),
-        late=np.asarray(late, bool),
-        range_ok=np.array([r.flags()[1:] for r in reports]))
+        feasible=np.array([_feasible(*slot) for slot in zip(late, range_ok)]),
+        late=np.asarray(late, bool), range_ok=np.asarray(range_ok, bool))
 
 
 def _ref_slot_reward(feasible, error):
@@ -500,56 +445,56 @@ def _ref_slot_reward(feasible, error):
     return max(-error if feasible else -marl.PENALTY_CLIP, -marl.PENALTY_CLIP)
 
 
-def _slot_reward(error, report):
-    """slot_rewards of a one-slot record with the given error and report."""
-    return slot_rewards(_slot_records([[False] * 4], [report], [error]))[0]
+def _slot_reward(error, outcome):
+    """slot_rewards of a one-slot record with the given error and
+    (late, range_ok) outcome."""
+    late, range_ok = outcome
+    return slot_rewards(_slot_records([late], [range_ok], [error]))[0]
 
 
 class TestPortCredit:
     # a 7 m error trains as -0.07 when feasible, the penalty as -2.0
 
-    def _credit(self, late, report):
-        episode = _slot_records([late], [report], [7.0])
+    def _credit(self, late, range_ok):
+        episode = _slot_records([late], [range_ok], [7.0])
         return marl.difference_credit(episode)[0]
 
     def test_sole_late_agent_gets_the_penalty_margin(self):
-        credit = self._credit([False, True, False, False], VIOLATED)
+        credit = self._credit([False, True, False, False], (True, True))
         np.testing.assert_allclose(credit, [0.0, -1.93, 0.0, 0.0])
 
     def test_no_credit_when_several_are_late(self):
-        credit = self._credit([True, True, False, False], VIOLATED)
+        credit = self._credit([True, True, False, False], (True, True))
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_when_another_constraint_fails(self):
-        report = ConstraintReport(False, False, True)
-        credit = self._credit([False, False, True, False], report)
+        credit = self._credit([False, False, True, False], (False, True))
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_no_credit_in_a_feasible_slot(self):
-        credit = self._credit([False] * 4, FEASIBLE)
+        credit = self._credit(*FEASIBLE)
         np.testing.assert_array_equal(credit, np.zeros(4))
 
     def test_equals_the_per_slot_reference(self):
         rng = np.random.default_rng(29)
         T = 2000
         late = rng.random((T, 4)) < 0.2
-        reports = [ConstraintReport(not lt.any(), *(rng.random(2) < 0.9))
-                   for lt in late]
+        range_ok = rng.random((T, 2)) < 0.9
         errors = rng.exponential(8.0, T)
-        episode = _slot_records(late, reports, errors)
+        episode = _slot_records(late, range_ok, errors)
         credit = marl.difference_credit(episode)
         assert np.count_nonzero(credit) > 100
         for t in range(T):
-            train = (_ref_slot_reward(reports[t].feasible, errors[t])
-                     / marl.REWARD_SCALE)
-            ref = _ref_slot_port_credit(late[t], reports[t], train,
+            train = (_ref_slot_reward(_feasible(late[t], range_ok[t]),
+                                      errors[t]) / marl.REWARD_SCALE)
+            ref = _ref_slot_port_credit(late[t], range_ok[t], train,
                                         -errors[t] / marl.REWARD_SCALE)
             assert credit[t].tobytes() == ref.tobytes()
 
 
 class TestRewardAndLoss:
     def test_perfect_feasible_estimate(self):
-        error = marl.pos.position_error([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        error = positioning.position_error([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert _slot_reward(error, FEASIBLE) == 0.0
 
     def test_violation_gives_exact_penalty(self):
@@ -559,14 +504,14 @@ class TestRewardAndLoss:
         assert _slot_reward(3.0, VIOLATED) == -200.0
 
     def test_five_meter_error(self):
-        error = marl.pos.position_error([3.0, 4.0, 0.0], [0.0, 0.0, 0.0])
+        error = positioning.position_error([3.0, 4.0, 0.0], [0.0, 0.0, 0.0])
         assert _slot_reward(error, FEASIBLE) == pytest.approx(-5.0)
 
     def test_reward_never_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             est, tru = rng.uniform(-100, 100, (2, 3))
-            error = marl.pos.position_error(est, tru)
+            error = positioning.position_error(est, tru)
             assert _slot_reward(error, FEASIBLE) <= 0.0
 
     def test_feasible_reward_is_the_negated_error(self):
@@ -578,11 +523,11 @@ class TestRewardAndLoss:
         assert _slot_reward(250.0, FEASIBLE) == -marl.PENALTY_CLIP
         # the whole record at once equals the per-slot reference bit for bit
         errors = rng.uniform(0.0, 400.0, 200)
-        reports = [FEASIBLE if ok else VIOLATED for ok in rng.random(200) < 0.6]
-        rewards = slot_rewards(_slot_records(np.zeros((200, 4), bool), reports,
-                                             errors))
-        ref = np.array([_ref_slot_reward(r.feasible, e)
-                        for r, e in zip(reports, errors)])
+        outcomes = [FEASIBLE if ok else VIOLATED for ok in rng.random(200) < 0.6]
+        late, range_ok = zip(*outcomes)
+        rewards = slot_rewards(_slot_records(late, range_ok, errors))
+        ref = np.array([_ref_slot_reward(_feasible(*o), e)
+                        for o, e in zip(outcomes, errors)])
         assert rewards.tobytes() == ref.tobytes()
 
     def test_td_targets_terminal_and_zero_discount(self):
@@ -832,25 +777,9 @@ class TestEndToEndGradient:
         assert micro_gradcheck(micro_config()) > 1e-4
 
 
-# every UAV holds course (steering combo 12: no yaw, no pitch change), and
-# every passive UAV sends through port 1
-_HOLD_COURSE = (np.full(5, 12), np.ones(4, int))
-
-
 class TestEnvironment:
-    def test_stale_slots_keep_previous_estimate(self):
-        cfg = tiny_config()
-        # impossible latency budget: every report is late, fix never moves
-        cfg = dataclasses.replace(
-            cfg, scenario=dataclasses.replace(cfg.scenario, latency_budget=0.0))
-        env = PositioningEnv(cfg, np.random.default_rng(0))
-        env.reset()
-        first_fix = env.estimate.copy()
-        for _ in range(2):
-            _, info = env.step(*_HOLD_COURSE)
-            assert info["stale"]
-            assert not info["feasible"]
-        np.testing.assert_array_equal(env.estimate, first_fix)
+    """The learner's view of PositioningEnv's outcomes; tests/test_env.py
+    tests the environment itself."""
 
     def test_rewards_match_reported_errors_when_feasible(self):
         """The env reports outcomes only; the learner scores each slot as
@@ -864,11 +793,13 @@ class TestEnvironment:
             _, info = env.step(rng.integers(N_STEER, size=5),
                                rng.integers(1, 4, size=4))
             assert info.keys() == {"error", "stale", "feasible", "late",
-                                   "report"}
+                                   "range_ok"}
             infos.append(info)
         episode = _slot_records([i["late"] for i in infos],
-                                [i["report"] for i in infos],
+                                [i["range_ok"] for i in infos],
                                 [i["error"] for i in infos])
+        np.testing.assert_array_equal(episode.feasible,
+                                      [i["feasible"] for i in infos])
         rewards = slot_rewards(episode)
         assert {i["feasible"] for i in infos} == {True, False}
         for r, info in zip(rewards, infos):
@@ -877,258 +808,12 @@ class TestEnvironment:
             else:
                 assert r == -marl.PENALTY_CLIP
 
-    @pytest.mark.parametrize("bad_port", ["zero", "past_the_grid"])
-    def test_out_of_range_port_rejected(self, bad_port):
-        cfg = default_config()
-        port = {"zero": 0, "past_the_grid": cfg.channel.n_ports + 1}[bad_port]
-        env = PositioningEnv(cfg, np.random.default_rng(0))
-        env.reset()
-        steer, ports = _HOLD_COURSE
-        ports = ports.copy()
-        ports[2] = port
-        with pytest.raises(ChannelError, match=f"port {port} outside"):
-            env.step(steer, ports)
-
-    def test_out_of_range_port_rejected_before_the_slot_moves(self):
-        env = PositioningEnv(default_config(), np.random.default_rng(0))
-        env.reset()
-        env.step(*_HOLD_COURSE)
-
-        def state():
-            return (env.positions.copy(), env.headings.copy(),
-                    env.estimate.copy(), env.traj.position.copy(),
-                    env.prev_ranges.copy(), env.rng.bit_generator.state)
-
-        before = state()
-        with pytest.raises(ValueError, match="port 99 outside"):
-            env.step(np.zeros(5, int), np.array([1, 2, 3, 99]))
-        after = state()
-        for a, b in zip(before[:-1], after[:-1]):
-            np.testing.assert_array_equal(a, b)
-        assert before[-1] == after[-1]
-
-    def test_nan_latency_counts_as_late(self, monkeypatch):
-        monkeypatch.setattr(marl.ch, "uplink_latencies",
-                            lambda sinrs, params: np.array([0.0, np.nan, 0.0, 0.0]))
-        env = PositioningEnv(default_config(), np.random.default_rng(0))
-        env.reset()
-        _, info = env.step(*_HOLD_COURSE)
-        assert info["late"].tolist() == [False, True, False, False]
-        assert not info["report"].latency_ok
 
 
-    @pytest.mark.parametrize("steer, ports, name", [
-        (np.full(5, 12), np.ones(5, int), "ports"),
-        (np.full(6, 12), np.ones(4, int), "steer"),
-        (np.full(5, 12), np.array([1.5, 2.7, 1.0, 1.0]), "ports"),
-        (np.full(5, N_STEER), np.ones(4, int), "steer"),
-        (np.array([12, 12, -1, 12, 12]), np.ones(4, int), "steer"),
-        (np.full(5, 12.0), np.ones(4, int), "steer"),
-    ])
-    def test_malformed_actions_rejected(self, steer, ports, name):
-        env = PositioningEnv(default_config(), np.random.default_rng(0))
-        env.reset()
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            env.step(steer, ports)
-
-
-def _ref_step(env, steer, ports):
-    """The per-UAV slot that PositioningEnv.step replaced, with the
-    channel and ranging helpers inlined as they were: Python-float math
-    per UAV and one RNG call per draw."""
-    cfg, wcfg, params = env.cfg, env.cfg.world, env.cfg.channel
-    turns = marl.ANGLE_CHOICES[np.stack(np.divmod(steer, marl.N_ANGLE), axis=-1)]
-    for k in range(marl.N_AGENTS):
-        yaw, pitch = env.headings[k] + turns[k]
-        yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
-        pitch = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
-        env.headings[k] = (yaw, pitch)
-        cp = math.cos(pitch)
-        env.positions[k] = env.positions[k] + wcfg.speed * wcfg.slot_duration * np.array(
-            [math.cos(yaw) * cp, math.sin(yaw) * cp, math.sin(pitch)])
-    target = env.traj.step(env.rng)
-    q0 = env.positions[0]
-
-    measurements = []
-    num = (params.tx_power_active * params.unit_path_gain ** 2
-           * params.reflect_coeff ** 2)
-    for i in range(4):
-        d0 = float(np.linalg.norm(q0 - target))
-        dk = float(np.linalg.norm(target - env.positions[1 + i]))
-        snr = num / (params.noise_power * d0 ** 2 * dk ** 2)
-        measurements.append(None if snr == 0.0 else d0 + dk + env.rng.normal(
-            0.0, math.sqrt(cfg.positioning.variance_scale / snr)))
-
-    n, k = params.n_paths, params.rician_k
-    coeff = 2.0 * math.pi * params.fas_size / (params.n_ports - 1)
-    free_space = 20.0 * math.log10(params.ref_distance * params.carrier_freq
-                                   * 4.0 * math.pi / marl.ch.LIGHT_SPEED)
-    gains = np.zeros(4, dtype=complex)
-    for i in range(4):
-        scatter = (env.rng.standard_normal(n)
-                   + 1j * env.rng.standard_normal(n)) / math.sqrt(2.0)
-        fading = math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * scatter
-        fading = fading * np.sqrt(n * marl.ch.path_power_profile(params))
-        shadow = float(env.rng.normal(0.0, params.shadow_std_db))
-        r_bs = float(np.linalg.norm(env.positions[1 + i] - env.bs))
-        loss = (free_space + 10.0 * params.path_loss_exp * math.log10(r_bs)
-                + shadow)
-        amp = 10.0 ** (-loss / 20.0)
-        phases = np.exp(-1j * coeff * np.multiply.outer(
-            np.array([float(ports[i])]), np.cos(env.aods[i])))[0]
-        gains[i] = complex(np.sum(fading * amp * phases))
-    sinrs = marl.ch.uplink_sinr(gains, params)
-    latencies = np.array([marl.ch.uplink_latency(float(s), params) for s in sinrs])
-    late = ~(latencies <= cfg.scenario.latency_budget)
-
-    usable = [(measurements[i], env.positions[1 + i]) for i in range(4)
-              if measurements[i] is not None and not late[i]]
-    stale = len(usable) < cfg.positioning.min_usable
-    if not stale:
-        fit = marl.pos.estimate_position(
-            [m for m, _ in usable], env.positions[0],
-            np.array([p for _, p in usable]), env.estimate)
-        gate = cfg.positioning.innovation_gate
-        if gate > 0.0:
-            jump = float(np.linalg.norm(fit.position - env.estimate))
-            if jump > gate * (1 + env._gate_rejects):
-                env._gate_rejects += 1
-                stale = True
-            else:
-                env._gate_rejects = 0
-                env.estimate = fit.position
-        else:
-            env.estimate = fit.position
-
-    error = marl.pos.position_error(env.estimate, target)
-    d_target = np.linalg.norm(env.positions - target[None, :], axis=1)
-    dists = np.linalg.norm(env.positions[:, None, :] - env.positions[None, :, :],
-                           axis=2)
-    pair = dists[np.triu_indices(marl.N_AGENTS, k=1)]
-    report = ConstraintReport(
-        not np.any(late),
-        bool(np.all((d_target >= wcfg.dist_min) & (d_target <= wcfg.dist_max))),
-        bool(np.all((pair >= wcfg.dist_min) & (pair <= wcfg.dist_max))))
-    for i in range(4):
-        if measurements[i] is not None:
-            env.prev_ranges[i] = measurements[i]
-    info = {"error": error, "stale": stale,
-            "feasible": report.feasible, "late": late, "report": report}
-    return env.observations(), info
-
-
-def test_assigned_aods_reach_the_next_uplink(monkeypatch):
-    """Assigning env.aods after reset replaces the cosines the next step's
-    uplink draws with and the observation block, not only the angles."""
-    cfg = default_config()
-    n_paths = cfg.channel.n_paths
-    env = PositioningEnv(cfg, np.random.default_rng(5))
-    env.reset()
-    aods = np.linspace(0.2, 3.0, 4 * n_paths).reshape(4, n_paths)
-    env.aods = aods
-    seen = []
-    draw_channel = marl.ch.draw_channel
-
-    def recording(rng, params, cos_aod):
-        seen.append(np.array(cos_aod))
-        return draw_channel(rng, params, cos_aod)
-
-    monkeypatch.setattr(marl.ch, "draw_channel", recording)
-    obs, _ = env.step(np.full(marl.N_AGENTS, 12), np.ones(4, dtype=int))
-    assert len(seen) == 1 and seen[0].tobytes() == np.cos(aods).tobytes()
-    assert obs[1][:, 3:3 + n_paths].tobytes() == (aods / math.pi).tobytes()
-    # the env holds its own read-only copy, so the three cannot drift apart
-    aods[0, 0] = 1.0
-    assert env.aods[0, 0] == 0.2
-    with pytest.raises(ValueError):
-        env.aods[0, 0] = 1.0
-
-
-@pytest.mark.parametrize("overrides", [
-    {}, {"channel": {"rician_k": 0.0}}, {"channel": {"shadow_std_db": 0.0}},
-    {"channel": {"dominant_paths": 0}}, {"channel": {"n_paths": 1}},
-    {"target": {"uncertainty": 0.3}}, {"positioning": {"innovation_gate": 0.0}},
-], ids=["default", "rician_k=0", "shadow_std_db=0", "dominant_paths=0",
-        "n_paths=1", "uncertainty=0.3", "innovation_gate=0"])
-def test_step_matches_per_uav_reference(overrides):
-    """The array-pass step is byte-equal to the per-UAV loop: every info
-    value, the observations, headings, positions, fix, last ranges and
-    the Generator state, over seeded random action sequences."""
-    cfg = _DEFAULT
-    for section, values in overrides.items():
-        cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(
-            getattr(cfg, section), **values)})
-    pick = np.random.default_rng(40)
-    for seed in range(3):
-        envs = [PositioningEnv(cfg, np.random.default_rng(seed)) for _ in range(2)]
-        for env in envs:
-            env.reset()
-        for _ in range(cfg.world.slots_per_episode):
-            steer = pick.integers(0, N_STEER, marl.N_AGENTS)
-            ports = pick.integers(1, cfg.channel.n_ports + 1, 4)
-            obs, info = envs[0].step(steer, ports)
-            ref_obs, ref_info = _ref_step(envs[1], steer, ports)
-            assert info.keys() == ref_info.keys()
-            for key, value in info.items():
-                ref = ref_info[key]
-                if isinstance(value, ConstraintReport):
-                    assert value.flags() == ref.flags()
-                else:
-                    assert type(value) is type(ref), key
-                    assert np.asarray(value).tobytes() == np.asarray(ref).tobytes(), key
-            for a, b in zip(obs, ref_obs):
-                assert a.tobytes() == b.tobytes()
-            for name in ("headings", "positions", "estimate", "prev_ranges"):
-                assert (getattr(envs[0], name).tobytes()
-                        == getattr(envs[1], name).tobytes()), name
-            assert (envs[0].rng.bit_generator.state
-                    == envs[1].rng.bit_generator.state)
-
-
-_DEFAULT = default_config()
-# the default config, or one extreme but valid corner of it
-_EXTREME_OVERRIDES = st.one_of(
-    st.just([]),
-    st.floats(0.0, 50.0, exclude_min=True).map(
-        lambda v: [f"world.speed={v!r}"]),
-    st.sampled_from([
-        ["target.speed=0"],
-        ["positioning.min_usable=1"],
-        ["positioning.variance_scale=0"],
-        ["channel.n_paths=1", "channel.rician_k=0", "channel.shadow_std_db=0"],
-        ["positioning.innovation_gate=0"],
-        [f"world.pitch_min={-math.pi / 2!r}",
-         f"world.pitch_max={math.pi / 2!r}"],
-    ]))
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       uncertainty=st.floats(0.0, 1.0),
-       overrides=_EXTREME_OVERRIDES,
-       slots=st.integers(1, 300))
-def test_random_action_episode_stays_finite(seed, uncertainty, overrides,
-                                            slots):
-    """Uniformly random steering and ports, for up to 300 slots, at the
-    default config or an extreme valid one: env.step never raises or
-    warns, and every info value and observation stays finite."""
-    cfg = apply_overrides(_DEFAULT, [f"target.uncertainty={uncertainty!r}",
-                                     *overrides])
-    env = PositioningEnv(cfg, np.random.default_rng(seed))
-    pick = np.random.default_rng([seed, 1])
-    env.reset()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for _ in range(slots):
-            steer = pick.integers(0, N_STEER, marl.N_AGENTS)
-            ports = pick.integers(1, cfg.channel.n_ports + 1, 4)
-            observations, info = env.step(steer, ports)
-            for key, value in info.items():
-                if isinstance(value, ConstraintReport):
-                    value = value.flags()
-                assert np.all(np.isfinite(np.asarray(value, float))), key
-            for obs in observations:
-                assert np.all(np.isfinite(obs))
+def test_the_learner_does_not_import_the_physics():
+    """marl reaches the scenario only through env."""
+    physics = {id(m) for m in (channel, positioning, world)}
+    assert not physics & {id(value) for value in vars(marl).values()}
 
 
 class TestTrainingLog:
@@ -1156,13 +841,14 @@ class TestTrainingLog:
 # path must match it bit for bit.
 
 
-def _ref_slot_port_credit(late, report, train_reward, feasible_reward):
+def _ref_slot_port_credit(late, range_ok, train_reward, feasible_reward):
     """Per passive UAV, the credit for its port choice in one slot: the
     training reward minus the reward at the realised fix when its report is
     the only late one and both range constraints hold, else 0."""
     late = np.asarray(late, dtype=bool)
+    target_range_ok, pairwise_range_ok = range_ok
     credit = np.zeros(len(late))
-    if late.sum() == 1 and report.target_range_ok and report.pairwise_range_ok:
+    if late.sum() == 1 and target_range_ok and pairwise_range_ok:
         credit[late] = train_reward - feasible_reward
     return credit
 
@@ -1474,10 +1160,8 @@ def _ref_td_targets(trainer, episode):
 def _ref_port_fit(trainer, episode, t, k):
     if _team(trainer.nets)[k][0].port_head is None:
         return None
-    late = episode.late[t]
-    report = ConstraintReport(not late.any(), *episode.range_ok[t])
     credit = _ref_slot_port_credit(
-        late, report, _ref_train_reward(episode, t),
+        episode.late[t], episode.range_ok[t], _ref_train_reward(episode, t),
         -episode.errors[t] / marl.REWARD_SCALE)
     return _ref_action(episode, t, k)[1] - 1, credit[k - 1]
 

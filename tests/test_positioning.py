@@ -8,7 +8,8 @@ from fasloc import positioning
 from fasloc.analysis import (build_geometry_matrix, linearized_rms_error,
                              tetrahedral_geometry)
 from fasloc.config import default_config
-from fasloc.marl import MarlTrainer, PositioningEnv
+from fasloc.env import PositioningEnv
+from fasloc.marl import MarlTrainer
 from fasloc.positioning import (PositioningError, PositionEstimate,
                                 estimate_position, linear_bootstrap,
                                 position_error, sample_range, true_range_sum)

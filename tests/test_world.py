@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasloc.world import (ConstraintReport, TargetTrajectory,
-                          TargetTrajectorySpec, WorldConfig,
-                          WorldError, check_constraints,
-                          heading_vector, norms, step_controlled)
+from fasloc.world import (TargetTrajectory, TargetTrajectorySpec, WorldConfig,
+                          WorldError, check_constraints, heading_vector, norms,
+                          step_controlled)
 
 CFG = WorldConfig()
 
@@ -99,35 +98,19 @@ class TestTargetTrajectory:
 
 
 POSITIONS = np.vstack([ACTIVE, PASSIVE])
-ON_TIME = np.zeros(4, dtype=bool)
 
 
 class TestConstraints:
+    """check_constraints's (target_range_ok, pairwise_range_ok); the
+    latency half of feasibility is PositioningEnv.step's (test_env.py)."""
+
     def test_nominal_scene_is_feasible(self):
-        report = check_constraints(POSITIONS, TARGET, ON_TIME, CFG)
-        assert report.feasible
-        assert all(report.flags())
+        assert check_constraints(POSITIONS, TARGET, CFG) == (True, True)
 
     def test_close_pair_violates_separation_only(self):
         positions = POSITIONS.copy()
         positions[2] = positions[1] + np.array([10.0, 0.0, 0.0])
-        report = check_constraints(positions, TARGET, ON_TIME, CFG)
-        assert not report.pairwise_range_ok
-        assert report.latency_ok and report.target_range_ok
-        assert not report.feasible
-
-    def test_late_uplink_violates_latency_only(self):
-        late = np.array([False, True, False, False])
-        report = check_constraints(POSITIONS, TARGET, late, CFG)
-        assert not report.latency_ok
-        assert report.target_range_ok and report.pairwise_range_ok
-        assert not report.feasible
-
-    def test_feasible_iff_all_flags(self):
-        report = ConstraintReport(True, True, True)
-        assert report.feasible
-        report = ConstraintReport(True, True, False)
-        assert not report.feasible
+        assert check_constraints(positions, TARGET, CFG) == (True, False)
 
     def test_relaxing_never_breaks_feasibility(self):
         rng = np.random.default_rng(3)
@@ -135,13 +118,13 @@ class TestConstraints:
             positions = rng.uniform(100, 900, size=(5, 3))
             target = rng.uniform(100, 900, size=3)
             lat = rng.uniform(0, 0.06, size=4)
-            tight = check_constraints(positions, target, lat > 0.030, CFG)
+            tight = check_constraints(positions, target, CFG)
             loose_cfg = WorldConfig(dist_min=CFG.dist_min / 2,
                                     dist_max=CFG.dist_max * 2)
-            loose = check_constraints(positions, target, lat > 0.060,
-                                      loose_cfg)
-            if tight.feasible:
-                assert loose.feasible
+            loose = check_constraints(positions, target, loose_cfg)
+            # feasible: no report late and both ranges held
+            if not (lat > 0.030).any() and all(tight):
+                assert not (lat > 0.060).any() and all(loose)
 
 
 def test_heading_vector_is_unit():
@@ -189,13 +172,12 @@ class TestUavAxis:
         for _ in range(2000):
             positions = rng.uniform(100, 900, size=(5, 3))
             target = rng.uniform(100, 900, size=3)
-            late = rng.uniform(size=4) < 0.1
             d_target = np.linalg.norm(positions - target[None, :], axis=1)
             dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :],
                                    axis=2)
             pair = dists[np.triu_indices(5, k=1)]
-            ref = (not np.any(late),
-                   bool(np.all((d_target >= cfg.dist_min)
+            ref = (bool(np.all((d_target >= cfg.dist_min)
                                & (d_target <= cfg.dist_max))),
                    bool(np.all((pair >= cfg.dist_min) & (pair <= cfg.dist_max))))
-            assert check_constraints(positions, target, late, cfg).flags() == ref
+            got = check_constraints(positions, target, cfg)
+            assert got == ref and all(type(ok) is bool for ok in got)

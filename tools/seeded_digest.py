@@ -27,9 +27,9 @@ episode per epoch, seed 11):
   logs record neither ``iterations`` nor ``degenerate``, so only this
   section sees a change in them,
 - and the sha256 of every slot's ``(error, stale, feasible, late)``
-  outcomes over ENV_EPISODES seeded episodes of ``PositioningEnv`` at the
-  default config, each UAV taking uniformly random steering indices and
-  grid ports, with the count of infeasible slots,
+  outcomes over ENV_EPISODES seeded episodes of ``env.PositioningEnv``
+  at the default config, each UAV taking uniformly random steering
+  indices and grid ports, with the count of infeasible slots,
 - and, for every trainable scheme at the default config (25 slots, so
   the history windows fill and slide), the sha256 of LEARNER_ROUNDS
   seeded learner rounds: the ``td_targets`` bytes and the loss
@@ -64,6 +64,7 @@ import numpy as np
 
 from fasloc import cli, marl, nn
 from fasloc.config import SCHEME_TRAITS, default_config, to_ini
+from fasloc.env import N_AGENTS, N_ANGLE, PositioningEnv
 from fasloc.positioning import estimate_position
 
 SCHEMES = tuple(SCHEME_TRAITS)
@@ -149,14 +150,14 @@ def env_digest() -> dict:
     h = hashlib.sha256()
     slots = infeasible = 0
     for episode in range(ENV_EPISODES):
-        env = marl.PositioningEnv(cfg, np.random.default_rng(ENV_SEED + episode))
+        env = PositioningEnv(cfg, np.random.default_rng(ENV_SEED + episode))
         pick = np.random.default_rng(10_000 + ENV_SEED + episode)
         env.reset()
         for _ in range(cfg.world.slots_per_episode):
-            steer = pick.integers(0, marl.N_ANGLE, size=(marl.N_AGENTS, 2))
-            ports = pick.integers(1, n_ports + 1, size=marl.N_AGENTS)
+            steer = pick.integers(0, N_ANGLE, size=(N_AGENTS, 2))
+            ports = pick.integers(1, n_ports + 1, size=N_AGENTS)
             # a port is drawn for every UAV, the active one's unused
-            _, info = env.step(steer[:, 0] * marl.N_ANGLE + steer[:, 1],
+            _, info = env.step(steer[:, 0] * N_ANGLE + steer[:, 1],
                                ports[1:])
             h.update(repr((info["error"], bool(info["stale"]),
                            bool(info["feasible"]),
@@ -176,7 +177,7 @@ def learner_digest() -> dict:
         trainer = marl.MarlTrainer(cfg)
         if not trainer.trains:
             continue
-        env = marl.PositioningEnv(cfg, trainer.env_rng)
+        env = PositioningEnv(cfg, trainer.env_rng)
         h = hashlib.sha256()
         for _ in range(LEARNER_ROUNDS):
             episode = trainer.rollout(env, LEARNER_EPSILON)
