@@ -109,7 +109,7 @@ def run_experiment(config_path, overrides, out_dir) -> int:
 
 def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig, marl.MarlTrainer]:
     arrays, meta = nn.load_params(path)
-    if "config_ini" not in meta:
+    if not isinstance(meta.get("config_ini"), str):
         raise nn.ShapeError(f"{path} records no run config")
     try:
         stored = from_ini(meta["config_ini"])
@@ -118,7 +118,10 @@ def load_trainer_from_checkpoint(path, overrides=None) -> tuple[ExperimentConfig
                           f"does not load: {exc}") from None
     cfg = apply_overrides(stored, overrides or [])
     trainer = marl.MarlTrainer(cfg)
-    trainer.load_checkpoint_arrays(arrays)
+    try:
+        trainer.load_checkpoint_arrays(arrays)
+    except ValueError as exc:
+        raise nn.ShapeError(f"{path} does not fit the configured nets: {exc}") from None
     return cfg, trainer
 
 
@@ -211,8 +214,10 @@ def gradcheck() -> int:
     return 0 if ok else 1
 
 
-def _parse_values(text: str):
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _parse_values(text: str, flag: str):
+    if not (values := [v.strip() for v in text.split(",") if v.strip()]):
+        raise ValueError(f"{flag} lists no value: {text!r}")
+    return values
 
 
 def main(argv=None) -> int:
@@ -264,8 +269,9 @@ def main(argv=None) -> int:
             print(json.dumps(stats, indent=2, sort_keys=True))
             return 0
         if args.verb == "sweep":
-            seeds = [int(s) for s in _parse_values(args.seeds)] if args.seeds else None
-            values = _parse_values(args.values)
+            values = _parse_values(args.values, "--values")
+            seeds = (None if args.seeds is None else
+                     [int(s) for s in _parse_values(args.seeds, "--seeds")])
             sweep(args.config, args.override + flags, args.axis, values,
                   args.out, seeds=seeds)
             return 0

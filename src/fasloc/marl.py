@@ -311,22 +311,19 @@ class LocalQNet(Module):
 
 
 class Coordinator(Module):
-    """Attention summary of the joint recent state-action history."""
+    """Attention summary of the joint recent state-action history: one
+    stacked block of attn_units heads attends over the embedded rows."""
 
     def __init__(self, row_dim: int, cfg, rng, name="coord"):
         self.row_embed = Linear(row_dim, cfg.embed_width, rng, f"{name}.embed")
-        self.units = [AttentionUnit(cfg.embed_width, cfg.attn_width, rng,
-                                    f"{name}.att{i}")
-                      for i in range(cfg.attn_units)]
+        self.heads = stack_agents([AttentionUnit(cfg.embed_width, cfg.attn_width,
+                                                 rng, f"{name}.att{i}")
+                                   for i in range(cfg.attn_units)])
         self.out_mlp = MLP([cfg.attn_units * cfg.attn_width, cfg.mlp_hidden,
                             cfg.omega_width], rng, f"{name}.out")
-        self.omega_width = cfg.omega_width
 
     def params(self):
-        ps = self.row_embed.params()
-        for u in self.units:
-            ps += u.params()
-        return ps + self.out_mlp.params()
+        return self.row_embed.params() + self.heads.params() + self.out_mlp.params()
 
     def forward(self, rows: np.ndarray, mask: np.ndarray):
         """Context vectors (T, omega_width) of a (T, window, row_dim) stack
@@ -341,25 +338,19 @@ class Coordinator(Module):
         e = np.maximum(e_pre, 0.0)
         keep = mask[..., None]
         n_valid = mask.sum(axis=-1, keepdims=True)
-        pooled, unit_caches = [], []
-        for unit in self.units:
-            out, c = unit.forward(e, mask)
-            pooled.append(np.where(keep, out, 0.0).sum(axis=-2) / n_valid)
-            unit_caches.append(c)
-        concat = np.concatenate(pooled, axis=-1)[None, :, None]  # a row per slot
+        out, c_heads = self.heads.forward(e, mask)
+        pooled = np.where(keep, out, 0.0).sum(axis=-2) / n_valid   # (A, T, width)
+        # one row per slot, as a copy: a strided view rounds the products differently
+        concat = np.concatenate(pooled, axis=-1)[None, :, None]
         omega, c_out = self.out_mlp.forward(concat)
-        return omega[0, :, 0], (c_embed, act_mask, keep, n_valid,
-                                     unit_caches, c_out)
+        return omega[0, :, 0], (c_embed, act_mask, keep, n_valid, c_heads, c_out)
 
     def backward(self, domega: np.ndarray, cache):
-        c_embed, act_mask, keep, n_valid, unit_caches, c_out = cache
+        c_embed, act_mask, keep, n_valid, c_heads, c_out = cache
         dconcat = self.out_mlp.backward(domega[None, :, None], c_out)[0, :, 0]
-        width = dconcat.shape[-1] // len(self.units)
-        de = np.zeros(act_mask.shape)
-        for i, unit in enumerate(self.units):
-            dpooled = dconcat[..., i * width:(i + 1) * width] / n_valid
-            de += unit.backward(np.where(keep, dpooled[..., None, :], 0.0),
-                                unit_caches[i])
+        dpool = dconcat.reshape(len(dconcat), -1, self.heads.n_att).swapaxes(0, 1)
+        dpooled = dpool / n_valid
+        de = self.heads.backward(np.where(keep, dpooled[..., None, :], 0.0), c_heads)
         self.row_embed.backward((de * act_mask)[None], c_embed)
 
 

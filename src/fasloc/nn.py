@@ -1,26 +1,27 @@
 """Hand-rolled differentiable blocks: dense layers, a GRU cell, and
-single-head scaled dot-product attention.
+scaled dot-product attention heads.
 
 Only these fixed block types are differentiable; there is no general
 graph engine.  Every forward pass returns an explicit cache and every
-backward consumes one.  Dense layers and the GRU cell hold one weight
-set per agent, as (A, ...) stacks, so that same-shaped agents run as one
-module; their inputs carry the agent axis first, as (A, rows, ·) blocks
-or (A, T, rows, ·) stacks with one slot per index of the second axis.  A
-whole episode goes through a block in one call; the GRU alone steps
-through time.  The stacked products keep each (agent, slot) operand
-shape (a one-row slot is a (1, n) matrix, which numpy multiplies with
-the same BLAS call as an n-vector), and weight gradients add the slots'
-terms in a fixed order, so a stack gives bit for bit what one call per
-agent and slot would.  All arithmetic is double precision;
-central-difference verification of each backward pass is part of the
-test suite.
+backward consumes one.  Dense layers, the GRU cell and attention heads
+hold one weight set per agent (a head is an agent), as (A, ...) stacks,
+so that same-shaped agents run as one module; inputs carry the agent
+axis first, as (A, rows, ·) blocks or (A, T, rows, ·) stacks with one
+slot per index of the second axis (all heads attend over one (T, rows,
+·) stack).  A whole episode goes through a block in one call; the GRU
+alone steps through time.  Stacked products keep each (agent, slot)
+operand shape (a one-row slot is a (1, n) matrix, which numpy multiplies
+with the same BLAS call as an n-vector), and weight gradients add the
+slots' terms in a fixed order, so a stack gives bit for bit what one
+call per agent and slot would.  Arithmetic is double precision, and the
+tests verify each backward pass by central differences.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,33 +326,31 @@ class GRUCell(Module):
 
 
 class AttentionUnit(Module):
-    """Single-head scaled dot-product attention over windows of rows.
-
-    Scores are divided by sqrt of the value width; rows flagged False in
-    the mask are excluded as keys.  Output keeps one attended row per
-    query position.
+    """Scaled dot-product attention over a stack of windows, one head per
+    agent: every head attends over the same windows with its own (A, n_in,
+    n_att) query, key and value stacks.  Scores are divided by sqrt of the
+    value width; rows flagged False in the mask are excluded as keys.
+    Output keeps one attended row per query position.
     """
 
     def __init__(self, n_in: int, n_att: int, rng: np.random.Generator,
                  name: str = "att"):
         self.n_in, self.n_att = n_in, n_att
-        self.wq = Param(f"{name}.wq", uniform_init(rng, n_in, (n_in, n_att)))
-        self.wk = Param(f"{name}.wk", uniform_init(rng, n_in, (n_in, n_att)))
-        self.wv = Param(f"{name}.wv", uniform_init(rng, n_in, (n_in, n_att)))
+        self.wq, self.wk, self.wv = (
+            Stack([f"{name}.{tag}"], uniform_init(rng, n_in, (1, n_in, n_att)))
+            for tag in ("wq", "wk", "wv"))
 
-    def params(self):
+    def stacks(self):
         return [self.wq, self.wk, self.wv]
 
     def forward(self, window: np.ndarray, mask: np.ndarray):
         """window is a (T, rows, n_in) stack of windows, mask the (T, rows)
-        key mask."""
+        key mask; every head's output is one (A, T, rows, n_att) stack."""
         window = np.asarray(window, float)
         if window.ndim != 3 or window.shape[1] == 0:
             raise ShapeError("attention windows must be a (T, rows, n_in) "
                              "stack with rows > 0")
-        q = window @ self.wq.value
-        k = window @ self.wk.value
-        v = window @ self.wv.value
+        q, k, v = (window @ _lift(w.value, 4) for w in self.stacks())
         scores = q @ k.swapaxes(-1, -2) / math.sqrt(self.n_att)
         scores = np.where(mask[:, None, :], scores, -1e30)
         probs = softmax_rows(scores)
@@ -359,6 +358,8 @@ class AttentionUnit(Module):
         return out, (window, q, k, v, probs)
 
     def backward(self, dout: np.ndarray, cache):
+        """Accumulate each head's weight gradients; return the windows'
+        (T, rows, n_in) gradient, the heads' terms added in head order."""
         window, q, k, v, probs = cache
         dprobs = dout @ v.swapaxes(-1, -2)
         dv = probs.swapaxes(-1, -2) @ dout
@@ -367,10 +368,11 @@ class AttentionUnit(Module):
         scale = 1.0 / math.sqrt(self.n_att)
         dq = dscores @ k * scale
         dk = dscores.swapaxes(-1, -2) @ q * scale
-        # one agent: the stack of windows behind a unit agent axis
+        windows = np.broadcast_to(window, dq.shape[:1] + window.shape)
         for w, dy in ((self.wq, dq), (self.wk, dk), (self.wv, dv)):
-            w.grad += _weight_grad(window[None], dy[None])[0]
-        return dq @ self.wq.value.T + dk @ self.wk.value.T + dv @ self.wv.value.T
+            w.grad += _weight_grad(windows, dy)
+        wq, wk, wv = (_lift(w.value.swapaxes(1, 2), 4) for w in self.stacks())
+        return ordered_sum(dq @ wq + dk @ wk + dv @ wv, axis=0)
 
 
 # Relative error floor: gradients smaller than this are compared on an
@@ -421,21 +423,22 @@ def save_params(path, named_arrays: dict[str, np.ndarray], meta: dict | None = N
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint, validating the manifest against the payload."""
-    with np.load(path) as data:
-        if "__manifest__" not in data.files:
-            raise ShapeError(f"{path} holds no fasloc checkpoint manifest")
-        raw = bytes(data["__manifest__"].tobytes())
-        manifest = json.loads(raw.decode())
-        if manifest.get("version") != CHECKPOINT_VERSION:
-            raise ShapeError(f"unsupported checkpoint version "
-                             f"{manifest.get('version')}")
-        arrays = {}
-        for key, shape in manifest["shapes"].items():
-            if f"param::{key}" not in data.files:
-                raise ShapeError(f"{path} lacks the listed array {key}")
-            arr = data[f"param::{key}"]
-            if list(arr.shape) != shape:
-                raise ShapeError(f"manifest mismatch for {key}")
-            arrays[key] = arr.astype(float)
-    return arrays, manifest.get("meta", {})
+    """Read a checkpoint, validating the manifest against the payload.  A
+    file that is not a readable fasloc checkpoint raises ShapeError
+    naming path; one that cannot be opened raises OSError."""
+    try:
+        with np.load(path) as data:
+            manifest = json.loads(bytes(data["__manifest__"].tobytes()).decode())
+            if manifest.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported version {manifest.get('version')}")
+            arrays = {}
+            for key, shape in manifest["shapes"].items():
+                arr = data[f"param::{key}"]
+                if list(arr.shape) != shape:
+                    raise ValueError(f"manifest mismatch for {key}")
+                arrays[key] = arr.astype(float)
+            return arrays, dict(manifest.get("meta", {}))
+    except (ValueError, TypeError, KeyError, AttributeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ShapeError(f"{path} is not a readable fasloc checkpoint "
+                         f"({type(exc).__name__}: {exc})") from None

@@ -497,6 +497,22 @@ class TestSweepVerb:
         assert "seed must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--values", "--seeds"])
+    @pytest.mark.parametrize("text", [",", " , ", ""],
+                             ids=["comma", "spaced_comma", "empty"])
+    def test_empty_list_rejected_before_training(self, flag, text, tmp_path,
+                                                 capsys):
+        # an empty list neither sweeps nothing nor falls back to a default
+        out = tmp_path / "s"
+        args = ["sweep", "--axis", "port_count", "--values", "4",
+                "--out", str(out), flag, text]
+        for ov in TINY_OVERRIDES:
+            args += ["--override", ov]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} lists no value")
+        assert not out.exists()
+
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli.sweep(None, TINY_OVERRIDES, "altitude", ["1"], str(tmp_path))
@@ -539,6 +555,9 @@ class TestOtherVerbs:
     @pytest.mark.parametrize("case", [
         "missing_checkpoint", "checkpoint_is_a_directory",
         "npz_without_manifest", "checkpoint_without_run_config",
+        "npy_array", "truncated_npz", "manifest_without_shapes",
+        "manifest_is_a_list", "meta_is_a_number", "run_config_is_a_number",
+        "run_config_is_null", "text_file", "override_misfits_checkpoint",
         "missing_sweep_config", "run_out_is_a_file"])
     def test_unreadable_input_ends_in_one_error_line(self, case, tmp_path,
                                                       capsys):
@@ -548,6 +567,29 @@ class TestOtherVerbs:
         np.savez(plain, weights=np.zeros(3))
         bare = tmp_path / "bare.npz"
         nn.save_params(bare, {"w": np.zeros(2)})
+        npy = tmp_path / "array.npy"
+        np.save(npy, np.zeros(3))
+        truncated = tmp_path / "truncated.npz"
+        whole = bare.read_bytes()
+        truncated.write_bytes(whole[:len(whole) // 2])
+        no_shapes = tmp_path / "no_shapes.npz"
+        listed = tmp_path / "listed.npz"
+        for path, manifest in ((no_shapes, {"version": 1}), (listed, [1])):
+            np.savez(path, __manifest__=np.frombuffer(
+                json.dumps(manifest).encode(), dtype=np.uint8))
+        meta_number = tmp_path / "meta_number.npz"
+        nn.save_params(meta_number, {}, meta=5)
+        config_number = tmp_path / "config_number.npz"
+        nn.save_params(config_number, {}, meta={"config_ini": 5})
+        config_null = tmp_path / "config_null.npz"
+        nn.save_params(config_null, {}, meta={"config_ini": None})
+        text = tmp_path / "text.npz"
+        text.write_text("not a checkpoint\n")
+        trained = tmp_path / "run" / "checkpoint.npz"
+        if case == "override_misfits_checkpoint":
+            assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
+                                      str(trained.parent)) == 0
+            capsys.readouterr()
         taken = tmp_path / "taken"
         taken.write_text("")
         evaluate = ["evaluate", "--checkpoint"]
@@ -558,6 +600,17 @@ class TestOtherVerbs:
             "checkpoint_is_a_directory": (tmp_path, evaluate),
             "npz_without_manifest": (plain, evaluate),
             "checkpoint_without_run_config": (bare, evaluate),
+            "npy_array": (npy, evaluate),
+            "truncated_npz": (truncated, evaluate),
+            "manifest_without_shapes": (no_shapes, evaluate),
+            "manifest_is_a_list": (listed, evaluate),
+            "meta_is_a_number": (meta_number, evaluate),
+            "run_config_is_a_number": (config_number, evaluate),
+            "run_config_is_null": (config_null, evaluate),
+            "text_file": (text, evaluate),
+            "override_misfits_checkpoint": (
+                trained, ["evaluate", "--override", "marl.gru_hidden=8",
+                          "--checkpoint"]),
             "missing_sweep_config": (tmp_path / "none.ini", sweep),
             "run_out_is_a_file": (taken, ["run", "--out"]),
         }[case]

@@ -319,7 +319,7 @@ class TestCoordinator:
         # uniform attention over identical rows = value projection of the row
         embed = coord.row_embed
         e = np.maximum(row @ embed.w.value[0] + embed.b.value[0], 0.0)
-        v = e @ coord.units[0].wv.value
+        v = e @ coord.heads.wv.params[0].value
         expected, _ = coord.out_mlp.forward(v[None, None])   # one agent, one row
         np.testing.assert_allclose(omega, expected[0, 0], atol=1e-10)
 
@@ -970,11 +970,13 @@ def _ref_gru_back(g, dh_new, cache, k):
     return dx, dh
 
 
-def _ref_attention(unit, window, mask):
-    q = window @ unit.wq.value
-    k = window @ unit.wk.value
-    v = window @ unit.wv.value
-    scores = q @ k.T / math.sqrt(unit.n_att)
+def _ref_attention(heads, window, mask, i):
+    """Head i of the stacked attention block on one window."""
+    wq, wk, wv = (w.params[i] for w in heads.stacks())
+    q = window @ wq.value
+    k = window @ wk.value
+    v = window @ wv.value
+    scores = q @ k.T / math.sqrt(heads.n_att)
     scores = np.where(mask[None, :], scores, -1e30)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -982,19 +984,19 @@ def _ref_attention(unit, window, mask):
     return probs @ v, (window, q, k, v, probs)
 
 
-def _ref_attention_back(unit, dout, cache):
+def _ref_attention_back(heads, dout, cache, i):
+    wq, wk, wv = (w.params[i] for w in heads.stacks())
     window, q, k, v, probs = cache
     dprobs = dout @ v.T
     dv = probs.T @ dout
     dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-    scale = 1.0 / math.sqrt(unit.n_att)
+    scale = 1.0 / math.sqrt(heads.n_att)
     dq = dscores @ k * scale
     dk = dscores.T @ q * scale
-    unit.wq.grad += window.T @ dq
-    unit.wk.grad += window.T @ dk
-    unit.wv.grad += window.T @ dv
-    return (dq @ unit.wq.value.T + dk @ unit.wk.value.T
-            + dv @ unit.wv.value.T)
+    wq.grad += window.T @ dq
+    wk.grad += window.T @ dk
+    wv.grad += window.T @ dv
+    return dq @ wq.value.T + dk @ wk.value.T + dv @ wv.value.T
 
 
 def _ref_local(net, x, h, k):
@@ -1050,8 +1052,8 @@ def _ref_coordinator(coord, rows, mask):
     e = np.maximum(e_pre, 0.0)
     pooled, unit_caches = [], []
     n_valid = int(mask.sum())
-    for unit in coord.units:
-        out, c = _ref_attention(unit, e, mask)
+    for i in range(len(coord.heads.wq.params)):
+        out, c = _ref_attention(coord.heads, e, mask, i)
         pooled.append(out[mask].sum(axis=0) / n_valid)
         unit_caches.append(c)
     concat = np.concatenate(pooled)
@@ -1064,10 +1066,10 @@ def _ref_coordinator_back(coord, domega, cache):
     rows, act_mask, mask, n_valid, unit_caches, c_out, width = cache
     dconcat = _ref_mlp_back(coord.out_mlp, domega, c_out)
     de = np.zeros((rows.shape[0], act_mask.shape[1]))
-    for i, unit in enumerate(coord.units):
+    for i, c in enumerate(unit_caches):
         dout_rows = np.zeros((rows.shape[0], width))
         dout_rows[mask] = dconcat[i * width:(i + 1) * width] / n_valid
-        de += _ref_attention_back(unit, dout_rows, unit_caches[i])
+        de += _ref_attention_back(coord.heads, dout_rows, c, i)
     _ref_linear_back(coord.row_embed, de * act_mask, rows)
 
 

@@ -185,7 +185,9 @@ def _all_rows(windows):
 
 
 class TestAttention:
-    # one window is a one-window stack: a unit leading axis
+    # one head is a one-head stack and one window a one-window stack: the
+    # output and the probabilities lead with a unit head axis and a unit
+    # window axis
 
     def test_identical_rows_give_uniform_weights(self):
         rng = np.random.default_rng(8)
@@ -193,19 +195,19 @@ class TestAttention:
         row = rng.standard_normal(5)
         window = np.tile(row, (1, 6, 1))
         out, cache = att.forward(window, _all_rows(window))
-        out, probs = out[0], cache[4][0]
+        out, probs = out[0, 0], cache[4][0, 0]
         np.testing.assert_allclose(probs, np.full((6, 6), 1.0 / 6.0), atol=1e-12)
-        np.testing.assert_allclose(out, np.tile(row @ att.wv.value, (6, 1)),
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            out, np.tile(row @ att.wv.params[0].value, (6, 1)), atol=1e-12)
 
     def test_dominant_key_saturates_softmax(self):
         rng = np.random.default_rng(9)
         att = AttentionUnit(2, 2, rng)
-        att.wq.value[...] = np.eye(2) * 10.0
-        att.wk.value[...] = np.eye(2) * 10.0
+        att.wq.params[0].value[...] = np.eye(2) * 10.0
+        att.wk.params[0].value[...] = np.eye(2) * 10.0
         window = np.array([[[5.0, 0.0], [0.1, 0.0], [0.05, 0.0]]])
         _, cache = att.forward(window, _all_rows(window))
-        probs = cache[4][0]
+        probs = cache[4][0, 0]
         assert probs[0, 0] > 0.99
 
     def test_rows_sum_to_one(self):
@@ -213,7 +215,7 @@ class TestAttention:
         att = AttentionUnit(4, 3, rng)
         window = rng.standard_normal((1, 7, 4))
         _, cache = att.forward(window, _all_rows(window))
-        np.testing.assert_allclose(cache[4][0].sum(axis=1), np.ones(7), atol=1e-6)
+        np.testing.assert_allclose(cache[4][0, 0].sum(axis=1), np.ones(7), atol=1e-6)
 
     def test_mask_excludes_keys(self):
         rng = np.random.default_rng(11)
@@ -221,14 +223,14 @@ class TestAttention:
         window = rng.standard_normal((1, 5, 3))
         mask = np.array([[False, False, True, True, True]])
         _, cache = att.forward(window, mask)
-        probs = cache[4][0]
+        probs = cache[4][0, 0]
         assert np.all(probs[:, :2] < 1e-12)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(12)
         att = AttentionUnit(4, 3, rng)
         window = rng.standard_normal((5, 4))[None]
-        proj = rng.standard_normal((5, 3))[None]
+        proj = rng.standard_normal((5, 3))[None, None]
         mask = _all_rows(window)
 
         def loss():
@@ -246,7 +248,7 @@ class TestAttention:
         mask = np.ones((3, 5), dtype=bool)
         mask[0, :3] = False
         mask[1, :1] = False
-        proj = rng.standard_normal((3, 5, 3))
+        proj = rng.standard_normal((3, 5, 3))[None]
 
         def loss():
             return float(np.sum(att.forward(windows, mask)[0] * proj))
@@ -262,7 +264,7 @@ class TestAttention:
         att = AttentionUnit(6, 4, rng)
         windows = rng.standard_normal((5, 8, 6))
         mask = np.arange(8) >= np.array([7, 4, 0, 0, 2])[:, None]
-        dout = rng.standard_normal((5, 8, 4))
+        dout = rng.standard_normal((5, 8, 4))[None]
         att.zero_grads()
         out, cache = att.forward(windows, mask)
         dwin = att.backward(dout, cache)
@@ -270,8 +272,8 @@ class TestAttention:
         att.zero_grads()
         for t in range(5):
             out_t, cache_t = att.forward(windows[t:t + 1], mask[t:t + 1])
-            assert out_t.tobytes() == out[t:t + 1].tobytes()
-            assert (att.backward(dout[t:t + 1], cache_t).tobytes()
+            assert out_t.tobytes() == out[:, t:t + 1].tobytes()
+            assert (att.backward(dout[:, t:t + 1], cache_t).tobytes()
                     == dwin[t:t + 1].tobytes())
         for p, g in zip(att.params(), stacked):
             assert p.grad.tobytes() == g.tobytes()
@@ -354,6 +356,33 @@ def test_stacked_gru_matches_single_agents():
             assert p.grad.tobytes() == mine.grad.tobytes(), p.name
 
 
+def test_stacked_attention_matches_single_heads():
+    # one stacked block of three heads gives each head's output and
+    # weight gradients bit for bit as that head's own one-head unit, and
+    # the window gradient the heads' gradients summed in head order
+    rng = np.random.default_rng(31)
+    singles = [AttentionUnit(6, 4, rng, f"a{k}") for k in range(3)]
+    stacked = stack_agents([AttentionUnit(6, 4, np.random.default_rng(0), f"a{k}")
+                            for k in range(3)])
+    for p in stacked.params():
+        p.value[...] = 0.0
+    stacked.load_values({p.name: p.value for a in singles for p in a.params()})
+    windows = rng.standard_normal((5, 8, 6))
+    mask = np.arange(8) >= np.array([7, 4, 0, 0, 2])[:, None]
+    dout = rng.standard_normal((3, 5, 8, 4))
+    out, cache = stacked.forward(windows, mask)
+    dwindows = stacked.backward(dout, cache)
+    summed = np.zeros_like(windows)
+    for k, a in enumerate(singles):
+        out_k, cache_k = a.forward(windows, mask)
+        summed += a.backward(dout[k:k + 1], cache_k)
+        assert out_k.tobytes() == out[k:k + 1].tobytes()
+        for p in a.params():
+            mine = next(q for q in stacked.params() if q.name == p.name)
+            assert p.grad.tobytes() == mine.grad.tobytes(), p.name
+    assert summed.tobytes() == dwindows.tobytes()
+
+
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(13)
     scores = rng.standard_normal((4, 6))
@@ -398,10 +427,10 @@ class TestFiniteDiff:
             hs, c_gru = gru.forward(e, np.zeros((1, 1, 4)))
             window = hs[:, :, 0]            # one window of four rows
             out, c_att = att.forward(window, _all_rows(window))
-            pooled = out[0].mean(axis=0)
+            pooled = out[0, 0].mean(axis=0)
             if not with_grads:
                 return float(pooled @ proj)
-            dout = np.tile(proj / 4.0, (1, 4, 1))
+            dout = np.tile(proj / 4.0, (1, 1, 4, 1))
             dwindow = att.backward(dout, c_att)
             de, _ = gru.backward(dwindow[:, :, None, :], c_gru)
             mlp.backward(de, c_mlp, reverse=True)
