@@ -25,52 +25,43 @@ class ChannelError(ValueError):
     """Invalid channel geometry or parameter."""
 
 
+# The radio constants.  A dB loss L is a power loss: the field amplitude
+# scales by 10^(-L/20).
+TX_POWER_ACTIVE = 10.0      # W, measuring signal
+TX_POWER_PASSIVE = 5.0      # W, uplink
+UNIT_PATH_GAIN = 1e-3       # linear LoS gain at 1 m
+REFLECT_COEFF = 0.5         # target reflection, unitless
+NOISE_POWER = 1e-12         # W, AWGN on the measuring link (-90 dBm)
+FAS_SIZE = 5.0              # aperture / (LIGHT_SPEED / CARRIER_FREQ)
+CARRIER_FREQ = 2e9          # Hz, uplink carrier
+REF_DISTANCE = 1.0          # m
+PATH_LOSS_EXP = 2.7
+SHADOW_STD_DB = 4.0
+RICIAN_K = 10.0             # deterministic-to-scattered path power ratio;
+                            # 0 -> pure complex-normal fading (port response
+                            # then unpredictable from the observed
+                            # departure angles)
+DOMINANT_PATHS = 2          # paths carrying most of the power, as in a
+                            # direct + ground-reflection geometry
+DOMINANT_SHARE = 0.75       # total power carried by the dominant set
+DATA_BITS = 1000.0          # payload per slot
+BANDWIDTH = 1e6             # Hz
+UPLINK_NOISE = 3e-12        # W, denominator noise term of the SINR
+
+
 @dataclass(frozen=True)
 class ChannelParams:
-    """All radio constants.  A dB loss L is a power loss: the field
-    amplitude scales by 10^(-L/20)."""
+    """The radio's settable sizes; every other radio value is one of the
+    module constants above."""
 
-    tx_power_active: float = 10.0     # W, measuring signal
-    tx_power_passive: float = 5.0     # W, uplink
-    unit_path_gain: float = 1e-3      # linear LoS gain at 1 m
-    reflect_coeff: float = 0.5        # target reflection, unitless
-    noise_power: float = 1e-12        # W, AWGN on the measuring link (-90 dBm)
     n_ports: int = 32
-    fas_size: float = 5.0             # aperture / (LIGHT_SPEED / carrier_freq)
-    carrier_freq: float = 2e9         # Hz, uplink carrier
-    ref_distance: float = 1.0         # m
-    path_loss_exp: float = 2.7
-    shadow_std_db: float = 4.0
     n_paths: int = 5                  # uplink multipath count
-    rician_k: float = 10.0            # deterministic-to-scattered path power
-                                      # ratio; 0 -> pure complex-normal fading
-                                      # (port response then unpredictable from
-                                      # the observed departure angles)
-    dominant_paths: int = 2           # paths carrying most of the power, as in
-                                      # a direct + ground-reflection geometry;
-                                      # 0 -> equal power on every path
-    dominant_share: float = 0.75      # total power carried by the dominant set
-    data_bits: float = 1000.0         # payload per slot
-    bandwidth: float = 1e6            # Hz
-    uplink_noise: float = 3e-12       # W, denominator noise term of the SINR
 
     def __post_init__(self):
-        for name in ("tx_power_active", "tx_power_passive", "unit_path_gain",
-                     "reflect_coeff", "noise_power", "fas_size",
-                     "carrier_freq", "ref_distance", "data_bits",
-                     "bandwidth"):
-            if not getattr(self, name) > 0:
-                raise ChannelError(f"{name} must be positive")
-        for name in ("shadow_std_db", "rician_k", "uplink_noise",
-                     "dominant_paths"):
-            if not getattr(self, name) >= 0:
-                raise ChannelError(f"{name} must be at least 0")
-        if not 0.0 <= self.dominant_share <= 1.0:
-            raise ChannelError("dominant_share must lie in [0, 1]")
         if self.n_ports < 2:
-            raise ChannelError("need at least 2 antenna ports")
+            raise ChannelError("n_ports must be at least 2")
         if self.n_paths < 1:
-            raise ChannelError("need at least one propagation path")
+            raise ChannelError("n_paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -90,19 +81,19 @@ def _per_element(fn, x) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def path_power_profile(params: ChannelParams) -> np.ndarray:
+def path_power_profile(n_paths: int) -> np.ndarray:
     """Per-path power weights, unit total, read-only: every draw shares it.
 
-    With dominant_paths > 0 the first paths share dominant_share of the
-    power (direct ray plus strong reflections), the rest split the rest;
-    otherwise all paths carry equal power.
+    The first DOMINANT_PATHS paths share DOMINANT_SHARE of the power
+    (direct ray plus strong reflections), the rest split the rest; with
+    no more paths than that, all paths carry equal power.
     """
-    i = params.n_paths
-    d = min(params.dominant_paths, i)
-    if d <= 0 or d == i:
+    i = n_paths
+    d = min(DOMINANT_PATHS, i)
+    if d == i:
         profile = np.full(i, 1.0 / i)
     else:
-        share = params.dominant_share
+        share = DOMINANT_SHARE
         profile = np.repeat([share / d, (1.0 - share) / (i - d)], [d, i - d])
     profile.setflags(write=False)
     return profile
@@ -115,7 +106,7 @@ def draw_channel(rng: np.random.Generator, params: ChannelParams,
 
     Every path has unit mean power, E|fading_i|^2 = 1; path_power_profile
     sets how the total of n_paths is split across the paths (path i gets
-    n_paths * profile_i).  A positive rician_k concentrates each path's
+    n_paths * profile_i).  A positive RICIAN_K concentrates each path's
     power in a deterministic zero-phase component so that the port
     response is predictable from the departure angles.  Each row draws
     its scatter's real parts, imaginary parts and shadowing in turn.
@@ -125,15 +116,15 @@ def draw_channel(rng: np.random.Generator, params: ChannelParams,
     if cos_aod.shape[-1:] != (i,):
         raise ChannelError(f"cos_aod must have shape (..., {i})")
     z = rng.standard_normal((*cos_aod.shape[:-1], 2 * i + 1))
-    k = params.rician_k
+    k = RICIAN_K
     scatter = (z[..., :i] + 1j * z[..., i:2 * i]) / math.sqrt(2.0)
     fading = math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * scatter
-    fading = fading * np.sqrt(i * path_power_profile(params))
+    fading = fading * np.sqrt(i * path_power_profile(i))
     return ChannelDraw(fading=fading, cos_aod=cos_aod,
-                       shadow_db=params.shadow_std_db * z[..., -1])
+                       shadow_db=SHADOW_STD_DB * z[..., -1])
 
 
-def bistatic_snr(q0, qk, u, params: ChannelParams) -> np.ndarray:
+def bistatic_snr(q0, qk, u) -> np.ndarray:
     """Linear SNR p0 * a0^2 * beta^2 / (noise * d0^2 * dk^2) of the reflected
     measuring signal at passive UAVs qk (..., 3), with d0 the active-target
     and dk the target-passive distance."""
@@ -141,21 +132,20 @@ def bistatic_snr(q0, qk, u, params: ChannelParams) -> np.ndarray:
     dk = norms(np.asarray(u, float) - qk)
     if ((d0 == 0.0) | (dk == 0.0)).any():
         raise ChannelError("target coincides with a UAV")
-    num = (params.tx_power_active * params.unit_path_gain ** 2
-           * params.reflect_coeff ** 2)
+    num = TX_POWER_ACTIVE * UNIT_PATH_GAIN ** 2 * REFLECT_COEFF ** 2
     sq0, sqk = (_per_element(lambda d: d ** 2, d) for d in (d0, dk))
-    return (num / (params.noise_power * sq0 * sqk))[()]
+    return (num / (NOISE_POWER * sq0 * sqk))[()]
 
 
-def path_loss_db(r, params: ChannelParams, shadow_db=0.0) -> np.ndarray:
+def path_loss_db(r, shadow_db=0.0) -> np.ndarray:
     """Distance-dependent uplink path loss in dB at distances r (...),
     plus shadowing samples."""
     r = np.asarray(r, float)
-    if (r < params.ref_distance).any():
-        raise ChannelError(f"distance {r} below reference {params.ref_distance}")
-    free_space = 20.0 * math.log10(params.ref_distance * params.carrier_freq
+    if (r < REF_DISTANCE).any():
+        raise ChannelError(f"distance {r} below reference {REF_DISTANCE}")
+    free_space = 20.0 * math.log10(REF_DISTANCE * CARRIER_FREQ
                                    * 4.0 * math.pi / LIGHT_SPEED)
-    return (free_space + 10.0 * params.path_loss_exp * _per_element(math.log10, r)
+    return (free_space + 10.0 * PATH_LOSS_EXP * _per_element(math.log10, r)
             + shadow_db)[()]
 
 
@@ -171,29 +161,29 @@ def fas_gain(draw: ChannelDraw, port, params: ChannelParams,
         raise ChannelError(f"port {off[0]} outside 1..{params.n_ports}")
     amp = _per_element(lambda loss: 10.0 ** (-loss / 20.0), loss_db)
     # phase slope per port index: 2*pi*S/(N-1) * n * cos(aod)
-    coeff = 2.0 * math.pi * params.fas_size / (params.n_ports - 1)
+    coeff = 2.0 * math.pi * FAS_SIZE / (params.n_ports - 1)
     phases = np.exp(-1j * coeff * (port.astype(float)[..., None] * draw.cos_aod))
     return np.sum(draw.fading * amp[..., None] * phases, axis=-1)[()]
 
 
-def uplink_sinr(gains, params: ChannelParams) -> np.ndarray:
+def uplink_sinr(gains) -> np.ndarray:
     """Uplink SINRs over the last axis of gains (..., K); every other
     passive UAV of a row acts as interference."""
     g2 = np.abs(np.asarray(gains)) ** 2
-    own = params.tx_power_passive * g2
+    own = TX_POWER_PASSIVE * g2
     total = own.sum(axis=-1, keepdims=True)
-    return own / (total - own + params.uplink_noise)
+    return own / (total - own + UPLINK_NOISE)
 
 
-def uplink_latency(sinr: float, params: ChannelParams) -> float:
+def uplink_latency(sinr: float) -> float:
     """Seconds to deliver the range report; infinite at zero SINR."""
     if sinr < 0:
         raise ChannelError("sinr must be nonnegative")
     if sinr == 0.0:
         return math.inf
-    rate = params.bandwidth * math.log2(1.0 + sinr)
-    return params.data_bits / rate
+    rate = BANDWIDTH * math.log2(1.0 + sinr)
+    return DATA_BITS / rate
 
 
-def uplink_latencies(sinrs, params: ChannelParams) -> np.ndarray:
-    return _per_element(lambda s: uplink_latency(s, params), sinrs)
+def uplink_latencies(sinrs) -> np.ndarray:
+    return _per_element(uplink_latency, sinrs)

@@ -11,6 +11,7 @@ import configparser
 import dataclasses
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelParams
@@ -22,41 +23,8 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class PositioningConfig:
-    variance_scale: float = 1e-3   # multiplies 1/SNR into the range variance
-    min_usable: int = 3            # fixes need at least this many fresh ranges
-    innovation_gate: float = 150.0  # m; fixes jumping further than this from
-                                    # the running estimate are rejected, with
-                                    # the gate widening after each rejection
-                                    # so recovery stays possible; 0 disables
-
-    def __post_init__(self):
-        if not self.variance_scale >= 0.0:
-            raise ConfigError("variance_scale must be at least 0 "
-                              "(0 gives noiseless ranges)")
-        if not 1 <= self.min_usable <= 4:
-            raise ConfigError("min_usable must lie in 1..4 "
-                              "(there are 4 passive UAVs)")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    active_start: tuple = (300.0, 300.0, 300.0)
-    passive_starts: tuple = ((237.0, 890.0, 744.0),
-                             (310.0, 743.0, 891.0),
-                             (832.0, 497.0, 328.0),
-                             (548.0, 647.0, 400.0))
-    bs_position: tuple = (0.0, 0.0, 20.0)
     latency_budget: float = 0.030        # s, per-uplink delivery deadline
-
-    def __post_init__(self):
-        for name in ("active_start", "bs_position"):
-            if len(getattr(self, name)) != 3:
-                raise ConfigError(f"{name} must have 3 coordinates")
-        if (len(self.passive_starts) != 4
-                or any(len(q) != 3 for q in self.passive_starts)):
-            raise ConfigError("passive_starts must hold 4 positions of "
-                              "3 coordinates each")
 
 
 @dataclass(frozen=True)
@@ -110,7 +78,6 @@ class ExperimentConfig:
     target: TargetTrajectorySpec = field(default_factory=TargetTrajectorySpec)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     channel: ChannelParams = field(default_factory=ChannelParams)
-    positioning: PositioningConfig = field(default_factory=PositioningConfig)
     marl: MarlConfig = field(default_factory=MarlConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
@@ -118,23 +85,13 @@ class ExperimentConfig:
         if self.run.scheme not in SCHEME_TRAITS:
             raise ConfigError(f"unknown scheme {self.run.scheme!r}; "
                               f"choose from {', '.join(SCHEME_TRAITS)}")
-        # a UAV at the target's start has no heading toward it
-        sc, goal = self.scenario, tuple(self.target.start)
-        for name, starts in (("active_start", [sc.active_start]),
-                             ("passive_starts", sc.passive_starts)):
-            if any(tuple(q) == goal for q in starts):
-                raise ConfigError(f"[scenario] {name}: no UAV may start at "
-                                  f"target.start {goal}")
+
+
+_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ", ".join(" ".join(repr(float(x)) for x in row) for row in value)
-        return " ".join(repr(float(x)) for x in value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _finite(text: str) -> float:
@@ -151,26 +108,28 @@ def _parse_value(text: str, default, section: str, key: str):
             return int(text)
         if isinstance(default, float):
             return _finite(text)
-        if isinstance(default, tuple):
-            if default and isinstance(default[0], tuple):
-                rows = [row.strip() for row in text.split(",") if row.strip()]
-                return tuple(tuple(_finite(x) for x in row.split()) for row in rows)
-            return tuple(_finite(x) for x in text.split())
         return text
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
-def _line_of(text: str, section: str, key: str) -> int:
+def _line_note(text: str, section: str, key: str | None = None) -> str:
+    """" (line N)" of [section]'s header in text, or of key's line in that
+    section, read as configparser reads them: inline comments dropped, a
+    header up to its last "]", section names compared case-blind, keys
+    lowercased and ended by the first "=" or ":"; "" when there is no
+    such line."""
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-        elif current == section and "=" in stripped:
-            if stripped.split("=", 1)[0].strip() == key:
-                return lineno
-    return 0
+        stripped = re.split(r"\s[#;]", line, maxsplit=1)[0].strip()
+        if stripped.startswith("[") and "]" in stripped:
+            current = stripped[1:stripped.rindex("]")].strip().lower()
+            if key is None and current == section:
+                return f" (line {lineno})"
+        elif key is not None and current == section:
+            if re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
+                return f" (line {lineno})"
+    return ""
 
 
 def default_config() -> ExperimentConfig:
@@ -195,16 +154,13 @@ def _apply_items(base: ExperimentConfig, items, origin_text: str | None = None):
     for section, key, raw in items:
         section = section.strip().lower()
         key = key.strip()
-        if section not in (f.name for f in fields(base)):
-            raise ConfigError(f"unknown section [{section}]")
+        if section not in _SECTIONS:
+            # from_ini rejects unknown sections first, so this is an override
+            raise ConfigError(f"unknown section [{section}] (key {key!r})")
         sect_obj = getattr(base, section)
         sect_fields = {f.name: f for f in fields(type(sect_obj))}
         if key not in sect_fields:
-            loc = ""
-            if origin_text:
-                line = _line_of(origin_text, section, key)
-                if line:
-                    loc = f" (line {line})"
+            loc = _line_note(origin_text, section, key) if origin_text else ""
             raise ConfigError(f"unknown key {key!r} in section [{section}]{loc}")
         default = getattr(sect_obj, key)
         updates.setdefault(section, {})[key] = _parse_value(raw, default, section, key)
@@ -222,11 +178,19 @@ def _apply_items(base: ExperimentConfig, items, origin_text: str | None = None):
 
 
 def from_ini(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name the empty default section, so [DEFAULT] is an
+    # ordinary, unknown section rather than defaults for every section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    for section in parser.sections():
+        name = section.strip().lower()
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]"
+                              f"{_line_note(text, name)}")
     items = [(section, key, parser.get(section, key))
              for section in parser.sections()
              for key in parser[section]]

@@ -27,6 +27,21 @@ N_AGENTS = 5
 POSITION_SCALE = 1e-3
 RANGE_SCALE = 1e-3
 
+# The start geometry and the ground station, m
+ACTIVE_START = (300.0, 300.0, 300.0)
+PASSIVE_STARTS = ((237.0, 890.0, 744.0),
+                  (310.0, 743.0, 891.0),
+                  (832.0, 497.0, 328.0),
+                  (548.0, 647.0, 400.0))
+BS_POSITION = (0.0, 0.0, 20.0)
+# The ground station's fix
+VARIANCE_SCALE = 1e-3       # multiplies 1/SNR into the range variance
+MIN_USABLE = 3              # fixes need at least this many fresh ranges
+INNOVATION_GATE = 150.0     # m; fixes jumping further than this from the
+                            # running estimate are rejected, with the gate
+                            # widening after each rejection so recovery
+                            # stays possible
+
 
 class PositioningEnv:
     """One episode of the tracking scenario.
@@ -34,20 +49,20 @@ class PositioningEnv:
     Each UAV keeps a persistent flight heading; an action turns it by
     one of the ANGLE_CHOICES yaw/pitch increments, which bound the
     per-slot change, and the new pitch is clamped to the world's
-    [pitch_min, pitch_max].  Slot order:
+    [PITCH_MIN, PITCH_MAX].  Slot order:
     agents observe (current positions, their uplinks' departure angles,
     drawn once per episode, and last measured range sums), act, everyone
     moves, the bistatic ranges are measured at the new geometry, the
     passive UAVs upload through their chosen ports, and the ground
     station refreshes the fix from whichever reports met the latency
-    budget.  Fewer than min_usable fresh reports keeps the previous fix
+    budget.  Fewer than MIN_USABLE fresh reports keeps the previous fix
     (a stale slot).
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        self.bs = np.array(cfg.scenario.bs_position, float)
+        self.bs = np.array(BS_POSITION, float)
         self.positions = np.zeros((N_AGENTS, 3))
         self.headings = np.zeros((N_AGENTS, 2))   # persistent [yaw, pitch]
         self.traj = None
@@ -75,22 +90,19 @@ class PositioningEnv:
     def _headings_toward_target(self) -> np.ndarray:
         """Each UAV starts headed at the target's start, pitch bounded."""
         headings = np.zeros((N_AGENTS, 2))
-        goal = np.array(self.cfg.target.start, float)
-        wcfg = self.cfg.world
+        goal = np.array(wd.TARGET_START, float)
         for k in range(N_AGENTS):
             d = goal - self.positions[k]
             headings[k, 0] = math.atan2(d[1], d[0])
             pitch = math.asin(max(-1.0, min(1.0, d[2] / np.linalg.norm(d))))
-            headings[k, 1] = min(max(pitch, wcfg.pitch_min), wcfg.pitch_max)
+            headings[k, 1] = min(max(pitch, wd.PITCH_MIN), wd.PITCH_MAX)
         return headings
 
     def reset(self) -> list[np.ndarray]:
-        sc = self.cfg.scenario
-        self.positions = np.vstack([np.array(sc.active_start, float),
-                                    np.array(sc.passive_starts, float)])
+        self.positions = np.vstack([np.array(ACTIVE_START, float),
+                                    np.array(PASSIVE_STARTS, float)])
         self.headings = self._headings_toward_target()
-        self.traj = wd.TargetTrajectory(self.cfg.target,
-                                        self.cfg.world.slot_duration)
+        self.traj = wd.TargetTrajectory(self.cfg.target)
         self.estimate = self.positions[1:].mean(axis=0)
         self.prev_ranges = np.zeros(4)
         self._gate_rejects = 0
@@ -124,7 +136,6 @@ class PositioningEnv:
         if ports.shape != (4,) or ports.dtype.kind not in "iu":
             raise ValueError(f"ports must be an integer (4,) array, got {ports!r}")
         cfg = self.cfg
-        wcfg = cfg.world
         params = cfg.channel
         if not 1 <= ports.min() <= ports.max() <= params.n_ports:
             # fas_gain's error, raised before the slot changes any state
@@ -132,48 +143,44 @@ class PositioningEnv:
             raise ch.ChannelError(f"port {bad} outside 1..{params.n_ports}")
         yaw, pitch = (self.headings + STEER_TURNS[steer]).T
         yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
-        pitch = np.minimum(np.maximum(pitch, wcfg.pitch_min), wcfg.pitch_max)
+        pitch = np.minimum(np.maximum(pitch, wd.PITCH_MIN), wd.PITCH_MAX)
         self.headings[:, 0], self.headings[:, 1] = yaw, pitch
-        self.positions = wd.step_controlled(self.positions, yaw, pitch, wcfg)
+        self.positions = wd.step_controlled(self.positions, yaw, pitch,
+                                            cfg.world)
         target = self.traj.step(self.rng)
         q0, qs = self.positions[0], self.positions[1:]
 
         # bistatic range measurements at the new geometry, NaN without echo
-        snr = ch.bistatic_snr(q0, qs, target, params)
+        snr = ch.bistatic_snr(q0, qs, target)
         measured = pos.sample_range(pos.true_range_sum(q0, qs, target), snr,
-                                    self.rng, cfg.positioning.variance_scale)
+                                    self.rng, VARIANCE_SCALE)
         echo = snr > 0.0
 
         # uplink through the selected ports
         draw = ch.draw_channel(self.rng, params, self.cos_aods)
-        loss = ch.path_loss_db(wd.norms(qs - self.bs), params, draw.shadow_db)
-        sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, params, loss), params)
+        loss = ch.path_loss_db(wd.norms(qs - self.bs), draw.shadow_db)
+        sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, params, loss))
         # a NaN latency is no delivery either, so it counts as late
-        late = ~(ch.uplink_latencies(sinrs, params)
-                 <= cfg.scenario.latency_budget)
+        late = ~(ch.uplink_latencies(sinrs) <= cfg.scenario.latency_budget)
 
         usable = echo & ~late
-        stale = int(np.count_nonzero(usable)) < cfg.positioning.min_usable
+        stale = int(np.count_nonzero(usable)) < MIN_USABLE
         if not stale:
             started = time.process_time()
             fit = pos.estimate_position(measured[usable], q0, qs[usable],
                                         self.estimate)
             self.solver_s += time.process_time() - started
-            gate = cfg.positioning.innovation_gate
-            if gate > 0.0:
-                jump = float(wd.norms(fit.position - self.estimate))
-                if jump > gate * (1 + self._gate_rejects):
-                    # implausible jump: treat like a missing fix
-                    self._gate_rejects += 1
-                    stale = True
-                else:
-                    self._gate_rejects = 0
-                    self.estimate = fit.position
+            jump = float(wd.norms(fit.position - self.estimate))
+            if jump > INNOVATION_GATE * (1 + self._gate_rejects):
+                # implausible jump: treat like a missing fix
+                self._gate_rejects += 1
+                stale = True
             else:
+                self._gate_rejects = 0
                 self.estimate = fit.position
 
         error = pos.position_error(self.estimate, target)
-        range_ok = wd.check_constraints(self.positions, target, wcfg)
+        range_ok = wd.check_constraints(self.positions, target)
         self.prev_ranges[echo] = measured[echo]
 
         info = {

@@ -23,48 +23,43 @@ class WorldError(ValueError):
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Kinematics and range limits shared by all controlled UAVs.
+    """The controlled UAVs' speed and the episode length.
 
     The per-slot yaw/pitch change is bounded by the action set
-    (``env.ANGLE_CHOICES``); pitch_min/pitch_max clamp the absolute
+    (``env.ANGLE_CHOICES``); PITCH_MIN/PITCH_MAX clamp the absolute
     pitch of every heading.
     """
 
     speed: float = 5.0                 # m/s, all controlled UAVs
-    slot_duration: float = 1.0         # s
-    dist_min: float = 20.0             # m, pairwise and UAV-target floor
-    dist_max: float = 1000.0           # m, pairwise and UAV-target ceiling
-    pitch_min: float = -math.pi / 3.0
-    pitch_max: float = math.pi / 3.0
     slots_per_episode: int = 25
 
     def __post_init__(self):
-        if self.speed <= 0 or self.slot_duration <= 0:
-            raise WorldError("speed and slot_duration must be positive")
-        if not 0 < self.dist_min < self.dist_max:
-            raise WorldError("need 0 < dist_min < dist_max")
+        if self.speed <= 0:
+            raise WorldError("speed must be positive")
         if self.slots_per_episode < 1:
             raise WorldError("slots_per_episode must be at least 1")
-        if not -math.pi / 2 <= self.pitch_min <= self.pitch_max <= math.pi / 2:
-            raise WorldError("need -pi/2 <= pitch_min <= pitch_max <= pi/2")
 
 
 @dataclass(frozen=True)
 class TargetTrajectorySpec:
     speed: float = 5.0            # m/s
     uncertainty: float = 0.0      # total probability of a 90-degree turn per slot
-    start: tuple = (445.0, 615.0, 533.0)
 
     def __post_init__(self):
         if not 0.0 <= self.uncertainty <= 1.0:
             raise WorldError("uncertainty must lie in [0, 1]")
         if self.speed < 0:
             raise WorldError("speed must be nonnegative")
-        if len(self.start) != 3:
-            raise WorldError("start must have 3 coordinates")
 
 
-# Fixed C-line geometry; chosen so the path stays well inside dist_max at
+SLOT_DURATION = 1.0            # s
+DIST_MIN = 20.0                # m, pairwise and UAV-target floor
+DIST_MAX = 1000.0              # m, pairwise and UAV-target ceiling
+PITCH_MIN = -math.pi / 3.0
+PITCH_MAX = math.pi / 3.0
+TARGET_START = (445.0, 615.0, 533.0)
+
+# Fixed C-line geometry; chosen so the path stays well inside DIST_MAX at
 # the configured speeds.
 C_LINE_RADIUS = 400.0          # m, large smooth arc
 C_LINE_TILT = math.radians(10.0)
@@ -94,10 +89,10 @@ def step_controlled(q, yaw, pitch, cfg: WorldConfig) -> np.ndarray:
     q' = q + v*dt * [cos(yaw)cos(pitch), sin(yaw)cos(pitch), sin(pitch)],
     so the displacement length is exactly v*dt for any angles.  The
     heading is not bounded here: the action set bounds its per-slot
-    change and the environment clamps its pitch to [pitch_min, pitch_max].
+    change and the environment clamps its pitch to [PITCH_MIN, PITCH_MAX].
     """
     q = np.asarray(q, dtype=float)
-    return q + cfg.speed * cfg.slot_duration * heading_vector(yaw, pitch)
+    return q + cfg.speed * SLOT_DURATION * heading_vector(yaw, pitch)
 
 
 class TargetTrajectory:
@@ -110,10 +105,9 @@ class TargetTrajectory:
     resumes, translated to wherever the turn left the target.
     """
 
-    def __init__(self, spec: TargetTrajectorySpec, slot_duration: float = 1.0):
+    def __init__(self, spec: TargetTrajectorySpec):
         self.spec = spec
-        self.dt = slot_duration
-        self.position = np.array(spec.start, dtype=float)
+        self.position = np.array(TARGET_START, dtype=float)
         self._phase = 0.0  # arc parameter of the C-line
 
     def _nominal_heading(self) -> tuple[float, float]:
@@ -133,8 +127,8 @@ class TargetTrajectory:
                 yaw += math.pi / 2.0
             elif roll < u:
                 yaw -= math.pi / 2.0
-        self.position = self.position + self.spec.speed * self.dt * heading_vector(yaw, pitch)
-        self._phase += self.spec.speed * self.dt / C_LINE_RADIUS
+        self.position = self.position + self.spec.speed * SLOT_DURATION * heading_vector(yaw, pitch)
+        self._phase += self.spec.speed * SLOT_DURATION / C_LINE_RADIUS
         return self.position.copy()
 
 
@@ -148,16 +142,16 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def check_constraints(positions: np.ndarray, target: Vec3,
-                      cfg: WorldConfig) -> tuple[bool, bool]:
+def check_constraints(positions: np.ndarray,
+                      target: Vec3) -> tuple[bool, bool]:
     """One slot's range constraints on the (K, 3) controlled UAVs after
-    their moves, (target_range_ok, pairwise_range_ok): dist_min <= |q_k -
-    u| <= dist_max for every k, and dist_min <= |q_k - q_k'| <= dist_max
+    their moves, (target_range_ok, pairwise_range_ok): DIST_MIN <= |q_k -
+    u| <= DIST_MAX for every k, and DIST_MIN <= |q_k - q_k'| <= DIST_MAX
     for k != k'.  The action set enforces the steering and port bounds."""
     n = len(positions)
     i, j = _pairs(n)
     # np.linalg.norm(axis=1)'s arithmetic: a row sum of squares
     legs = np.concatenate([positions - target, positions[i] - positions[j]])
     dist = np.sqrt((legs * legs).sum(axis=1))
-    ok = (dist >= cfg.dist_min) & (dist <= cfg.dist_max)
+    ok = (dist >= DIST_MIN) & (dist <= DIST_MAX)
     return bool(ok[:n].all()), bool(ok[n:].all())

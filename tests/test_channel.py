@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fasloc import channel
 from fasloc.channel import (ChannelDraw, ChannelError, ChannelParams,
                             bistatic_snr, draw_channel, fas_gain,
                             path_loss_db, path_power_profile,
@@ -13,30 +14,31 @@ PARAMS = ChannelParams()
 
 
 class TestBistaticSnr:
-    def test_zero_reflection_kills_snr(self):
-        p = ChannelParams(reflect_coeff=1e-30)
-        snr = bistatic_snr([0, 0, 0], [100, 0, 0], [50, 0, 0], p)
+    def test_zero_reflection_kills_snr(self, monkeypatch):
+        monkeypatch.setattr(channel, "REFLECT_COEFF", 1e-30)
+        snr = bistatic_snr([0, 0, 0], [100, 0, 0], [50, 0, 0])
         assert snr < 1e-40
 
     def test_inverse_square_in_first_leg(self):
         q0 = np.array([0.0, 0.0, 0.0])
         qk = np.array([500.0, 0.0, 0.0])
-        near = bistatic_snr(q0, qk, [100.0, 0.0, 0.0], PARAMS)
-        far = bistatic_snr(q0, qk, [200.0, 0.0, 0.0], PARAMS)
+        near = bistatic_snr(q0, qk, [100.0, 0.0, 0.0])
+        far = bistatic_snr(q0, qk, [200.0, 0.0, 0.0])
         # doubling d0 while dk shrinks: isolate d0 by fixing dk via geometry
         u1 = np.array([0.0, 100.0, 0.0])
         u2 = np.array([0.0, 200.0, 0.0])
         qk_sym = np.array([0.0, 0.0, 0.0])  # unused
-        s1 = bistatic_snr(q0, u1 + np.array([0.0, 0.0, 300.0]), u1, PARAMS)
-        s2 = bistatic_snr(q0, u2 + np.array([0.0, 0.0, 300.0]), u2, PARAMS)
+        s1 = bistatic_snr(q0, u1 + np.array([0.0, 0.0, 300.0]), u1)
+        s2 = bistatic_snr(q0, u2 + np.array([0.0, 0.0, 300.0]), u2)
         assert s1 / s2 == pytest.approx(4.0, rel=1e-12)
         assert near > far
 
-    def test_value_against_independent_arithmetic(self):
+    def test_value_against_independent_arithmetic(self, monkeypatch):
         # p0=10, a0=1e-3, beta=0.5, noise=1e-12, d0=dk=500
-        p = ChannelParams(tx_power_active=10.0, unit_path_gain=1e-3,
-                          reflect_coeff=0.5, noise_power=1e-12)
-        snr = bistatic_snr([0, 0, 0], [0, 0, 1000], [0, 0, 500], p)
+        for name, value in (("TX_POWER_ACTIVE", 10.0), ("UNIT_PATH_GAIN", 1e-3),
+                            ("REFLECT_COEFF", 0.5), ("NOISE_POWER", 1e-12)):
+            monkeypatch.setattr(channel, name, value)
+        snr = bistatic_snr([0, 0, 0], [0, 0, 1000], [0, 0, 500])
         # independent scalar path: 10 * 1e-6 * 0.25 / (1e-12 * 500^2 * 500^2)
         expected = (10.0 * (1e-3) ** 2 * 0.5 ** 2) / (1e-12 * 500.0 ** 2 * 500.0 ** 2)
         assert expected == pytest.approx(4.0e-5, rel=1e-12)
@@ -44,7 +46,7 @@ class TestBistaticSnr:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ChannelError):
-            bistatic_snr([1, 2, 3], [9, 9, 9], [1, 2, 3], PARAMS)
+            bistatic_snr([1, 2, 3], [9, 9, 9], [1, 2, 3])
 
     def test_monotone_decreasing_in_both_legs(self):
         rng = np.random.default_rng(0)
@@ -55,33 +57,33 @@ class TestBistaticSnr:
             direction /= np.linalg.norm(direction)
             qk_near = u + 100.0 * direction
             qk_far = u + 150.0 * direction
-            assert (bistatic_snr(q0, qk_near, u, PARAMS)
-                    > bistatic_snr(q0, qk_far, u, PARAMS))
+            assert (bistatic_snr(q0, qk_near, u)
+                    > bistatic_snr(q0, qk_far, u))
 
 
 class TestPathLoss:
-    def test_reference_distance_is_free_space_term(self):
-        p = ChannelParams(path_loss_exp=2.0)
+    def test_reference_distance_is_free_space_term(self, monkeypatch):
+        monkeypatch.setattr(channel, "PATH_LOSS_EXP", 2.0)
         expected = 20.0 * math.log10(2e9 * 4.0 * math.pi / 3.0e8)
-        assert path_loss_db(1.0, p) == pytest.approx(expected, rel=1e-12)
+        assert path_loss_db(1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_decade_step_adds_ten_mu(self):
-        base = path_loss_db(10.0, PARAMS)
-        assert path_loss_db(100.0, PARAMS) - base == pytest.approx(
-            10.0 * PARAMS.path_loss_exp, rel=1e-12)
+        base = path_loss_db(10.0)
+        assert path_loss_db(100.0) - base == pytest.approx(
+            10.0 * channel.PATH_LOSS_EXP, rel=1e-12)
 
-    def test_value_against_hand_computation(self):
+    def test_value_against_hand_computation(self, monkeypatch):
         # f=2 GHz, r0=1, r=100, mu=2.7: 20log10(83.7758...) + 27*2
-        p = ChannelParams(path_loss_exp=2.7)
-        assert path_loss_db(100.0, p) == pytest.approx(92.46236, abs=1e-4)
+        monkeypatch.setattr(channel, "PATH_LOSS_EXP", 2.7)
+        assert path_loss_db(100.0) == pytest.approx(92.46236, abs=1e-4)
 
     def test_below_reference_rejected(self):
         with pytest.raises(ChannelError):
-            path_loss_db(0.5, PARAMS)
+            path_loss_db(0.5)
 
     def test_shadow_term_is_additive(self):
-        assert (path_loss_db(200.0, PARAMS, shadow_db=3.5)
-                - path_loss_db(200.0, PARAMS)) == pytest.approx(3.5)
+        assert (path_loss_db(200.0, shadow_db=3.5)
+                - path_loss_db(200.0)) == pytest.approx(3.5)
 
 
 def _fixed_draw(n_paths, rng=None, aod=None, fading=None):
@@ -112,8 +114,9 @@ class TestFasGain:
             assert abs(fas_gain(rotated, port, p)) == pytest.approx(
                 abs(fas_gain(draw, port, p)), rel=1e-12)
 
-    def test_best_port_matches_independent_exhaustive_search(self):
-        p = ChannelParams(n_paths=5, n_ports=32, fas_size=5.0)
+    def test_best_port_matches_independent_exhaustive_search(self, monkeypatch):
+        monkeypatch.setattr(channel, "FAS_SIZE", 5.0)
+        p = ChannelParams(n_paths=5, n_ports=32)
         aod = np.random.default_rng(5).uniform(0, math.pi, 5)
         draw = _fixed_draw(5, aod=aod)
         gains = fas_gain(draw, np.arange(1, 33), p)
@@ -160,9 +163,10 @@ class TestFasGain:
 
 
 class TestDrawChannel:
-    def test_unit_power_fading(self):
+    def test_unit_power_fading(self, monkeypatch):
         rng = np.random.default_rng(1)
-        p = ChannelParams(n_paths=4, rician_k=10.0)
+        monkeypatch.setattr(channel, "RICIAN_K", 10.0)
+        p = ChannelParams(n_paths=4)
         draws = [draw_channel(rng, p, np.cos(rng.uniform(0.0, math.pi, p.n_paths)))
                  for _ in range(4000)]
         power = np.mean([np.mean(np.abs(d.fading) ** 2) for d in draws])
@@ -179,61 +183,65 @@ class TestDrawChannel:
 
 
 class TestUplink:
-    def test_single_active_uav_sees_noise_only(self):
-        p = ChannelParams(uplink_noise=2e-12, tx_power_passive=5.0)
+    def test_single_active_uav_sees_noise_only(self, monkeypatch):
+        monkeypatch.setattr(channel, "UPLINK_NOISE", 2e-12)
+        monkeypatch.setattr(channel, "TX_POWER_PASSIVE", 5.0)
         gains = np.array([1e-6 + 0j, 0.0, 0.0, 0.0])
-        sinr = uplink_sinr(gains, p)
+        sinr = uplink_sinr(gains)
         assert sinr[0] == pytest.approx(5.0 * 1e-12 / 2e-12, rel=1e-12)
         assert np.all(sinr[1:] == 0.0)
 
-    def test_symmetric_gains_saturate_below_one_third(self):
-        p = ChannelParams(uplink_noise=1e-12)
+    def test_symmetric_gains_saturate_below_one_third(self, monkeypatch):
+        monkeypatch.setattr(channel, "UPLINK_NOISE", 1e-12)
         gains = np.full(4, 3e-6 + 0j)
-        sinr = uplink_sinr(gains, p)
-        own = p.tx_power_passive * 9e-12
+        sinr = uplink_sinr(gains)
+        own = channel.TX_POWER_PASSIVE * 9e-12
         expected = own / (3 * own + 1e-12)
         np.testing.assert_allclose(sinr, expected, rtol=1e-12)
         assert np.all(sinr < 1.0 / 3.0)
 
-    def test_against_bruteforce_recomputation(self):
+    def test_against_bruteforce_recomputation(self, monkeypatch):
         rng = np.random.default_rng(9)
         gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = ChannelParams(uplink_noise=0.5)
-        sinr = uplink_sinr(gains, p)
+        monkeypatch.setattr(channel, "UPLINK_NOISE", 0.5)
+        sinr = uplink_sinr(gains)
+        power = channel.TX_POWER_PASSIVE
         for k in range(4):
-            interference = sum(p.tx_power_passive * abs(gains[j]) ** 2
+            interference = sum(power * abs(gains[j]) ** 2
                                for j in range(4) if j != k)
-            expected = (p.tx_power_passive * abs(gains[k]) ** 2
+            expected = (power * abs(gains[k]) ** 2
                         / (interference + 0.5))
             assert sinr[k] == pytest.approx(expected, rel=1e-12)
 
-    def test_interferer_growth_reduces_sinr(self):
-        p = ChannelParams(uplink_noise=1e-12)
+    def test_interferer_growth_reduces_sinr(self, monkeypatch):
+        monkeypatch.setattr(channel, "UPLINK_NOISE", 1e-12)
         base = np.array([2e-6, 1e-6, 1e-6, 1e-6], dtype=complex)
         bigger = base.copy()
         bigger[1] *= 2.0
-        assert uplink_sinr(bigger, p)[0] < uplink_sinr(base, p)[0]
+        assert uplink_sinr(bigger)[0] < uplink_sinr(base)[0]
 
 
 class TestLatency:
-    def test_unit_sinr_gives_one_ms(self):
-        p = ChannelParams(data_bits=1000.0, bandwidth=1e6)
-        assert uplink_latency(1.0, p) == pytest.approx(1e-3, rel=1e-12)
+    def test_unit_sinr_gives_one_ms(self, monkeypatch):
+        monkeypatch.setattr(channel, "DATA_BITS", 1000.0)
+        monkeypatch.setattr(channel, "BANDWIDTH", 1e6)
+        assert uplink_latency(1.0) == pytest.approx(1e-3, rel=1e-12)
 
     def test_zero_sinr_is_infinite(self):
-        assert math.isinf(uplink_latency(0.0, PARAMS))
+        assert math.isinf(uplink_latency(0.0))
 
-    def test_sinr_three_gives_half_ms(self):
-        p = ChannelParams(data_bits=1000.0, bandwidth=1e6)
-        assert uplink_latency(3.0, p) == pytest.approx(0.5e-3, rel=1e-12)
+    def test_sinr_three_gives_half_ms(self, monkeypatch):
+        monkeypatch.setattr(channel, "DATA_BITS", 1000.0)
+        monkeypatch.setattr(channel, "BANDWIDTH", 1e6)
+        assert uplink_latency(3.0) == pytest.approx(0.5e-3, rel=1e-12)
 
     def test_strictly_decreasing_in_sinr(self):
-        values = [uplink_latency(s, PARAMS) for s in (0.01, 0.1, 1.0, 10.0)]
+        values = [uplink_latency(s) for s in (0.01, 0.1, 1.0, 10.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_negative_sinr_rejected(self):
         with pytest.raises(ChannelError):
-            uplink_latency(-0.1, PARAMS)
+            uplink_latency(-0.1)
 
 
 class TestUavAxis:
@@ -245,23 +253,28 @@ class TestUavAxis:
         for _ in range(500):
             q0, u = rng.uniform(0, 1000, 3), rng.uniform(0, 1000, 3)
             qs = rng.uniform(0, 1000, (4, 3))
-            got = bistatic_snr(q0, qs, u, PARAMS)
-            ref = [bistatic_snr(q0, q, u, PARAMS) for q in qs]
+            got = bistatic_snr(q0, qs, u)
+            ref = [bistatic_snr(q0, q, u) for q in qs]
             assert got.tobytes() == np.array(ref).tobytes()
         qs[2] = u
         with pytest.raises(ChannelError, match="coincides"):
-            bistatic_snr(q0, qs, u, PARAMS)
+            bistatic_snr(q0, qs, u)
         with pytest.raises(ChannelError, match="coincides"):
-            bistatic_snr(u, qs[:2], u, PARAMS)
+            bistatic_snr(u, qs[:2], u)
 
+    # (n_paths, channel constants to patch); 2 paths are all dominant
     @pytest.mark.parametrize("params", [
-        PARAMS, ChannelParams(rician_k=0.0), ChannelParams(shadow_std_db=0.0),
-        ChannelParams(dominant_paths=0), ChannelParams(n_paths=1)])
-    def test_draw_channel_rows(self, params):
+        (5, {}), (5, {"RICIAN_K": 0.0}), (5, {"SHADOW_STD_DB": 0.0}),
+        (2, {}), (1, {})])
+    def test_draw_channel_rows(self, params, monkeypatch):
         """One (4, 2I+1) block of draws equals each row's draw, and each
         row's draw the per-path real parts, imaginary parts and shadowing
         drawn in turn."""
-        i, k = params.n_paths, params.rician_k
+        n_paths, constants = params
+        for name, value in constants.items():
+            monkeypatch.setattr(channel, name, value)
+        params = ChannelParams(n_paths=n_paths)
+        i, k = n_paths, channel.RICIAN_K
         aod = np.random.default_rng(21).uniform(0, math.pi, (4, i))
         rngs = [np.random.default_rng(22) for _ in range(3)]
         for _ in range(50):
@@ -272,8 +285,8 @@ class TestUavAxis:
                            + 1j * rngs[2].standard_normal(i)) / math.sqrt(2.0)
                 fading = (math.sqrt(k / (k + 1.0))
                           + math.sqrt(1.0 / (k + 1.0)) * scatter)
-                fading = fading * np.sqrt(i * path_power_profile(params))
-                shadow = rngs[2].normal(0.0, params.shadow_std_db)
+                fading = fading * np.sqrt(i * path_power_profile(i))
+                shadow = rngs[2].normal(0.0, channel.SHADOW_STD_DB)
                 assert (got.fading[row].tobytes() == ref.fading.tobytes()
                         == fading.tobytes())
                 assert got.shadow_db[row] == ref.shadow_db == shadow
@@ -284,11 +297,11 @@ class TestUavAxis:
         rng = np.random.default_rng(23)
         r = rng.uniform(1.0, 3000.0, (500, 4))
         shadow = rng.normal(0.0, 4.0, (500, 4))
-        got = path_loss_db(r, PARAMS, shadow)
+        got = path_loss_db(r, shadow)
         for k in np.ndindex(r.shape):
-            assert got[k] == path_loss_db(float(r[k]), PARAMS, float(shadow[k]))
+            assert got[k] == path_loss_db(float(r[k]), float(shadow[k]))
         with pytest.raises(ChannelError):
-            path_loss_db(np.array([10.0, 0.5, 10.0, 10.0]), PARAMS)
+            path_loss_db(np.array([10.0, 0.5, 10.0, 10.0]))
 
     def test_fas_gain_rows(self):
         rng = np.random.default_rng(24)
@@ -312,11 +325,11 @@ class TestUavAxis:
         rng = np.random.default_rng(25)
         gains = 1e-6 * (rng.standard_normal((300, 4))
                         + 1j * rng.standard_normal((300, 4)))
-        sinrs = uplink_sinr(gains, PARAMS)
-        latencies = uplink_latencies(sinrs, PARAMS)
+        sinrs = uplink_sinr(gains)
+        latencies = uplink_latencies(sinrs)
         for k in range(len(gains)):
-            assert sinrs[k].tobytes() == uplink_sinr(gains[k], PARAMS).tobytes()
+            assert sinrs[k].tobytes() == uplink_sinr(gains[k]).tobytes()
             assert latencies[k].tobytes() == np.array(
-                [uplink_latency(float(s), PARAMS) for s in sinrs[k]]).tobytes()
+                [uplink_latency(float(s)) for s in sinrs[k]]).tobytes()
         with pytest.raises(ChannelError):
-            uplink_latencies(np.array([0.5, -0.1]), PARAMS)
+            uplink_latencies(np.array([0.5, -0.1]))

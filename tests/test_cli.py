@@ -1,4 +1,4 @@
-import dataclasses
+import configparser
 import json
 import math
 import os
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fasloc import cli, marl, nn
-from fasloc.config import (ConfigError, MarlConfig, default_config, from_ini,
+from fasloc.config import (ConfigError, default_config, from_ini,
                            load_config, to_ini)
 from fasloc.marl import micro_config
 
@@ -55,23 +55,42 @@ class TestConfig:
                     "port_eps_floor", "port_lr_multiplier", "anneal_fraction",
                     "penalty_clip", "reward_scale")),
                 ("target", "speed = 5.0", "mode"),
-                ("positioning", "min_usable = 3", "solver_tol"),
-                ("positioning", "min_usable = 3", "solver_max_iter"),
-                ("channel", "n_ports = 32", "amp_db_divisor")):
+                ("channel", "n_ports = 32", "amp_db_divisor"),
+                # the simulator's fixed physics (channel.TX_POWER_ACTIVE, ...)
+                *(("channel", "n_ports = 32", key) for key in (
+                    "tx_power_active", "tx_power_passive", "unit_path_gain",
+                    "reflect_coeff", "noise_power", "fas_size",
+                    "carrier_freq", "ref_distance", "path_loss_exp",
+                    "shadow_std_db", "rician_k", "dominant_paths",
+                    "dominant_share", "data_bits", "bandwidth",
+                    "uplink_noise")),
+                *(("world", "speed = 5.0", key) for key in (
+                    "slot_duration", "dist_min", "dist_max", "pitch_min",
+                    "pitch_max")),
+                ("target", "speed = 5.0", "start"),
+                *(("scenario", "latency_budget = 0.03", key) for key in (
+                    "active_start", "passive_starts", "bs_position"))):
             text = f"[{section}]\n{known}\n{key} = 9\n"
             with pytest.raises(ConfigError) as err:
                 from_ini(text)
             assert key in str(err.value)
             assert "line 3" in str(err.value)
+        # configparser lowercases keys and also splits them off at ":"
+        for line in ("Bogus = 9", "bogus: 9", "BOGUS : 9  # note"):
+            with pytest.raises(ConfigError, match=(
+                    r"^unknown key 'bogus' in section \[world\] \(line 3\)$")):
+                from_ini(f"[world]\nspeed = 5.0\n{line}\n")
 
     @pytest.mark.parametrize("override", [
         "marl.history_window=0",
         "world.slots_per_episode=0",
         "run.epochs=0",
         "run.episodes_per_epoch=0",
-        "positioning.min_usable=0",
-        "positioning.min_usable=5",
-        "positioning.variance_scale=-1",
+        "world.speed=0",
+        "target.speed=-1",
+        "target.uncertainty=1.5",
+        "channel.n_ports=1",
+        "channel.n_paths=0",
         # values that would stop the first episode or every sweep cell
         "marl.gru_hidden=0",
         "marl.embed_width=0",
@@ -98,20 +117,21 @@ class TestConfig:
         "marl.discount=1.5",
         "marl.lr_final_fraction=-0.2",
         "marl.anneal_fraction=2",
-        # positions of the wrong shape or with a non-finite coordinate
+        # the simulator's physics is module constants (channel.NOISE_POWER,
+        # world.PITCH_MIN, env.MIN_USABLE, ...), so an override of a removed
+        # key fails as an unknown key, or unknown section, whatever its value
+        "positioning.min_usable=0",
+        "positioning.min_usable=5",
+        "positioning.variance_scale=-1",
         "scenario.passive_starts=1 2 3, 4 5 6, 7 8 9",
         "scenario.active_start=1 2",
         "scenario.bs_position=0 0",
         "target.start=1 2",
         "scenario.active_start=nan 300 300",
         "target.start=inf 615 533",
-        # a UAV starting at the target's start has no heading toward it
         "scenario.active_start=445 615 533",
         "scenario.passive_starts=445 615 533, 310 743 891, 832 497 328, "
         "548 647 400",
-        # radio and kinematic values that crash the first slot with a
-        # ZeroDivisionError, make every slot stale or every uplink late,
-        # give negative latencies, or clamp every pitch to pitch_max
         "channel.noise_power=0",
         "channel.bandwidth=0",
         "channel.rician_k=-1",
@@ -136,27 +156,46 @@ class TestConfig:
         assert key in str(err.value)
 
     @pytest.mark.parametrize("override", [
-        "channel.shadow_std_db=0",
-        "channel.rician_k=0", "channel.uplink_noise=0",
-        "channel.dominant_paths=0", "channel.dominant_share=0",
-        "channel.dominant_share=1", "world.pitch_min=-1.5707963267948966",
-        "world.pitch_max=1.5707963267948966",
-        "world.pitch_min=1.0471975511965976"])
+        "target.speed=0", "target.uncertainty=0", "target.uncertainty=1",
+        "channel.n_ports=2", "channel.n_paths=1"])
     def test_closed_range_ends_load(self, override):
         key, value = override.split("=")
         section, name = key.split(".")
         assert getattr(getattr(load_config(None, [override]), section),
                        name) == float(value)
 
-    def test_marl_section_holds_only_the_network_shapes(self):
-        # the training recipe is marl's constants (marl.DISCOUNT, ...)
-        assert [f.name for f in dataclasses.fields(MarlConfig)] == [
-            "gru_hidden", "mlp_hidden", "embed_width", "attn_units",
-            "attn_width", "omega_width", "history_window", "mixing_hidden"]
+    def test_settable_values_are_pinned(self):
+        # the training recipe is marl's constants (marl.DISCOUNT, ...) and
+        # the simulator's physics channel's, world's and env's; a new
+        # settable value is an edit here
+        parser = configparser.ConfigParser()
+        parser.read_string(to_ini(default_config()))
+        keys = sorted(f"{section}.{key}" for section in parser.sections()
+                      for key in parser[section])
+        assert keys == [
+            "channel.n_paths", "channel.n_ports",
+            "marl.attn_units", "marl.attn_width", "marl.embed_width",
+            "marl.gru_hidden", "marl.history_window", "marl.mixing_hidden",
+            "marl.mlp_hidden", "marl.omega_width",
+            "run.episodes_per_epoch", "run.epochs", "run.eval_episodes",
+            "run.scheme", "run.seed",
+            "scenario.latency_budget",
+            "target.speed", "target.uncertainty",
+            "world.slots_per_episode", "world.speed"]
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError):
-            from_ini("[quantum]\nfoo = 1\n")
+        # even an empty one, and [DEFAULT] too: it is no defaults section
+        for text, line in (
+                ("[quantum]\nfoo = 1\n", 1),
+                ("[world]\nspeed = 5.0\n\n[quantum]\n", 4),
+                ("[world]\nspeed = 5.0\n[Quantum] # note\nfoo = 1\n", 3),
+                ("[DEFAULT]\nspeed = 5.0\n", 1),
+                # the simulator's old section, as older checkpoints store it
+                ("[world]\nspeed = 5.0\n[positioning]\nmin_usable = 3\n",
+                 3)):
+            with pytest.raises(ConfigError, match=(
+                    rf"^unknown section \[\w+\] \(line {line}\)$")):
+                from_ini(text)
 
     def test_bad_value_reports_section_and_key(self):
         with pytest.raises(ConfigError) as err:
@@ -173,12 +212,6 @@ class TestConfig:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["run.scheme=alphago"])
-
-    def test_tuple_fields_roundtrip(self):
-        cfg = load_config(None, ["scenario.active_start=1 2 3"])
-        assert cfg.scenario.active_start == (1.0, 2.0, 3.0)
-        back = from_ini(to_ini(cfg))
-        assert back.scenario.active_start == (1.0, 2.0, 3.0)
 
 
 class TestRunVerb:
@@ -350,23 +383,32 @@ class TestEvaluateVerb:
         assert "section.key=value" in capsys.readouterr().err
 
     def test_stored_config_error_names_the_checkpoint(self, tmp_path, capsys):
-        # a checkpoint from before a key removal stores that key; its
+        # a checkpoint from before a key or section removal stores it; its
         # config error must not read as one in a file the user passed
         out = tmp_path / "run"
         assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=4"],
                                   str(out)) == 0
         arrays, meta = nn.load_params(out / "checkpoint.npz")
-        meta["config_ini"] = meta["config_ini"].replace(
-            "[marl]\n", "[marl]\ndiscount = 0.9\n")
-        old = out / "old.npz"
-        nn.save_params(old, arrays, meta)
-        capsys.readouterr()
-        rc = cli.main(["evaluate", "--checkpoint", str(old), "--episodes", "1"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {old}: the run config stored in this "
-                              f"checkpoint does not load: unknown key "
-                              f"'discount' in section [marl]")
+        current = meta["config_ini"]
+        with_positioning = current + ("[positioning]\nvariance_scale = 0.001\n"
+                                      "min_usable = 3\n")
+        line = with_positioning.splitlines().index("[positioning]") + 1
+        for name, stored, error in (
+                ("old.npz", current.replace("[marl]\n",
+                                            "[marl]\ndiscount = 0.9\n"),
+                 "unknown key 'discount' in section [marl] (line "),
+                ("older.npz", with_positioning,
+                 f"unknown section [positioning] (line {line})")):
+            old = out / name
+            nn.save_params(old, arrays, {**meta, "config_ini": stored})
+            capsys.readouterr()
+            rc = cli.main(["evaluate", "--checkpoint", str(old),
+                           "--episodes", "1"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {old}: the run config stored in "
+                                  f"this checkpoint does not load: {error}")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_cli_main_evaluate(self, tmp_path, capsys):
         out = tmp_path / "run"

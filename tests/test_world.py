@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasloc.world import (TargetTrajectory, TargetTrajectorySpec, WorldConfig,
-                          WorldError, check_constraints, heading_vector, norms,
+from fasloc import world
+from fasloc.world import (SLOT_DURATION, TargetTrajectory,
+                          TargetTrajectorySpec, WorldConfig, WorldError,
+                          check_constraints, heading_vector, norms,
                           step_controlled)
 
 CFG = WorldConfig()
@@ -48,7 +50,7 @@ class TestStepControlled:
         q0 = np.array([10.0, -20.0, 55.0])
         q1 = step_controlled(q0, yaw, pitch, CFG)
         dist = np.linalg.norm(q1 - q0)
-        assert dist == pytest.approx(CFG.speed * CFG.slot_duration, rel=1e-12)
+        assert dist == pytest.approx(CFG.speed * SLOT_DURATION, rel=1e-12)
 
 
 class TestTargetTrajectory:
@@ -61,11 +63,12 @@ class TestTargetTrajectory:
             paths.append(np.array([traj.step(rng) for _ in range(50)]))
         np.testing.assert_array_equal(paths[0], paths[1])
 
-    def test_cline_advances_by_speed_times_dt(self):
+    def test_cline_advances_by_speed_times_dt(self, monkeypatch):
         # with and without turns: a turn rotates the heading, not its length
+        monkeypatch.setattr(world, "SLOT_DURATION", 0.5)
         for uncertainty in (0.0, 0.5):
             spec = TargetTrajectorySpec(speed=7.0, uncertainty=uncertainty)
-            traj = TargetTrajectory(spec, slot_duration=0.5)
+            traj = TargetTrajectory(spec)
             rng = np.random.default_rng(0)
             prev = traj.position.copy()
             for _ in range(60):
@@ -105,23 +108,24 @@ class TestConstraints:
     latency half of feasibility is PositioningEnv.step's (test_env.py)."""
 
     def test_nominal_scene_is_feasible(self):
-        assert check_constraints(POSITIONS, TARGET, CFG) == (True, True)
+        assert check_constraints(POSITIONS, TARGET) == (True, True)
 
     def test_close_pair_violates_separation_only(self):
         positions = POSITIONS.copy()
         positions[2] = positions[1] + np.array([10.0, 0.0, 0.0])
-        assert check_constraints(positions, TARGET, CFG) == (True, False)
+        assert check_constraints(positions, TARGET) == (True, False)
 
-    def test_relaxing_never_breaks_feasibility(self):
+    def test_relaxing_never_breaks_feasibility(self, monkeypatch):
         rng = np.random.default_rng(3)
         for _ in range(50):
             positions = rng.uniform(100, 900, size=(5, 3))
             target = rng.uniform(100, 900, size=3)
             lat = rng.uniform(0, 0.06, size=4)
-            tight = check_constraints(positions, target, CFG)
-            loose_cfg = WorldConfig(dist_min=CFG.dist_min / 2,
-                                    dist_max=CFG.dist_max * 2)
-            loose = check_constraints(positions, target, loose_cfg)
+            tight = check_constraints(positions, target)
+            with monkeypatch.context() as patch:
+                patch.setattr(world, "DIST_MIN", world.DIST_MIN / 2)
+                patch.setattr(world, "DIST_MAX", world.DIST_MAX * 2)
+                loose = check_constraints(positions, target)
             # feasible: no report late and both ranges held
             if not (lat > 0.030).any() and all(tight):
                 assert not (lat > 0.060).any() and all(loose)
@@ -166,9 +170,11 @@ class TestUavAxis:
             for row, value in zip(rows, got):
                 assert value == np.linalg.norm(row) == norms(row)
 
-    def test_constraints_match_full_distance_matrix(self):
+    def test_constraints_match_full_distance_matrix(self, monkeypatch):
         rng = np.random.default_rng(11)
-        cfg = WorldConfig(dist_min=150.0, dist_max=700.0)
+        lo, hi = 150.0, 700.0
+        monkeypatch.setattr(world, "DIST_MIN", lo)
+        monkeypatch.setattr(world, "DIST_MAX", hi)
         for _ in range(2000):
             positions = rng.uniform(100, 900, size=(5, 3))
             target = rng.uniform(100, 900, size=3)
@@ -176,8 +182,7 @@ class TestUavAxis:
             dists = np.linalg.norm(positions[:, None, :] - positions[None, :, :],
                                    axis=2)
             pair = dists[np.triu_indices(5, k=1)]
-            ref = (bool(np.all((d_target >= cfg.dist_min)
-                               & (d_target <= cfg.dist_max))),
-                   bool(np.all((pair >= cfg.dist_min) & (pair <= cfg.dist_max))))
-            got = check_constraints(positions, target, cfg)
+            ref = (bool(np.all((d_target >= lo) & (d_target <= hi))),
+                   bool(np.all((pair >= lo) & (pair <= hi))))
+            got = check_constraints(positions, target)
             assert got == ref and all(type(ok) is bool for ok in got)
