@@ -50,21 +50,6 @@ UPLINK_NOISE = 3e-12        # W, denominator noise term of the SINR
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """The radio's settable sizes; every other radio value is one of the
-    module constants above."""
-
-    n_ports: int = 32
-    n_paths: int = 5                  # uplink multipath count
-
-    def __post_init__(self):
-        if self.n_ports < 2:
-            raise ChannelError("n_ports must be at least 2")
-        if self.n_paths < 1:
-            raise ChannelError("n_paths must be at least 1")
-
-
-@dataclass(frozen=True)
 class ChannelDraw:
     """One slot's uplink channel realization for passive UAVs (...)."""
 
@@ -99,10 +84,10 @@ def path_power_profile(n_paths: int) -> np.ndarray:
     return profile
 
 
-def draw_channel(rng: np.random.Generator, params: ChannelParams,
-                 cos_aod: np.ndarray) -> ChannelDraw:
+def draw_channel(rng: np.random.Generator, cos_aod: np.ndarray) -> ChannelDraw:
     """Draw a per-slot channel realization per row of cos_aod (..., I), the
-    cosines of the departure angles the episode draws once (coherent geometry).
+    cosines of the departure angles of the I = n_paths uplink paths the
+    episode draws once (coherent geometry).
 
     Every path has unit mean power, E|fading_i|^2 = 1; path_power_profile
     sets how the total of n_paths is split across the paths (path i gets
@@ -111,10 +96,8 @@ def draw_channel(rng: np.random.Generator, params: ChannelParams,
     response is predictable from the departure angles.  Each row draws
     its scatter's real parts, imaginary parts and shadowing in turn.
     """
-    i = params.n_paths
     cos_aod = np.asarray(cos_aod, dtype=float)
-    if cos_aod.shape[-1:] != (i,):
-        raise ChannelError(f"cos_aod must have shape (..., {i})")
+    i = cos_aod.shape[-1]
     z = rng.standard_normal((*cos_aod.shape[:-1], 2 * i + 1))
     k = RICIAN_K
     scatter = (z[..., :i] + 1j * z[..., i:2 * i]) / math.sqrt(2.0)
@@ -149,19 +132,20 @@ def path_loss_db(r, shadow_db=0.0) -> np.ndarray:
             + shadow_db)[()]
 
 
-def fas_gain(draw: ChannelDraw, port, params: ChannelParams,
+def fas_gain(draw: ChannelDraw, port, n_ports: int,
              loss_db=0.0) -> np.ndarray:
     """Complex uplink gains of draw's rows (...) at their antenna ports (...)
-    (one draw's at every port: fas_gain(draw, arange(1, N + 1), params)).
+    of an n_ports grid (one draw's at every port: fas_gain(draw,
+    arange(1, N + 1), N)).
     loss_db is path_loss_db's output for these UAVs and this slot; 0 keeps
     the response unscaled, which the geometry-only tests use."""
     port = np.asarray(port)
-    off = port[(port < 1) | (port > params.n_ports)]
+    off = port[(port < 1) | (port > n_ports)]
     if off.size:
-        raise ChannelError(f"port {off[0]} outside 1..{params.n_ports}")
+        raise ChannelError(f"port {off[0]} outside 1..{n_ports}")
     amp = _per_element(lambda loss: 10.0 ** (-loss / 20.0), loss_db)
     # phase slope per port index: 2*pi*S/(N-1) * n * cos(aod)
-    coeff = 2.0 * math.pi * FAS_SIZE / (params.n_ports - 1)
+    coeff = 2.0 * math.pi * FAS_SIZE / (n_ports - 1)
     phases = np.exp(-1j * coeff * (port.astype(float)[..., None] * draw.cos_aod))
     return np.sum(draw.fading * amp[..., None] * phases, axis=-1)[()]
 

@@ -48,16 +48,11 @@ def _write_metrics(out_dir, training_log: marl.TrainingLog):
 def run_experiment(config_path, overrides, out_dir) -> int:
     """Execute one training/baseline run and persist its outputs.
 
-    Returns 0, 2 on a config error, or 3 if training diverged: the
-    completed epochs then still go to metrics.jsonl, and the divergence
-    diagnostics to diverged.json.
+    Returns 0, or 3 if training diverged: the completed epochs then still
+    go to metrics.jsonl, and the divergence diagnostics to diverged.json.
+    A config that does not load raises ConfigError before any output.
     """
-    try:
-        cfg = load_config(config_path, overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    cfg = load_config(config_path, overrides)
     os.makedirs(out_dir, exist_ok=True)
     resolved = to_ini(cfg)
     with open(os.path.join(out_dir, "config_resolved.ini"), "w",
@@ -277,7 +272,7 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "gradcheck":
             return gradcheck()
-    except (ConfigError, ValueError, nn.ShapeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,21 +1,25 @@
-"""Experiment configuration: typed sections, INI round-trip, overrides.
+"""Experiment configuration: the settable values, their INI text, overrides.
 
-The resolved configuration is a plain INI text with every field spelled
-out; re-running from a resolved snapshot reproduces a run byte for byte.
-Unknown sections or keys are rejected with the offending line number.
+Every settable value is a field of one of the section classes below; the
+physics modules (world, channel) take plain numbers.  from_ini reads INI
+text one line at a time, and every line stands alone.  A line is blank,
+a comment (starting with "#" or ";"), a [section] header, or
+"key = value" ("key: value"); a "#" or ";" after whitespace ends a
+line's text.  Section and key names are case-blind; there is no
+continuation line and no % interpolation.  Each value is applied as it
+is read, so every error names its [section] key and its line, or its
+override.  The resolved configuration is a plain INI text with every
+field spelled out; re-running from a resolved snapshot reproduces a run
+byte for byte.
 """
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import io
 import math
 import re
 from dataclasses import dataclass, field, fields
-
-from .channel import ChannelParams
-from .world import TargetTrajectorySpec, WorldConfig
 
 
 class ConfigError(ValueError):
@@ -23,8 +27,54 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class WorldConfig:
+    """The controlled UAVs' speed and the episode length.
+
+    The per-slot yaw/pitch change is bounded by the action set
+    (``env.ANGLE_CHOICES``); world.PITCH_MIN/PITCH_MAX clamp the absolute
+    pitch of every heading.
+    """
+
+    speed: float = 5.0                 # m/s, all controlled UAVs
+    slots_per_episode: int = 25
+
+    def __post_init__(self):
+        if self.speed <= 0:
+            raise ConfigError("speed must be positive")
+        if self.slots_per_episode < 1:
+            raise ConfigError("slots_per_episode must be at least 1")
+
+
+@dataclass(frozen=True)
+class TargetTrajectorySpec:
+    speed: float = 5.0            # m/s
+    uncertainty: float = 0.0      # total probability of a 90-degree turn per slot
+
+    def __post_init__(self):
+        if not 0.0 <= self.uncertainty <= 1.0:
+            raise ConfigError("uncertainty must lie in [0, 1]")
+        if self.speed < 0:
+            raise ConfigError("speed must be nonnegative")
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     latency_budget: float = 0.030        # s, per-uplink delivery deadline
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """The radio's settable sizes; every other radio value is one of the
+    channel module's constants."""
+
+    n_ports: int = 32
+    n_paths: int = 5                  # uplink multipath count
+
+    def __post_init__(self):
+        if self.n_ports < 2:
+            raise ConfigError("n_ports must be at least 2")
+        if self.n_paths < 1:
+            raise ConfigError("n_paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -94,42 +144,16 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _parse_value(text: str, default, section: str, key: str):
+def _parse_value(text: str, default):
     text = text.strip()
-    try:
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return _finite(text)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
-def _line_note(text: str, section: str, key: str | None = None) -> str:
-    """" (line N)" of [section]'s header in text, or of key's line in that
-    section, read as configparser reads them: inline comments dropped, a
-    header up to its last "]", section names compared case-blind, keys
-    lowercased and ended by the first "=" or ":"; "" when there is no
-    such line."""
-    current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = re.split(r"\s[#;]", line, maxsplit=1)[0].strip()
-        if stripped.startswith("[") and "]" in stripped:
-            current = stripped[1:stripped.rindex("]")].strip().lower()
-            if key is None and current == section:
-                return f" (line {lineno})"
-        elif key is not None and current == section:
-            if re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
-                return f" (line {lineno})"
-    return ""
+    if isinstance(default, int):
+        return int(text)
+    if isinstance(default, float):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+        return value
+    return text
 
 
 def default_config() -> ExperimentConfig:
@@ -148,71 +172,78 @@ def to_ini(cfg: ExperimentConfig) -> str:
     return out.getvalue()
 
 
-def _apply_items(base: ExperimentConfig, items, origin_text: str | None = None):
-    """items: iterable of (section, key, raw value string)."""
-    updates: dict[str, dict] = {}
-    for section, key, raw in items:
-        section = section.strip().lower()
-        key = key.strip()
-        if section not in _SECTIONS:
-            # from_ini rejects unknown sections first, so this is an override
-            raise ConfigError(f"unknown section [{section}] (key {key!r})")
-        sect_obj = getattr(base, section)
-        sect_fields = {f.name: f for f in fields(type(sect_obj))}
-        if key not in sect_fields:
-            loc = _line_note(origin_text, section, key) if origin_text else ""
-            raise ConfigError(f"unknown key {key!r} in section [{section}]{loc}")
-        default = getattr(sect_obj, key)
-        updates.setdefault(section, {})[key] = _parse_value(raw, default, section, key)
+def _section(name: str, where: str) -> str:
+    """The section that name selects, case-blind; where is its origin."""
+    section = name.strip().lower()
+    if section not in _SECTIONS:
+        raise ConfigError(f"unknown section [{name.strip()}] ({where})")
+    return section
 
+
+def _apply(cfg: ExperimentConfig, section: str, key: str, raw: str,
+           where: str) -> ExperimentConfig:
+    """cfg with [section] key set from the raw text of one line or
+    override, where; every error names the key and where."""
+    sect = getattr(cfg, section)
+    if key not in {f.name for f in fields(sect)}:
+        raise ConfigError(f"unknown key {key!r} in section [{section}] ({where})")
     try:
-        replaced = {}
-        for section, kv in updates.items():
-            replaced[section] = dataclasses.replace(getattr(base, section), **kv)
-        return dataclasses.replace(base, **replaced)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # section dataclasses validate their own invariants on construction
-        raise ConfigError(str(exc)) from None
+        value = _parse_value(raw, getattr(sect, key))
+        return dataclasses.replace(
+            cfg, **{section: dataclasses.replace(sect, **{key: value})})
+    except ValueError as exc:  # the text, or a section's own check
+        raise ConfigError(f"[{section}] {key} ({where}): {exc}") from None
 
 
 def from_ini(text: str) -> ExperimentConfig:
-    # no header can name the empty default section, so [DEFAULT] is an
-    # ordinary, unknown section rather than defaults for every section
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       default_section="")
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from None
-    for section in parser.sections():
-        name = section.strip().lower()
-        if name not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]"
-                              f"{_line_note(text, name)}")
-    items = [(section, key, parser.get(section, key))
-             for section in parser.sections()
-             for key in parser[section]]
-    return _apply_items(default_config(), items, origin_text=text)
+    """The default config with every key line of INI text applied."""
+    cfg, section, seen = default_config(), None, set()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        where = f"line {lineno}"
+        body = re.split(r"\s[#;]", line, maxsplit=1)[0].strip()
+        if not body or body[0] in "#;":
+            continue
+        if body[0] == "[" and body[-1] == "]":
+            section = _section(body[1:-1], where)
+            if (section, None) in seen:
+                raise ConfigError(f"repeated section [{section}] ({where})")
+            seen.add((section, None))
+            continue
+        item = re.fullmatch(r"([^=:]*)[=:](.*)", body)
+        if item is None or not item[1].strip():
+            raise ConfigError(f"not a [section], key = value or comment: "
+                              f"{line.strip()!r} ({where})")
+        key, raw = item[1].strip().lower(), item[2]
+        if section is None:
+            raise ConfigError(f"key {key!r} before any section ({where})")
+        if (section, key) in seen:
+            raise ConfigError(f"repeated key {key!r} in section [{section}] "
+                              f"({where})")
+        seen.add((section, key))
+        cfg = _apply(cfg, section, key, raw, where)
+    return cfg
 
 
 def apply_overrides(base: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply section.key=value strings to base; later ones win."""
-    items = []
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        dotted, equals, raw = item.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not equals or not dot:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
-        dotted, raw = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        items.append((section, key, raw))
-    return _apply_items(base, items)
+        where = f"override {item!r}"
+        base = _apply(base, _section(section, where), key.strip(), raw, where)
+    return base
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Read an INI file (optional) and apply section.key=value overrides."""
+    """Read an INI file (optional) and apply section.key=value overrides;
+    the file's errors name it."""
     cfg = default_config()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = from_ini(fh.read())
+            try:
+                cfg = from_ini(fh.read())
+            except ValueError as exc:  # a config error, or text not UTF-8
+                raise ConfigError(f"{path}: {exc}") from None
     return apply_overrides(cfg, overrides or [])

@@ -102,7 +102,8 @@ class PositioningEnv:
         self.positions = np.vstack([np.array(ACTIVE_START, float),
                                     np.array(PASSIVE_STARTS, float)])
         self.headings = self._headings_toward_target()
-        self.traj = wd.TargetTrajectory(self.cfg.target)
+        self.traj = wd.TargetTrajectory(self.cfg.target.speed,
+                                        self.cfg.target.uncertainty)
         self.estimate = self.positions[1:].mean(axis=0)
         self.prev_ranges = np.zeros(4)
         self._gate_rejects = 0
@@ -136,17 +137,17 @@ class PositioningEnv:
         if ports.shape != (4,) or ports.dtype.kind not in "iu":
             raise ValueError(f"ports must be an integer (4,) array, got {ports!r}")
         cfg = self.cfg
-        params = cfg.channel
-        if not 1 <= ports.min() <= ports.max() <= params.n_ports:
+        n_ports = cfg.channel.n_ports
+        if not 1 <= ports.min() <= ports.max() <= n_ports:
             # fas_gain's error, raised before the slot changes any state
-            bad = ports[(ports < 1) | (ports > params.n_ports)][0]
-            raise ch.ChannelError(f"port {bad} outside 1..{params.n_ports}")
+            bad = ports[(ports < 1) | (ports > n_ports)][0]
+            raise ch.ChannelError(f"port {bad} outside 1..{n_ports}")
         yaw, pitch = (self.headings + STEER_TURNS[steer]).T
         yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
         pitch = np.minimum(np.maximum(pitch, wd.PITCH_MIN), wd.PITCH_MAX)
         self.headings[:, 0], self.headings[:, 1] = yaw, pitch
         self.positions = wd.step_controlled(self.positions, yaw, pitch,
-                                            cfg.world)
+                                            cfg.world.speed)
         target = self.traj.step(self.rng)
         q0, qs = self.positions[0], self.positions[1:]
 
@@ -157,9 +158,9 @@ class PositioningEnv:
         echo = snr > 0.0
 
         # uplink through the selected ports
-        draw = ch.draw_channel(self.rng, params, self.cos_aods)
+        draw = ch.draw_channel(self.rng, self.cos_aods)
         loss = ch.path_loss_db(wd.norms(qs - self.bs), draw.shadow_db)
-        sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, params, loss))
+        sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, n_ports, loss))
         # a NaN latency is no delivery either, so it counts as late
         late = ~(ch.uplink_latencies(sinrs) <= cfg.scenario.latency_budget)
 

@@ -61,8 +61,8 @@ def encode_actions(steer: np.ndarray, ports: np.ndarray,
     (N_AGENTS, ...) holds the steering combos, yaw * N_ANGLE + pitch
     indices into env.ANGLE_CHOICES, and ports (4, ...) the passive UAVs'
     1-based ports.  Every agent's features are its yaw and pitch index; a
-    passive UAV's add its port's place on the grid (ChannelParams rejects
-    n_ports < 2)."""
+    passive UAV's add its port's place on the grid (the config rejects
+    channel.n_ports below 2, so the grid has two ends)."""
     yaw, pitch = np.divmod(steer, N_ANGLE)
     centre = (N_ANGLE - 1) / 2
     angles = (np.stack([yaw, pitch], axis=-1) - centre) / centre

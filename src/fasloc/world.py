@@ -10,47 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 Vec3 = np.ndarray  # shape (3,), float64
-
-
-class WorldError(ValueError):
-    """Invalid world or target-trajectory configuration."""
-
-
-@dataclass(frozen=True)
-class WorldConfig:
-    """The controlled UAVs' speed and the episode length.
-
-    The per-slot yaw/pitch change is bounded by the action set
-    (``env.ANGLE_CHOICES``); PITCH_MIN/PITCH_MAX clamp the absolute
-    pitch of every heading.
-    """
-
-    speed: float = 5.0                 # m/s, all controlled UAVs
-    slots_per_episode: int = 25
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise WorldError("speed must be positive")
-        if self.slots_per_episode < 1:
-            raise WorldError("slots_per_episode must be at least 1")
-
-
-@dataclass(frozen=True)
-class TargetTrajectorySpec:
-    speed: float = 5.0            # m/s
-    uncertainty: float = 0.0      # total probability of a 90-degree turn per slot
-
-    def __post_init__(self):
-        if not 0.0 <= self.uncertainty <= 1.0:
-            raise WorldError("uncertainty must lie in [0, 1]")
-        if self.speed < 0:
-            raise WorldError("speed must be nonnegative")
-
 
 SLOT_DURATION = 1.0            # s
 DIST_MIN = 20.0                # m, pairwise and UAV-target floor
@@ -82,9 +45,9 @@ def norms(v) -> np.ndarray:
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
 
 
-def step_controlled(q, yaw, pitch, cfg: WorldConfig) -> np.ndarray:
-    """Advance controlled UAVs q (..., 3) one slot along absolute headings
-    yaw, pitch (...).
+def step_controlled(q, yaw, pitch, speed: float) -> np.ndarray:
+    """Advance controlled UAVs q (..., 3) one slot at speed along absolute
+    headings yaw, pitch (...).
 
     q' = q + v*dt * [cos(yaw)cos(pitch), sin(yaw)cos(pitch), sin(pitch)],
     so the displacement length is exactly v*dt for any angles.  The
@@ -92,7 +55,7 @@ def step_controlled(q, yaw, pitch, cfg: WorldConfig) -> np.ndarray:
     change and the environment clamps its pitch to [PITCH_MIN, PITCH_MAX].
     """
     q = np.asarray(q, dtype=float)
-    return q + cfg.speed * SLOT_DURATION * heading_vector(yaw, pitch)
+    return q + speed * SLOT_DURATION * heading_vector(yaw, pitch)
 
 
 class TargetTrajectory:
@@ -105,8 +68,9 @@ class TargetTrajectory:
     resumes, translated to wherever the turn left the target.
     """
 
-    def __init__(self, spec: TargetTrajectorySpec):
-        self.spec = spec
+    def __init__(self, speed: float, uncertainty: float):
+        self.speed = speed              # m/s
+        self.uncertainty = uncertainty  # total probability of a turn per slot
         self.position = np.array(TARGET_START, dtype=float)
         self._phase = 0.0  # arc parameter of the C-line
 
@@ -120,15 +84,15 @@ class TargetTrajectory:
     def step(self, rng: np.random.Generator) -> Vec3:
         """Advance one slot and return the new position."""
         yaw, pitch = self._nominal_heading()
-        u = self.spec.uncertainty
+        u = self.uncertainty
         if u > 0.0:
             roll = rng.uniform()
             if roll < u / 2.0:
                 yaw += math.pi / 2.0
             elif roll < u:
                 yaw -= math.pi / 2.0
-        self.position = self.position + self.spec.speed * SLOT_DURATION * heading_vector(yaw, pitch)
-        self._phase += self.spec.speed * SLOT_DURATION / C_LINE_RADIUS
+        self.position = self.position + self.speed * SLOT_DURATION * heading_vector(yaw, pitch)
+        self._phase += self.speed * SLOT_DURATION / C_LINE_RADIUS
         return self.position.copy()
 
 

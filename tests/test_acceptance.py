@@ -29,7 +29,7 @@ from fasloc.cli import port_menu_for
 from fasloc.config import default_config
 from fasloc.marl import micro_config, micro_gradcheck
 from fasloc.positioning import estimate_position, true_range_sum
-from fasloc.channel import ChannelDraw, ChannelParams, fas_gain
+from fasloc.channel import ChannelDraw, fas_gain
 
 from conftest import ACCEPTANCE_SEEDS
 
@@ -136,14 +136,13 @@ def test_criterion_4_zero_noise_localizer_exactness():
 def test_criterion_5_single_path_port_invariance():
     started = time.time()
     rng = np.random.default_rng(55)
-    params = ChannelParams(n_paths=1, n_ports=32)
     worst = 0.0
     for _ in range(200):
         draw = ChannelDraw(
             fading=(rng.standard_normal(1) + 1j * rng.standard_normal(1))
             / math.sqrt(2),
             cos_aod=np.cos(rng.uniform(0, math.pi, 1)), shadow_db=0.0)
-        mags = np.abs(fas_gain(draw, np.arange(1, 33), params))
+        mags = np.abs(fas_gain(draw, np.arange(1, 33), 32))
         spread = (mags.max() - mags.min()) / mags.max()
         worst = max(worst, spread)
         assert spread < 1e-12

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from fasloc import channel
-from fasloc.channel import (ChannelDraw, ChannelError, ChannelParams,
-                            bistatic_snr, draw_channel, fas_gain,
-                            path_loss_db, path_power_profile,
-                            uplink_latencies, uplink_latency, uplink_sinr)
+from fasloc.channel import (ChannelDraw, ChannelError, bistatic_snr,
+                            draw_channel, fas_gain, path_loss_db,
+                            path_power_profile, uplink_latencies,
+                            uplink_latency, uplink_sinr)
 
-PARAMS = ChannelParams()
+N_PORTS = 32
 
 
 class TestBistaticSnr:
@@ -99,27 +99,24 @@ def _fixed_draw(n_paths, rng=None, aod=None, fading=None):
 
 class TestFasGain:
     def test_single_path_magnitude_is_port_invariant(self):
-        p = ChannelParams(n_paths=1, n_ports=32)
         draw = _fixed_draw(1)
-        mags = np.abs([fas_gain(draw, n, p) for n in range(1, 33)])
+        mags = np.abs([fas_gain(draw, n, 32) for n in range(1, 33)])
         spread = mags.max() - mags.min()
         assert spread < 1e-12 * mags.max()
 
     def test_global_phase_leaves_magnitude_unchanged(self):
-        p = ChannelParams(n_paths=5)
         draw = _fixed_draw(5)
         rotated = ChannelDraw(fading=draw.fading * cmath.exp(0.7j),
                               cos_aod=draw.cos_aod, shadow_db=0.0)
         for port in (1, 7, 32):
-            assert abs(fas_gain(rotated, port, p)) == pytest.approx(
-                abs(fas_gain(draw, port, p)), rel=1e-12)
+            assert abs(fas_gain(rotated, port, N_PORTS)) == pytest.approx(
+                abs(fas_gain(draw, port, N_PORTS)), rel=1e-12)
 
     def test_best_port_matches_independent_exhaustive_search(self, monkeypatch):
         monkeypatch.setattr(channel, "FAS_SIZE", 5.0)
-        p = ChannelParams(n_paths=5, n_ports=32)
         aod = np.random.default_rng(5).uniform(0, math.pi, 5)
         draw = _fixed_draw(5, aod=aod)
-        gains = fas_gain(draw, np.arange(1, 33), p)
+        gains = fas_gain(draw, np.arange(1, 33), 32)
         best = int(np.argmax(np.abs(gains))) + 1
 
         # brute force straight from the per-port sum, written independently
@@ -137,28 +134,24 @@ class TestFasGain:
     def test_amplitude_conventions(self):
         # a dB loss is a power loss: the amplitude scales by 10^(-loss/20)
         draw = _fixed_draw(3)
-        p = ChannelParams(n_paths=3)
         for loss in (0.0, 6.0, 60.0, 120.0):
-            assert abs(fas_gain(draw, 4, p, loss)) == pytest.approx(
-                abs(fas_gain(draw, 4, p)) * 10 ** (-loss / 20), rel=1e-12)
+            assert abs(fas_gain(draw, 4, N_PORTS, loss)) == pytest.approx(
+                abs(fas_gain(draw, 4, N_PORTS)) * 10 ** (-loss / 20), rel=1e-12)
 
     def test_port_out_of_range(self):
         draw = _fixed_draw(2)
-        p = ChannelParams(n_paths=2, n_ports=8)
         with pytest.raises(ChannelError):
-            fas_gain(draw, 0, p)
+            fas_gain(draw, 0, 8)
         with pytest.raises(ChannelError):
-            fas_gain(draw, 9, p)
+            fas_gain(draw, 9, 8)
 
     def test_more_ports_give_no_worse_best_gain(self):
         rng = np.random.default_rng(11)
-        p8 = ChannelParams(n_paths=5, n_ports=8)
-        p32 = ChannelParams(n_paths=5, n_ports=32)
         best8, best32 = [], []
         for _ in range(2000):
-            draw = draw_channel(rng, p8, np.cos(rng.uniform(0.0, math.pi, p8.n_paths)))
-            best8.append(np.abs(fas_gain(draw, np.arange(1, 9), p8)).max() ** 2)
-            best32.append(np.abs(fas_gain(draw, np.arange(1, 33), p32)).max() ** 2)
+            draw = draw_channel(rng, np.cos(rng.uniform(0.0, math.pi, 5)))
+            best8.append(np.abs(fas_gain(draw, np.arange(1, 9), 8)).max() ** 2)
+            best32.append(np.abs(fas_gain(draw, np.arange(1, 33), 32)).max() ** 2)
         assert np.mean(best32) >= np.mean(best8) * 0.98
 
 
@@ -166,8 +159,7 @@ class TestDrawChannel:
     def test_unit_power_fading(self, monkeypatch):
         rng = np.random.default_rng(1)
         monkeypatch.setattr(channel, "RICIAN_K", 10.0)
-        p = ChannelParams(n_paths=4)
-        draws = [draw_channel(rng, p, np.cos(rng.uniform(0.0, math.pi, p.n_paths)))
+        draws = [draw_channel(rng, np.cos(rng.uniform(0.0, math.pi, 4)))
                  for _ in range(4000)]
         power = np.mean([np.mean(np.abs(d.fading) ** 2) for d in draws])
         assert power == pytest.approx(1.0, rel=0.05)
@@ -175,11 +167,8 @@ class TestDrawChannel:
     def test_aod_reuse(self):
         rng = np.random.default_rng(2)
         aod = np.array([0.3, 1.1, 2.0])
-        p = ChannelParams(n_paths=3)
-        d = draw_channel(rng, p, np.cos(aod))
+        d = draw_channel(rng, np.cos(aod))
         np.testing.assert_array_equal(d.cos_aod, np.cos(aod))
-        with pytest.raises(ChannelError):
-            draw_channel(rng, p, np.cos(np.array([0.1, 0.2])))
 
 
 class TestUplink:
@@ -273,14 +262,13 @@ class TestUavAxis:
         n_paths, constants = params
         for name, value in constants.items():
             monkeypatch.setattr(channel, name, value)
-        params = ChannelParams(n_paths=n_paths)
         i, k = n_paths, channel.RICIAN_K
         aod = np.random.default_rng(21).uniform(0, math.pi, (4, i))
         rngs = [np.random.default_rng(22) for _ in range(3)]
         for _ in range(50):
-            got = draw_channel(rngs[0], params, np.cos(aod))
+            got = draw_channel(rngs[0], np.cos(aod))
             for row in range(4):
-                ref = draw_channel(rngs[1], params, np.cos(aod[row]))
+                ref = draw_channel(rngs[1], np.cos(aod[row]))
                 scatter = (rngs[2].standard_normal(i)
                            + 1j * rngs[2].standard_normal(i)) / math.sqrt(2.0)
                 fading = (math.sqrt(k / (k + 1.0))
@@ -309,17 +297,17 @@ class TestUavAxis:
             draw = _fixed_draw(5, rng, aod=rng.uniform(0, math.pi, (4, 5)),
                                fading=rng.standard_normal((4, 5))
                                + 1j * rng.standard_normal((4, 5)))
-            ports = rng.integers(1, PARAMS.n_ports + 1, 4)
+            ports = rng.integers(1, N_PORTS + 1, 4)
             loss = rng.uniform(40.0, 120.0, 4)
-            got = fas_gain(draw, ports, PARAMS, loss)
+            got = fas_gain(draw, ports, N_PORTS, loss)
             for k in range(4):
                 row = ChannelDraw(fading=draw.fading[k], cos_aod=draw.cos_aod[k],
                                   shadow_db=0.0)
-                ref = fas_gain(row, int(ports[k]), PARAMS, float(loss[k]))
+                ref = fas_gain(row, int(ports[k]), N_PORTS, float(loss[k]))
                 assert got[k] == ref
-        for bad in (0, PARAMS.n_ports + 1):
+        for bad in (0, N_PORTS + 1):
             with pytest.raises(ChannelError, match=f"port {bad} outside"):
-                fas_gain(draw, np.array([1, bad, 2, 3]), PARAMS, loss)
+                fas_gain(draw, np.array([1, bad, 2, 3]), N_PORTS, loss)
 
     def test_uplink_sinr_and_latency_rows(self):
         rng = np.random.default_rng(25)

@@ -6,11 +6,115 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fasloc import cli, marl, nn
-from fasloc.config import (ConfigError, default_config, from_ini,
-                           load_config, to_ini)
+from fasloc.config import (SCHEME_TRAITS, ConfigError, apply_overrides,
+                           default_config, from_ini, load_config, to_ini)
 from fasloc.marl import micro_config
+
+# one malformed INI text or override per row, and the ConfigError it gives
+MALFORMED = {
+    # no continuation line: an indented line stands alone
+    "indented_line": ("[world]\nspeed = 5.0\n  bogus = 9\n",
+                      "unknown key 'bogus' in section [world] (line 3)"),
+    # no % interpolation, so % is only a character of a value
+    "percent": ("[world]\nspeed = 5%\n",
+                "[world] speed (line 2): could not convert string to float: "
+                "'5%'"),
+    "interpolation": ("[run]\nepochs = 7\nseed = %(epochs)s\n",
+                      "[run] seed (line 3): invalid literal for int() with "
+                      "base 10: '%(epochs)s'"),
+    "repeated_key": ("[world]\nspeed = 5.0\nSpeed: 6.0\n",
+                     "repeated key 'speed' in section [world] (line 3)"),
+    "repeated_section": ("[world]\nspeed = 5.0\n[run]\nseed = 1\n[World]\n",
+                         "repeated section [world] (line 5)"),
+    "key_before_section": ("speed = 5.0\n[world]\n",
+                           "key 'speed' before any section (line 1)"),
+    "no_delimiter": ("[world]\nspeed 5.0\n",
+                     "not a [section], key = value or comment: 'speed 5.0' "
+                     "(line 2)"),
+    "bad_value": ("[world]\nspeed = fast\n",
+                  "[world] speed (line 2): could not convert string to float: "
+                  "'fast'"),
+    "out_of_range": ("[world]\n# the UAVs' speed\nspeed = 0\n",
+                     "[world] speed (line 3): speed must be positive"),
+    "override": ("world.speed=0",
+                 "[world] speed (override 'world.speed=0'): speed must be "
+                 "positive"),
+}
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+# a strategy for every settable value, drawing only valid ones
+VALID_VALUES = {
+    "world": {"speed": st.floats(min_value=0.0, exclude_min=True, **_FINITE),
+              "slots_per_episode": st.integers(min_value=1)},
+    "target": {"speed": st.floats(min_value=0.0, **_FINITE),
+               "uncertainty": st.floats(0.0, 1.0)},
+    "scenario": {"latency_budget": st.floats(**_FINITE)},
+    "channel": {"n_ports": st.integers(min_value=2),
+                "n_paths": st.integers(min_value=1)},
+    "marl": {key: st.integers(min_value=1) for key in (
+        "gru_hidden", "mlp_hidden", "embed_width", "attn_units", "attn_width",
+        "omega_width", "history_window", "mixing_hidden")},
+    "run": {"epochs": st.integers(min_value=1),
+            "episodes_per_epoch": st.integers(min_value=1),
+            "seed": st.integers(min_value=0),
+            "scheme": st.sampled_from(list(SCHEME_TRAITS)),
+            "eval_episodes": st.integers(min_value=1)},
+}
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_NOTE = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                              exclude_characters="%"), max_size=12)
+
+
+def _with_values(values: dict):
+    """The default config with {section: {key: value}} set."""
+    return apply_overrides(default_config(), [
+        f"{section}.{key}={value!r}" if isinstance(value, float)
+        else f"{section}.{key}={value}"
+        for section, kv in values.items() for key, value in kv.items()])
+
+
+@st.composite
+def valid_ini(draw):
+    """(text, values): a valid INI text without % or continuation lines,
+    varying name case, delimiter, spacing, comments, blank lines, section
+    order and key subsets, and the {section: {key: value}} it sets."""
+    lines, values = [], {}
+
+    def cased(name):
+        return "".join(c.upper() if draw(st.booleans()) else c for c in name)
+
+    def note():   # an inline comment, or none
+        if draw(st.booleans()):
+            return ""
+        return draw(st.sampled_from([" ", "\t", "  "])) + \
+            draw(st.sampled_from("#;")) + draw(_NOTE)
+
+    def filler():  # blank and full-line comment lines
+        for _ in range(draw(st.integers(0, 2))):
+            comment = draw(st.sampled_from("#;")) + draw(_NOTE)
+            lines.append(draw(_SPACE) + draw(st.sampled_from(["", comment])))
+
+    sections = draw(st.permutations(list(VALID_VALUES)))
+    for section in sections[:draw(st.integers(0, len(sections)))]:
+        filler()
+        lines.append(f"[{draw(_SPACE)}{cased(section)}{draw(_SPACE)}]{note()}")
+        values[section] = {}
+        keys = draw(st.permutations(list(VALID_VALUES[section])))
+        for key in keys[:draw(st.integers(0, len(keys)))]:
+            filler()
+            value = draw(VALID_VALUES[section][key])
+            text = repr(value) if isinstance(value, float) else str(value)
+            lines.append(f"{cased(key)}{draw(_SPACE)}"
+                         f"{draw(st.sampled_from('=:'))}{draw(_SPACE)}"
+                         f"{text}{note()}")
+            values[section][key] = value
+    filler()
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), values
+
 
 TINY_OVERRIDES = [
     "run.epochs=3",
@@ -202,6 +306,52 @@ class TestConfig:
             from_ini("[world]\nspeed = fast\n")
         assert "[world] speed" in str(err.value)
 
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_names_its_line_or_override(self, case, tmp_path,
+                                                        capsys):
+        """One ConfigError naming the line or override, and through
+        fasloc run one error: line, exit code 2 and no output."""
+        source, message = MALFORMED[case]
+        out = tmp_path / "out"
+        if case == "override":
+            with pytest.raises(ConfigError) as err:
+                apply_overrides(default_config(), [source])
+            argv, line = ["--override", source], f"error: {message}"
+        else:
+            with pytest.raises(ConfigError) as err:
+                from_ini(source)
+            path = tmp_path / "bad.ini"
+            path.write_text(source)
+            argv, line = ["--config", str(path)], f"error: {path}: {message}"
+        assert str(err.value) == message
+        assert cli.main(["run", "--out", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line] and captured.out == ""
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ini=valid_ini())
+    def test_reader_agrees_with_configparser(self, ini):
+        """A valid INI text means what configparser's reading of it means,
+        and sets the values it spells out."""
+        text, values = ini
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(text)
+        read = apply_overrides(default_config(), [
+            f"{section}.{key}={parser.get(section, key)}"
+            for section in parser.sections() for key in parser[section]])
+        assert from_ini(text) == read == _with_values(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        section: st.fixed_dictionaries(kv)
+        for section, kv in VALID_VALUES.items()}))
+    def test_resolved_ini_round_trips(self, values):
+        cfg = _with_values(values)
+        assert from_ini(to_ini(cfg)) == cfg
+        # the strategies draw every settable value
+        assert sum(map(len, values.values())) == to_ini(cfg).count(" = ")
+
     def test_override_parsing(self):
         cfg = load_config(None, ["marl.gru_hidden=12", "run.seed=9"])
         assert cfg.marl.gru_hidden == 12
@@ -323,11 +473,25 @@ class TestRunVerb:
         assert "seed must be at least 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_config_fails_with_nonzero_exit(self, tmp_path):
+    def test_invalid_config_fails_with_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[world]\nspeed = -3\n")
-        rc = cli.run_experiment(str(bad), [], str(tmp_path / "o"))
-        assert rc != 0
+        assert cli.main(["run", "--config", str(bad), "--out",
+                         str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: [world] speed (line 2): speed must be positive\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_run_and_sweep_print_one_error_line(self, tmp_path, capsys):
+        # every verb reports a config error through main's one error: line
+        line = ("error: [world] speed (override 'world.speed=0'): speed "
+                "must be positive\n")
+        for argv in (["run"], ["sweep", "--axis", "port_count", "--values",
+                               "2"]):
+            assert cli.main([*argv, "--out", str(tmp_path / "o"),
+                             "--override", "world.speed=0"]) == 2
+            assert capsys.readouterr().err == line
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluateVerb:

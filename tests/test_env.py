@@ -278,9 +278,9 @@ def test_assigned_aods_reach_the_next_uplink(monkeypatch):
     seen = []
     draw_channel = channel.draw_channel
 
-    def recording(rng, params, cos_aod):
+    def recording(rng, cos_aod):
         seen.append(np.array(cos_aod))
-        return draw_channel(rng, params, cos_aod)
+        return draw_channel(rng, cos_aod)
 
     monkeypatch.setattr(channel, "draw_channel", recording)
     obs, _ = env.step(np.full(N_AGENTS, 12), np.ones(4, dtype=int))

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fasloc import world
-from fasloc.world import (SLOT_DURATION, TargetTrajectory,
-                          TargetTrajectorySpec, WorldConfig, WorldError,
-                          check_constraints, heading_vector, norms,
-                          step_controlled)
+from fasloc.config import ConfigError, TargetTrajectorySpec
+from fasloc.world import (SLOT_DURATION, TargetTrajectory, check_constraints,
+                          heading_vector, norms, step_controlled)
 
-CFG = WorldConfig()
+SPEED = 5.0
 
 ACTIVE = np.array([300.0, 300.0, 300.0])
 PASSIVE = np.array([[237.0, 890.0, 744.0],
@@ -23,18 +22,18 @@ TARGET = np.array([445.0, 615.0, 533.0])
 
 class TestStepControlled:
     def test_pure_x_motion(self):
-        q = step_controlled(np.array([0.0, 0.0, 100.0]), 0.0, 0.0, CFG)
+        q = step_controlled(np.array([0.0, 0.0, 100.0]), 0.0, 0.0, SPEED)
         np.testing.assert_allclose(q, [5.0, 0.0, 100.0], atol=1e-12)
 
     def test_straight_up_with_bounds_disabled(self):
         # the absolute heading is unbounded: pitch 90 degrees exceeds the
         # per-slot change bound
-        q = step_controlled(np.array([0.0, 0.0, 100.0]), 0.0, math.pi / 2, CFG)
+        q = step_controlled(np.array([0.0, 0.0, 100.0]), 0.0, math.pi / 2, SPEED)
         np.testing.assert_allclose(q, [0.0, 0.0, 105.0], atol=1e-12)
 
     def test_oblique_step_matches_direct_evaluation(self):
         q = step_controlled(np.array([300.0, 300.0, 300.0]),
-                            math.pi / 4, math.pi / 6, CFG)
+                            math.pi / 4, math.pi / 6, SPEED)
         expected = np.array([
             300.0 + 5.0 * math.cos(math.pi / 4) * math.cos(math.pi / 6),
             300.0 + 5.0 * math.sin(math.pi / 4) * math.cos(math.pi / 6),
@@ -48,18 +47,17 @@ class TestStepControlled:
     @settings(max_examples=100, deadline=None)
     def test_step_length_is_speed_times_dt(self, yaw, pitch):
         q0 = np.array([10.0, -20.0, 55.0])
-        q1 = step_controlled(q0, yaw, pitch, CFG)
+        q1 = step_controlled(q0, yaw, pitch, SPEED)
         dist = np.linalg.norm(q1 - q0)
-        assert dist == pytest.approx(CFG.speed * SLOT_DURATION, rel=1e-12)
+        assert dist == pytest.approx(SPEED * SLOT_DURATION, rel=1e-12)
 
 
 class TestTargetTrajectory:
     def test_deterministic_given_seed(self):
-        spec = TargetTrajectorySpec(speed=5.0, uncertainty=0.3)
         paths = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            traj = TargetTrajectory(spec)
+            traj = TargetTrajectory(speed=5.0, uncertainty=0.3)
             paths.append(np.array([traj.step(rng) for _ in range(50)]))
         np.testing.assert_array_equal(paths[0], paths[1])
 
@@ -67,8 +65,7 @@ class TestTargetTrajectory:
         # with and without turns: a turn rotates the heading, not its length
         monkeypatch.setattr(world, "SLOT_DURATION", 0.5)
         for uncertainty in (0.0, 0.5):
-            spec = TargetTrajectorySpec(speed=7.0, uncertainty=uncertainty)
-            traj = TargetTrajectory(spec)
+            traj = TargetTrajectory(speed=7.0, uncertainty=uncertainty)
             rng = np.random.default_rng(0)
             prev = traj.position.copy()
             for _ in range(60):
@@ -77,8 +74,7 @@ class TestTargetTrajectory:
                 prev = cur
 
     def test_turn_frequency_matches_uncertainty(self):
-        spec = TargetTrajectorySpec(speed=5.0, uncertainty=0.2)
-        traj = TargetTrajectory(spec)
+        traj = TargetTrajectory(speed=5.0, uncertainty=0.2)
         rng = np.random.default_rng(7)
         turns = 0
         steps = 100_000
@@ -94,9 +90,9 @@ class TestTargetTrajectory:
         assert turns / steps == pytest.approx(0.2, abs=0.01)
 
     def test_uncertainty_validation(self):
-        with pytest.raises(WorldError):
+        with pytest.raises(ConfigError):
             TargetTrajectorySpec(uncertainty=1.5)
-        with pytest.raises(WorldError):
+        with pytest.raises(ConfigError):
             TargetTrajectorySpec(speed=-1.0)
 
 
@@ -156,10 +152,10 @@ class TestUavAxis:
             q = rng.uniform(-100.0, 1500.0, (5, 3))
             yaw = rng.uniform(-math.pi, math.pi, 5)
             pitch = rng.uniform(-math.pi / 3, math.pi / 3, 5)
-            stacked = step_controlled(q, yaw, pitch, CFG)
+            stacked = step_controlled(q, yaw, pitch, SPEED)
             for k in range(5):
                 assert (stacked[k].tobytes() == step_controlled(
-                    q[k], float(yaw[k]), float(pitch[k]), CFG).tobytes())
+                    q[k], float(yaw[k]), float(pitch[k]), SPEED).tobytes())
 
     def test_norms_are_linalg_norm_bits(self):
         rng = np.random.default_rng(10)

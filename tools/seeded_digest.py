@@ -46,8 +46,12 @@ episode per epoch, seed 11):
   stdout and of every output file but ``run_info.json`` (a checkpoint by
   its archive members, whose bytes do not depend on the zip timestamps),
 - and a ``config`` section: the sorted ``section.key`` list of every
-  settable config value and the sha256 of ``to_ini(default_config())``,
-  so a change to the config surface shows as one named entry.
+  settable config value, the sha256 of ``to_ini(default_config())``, and
+  ``errors``, the sha256 of the messages that ``from_ini`` and
+  ``apply_overrides`` give for each of the malformed INI texts and
+  overrides in CONFIG_ERRORS (each as ``<exception type>: <message>``,
+  one per line), so a change to the config surface or to any config
+  error text shows as one named entry.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ import tempfile
 import numpy as np
 
 from fasloc import cli, marl, nn
-from fasloc.config import SCHEME_TRAITS, default_config, to_ini
+from fasloc.config import (SCHEME_TRAITS, apply_overrides, default_config,
+                           from_ini, to_ini)
 from fasloc.env import N_AGENTS, N_ANGLE, PositioningEnv
 from fasloc.positioning import estimate_position
 
@@ -94,6 +99,29 @@ CLI_RUNS = {
 }
 CLI_SWEEPS = {"target_speed": "5,10", "uncertainty": "0,0.5",
               "port_count": "2,4"}
+# (reader, input): malformed INI texts for from_ini, overrides for
+# apply_overrides
+CONFIG_ERRORS = (
+    ("ini", "[world]\nspeed = 5.0\n  bogus = 9\n"),
+    ("ini", "[world]\nspeed = 5%\n"),
+    ("ini", "[run]\nepochs = 7\nseed = %(epochs)s\n"),
+    ("ini", "[world]\nspeed = 5.0\nSpeed: 6.0\n"),
+    ("ini", "[world]\nspeed = 5.0\n[run]\nseed = 1\n[World]\n"),
+    ("ini", "speed = 5.0\n[world]\n"),
+    ("ini", "[world]\nspeed 5.0\n"),
+    ("ini", "[world]\nspeed = fast\n"),
+    ("ini", "[world]\n# the UAVs' speed\nspeed = 0\n"),
+    ("ini", "[world]\nspeed = 5.0\n[Quantum] # note\nfoo = 1\n"),
+    ("ini", "[marl]\ndiscount = 0.9\n"),
+    ("ini", "[run]\nscheme = alphago\n"),
+    ("override", "world.speed=0"),
+    ("override", "target.speed=nan"),
+    ("override", "run.seed=-1"),
+    ("override", "channel.n_ports=1"),
+    ("override", "world.bogus=1"),
+    ("override", "quantum.foo=1"),
+    ("override", "nonsense"),
+)
 
 
 def criterion_8_config(scheme: str):
@@ -261,8 +289,20 @@ def config_digest() -> dict:
     cfg = default_config()
     keys = [f"{sect.name}.{f.name}" for sect in dataclasses.fields(cfg)
             for f in dataclasses.fields(getattr(cfg, sect.name))]
+    messages = []
+    for reader, given in CONFIG_ERRORS:
+        try:
+            if reader == "ini":
+                from_ini(given)
+            else:
+                apply_overrides(cfg, [given])
+            messages.append("no error")
+        except Exception as exc:  # an error that is no ConfigError too
+            messages.append(f"{type(exc).__name__}: {exc}")
     return {"keys": sorted(keys),
-            "ini_sha256": hashlib.sha256(to_ini(cfg).encode()).hexdigest()}
+            "ini_sha256": hashlib.sha256(to_ini(cfg).encode()).hexdigest(),
+            "errors": hashlib.sha256(
+                "\n".join(messages).encode()).hexdigest()}
 
 
 def digest() -> dict:
