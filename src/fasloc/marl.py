@@ -220,9 +220,10 @@ class LocalQNet(Module):
     def n_agents(self) -> int:
         return len(self.embed.w.params)
 
-    def initial_state(self) -> np.ndarray:
-        """The agents' (A, 1, hidden) recurrent states before the first slot."""
-        return np.zeros((self.n_agents, 1, max(self.hidden_size, 1)))
+    def initial_state(self, rows: int = 1) -> np.ndarray:
+        """The agents' (A, rows, hidden) recurrent states before the first
+        slot, one row per episode."""
+        return np.zeros((self.n_agents, rows, max(self.hidden_size, 1)))
 
     def _embed(self, x):
         e_pre, c_embed = self.embed.forward(x)
@@ -244,16 +245,22 @@ class LocalQNet(Module):
         return (q, port), (c_value, c_angle, c_port, port_raw)
 
     def step(self, x: np.ndarray, h: np.ndarray):
-        """One slot's (q, port), (A, 1, N_STEER) steering Q-values and
-        (A, 1, n_ports) port advantages or None, and (A, 1, hidden) next
-        recurrent states from the agents' (A, 1, n_in) inputs and states,
-        for acting; no cache is kept.  forward gives the same values bit
-        for bit."""
+        """One slot of B episodes played in lockstep, for acting: (q, port),
+        the (A, B, N_STEER) steering Q-values and (A, B, n_ports) port
+        advantages or None, and the (A, B, hidden) next recurrent states,
+        from the agents' (A, B, n_in) inputs and (A, B, hidden) states, one
+        row per episode.  Each (agent, episode) is a one-row block of the
+        (A, B, 1, ·) stacks the layers see, not a row of an (A, B, ·)
+        matrix, whose product rounds differently; so a row gives the values
+        a call with B = 1 gives, and forward gives them too, bit for bit.
+        No cache is kept."""
+        x = np.asarray(x, float)[:, :, None, :]
         trunk, _, _ = self._embed(x)
         if self.gru is not None:
-            h, _ = self.gru.step(self.gru.project(trunk), h)
-            trunk = h
-        return self._heads(trunk, x)[0], h
+            trunk, _ = self.gru.step(self.gru.project(trunk), h[:, :, None, :])
+            h = trunk[:, :, 0]
+        (q, port), _ = self._heads(trunk, x)
+        return (q[:, :, 0], None if port is None else port[:, :, 0]), h
 
     def forward(self, xs: np.ndarray):
         """(q, port), the steering Q-values (A, T, N_STEER) and the port
@@ -435,6 +442,21 @@ def _team_columns(rows: list[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(rows).T)
 
 
+def _record(observed, steers, played, infos) -> EpisodeData:
+    """One episode's record from its per-slot observations, steering
+    combos, ports and env.step infos."""
+
+    def column(key):
+        return np.array([info[key] for info in infos])
+
+    return EpisodeData(
+        observations=[np.stack(obs, axis=1) for obs in zip(*observed)],
+        steer=np.array(steers), ports=np.array(played),
+        errors=column("error"), stales=column("stale"),
+        feasible=column("feasible"), late=column("late"),
+        range_ok=column("range_ok"))
+
+
 # ---------------------------------------------------------------------------
 # policy container
 
@@ -614,8 +636,9 @@ class MarlTrainer:
         """The team's actions for one slot, (steer, ports): the (N_AGENTS,)
         steering combos and the passive UAVs' (4,) 1-based ports, as
         PositioningEnv.step takes them.  values holds each local net's
-        (q, port) as LocalQNet.step returns them, in PolicyNets.local_agents()
-        order (none for the random scheme).
+        (q, port) as LocalQNet.step returns them for this episode alone
+        (B = 1), in PolicyNets.local_agents() order (none for the random
+        scheme).
 
         ports are the selectable ports, in ascending order.  The random
         scheme draws each agent's action uniformly: one draw over the
@@ -660,23 +683,27 @@ class MarlTrainer:
 
     # -- rollout --------------------------------------------------------------
 
-    def rollout(self, env: PositioningEnv, epsilon: float,
+    def rollout(self, envs: list[PositioningEnv], epsilon: float,
                 port_eps: float | None = None,
-                rng: np.random.Generator | None = None,
-                port_menu=None) -> EpisodeData:
-        """Play one episode of env and record it (EpisodeData).
+                rngs: list[np.random.Generator] | None = None,
+                port_menu=None) -> list[EpisodeData]:
+        """Play one episode of each of envs in lockstep and record each
+        (EpisodeData), in envs order.
 
         Steering explores with probability epsilon, ports with port_eps
-        (default: epsilon), drawing from rng (default: the trainer's policy
-        stream).  port_menu restricts the passive UAVs to those ports of the
-        grid (ValueError if it is empty or holds anything else).  The local
-        nets act slot by slot (LocalQNet.step, one call per net for all its
-        agents) and keep no caches: the learner derives their inputs from
-        the record and replays them in one sequence pass.  The process time
-        spent in env.step is added to env_s, and the part of it env spent
-        in its solver to solver_s.
+        (default: epsilon); episode b draws from rngs[b] (default: every
+        episode from the trainer's policy stream).  port_menu restricts the
+        passive UAVs to those ports of the grid (ValueError if it is empty
+        or holds anything else).  Each slot, each local net makes one
+        LocalQNet.step call for all its agents in all episodes, and each
+        episode then acts and steps its own env, so an episode with its own
+        env and rng is recorded bit for bit as when played alone.  The nets
+        keep no caches: the learner derives their inputs from the record
+        and replays them in one sequence pass.  The process time spent in
+        env.step is added to env_s, and the part of it the envs spent in
+        their solver to solver_s.
         """
-        rng = self.policy_rng if rng is None else rng
+        rngs = [self.policy_rng] * len(envs) if rngs is None else rngs
         port_eps = epsilon if port_eps is None else port_eps
         ports = np.arange(1, self.n_ports + 1)
         if port_menu is not None:
@@ -685,39 +712,43 @@ class MarlTrainer:
                                  f"is not a nonempty set of ports in "
                                  f"1..{self.n_ports}")
             ports = np.unique(np.asarray(port_menu, dtype=int))
-        solver_before = env.solver_s
-        observations = env.reset()
-        # each net's agents' previous-action features: none before slot 0
-        previous = [np.zeros((len(obs), width - obs.shape[-1])) for obs, width
-                    in zip(observations, self.nets.input_widths)]
-        hidden = [net.initial_state() for net in self.nets.local]
-        observed, steers, played, infos = [], [], [], []
-        for _ in range(env.cfg.world.slots_per_episode):
-            values = []
+        slots = {env.cfg.world.slots_per_episode for env in envs}
+        if len(slots) != 1 or len(rngs) != len(envs):
+            raise ValueError("rollout needs at least one env, one rng per "
+                             "env and one episode length")
+        solver_before = [env.solver_s for env in envs]
+        observations = [env.reset() for env in envs]
+        # each episode's nets' agents' previous-action features: none
+        # before slot 0
+        previous = [[np.zeros((len(obs), width - obs.shape[-1])) for obs, width
+                     in zip(first, self.nets.input_widths)]
+                    for first in observations]
+        hidden = [net.initial_state(len(envs)) for net in self.nets.local]
+        records = [([], [], [], []) for _ in envs]
+        for _ in range(slots.pop()):
+            values = []     # [i] -> net i's (q, port) over the episodes
             for i, net in enumerate(self.nets.local):
-                x = np.concatenate([observations[i], previous[i]], axis=-1)
-                value, hidden[i] = net.step(x[:, None], hidden[i])
+                x = np.stack([np.concatenate([obs[i], prev[i]], axis=-1)
+                              for obs, prev in zip(observations, previous)],
+                             axis=1)
+                value, hidden[i] = net.step(x, hidden[i])
                 values.append(value)
-            steer, chosen = self.act(values, epsilon, port_eps, rng, ports)
-            observed.append(observations)
-            steers.append(steer)
-            played.append(chosen)
-            previous = encode_actions(steer, chosen, self.n_ports)
-            started = time.process_time()
-            observations, info = env.step(steer, chosen)
-            self.env_s += time.process_time() - started
-            infos.append(info)
-        self.solver_s += env.solver_s - solver_before
-
-        def column(key):
-            return np.array([info[key] for info in infos])
-
-        return EpisodeData(
-            observations=[np.stack(obs, axis=1) for obs in zip(*observed)],
-            steer=np.array(steers), ports=np.array(played),
-            errors=column("error"), stales=column("stale"),
-            feasible=column("feasible"), late=column("late"),
-            range_ok=column("range_ok"))
+            for b, (env, rng) in enumerate(zip(envs, rngs)):
+                steer, chosen = self.act(
+                    [tuple(None if v is None else v[:, b:b + 1] for v in value)
+                     for value in values], epsilon, port_eps, rng, ports)
+                observed, steers, played, infos = records[b]
+                observed.append(observations[b])
+                steers.append(steer)
+                played.append(chosen)
+                previous[b] = encode_actions(steer, chosen, self.n_ports)
+                started = time.process_time()
+                observations[b], info = env.step(steer, chosen)
+                self.env_s += time.process_time() - started
+                infos.append(info)
+        self.solver_s += sum(env.solver_s - before
+                             for env, before in zip(envs, solver_before))
+        return [_record(*record) for record in records]
 
     # -- targets and loss -----------------------------------------------------
 
@@ -866,7 +897,7 @@ class MarlTrainer:
             for _ in range(cfg.run.episodes_per_epoch):
                 eps, port_eps, lr_scale = self.schedule(ep_index, total_eps)
                 started = time.process_time()
-                episode = self.rollout(env, eps, port_eps=port_eps)
+                episode, = self.rollout([env], eps, port_eps=port_eps)
                 played = time.process_time()
                 loss = (self.train_on_episode(episode, lr_scale)
                         if self.trains else 0.0)
@@ -909,22 +940,25 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
                       episodes: int, seed: int,
                       port_menu=None) -> dict:
     """Greedy (epsilon=0) rollouts with per-episode reseeded environment
-    streams, so different policies or port menus face identical channel,
-    shadowing and measurement randomness episode for episode."""
+    and policy streams, (seed, ep, 0) and (seed, ep, 1), so different
+    policies or port menus face identical channel, shadowing and
+    measurement randomness episode for episode.  All episodes play in
+    lockstep, in one MarlTrainer.rollout call."""
     if episodes < 1:
         raise ValueError("need at least one evaluation episode")
     if seed < 0:
         raise ValueError(f"evaluation seed must be non-negative, got {seed}")
+
+    def stream(ep, which):
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, ep, which))))
+
+    envs = [PositioningEnv(cfg, stream(ep, 0)) for ep in range(episodes)]
+    rngs = [stream(ep, 1) for ep in range(episodes)]
     errors, rewards = [], []
     stale_slots = 0
     violation_slots = 0
-    for ep in range(episodes):
-        env_rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, ep, 0))))
-        pol_rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, ep, 1))))
-        played = trainer.rollout(PositioningEnv(cfg, env_rng), 0.0,
-                                 rng=pol_rng, port_menu=port_menu)
+    for played in trainer.rollout(envs, 0.0, rngs=rngs, port_menu=port_menu):
         errors.extend(played.errors)
         rewards.extend(slot_rewards(played))
         stale_slots += int(played.stales.sum())
@@ -971,7 +1005,7 @@ def micro_gradcheck(cfg: ExperimentConfig) -> float:
                 p.value += 0.1 * perturb.standard_normal(p.value.shape)
 
     env = PositioningEnv(cfg, trainer.env_rng)
-    episode = trainer.rollout(env, epsilon=0.3)
+    episode, = trainer.rollout([env], epsilon=0.3)
     targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
     _, _, weights = trainer.episode_loss(episode, targets)

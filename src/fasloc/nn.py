@@ -7,14 +7,15 @@ backward consumes one.  Dense layers, the GRU cell and attention heads
 hold one weight set per agent (a head is an agent), as (A, ...) stacks,
 so that same-shaped agents run as one module; inputs carry the agent
 axis first, as (A, rows, ·) blocks or (A, T, rows, ·) stacks with one
-slot per index of the second axis (all heads attend over one (T, rows,
-·) stack).  A whole episode goes through a block in one call; the GRU
-alone steps through time.  Stacked products keep each (agent, slot)
-operand shape (a one-row slot is a (1, n) matrix, which numpy multiplies
-with the same BLAS call as an n-vector), and weight gradients add the
-slots' terms in a fixed order, so a stack gives bit for bit what one
-call per agent and slot would.  Arithmetic is double precision, and the
-tests verify each backward pass by central differences.
+slot per index of the second axis, or, for acting, one episode (all
+heads attend over one (T, rows, ·) stack).  A whole episode goes
+through a block in one call; the GRU alone steps through time.  Stacked
+products keep each (agent, slot) operand shape (a one-row slot is a
+(1, n) matrix, which numpy multiplies with the same BLAS call as an
+n-vector), and weight gradients add the slots' terms in a fixed order,
+so a stack gives bit for bit what one call per agent and slot would.
+Arithmetic is double precision, and the tests verify each backward pass
+by central differences.
 """
 
 from __future__ import annotations
@@ -263,13 +264,16 @@ class GRUCell(Module):
 
     def step(self, xw, h: np.ndarray):
         """One recurrence step from the input-side products xw = project(x)
-        of an (A, rows, n_in) block and the (A, rows, n_hidden) state h:
-        the new state and the step's gates."""
+        of an (A, ..., rows, n_in) input and the (A, ..., rows, n_hidden)
+        state h, e.g. an (A, rows, ·) block or an (A, B, rows, ·) stack of
+        blocks: the new state and the step's gates."""
         xz, xr, xh = xw
-        z = sigmoid(xz + h @ self.uz.value + _lift(self.bz.value, 3))
-        r = sigmoid(xr + h @ self.ur.value + _lift(self.br.value, 3))
+        uz, ur, uh, bz, br, bh = (_lift(s.value, h.ndim) for s in (
+            self.uz, self.ur, self.uh, self.bz, self.br, self.bh))
+        z = sigmoid(xz + h @ uz + bz)
+        r = sigmoid(xr + h @ ur + br)
         rh = r * h
-        c = np.tanh(xh + rh @ self.uh.value + _lift(self.bh.value, 3))
+        c = np.tanh(xh + rh @ uh + bh)
         return (1.0 - z) * h + z * c, (z, r, rh, c)
 
     def forward(self, xs: np.ndarray, h0: np.ndarray):

@@ -107,19 +107,48 @@ def _evaluate(u, measured, legs):
     return u, e, d0, dk, r, float(r @ r)
 
 
+def _full_rank(jtj: np.ndarray, rank_tol: float) -> bool:
+    """Whether the normal matrix jtj = J^T J proves that the Jacobian J
+    has three singular values above rank_tol, as the SVD that
+    np.linalg.matrix_rank(J, tol=rank_tol) runs computes them.
+
+    Proof.  Let l1 >= l2 >= l3 >= 0 be the eigenvalues of J^T J, the
+    squared singular values of J, with trace tr and determinant det.  As
+    l1 * l2 <= ((l1 + l2) / 2)^2 <= tr^2 / 4, l3 = det / (l1 * l2) >=
+    4 * det / tr^2.  The test asks det > 1e-6 * tr^3, so l3 > 4e-6 * tr,
+    and tr > (1e3 * rank_tol)^2, so l3 > 4 * rank_tol^2: the smallest
+    singular value exceeds 2 * rank_tol, and 2e-3 * sqrt(tr) >= 2e-3 times
+    the largest.  Rounding moves none of this: jtj's entries and the
+    cofactor expansion below are off by a few eps * tr and eps * tr^3,
+    and LAPACK's singular values by a few eps times the largest, each
+    some 1e9 times below the margins.  A NaN fails every comparison, and
+    no determinant exceeds the infinite bound of an infinite trace, so
+    such a Jacobian is never certified and goes to the SVD, which raises.
+    The determinant and trace are taken in Python floats, a fraction of
+    the cost of one stacked SVD call.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = jtj.tolist()
+    tr = a + e + i
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # tr * tr * tr overflows to inf, where tr ** 3 would raise
+    return det > 1e-6 * (tr * tr * tr) and tr > (1e3 * rank_tol) ** 2
+
+
 def _lm_descend(measured, legs, start, step_tol, max_iter, rank_tol):
     """Levenberg-Marquardt from start, _evaluate's tuple at the start point."""
     u, e, d0, dk, r, cost = start
     lam = 1e-3
     jac = None          # None until u's Jacobian is built
-    jacs = []           # the Jacobian at every iterate the loop steps from
+    unproven = []       # the Jacobians of the iterates the loop steps from
+                        # whose rank _full_rank does not prove
     iterations, converged, degenerate = 0, False, False
     for iterations in range(1, max_iter + 1):
         if jac is None:
             # dr/du, and the normal equations every trial from u shares
             jac = e[0] / d0 + e[1:] / dk[:, None]
-            jacs.append(jac)
             jtj, neg_grad = jac.T @ jac, -(jac.T @ r)
+            if not _full_rank(jtj, rank_tol):
+                unproven.append(jac)
         try:
             step = _solve(jtj + lam * _EYE3, neg_grad)
         except LinAlgError:
@@ -139,9 +168,10 @@ def _lm_descend(measured, legs, start, step_tol, max_iter, rank_tol):
                 break
     # Degenerate when any iterate's Jacobian has rank below 3, as
     # np.linalg.matrix_rank(jac, tol=rank_tol) counts it; even after a
-    # singular solve, so that a NaN Jacobian still raises.
-    if jacs:
-        sv = _singular_values(np.stack(jacs))
+    # singular solve, so that a NaN Jacobian still raises.  Only the
+    # Jacobians _full_rank leaves unproven need the SVD.
+    if unproven:
+        sv = _singular_values(np.stack(unproven))
         degenerate = degenerate or bool(np.any((sv > rank_tol).sum(axis=-1) < 3))
     return PositionEstimate(u, math.sqrt(cost), iterations, converged, degenerate)
 

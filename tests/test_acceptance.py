@@ -19,7 +19,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fasloc import marl
 from fasloc.analysis import (build_geometry_matrix, linearized_rms_error,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fasloc import cli, marl, nn
 from fasloc.config import (SCHEME_TRAITS, ConfigError, apply_overrides,
                            default_config, from_ini, load_config, to_ini)
-from fasloc.marl import micro_config
 
 # one malformed INI text or override per row, and the ConfigError it gives
 MALFORMED = {

@@ -576,7 +576,7 @@ class TestTrainerMachinery:
         cfg = tiny_config()
         trainer = MarlTrainer(cfg)
         env = PositioningEnv(cfg, trainer.env_rng)
-        episode = trainer.rollout(env, 0.5)
+        episode, = trainer.rollout([env], 0.5)
         before = trainer.td_targets(episode).copy()
         # mutate live parameters: target copies must not move until a sync
         for p in trainer.nets.params():
@@ -591,7 +591,7 @@ class TestTrainerMachinery:
             p.value += 0.1
         trainer.updates = marl.TARGET_SYNC - 1
         env = PositioningEnv(cfg, trainer.env_rng)
-        episode = trainer.rollout(env, 0.5)
+        episode, = trainer.rollout([env], 0.5)
         trainer.train_on_episode(episode)
         for live, tgt in zip(trainer.nets.params(), trainer.target_nets.params()):
             np.testing.assert_array_equal(live.value, tgt.value)
@@ -651,7 +651,7 @@ class TestTrainerMachinery:
 
         monkeypatch.setattr(PositioningEnv, "step", recording_step)
         env = PositioningEnv(cfg, trainer.env_rng)
-        episode = trainer.rollout(env, 0.0)
+        episode, = trainer.rollout([env], 0.0)
         # one (T, 25) steering and (T, n_ports) port block per agent
         live = [(q_k, None if port is None else port[j])
                 for (q, port), _ in trainer._replay(trainer.nets, episode)
@@ -721,8 +721,9 @@ class TestTrainerMachinery:
         rollout = MarlTrainer.rollout
 
         def recording(trainer, *args, **kwargs):
-            played.append(rollout(trainer, *args, **kwargs))
-            return played[-1]
+            episodes = rollout(trainer, *args, **kwargs)
+            played.extend(episodes)
+            return episodes
 
         def expected(episodes):
             return float(np.mean([_ref_slot_reward(f, e) for ep in episodes
@@ -1243,7 +1244,7 @@ def _perturbed_trainer(scheme, slots=None, history_window=None):
 def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     trainer = _perturbed_trainer(scheme, **SHAPES[shape])
     env = PositioningEnv(trainer.cfg, trainer.env_rng)
-    episode = trainer.rollout(env, 0.5)
+    episode, = trainer.rollout([env], 0.5)
 
     ref_targets = _ref_td_targets(trainer, episode)
     trainer.nets.zero_grads()
@@ -1283,7 +1284,8 @@ def test_acting_q_equals_sequence_q(scheme, monkeypatch):
         return values, h
 
     monkeypatch.setattr(LocalQNet, "step", recording_step)
-    episode = trainer.rollout(PositioningEnv(trainer.cfg, trainer.env_rng), 0.5)
+    episode, = trainer.rollout([PositioningEnv(trainer.cfg, trainer.env_rng)],
+                               0.5)
     replay = trainer._replay(trainer.nets, episode)
     # one acting call per local net and slot, for all of the net's agents
     assert len(acted) == len(episode) * len(replay)
@@ -1294,6 +1296,51 @@ def test_acting_q_equals_sequence_q(scheme, monkeypatch):
         assert (port is None) == (port_seq is None)
         if port is not None:
             assert np.array_equal(port[:, 0], port_seq[:, t])
+
+
+def _episode_bytes(episode):
+    """Every array of an EpisodeData, as (dtype, shape, bytes)."""
+    arrays = list(episode.observations) + [
+        getattr(episode, f.name) for f in dataclasses.fields(EpisodeData)
+        if f.name != "observations"]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("menu", [False, True])
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@pytest.mark.parametrize("episodes", [1, 2, 5])
+@pytest.mark.parametrize("scheme", ["ar_marl", "no_rnn", "no_fas", "random"])
+def test_lockstep_rollout_equals_episodes_played_alone(scheme, episodes,
+                                                       epsilon, menu):
+    """Each episode of one rollout call over several envs is recorded bit
+    for bit as when played alone with the same env and policy streams."""
+    trainer = _perturbed_trainer(scheme, slots=6)
+    port_menu = cli.port_menu_for(trainer.n_ports, 4) if menu else None
+
+    def streams():
+        return ([PositioningEnv(trainer.cfg, np.random.default_rng((9, b, 0)))
+                 for b in range(episodes)],
+                [np.random.default_rng((9, b, 1)) for b in range(episodes)])
+
+    envs, rngs = streams()
+    together = trainer.rollout(envs, epsilon, rngs=rngs, port_menu=port_menu)
+    envs, rngs = streams()
+    alone = [trainer.rollout([env], epsilon, rngs=[rng], port_menu=port_menu)[0]
+             for env, rng in zip(envs, rngs)]
+    assert len(together) == episodes
+    for played, reference in zip(together, alone):
+        assert _episode_bytes(played) == _episode_bytes(reference)
+    if episodes > 1:
+        assert _episode_bytes(together[0]) != _episode_bytes(together[1])
+
+
+def test_lockstep_rollout_needs_one_rng_per_env():
+    trainer = MarlTrainer(tiny_config())
+    envs = [PositioningEnv(trainer.cfg, np.random.default_rng(b))
+            for b in range(2)]
+    for bad_envs, bad_rngs in (([], []), (envs, [np.random.default_rng(0)])):
+        with pytest.raises(ValueError, match="one rng per env"):
+            trainer.rollout(bad_envs, 0.0, rngs=bad_rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -1361,6 +1408,18 @@ def test_stacked_passive_net_equals_four_single_agent_nets(scheme):
         for p, own in zip(net.params(), mine):
             assert p.name == own.name
             assert p.grad.tobytes() == own.grad.tobytes(), p.name
+
+    # B episodes' rows in one call give each row's one-row call bit for bit
+    for net in trainer.nets.local:
+        xb = rng.standard_normal((net.n_agents, 5, net.embed.n_in))
+        hb = rng.standard_normal((net.n_agents, 5, hid))
+        values_b, h_b = net.step(xb, hb)
+        for b in range(5):
+            values_1, h_1 = net.step(xb[:, b:b + 1], hb[:, b:b + 1])
+            assert ([None if v is None else v[:, b:b + 1].tobytes()
+                     for v in values_b]
+                    == [None if v is None else v.tobytes() for v in values_1])
+            assert h_b[:, b:b + 1].tobytes() == h_1.tobytes()
 
 
 @pytest.mark.parametrize("scheme", TRAINABLE)

@@ -339,7 +339,7 @@ def test_solver_matches_reference_on_episode_traffic(scheme, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(positioning, "estimate_position", recording)
-    trainer.rollout(PositioningEnv(cfg, trainer.env_rng), 0.5)
+    trainer.rollout([PositioningEnv(cfg, trainer.env_rng)], 0.5)
     assert len(fixes) >= 15
     for fix in fixes:
         assert _outcome(estimate_position, *fix) == _outcome(_oracle_estimate, *fix)
@@ -456,6 +456,56 @@ def test_direct_lapack_calls_match_np_linalg():
             else:       # the wrapper empties the residuals of a square system
                 assert got[0] == ref[0] and got[2:] == ref[2:]
     assert raised == {None, np.linalg.LinAlgError}
+
+
+def _rank_cases(rng, rank_tol):
+    """(group, Jacobian) pairs with 1-4 rows: Gaussian ones at scales
+    1e-6 to 1e6 and at 1e120, rank-2 ones perturbed to a smallest singular
+    value in rank_tol * [0.1, 1e4], and ones holding zero, NaN or inf
+    rows."""
+    cases = []
+    for _ in range(400):
+        rows = int(rng.integers(1, 5))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        cases.append((f"gaussian, {min(rows, 3)} rows",
+                      scale * rng.standard_normal((rows, 3))))
+    for _ in range(2000):
+        rows = int(rng.integers(3, 5))
+        u = np.linalg.qr(rng.standard_normal((rows, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        big = 10.0 ** rng.uniform(-6, 1, size=2)
+        small = rank_tol * 10.0 ** rng.uniform(-1, 4)
+        cases.append(("near rank 2", u @ np.diag([*big, small]) @ v.T))
+    for _ in range(30):     # finite, but tr^3 overflows
+        cases.append(("huge", 1e120 * rng.standard_normal((3, 3))))
+    for fill in (0.0, np.nan, np.inf, -np.inf):
+        for _ in range(30):
+            jac = rng.standard_normal((int(rng.integers(1, 5)), 3))
+            jac[rng.integers(len(jac))] = fill
+            cases.append((f"a {fill} row", jac))
+    return cases
+
+
+def test_rank_certificate_is_sound():
+    """Whenever _full_rank passes a Jacobian's normal matrix, the SVD it
+    stands in for counts rank 3; and it passes most well-conditioned
+    Jacobians, including near-rank-2 ones close to the tolerance."""
+    rank_tol = 1e-8
+    passed, seen = {}, {}
+    smallest = math.inf     # the least certified singular value
+    for group, jac in _rank_cases(np.random.default_rng(36), rank_tol):
+        seen[group] = seen.get(group, 0) + 1
+        if positioning._full_rank(jac.T @ jac, rank_tol):
+            assert np.linalg.matrix_rank(jac, tol=rank_tol) == 3, (group, jac)
+            passed[group] = passed.get(group, 0) + 1
+            smallest = min(smallest, np.linalg.svd(jac, compute_uv=False)[-1])
+    assert passed["gaussian, 3 rows"] > seen["gaussian, 3 rows"] // 2
+    assert 0 < passed["near rank 2"] < seen["near rank 2"]
+    # too few rows for rank 3, or a normal matrix that is not finite or
+    # whose determinant's bound overflows
+    assert not {"gaussian, 1 rows", "gaussian, 2 rows", "huge", "a nan row",
+                "a inf row", "a -inf row"} & set(passed)
+    assert smallest < 10 * rank_tol
 
 
 def test_prior_on_a_uav_rejected(capfd):
