@@ -241,7 +241,8 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     the file's errors name it."""
     cfg = default_config()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark Windows editors write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 cfg = from_ini(fh.read())
             except ValueError as exc:  # a config error, or text not UTF-8

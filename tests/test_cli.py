@@ -362,6 +362,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["run.scheme=alphago"])
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "[world]\nspeed = 6.0\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        cfg = load_config(str(marked))
+        assert cfg == load_config(str(plain)) and cfg.world.speed == 6.0
+
 
 class TestRunVerb:
     def test_run_writes_expected_files(self, tmp_path):

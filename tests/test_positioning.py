@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from fasloc.analysis import (build_geometry_matrix, linearized_rms_error,
 from fasloc.config import default_config
 from fasloc.env import PositioningEnv
 from fasloc.marl import MarlTrainer
-from fasloc.positioning import (PositioningError, PositionEstimate,
-                                estimate_position, linear_bootstrap,
-                                position_error, sample_range, true_range_sum)
+from fasloc.positioning import (PositioningError, estimate_position,
+                                linear_bootstrap, position_error,
+                                sample_range, true_range_sum)
 
 
 class TestTrueRangeSum:
@@ -178,11 +179,11 @@ class TestEstimatePosition:
 
 
 # Reference solver: the plain descent through the np.linalg wrappers,
-# with a separate residual and Jacobian pass and np.linalg.matrix_rank at
-# every iterate.  The solver in fasloc.positioning evaluates a trial point
-# without its Jacobian, reuses the normal equations across rejected
-# trials, batches the rank test and calls LAPACK directly, and must
-# return the same bits.
+# with a separate residual and Jacobian pass, and np.linalg.matrix_rank on
+# the Jacobian of the fix it returns.  The solver in fasloc.positioning
+# evaluates a trial point without its Jacobian, reuses the normal
+# equations across rejected trials, rank-tests only when degenerate is
+# read and calls LAPACK's solve directly, and must return the same bits.
 
 def _oracle_residuals(u, measured, q0, qs):
     d0 = np.linalg.norm(q0 - u)
@@ -198,26 +199,24 @@ def _oracle_jacobian(u, q0, qs):
     return -(diff0 / d0 + (diffk.T / dk).T)
 
 
-def _oracle_descend(measured, q0, qs, start, step_tol, max_iter, rank_tol):
+def _oracle_descend(measured, q0, qs, start, max_iter):
     u = np.asarray(start, float).copy()
     lam = 1e-3
     r = _oracle_residuals(u, measured, q0, qs)
     cost = float(r @ r)
     converged = False
-    degenerate = False
+    singular = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         jac = _oracle_jacobian(u, q0, qs)
-        if np.linalg.matrix_rank(jac, tol=rank_tol) < 3:
-            degenerate = True
         hess = jac.T @ jac + lam * np.eye(3)
         grad = jac.T @ r
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            degenerate = True
+            singular = True
             break
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < 1e-9:
             converged = True
             break
         trial = u + step
@@ -230,22 +229,24 @@ def _oracle_descend(measured, q0, qs, start, step_tol, max_iter, rank_tol):
             lam *= 3.0
             if lam > 1e12:
                 break
-    return PositionEstimate(position=u, residual_norm=math.sqrt(cost),
-                            iterations=iterations, converged=converged,
-                            degenerate=degenerate)
+    degenerate = singular or np.linalg.matrix_rank(
+        _oracle_jacobian(u, q0, qs), tol=1e-8) < 3
+    return SimpleNamespace(position=u, residual_norm=math.sqrt(cost),
+                           iterations=iterations, converged=converged,
+                           degenerate=degenerate)
 
 
-def _oracle_estimate(measured, q0, qs, prior, step_tol=1e-9, max_iter=100,
-                     rank_tol=1e-8):
+def _oracle_estimate(measured, q0, qs, prior, max_iter=100):
     measured = np.asarray(measured, float)
+    if not np.all(np.isfinite(prior)):
+        raise PositioningError("the prior is not finite")
     starts = [np.asarray(prior, float)]
     boot = linear_bootstrap(measured, q0, qs)
     if boot is not None and np.all(np.isfinite(boot)):
         starts.append(boot)
     best = None
     for start in starts:
-        est = _oracle_descend(measured, q0, qs, start, step_tol, max_iter,
-                              rank_tol)
+        est = _oracle_descend(measured, q0, qs, start, max_iter)
         if best is None or est.residual_norm < best.residual_norm:
             best = est
     return best
@@ -255,8 +256,8 @@ def _solver_cases(rng):
     """Seeded (measured, q0, qs, prior) tuples: generic 3- and
     4-measurement fixes, passive UAVs clustered within millimetres,
     coplanar and collinear layouts, 1-2 measurements, and last a few
-    non-finite priors, whose Jacobian makes the rank test raise, and
-    infinite range sums, which no step can lower the cost of."""
+    non-finite priors, which the prior check rejects, and infinite range
+    sums, which no step can lower the cost of."""
     cases = []
     for i in range(360):
         kind = i % 6
@@ -292,14 +293,14 @@ def _solver_cases(rng):
 
 
 def _outcome(solve, *args, **kwargs):
-    """Every output field as bytes and scalars, or the LinAlgError type."""
+    """Every output field as bytes and scalars, or PositioningError."""
     with np.errstate(invalid="ignore", divide="ignore"):
         try:
             est = solve(*args, **kwargs)
-        except np.linalg.LinAlgError as exc:
-            return type(exc)
-    return (est.position.tobytes(), est.residual_norm, est.iterations,
-            est.converged, est.degenerate)
+            return (est.position.tobytes(), est.residual_norm, est.iterations,
+                    est.converged, est.degenerate)
+        except PositioningError:
+            return PositioningError
 
 
 def test_solver_matches_reference_bit_for_bit():
@@ -307,7 +308,7 @@ def test_solver_matches_reference_bit_for_bit():
     for case in _solver_cases(np.random.default_rng(606)):
         got = _outcome(estimate_position, *case)
         assert got == _outcome(_oracle_estimate, *case)
-        if got is np.linalg.LinAlgError:
+        if got is PositioningError:
             raised += 1
         else:
             degenerate.append(got[-1])
@@ -316,8 +317,8 @@ def test_solver_matches_reference_bit_for_bit():
 
 
 def test_solver_matches_reference_with_few_iterations():
-    # an exhausted iteration budget ends on a step whose Jacobian the
-    # reference never rank-tests
+    # an exhausted iteration budget can end on an accepted step, whose
+    # Jacobian the descent has not built yet but degenerate tests
     for case in _solver_cases(np.random.default_rng(7))[:60]:
         for max_iter in (0, 1, 2, 5):
             assert (_outcome(estimate_position, *case, max_iter=max_iter)
@@ -347,20 +348,16 @@ def test_solver_matches_reference_on_episode_traffic(scheme, monkeypatch):
 
 def test_cases_reach_every_exit_of_the_descent(monkeypatch):
     """_solver_cases drive each way out of the descent: step-size
-    convergence, lam past 1e12, an exhausted max_iter and the rank test's
-    LinAlgError on a non-finite Jacobian.  No input is known to make the
+    convergence, lam past 1e12 and an exhausted max_iter, and the prior
+    check's PositioningError before it.  No input is known to make the
     damped 3x3 solve singular (JtJ + lam*I with lam >= 1e-12 and unit-scale
     Jacobian rows has no zero pivot), so that exit is reached by making
     LAPACK report one, in the solver and the reference alike."""
     exits = set()
     descend = positioning._lm_descend
 
-    def recording(measured, legs, start, step_tol, max_iter, rank_tol):
-        try:
-            est = descend(measured, legs, start, step_tol, max_iter, rank_tol)
-        except np.linalg.LinAlgError:
-            exits.add("rank test raised")
-            raise
+    def recording(measured, legs, start, max_iter):
+        est = descend(measured, legs, start, max_iter)
         if est.converged:
             exits.add("converged")
         elif est.iterations == max_iter:
@@ -372,8 +369,10 @@ def test_cases_reach_every_exit_of_the_descent(monkeypatch):
     monkeypatch.setattr(positioning, "_lm_descend", recording)
     for case in _solver_cases(np.random.default_rng(606)):
         for max_iter in (2, 100):
-            _outcome(estimate_position, *case, max_iter=max_iter)
-    assert exits == {"converged", "lam", "max_iter", "rank test raised"}
+            if _outcome(estimate_position, *case,
+                        max_iter=max_iter) is PositioningError:
+                exits.add("prior check")
+    assert exits == {"converged", "lam", "max_iter", "prior check"}
 
     # LAPACK reports a singular matrix at the third solve of each descent
     calls = {"solver": 0, "reference": 0}
@@ -405,107 +404,56 @@ def test_cases_reach_every_exit_of_the_descent(monkeypatch):
 
 
 def _lapack_outcome(f, *args):
-    """Every output's bytes, or the LinAlgError and its message."""
+    """The output's bytes, or the LinAlgError and its message."""
     try:
-        out = f(*args)
+        return f(*args).tobytes()
     except np.linalg.LinAlgError as exc:
         return type(exc), str(exc)
-    return [np.asarray(o).tobytes() for o in (out if isinstance(out, tuple)
-                                              else (out,))]
 
 
-def _lapack_inputs(rng, shape):
-    """Random, singular, rank-deficient and NaN-holding matrices."""
-    mats = [rng.standard_normal(shape) for _ in range(50)]
-    mats += [np.zeros(shape), np.ones(shape)]
+def _solve_inputs(rng):
+    """Random, singular, rank-deficient and NaN-holding 3x3 matrices."""
+    mats = [rng.standard_normal((3, 3)) for _ in range(50)]
+    mats += [np.zeros((3, 3)), np.ones((3, 3))]
     for _ in range(20):
-        low_rank = rng.standard_normal(shape)
-        low_rank[..., -1, :] = low_rank[..., 0, :]
+        low_rank = rng.standard_normal((3, 3))
+        low_rank[-1] = low_rank[0]
         mats.append(low_rank)
-        with_nan = rng.standard_normal(shape)
-        with_nan[..., rng.integers(shape[-2]), rng.integers(shape[-1])] = np.nan
+        with_nan = rng.standard_normal((3, 3))
+        with_nan[rng.integers(3), rng.integers(3)] = np.nan
         mats.append(with_nan)
-    if shape == (3, 3):     # a NaN pattern LAPACK's LU pivots to a zero on
-        mats.append(np.array([[np.nan, 0.0, np.nan], [0.0, 0.0, np.nan],
-                              [np.nan, np.nan, np.nan]]))
+    # a NaN pattern LAPACK's LU pivots to a zero on
+    mats.append(np.array([[np.nan, 0.0, np.nan], [0.0, 0.0, np.nan],
+                          [np.nan, np.nan, np.nan]]))
     return mats
 
 
 def test_direct_lapack_calls_match_np_linalg():
     rng = np.random.default_rng(35)
     raised = set()
-    for a in _lapack_inputs(rng, (3, 3)):
+    for a in _solve_inputs(rng):
         b = rng.standard_normal(3)
         got = _lapack_outcome(positioning._solve, a, b)
         assert got == _lapack_outcome(np.linalg.solve, a, b)
         raised.add(got[0] if isinstance(got, tuple) else None)
-    for shape in ((4, 3), (3, 3), (2, 3), (5, 4, 3)):
-        for a in _lapack_inputs(rng, shape):
-            got = _lapack_outcome(positioning._singular_values, a)
-            assert got == _lapack_outcome(
-                lambda x: np.linalg.svd(x, compute_uv=False), a)
-            raised.add(got[0] if isinstance(got, tuple) else None)
-    for shape in ((4, 4), (6, 4)):
-        rcond = np.finfo(float).eps * max(shape)
-        for a in _lapack_inputs(rng, shape):
-            b = rng.standard_normal((shape[0], 1))
-            got = _lapack_outcome(positioning._lstsq, a, b, rcond)
-            ref = _lapack_outcome(np.linalg.lstsq, a, b, None)
-            if isinstance(ref, tuple):
-                assert got == ref
-            else:       # the wrapper empties the residuals of a square system
-                assert got[0] == ref[0] and got[2:] == ref[2:]
     assert raised == {None, np.linalg.LinAlgError}
 
 
-def _rank_cases(rng, rank_tol):
-    """(group, Jacobian) pairs with 1-4 rows: Gaussian ones at scales
-    1e-6 to 1e6 and at 1e120, rank-2 ones perturbed to a smallest singular
-    value in rank_tol * [0.1, 1e4], and ones holding zero, NaN or inf
-    rows."""
-    cases = []
-    for _ in range(400):
-        rows = int(rng.integers(1, 5))
-        scale = 10.0 ** rng.uniform(-6, 6)
-        cases.append((f"gaussian, {min(rows, 3)} rows",
-                      scale * rng.standard_normal((rows, 3))))
-    for _ in range(2000):
-        rows = int(rng.integers(3, 5))
-        u = np.linalg.qr(rng.standard_normal((rows, 3)))[0]
-        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        big = 10.0 ** rng.uniform(-6, 1, size=2)
-        small = rank_tol * 10.0 ** rng.uniform(-1, 4)
-        cases.append(("near rank 2", u @ np.diag([*big, small]) @ v.T))
-    for _ in range(30):     # finite, but tr^3 overflows
-        cases.append(("huge", 1e120 * rng.standard_normal((3, 3))))
-    for fill in (0.0, np.nan, np.inf, -np.inf):
-        for _ in range(30):
-            jac = rng.standard_normal((int(rng.integers(1, 5)), 3))
-            jac[rng.integers(len(jac))] = fill
-            cases.append((f"a {fill} row", jac))
-    return cases
-
-
-def test_rank_certificate_is_sound():
-    """Whenever _full_rank passes a Jacobian's normal matrix, the SVD it
-    stands in for counts rank 3; and it passes most well-conditioned
-    Jacobians, including near-rank-2 ones close to the tolerance."""
-    rank_tol = 1e-8
-    passed, seen = {}, {}
-    smallest = math.inf     # the least certified singular value
-    for group, jac in _rank_cases(np.random.default_rng(36), rank_tol):
-        seen[group] = seen.get(group, 0) + 1
-        if positioning._full_rank(jac.T @ jac, rank_tol):
-            assert np.linalg.matrix_rank(jac, tol=rank_tol) == 3, (group, jac)
-            passed[group] = passed.get(group, 0) + 1
-            smallest = min(smallest, np.linalg.svd(jac, compute_uv=False)[-1])
-    assert passed["gaussian, 3 rows"] > seen["gaussian, 3 rows"] // 2
-    assert 0 < passed["near rank 2"] < seen["near rank 2"]
-    # too few rows for rank 3, or a normal matrix that is not finite or
-    # whose determinant's bound overflows
-    assert not {"gaussian, 1 rows", "gaussian, 2 rows", "huge", "a nan row",
-                "a inf row", "a -inf row"} & set(passed)
-    assert smallest < 10 * rank_tol
+def test_non_finite_prior_rejected(capfd):
+    rng = np.random.default_rng(37)
+    u, q0, qs = _generic_geometry(rng)
+    sums = np.array([true_range_sum(q0, qk, u) for qk in qs])
+    for n in (3, 4):
+        for max_iter in (0, 100):
+            for fill in (np.nan, np.inf, -np.inf):
+                for axis in range(3):
+                    prior = u.copy()
+                    prior[axis] = fill
+                    with pytest.raises(PositioningError,
+                                       match="the prior is not finite"):
+                        estimate_position(sums[:n], q0, qs[:n], prior,
+                                          max_iter=max_iter)
+    assert capfd.readouterr().err == ""
 
 
 def test_prior_on_a_uav_rejected(capfd):

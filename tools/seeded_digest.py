@@ -21,11 +21,13 @@ episode per epoch, seed 11):
   ``cli.load_trainer_from_checkpoint``, whether every array round-trips,
   and the reloaded policy's greedy ``evaluate_rollouts`` statistics,
 - the worst relative error of ``micro_gradcheck(micro_config())``,
-- and the sha256 of every ``estimate_position`` output field (position
-  bytes, residual norm, iterations, converged, degenerate) over a fixed
-  seeded batch of geometries, near-degenerate ones included.  Training
-  logs record neither ``iterations`` nor ``degenerate``, so only this
-  section sees a change in them,
+- and, over a fixed seeded batch of geometries, near-degenerate ones
+  included, ``fix_sha256`` of every ``estimate_position`` fix (position
+  bytes, residual norm, iterations, converged) and, apart, the count and
+  ``degenerate_sha256`` of its ``degenerate`` flags, so a change to the
+  rank test alone shows in those two entries only.  Training logs record
+  neither ``iterations`` nor ``degenerate``, so only this section sees a
+  change in them,
 - and the sha256 of every slot's ``(error, stale, feasible, late)``
   outcomes over ENV_EPISODES seeded episodes of ``env.PositioningEnv``
   at the default config, each UAV taking uniformly random steering
@@ -159,17 +161,19 @@ def solver_cases(rng):
 
 
 def solver_digest() -> dict:
-    h = hashlib.sha256()
+    fix, flags = hashlib.sha256(), hashlib.sha256()
     degenerate = 0
     for measured, q0, qs, prior in solver_cases(
             np.random.default_rng(SOLVER_SEED)):
         est = estimate_position(measured, q0, qs, prior)
-        h.update(est.position.tobytes())
-        h.update(repr((est.residual_norm, est.iterations, bool(est.converged),
-                       bool(est.degenerate))).encode())
+        fix.update(est.position.tobytes())
+        fix.update(repr((est.residual_norm, est.iterations,
+                         bool(est.converged))).encode())
+        flags.update(repr(bool(est.degenerate)).encode())
         degenerate += bool(est.degenerate)
     return {"cases": SOLVER_CASES, "degenerate": degenerate,
-            "sha256": h.hexdigest()}
+            "degenerate_sha256": flags.hexdigest(),
+            "fix_sha256": fix.hexdigest()}
 
 
 def env_digest() -> dict:
