@@ -209,10 +209,13 @@ def gradcheck() -> int:
     return 0 if ok else 1
 
 
-def _parse_values(text: str, flag: str):
+def _parse_values(text: str, flag: str, kind=str):
     if not (values := [v.strip() for v in text.split(",") if v.strip()]):
         raise ValueError(f"{flag} lists no value: {text!r}")
-    return values
+    try:
+        return [kind(v) for v in values]
+    except ValueError as exc:  # int's message quotes the bad value
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
         if args.verb == "sweep":
             values = _parse_values(args.values, "--values")
             seeds = (None if args.seeds is None else
-                     [int(s) for s in _parse_values(args.seeds, "--seeds")])
+                     _parse_values(args.seeds, "--seeds", int))
             sweep(args.config, args.override + flags, args.axis, values,
                   args.out, seeds=seeds)
             return 0

@@ -172,9 +172,14 @@ def to_ini(cfg: ExperimentConfig) -> str:
     return out.getvalue()
 
 
+def _name(text: str) -> str:
+    """A section or key name as every reader compares it: case-blind."""
+    return text.strip().lower()
+
+
 def _section(name: str, where: str) -> str:
-    """The section that name selects, case-blind; where is its origin."""
-    section = name.strip().lower()
+    """The section that name selects; where is its origin."""
+    section = _name(name)
     if section not in _SECTIONS:
         raise ConfigError(f"unknown section [{name.strip()}] ({where})")
     return section
@@ -213,7 +218,7 @@ def from_ini(text: str) -> ExperimentConfig:
         if item is None or not item[1].strip():
             raise ConfigError(f"not a [section], key = value or comment: "
                               f"{line.strip()!r} ({where})")
-        key, raw = item[1].strip().lower(), item[2]
+        key, raw = _name(item[1]), item[2]
         if section is None:
             raise ConfigError(f"key {key!r} before any section ({where})")
         if (section, key) in seen:
@@ -232,7 +237,7 @@ def apply_overrides(base: ExperimentConfig, overrides) -> ExperimentConfig:
         if not equals or not dot:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         where = f"override {item!r}"
-        base = _apply(base, _section(section, where), key.strip(), raw, where)
+        base = _apply(base, _section(section, where), _name(key), raw, where)
     return base
 
 

@@ -431,7 +431,7 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     file that is not a readable fasloc checkpoint raises ShapeError
     naming path; one that cannot be opened raises OSError."""
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             manifest = json.loads(bytes(data["__manifest__"].tobytes()).decode())
             if manifest.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported version {manifest.get('version')}")

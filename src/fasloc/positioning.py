@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, _linalg, _umath_linalg
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .world import Vec3, norms
 
@@ -28,22 +28,19 @@ RANK_TOL = 1e-8     # singular values of the Jacobian at or below this are 0
 
 @dataclass
 class PositionEstimate:
-    """A descent's fix, with the Jacobian dr/du at it and whether the
-    descent ended on a singular damped solve."""
+    """A descent's fix, with the Jacobian dr/du at it."""
     position: Vec3
     residual_norm: float
     iterations: int
     converged: bool
     jacobian: np.ndarray
-    singular: bool = False
 
     @property
     def degenerate(self) -> bool:
-        """Whether the fix is ill-posed: the solve was singular, or the
-        Jacobian at the fix has rank below 3 (np.linalg.matrix_rank with
-        tol=RANK_TOL).  Computed when read; the simulator never reads it."""
-        return self.singular or bool(
-            np.linalg.matrix_rank(self.jacobian, tol=RANK_TOL) < 3)
+        """Whether the fix is ill-posed: the Jacobian at the fix has rank
+        below 3 (np.linalg.matrix_rank with tol=RANK_TOL).  Computed when
+        read; the simulator never reads it."""
+        return bool(np.linalg.matrix_rank(self.jacobian, tol=RANK_TOL) < 3)
 
 
 def true_range_sum(q0, qk, u) -> np.ndarray:
@@ -72,11 +69,10 @@ def sample_range(m, snr, rng: np.random.Generator,
     return (m + np.sqrt(variance_scale / np.where(echo, snr, np.nan)) * z)[()]
 
 
-# np.linalg.solve's LAPACK gufunc under the same error handlers, minus the
-# wrapper (most of a 3x3 solve's cost)
-_solve = np.errstate(call=_linalg._raise_linalgerror_singular, all="ignore",
-                     invalid="call")(
-    functools.partial(_umath_linalg.solve1, signature="dd->d"))
+# np.linalg.solve's LAPACK gufunc without its wrapper (most of a 3x3
+# solve's cost) or error handler: no JtJ + lam*I the descent builds is
+# singular (README), and a NaN step is just a rejected trial
+_solve = functools.partial(_umath_linalg.solve1, signature="dd->d")
 _EYE3 = np.eye(3)
 
 
@@ -125,17 +121,13 @@ def _lm_descend(measured, legs, start, max_iter):
     u, e, d0, dk, r, cost = start
     lam = 1e-3
     jac = None          # None until u's Jacobian is built
-    iterations, converged, singular = 0, False, False
+    iterations, converged = 0, False
     for iterations in range(1, max_iter + 1):
         if jac is None:
             # the normal equations every trial from u shares
             jac = _jacobian(e, d0, dk)
             jtj, neg_grad = jac.T @ jac, -(jac.T @ r)
-        try:
-            step = _solve(jtj + lam * _EYE3, neg_grad)
-        except LinAlgError:
-            singular = True
-            break
+        step = _solve(jtj + lam * _EYE3, neg_grad)
         if math.sqrt(step @ step) < STEP_TOL:
             converged = True
             break
@@ -150,8 +142,7 @@ def _lm_descend(measured, legs, start, max_iter):
                 break
     if jac is None:     # max_iter ran out on an accepted step, or was 0
         jac = _jacobian(e, d0, dk)
-    return PositionEstimate(u, math.sqrt(cost), iterations, converged, jac,
-                            singular)
+    return PositionEstimate(u, math.sqrt(cost), iterations, converged, jac)
 
 
 def estimate_position(measurements, q0, passive_positions, prior,

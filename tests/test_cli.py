@@ -355,6 +355,8 @@ class TestConfig:
         cfg = load_config(None, ["marl.gru_hidden=12", "run.seed=9"])
         assert cfg.marl.gru_hidden == 12
         assert cfg.run.seed == 9
+        # section and key names are case-blind, as in an INI file
+        assert load_config(None, ["MARL.Gru_Hidden=12", "Run.SEED = 9"]) == cfg
         with pytest.raises(ConfigError):
             load_config(None, ["nonsense"])
 
@@ -701,14 +703,20 @@ class TestSweepVerb:
         assert "eval_episodes" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    def test_negative_sweep_seed_rejected_before_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds, message", [
+        ("0,-1", "seed must be at least 0"),
+        ("1,x", "error: --seeds: invalid literal for int() with base 10: 'x'"),
+    ], ids=["negative", "not_an_integer"])
+    def test_bad_sweep_seed_rejected_before_output(self, seeds, message,
+                                                   tmp_path, capsys):
         out = tmp_path / "s"
         args = ["sweep", "--axis", "port_count", "--values", "4",
-                "--seeds", "0,-1", "--out", str(out)]
+                "--seeds", seeds, "--out", str(out)]
         for ov in TINY_OVERRIDES:
             args += ["--override", ov]
         assert cli.main(args) == 2
-        assert "seed must be at least 0" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--values", "--seeds"])

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -462,6 +465,18 @@ class TestDeterminismAndCheckpoints:
         assert meta["note"] == "test"
         for k in arrays:
             np.testing.assert_array_equal(loaded[k], arrays[k])
+
+    def test_truncated_checkpoint_closes_its_file(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        save_params(path, {"w": np.zeros(2)})
+        path.write_bytes(path.read_bytes()[:100])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ShapeError, match="BadZipFile"):
+                load_params(path)
+            gc.collect()
+        assert [w.message for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_module_load_rejects_wrong_shapes(self):
         rng = np.random.default_rng(19)

@@ -205,17 +205,12 @@ def _oracle_descend(measured, q0, qs, start, max_iter):
     r = _oracle_residuals(u, measured, q0, qs)
     cost = float(r @ r)
     converged = False
-    singular = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         jac = _oracle_jacobian(u, q0, qs)
         hess = jac.T @ jac + lam * np.eye(3)
         grad = jac.T @ r
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            singular = True
-            break
+        step = np.linalg.solve(hess, -grad)
         if np.linalg.norm(step) < 1e-9:
             converged = True
             break
@@ -229,8 +224,8 @@ def _oracle_descend(measured, q0, qs, start, max_iter):
             lam *= 3.0
             if lam > 1e12:
                 break
-    degenerate = singular or np.linalg.matrix_rank(
-        _oracle_jacobian(u, q0, qs), tol=1e-8) < 3
+    degenerate = np.linalg.matrix_rank(_oracle_jacobian(u, q0, qs),
+                                       tol=1e-8) < 3
     return SimpleNamespace(position=u, residual_norm=math.sqrt(cost),
                            iterations=iterations, converged=converged,
                            degenerate=degenerate)
@@ -349,10 +344,11 @@ def test_solver_matches_reference_on_episode_traffic(scheme, monkeypatch):
 def test_cases_reach_every_exit_of_the_descent(monkeypatch):
     """_solver_cases drive each way out of the descent: step-size
     convergence, lam past 1e12 and an exhausted max_iter, and the prior
-    check's PositioningError before it.  No input is known to make the
-    damped 3x3 solve singular (JtJ + lam*I with lam >= 1e-12 and unit-scale
-    Jacobian rows has no zero pivot), so that exit is reached by making
-    LAPACK report one, in the solver and the reference alike."""
+    check's PositioningError before it.  The damped 3x3 solve has no
+    singular exit (test_damped_normal_matrices_are_never_singular); were a
+    LAPACK build to return a NaN step, the trial from it fails
+    trial < cost and the descent damps harder, in the solver and the
+    reference alike."""
     exits = set()
     descend = positioning._lm_descend
 
@@ -374,69 +370,84 @@ def test_cases_reach_every_exit_of_the_descent(monkeypatch):
                 exits.add("prior check")
     assert exits == {"converged", "lam", "max_iter", "prior check"}
 
-    # LAPACK reports a singular matrix at the third solve of each descent
+    # every third solve of a fix returns a NaN step
     calls = {"solver": 0, "reference": 0}
 
-    def singular_at_third(solve, who):
+    def nan_at_third(solve, who):
         def wrapped(a, b):
             calls[who] += 1
             if calls[who] % 3 == 0:
-                raise np.linalg.LinAlgError("Singular matrix")
+                return np.full(3, np.nan)
             return solve(a, b)
         return wrapped
 
     monkeypatch.setattr(positioning, "_lm_descend", descend)
     monkeypatch.setattr(positioning, "_solve",
-                        singular_at_third(positioning._solve, "solver"))
-    oracle_solve = singular_at_third(np.linalg.solve, "reference")
-    singular = 0
+                        nan_at_third(positioning._solve, "solver"))
+    oracle_solve = nan_at_third(np.linalg.solve, "reference")
+    converged = 0
     for case in _solver_cases(np.random.default_rng(7))[:60]:
         calls["solver"] = calls["reference"] = 0
         got = _outcome(estimate_position, *case)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "solve", oracle_solve)
             assert got == _outcome(_oracle_estimate, *case)
-        if len(case[0]) < 4 and calls["solver"] == 3:
-            # no bootstrap, so the one descent ended at its third solve
-            assert got[2:] == (3, False, True)
-            singular += 1
-    assert singular > 0
-
-
-def _lapack_outcome(f, *args):
-    """The output's bytes, or the LinAlgError and its message."""
-    try:
-        return f(*args).tobytes()
-    except np.linalg.LinAlgError as exc:
-        return type(exc), str(exc)
+        assert calls["solver"] > 3      # a descent goes on past a NaN step
+        assert np.isfinite(np.frombuffer(got[0])).all()
+        converged += got[3]
+    assert converged > 30
 
 
 def _solve_inputs(rng):
-    """Random, singular, rank-deficient and NaN-holding 3x3 matrices."""
+    """Random and damped normal 3x3 matrices, all nonsingular."""
     mats = [rng.standard_normal((3, 3)) for _ in range(50)]
-    mats += [np.zeros((3, 3)), np.ones((3, 3))]
     for _ in range(20):
-        low_rank = rng.standard_normal((3, 3))
-        low_rank[-1] = low_rank[0]
-        mats.append(low_rank)
-        with_nan = rng.standard_normal((3, 3))
-        with_nan[rng.integers(3), rng.integers(3)] = np.nan
-        mats.append(with_nan)
-    # a NaN pattern LAPACK's LU pivots to a zero on
-    mats.append(np.array([[np.nan, 0.0, np.nan], [0.0, 0.0, np.nan],
-                          [np.nan, np.nan, np.nan]]))
+        jac = rng.standard_normal((rng.integers(1, 5), 3))
+        mats.append(jac.T @ jac + 10.0 ** rng.uniform(-12, 3) * np.eye(3))
     return mats
 
 
 def test_direct_lapack_calls_match_np_linalg():
     rng = np.random.default_rng(35)
-    raised = set()
     for a in _solve_inputs(rng):
         b = rng.standard_normal(3)
-        got = _lapack_outcome(positioning._solve, a, b)
-        assert got == _lapack_outcome(np.linalg.solve, a, b)
-        raised.add(got[0] if isinstance(got, tuple) else None)
-    assert raised == {None, np.linalg.LinAlgError}
+        assert (positioning._solve(a, b).tobytes()
+                == np.linalg.solve(a, b).tobytes())
+
+
+@pytest.mark.filterwarnings("error")
+def test_damped_normal_matrices_are_never_singular():
+    """JtJ + lam*I as _lm_descend builds it, on adversarial Jacobians of
+    1-4 rows, solves without LAPACK meeting a zero pivot, which would make
+    solve1 warn: finite rows give finite steps, and a zero-length leg makes every entry of the matrix
+    non-finite, so none is zero."""
+    rng = np.random.default_rng(27)
+    values = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e-300])
+    lams = 10.0 ** np.arange(-12.0, 13.0)
+    for rows in range(1, 5):
+        jacs = rng.choice(values, (400, rows, 3))
+        r = rng.standard_normal((400, rows))
+        jtj = np.matmul(jacs.transpose(0, 2, 1), jacs)
+        neg_grad = -np.matmul(jacs.transpose(0, 2, 1), r[..., None])[..., 0]
+        for lam in lams:
+            steps = positioning._solve(jtj + lam * positioning._EYE3, neg_grad)
+            assert np.isfinite(steps).all()
+
+    # a leg of length 0, exact or underflowed, as _evaluate returns it
+    points = [(measured, q0, qs, u) for measured, q0, qs, _
+              in _solver_cases(np.random.default_rng(3))[:60]
+              for u in (q0, qs[0])]
+    points.append((np.full(3, 200.0), np.zeros(3), 100.0 * np.eye(3),
+                   np.full(3, 1e-170)))
+    for measured, q0, qs, u in points:
+        legs = np.concatenate([q0[None], qs])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, e, d0, dk, r, _ = positioning._evaluate(u, measured, legs)
+            jac = positioning._jacobian(e, d0, dk)
+            jtj, neg_grad = jac.T @ jac, -(jac.T @ r)
+        assert not np.isfinite(jtj).any()
+        for lam in (1e-12, 1e-3, 1e12):
+            positioning._solve(jtj + lam * positioning._EYE3, neg_grad)
 
 
 def test_non_finite_prior_rejected(capfd):
