@@ -160,13 +160,12 @@ def uplink_sinr(gains) -> np.ndarray:
 
 
 def uplink_latency(sinr: float) -> float:
-    """Seconds to deliver the range report; infinite at zero SINR."""
+    """Seconds to deliver the range report; infinite where the rate is 0
+    (an SINR of 0, or one so small that 1 + sinr rounds to 1)."""
     if sinr < 0:
         raise ChannelError("sinr must be nonnegative")
-    if sinr == 0.0:
-        return math.inf
     rate = BANDWIDTH * math.log2(1.0 + sinr)
-    return DATA_BITS / rate
+    return math.inf if rate == 0.0 else DATA_BITS / rate
 
 
 def uplink_latencies(sinrs) -> np.ndarray:

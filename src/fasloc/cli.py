@@ -11,8 +11,9 @@ Metric files are deterministic for a fixed config and seed; timing goes
 to the separate run_info.json, which is the one output not reproduced
 byte-for-byte: the wall time of the run and the process time training
 spent playing episodes (rollout_s), inside them in the environment's
-step (env_s) and inside that in the position solver (solver_s), learning
-from them (learn_s), and inside that on the TD targets (target_s).
+step (env_s) and inside that in the position solver (solver_s), both
+timed by the environment itself, learning from them (learn_s), and
+inside that on the TD targets (target_s).
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ class ConfigError(ValueError):
     pass
 
 
+SPEED_MAX = 1000.0  # m/s, both speeds' ceiling: world.DIST_MAX in one slot
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """The controlled UAVs' speed and the episode length.
@@ -41,6 +44,8 @@ class WorldConfig:
     def __post_init__(self):
         if self.speed <= 0:
             raise ConfigError("speed must be positive")
+        if self.speed > SPEED_MAX:
+            raise ConfigError(f"speed must be at most {SPEED_MAX!r}")
         if self.slots_per_episode < 1:
             raise ConfigError("slots_per_episode must be at least 1")
 
@@ -55,6 +60,8 @@ class TargetTrajectorySpec:
             raise ConfigError("uncertainty must lie in [0, 1]")
         if self.speed < 0:
             raise ConfigError("speed must be nonnegative")
+        if self.speed > SPEED_MAX:
+            raise ConfigError(f"speed must be at most {SPEED_MAX!r}")
 
 
 @dataclass(frozen=True)

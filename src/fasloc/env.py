@@ -68,24 +68,13 @@ class PositioningEnv:
         self.traj = None
         self.estimate = np.zeros(3)
         self.prev_ranges = np.zeros(4)
+        # the passive UAVs' uplink departure angles, fixed for the episode
         self.aods = np.zeros((4, cfg.channel.n_paths))
         self._gate_rejects = 0
-        self.solver_s = 0.0     # process time spent in estimate_position
-
-    @property
-    def aods(self) -> np.ndarray:
-        """The passive UAVs' (4, n_paths) uplink departure angles, drawn
-        at reset and fixed for the episode.  Setting them stores a
-        read-only copy, their cosines (cos_aods, which the uplink reads)
-        and their observation block."""
-        return self._aods
-
-    @aods.setter
-    def aods(self, value):
-        self._aods = np.array(value, dtype=float)
-        self._aods.flags.writeable = False
-        self.cos_aods = np.cos(self._aods)
-        self._scaled_aods = self._aods / math.pi
+        self._slots = []        # per slot: what the agents saw, steer, ports, info
+        self._seen = None       # the observations the next slot acts on
+        self.step_s = 0.0       # process time spent in step,
+        self.solver_s = 0.0     # and within it in estimate_position
 
     def _headings_toward_target(self) -> np.ndarray:
         """Each UAV starts headed at the target's start, pitch bounded."""
@@ -109,7 +98,9 @@ class PositioningEnv:
         self._gate_rejects = 0
         self.aods = self.rng.uniform(0.0, math.pi,
                                      size=(4, self.cfg.channel.n_paths))
-        return self.observations()
+        self._slots = []
+        self._seen = self.observations()
+        return self._seen
 
     def observations(self) -> list[np.ndarray]:
         """Each local net's agents' scaled observations, in
@@ -119,7 +110,7 @@ class PositioningEnv:
         sums (0 before the first measurement)."""
         scaled = self.positions * POSITION_SCALE
         ranges = self.prev_ranges[:, None] * RANGE_SCALE
-        return [scaled[:1], np.concatenate([scaled[1:], self._scaled_aods,
+        return [scaled[:1], np.concatenate([scaled[1:], self.aods / math.pi,
                                             ranges], axis=1)]
 
     def step(self, steer: np.ndarray, ports: np.ndarray):
@@ -128,8 +119,10 @@ class PositioningEnv:
         ports the passive UAVs' (4,) 1-based ports.  Returns the next
         observations and the slot's outcomes, which the learner scores:
         error, stale, feasible (no report late, both ranges held), late (4,)
-        and range_ok (world.check_constraints)."""
-        steer, ports = np.asarray(steer), np.asarray(ports)
+        and range_ok (world.check_constraints).  The slot joins the record
+        that episode() returns, and its process time is added to step_s."""
+        started = time.process_time()
+        steer, ports = np.array(steer), np.array(ports)
         if (steer.shape != (N_AGENTS,) or steer.dtype.kind not in "iu"
                 or not 0 <= steer.min() <= steer.max() < N_STEER):
             raise ValueError(f"steer must be an integer ({N_AGENTS},) array in "
@@ -158,7 +151,7 @@ class PositioningEnv:
         echo = snr > 0.0
 
         # uplink through the selected ports
-        draw = ch.draw_channel(self.rng, self.cos_aods)
+        draw = ch.draw_channel(self.rng, np.cos(self.aods))
         loss = ch.path_loss_db(wd.norms(qs - self.bs), draw.shadow_db)
         sinrs = ch.uplink_sinr(ch.fas_gain(draw, ports, n_ports, loss))
         # a NaN latency is no delivery either, so it counts as late
@@ -167,10 +160,10 @@ class PositioningEnv:
         usable = echo & ~late
         stale = int(np.count_nonzero(usable)) < MIN_USABLE
         if not stale:
-            started = time.process_time()
+            solving = time.process_time()
             fit = pos.estimate_position(measured[usable], q0, qs[usable],
                                         self.estimate)
-            self.solver_s += time.process_time() - started
+            self.solver_s += time.process_time() - solving
             jump = float(wd.norms(fit.position - self.estimate))
             if jump > INNOVATION_GATE * (1 + self._gate_rejects):
                 # implausible jump: treat like a missing fix
@@ -191,13 +184,33 @@ class PositioningEnv:
             "late": late,
             "range_ok": range_ok,
         }
-        return self.observations(), info
+        self._slots.append((self._seen, steer, ports, info))
+        self._seen = self.observations()
+        self.step_s += time.process_time() - started
+        return self._seen, info
+
+    def episode(self) -> EpisodeData:
+        """The record of the slots played since reset (ValueError if none)."""
+        if not self._slots:
+            raise ValueError("no slot played since reset")
+        seen, steer, ports, infos = zip(*self._slots)
+
+        def column(key):
+            return np.array([info[key] for info in infos])
+
+        return EpisodeData(
+            observations=[np.stack(obs, axis=1) for obs in zip(*seen)],
+            steer=np.array(steer), ports=np.array(ports),
+            errors=column("error"), stales=column("stale"),
+            feasible=column("feasible"), late=column("late"),
+            range_ok=column("range_ok"))
 
 
 @dataclass
 class EpisodeData:
-    """What marl.MarlTrainer.rollout records of one played episode of T
-    slots.  The learner derives its training signals from it."""
+    """PositioningEnv.episode()'s record of T played slots: what the
+    agents saw, their actions and each slot's outcomes (step's info).
+    The learner derives its training signals from it."""
     observations: list         # [i] -> local net i's agents' (A, T, n_obs)
     steer: np.ndarray          # (T, N_AGENTS) steering combos
     ports: np.ndarray          # (T, 4) the passive UAVs' ports, 1-based

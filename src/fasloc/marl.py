@@ -442,21 +442,6 @@ def _team_columns(rows: list[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(rows).T)
 
 
-def _record(observed, steers, played, infos) -> EpisodeData:
-    """One episode's record from its per-slot observations, steering
-    combos, ports and env.step infos."""
-
-    def column(key):
-        return np.array([info[key] for info in infos])
-
-    return EpisodeData(
-        observations=[np.stack(obs, axis=1) for obs in zip(*observed)],
-        steer=np.array(steers), ports=np.array(played),
-        errors=column("error"), stales=column("stale"),
-        feasible=column("feasible"), late=column("late"),
-        range_ok=column("range_ok"))
-
-
 # ---------------------------------------------------------------------------
 # policy container
 
@@ -574,9 +559,9 @@ class MarlTrainer:
         self.target_nets.copy_from(self.nets)
         self.updates = 0
         self.n_ports = cfg.channel.n_ports
-        # process time run() has spent playing episodes and learning, and
-        # that every rollout has spent in PositioningEnv.step (and in its
-        # solver) and every td_targets call in all; in run() env_s and
+        # process time run() has spent playing episodes and learning, that
+        # run()'s env has spent in PositioningEnv.step (and in its solver),
+        # and that every td_targets call has taken; in run() env_s and
         # target_s are parts of the first two
         self.rollout_s = 0.0
         self.env_s = 0.0
@@ -687,8 +672,8 @@ class MarlTrainer:
                 port_eps: float | None = None,
                 rngs: list[np.random.Generator] | None = None,
                 port_menu=None) -> list[EpisodeData]:
-        """Play one episode of each of envs in lockstep and record each
-        (EpisodeData), in envs order.
+        """Play one episode of each of envs in lockstep and return each
+        env's record of it (PositioningEnv.episode), in envs order.
 
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon); episode b draws from rngs[b] (default: every
@@ -699,9 +684,8 @@ class MarlTrainer:
         episode then acts and steps its own env, so an episode with its own
         env and rng is recorded bit for bit as when played alone.  The nets
         keep no caches: the learner derives their inputs from the record
-        and replays them in one sequence pass.  The process time spent in
-        env.step is added to env_s, and the part of it the envs spent in
-        their solver to solver_s.
+        and replays them in one sequence pass.  rollout only picks the
+        actions: each env keeps its own record and times its own step.
         """
         rngs = [self.policy_rng] * len(envs) if rngs is None else rngs
         port_eps = epsilon if port_eps is None else port_eps
@@ -716,7 +700,6 @@ class MarlTrainer:
         if len(slots) != 1 or len(rngs) != len(envs):
             raise ValueError("rollout needs at least one env, one rng per "
                              "env and one episode length")
-        solver_before = [env.solver_s for env in envs]
         observations = [env.reset() for env in envs]
         # each episode's nets' agents' previous-action features: none
         # before slot 0
@@ -724,7 +707,6 @@ class MarlTrainer:
                      in zip(first, self.nets.input_widths)]
                     for first in observations]
         hidden = [net.initial_state(len(envs)) for net in self.nets.local]
-        records = [([], [], [], []) for _ in envs]
         for _ in range(slots.pop()):
             values = []     # [i] -> net i's (q, port) over the episodes
             for i, net in enumerate(self.nets.local):
@@ -737,18 +719,9 @@ class MarlTrainer:
                 steer, chosen = self.act(
                     [tuple(None if v is None else v[:, b:b + 1] for v in value)
                      for value in values], epsilon, port_eps, rng, ports)
-                observed, steers, played, infos = records[b]
-                observed.append(observations[b])
-                steers.append(steer)
-                played.append(chosen)
                 previous[b] = encode_actions(steer, chosen, self.n_ports)
-                started = time.process_time()
-                observations[b], info = env.step(steer, chosen)
-                self.env_s += time.process_time() - started
-                infos.append(info)
-        self.solver_s += sum(env.solver_s - before
-                             for env, before in zip(envs, solver_before))
-        return [_record(*record) for record in records]
+                observations[b], _ = env.step(steer, chosen)
+        return [env.episode() for env in envs]
 
     # -- targets and loss -----------------------------------------------------
 
@@ -885,6 +858,9 @@ class MarlTrainer:
         except TrainingDiverged as exc:
             exc.log = log
             raise
+        finally:
+            self.env_s += env.step_s
+            self.solver_s += env.solver_s
         return log
 
     def _run_epochs(self, env: PositioningEnv, log: TrainingLog):

@@ -219,6 +219,15 @@ class TestLatency:
     def test_zero_sinr_is_infinite(self):
         assert math.isinf(uplink_latency(0.0))
 
+    def test_sinr_below_rounding_is_infinite(self):
+        """1 + 1e-17 rounds to 1, so the rate is 0: no delivery, not a
+        ZeroDivisionError."""
+        assert uplink_latency(1e-17) == math.inf
+        assert uplink_latencies(np.array([1e-17, 0.5]))[0] == math.inf
+
+    def test_nan_sinr_gives_nan(self):
+        assert math.isnan(uplink_latency(math.nan))
+
     def test_sinr_three_gives_half_ms(self, monkeypatch):
         monkeypatch.setattr(channel, "DATA_BITS", 1000.0)
         monkeypatch.setattr(channel, "BANDWIDTH", 1e6)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fasloc import cli, marl, nn
-from fasloc.config import (SCHEME_TRAITS, ConfigError, apply_overrides,
-                           default_config, from_ini, load_config, to_ini)
+from fasloc import cli, marl, nn, world
+from fasloc.config import (SCHEME_TRAITS, SPEED_MAX, ConfigError,
+                           apply_overrides, default_config, from_ini,
+                           load_config, to_ini)
 
 # one malformed INI text or override per row, and the ConfigError it gives
 MALFORMED = {
@@ -42,14 +43,21 @@ MALFORMED = {
     "override": ("world.speed=0",
                  "[world] speed (override 'world.speed=0'): speed must be "
                  "positive"),
+    # faster than world.DIST_MAX per slot
+    "override_world_speed": ("world.speed=1e8",
+                             "[world] speed (override 'world.speed=1e8'): "
+                             "speed must be at most 1000.0"),
+    "override_target_speed": ("target.speed=1e200",
+                              "[target] speed (override 'target.speed=1e200'):"
+                              " speed must be at most 1000.0"),
 }
 
 _FINITE = {"allow_nan": False, "allow_infinity": False}
 # a strategy for every settable value, drawing only valid ones
 VALID_VALUES = {
-    "world": {"speed": st.floats(min_value=0.0, exclude_min=True, **_FINITE),
+    "world": {"speed": st.floats(0.0, SPEED_MAX, exclude_min=True),
               "slots_per_episode": st.integers(min_value=1)},
-    "target": {"speed": st.floats(min_value=0.0, **_FINITE),
+    "target": {"speed": st.floats(0.0, SPEED_MAX),
                "uncertainty": st.floats(0.0, 1.0)},
     "scenario": {"latency_budget": st.floats(**_FINITE)},
     "channel": {"n_ports": st.integers(min_value=2),
@@ -191,6 +199,8 @@ class TestConfig:
         "run.episodes_per_epoch=0",
         "world.speed=0",
         "target.speed=-1",
+        "world.speed=1000.5",
+        "target.speed=1e200",
         "target.uncertainty=1.5",
         "channel.n_ports=1",
         "channel.n_paths=0",
@@ -260,12 +270,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("override", [
         "target.speed=0", "target.uncertainty=0", "target.uncertainty=1",
-        "channel.n_ports=2", "channel.n_paths=1"])
+        "channel.n_ports=2", "channel.n_paths=1", "world.speed=1000",
+        "target.speed=1000"])
     def test_closed_range_ends_load(self, override):
         key, value = override.split("=")
         section, name = key.split(".")
         assert getattr(getattr(load_config(None, [override]), section),
                        name) == float(value)
+
+    def test_speed_ceiling_is_one_range_per_slot(self):
+        assert SPEED_MAX == world.DIST_MAX / world.SLOT_DURATION
 
     def test_settable_values_are_pinned(self):
         # the training recipe is marl's constants (marl.DISCOUNT, ...) and
@@ -312,7 +326,7 @@ class TestConfig:
         fasloc run one error: line, exit code 2 and no output."""
         source, message = MALFORMED[case]
         out = tmp_path / "out"
-        if case == "override":
+        if case.startswith("override"):
             with pytest.raises(ConfigError) as err:
                 apply_overrides(default_config(), [source])
             argv, line = ["--override", source], f"error: {message}"

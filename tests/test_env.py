@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from fasloc import channel, positioning, world
 from fasloc.channel import ChannelError
-from fasloc.config import apply_overrides, default_config
+from fasloc.config import SPEED_MAX, apply_overrides, default_config
 from fasloc.env import (ANGLE_CHOICES, INNOVATION_GATE, MIN_USABLE, N_AGENTS,
                         N_ANGLE, N_STEER, POSITION_SCALE, RANGE_SCALE,
-                        VARIANCE_SCALE, PositioningEnv)
+                        VARIANCE_SCALE, EpisodeData, PositioningEnv)
 
 # marl.micro_config's scenario: two-slot episodes, three ports, two paths
 SMALL = apply_overrides(default_config(), [
@@ -267,7 +267,7 @@ def _ref_step(env, steer, ports):
 
 
 def test_assigned_aods_reach_the_next_uplink(monkeypatch):
-    """Assigning env.aods after reset replaces the cosines the next step's
+    """Assigning env.aods after reset changes the cosines the next step's
     uplink draws with and the observation block, not only the angles."""
     cfg = default_config()
     n_paths = cfg.channel.n_paths
@@ -286,11 +286,59 @@ def test_assigned_aods_reach_the_next_uplink(monkeypatch):
     obs, _ = env.step(np.full(N_AGENTS, 12), np.ones(4, dtype=int))
     assert len(seen) == 1 and seen[0].tobytes() == np.cos(aods).tobytes()
     assert obs[1][:, 3:3 + n_paths].tobytes() == (aods / math.pi).tobytes()
-    # the env holds its own read-only copy, so the three cannot drift apart
-    aods[0, 0] = 1.0
-    assert env.aods[0, 0] == 0.2
-    with pytest.raises(ValueError):
-        env.aods[0, 0] = 1.0
+
+
+def _ref_record(observed, steers, played, infos) -> EpisodeData:
+    """One episode's record stacked from its per-slot observations (as
+    reset and step returned them), steering combos, ports and step
+    infos."""
+
+    def column(key):
+        return np.array([info[key] for info in infos])
+
+    return EpisodeData(
+        observations=[np.stack(obs, axis=1) for obs in zip(*observed)],
+        steer=np.array(steers), ports=np.array(played),
+        errors=column("error"), stales=column("stale"),
+        feasible=column("feasible"), late=column("late"),
+        range_ok=column("range_ok"))
+
+
+def _episode_bytes(episode):
+    """Every array of an EpisodeData, as (dtype, shape, bytes)."""
+    arrays = [*episode.observations, *(
+        getattr(episode, f.name) for f in dataclasses.fields(EpisodeData)
+        if f.name != "observations")]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("cfg", [default_config(), SMALL],
+                         ids=["default", "small"])
+def test_episode_is_the_slots_played_since_reset(cfg):
+    """env.episode() is byte-equal to the record stacked slot by slot from
+    what reset and step returned, and each reset starts an empty one."""
+    env = PositioningEnv(cfg, np.random.default_rng(9))
+    pick = np.random.default_rng(10)
+    with pytest.raises(ValueError, match="no slot"):
+        env.episode()
+    for slots in (cfg.world.slots_per_episode, 1, 3):
+        observed, steers, played, infos = [env.reset()], [], [], []
+        with pytest.raises(ValueError, match="no slot"):
+            env.episode()
+        for _ in range(slots):
+            steer = pick.integers(0, N_STEER, N_AGENTS)
+            ports = pick.integers(1, cfg.channel.n_ports + 1, 4)
+            steers.append(steer.copy())
+            played.append(ports.copy())
+            obs, info = env.step(steer, ports)
+            # the record holds its own copy of the actions
+            steer[:], ports[:] = 0, 1
+            observed.append(obs)
+            infos.append(info)
+        episode = env.episode()
+        assert len(episode) == slots
+        assert _episode_bytes(episode) == _episode_bytes(
+            _ref_record(observed[:-1], steers, played, infos))
 
 
 @pytest.mark.parametrize("overrides, constants", [
@@ -335,8 +383,10 @@ _DEFAULT = default_config()
 # the default config, or one extreme but valid corner of it
 _EXTREME_OVERRIDES = st.one_of(
     st.just([]),
-    st.floats(0.0, 50.0, exclude_min=True).map(
+    # both speeds up to the config's ceiling
+    st.floats(0.0, SPEED_MAX, exclude_min=True).map(
         lambda v: [f"world.speed={v!r}"]),
+    st.floats(0.0, SPEED_MAX).map(lambda v: [f"target.speed={v!r}"]),
     st.sampled_from([
         ["target.speed=0"],
         ["channel.n_paths=1"],

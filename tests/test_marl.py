@@ -759,10 +759,7 @@ class TestTrainerMachinery:
 
 
 class TestEndToEndGradient:
-    def test_micro_episode_finite_difference(self):
-        cfg = micro_config()
-        assert micro_gradcheck(cfg) < 1e-4
-
+    # acceptance criterion 3 bounds micro_gradcheck(micro_config()) itself
     def test_doubled_port_fit_gradient_is_caught(self, monkeypatch):
         backward = LocalQNet.backward
 
