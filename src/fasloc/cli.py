@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,18 @@ def _write_summary_csv(path, rows, header):
 def _write_metrics(out_dir, training_log: marl.TrainingLog):
     with open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(training_log.to_jsonl())
+
+
+def _strict_json(value):
+    """value with every non-finite number as the string "nan", "inf" or
+    "-inf", which strict JSON can hold."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    return value
 
 
 def run_experiment(config_path, overrides, out_dir) -> int:
@@ -70,7 +83,8 @@ def run_experiment(config_path, overrides, out_dir) -> int:
                   encoding="utf-8") as fh:
             json.dump({"error": str(exc),
                        "completed_epochs": len(exc.log.records),
-                       "diagnostics": exc.diagnostics}, fh, sort_keys=True)
+                       "diagnostics": _strict_json(exc.diagnostics)},
+                      fh, sort_keys=True, allow_nan=False)
         print(f"error: training diverged after {len(exc.log.records)} "
               f"epochs: {exc} (see diverged.json)", file=sys.stderr)
         return 3

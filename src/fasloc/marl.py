@@ -23,7 +23,7 @@ import numpy as np
 from .config import SCHEME_TRAITS, ExperimentConfig, apply_overrides
 from .env import N_AGENTS, N_ANGLE, N_STEER, EpisodeData, PositioningEnv
 from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
-                 ordered_sum, stack_agents)
+                 stack_agents)
 
 # the training recipe, shared by every trained scheme and seed
 DISCOUNT = 0.9
@@ -287,8 +287,7 @@ class LocalQNet(Module):
         on its uncentered output and nothing from dq: the trainer fits it
         to the agent's own credit for the port it chose (see
         difference_credit), while dq trains the value, steering and
-        recurrent stack.  Weight gradients add up last slot first, the
-        order in which BPTT reaches them.
+        recurrent stack.
         """
         c_embed, mask, c_gru, (c_value, c_angle, c_port, port_raw) = cache
         dangle = dq[:, :, None, :]
@@ -299,14 +298,14 @@ class LocalQNet(Module):
             dport[agents, slots, 0, ports] = 2.0 * (
                 port_raw[agents, slots, 0, ports] - targets)
             # reaches only its own stack
-            self.port_head.backward(dport, c_port, reverse=True)
+            self.port_head.backward(dport, c_port)
         dvalue = dangle.sum(axis=-1, keepdims=True)        # dense value gradient
         dangle = dangle - dangle.mean(axis=-1, keepdims=True)  # centering Jacobian
-        dhid = self.angle_head.backward(dangle, c_angle, reverse=True)
-        dhid = dhid + self.value_head.backward(dvalue, c_value, reverse=True)
+        dhid = self.angle_head.backward(dangle, c_angle)
+        dhid = dhid + self.value_head.backward(dvalue, c_value)
         if self.gru is not None:
             dhid, _ = self.gru.backward(dhid, c_gru)
-        self.embed.backward(dhid * mask, c_embed, reverse=True)
+        self.embed.backward(dhid * mask, c_embed)
 
     def port_fit_loss(self, cache, port_fit) -> np.ndarray:
         """Per agent and slot (A, T), the regression loss whose gradient
@@ -806,9 +805,7 @@ class MarlTrainer:
         fit_losses = [net.port_fit_loss(cache, fit)
                       for net, (_, cache), fit in zip(nets.local, replay, fits)
                       if fit is not None]
-        # summed slot by slot, agent by agent
-        port_loss = (float(ordered_sum(_team_columns(fit_losses).ravel()))
-                     if fit_losses else 0.0)
+        port_loss = float(sum(loss.sum() for loss in fit_losses))
         if not backward:
             return td_loss, port_loss, weights
 

@@ -10,12 +10,12 @@ axis first, as (A, rows, ·) blocks or (A, T, rows, ·) stacks with one
 slot per index of the second axis, or, for acting, one episode (all
 heads attend over one (T, rows, ·) stack).  A whole episode goes
 through a block in one call; the GRU alone steps through time.  Stacked
-products keep each (agent, slot) operand shape (a one-row slot is a
-(1, n) matrix, which numpy multiplies with the same BLAS call as an
-n-vector), and weight gradients add the slots' terms in a fixed order,
-so a stack gives bit for bit what one call per agent and slot would.
-Arithmetic is double precision, and the tests verify each backward pass
-by central differences.
+forward products keep each (agent, slot) operand shape (a one-row slot
+is a (1, n) matrix, which numpy multiplies with the same BLAS call as an
+n-vector), so a stack's outputs and input gradients are bit for bit what
+one call per agent and slot would give; a weight gradient is one product
+per agent over every slot and row.  Arithmetic is double precision, and
+the tests verify each backward pass by central differences.
 """
 
 from __future__ import annotations
@@ -83,17 +83,6 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The terms along axis added strictly in order, as a loop of += adds
-    them.  numpy's sum adds whole terms in order when a term has more
-    than one element, but one-element terms collapse into a single run
-    that it sums pairwise; that case goes through cumsum.  terms must
-    not be a reversed view, whose axis numpy may walk backwards."""
-    if math.prod(terms.shape[axis + 1:]) > 1:
-        return terms.sum(axis=axis)
-    return np.take(np.cumsum(terms, axis=axis), -1, axis=axis)
-
-
 def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
     """An (A, ...) stack with unit axes after the agent axis, so that it
     broadcasts per agent against an ndim-dimensional operand."""
@@ -102,27 +91,16 @@ def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
     return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
-def _weight_grad(x: np.ndarray, dy: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Per agent, the gradient of x @ w for the output gradient dy: the
-    per-slot x.T @ dy of an (A, T, rows, ·) stack summed over the slots in
-    order, last slot first with reverse."""
-    if reverse:
-        x, dy = x[:, ::-1], dy[:, ::-1]
-    if x.shape[2] > 1:
-        return ordered_sum(np.matmul(x.swapaxes(2, 3), dy), axis=1)
-    if x.shape[3] * dy.shape[3] == 1:
-        # a 1x1 weight: einsum's loop would run over the slots and add
-        # them in its own order
-        return ordered_sum(x * dy, axis=1)
-    # one row per slot: einsum adds the slots' outer products in order,
-    # each entry one product, as the stack of them summed in order would
-    return np.einsum("ati,atj->aij", np.ascontiguousarray(x[:, :, 0]),
-                     np.ascontiguousarray(dy[:, :, 0]))
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Per agent, the gradient of x @ w for the output gradient dy of an
+    (A, ..., rows, ·) stack: x.T @ dy over every slot and row at once."""
+    return np.matmul(x.reshape(len(x), -1, x.shape[-1]).swapaxes(1, 2),
+                     dy.reshape(len(dy), -1, dy.shape[-1]))
 
 
-def _bias_grad(dy: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Gradient of a bias added to every row of dy, summed like _weight_grad."""
-    return ordered_sum((dy[:, ::-1] if reverse else dy).sum(axis=2), axis=1)
+def _bias_grad(dy: np.ndarray) -> np.ndarray:
+    """Per agent, the gradient of a bias added to every row of dy."""
+    return dy.reshape(len(dy), -1, dy.shape[-1]).sum(axis=1)
 
 
 class Module:
@@ -190,13 +168,11 @@ class Linear(Module):
         _check_agents(x, len(self.w.params), self.n_in)
         return x @ _lift(self.w.value, x.ndim) + _lift(self.b.value, x.ndim), x
 
-    def backward(self, dy: np.ndarray, cache, reverse: bool = False) -> np.ndarray:
-        """For a forward on an (A, T, rows, n_in) stack: accumulate the
-        weight gradients (over the slots in order, last slot first with
-        reverse) and return the input gradient."""
+    def backward(self, dy: np.ndarray, cache) -> np.ndarray:
+        """Accumulate the weight gradients and return the input gradient."""
         x = cache
-        self.w.grad += _weight_grad(x, dy, reverse)
-        self.b.grad += _bias_grad(dy, reverse)
+        self.w.grad += _weight_grad(x, dy)
+        self.b.grad += _bias_grad(dy)
         return dy @ _lift(self.w.value.swapaxes(1, 2), dy.ndim)
 
 
@@ -225,12 +201,12 @@ class MLP(Module):
             caches.append((c, act_mask))
         return h, caches
 
-    def backward(self, dy: np.ndarray, caches, reverse: bool = False) -> np.ndarray:
+    def backward(self, dy: np.ndarray, caches) -> np.ndarray:
         for i in reversed(range(len(self.layers))):
             c, act_mask = caches[i]
             if act_mask is not None:
                 dy = dy * act_mask
-            dy = self.layers[i].backward(dy, c, reverse)
+            dy = self.layers[i].backward(dy, c)
         return dy
 
 
@@ -299,8 +275,7 @@ class GRUCell(Module):
     def backward(self, dhs: np.ndarray, cache):
         """Backprop through time of the gradient dhs on every step's output
         state: returns (dxs, dh0).  The state gradient runs back slot by
-        slot; the weight gradients are summed afterwards, last slot first,
-        the order in which BPTT reaches them."""
+        slot; the weight gradients are summed over all slots afterwards."""
         xs, prev, z, r, rh, c = cache
         uz, ur, uh = (u.value.swapaxes(1, 2) for u in (self.uz, self.ur, self.uh))
         daz, dar, dac = (np.empty_like(z) for _ in range(3))
@@ -321,9 +296,9 @@ class GRUCell(Module):
         for w, u, b, da, state in ((self.wh, self.uh, self.bh, dac, rh),
                                    (self.wr, self.ur, self.br, dar, prev),
                                    (self.wz, self.uz, self.bz, daz, prev)):
-            w.grad += _weight_grad(xs, da, reverse=True)
-            u.grad += _weight_grad(state, da, reverse=True)
-            b.grad += _bias_grad(da, reverse=True)
+            w.grad += _weight_grad(xs, da)
+            u.grad += _weight_grad(state, da)
+            b.grad += _bias_grad(da)
         wh, wr, wz = (_lift(w.value.swapaxes(1, 2), xs.ndim)
                       for w in (self.wh, self.wr, self.wz))
         return dac @ wh + dar @ wr + daz @ wz, dh
@@ -376,7 +351,7 @@ class AttentionUnit(Module):
         for w, dy in ((self.wq, dq), (self.wk, dk), (self.wv, dv)):
             w.grad += _weight_grad(windows, dy)
         wq, wk, wv = (_lift(w.value.swapaxes(1, 2), 4) for w in self.stacks())
-        return ordered_sum(dq @ wq + dk @ wk + dv @ wv, axis=0)
+        return (dq @ wq + dk @ wk + dv @ wv).sum(axis=0)
 
 
 # Relative error floor: gradients smaller than this are compared on an

@@ -123,6 +123,10 @@ def valid_ini(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), values
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 TINY_OVERRIDES = [
     "run.epochs=3",
     "run.episodes_per_epoch=1",
@@ -461,8 +465,10 @@ class TestRunVerb:
         assert cli.main(args) == 3
         lines = (out / "metrics.jsonl").read_text().splitlines()
         assert [json.loads(ln)["epoch"] for ln in lines[1:]] == [0, 1]
-        diverged = json.loads((out / "diverged.json").read_text())
+        diverged = json.loads((out / "diverged.json").read_text(),
+                              parse_constant=_reject_constant)
         assert diverged["completed_epochs"] == 2
+        assert diverged["diagnostics"]["loss"] == "nan"
         assert "diverged" in capsys.readouterr().err
 
     def test_flags_are_overrides_applied_last(self, tmp_path, capsys):

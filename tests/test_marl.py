@@ -1254,10 +1254,13 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     td, port, weights = trainer.episode_loss(episode, targets)
 
     assert np.array_equal(targets, ref_targets)
-    assert td == ref_td and port == ref_port
+    assert td == ref_td
     assert np.array_equal(weights, ref_weights)
+    # the port-fit loss and the weight gradients add the same terms in
+    # another order: equal up to rounding
+    assert abs(port - ref_port) <= 1e-12 * abs(ref_port)
     for p, ref in zip(trainer.nets.params(), ref_grads):
-        assert p.grad.tobytes() == ref.tobytes(), p.name
+        assert np.max(np.abs(p.grad - ref)) <= 1e-12 * np.max(np.abs(ref)), p.name
     assert any(np.any(g) for g in ref_grads)
     # the flat outer sum of the factored values is the reference's Q-vector
     seq_q = [q_k if port is None else

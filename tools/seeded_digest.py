@@ -13,6 +13,10 @@ It covers, at acceptance criterion 8's config (10 slots, 6 epochs, one
 episode per epoch, seed 11):
 
 - the sha256 of every scheme's training log (``TrainingLog.to_jsonl``),
+  and, as ``train_behaviour_sha256``, of the same log's records with
+  ``loss`` dropped, so a change that moves only the learner's rounding
+  can show in one entry that every epoch's error, reward, violation count
+  and epsilon is unchanged,
 - the greedy ``evaluate_rollouts`` statistics of the trained ar_marl and
   no_fas policies and of the random policy, with every port and with the
   8-port menu of 32 (the random policy's menu-restricted draw included),
@@ -310,13 +314,18 @@ def config_digest() -> dict:
 
 
 def digest() -> dict:
-    out = {"train_log_sha256": {}, "evaluate": {}}
+    out = {"train_log_sha256": {}, "train_behaviour_sha256": {},
+           "evaluate": {}}
     for scheme in SCHEMES:
         cfg = criterion_8_config(scheme)
         trainer = marl.MarlTrainer(cfg)
-        text = trainer.run().to_jsonl()
+        log = trainer.run()
         out["train_log_sha256"][scheme] = hashlib.sha256(
-            text.encode()).hexdigest()
+            log.to_jsonl().encode()).hexdigest()
+        behaviour = [{k: v for k, v in dataclasses.asdict(r).items()
+                      if k != "loss"} for r in log.records]
+        out["train_behaviour_sha256"][scheme] = hashlib.sha256(
+            json.dumps(behaviour, sort_keys=True).encode()).hexdigest()
         if scheme in EVALUATED:
             menus = {"all": None,
                      "menu_8": cli.port_menu_for(cfg.channel.n_ports, 8)}
