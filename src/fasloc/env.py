@@ -103,11 +103,11 @@ class PositioningEnv:
         return self._seen
 
     def observations(self) -> list[np.ndarray]:
-        """Each local net's agents' scaled observations, in
-        marl.PolicyNets.local_agents() order: the active UAV's (1, 3)
-        position, then the passive UAVs' (4, 3 + n_paths + 1) positions,
-        departure angles of their uplink paths and previous measured range
-        sums (0 before the first measurement)."""
+        """The team's scaled observations, one array per input width, as
+        marl.LocalQNet's embedding stacks take them: the active UAV's (1,
+        3) position, then the passive UAVs' (4, 3 + n_paths + 1)
+        positions, departure angles of their uplink paths and previous
+        measured range sums (0 before the first measurement)."""
         scaled = self.positions * POSITION_SCALE
         ranges = self.prev_ranges[:, None] * RANGE_SCALE
         return [scaled[:1], np.concatenate([scaled[1:], self.aods / math.pi,
@@ -211,7 +211,7 @@ class EpisodeData:
     """PositioningEnv.episode()'s record of T played slots: what the
     agents saw, their actions and each slot's outcomes (step's info).
     The learner derives its training signals from it."""
-    observations: list         # [i] -> local net i's agents' (A, T, n_obs)
+    observations: list         # the active and the passive UAVs' (A, T, n_obs)
     steer: np.ndarray          # (T, N_AGENTS) steering combos
     ports: np.ndarray          # (T, 4) the passive UAVs' ports, 1-based
     errors: np.ndarray         # (T,) position errors

@@ -12,6 +12,7 @@ random policy.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -54,18 +55,21 @@ class TrainingDiverged(RuntimeError):
         self.log = None
 
 
+# (N_STEER, 2) each steering combo's yaw and pitch index, scaled to [-1, 1]
+STEER_FEATURES = ((np.stack(np.divmod(np.arange(N_STEER), N_ANGLE), axis=-1)
+                   - (N_ANGLE - 1) / 2) / ((N_ANGLE - 1) / 2))
+
+
 def encode_actions(steer: np.ndarray, ports: np.ndarray,
                    n_ports: int) -> list[np.ndarray]:
-    """The team's actions as each local net's (A, ..., 2 or 3) [-1, 1]
-    action features, in PolicyNets.local_agents() order.  steer
-    (N_AGENTS, ...) holds the steering combos, yaw * N_ANGLE + pitch
-    indices into env.ANGLE_CHOICES, and ports (4, ...) the passive UAVs'
-    1-based ports.  Every agent's features are its yaw and pitch index; a
-    passive UAV's add its port's place on the grid (the config rejects
+    """The team's [-1, 1] action features: the active UAV's (1, ..., 2),
+    then the passive UAVs' (4, ..., 3).  steer (N_AGENTS, ...) holds the
+    steering combos, yaw * N_ANGLE + pitch indices into env.ANGLE_CHOICES,
+    and ports (4, ...) the passive UAVs' 1-based ports.  Every agent's
+    features are its yaw and pitch index (STEER_FEATURES); a passive
+    UAV's add its port's place on the grid (the config rejects
     channel.n_ports below 2, so the grid has two ends)."""
-    yaw, pitch = np.divmod(steer, N_ANGLE)
-    centre = (N_ANGLE - 1) / 2
-    angles = (np.stack([yaw, pitch], axis=-1) - centre) / centre
+    angles = STEER_FEATURES[steer]
     port = 2.0 * (ports - 1) / (n_ports - 1) - 1.0
     return [angles[:1], np.concatenate([angles[1:], port[..., None]], axis=-1)]
 
@@ -99,16 +103,6 @@ def difference_credit(episode: EpisodeData) -> np.ndarray:
     margin = training_rewards(episode) - feasible_reward
     sole = (episode.late.sum(axis=1) == 1) & episode.range_ok.all(axis=1)
     return np.where(episode.late & sole[:, None], margin[:, None], 0.0)
-
-
-def select_action(q_values: np.ndarray, epsilon: float,
-                  rng: np.random.Generator) -> int:
-    """Epsilon-greedy over a Q-vector; ties break to the lowest index."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if epsilon > 0.0 and rng.uniform() < epsilon:
-        return int(rng.integers(0, len(q_values)))
-    return int(np.argmax(q_values))
 
 
 def build_td_targets(rewards: np.ndarray, next_values: np.ndarray,
@@ -178,61 +172,80 @@ class LocalQNet(Module):
     does not learn from the TD signal: it regresses its agent's own credit
     for the chosen port (difference_credit, via backward's port_fit).
 
-    A net is built for one agent; nn.stack_agents joins same-shaped nets
-    into one with a leading agent axis, which runs all its agents in each
-    call: inputs, states, Q-values and gradients are (A, ...) stacks.
+    A net runs its agents (team indices: 0 active, 1-4 passive) on a
+    leading agent axis, as (A, ...) stacks of states, Q-values and weights;
+    the active and passive inputs differ in width, so each kind has an
+    embedding stack and an (A_g, ..., n_in) input, and port advantages
+    are the passive UAVs' rows.
     """
 
-    def __init__(self, n_in: int, n_ports: int, aod_slice: tuple, cfg, rng,
-                 recurrent=True, name="local"):
-        # n_ports 0 -> no port head: steering-only actions
-        self.aod_slice = aod_slice   # (lo, hi) of the input's departure angles
-        self.embed = Linear(n_in, cfg.embed_width, rng, f"{name}.embed")
-        self.gru = GRUCell(cfg.embed_width, cfg.gru_hidden, rng, f"{name}.gru") \
-            if recurrent else None
+    def __init__(self, agents, input_widths, n_ports: int, aod_slice: tuple,
+                 cfg, rng, recurrent=True):
+        # input_widths: an active and a passive UAV's; n_ports 0: no port head
+        self.aod_slice = aod_slice   # (lo, hi) of a passive input's departure angles
         head_in = cfg.gru_hidden if recurrent else cfg.embed_width
-        self.value_head = Linear(head_in, 1, rng, f"{name}.value")
-        self.value_head.w.value[...] = 0.0
-        self.value_head.b.value[...] = 0.0
-        self.angle_head = MLP([head_in, cfg.mlp_hidden, N_STEER], rng,
-                              f"{name}.angle")
-        # the port pathway owns its embedding and reads only the departure
-        # angles, as their cosines: the port response depends on the angles
-        # exclusively through cos, and a pathway shared with the steering
-        # objective washes those features out before the port ranking forms
         n_aod = aod_slice[1] - aod_slice[0]
-        self.port_head = (MLP([n_aod, cfg.embed_width, cfg.mlp_hidden, n_ports],
-                              rng, f"{name}.port") if n_ports else None)
-        for head in filter(None, (self.angle_head, self.port_head)):
-            head.layers[-1].w.value[...] = 0.0
-            head.layers[-1].b.value[...] = 0.0
+        parts = []
+        for k in agents:    # the initial weights are drawn agent by agent
+            name = f"local{k}"
+            parts.append((
+                Linear(input_widths[k > 0], cfg.embed_width, rng, f"{name}.embed"),
+                GRUCell(cfg.embed_width, cfg.gru_hidden, rng, f"{name}.gru")
+                if recurrent else None,
+                Linear(head_in, 1, rng, f"{name}.value"),
+                MLP([head_in, cfg.mlp_hidden, N_STEER], rng, f"{name}.angle"),
+                # the port pathway owns its embedding and reads only the
+                # departure angles' cosines, the one way they act on the port
+                # response; a pathway shared with steering washes them out
+                MLP([n_aod, cfg.embed_width, cfg.mlp_hidden, n_ports], rng,
+                    f"{name}.port") if k and n_ports else None))
+        embeds, grus, values, angles, ports = zip(*parts)
+        n_active = int(agents[0] == 0)
+        self.embeds = [stack_agents(group) for group
+                       in (embeds[:n_active], embeds[n_active:]) if group]
+        self.gru = stack_agents(grus) if recurrent else None
+        self.value_head = stack_agents(values)
+        self.angle_head = stack_agents(angles)
+        ports = [head for head in ports if head is not None]
+        self.port_head = stack_agents(ports) if ports else None
+        for layer in [self.value_head] + [head.layers[-1] for head in (
+                self.angle_head, self.port_head) if head is not None]:
+            layer.w.value[...] = layer.b.value[...] = 0.0
         self.hidden_size = cfg.gru_hidden if recurrent else 0
 
     def stacks(self):
-        ss = self.embed.stacks() + self.value_head.stacks() + self.angle_head.stacks()
-        if self.port_head is not None:
-            ss += self.port_head.stacks()
-        if self.gru is not None:
-            ss += self.gru.stacks()
-        return ss
+        parts = self.embeds + [self.value_head, self.angle_head, self.port_head,
+                               self.gru]
+        return [s for part in parts if part is not None for s in part.stacks()]
+
+    def params(self):
+        """Agent by agent in stacks order, as with one net per agent; a stack
+        of fewer agents holds the last ones, bar the active UAV's embed."""
+        active = {id(s) for s in self.embeds[0].stacks()}
+        n = self.n_agents
+        rows = [(s, 0 if id(s) in active else n - len(s.params))
+                for s in self.stacks()]
+        return [s.params[k - k0] for k in range(n) for s, k0 in rows
+                if 0 <= k - k0 < len(s.params)]
 
     @property
     def n_agents(self) -> int:
-        return len(self.embed.w.params)
+        return len(self.value_head.w.params)
 
     def initial_state(self, rows: int = 1) -> np.ndarray:
         """The agents' (A, rows, hidden) recurrent states before the first
         slot, one row per episode."""
         return np.zeros((self.n_agents, rows, max(self.hidden_size, 1)))
 
-    def _embed(self, x):
-        e_pre, c_embed = self.embed.forward(x)
-        return np.maximum(e_pre, 0.0), e_pre > 0.0, c_embed
-
-    def _heads(self, trunk, x):
-        """The steering Q-values and port advantages (q, port) from the
-        trunk features and the raw input, for one slot or a stack of
-        them, and the heads' caches."""
+    def _run(self, xs, recur):
+        """(q, port) and the cache of inputs xs, one (A_g, S, n_in) per embed
+        stack; recur(e) runs the GRU on the embedding: (states, cache)."""
+        xs = [np.asarray(x, float)[:, :, None, :] for x in xs]
+        pre, c_embed = zip(*(embed.forward(x) for embed, x in zip(self.embeds, xs)))
+        e_pre = np.concatenate(pre)
+        trunk, mask, c_gru = np.maximum(e_pre, 0.0), e_pre > 0.0, None
+        if self.gru is not None:
+            trunk, c_gru = recur(trunk)
         value, c_value = self.value_head.forward(trunk)
         adv_angle, c_angle = self.angle_head.forward(trunk)
         q = value + (adv_angle - adv_angle.mean(axis=-1, keepdims=True))
@@ -240,48 +253,42 @@ class LocalQNet(Module):
         if self.port_head is not None:
             lo, hi = self.aod_slice
             port_raw, c_port = self.port_head.forward(
-                np.cos(math.pi * x[..., lo:hi]))
-            port = port_raw - port_raw.mean(axis=-1, keepdims=True)
-        return (q, port), (c_value, c_angle, c_port, port_raw)
+                np.cos(math.pi * xs[-1][..., lo:hi]))
+            port = (port_raw - port_raw.mean(axis=-1, keepdims=True))[:, :, 0]
+        return (q[:, :, 0], port), (c_embed, mask, c_gru,
+                                    (c_value, c_angle, c_port, port_raw))
 
-    def step(self, x: np.ndarray, h: np.ndarray):
-        """One slot of B episodes played in lockstep, for acting: (q, port),
-        the (A, B, N_STEER) steering Q-values and (A, B, n_ports) port
-        advantages or None, and the (A, B, hidden) next recurrent states,
-        from the agents' (A, B, n_in) inputs and (A, B, hidden) states, one
-        row per episode.  Each (agent, episode) is a one-row block of the
-        (A, B, 1, ·) stacks the layers see, not a row of an (A, B, ·)
-        matrix, whose product rounds differently; so a row gives the values
-        a call with B = 1 gives, and forward gives them too, bit for bit.
-        No cache is kept."""
-        x = np.asarray(x, float)[:, :, None, :]
-        trunk, _, _ = self._embed(x)
-        if self.gru is not None:
-            trunk, _ = self.gru.step(self.gru.project(trunk), h[:, :, None, :])
-            h = trunk[:, :, 0]
-        (q, port), _ = self._heads(trunk, x)
-        return (q[:, :, 0], None if port is None else port[:, :, 0]), h
+    def step(self, xs, h: np.ndarray):
+        """One slot of B episodes played in lockstep, for acting, from the
+        agents' (A_g, B, n_in) inputs and (A, B, hidden) states, one row
+        per episode: (q, port), the next states, and the slot's
+        activations, laid out as forward's cache with the episodes where
+        forward has the slots.  Each (agent, episode) is a one-row block
+        of the (A, B, 1, ·) stacks the layers see, not a row of an (A, B,
+        ·) matrix, whose product rounds differently; so a row gives what a
+        call with B = 1 gives, and forward gives it too, bit for bit."""
+        def recur(e):
+            h_in = h[:, :, None, :]
+            h_new, gates = self.gru.step(self.gru.project(e), h_in)
+            return h_new, (e, h_in, *gates)
 
-    def forward(self, xs: np.ndarray):
-        """(q, port), the steering Q-values (A, T, N_STEER) and the port
-        advantages (A, T, n_ports) or None, of the agents' (A, T, n_in)
-        input sequences from the initial recurrent states, and the cache
-        for backward.  Each (agent, slot) is a one-row block of the
-        (A, T, 1, ·) stacks the layers see."""
-        xs = np.asarray(xs, float)[:, :, None, :]
-        trunk, mask, c_embed = self._embed(xs)
-        c_gru = None
-        if self.gru is not None:
-            trunk, c_gru = self.gru.forward(trunk, self.initial_state())
-        (q, port), c_heads = self._heads(trunk, xs)
-        port = None if port is None else port[:, :, 0]
-        return (q[:, :, 0], port), (c_embed, mask, c_gru, c_heads)
+        values, cache = self._run(xs, recur)
+        trunk = cache[-1][0]    # the heads' input: the new states
+        return values, h if self.gru is None else trunk[:, :, 0], cache
+
+    def forward(self, xs):
+        """(q, port), the steering Q-values (A, T, N_STEER) and the passive
+        UAVs' port advantages (A_p, T, n_ports) or None, of the agents'
+        (A_g, T, n_in) input sequences from the initial recurrent states,
+        and the cache for backward.  Each (agent, slot) is a one-row block
+        of the (A, T, 1, ·) stacks the layers see."""
+        return self._run(xs, lambda e: self.gru.forward(e, self.initial_state()))
 
     def backward(self, dq: np.ndarray, cache, port_fit=None):
         """Backprop through time of the loss gradient dq (A, T, N_STEER)
         on forward's steering Q-values, and into the port head: a net with
-        one needs port_fit = (ports, targets), an (A, T) port index and
-        target per agent and slot.
+        one needs port_fit = (ports, targets), a port index and target per
+        passive UAV and slot (A_p, T).
 
         The port head receives the gradient of (raw_score[port] - target)^2
         on its uncentered output and nothing from dq: the trainer fits it
@@ -305,11 +312,14 @@ class LocalQNet(Module):
         dhid = dhid + self.value_head.backward(dvalue, c_value)
         if self.gru is not None:
             dhid, _ = self.gru.backward(dhid, c_gru)
-        self.embed.backward(dhid * mask, c_embed)
+        de, start = dhid * mask, 0
+        for embed, c in zip(self.embeds, c_embed):
+            embed.backward(de[start:start + len(c)], c)
+            start += len(c)
 
     def port_fit_loss(self, cache, port_fit) -> np.ndarray:
-        """Per agent and slot (A, T), the regression loss whose gradient
-        backward's port_fit applies to the port head."""
+        """Per passive UAV and slot (A_p, T), the regression loss whose
+        gradient backward's port_fit applies to the port head."""
         ports, targets = port_fit
         port_raw = cache[-1][-1]
         agents, slots = np.indices(ports.shape)
@@ -327,6 +337,9 @@ class Coordinator(Module):
                                    for i in range(cfg.attn_units)])
         self.out_mlp = MLP([cfg.attn_units * cfg.attn_width, cfg.mlp_hidden,
                             cfg.omega_width], rng, f"{name}.out")
+
+    def stacks(self):
+        return self.row_embed.stacks() + self.heads.stacks() + self.out_mlp.stacks()
 
     def params(self):
         return self.row_embed.params() + self.heads.params() + self.out_mlp.params()
@@ -387,11 +400,11 @@ class Mixer(Module):
             self.h_w1.b.value[...] = 1.0
             self.h_w2.b.value[...] = 1.0 / self.hidden
 
-    def params(self):
+    def stacks(self):
         if self.mode != "hyper":
             return []
-        return (self.h_w1.params() + self.h_b1.params() + self.h_w2.params()
-                + self.h_b2.params())
+        return (self.h_w1.stacks() + self.h_b1.stacks() + self.h_w2.stacks()
+                + self.h_b2.stacks())
 
     def forward(self, q_locals: np.ndarray, omega: np.ndarray):
         """Global Q-values (T,) of the (T, n_agents) chosen local Q-values
@@ -434,11 +447,14 @@ class Mixer(Module):
         return dq, domega[0, :, 0]
 
 
-def _team_columns(rows: list[np.ndarray]) -> np.ndarray:
-    """The local nets' (A, T) per-agent rows as one C-contiguous (T,
-    agents) array, one column per agent in team order: the layout the
-    mixer's per-slot products need."""
-    return np.ascontiguousarray(np.concatenate(rows).T)
+def _episode_rows(slots: list, b: int):
+    """Episode b's (A, T, ...) rows of per-slot (A, B, ...) arrays nested
+    alike, None as None: row t * B + b of their join is slot t's row b."""
+    first = slots[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(slots, axis=1)[:, b::first.shape[1]]
+    return None if first is None else type(first)(
+        _episode_rows(parts, b) for parts in zip(*slots))
 
 
 # ---------------------------------------------------------------------------
@@ -462,41 +478,22 @@ class PolicyNets(Module):
             observed,
             encode_actions(np.zeros(N_AGENTS, int), np.ones(4, int), n_ports))]
         aod_slice = (observed[0].shape[-1], observed[1].shape[-1] - 1)
-        active_in, passive_in = self.input_widths
-
-        def local_net(k, n_in):
-            head_ports = n_ports if (k > 0 and ports) else 0
-            return LocalQNet(n_in, head_ports, aod_slice, mcfg, rng,
-                             recurrent=recurrent, name=f"local{k}")
-
-        # the active UAV's net, then one net stacking the four passive
-        # UAVs' on a leading agent axis; the agents' initial weights are
-        # drawn agent by agent, in team order
-        self.local: list[LocalQNet] = []
-        if trains:
-            self.local = [local_net(0, active_in),
-                          stack_agents([local_net(k, passive_in)
-                                        for k in range(1, N_AGENTS)])]
-        # the team agents each local net runs
-        self.agent_slices = [slice(0, 1), slice(1, N_AGENTS)]
-        self.row_dim = active_in + 4 * passive_in
+        # one local Q-net runs the whole team
+        self.local = (LocalQNet(range(N_AGENTS), self.input_widths,
+                                n_ports if ports else 0, aod_slice, mcfg, rng,
+                                recurrent=recurrent) if trains else None)
+        self.row_dim = self.input_widths[0] + 4 * self.input_widths[1]
         self.coordinator = (Coordinator(self.row_dim, mcfg, rng)
                             if trains and coord else None)
         self.mixer = Mixer(N_AGENTS, mcfg, rng, mode=mixer_mode) if trains else None
         self.omega_width = mcfg.omega_width
 
-    def local_agents(self):
-        """Each local net with the slice of team agents (0 active, 1-4
-        passive) that it runs."""
-        return zip(self.local, self.agent_slices)
-
     def modules(self) -> list[Module]:
-        mods: list[Module] = list(self.local)
-        if self.coordinator is not None:
-            mods.append(self.coordinator)
-        if self.mixer is not None:
-            mods.append(self.mixer)
-        return mods
+        return [m for m in (self.local, self.coordinator, self.mixer)
+                if m is not None]
+
+    def stacks(self):
+        return [s for m in self.modules() for s in m.stacks()]
 
     def params(self) -> list[Param]:
         return [p for m in self.modules() for p in m.params()]
@@ -546,16 +543,14 @@ class MarlTrainer:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.scheme = cfg.run.scheme
-        seq = np.random.SeedSequence(cfg.run.seed)
-        init_ss, env_ss, pol_ss = seq.spawn(3)
-        self.init_rng = np.random.Generator(np.random.PCG64(init_ss))
+        init_ss, env_ss, pol_ss = np.random.SeedSequence(cfg.run.seed).spawn(3)
         self.env_rng = np.random.Generator(np.random.PCG64(env_ss))
         self.policy_rng = np.random.Generator(np.random.PCG64(pol_ss))
 
         self.trains = SCHEME_TRAITS[self.scheme][0]
-        self.nets = PolicyNets(cfg, self.scheme, self.init_rng)
-        self.target_nets = PolicyNets(cfg, self.scheme, self.init_rng)
-        self.target_nets.copy_from(self.nets)
+        self.nets = PolicyNets(cfg, self.scheme,
+                               np.random.Generator(np.random.PCG64(init_ss)))
+        self.target_nets = copy.deepcopy(self.nets)
         self.updates = 0
         self.n_ports = cfg.channel.n_ports
         # process time run() has spent playing episodes and learning, that
@@ -590,10 +585,10 @@ class MarlTrainer:
     # -- per-slot plumbing ----------------------------------------------------
 
     def _agent_inputs(self, episode: EpisodeData, previous: bool) -> list:
-        """Per local net, its agents' (A, T, n_in) inputs: each slot's
-        observations and the features (encode_actions) of the actions taken
-        in the slot before, zero at the first slot, as the net read them to
-        act (previous), or of the slot's own actions."""
+        """The team's (A_g, T, n_in) inputs, one per embedding stack: each
+        slot's observations and the features (encode_actions) of the actions
+        taken in the slot before, zero at the first slot, as the net read
+        them to act (previous), or of the slot's own actions."""
         encoded = encode_actions(episode.steer.T, episode.ports.T, self.n_ports)
         if previous:
             encoded = [np.concatenate([np.zeros_like(enc[:, :1]), enc[:, :-1]],
@@ -619,20 +614,20 @@ class MarlTrainer:
             rng: np.random.Generator, ports: np.ndarray):
         """The team's actions for one slot, (steer, ports): the (N_AGENTS,)
         steering combos and the passive UAVs' (4,) 1-based ports, as
-        PositioningEnv.step takes them.  values holds each local net's
-        (q, port) as LocalQNet.step returns them for this episode alone
-        (B = 1), in PolicyNets.local_agents() order (none for the random
-        scheme).
+        PositioningEnv.step takes them.  values holds the team's (q, port)
+        as LocalQNet.step returns them for this episode alone (B = 1); the
+        random scheme ignores it.
 
         ports are the selectable ports, in ascending order.  The random
         scheme draws each agent's action uniformly: one draw over the
         steering combos for the active UAV, and one over the steering
         combos times ports for each passive UAV.  Otherwise the active UAV
-        is epsilon-greedy over steering, and so are passive UAVs without
-        learned ports, which take uniform ports drawn for all four at the
-        start of the slot.  With learned ports the greedy action is the
-        first maximum of q and the selectable port with the first maximum
-        advantage, and each factor draws its own exploration coin, the
+        is epsilon-greedy (epsilon in [0, 1]) over steering, greedy at the
+        first maximum of q, and so are passive UAVs without learned ports,
+        which take uniform ports drawn for all four at the start of the
+        slot.  With learned ports the greedy port is the selectable port
+        with the first maximum advantage, and each factor draws its own
+        exploration coin, the
         port's with port_eps: a single epsilon-greedy over the joint
         actions stops producing counterfactual port data the moment the
         policy goes greedy, and the port ranking then freezes at whatever
@@ -647,21 +642,22 @@ class MarlTrainer:
                                      len(ports))
                 chosen[k - 1] = ports[i]
             return steer, chosen
-        q = np.concatenate([q for q, _ in values])[:, 0]
-        _, port_adv = values[1]   # the passive UAVs'; None: no port head
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError("epsilon must lie in [0, 1]")
+        q, port_adv = values     # port_adv None: no port head
+        steer[:] = np.argmax(q[:, 0], axis=-1)
         if port_adv is None:
             chosen = ports[rng.integers(len(ports), size=4)]
         else:
             chosen = ports[np.argmax(port_adv[:, 0, ports - 1], axis=-1)]
+        # a coin is rng.random(): the double uniform() would draw, cheaper
         for k in range(N_AGENTS):
-            if k == 0 or port_adv is None:
-                steer[k] = select_action(q[k], epsilon, rng)
-                continue
-            steer[k] = np.argmax(q[k])
-            if epsilon > 0.0 and rng.uniform() < epsilon:
-                yaw = rng.integers(N_ANGLE)
-                steer[k] = yaw * N_ANGLE + rng.integers(N_ANGLE)
-            if port_eps > 0.0 and rng.uniform() < port_eps:
+            learned = k > 0 and port_adv is not None
+            if epsilon > 0.0 and rng.random() < epsilon:
+                # with learned ports, a yaw draw, then a pitch draw
+                steer[k] = (rng.integers(N_ANGLE) * N_ANGLE + rng.integers(N_ANGLE)
+                            if learned else rng.integers(N_STEER))
+            if learned and port_eps > 0.0 and rng.random() < port_eps:
                 chosen[k - 1] = ports[rng.integers(len(ports))]
         return steer, chosen
 
@@ -670,21 +666,21 @@ class MarlTrainer:
     def rollout(self, envs: list[PositioningEnv], epsilon: float,
                 port_eps: float | None = None,
                 rngs: list[np.random.Generator] | None = None,
-                port_menu=None) -> list[EpisodeData]:
-        """Play one episode of each of envs in lockstep and return each
-        env's record of it (PositioningEnv.episode), in envs order.
+                port_menu=None) -> list[tuple[EpisodeData, tuple | None]]:
+        """Play one episode of each of envs in lockstep and return, in envs
+        order, each env's record of it (PositioningEnv.episode) and the
+        local Q-net's pass over it: the slots' LocalQNet.step outputs,
+        stacked as LocalQNet.forward returns them (None if no net).
 
         Steering explores with probability epsilon, ports with port_eps
         (default: epsilon); episode b draws from rngs[b] (default: every
         episode from the trainer's policy stream).  port_menu restricts the
         passive UAVs to those ports of the grid (ValueError if it is empty
-        or holds anything else).  Each slot, each local net makes one
-        LocalQNet.step call for all its agents in all episodes, and each
-        episode then acts and steps its own env, so an episode with its own
-        env and rng is recorded bit for bit as when played alone.  The nets
-        keep no caches: the learner derives their inputs from the record
-        and replays them in one sequence pass.  rollout only picks the
-        actions: each env keeps its own record and times its own step.
+        or holds anything else).  Each slot, the local Q-net makes one
+        LocalQNet.step call for the team in all episodes, and each episode
+        then acts and steps its own env, so an episode with its own env and
+        rng is recorded bit for bit as when played alone.  Each env keeps
+        its own record and times its own step.
         """
         rngs = [self.policy_rng] * len(envs) if rngs is None else rngs
         port_eps = epsilon if port_eps is None else port_eps
@@ -700,41 +696,39 @@ class MarlTrainer:
             raise ValueError("rollout needs at least one env, one rng per "
                              "env and one episode length")
         observations = [env.reset() for env in envs]
-        # each episode's nets' agents' previous-action features: none
-        # before slot 0
+        # each episode's previous-action features, per embedding stack:
+        # none before slot 0
         previous = [[np.zeros((len(obs), width - obs.shape[-1])) for obs, width
                      in zip(first, self.nets.input_widths)]
                     for first in observations]
-        hidden = [net.initial_state(len(envs)) for net in self.nets.local]
+        net = self.nets.local
+        hidden = None if net is None else net.initial_state(len(envs))
+        passes = []     # per slot, the net's step outputs and activations
         for _ in range(slots.pop()):
-            values = []     # [i] -> net i's (q, port) over the episodes
-            for i, net in enumerate(self.nets.local):
-                x = np.stack([np.concatenate([obs[i], prev[i]], axis=-1)
-                              for obs, prev in zip(observations, previous)],
-                             axis=1)
-                value, hidden[i] = net.step(x, hidden[i])
-                values.append(value)
+            values = (None, None)
+            if net is not None:
+                xs = [np.stack([np.concatenate([obs[i], prev[i]], axis=-1)
+                                for obs, prev in zip(observations, previous)],
+                               axis=1) for i in range(len(net.embeds))]
+                values, hidden, activations = net.step(xs, hidden)
+                passes.append((values, activations))
             for b, (env, rng) in enumerate(zip(envs, rngs)):
                 steer, chosen = self.act(
-                    [tuple(None if v is None else v[:, b:b + 1] for v in value)
-                     for value in values], epsilon, port_eps, rng, ports)
+                    tuple(None if v is None else v[:, b:b + 1] for v in values),
+                    epsilon, port_eps, rng, ports)
                 previous[b] = encode_actions(steer, chosen, self.n_ports)
                 observations[b], _ = env.step(steer, chosen)
-        return [env.episode() for env in envs]
+        return [(env.episode(), _episode_rows(passes, b) if passes else None)
+                for b, env in enumerate(envs)]
 
     # -- targets and loss -----------------------------------------------------
-
-    def _replay(self, nets: PolicyNets, episode: EpisodeData):
-        """Each of nets' local Q-nets run once over its agents' recorded
-        inputs from fresh recurrent states: [i] -> ((q, port), cache), as
-        LocalQNet.forward returns them."""
-        return [net.forward(xs) for net, xs
-                in zip(nets.local, self._agent_inputs(episode, previous=True))]
 
     def _mix(self, nets: PolicyNets, q_chosen: np.ndarray, windows):
         """Global Q (T,) of the chosen local Q-values (T, N_AGENTS): the
         coordinator's context over each slot's recent joint history
         (_windows) drives the mixer."""
+        # C-contiguous, the layout the mixer's per-slot products need
+        q_chosen = np.ascontiguousarray(q_chosen)
         if nets.coordinator is not None:
             omega, c_coord = nets.coordinator.forward(*windows)
         else:
@@ -747,47 +741,49 @@ class MarlTrainer:
         networks' mixed value at per-agent greedy actions."""
         started = time.process_time()
         tnets = self.target_nets
-        # the greedy action's value q[s] + port[p] is the sum of the
-        # maxima: rounded addition is monotone in each argument
-        greedy = _team_columns([q.max(axis=-1) if port is None
-                                else q.max(axis=-1) + port.max(axis=-1)
-                                for (q, port), _ in self._replay(tnets, episode)])
-        boot = self._mix(tnets, greedy, self._windows(episode))[0]
+        inputs = self._agent_inputs(episode, previous=True)
+        (q, port), _ = tnets.local.forward(inputs)
+        greedy = q.max(axis=-1)
+        if port is not None:
+            # a passive UAV's greedy action's value q[s] + port[p] is the sum
+            # of the maxima: rounded addition is monotone in each argument
+            greedy[1:] += port.max(axis=-1)
+        boot = self._mix(tnets, greedy.T, self._windows(episode))[0]
         targets = build_td_targets(training_rewards(episode), boot[1:],
                                    DISCOUNT)
         self.target_s += time.process_time() - started
         return targets
 
     def episode_loss(self, episode: EpisodeData, targets: np.ndarray,
-                     weights: np.ndarray | None = None, backward: bool = True):
+                     weights: np.ndarray | None = None, backward: bool = True,
+                     forward=None):
         """The loss training applies for one episode, and its gradient.
 
-        The live nets run once over the whole episode: the local nets over
-        their recorded inputs, the coordinator over every history window,
-        the mixer over every slot.  The TD loss compares the mixed global Q
-        of the chosen actions with targets (td_targets).  weights are the
-        TD-sign weights (computed here when None).  With backward, gradients
-        accumulate into every parameter: the TD gradient through the
-        mixer, the coordinator and each local net (backprop through time),
-        except that each port head receives the gradient of its
-        port-credit fit (LocalQNet.backward's port_fit).  Returns (TD loss,
-        port-fit loss, weights).
+        The live nets run once over the whole episode: the local Q-net over
+        the recorded inputs (unless forward is its pass already, as rollout
+        returns it), the coordinator over every history window, the mixer
+        over every slot.  The TD loss compares the mixed global Q of the
+        chosen actions with targets (td_targets).  weights are the TD-sign
+        weights (computed here when None).  With backward, gradients
+        accumulate into every parameter: the TD gradient through the mixer,
+        the coordinator and the local Q-net (backprop through time), except
+        that the port head receives the gradient of its port-credit fit
+        (LocalQNet.backward's port_fit).  Returns (TD loss, port-fit loss,
+        weights).
         """
         nets = self.nets
-        T = len(episode)
-        # the team's (N_AGENTS, T, 1) chosen steering combos and port
-        # indices, port - 1 (the active UAV, agent 0, picks no port)
+        # the team's (N_AGENTS, T, 1) chosen steering combos and the passive
+        # UAVs' (4, T, 1) port indices, port - 1
         steer = episode.steer.T[..., None]
-        port_ids = np.column_stack([np.zeros(T, int),
-                                    episode.ports - 1]).T[..., None]
-        replay = self._replay(nets, episode)
-        q_chosen = []
-        for ((q, port), _), (_, agents) in zip(replay, nets.local_agents()):
-            value = np.take_along_axis(q, steer[agents], axis=-1)
-            if port is not None:   # action (s, p) is worth q[s] + port[p]
-                value = value + np.take_along_axis(port, port_ids[agents], axis=-1)
-            q_chosen.append(value[..., 0])
-        q_mix, (c_coord, c_mix) = self._mix(nets, _team_columns(q_chosen),
+        port_ids = (episode.ports - 1).T[..., None]
+        if forward is None:
+            inputs = self._agent_inputs(episode, previous=True)
+            forward = nets.local.forward(inputs)
+        (q, port), cache = forward
+        q_chosen = np.take_along_axis(q, steer, axis=-1)[..., 0]
+        if port is not None:   # action (s, p) is worth q[s] + port[p]
+            q_chosen[1:] += np.take_along_axis(port, port_ids, axis=-1)[..., 0]
+        q_mix, (c_coord, c_mix) = self._mix(nets, q_chosen.T,
                                             self._windows(episode))
         td_loss, weights = weighted_td_loss(q_mix, targets, DELTA, weights)
         if not math.isfinite(td_loss):
@@ -795,52 +791,50 @@ class MarlTrainer:
                 "TD loss is not finite",
                 {"loss": td_loss, "q": q_mix.tolist(),
                  "targets": targets.tolist()})
-        # each port head's targets: per agent and slot, the chosen port's
-        # index and the agent's credit for it (the active UAV, column 0,
-        # picks no port)
-        credit = np.column_stack([np.zeros(T), difference_credit(episode)])
-        fits = [None if net.port_head is None
-                else (port_ids[agents, :, 0], credit[:, agents].T)
-                for net, agents in nets.local_agents()]
-        fit_losses = [net.port_fit_loss(cache, fit)
-                      for net, (_, cache), fit in zip(nets.local, replay, fits)
-                      if fit is not None]
-        port_loss = float(sum(loss.sum() for loss in fit_losses))
+        # the port head's targets: per passive UAV and slot, the chosen
+        # port's index and the agent's credit for it
+        fit = (None if port is None
+               else (port_ids[..., 0], difference_credit(episode).T))
+        port_loss = (0.0 if fit is None
+                     else float(nets.local.port_fit_loss(cache, fit).sum()))
         if not backward:
             return td_loss, port_loss, weights
 
         dq, domega = nets.mixer.backward(2.0 * weights * (q_mix - targets), c_mix)
         if nets.coordinator is not None:
             nets.coordinator.backward(domega, c_coord)
-        for (net, agents), (_, cache), fit in zip(nets.local_agents(), replay, fits):
-            dq_steer = np.zeros((net.n_agents, T, N_STEER))
-            np.put_along_axis(dq_steer, steer[agents], dq[:, agents].T[..., None],
-                              axis=-1)
-            net.backward(dq_steer, cache, port_fit=fit)
+        dq_steer = np.zeros(q.shape)
+        np.put_along_axis(dq_steer, steer, dq.T[..., None], axis=-1)
+        nets.local.backward(dq_steer, cache, port_fit=fit)
         return td_loss, port_loss, weights
 
     # -- updates --------------------------------------------------------------
 
     def _apply_sgd(self, lr_scale: float):
-        for net in self.nets.local:
-            if net.port_head is not None:
-                for s in net.port_head.stacks():
-                    s.grad *= PORT_LR_MULTIPLIER
-        params = self.nets.params()
-        total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+        nets = self.nets
+        if nets.local.port_head is not None:
+            for s in nets.local.port_head.stacks():
+                s.grad *= PORT_LR_MULTIPLIER
+        # the clip norm adds the parameters' squared gradients in params()
+        # order, each summed over its agent's row of a stack
+        squares = {id(p): float(sq) for s in nets.stacks() for p, sq in zip(
+            s.params, np.sum(s.grad * s.grad, axis=tuple(range(1, s.grad.ndim))))}
+        total = math.sqrt(sum(squares[id(p)] for p in nets.params()))
         scale = 1.0 if total <= GRAD_CLIP else GRAD_CLIP / total
         rate = LEARNING_RATE * lr_scale
-        for p in params:
-            p.value -= rate * scale * p.grad
-        self.nets.zero_grads()
+        for s in nets.stacks():
+            s.value -= rate * scale * s.grad
+            s.grad[...] = 0.0
         self.updates += 1
         if self.updates % TARGET_SYNC == 0:
             self.target_nets.copy_from(self.nets)
 
-    def train_on_episode(self, episode: EpisodeData,
+    def train_on_episode(self, episode: EpisodeData, forward,
                          lr_scale: float = 1.0) -> float:
-        """One update from a played episode; returns the TD loss."""
-        loss, _, _ = self.episode_loss(episode, self.td_targets(episode))
+        """One update from a played episode and the local Q-net's pass over
+        it, as rollout returns them; returns the TD loss."""
+        loss, _, _ = self.episode_loss(episode, self.td_targets(episode),
+                                       forward=forward)
         self._apply_sgd(lr_scale)
         return loss
 
@@ -870,9 +864,9 @@ class MarlTrainer:
             for _ in range(cfg.run.episodes_per_epoch):
                 eps, port_eps, lr_scale = self.schedule(ep_index, total_eps)
                 started = time.process_time()
-                episode, = self.rollout([env], eps, port_eps=port_eps)
+                (episode, forward), = self.rollout([env], eps, port_eps=port_eps)
                 played = time.process_time()
-                loss = (self.train_on_episode(episode, lr_scale)
+                loss = (self.train_on_episode(episode, forward, lr_scale)
                         if self.trains else 0.0)
                 self.rollout_s += played - started
                 self.learn_s += time.process_time() - played
@@ -931,7 +925,7 @@ def evaluate_rollouts(cfg: ExperimentConfig, trainer: MarlTrainer,
     errors, rewards = [], []
     stale_slots = 0
     violation_slots = 0
-    for played in trainer.rollout(envs, 0.0, rngs=rngs, port_menu=port_menu):
+    for played, _ in trainer.rollout(envs, 0.0, rngs=rngs, port_menu=port_menu):
         errors.extend(played.errors)
         rewards.extend(slot_rewards(played))
         stale_slots += int(played.stales.sum())
@@ -969,19 +963,18 @@ def micro_gradcheck(cfg: ExperimentConfig) -> float:
     trainer = MarlTrainer(cfg)
     if not trainer.trains:
         raise ValueError("gradient check needs a trainable scheme")
-    port_params = [p for net in trainer.nets.local if net.port_head is not None
-                   for p in net.port_head.params()]
+    port_head = trainer.nets.local.port_head
+    port_params = [] if port_head is None else port_head.params()
     perturb = np.random.default_rng(0)
-    for net in trainer.nets.local:
-        if net.port_head is not None:
-            for p in net.port_head.layers[-1].params():
-                p.value += 0.1 * perturb.standard_normal(p.value.shape)
+    if port_head is not None:
+        for p in port_head.layers[-1].params():
+            p.value += 0.1 * perturb.standard_normal(p.value.shape)
 
     env = PositioningEnv(cfg, trainer.env_rng)
-    episode, = trainer.rollout([env], epsilon=0.3)
+    (episode, forward), = trainer.rollout([env], epsilon=0.3)
     targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
-    _, _, weights = trainer.episode_loss(episode, targets)
+    _, _, weights = trainer.episode_loss(episode, targets, forward=forward)
     if port_params and not any(np.any(p.grad) for p in port_params):
         raise RuntimeError("the port heads' gradient is zero")
 

@@ -63,6 +63,11 @@ class Stack:
         self.__init__([p.name for s in parts for p in s.params],
                       np.concatenate([s.value for s in parts]))
 
+    def __deepcopy__(self, memo):   # the copy's params view the copy
+        twin = Stack([p.name for p in self.params], self.value.copy())
+        twin.grad[...] = self.grad
+        return twin
+
 
 def uniform_init(rng: np.random.Generator, n_in: int, shape) -> np.ndarray:
     bound = math.sqrt(1.0 / n_in)
@@ -112,12 +117,12 @@ class Module:
         raise NotImplementedError
 
     def params(self) -> list[Param]:
-        stacks = self.stacks()
-        return [s.params[k] for k in range(len(stacks[0].params)) for s in stacks]
+        return [p for agent in zip(*(s.params for s in self.stacks()))
+                for p in agent]
 
     def zero_grads(self):
-        for p in self.params():
-            p.grad[...] = 0.0
+        for s in self.stacks():
+            s.grad[...] = 0.0
 
     def named_values(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.params()}
@@ -133,7 +138,7 @@ class Module:
             p.value[...] = src
 
     def copy_from(self, other: "Module"):
-        for dst, src in zip(self.params(), other.params()):
+        for dst, src in zip(self.stacks(), other.stacks()):
             dst.value[...] = src.value
 
 

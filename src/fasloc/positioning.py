@@ -71,8 +71,10 @@ def sample_range(m, snr, rng: np.random.Generator,
 
 # np.linalg.solve's LAPACK gufunc without its wrapper (most of a 3x3
 # solve's cost) or error handler: no JtJ + lam*I the descent builds is
-# singular (README), and a NaN step is just a rejected trial
-_solve = functools.partial(_umath_linalg.solve1, signature="dd->d")
+# singular (README), and a NaN step is just a rejected trial.  A numpy
+# without solve1 gets np.linalg.solve: the same gufunc and bits, 2.4 us slower
+_solve = (functools.partial(_umath_linalg.solve1, signature="dd->d")
+          if hasattr(_umath_linalg, "solve1") else np.linalg.solve)
 _EYE3 = np.eye(3)
 
 

@@ -12,8 +12,8 @@ from fasloc.config import ConfigError, MarlConfig, default_config, to_ini
 from fasloc.env import N_ANGLE, N_STEER, EpisodeData, PositioningEnv
 from fasloc.marl import (Coordinator, EpochRecord, LocalQNet, MarlTrainer,
                          Mixer, TrainingLog, build_td_targets, encode_actions,
-                         micro_config, micro_gradcheck, select_action,
-                         slot_rewards, weighted_td_loss)
+                         micro_config, micro_gradcheck, slot_rewards,
+                         weighted_td_loss)
 
 # one slot's (late, range_ok) outcomes: every report on time and both
 # range constraints held, or one report late
@@ -36,6 +36,16 @@ def _flat_greedy(q, port, menu):
     return int(ids[np.argmax(flat[ids])])
 
 
+def _ref_select_action(q_values, epsilon, rng):
+    """Epsilon-greedy over one agent's Q-vector, as the active UAV's
+    steering ran before act took one argmax over the team."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
+    if epsilon > 0.0 and rng.uniform() < epsilon:
+        return int(rng.integers(0, len(q_values)))
+    return int(np.argmax(q_values))
+
+
 def _ref_act(trainer, values, epsilon, port_eps, rng, ports):
     """MarlTrainer.act as it ran agent by agent before the team's actions
     were arrays: values holds each agent's (q, port) and the actions are
@@ -47,13 +57,13 @@ def _ref_act(trainer, values, epsilon, port_eps, rng, ports):
                               len(ports))
             acts.append((steer, int(ports[i])))
         return acts
-    learned_ports = trainer.nets.local[1].port_head is not None
+    learned_ports = trainer.nets.local.port_head is not None
     slot_ports = (None if learned_ports
                   else ports[rng.integers(len(ports), size=4)])
     acts = []
     for k, (q, port_adv) in enumerate(values):
         if k == 0 or not learned_ports:
-            acts.append((select_action(q, epsilon, rng),
+            acts.append((_ref_select_action(q, epsilon, rng),
                          int(slot_ports[k - 1]) if k else None))
             continue
         steer = int(np.argmax(q))
@@ -109,15 +119,13 @@ class TestActions:
             # generic values, then small integers, whose sums tie exactly
             draw = ((lambda size: rng.standard_normal(size)) if trial % 2 == 0
                     else (lambda size: rng.integers(0, 3, size).astype(float)))
-            values = [(draw((1, 1, N_STEER)), None),
-                      (draw((4, 1, N_STEER)), draw((4, 1, n)))]
-            steer, ports = trainer.act(values, 0.0, 0.0, rng, np.array(menu))
-            assert steer[0] == int(np.argmax(values[0][0]))
+            q, port = draw((5, 1, N_STEER)), draw((4, 1, n))
+            steer, ports = trainer.act((q, port), 0.0, 0.0, rng, np.array(menu))
+            assert steer[0] == int(np.argmax(q[0]))
             assert ports.shape == (4,)
-            q, port = values[1]
             for j in range(4):
                 assert (steer[j + 1] * n + ports[j] - 1
-                        == _flat_greedy(q[j, 0], port[j, 0], menu))
+                        == _flat_greedy(q[j + 1, 0], port[j, 0], menu))
 
     def test_features_equal_the_per_agent_reference(self):
         """The per-net action features are byte-equal to the agent-by-agent
@@ -144,7 +152,7 @@ class TestActions:
                                                                 scheme=scheme))
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
-        learned = trainer.trains and trainer.nets.local[1].port_head is not None
+        learned = trainer.trains and trainer.nets.local.port_head is not None
         rng = np.random.default_rng(41)
         for menu in (np.arange(1, n + 1), np.array(cli.port_menu_for(n, 8))):
             for epsilon in (0.0, 0.3, 1.0):
@@ -155,9 +163,8 @@ class TestActions:
                                     else rng.integers(0, 3, size).astype(float))
                                    for size in ((5, N_STEER), (4, n)))
                         port = port if learned else None
-                        values = [] if not trainer.trains else [
-                            (q[:1, None], None),
-                            (q[1:, None], None if port is None else port[:, None])]
+                        values = None if not trainer.trains else (
+                            q[:, None], None if port is None else port[:, None])
                         per_agent = [(q[0], None)] + [
                             (q[k], None if port is None else port[k - 1])
                             for k in range(1, 5)]
@@ -188,79 +195,85 @@ def _ref_encode_action(action, is_active, n_ports):
     return np.array(enc)
 
 
+def _team_inputs(rng, slots, scale=1.0):
+    """Random (1, slots, 5) active and (4, slots, 12) passive inputs."""
+    return [rng.standard_normal((1, slots, 5)) * scale,
+            rng.standard_normal((4, slots, 12)) * scale]
+
+
 class TestLocalQ:
-    # nets.local[0] is the active UAV's net (one agent), nets.local[1] the
-    # four passive UAVs' nets stacked on a leading agent axis
+    # nets.local runs the team: agent 0 the active UAV, 1-4 the passive
+    # ones, with the port head on the passive UAVs
 
     def test_zero_parameters_give_flat_q(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        net = trainer.nets.local[1]
+        net = trainer.nets.local
         for p in net.params():
             p.value[...] = 0.0
-        (q, port), _ = net.step(np.zeros((4, 1, 12)), net.initial_state())
+        (q, port), _, _ = net.step([np.zeros((1, 1, 5)), np.zeros((4, 1, 12))],
+                                   net.initial_state())
         assert np.all(q == q[..., :1])
         assert np.all(port == 0.0)
 
     def test_q_vector_lengths(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        (q0, port0), _ = trainer.nets.local[0].step(
-            np.zeros((1, 1, 5)), trainer.nets.local[0].initial_state())
-        (q1, port1), _ = trainer.nets.local[1].step(
-            np.zeros((4, 1, 12)), trainer.nets.local[1].initial_state())
-        assert q0.shape == (1, 1, 25) and port0 is None
-        assert q1.shape == (4, 1, 25)
-        assert port1.shape == (4, 1, cfg.channel.n_ports)
-        (q_seq, port_seq), _ = trainer.nets.local[1].forward(np.zeros((4, 3, 12)))
-        assert q_seq.shape == (4, 3, 25)
+        net = trainer.nets.local
+        (q, port), h, _ = net.step([np.zeros((1, 1, 5)), np.zeros((4, 1, 12))],
+                                   net.initial_state())
+        assert q.shape == (5, 1, 25) and h.shape == (5, 1, net.hidden_size)
+        assert port.shape == (4, 1, cfg.channel.n_ports)
+        (q_seq, port_seq), _ = net.forward([np.zeros((1, 3, 5)),
+                                            np.zeros((4, 3, 12))])
+        assert q_seq.shape == (5, 3, 25)
         assert port_seq.shape == (4, 3, cfg.channel.n_ports)
 
     def test_recurrent_state_changes_output(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        net = trainer.nets.local[1]
+        net = trainer.nets.local
         rng = np.random.default_rng(1)
         # output layers start at zero; give them weight so the head reads
         # the trunk at all
         net.angle_head.layers[-1].w.value[...] = rng.standard_normal(
             net.angle_head.layers[-1].w.value.shape) * 0.1
-        x = rng.standard_normal((4, 1, 12)) * 0.5
-        (q_a, _), _ = net.step(x, np.zeros((4, 1, net.hidden_size)))
-        (q_b, _), _ = net.step(x, 0.5 * np.ones((4, 1, net.hidden_size)))
+        x = _team_inputs(rng, 1, 0.5)
+        (q_a, _), _, _ = net.step(x, np.zeros((5, 1, net.hidden_size)))
+        (q_b, _), _, _ = net.step(x, 0.5 * np.ones((5, 1, net.hidden_size)))
         assert np.all(np.max(np.abs(q_a - q_b), axis=-1) > 1e-9)
 
     def test_additive_head_structure(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        net = trainer.nets.local[1]
+        net = trainer.nets.local
         rng = np.random.default_rng(2)
         for head in (net.angle_head, net.port_head):
             lay = head.layers[-1]
             lay.w.value[...] = rng.standard_normal(lay.w.value.shape) * 0.1
             lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
-        x = rng.standard_normal((4, 1, 12)) * 0.3
-        (q, port), _ = net.step(x, net.initial_state())
+        x = _team_inputs(rng, 1, 0.3)
+        (q, port), _, _ = net.step(x, net.initial_state())
         lo, hi = net.aod_slice
-        raw = net.port_head.forward(np.cos(math.pi * x[..., lo:hi]))[0]
+        raw = net.port_head.forward(np.cos(math.pi * x[1][..., lo:hi]))[0]
         for k in range(4):
             # the port head's output enters as a centered advantage
             np.testing.assert_allclose(port[k, 0], raw[k, 0] - raw[k, 0].mean(),
                                        atol=1e-15)
             assert abs(port[k, 0].mean()) < 1e-12
-            assert np.std(q[k, 0]) > 0 and np.std(port[k, 0]) > 0
+            assert np.std(q[k + 1, 0]) > 0 and np.std(port[k, 0]) > 0
 
     def test_port_fit_trains_only_the_chosen_port_score(self):
         cfg = default_config()
         trainer = MarlTrainer(cfg)
-        net = trainer.nets.local[1]
+        net = trainer.nets.local
         rng = np.random.default_rng(3)
         lay = net.port_head.layers[-1]
         lay.b.value[...] = rng.standard_normal(lay.b.value.shape) * 0.1
-        x = rng.standard_normal((4, 1, 12)) * 0.3    # one-slot sequences
+        x = _team_inputs(rng, 1, 0.3)    # one-slot sequences
         _, cache = net.forward(x)
         ports, target = np.array([[4], [0], [4], [7]]), -1.5
-        dq = np.zeros((4, 1, N_STEER))
+        dq = np.zeros((5, 1, N_STEER))
         dq[:, 0, 7] = 0.8
         net.zero_grads()
         net.backward(dq, cache, port_fit=(ports, np.full((4, 1), target)))
@@ -274,33 +287,48 @@ class TestLocalQ:
 
 
 class TestSelectAction:
-    def test_greedy_is_argmax(self):
+    @pytest.fixture
+    def steer(self):
+        """MarlTrainer.act's epsilon-greedy steering of the active UAV,
+        agent 0, whose Q-vector starts with q, the rest of it below q's
+        minimum."""
+        trainer = MarlTrainer(tiny_config())
+        ports = np.arange(1, trainer.n_ports + 1)
+
+        def active_steer(q, epsilon, rng):
+            team = np.full((5, 1, N_STEER), -1e3)
+            team[0, 0, :len(q)] = q
+            return int(trainer.act((team, None), epsilon, 0.0, rng, ports)[0][0])
+
+        return active_steer
+
+    def test_greedy_is_argmax(self, steer):
         rng = np.random.default_rng(0)
         q = np.array([0.1, 3.0, -1.0, 2.9])
-        assert select_action(q, 0.0, rng) == 1
+        assert steer(q, 0.0, rng) == 1
 
-    def test_ties_break_to_lowest_index(self):
+    def test_ties_break_to_lowest_index(self, steer):
         rng = np.random.default_rng(0)
         q = np.array([1.0, 5.0, 5.0, 0.0])
-        assert select_action(q, 0.0, rng) == 1
+        assert steer(q, 0.0, rng) == 1
 
-    def test_positive_scaling_invariance(self):
+    def test_positive_scaling_invariance(self, steer):
         rng = np.random.default_rng(0)
         q = np.random.default_rng(5).standard_normal(25)
-        assert select_action(q, 0.0, rng) == select_action(123.4 * q, 0.0, rng)
+        assert steer(q, 0.0, rng) == steer(123.4 * q, 0.0, rng)
 
-    def test_full_exploration_is_uniform(self):
+    def test_full_exploration_is_uniform(self, steer):
         rng = np.random.default_rng(7)
-        q = np.zeros(10)
-        counts = np.zeros(10)
-        n = 100_000
+        q = np.zeros(N_STEER)
+        counts = np.zeros(N_STEER)
+        n = 50_000
         for _ in range(n):
-            counts[select_action(q, 1.0, rng)] += 1
-        np.testing.assert_allclose(counts / n, 0.1, atol=0.01)
+            counts[steer(q, 1.0, rng)] += 1
+        np.testing.assert_allclose(counts / n, 1.0 / N_STEER, atol=0.01)
 
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            select_action(np.zeros(3), 1.5, np.random.default_rng(0))
+    def test_epsilon_validation(self, steer):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            steer(np.zeros(3), 1.5, np.random.default_rng(0))
 
 
 class TestCoordinator:
@@ -576,7 +604,7 @@ class TestTrainerMachinery:
         cfg = tiny_config()
         trainer = MarlTrainer(cfg)
         env = PositioningEnv(cfg, trainer.env_rng)
-        episode, = trainer.rollout([env], 0.5)
+        (episode, _), = trainer.rollout([env], 0.5)
         before = trainer.td_targets(episode).copy()
         # mutate live parameters: target copies must not move until a sync
         for p in trainer.nets.params():
@@ -591,8 +619,8 @@ class TestTrainerMachinery:
             p.value += 0.1
         trainer.updates = marl.TARGET_SYNC - 1
         env = PositioningEnv(cfg, trainer.env_rng)
-        episode, = trainer.rollout([env], 0.5)
-        trainer.train_on_episode(episode)
+        (episode, forward), = trainer.rollout([env], 0.5)
+        trainer.train_on_episode(episode, forward)
         for live, tgt in zip(trainer.nets.params(), trainer.target_nets.params()):
             np.testing.assert_array_equal(live.value, tgt.value)
 
@@ -620,7 +648,7 @@ class TestTrainerMachinery:
         trainer = MarlTrainer(cfg)
         n = cfg.channel.n_ports
         ports = np.arange(1, n + 1)
-        values = [(np.zeros((1, 1, 25)), None), (np.zeros((4, 1, 25)), None)]
+        values = (np.zeros((5, 1, 25)), None)
         draws = np.array([
             trainer.act(values, 0.0, 0.0, trainer.policy_rng, ports)[1]
             for _ in range(25_000)]).ravel()
@@ -639,9 +667,8 @@ class TestTrainerMachinery:
         cfg = default_config()
         trainer = MarlTrainer(cfg)
         rng = np.random.default_rng(5)
-        for net in trainer.nets.local[1:]:
-            for p in net.port_head.layers[-1].params():
-                p.value += rng.standard_normal(p.value.shape)
+        for p in trainer.nets.local.port_head.layers[-1].params():
+            p.value += rng.standard_normal(p.value.shape)
         sent = []
         step = PositioningEnv.step
 
@@ -651,11 +678,9 @@ class TestTrainerMachinery:
 
         monkeypatch.setattr(PositioningEnv, "step", recording_step)
         env = PositioningEnv(cfg, trainer.env_rng)
-        episode, = trainer.rollout([env], 0.0)
+        (episode, ((q, port), _)), = trainer.rollout([env], 0.0)
         # one (T, 25) steering and (T, n_ports) port block per agent
-        live = [(q_k, None if port is None else port[j])
-                for (q, port), _ in trainer._replay(trainer.nets, episode)
-                for j, q_k in enumerate(q)]
+        live = [(q[k], port[k - 1] if k else None) for k in range(5)]
         n = cfg.channel.n_ports
         greedy_ports = set()
         for t in range(len(episode)):
@@ -678,12 +703,11 @@ class TestTrainerMachinery:
             base, world=dataclasses.replace(base.world, slots_per_episode=4),
             run=dataclasses.replace(base.run, scheme=scheme))
         trainer = MarlTrainer(cfg)
-        if trainer.trains and trainer.nets.local[1].port_head is not None:
+        if trainer.trains and trainer.nets.local.port_head is not None:
             # spread the greedy ports beyond port 1
             rng = np.random.default_rng(8)
-            for net in trainer.nets.local[1:]:
-                for p in net.port_head.layers[-1].params():
-                    p.value += rng.standard_normal(p.value.shape)
+            for p in trainer.nets.local.port_head.layers[-1].params():
+                p.value += rng.standard_normal(p.value.shape)
         menu = cli.port_menu_for(32, 8)
         sent = []
         step = PositioningEnv.step
@@ -722,7 +746,7 @@ class TestTrainerMachinery:
 
         def recording(trainer, *args, **kwargs):
             episodes = rollout(trainer, *args, **kwargs)
-            played.extend(episodes)
+            played.extend(episode for episode, _ in episodes)
             return episodes
 
         def expected(episodes):
@@ -997,8 +1021,15 @@ def _ref_attention_back(heads, dout, cache, i):
     return dq @ wq.value.T + dk @ wk.value.T + dv @ wv.value.T
 
 
+def _ref_embed(net, k):
+    """Team agent k's embedding layer and its row there: the active UAV's
+    stack, or the passive UAVs'."""
+    return (net.embeds[0], 0) if k == 0 else (net.embeds[-1], k - 1)
+
+
 def _ref_local(net, x, h, k):
-    e_pre = _ref_linear(net.embed, x, k)
+    embed, j = _ref_embed(net, k)
+    e_pre = _ref_linear(embed, x, j)
     mask = e_pre > 0.0
     e = np.maximum(e_pre, 0.0)
     if net.gru is not None:
@@ -1011,9 +1042,10 @@ def _ref_local(net, x, h, k):
     adv_angle, c_angle = _ref_mlp(net.angle_head, trunk, k)
     adv_angle = adv_angle - adv_angle.mean()
     q_angle = value[0] + adv_angle
-    if net.port_head is not None:
+    if k and net.port_head is not None:
         lo, hi = net.aod_slice
-        port_raw, c_port = _ref_mlp(net.port_head, np.cos(math.pi * x[lo:hi]), k)
+        port_raw, c_port = _ref_mlp(net.port_head, np.cos(math.pi * x[lo:hi]),
+                                    k - 1)
         q = np.add.outer(q_angle, port_raw - port_raw.mean()).ravel()
     else:
         port_raw, c_port = None, None
@@ -1023,13 +1055,13 @@ def _ref_local(net, x, h, k):
 
 def _ref_local_back(net, dq, dh_next, cache, port_fit, k):
     x, mask, c_gru, trunk, c_angle, (c_port, port_raw) = cache
-    if net.port_head is not None:
+    if k and net.port_head is not None:
         dq_grid = dq.reshape(N_STEER, len(port_raw))
         dangle = dq_grid.sum(axis=1)
         port, target = port_fit
         dport = np.zeros(len(port_raw))
         dport[port] = 2.0 * (port_raw[port] - target)
-        _ref_mlp_back(net.port_head, dport, c_port, k)
+        _ref_mlp_back(net.port_head, dport, c_port, k - 1)
     else:
         dangle = dq
     dvalue = dangle.sum()
@@ -1040,7 +1072,8 @@ def _ref_local_back(net, dq, dh_next, cache, port_fit, k):
         de, dh_prev = _ref_gru_back(net.gru, dhid + dh_next, c_gru, k)
     else:
         de, dh_prev = dhid, np.zeros_like(dh_next)
-    _ref_linear_back(net.embed, de * mask, x, k)
+    embed, j = _ref_embed(net, k)
+    _ref_linear_back(embed, de * mask, x, j)
     return dh_prev
 
 
@@ -1114,9 +1147,9 @@ def _ref_window(trainer, episode, t):
 
 
 def _team(nets):
-    """Per team agent (0 active, 1-4 passive): its local net and its index
-    on that net's agent axis."""
-    return [(net, j) for net in nets.local for j in range(net.n_agents)]
+    """Per team agent (0 active, 1-4 passive): the local net and the
+    agent's index on its agent axis."""
+    return [(nets.local, k) for k in range(nets.local.n_agents)]
 
 
 def _ref_replay(trainer, nets, episode):
@@ -1158,7 +1191,7 @@ def _ref_td_targets(trainer, episode):
 
 
 def _ref_port_fit(trainer, episode, t, k):
-    if _team(trainer.nets)[k][0].port_head is None:
+    if k == 0 or trainer.nets.local.port_head is None:
         return None
     credit = _ref_slot_port_credit(
         episode.late[t], episode.range_ok[t], _ref_train_reward(episode, t),
@@ -1170,7 +1203,7 @@ def _ref_action_id(trainer, episode, t, k):
     """The flat id of agent k's action at slot t in the reference's Q-vector:
     steer * n_ports + port - 1 with a port head, steer without."""
     steer, port = _ref_action(episode, t, k)
-    if _team(trainer.nets)[k][0].port_head is None:
+    if k == 0 or trainer.nets.local.port_head is None:
         return steer
     return steer * trainer.n_ports + port - 1
 
@@ -1241,7 +1274,7 @@ def _perturbed_trainer(scheme, slots=None, history_window=None):
 def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     trainer = _perturbed_trainer(scheme, **SHAPES[shape])
     env = PositioningEnv(trainer.cfg, trainer.env_rng)
-    episode, = trainer.rollout([env], 0.5)
+    (episode, forward), = trainer.rollout([env], 0.5)
 
     ref_targets = _ref_td_targets(trainer, episode)
     trainer.nets.zero_grads()
@@ -1251,7 +1284,7 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
 
     targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
-    td, port, weights = trainer.episode_loss(episode, targets)
+    td, port, weights = trainer.episode_loss(episode, targets, forward=forward)
 
     assert np.array_equal(targets, ref_targets)
     assert td == ref_td
@@ -1263,39 +1296,73 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
         assert np.max(np.abs(p.grad - ref)) <= 1e-12 * np.max(np.abs(ref)), p.name
     assert any(np.any(g) for g in ref_grads)
     # the flat outer sum of the factored values is the reference's Q-vector
-    seq_q = [q_k if port is None else
-             (q_k[:, :, None] + port[j][:, None, :]).reshape(len(q_k), -1)
-             for (q, port), _ in trainer._replay(trainer.nets, episode)
-             for j, q_k in enumerate(q)]
+    (q, port), _ = forward
+    seq_q = [q_k if k == 0 or port is None else
+             (q_k[:, :, None] + port[k - 1][:, None, :]).reshape(len(q_k), -1)
+             for k, q_k in enumerate(q)]
     assert len(seq_q) == 5
     for k, q in enumerate(seq_q):
         assert np.array_equal(q, np.array([row[k] for row in ref_q]))
 
 
+def _tree_bytes(tree):
+    """Every array of a nested tuple/list of arrays as (dtype, shape,
+    bytes), in order, with each level's type and length."""
+    if tree is None or isinstance(tree, np.ndarray):
+        return [None if tree is None else
+                (tree.dtype.str, tree.shape, tree.tobytes())]
+    return [(type(tree).__name__, len(tree))] + [
+        b for part in tree for b in _tree_bytes(part)]
+
+
 @pytest.mark.parametrize("scheme", ["ar_marl", "no_fas", "no_rnn"])
 def test_acting_q_equals_sequence_q(scheme, monkeypatch):
+    """The local Q-net's pass that rollout records while acting, (q,
+    port) and every cache array, is LocalQNet.forward over the episode's
+    recorded inputs, bit for bit: for one episode played alone and for
+    each of three played in lockstep."""
     trainer = _perturbed_trainer(scheme)
-    acted = []
+    widths = []
     step = LocalQNet.step
 
-    def recording_step(net, x, h):
-        values, h = step(net, x, h)
-        acted.append(values)
-        return values, h
+    def recording_step(net, xs, h):
+        widths.append(h.shape[1])
+        return step(net, xs, h)
 
     monkeypatch.setattr(LocalQNet, "step", recording_step)
-    episode, = trainer.rollout([PositioningEnv(trainer.cfg, trainer.env_rng)],
-                               0.5)
-    replay = trainer._replay(trainer.nets, episode)
-    # one acting call per local net and slot, for all of the net's agents
-    assert len(acted) == len(episode) * len(replay)
-    for i, (q, port) in enumerate(acted):
-        t, k = divmod(i, len(replay))
-        (q_seq, port_seq), _ = replay[k]
-        assert np.array_equal(q[:, 0], q_seq[:, t])
-        assert (port is None) == (port_seq is None)
-        if port is not None:
-            assert np.array_equal(port[:, 0], port_seq[:, t])
+    slots = trainer.cfg.world.slots_per_episode
+    for count in (1, 3):
+        played = trainer.rollout(
+            [PositioningEnv(trainer.cfg, np.random.default_rng((5, b)))
+             for b in range(count)], 0.5,
+            rngs=[np.random.default_rng((6, b)) for b in range(count)])
+        assert len(played) == count
+        for episode, recorded in played:
+            replay = trainer.nets.local.forward(
+                trainer._agent_inputs(episode, previous=True))
+            assert _tree_bytes(recorded) == _tree_bytes(replay)
+    # one acting call per slot, for the whole team in every episode
+    assert widths == [1] * slots + [3] * slots
+
+
+@pytest.mark.parametrize("scheme", ["ar_marl", "no_rnn"])
+def test_training_runs_the_local_net_once_per_slot(scheme, monkeypatch):
+    """Training steps the live local Q-net once per slot and learns from
+    that pass: LocalQNet.forward runs once per episode, on the target
+    net only, and backward once, on the live net."""
+    cfg = tiny_config(scheme=scheme, epochs=3)
+    trainer = MarlTrainer(cfg)
+    calls = []
+    for name in ("step", "forward", "backward"):
+        def counting(net, *args, _name=name, _method=getattr(LocalQNet, name),
+                     **kwargs):
+            calls.append((_name, net is trainer.nets.local))
+            return _method(net, *args, **kwargs)
+        monkeypatch.setattr(LocalQNet, name, counting)
+    trainer.run()
+    episodes = cfg.run.epochs * cfg.run.episodes_per_epoch
+    slot = [("step", True)] * cfg.world.slots_per_episode
+    assert calls == (slot + [("forward", False), ("backward", True)]) * episodes
 
 
 def _episode_bytes(episode):
@@ -1313,7 +1380,8 @@ def _episode_bytes(episode):
 def test_lockstep_rollout_equals_episodes_played_alone(scheme, episodes,
                                                        epsilon, menu):
     """Each episode of one rollout call over several envs is recorded bit
-    for bit as when played alone with the same env and policy streams."""
+    for bit as when played alone with the same env and policy streams,
+    and so is the local Q-net's pass over it."""
     trainer = _perturbed_trainer(scheme, slots=6)
     port_menu = cli.port_menu_for(trainer.n_ports, 4) if menu else None
 
@@ -1328,10 +1396,12 @@ def test_lockstep_rollout_equals_episodes_played_alone(scheme, episodes,
     alone = [trainer.rollout([env], epsilon, rngs=[rng], port_menu=port_menu)[0]
              for env, rng in zip(envs, rngs)]
     assert len(together) == episodes
-    for played, reference in zip(together, alone):
+    for (played, forward), (reference, ref_forward) in zip(together, alone):
         assert _episode_bytes(played) == _episode_bytes(reference)
+        assert _tree_bytes(forward) == _tree_bytes(ref_forward)
     if episodes > 1:
-        assert _episode_bytes(together[0]) != _episode_bytes(together[1])
+        assert (_episode_bytes(together[0][0])
+                != _episode_bytes(together[1][0]))
 
 
 def test_lockstep_rollout_needs_one_rng_per_env():
@@ -1344,82 +1414,98 @@ def test_lockstep_rollout_needs_one_rng_per_env():
 
 
 # ---------------------------------------------------------------------------
-# the passive UAVs' nets stacked on a leading agent axis
+# the team's local Q-nets stacked on a leading agent axis
 
 
 def _single_agent_nets(trainer):
-    """Four one-agent passive nets built like the stacked one and loaded
-    from the trainer's checkpoint arrays."""
+    """Five one-agent nets, one per team agent, built like the team's net
+    and loaded from the trainer's checkpoint arrays."""
     nets, cfg = trainer.nets, trainer.cfg
     arrays = trainer.checkpoint_arrays()
-    head_ports = cfg.channel.n_ports if nets.local[1].port_head is not None else 0
+    head_ports = cfg.channel.n_ports if nets.local.port_head is not None else 0
     singles = []
-    for k in range(1, 5):
-        net = LocalQNet(nets.input_widths[1], head_ports,
+    for k in range(5):
+        net = LocalQNet([k], nets.input_widths, head_ports,
                         (3, 3 + cfg.channel.n_paths), cfg.marl,
                         np.random.default_rng(0),
-                        recurrent=nets.local[1].gru is not None,
-                        name=f"local{k}")
+                        recurrent=nets.local.gru is not None)
         net.load_values(arrays)
         singles.append(net)
     return singles
 
 
+def _agent_rows(values, k):
+    """Team agent k's rows of the team's (q, port) as bytes: the active
+    UAV has no port row."""
+    q, port = values
+    return [q[k:k + 1].tobytes(),
+            None if port is None or k == 0 else port[k - 1:k].tobytes()]
+
+
+def _own_rows(values):
+    return [None if v is None else v.tobytes() for v in values]
+
+
 @pytest.mark.parametrize("scheme", TRAINABLE)
-def test_stacked_passive_net_equals_four_single_agent_nets(scheme):
+def test_team_net_equals_five_single_agent_nets(scheme):
     trainer = _perturbed_trainer(scheme)
-    stacked = trainer.nets.local[1]
-    assert stacked.n_agents == 4
+    team = trainer.nets.local
+    assert team.n_agents == 5
     singles = _single_agent_nets(trainer)
     rng = np.random.default_rng(41)
-    n_in, hid = trainer.nets.input_widths[1], max(stacked.hidden_size, 1)
+    hid = max(team.hidden_size, 1)
 
-    def agent_bytes(values, k):
-        """Agent k's slice of (q, port) as bytes."""
-        return [None if v is None else v[k:k + 1].tobytes() for v in values]
+    def inputs_of(xs, k):
+        """Agent k's rows of the team's inputs, as its own net takes them."""
+        return [xs[0][:1]] if k == 0 else [xs[1][k - 1:k]]
 
-    x, h = rng.standard_normal((4, 1, n_in)), rng.standard_normal((4, 1, hid))
-    values, h_next = stacked.step(x, h)
+    x, h = _team_inputs(rng, 1), rng.standard_normal((5, 1, hid))
+    values, h_next, _ = team.step(x, h)
     for k, net in enumerate(singles):
-        values_k, h_k = net.step(x[k:k + 1], h[k:k + 1])
-        assert agent_bytes(values_k, 0) == agent_bytes(values, k)
+        values_k, h_k, _ = net.step(inputs_of(x, k), h[k:k + 1])
+        assert _own_rows(values_k) == _agent_rows(values, k)
         assert h_k.tobytes() == h_next[k:k + 1].tobytes()
 
     T = 25
-    xs = rng.standard_normal((4, T, n_in))
-    dq = rng.standard_normal((4, T, N_STEER))
+    xs = _team_inputs(rng, T)
+    dq = rng.standard_normal((5, T, N_STEER))
     fit = None
-    if stacked.port_head is not None:
+    if team.port_head is not None:
         fit = (rng.integers(0, trainer.n_ports, (4, T)),
                rng.standard_normal((4, T)))
-    stacked.zero_grads()
-    values_seq, cache = stacked.forward(xs)
-    stacked.backward(dq, cache, port_fit=fit)
+    team.zero_grads()
+    values_seq, cache = team.forward(xs)
+    team.backward(dq, cache, port_fit=fit)
+    mine, start = team.params(), 0   # agent by agent
     for k, net in enumerate(singles):
+        fit_k = None if fit is None or k == 0 else (fit[0][k - 1:k],
+                                                    fit[1][k - 1:k])
         net.zero_grads()
-        values_k, cache_k = net.forward(xs[k:k + 1])
-        net.backward(dq[k:k + 1], cache_k, port_fit=None if fit is None else
-                     (fit[0][k:k + 1], fit[1][k:k + 1]))
-        assert agent_bytes(values_k, 0) == agent_bytes(values_seq, k)
-        if fit is not None:
-            assert (net.port_fit_loss(cache_k, (fit[0][k:k + 1], fit[1][k:k + 1]))
-                    .tobytes() == stacked.port_fit_loss(cache, fit)[k:k + 1].tobytes())
-        mine = stacked.params()[k * len(net.params()):(k + 1) * len(net.params())]
-        for p, own in zip(net.params(), mine):
-            assert p.name == own.name
-            assert p.grad.tobytes() == own.grad.tobytes(), p.name
+        values_k, cache_k = net.forward(inputs_of(xs, k))
+        net.backward(dq[k:k + 1], cache_k, port_fit=fit_k)
+        assert _own_rows(values_k) == _agent_rows(values_seq, k)
+        if fit_k is not None:
+            assert (net.port_fit_loss(cache_k, fit_k).tobytes()
+                    == team.port_fit_loss(cache, fit)[k - 1:k].tobytes())
+        own = net.params()
+        for p, theirs in zip(own, mine[start:start + len(own)]):
+            assert p.name == theirs.name
+            assert p.grad.tobytes() == theirs.grad.tobytes(), p.name
+        start += len(own)
+    assert start == len(mine)
 
-    # B episodes' rows in one call give each row's one-row call bit for bit
-    for net in trainer.nets.local:
-        xb = rng.standard_normal((net.n_agents, 5, net.embed.n_in))
-        hb = rng.standard_normal((net.n_agents, 5, hid))
-        values_b, h_b = net.step(xb, hb)
-        for b in range(5):
-            values_1, h_1 = net.step(xb[:, b:b + 1], hb[:, b:b + 1])
-            assert ([None if v is None else v[:, b:b + 1].tobytes()
-                     for v in values_b]
-                    == [None if v is None else v.tobytes() for v in values_1])
-            assert h_b[:, b:b + 1].tobytes() == h_1.tobytes()
+    # B episodes' rows in one call give each row's one-row call bit for
+    # bit, activations included
+    xb, hb = _team_inputs(rng, 5), rng.standard_normal((5, 5, hid))
+    values_b, h_b, act_b = team.step(xb, hb)
+    for b in range(5):
+        values_1, h_1, act_1 = team.step([x[:, b:b + 1] for x in xb],
+                                         hb[:, b:b + 1])
+        assert ([None if v is None else v[:, b:b + 1].tobytes()
+                 for v in values_b] == _own_rows(values_1))
+        assert h_b[:, b:b + 1].tobytes() == h_1.tobytes()
+        assert (_tree_bytes(marl._episode_rows([act_b], b))
+                == _tree_bytes(act_1))
 
 
 @pytest.mark.parametrize("scheme", TRAINABLE)
@@ -1428,16 +1514,20 @@ def test_agent_params_are_contiguous_views_of_their_stacks(scheme):
         default_config(), run=dataclasses.replace(default_config().run,
                                                   scheme=scheme)))
     for nets in (trainer.nets, trainer.target_nets):
-        for net in nets.local:
-            views = net.params()
-            assert len(views) == net.n_agents * len(net.stacks())
-            for s in net.stacks():
-                assert s.value.flags.c_contiguous and s.grad.flags.c_contiguous
-                for p in s.params:
-                    assert any(p is v for v in views)
-                    for arr, stack in ((p.value, s.value), (p.grad, s.grad)):
-                        assert np.shares_memory(arr, stack)
-                        assert arr.flags.c_contiguous
+        net = nets.local
+        views = net.params()
+        assert len(views) == sum(len(s.params) for s in net.stacks())
+        for s in net.stacks():
+            assert s.value.flags.c_contiguous and s.grad.flags.c_contiguous
+            for p in s.params:
+                assert any(p is v for v in views)
+                for arr, stack in ((p.value, s.value), (p.grad, s.grad)):
+                    assert np.shares_memory(arr, stack)
+                    assert arr.flags.c_contiguous
+    # the target nets hold their own copy of the weights
+    for live, target in zip(trainer.nets.stacks(), trainer.target_nets.stacks()):
+        assert np.array_equal(live.value, target.value)
+        assert not np.shares_memory(live.value, target.value)
 
 
 def test_sgd_step_moves_every_agent_slice_as_a_per_agent_update():
@@ -1446,8 +1536,7 @@ def test_sgd_step_moves_every_agent_slice_as_a_per_agent_update():
     params = trainer.nets.params()
     for p in params:
         p.grad[...] = rng.standard_normal(p.grad.shape)
-    in_port_heads = {id(p) for net in trainer.nets.local
-                     if net.port_head is not None for p in net.port_head.params()}
+    in_port_heads = {id(p) for p in trainer.nets.local.port_head.params()}
     grads = [p.grad * (marl.PORT_LR_MULTIPLIER if id(p) in in_port_heads
                        else 1.0)
              for p in params]

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -413,6 +415,27 @@ def test_direct_lapack_calls_match_np_linalg():
         b = rng.standard_normal(3)
         assert (positioning._solve(a, b).tobytes()
                 == np.linalg.solve(a, b).tobytes())
+
+
+def test_solver_falls_back_to_np_linalg_solve_bit_for_bit(monkeypatch):
+    """Under a numpy without the private solve1 gufunc, the solver takes
+    np.linalg.solve, and every fix of _solver_cases keeps its bits.  The
+    fallback loads into a copy of the module that no other test sees."""
+    spec = importlib.util.spec_from_file_location(
+        "fasloc._positioning_fallback", positioning.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    with monkeypatch.context() as patch:
+        patch.delattr(sys.modules["numpy.linalg._umath_linalg"], "solve1")
+        patch.setitem(sys.modules, spec.name, fallback)
+        spec.loader.exec_module(fallback)
+    assert fallback._solve is np.linalg.solve
+    assert positioning._solve is not np.linalg.solve
+    assert spec.name not in sys.modules
+    # raise the error class _outcome catches
+    monkeypatch.setattr(fallback, "PositioningError", PositioningError)
+    for case in _solver_cases(np.random.default_rng(606)):
+        assert (_outcome(fallback.estimate_position, *case)
+                == _outcome(estimate_position, *case))
 
 
 @pytest.mark.filterwarnings("error")

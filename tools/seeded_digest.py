@@ -216,9 +216,9 @@ def learner_digest() -> dict:
         env = PositioningEnv(cfg, trainer.env_rng)
         h = hashlib.sha256()
         for _ in range(LEARNER_ROUNDS):
-            episode, = trainer.rollout([env], LEARNER_EPSILON)
+            (episode, forward), = trainer.rollout([env], LEARNER_EPSILON)
             h.update(np.ascontiguousarray(trainer.td_targets(episode)).tobytes())
-            h.update(repr(float(trainer.train_on_episode(episode))).encode())
+            h.update(repr(float(trainer.train_on_episode(episode, forward))).encode())
         for name, value in sorted(trainer.checkpoint_arrays().items()):
             h.update(name.encode())
             h.update(np.ascontiguousarray(value).tobytes())
