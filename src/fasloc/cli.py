@@ -12,8 +12,9 @@ to the separate run_info.json, which is the one output not reproduced
 byte-for-byte: the wall time of the run and the process time training
 spent playing episodes (rollout_s), inside them in the environment's
 step (env_s) and inside that in the position solver (solver_s), both
-timed by the environment itself, learning from them (learn_s), and
-inside that on the TD targets (target_s).
+timed by the environment itself, and in the local Q-net's step
+(net_step_s), learning from them (learn_s), and inside that on the TD
+targets (target_s) and on the loss's backward pass (backward_s).
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ def run_experiment(config_path, overrides, out_dir) -> int:
     with open(os.path.join(out_dir, "run_info.json"), "w", encoding="utf-8") as fh:
         json.dump({"wall_time_s": elapsed, "rollout_s": trainer.rollout_s,
                    "env_s": trainer.env_s, "solver_s": trainer.solver_s,
-                   "learn_s": trainer.learn_s,
-                   "target_s": trainer.target_s, "numpy": np.__version__}, fh)
+                   "net_step_s": trainer.net_step_s, "learn_s": trainer.learn_s,
+                   "target_s": trainer.target_s,
+                   "backward_s": trainer.backward_s, "numpy": np.__version__}, fh)
 
     print(f"{training_log.scheme} seed={cfg.run.seed} "
           f"final20_mean_error={final_err:.4f}")

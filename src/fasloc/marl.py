@@ -23,8 +23,7 @@ import numpy as np
 
 from .config import SCHEME_TRAITS, ExperimentConfig, apply_overrides
 from .env import N_AGENTS, N_ANGLE, N_STEER, EpisodeData, PositioningEnv
-from .nn import (MLP, AttentionUnit, GRUCell, Linear, Module, Param,
-                 stack_agents)
+from .nn import MLP, AttentionUnit, GRUCell, Linear, Module, stack_agents
 
 # the training recipe, shared by every trained scheme and seed
 DISCOUNT = 0.9
@@ -187,18 +186,19 @@ class LocalQNet(Module):
         n_aod = aod_slice[1] - aod_slice[0]
         parts = []
         for k in agents:    # the initial weights are drawn agent by agent
-            name = f"local{k}"
+            kind = "passive" if k else "active"
             parts.append((
-                Linear(input_widths[k > 0], cfg.embed_width, rng, f"{name}.embed"),
-                GRUCell(cfg.embed_width, cfg.gru_hidden, rng, f"{name}.gru")
+                Linear(input_widths[k > 0], cfg.embed_width, rng,
+                       f"local.{kind}_embed"),
+                GRUCell(cfg.embed_width, cfg.gru_hidden, rng, "local.gru")
                 if recurrent else None,
-                Linear(head_in, 1, rng, f"{name}.value"),
-                MLP([head_in, cfg.mlp_hidden, N_STEER], rng, f"{name}.angle"),
+                Linear(head_in, 1, rng, "local.value"),
+                MLP([head_in, cfg.mlp_hidden, N_STEER], rng, "local.angle"),
                 # the port pathway owns its embedding and reads only the
                 # departure angles' cosines, the one way they act on the port
                 # response; a pathway shared with steering washes them out
                 MLP([n_aod, cfg.embed_width, cfg.mlp_hidden, n_ports], rng,
-                    f"{name}.port") if k and n_ports else None))
+                    "local.port") if k and n_ports else None))
         embeds, grus, values, angles, ports = zip(*parts)
         n_active = int(agents[0] == 0)
         self.embeds = [stack_agents(group) for group
@@ -218,19 +218,9 @@ class LocalQNet(Module):
                                self.gru]
         return [s for part in parts if part is not None for s in part.stacks()]
 
-    def params(self):
-        """Agent by agent in stacks order, as with one net per agent; a stack
-        of fewer agents holds the last ones, bar the active UAV's embed."""
-        active = {id(s) for s in self.embeds[0].stacks()}
-        n = self.n_agents
-        rows = [(s, 0 if id(s) in active else n - len(s.params))
-                for s in self.stacks()]
-        return [s.params[k - k0] for k in range(n) for s, k0 in rows
-                if 0 <= k - k0 < len(s.params)]
-
     @property
     def n_agents(self) -> int:
-        return len(self.value_head.w.params)
+        return len(self.value_head.w.value)
 
     def initial_state(self, rows: int = 1) -> np.ndarray:
         """The agents' (A, rows, hidden) recurrent states before the first
@@ -333,16 +323,13 @@ class Coordinator(Module):
     def __init__(self, row_dim: int, cfg, rng, name="coord"):
         self.row_embed = Linear(row_dim, cfg.embed_width, rng, f"{name}.embed")
         self.heads = stack_agents([AttentionUnit(cfg.embed_width, cfg.attn_width,
-                                                 rng, f"{name}.att{i}")
-                                   for i in range(cfg.attn_units)])
+                                                 rng, f"{name}.att")
+                                   for _ in range(cfg.attn_units)])
         self.out_mlp = MLP([cfg.attn_units * cfg.attn_width, cfg.mlp_hidden,
                             cfg.omega_width], rng, f"{name}.out")
 
     def stacks(self):
         return self.row_embed.stacks() + self.heads.stacks() + self.out_mlp.stacks()
-
-    def params(self):
-        return self.row_embed.params() + self.heads.params() + self.out_mlp.params()
 
     def forward(self, rows: np.ndarray, mask: np.ndarray):
         """Context vectors (T, omega_width) of a (T, window, row_dim) stack
@@ -495,9 +482,6 @@ class PolicyNets(Module):
     def stacks(self):
         return [s for m in self.modules() for s in m.stacks()]
 
-    def params(self) -> list[Param]:
-        return [p for m in self.modules() for p in m.params()]
-
 
 # ---------------------------------------------------------------------------
 # training log
@@ -556,12 +540,18 @@ class MarlTrainer:
         # process time run() has spent playing episodes and learning, that
         # run()'s env has spent in PositioningEnv.step (and in its solver),
         # and that every td_targets call has taken; in run() env_s and
-        # target_s are parts of the first two
+        # target_s are parts of the first two.  Within run() only, as
+        # env_s, net_step_s times the live local Q-net's step calls (part
+        # of rollout_s - env_s) and backward_s episode_loss's backward pass
+        # (part of learn_s - target_s); _timed is set while run() runs
         self.rollout_s = 0.0
         self.env_s = 0.0
         self.solver_s = 0.0
         self.learn_s = 0.0
         self.target_s = 0.0
+        self.net_step_s = 0.0
+        self.backward_s = 0.0
+        self._timed = False
 
     # -- schedules ------------------------------------------------------------
 
@@ -710,7 +700,10 @@ class MarlTrainer:
                 xs = [np.stack([np.concatenate([obs[i], prev[i]], axis=-1)
                                 for obs, prev in zip(observations, previous)],
                                axis=1) for i in range(len(net.embeds))]
+                started = time.process_time()
                 values, hidden, activations = net.step(xs, hidden)
+                if self._timed:
+                    self.net_step_s += time.process_time() - started
                 passes.append((values, activations))
             for b, (env, rng) in enumerate(zip(envs, rngs)):
                 steer, chosen = self.act(
@@ -800,12 +793,15 @@ class MarlTrainer:
         if not backward:
             return td_loss, port_loss, weights
 
+        started = time.process_time()
         dq, domega = nets.mixer.backward(2.0 * weights * (q_mix - targets), c_mix)
         if nets.coordinator is not None:
             nets.coordinator.backward(domega, c_coord)
         dq_steer = np.zeros(q.shape)
         np.put_along_axis(dq_steer, steer, dq.T[..., None], axis=-1)
         nets.local.backward(dq_steer, cache, port_fit=fit)
+        if self._timed:
+            self.backward_s += time.process_time() - started
         return td_loss, port_loss, weights
 
     # -- updates --------------------------------------------------------------
@@ -815,11 +811,8 @@ class MarlTrainer:
         if nets.local.port_head is not None:
             for s in nets.local.port_head.stacks():
                 s.grad *= PORT_LR_MULTIPLIER
-        # the clip norm adds the parameters' squared gradients in params()
-        # order, each summed over its agent's row of a stack
-        squares = {id(p): float(sq) for s in nets.stacks() for p, sq in zip(
-            s.params, np.sum(s.grad * s.grad, axis=tuple(range(1, s.grad.ndim))))}
-        total = math.sqrt(sum(squares[id(p)] for p in nets.params()))
+        total = math.sqrt(sum(float(np.sum(s.grad * s.grad))
+                              for s in nets.stacks()))
         scale = 1.0 if total <= GRAD_CLIP else GRAD_CLIP / total
         rate = LEARNING_RATE * lr_scale
         for s in nets.stacks():
@@ -844,12 +837,14 @@ class MarlTrainer:
         cfg = self.cfg
         log = TrainingLog(scheme=self.scheme, seed=cfg.run.seed)
         env = PositioningEnv(cfg, self.env_rng)
+        self._timed = True
         try:
             self._run_epochs(env, log)
         except TrainingDiverged as exc:
             exc.log = log
             raise
         finally:
+            self._timed = False
             self.env_s += env.step_s
             self.solver_s += env.solver_s
         return log
@@ -889,8 +884,8 @@ class MarlTrainer:
         return self.nets.named_values()
 
     def load_checkpoint_arrays(self, arrays: dict[str, np.ndarray]):
-        """Load every parameter of the scheme's nets from arrays, which
-        must hold no other array."""
+        """Load every weight stack of the scheme's nets from arrays, one
+        (A, ...) array per stack name, which must hold no other array."""
         extra = sorted(set(arrays) - set(self.checkpoint_arrays()))
         if extra:
             raise ValueError(f"{len(extra)} checkpoint arrays are not "
@@ -956,7 +951,8 @@ def micro_gradcheck(cfg: ExperimentConfig) -> float:
     heads is checked against the TD loss, and the port heads against
     their port-credit fit.  The port heads' output layers start at zero,
     which with zero credit would zero their gradient, so they are first
-    perturbed from a fixed seed.  Returns the worst relative error.
+    perturbed from a fixed seed, one draw per stack.  Returns the worst
+    relative error.
     """
     from .nn import finite_diff_check
 
@@ -964,27 +960,26 @@ def micro_gradcheck(cfg: ExperimentConfig) -> float:
     if not trainer.trains:
         raise ValueError("gradient check needs a trainable scheme")
     port_head = trainer.nets.local.port_head
-    port_params = [] if port_head is None else port_head.params()
+    port_stacks = [] if port_head is None else port_head.stacks()
     perturb = np.random.default_rng(0)
     if port_head is not None:
-        for p in port_head.layers[-1].params():
-            p.value += 0.1 * perturb.standard_normal(p.value.shape)
+        for s in port_head.layers[-1].stacks():
+            s.value += 0.1 * perturb.standard_normal(s.value.shape)
 
     env = PositioningEnv(cfg, trainer.env_rng)
     (episode, forward), = trainer.rollout([env], epsilon=0.3)
     targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
     _, _, weights = trainer.episode_loss(episode, targets, forward=forward)
-    if port_params and not any(np.any(p.grad) for p in port_params):
+    if port_stacks and not any(np.any(s.grad) for s in port_stacks):
         raise RuntimeError("the port heads' gradient is zero")
 
     def losses():
         return trainer.episode_loss(episode, targets, weights, backward=False)
 
-    in_port_heads = {id(p) for p in port_params}
-    others = [p for p in trainer.nets.params() if id(p) not in in_port_heads]
+    others = [s for s in trainer.nets.stacks() if s not in port_stacks]
     return max(finite_diff_check(lambda: losses()[0], others, eps=1e-5),
-               finite_diff_check(lambda: losses()[1], port_params, eps=1e-5))
+               finite_diff_check(lambda: losses()[1], port_stacks, eps=1e-5))
 
 
 def micro_config() -> ExperimentConfig:

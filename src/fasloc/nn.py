@@ -14,8 +14,11 @@ forward products keep each (agent, slot) operand shape (a one-row slot
 is a (1, n) matrix, which numpy multiplies with the same BLAS call as an
 n-vector), so a stack's outputs and input gradients are bit for bit what
 one call per agent and slot would give; a weight gradient is one product
-per agent over every slot and row.  Arithmetic is double precision, and
-the tests verify each backward pass by central differences.
+per agent over every slot and row.  The stacks are the parameters:
+updates, gradient checks and checkpoints read each one whole, and a
+checkpoint (save_params, version 2) holds one named (A, ...) array per
+stack.  Arithmetic is double precision, and the tests verify each
+backward pass by central differences.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,41 +34,14 @@ class ShapeError(ValueError):
     pass
 
 
-@dataclass
-class Param:
-    """A weight array paired with its gradient accumulator (a new zero
-    array unless given)."""
-
-    name: str
-    value: np.ndarray
-    grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=float)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-
-
 class Stack:
     """One weight per agent: the C-contiguous (A, ...) arrays value and
-    grad, and params, agent k's Param, whose value and grad are views of
-    row k of the two stacks."""
+    grad, under one name, its module path (e.g. local.gru.wz)."""
 
-    def __init__(self, names: list[str], value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray):
+        self.name = name
         self.value = np.ascontiguousarray(value, dtype=float)
         self.grad = np.zeros_like(self.value)
-        self.params = [Param(n, v, g)
-                       for n, v, g in zip(names, self.value, self.grad)]
-
-    def join(self, parts: list["Stack"]):
-        """Become the stack of every agent of parts, in order."""
-        self.__init__([p.name for s in parts for p in s.params],
-                      np.concatenate([s.value for s in parts]))
-
-    def __deepcopy__(self, memo):   # the copy's params view the copy
-        twin = Stack([p.name for p in self.params], self.value.copy())
-        twin.grad[...] = self.grad
-        return twin
 
 
 def uniform_init(rng: np.random.Generator, n_in: int, shape) -> np.ndarray:
@@ -109,33 +84,29 @@ def _bias_grad(dy: np.ndarray) -> np.ndarray:
 
 
 class Module:
-    """Minimal parameter registry shared by all blocks.  A block with an
-    agent axis lists its weight stacks (stacks); its params are every
-    agent's views, agent by agent, in stacks order."""
+    """Minimal parameter registry shared by all blocks: a block lists its
+    weight stacks (stacks), and a checkpoint holds each stack whole, under
+    its name."""
 
     def stacks(self) -> list[Stack]:
         raise NotImplementedError
-
-    def params(self) -> list[Param]:
-        return [p for agent in zip(*(s.params for s in self.stacks()))
-                for p in agent]
 
     def zero_grads(self):
         for s in self.stacks():
             s.grad[...] = 0.0
 
     def named_values(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.params()}
+        return {s.name: s.value for s in self.stacks()}
 
     def load_values(self, values: dict[str, np.ndarray]):
-        for p in self.params():
-            if p.name not in values:
-                raise ShapeError(f"missing parameter {p.name}")
-            src = values[p.name]
-            if src.shape != p.value.shape:
-                raise ShapeError(f"shape mismatch for {p.name}: "
-                                 f"{src.shape} vs {p.value.shape}")
-            p.value[...] = src
+        for s in self.stacks():
+            if s.name not in values:
+                raise ShapeError(f"missing parameter {s.name}")
+            src = values[s.name]
+            if src.shape != s.value.shape:
+                raise ShapeError(f"shape mismatch for {s.name}: "
+                                 f"{src.shape} vs {s.value.shape}")
+            s.value[...] = src
 
     def copy_from(self, other: "Module"):
         for dst, src in zip(self.stacks(), other.stacks()):
@@ -143,11 +114,13 @@ class Module:
 
 
 def stack_agents(modules: list[Module]) -> Module:
-    """Same-shaped modules as one module with a leading agent axis, whose
-    agents are those of modules in order, with their weights and names.
-    Returns the first module, its stacks joined with the others'."""
+    """Same-shaped modules, named alike, as one module with a leading
+    agent axis, whose agents are those of modules in order, with their
+    weights.  Returns the first module, its stacks joined with the
+    others'."""
     for parts in zip(*(m.stacks() for m in modules)):
-        parts[0].join(parts)
+        parts[0].value = np.concatenate([s.value for s in parts])
+        parts[0].grad = np.zeros_like(parts[0].value)
     return modules[0]
 
 
@@ -161,8 +134,8 @@ class Linear(Module):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
                  name: str = "linear"):
         self.n_in, self.n_out = n_in, n_out
-        self.w = Stack([f"{name}.w"], uniform_init(rng, n_in, (1, n_in, n_out)))
-        self.b = Stack([f"{name}.b"], uniform_init(rng, n_in, (1, n_out)))
+        self.w = Stack(f"{name}.w", uniform_init(rng, n_in, (1, n_in, n_out)))
+        self.b = Stack(f"{name}.b", uniform_init(rng, n_in, (1, n_out)))
 
     def stacks(self):
         return [self.w, self.b]
@@ -170,7 +143,7 @@ class Linear(Module):
     def forward(self, x: np.ndarray):
         """x is an (A, rows, n_in) block or an (A, T, rows, n_in) stack."""
         x = np.asarray(x, float)
-        _check_agents(x, len(self.w.params), self.n_in)
+        _check_agents(x, len(self.w.value), self.n_in)
         return x @ _lift(self.w.value, x.ndim) + _lift(self.b.value, x.ndim), x
 
     def backward(self, dy: np.ndarray, cache) -> np.ndarray:
@@ -223,11 +196,11 @@ class GRUCell(Module):
         self.n_in, self.n_hidden = n_in, n_hidden
 
         def mk(tag, rows):
-            return Stack([f"{name}.{tag}"],
+            return Stack(f"{name}.{tag}",
                          uniform_init(rng, rows, (1, rows, n_hidden)))
 
         def zeros(tag):
-            return Stack([f"{name}.{tag}"], np.zeros((1, n_hidden)))
+            return Stack(f"{name}.{tag}", np.zeros((1, n_hidden)))
 
         self.wz, self.uz = mk("wz", n_in), mk("uz", n_hidden)
         self.wr, self.ur = mk("wr", n_in), mk("ur", n_hidden)
@@ -262,7 +235,7 @@ class GRUCell(Module):
         rows, n_hidden) state h0: the (A, T, rows, n_hidden) states and the
         cache.  Only the recurrence steps slot by slot."""
         xs = np.asarray(xs, float)
-        _check_agents(xs, len(self.wz.params), self.n_in)
+        _check_agents(xs, len(self.wz.value), self.n_in)
         if h0.shape[-1] != self.n_hidden:
             raise ShapeError("GRU input/hidden size mismatch")
         xz, xr, xh = self.project(xs)
@@ -321,7 +294,7 @@ class AttentionUnit(Module):
                  name: str = "att"):
         self.n_in, self.n_att = n_in, n_att
         self.wq, self.wk, self.wv = (
-            Stack([f"{name}.{tag}"], uniform_init(rng, n_in, (1, n_in, n_att)))
+            Stack(f"{name}.{tag}", uniform_init(rng, n_in, (1, n_in, n_att)))
             for tag in ("wq", "wk", "wv"))
 
     def stacks(self):
@@ -364,17 +337,17 @@ class AttentionUnit(Module):
 FD_REL_FLOOR = 1e-3
 
 
-def finite_diff_check(loss_fn, params: list[Param], eps: float = 1e-6) -> float:
-    """Worst-case central-difference error over every parameter entry.
+def finite_diff_check(loss_fn, stacks: list[Stack], eps: float = 1e-6) -> float:
+    """Worst-case central-difference error over every entry of stacks.
 
     loss_fn must be a deterministic scalar function of the current
-    parameter values.  Analytic gradients are read from each Param's
-    grad array, so accumulate them before calling.
+    weights.  Analytic gradients are read from each stack's grad array,
+    so accumulate them before calling.
     """
     worst = 0.0
-    for p in params:
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
+    for s in stacks:
+        flat = s.value.reshape(-1)
+        gflat = s.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -389,7 +362,7 @@ def finite_diff_check(loss_fn, params: list[Param], eps: float = 1e-6) -> float:
     return worst
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_params(path, named_arrays: dict[str, np.ndarray], meta: dict | None = None):

@@ -406,13 +406,16 @@ class TestRunVerb:
         assert cli.run_experiment(None, TINY_OVERRIDES + ["run.seed=1"],
                                   str(out)) == 0
         info = json.loads((out / "run_info.json").read_text())
-        timers = ("rollout_s", "env_s", "solver_s", "learn_s", "target_s")
+        timers = ("rollout_s", "env_s", "solver_s", "net_step_s", "learn_s",
+                  "target_s", "backward_s")
         for key in ("wall_time_s", *timers):
             assert math.isfinite(info[key]) and info[key] > 0.0, key
         # each inner phase is part of its outer one
         assert info["env_s"] <= info["rollout_s"]
         assert 0.0 < info["solver_s"] <= info["env_s"]
         assert info["target_s"] <= info["learn_s"]
+        assert info["net_step_s"] <= info["rollout_s"] - info["env_s"]
+        assert info["backward_s"] <= info["learn_s"] - info["target_s"]
         # timings stay out of the deterministic metrics
         for line in (out / "metrics.jsonl").read_text().splitlines():
             assert not set(timers) & set(json.loads(line))
@@ -798,7 +801,7 @@ class TestOtherVerbs:
         "missing_checkpoint", "checkpoint_is_a_directory",
         "npz_without_manifest", "checkpoint_without_run_config",
         "npy_array", "truncated_npz", "manifest_without_shapes",
-        "manifest_is_a_list", "meta_is_a_number", "run_config_is_a_number",
+        "version_1_checkpoint", "manifest_is_a_list", "meta_is_a_number", "run_config_is_a_number",
         "run_config_is_null", "text_file", "override_misfits_checkpoint",
         "missing_sweep_config", "run_out_is_a_file"])
     def test_unreadable_input_ends_in_one_error_line(self, case, tmp_path,
@@ -816,9 +819,16 @@ class TestOtherVerbs:
         truncated.write_bytes(whole[:len(whole) // 2])
         no_shapes = tmp_path / "no_shapes.npz"
         listed = tmp_path / "listed.npz"
-        for path, manifest in ((no_shapes, {"version": 1}), (listed, [1])):
+        for path, manifest in ((no_shapes, {"version": nn.CHECKPOINT_VERSION}),
+                               (listed, [1])):
             np.savez(path, __manifest__=np.frombuffer(
                 json.dumps(manifest).encode(), dtype=np.uint8))
+        # the per-agent layout: one array per agent and weight
+        version_1 = tmp_path / "version_1.npz"
+        np.savez(version_1, **{"param::local0.embed.w": np.zeros((5, 32))},
+                 __manifest__=np.frombuffer(json.dumps(
+                     {"version": 1, "shapes": {"local0.embed.w": [5, 32]},
+                      "meta": {}}).encode(), dtype=np.uint8))
         meta_number = tmp_path / "meta_number.npz"
         nn.save_params(meta_number, {}, meta=5)
         config_number = tmp_path / "config_number.npz"
@@ -845,6 +855,7 @@ class TestOtherVerbs:
             "npy_array": (npy, evaluate),
             "truncated_npz": (truncated, evaluate),
             "manifest_without_shapes": (no_shapes, evaluate),
+            "version_1_checkpoint": (version_1, evaluate),
             "manifest_is_a_list": (listed, evaluate),
             "meta_is_a_number": (meta_number, evaluate),
             "run_config_is_a_number": (config_number, evaluate),
@@ -860,6 +871,8 @@ class TestOtherVerbs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(path) in err[0]
+        if case == "version_1_checkpoint":
+            assert "unsupported version 1" in err[0]
 
     def test_run_verb_through_main(self, tmp_path):
         args = ["run", "--out", str(tmp_path / "o"), "--seed", "1"]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -209,8 +210,8 @@ class TestLocalQ:
         cfg = default_config()
         trainer = MarlTrainer(cfg)
         net = trainer.nets.local
-        for p in net.params():
-            p.value[...] = 0.0
+        for s in net.stacks():
+            s.value[...] = 0.0
         (q, port), _, _ = net.step([np.zeros((1, 1, 5)), np.zeros((4, 1, 12))],
                                    net.initial_state())
         assert np.all(q == q[..., :1])
@@ -347,7 +348,7 @@ class TestCoordinator:
         # uniform attention over identical rows = value projection of the row
         embed = coord.row_embed
         e = np.maximum(row @ embed.w.value[0] + embed.b.value[0], 0.0)
-        v = e @ coord.heads.wv.params[0].value
+        v = e @ coord.heads.wv.value[0]
         expected, _ = coord.out_mlp.forward(v[None, None])   # one agent, one row
         np.testing.assert_allclose(omega, expected[0, 0], atol=1e-10)
 
@@ -448,7 +449,7 @@ class TestMixer:
         mixer.zero_grads()
         out, cache = mixer.forward(qs, omega)
         mixer.backward(np.ones(1), cache)
-        assert finite_diff_check(loss, mixer.params(), eps=1e-6) < 1e-5
+        assert finite_diff_check(loss, mixer.stacks(), eps=1e-6) < 1e-5
 
 
 def _feasible(late, range_ok):
@@ -607,21 +608,21 @@ class TestTrainerMachinery:
         (episode, _), = trainer.rollout([env], 0.5)
         before = trainer.td_targets(episode).copy()
         # mutate live parameters: target copies must not move until a sync
-        for p in trainer.nets.params():
-            p.value += 0.05
+        for s in trainer.nets.stacks():
+            s.value += 0.05
         after = trainer.td_targets(episode)
         np.testing.assert_array_equal(before, after)
 
     def test_sync_copies_live_parameters(self):
         cfg = tiny_config()
         trainer = MarlTrainer(cfg)
-        for p in trainer.nets.params():
-            p.value += 0.1
+        for s in trainer.nets.stacks():
+            s.value += 0.1
         trainer.updates = marl.TARGET_SYNC - 1
         env = PositioningEnv(cfg, trainer.env_rng)
         (episode, forward), = trainer.rollout([env], 0.5)
         trainer.train_on_episode(episode, forward)
-        for live, tgt in zip(trainer.nets.params(), trainer.target_nets.params()):
+        for live, tgt in zip(trainer.nets.stacks(), trainer.target_nets.stacks()):
             np.testing.assert_array_equal(live.value, tgt.value)
 
     def test_training_is_deterministic(self):
@@ -667,8 +668,8 @@ class TestTrainerMachinery:
         cfg = default_config()
         trainer = MarlTrainer(cfg)
         rng = np.random.default_rng(5)
-        for p in trainer.nets.local.port_head.layers[-1].params():
-            p.value += rng.standard_normal(p.value.shape)
+        for s in trainer.nets.local.port_head.layers[-1].stacks():
+            s.value += rng.standard_normal(s.value.shape)
         sent = []
         step = PositioningEnv.step
 
@@ -706,8 +707,8 @@ class TestTrainerMachinery:
         if trainer.trains and trainer.nets.local.port_head is not None:
             # spread the greedy ports beyond port 1
             rng = np.random.default_rng(8)
-            for p in trainer.nets.local.port_head.layers[-1].params():
-                p.value += rng.standard_normal(p.value.shape)
+            for s in trainer.nets.local.port_head.layers[-1].stacks():
+                s.value += rng.standard_normal(s.value.shape)
         menu = cli.port_menu_for(32, 8)
         sent = []
         step = PositioningEnv.step
@@ -788,12 +789,12 @@ class TestEndToEndGradient:
         backward = LocalQNet.backward
 
         def doubled(net, dq, cache, port_fit=None):
-            heads = net.port_head.params() if net.port_head is not None else []
-            before = [p.grad.copy() for p in heads]
+            heads = net.port_head.stacks() if net.port_head is not None else []
+            before = [s.grad.copy() for s in heads]
             backward(net, dq, cache, port_fit=port_fit)
             if port_fit is not None:
-                for p, old in zip(heads, before):
-                    p.grad += p.grad - old
+                for s, old in zip(heads, before):
+                    s.grad += s.grad - old
 
         monkeypatch.setattr(LocalQNet, "backward", doubled)
         assert micro_gradcheck(micro_config()) > 1e-4
@@ -858,9 +859,13 @@ class TestTrainingLog:
 # per history window, one mixer call per slot, with each slot's training
 # reward, port credit, net inputs and history row built from the recorded
 # episode slot by slot and agent by agent.  Each agent's arithmetic reads
-# and accumulates into that agent's own Param views (agent k of a stacked
-# block), the objects the checkpoint and the update see, and the batched
-# path must match it bit for bit.
+# and accumulates into that agent's own rows of the weight stacks (_row),
+# and the batched path must match it bit for bit.
+
+
+def _row(stack, k):
+    """Agent k's weight and gradient: views of row k of the stack."""
+    return types.SimpleNamespace(value=stack.value[k], grad=stack.grad[k])
 
 
 def _ref_slot_port_credit(late, range_ok, train_reward, feasible_reward):
@@ -910,11 +915,11 @@ def _ref_window_row(trainer, episode, t):
 
 
 def _ref_linear(layer, x, k=0):
-    return x @ layer.w.params[k].value + layer.b.params[k].value
+    return x @ layer.w.value[k] + layer.b.value[k]
 
 
 def _ref_linear_back(layer, dy, x, k=0):
-    w, b = layer.w.params[k], layer.b.params[k]
+    w, b = _row(layer.w, k), _row(layer.b, k)
     if x.ndim == 1:
         w.grad += np.outer(x, dy)
         b.grad += dy
@@ -950,8 +955,8 @@ def _sigmoid(x):
 
 
 def _gru_params(g, k):
-    """Agent k's (wz, uz, bz, wr, ur, br, wh, uh, bh) Params."""
-    return [s.params[k] for s in g.stacks()]
+    """Agent k's (wz, uz, bz, wr, ur, br, wh, uh, bh) rows."""
+    return [_row(s, k) for s in g.stacks()]
 
 
 def _ref_gru(g, x, h, k):
@@ -994,7 +999,7 @@ def _ref_gru_back(g, dh_new, cache, k):
 
 def _ref_attention(heads, window, mask, i):
     """Head i of the stacked attention block on one window."""
-    wq, wk, wv = (w.params[i] for w in heads.stacks())
+    wq, wk, wv = (_row(w, i) for w in heads.stacks())
     q = window @ wq.value
     k = window @ wk.value
     v = window @ wv.value
@@ -1007,7 +1012,7 @@ def _ref_attention(heads, window, mask, i):
 
 
 def _ref_attention_back(heads, dout, cache, i):
-    wq, wk, wv = (w.params[i] for w in heads.stacks())
+    wq, wk, wv = (_row(w, i) for w in heads.stacks())
     window, q, k, v, probs = cache
     dprobs = dout @ v.T
     dv = probs.T @ dout
@@ -1083,7 +1088,7 @@ def _ref_coordinator(coord, rows, mask):
     e = np.maximum(e_pre, 0.0)
     pooled, unit_caches = [], []
     n_valid = int(mask.sum())
-    for i in range(len(coord.heads.wq.params)):
+    for i in range(len(coord.heads.wq.value)):
         out, c = _ref_attention(coord.heads, e, mask, i)
         pooled.append(out[mask].sum(axis=0) / n_valid)
         unit_caches.append(c)
@@ -1264,8 +1269,8 @@ def _perturbed_trainer(scheme, slots=None, history_window=None):
     trainer = MarlTrainer(cfg)
     rng = np.random.default_rng(17)
     for nets in (trainer.nets, trainer.target_nets):
-        for p in nets.params():
-            p.value += 0.05 * rng.standard_normal(p.value.shape)
+        for s in nets.stacks():
+            s.value += 0.05 * rng.standard_normal(s.value.shape)
     return trainer
 
 
@@ -1280,7 +1285,7 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     trainer.nets.zero_grads()
     ref_td, ref_port, ref_weights, ref_q = _ref_episode_loss(
         trainer, episode, ref_targets)
-    ref_grads = [p.grad.copy() for p in trainer.nets.params()]
+    ref_grads = [s.grad.copy() for s in trainer.nets.stacks()]
 
     targets = trainer.td_targets(episode)
     trainer.nets.zero_grads()
@@ -1292,8 +1297,10 @@ def test_sequence_learner_matches_per_slot_reference(scheme, shape):
     # the port-fit loss and the weight gradients add the same terms in
     # another order: equal up to rounding
     assert abs(port - ref_port) <= 1e-12 * abs(ref_port)
-    for p, ref in zip(trainer.nets.params(), ref_grads):
-        assert np.max(np.abs(p.grad - ref)) <= 1e-12 * np.max(np.abs(ref)), p.name
+    for s, ref in zip(trainer.nets.stacks(), ref_grads):
+        for k, (got, want) in enumerate(zip(s.grad, ref)):   # agent by agent
+            assert (np.max(np.abs(got - want))
+                    <= 1e-12 * np.max(np.abs(want))), (s.name, k)
     assert any(np.any(g) for g in ref_grads)
     # the flat outer sum of the factored values is the reference's Q-vector
     (q, port), _ = forward
@@ -1417,11 +1424,17 @@ def test_lockstep_rollout_needs_one_rng_per_env():
 # the team's local Q-nets stacked on a leading agent axis
 
 
+def _team_row(stack, k):
+    """Team agent k's row of one of the team net's stacks: a stack of
+    fewer agents holds the last ones, bar the active UAV's embedding."""
+    return k - (5 - len(stack.value)) if k else 0
+
+
 def _single_agent_nets(trainer):
     """Five one-agent nets, one per team agent, built like the team's net
-    and loaded from the trainer's checkpoint arrays."""
+    and loaded from the agent's rows of the team's stacks."""
     nets, cfg = trainer.nets, trainer.cfg
-    arrays = trainer.checkpoint_arrays()
+    team = {s.name: s for s in nets.local.stacks()}
     head_ports = cfg.channel.n_ports if nets.local.port_head is not None else 0
     singles = []
     for k in range(5):
@@ -1429,7 +1442,9 @@ def _single_agent_nets(trainer):
                         (3, 3 + cfg.channel.n_paths), cfg.marl,
                         np.random.default_rng(0),
                         recurrent=nets.local.gru is not None)
-        net.load_values(arrays)
+        rows = {name: team[name].value[_team_row(team[name], k)][None]
+                for name in net.named_values()}
+        net.load_values(rows)
         singles.append(net)
     return singles
 
@@ -1476,7 +1491,7 @@ def test_team_net_equals_five_single_agent_nets(scheme):
     team.zero_grads()
     values_seq, cache = team.forward(xs)
     team.backward(dq, cache, port_fit=fit)
-    mine, start = team.params(), 0   # agent by agent
+    mine, rows = {s.name: s for s in team.stacks()}, 0
     for k, net in enumerate(singles):
         fit_k = None if fit is None or k == 0 else (fit[0][k - 1:k],
                                                     fit[1][k - 1:k])
@@ -1487,12 +1502,11 @@ def test_team_net_equals_five_single_agent_nets(scheme):
         if fit_k is not None:
             assert (net.port_fit_loss(cache_k, fit_k).tobytes()
                     == team.port_fit_loss(cache, fit)[k - 1:k].tobytes())
-        own = net.params()
-        for p, theirs in zip(own, mine[start:start + len(own)]):
-            assert p.name == theirs.name
-            assert p.grad.tobytes() == theirs.grad.tobytes(), p.name
-        start += len(own)
-    assert start == len(mine)
+        for s in net.stacks():
+            theirs = mine[s.name].grad[_team_row(mine[s.name], k)][None]
+            assert s.grad.tobytes() == theirs.tobytes(), (s.name, k)
+            rows += 1
+    assert rows == sum(len(s.value) for s in team.stacks())   # every row
 
     # B episodes' rows in one call give each row's one-row call bit for
     # bit, activations included
@@ -1513,50 +1527,46 @@ def test_agent_params_are_contiguous_views_of_their_stacks(scheme):
     trainer = MarlTrainer(dataclasses.replace(
         default_config(), run=dataclasses.replace(default_config().run,
                                                   scheme=scheme)))
+    # C-contiguous stacks: every agent's row is a contiguous view
     for nets in (trainer.nets, trainer.target_nets):
-        net = nets.local
-        views = net.params()
-        assert len(views) == sum(len(s.params) for s in net.stacks())
-        for s in net.stacks():
+        for s in nets.stacks():
             assert s.value.flags.c_contiguous and s.grad.flags.c_contiguous
-            for p in s.params:
-                assert any(p is v for v in views)
-                for arr, stack in ((p.value, s.value), (p.grad, s.grad)):
-                    assert np.shares_memory(arr, stack)
-                    assert arr.flags.c_contiguous
     # the target nets hold their own copy of the weights
     for live, target in zip(trainer.nets.stacks(), trainer.target_nets.stacks()):
         assert np.array_equal(live.value, target.value)
         assert not np.shares_memory(live.value, target.value)
+        assert not np.shares_memory(live.grad, target.grad)
 
 
 def test_sgd_step_moves_every_agent_slice_as_a_per_agent_update():
     trainer = _perturbed_trainer("ar_marl")
     rng = np.random.default_rng(43)
-    params = trainer.nets.params()
-    for p in params:
-        p.grad[...] = rng.standard_normal(p.grad.shape)
-    in_port_heads = {id(p) for p in trainer.nets.local.port_head.params()}
-    grads = [p.grad * (marl.PORT_LR_MULTIPLIER if id(p) in in_port_heads
-                       else 1.0)
-             for p in params]
+    stacks = trainer.nets.stacks()
+    for s in stacks:
+        s.grad[...] = rng.standard_normal(s.grad.shape)
+    port_heads = trainer.nets.local.port_head.stacks()
+    grads = [s.grad * (marl.PORT_LR_MULTIPLIER if s in port_heads else 1.0)
+             for s in stacks]
+    # the clip norm adds each stack's squared gradient in stacks() order
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     scale = 1.0 if total <= marl.GRAD_CLIP else marl.GRAD_CLIP / total
     rate = marl.LEARNING_RATE * 0.7
-    expected = [p.value - rate * scale * g for p, g in zip(params, grads)]
+    expected = [s.value - rate * scale * g for s, g in zip(stacks, grads)]
     trainer._apply_sgd(0.7)
     assert scale < 1.0        # the clip binds, so its norm is exercised
-    for p, want in zip(params, expected):
-        assert p.value.tobytes() == want.tobytes(), p.name
-        assert not np.any(p.grad)
+    for s, want in zip(stacks, expected):
+        assert s.value.tobytes() == want.tobytes(), s.name
+        assert not np.any(s.grad)
 
 
 # sha256 of the ordered [key, shape] list of checkpoint_arrays() at the
-# default config, as written before the passive nets were stacked
+# default config.  Checkpoint version 2 changed the layout on purpose: one
+# (A, ...) array per weight stack, named by its module path, where
+# version 1 held one array per agent and weight (135, 111 and 90 arrays)
 CHECKPOINT_LAYOUT = {
-    "ar_marl": (135, "343a6aeca5f3a7854dbc5dd9b7d47748b71611e49298aa07c4eaf50e4f157fce"),
-    "no_fas": (111, "27ff056f1b0bdf1ba1af0a7f86d145470ac5405330a2ae600252531547fc6e22"),
-    "no_rnn": (90, "5ff1f252dccd3b0d93781bf7481edcd5ffa6dc475cfac16895302c520554f4f7"),
+    "ar_marl": (42, "3e1717725171a14d552ded308b42d3dd28c6e406409b11657412ac3ac1534d13"),
+    "no_fas": (36, "c966c56de563e439c6b59c6094a92463cb6329785535ee5dabe363f701de1b61"),
+    "no_rnn": (33, "6d51a70a424f3ebb984285fd871579371632446be780783f3d98f1f636d46e87"),
 }
 
 
@@ -1568,7 +1578,7 @@ def test_checkpoint_layout_is_unchanged(scheme):
     layout = json.dumps([[k, list(v.shape)] for k, v in arrays.items()])
     assert (len(arrays), hashlib.sha256(layout.encode()).hexdigest()) \
         == CHECKPOINT_LAYOUT[scheme]
-    assert "local3.gru.uz" in arrays or scheme == "no_rnn"
+    assert "local.gru.uz" in arrays or scheme == "no_rnn"
 
 
 def test_checkpoint_round_trips_through_the_cli_loader(tmp_path):
@@ -1582,7 +1592,7 @@ def test_checkpoint_round_trips_through_the_cli_loader(tmp_path):
     assert list(saved) == list(back)
     for key in saved:
         assert saved[key].tobytes() == back[key].tobytes(), key
-    for live, tgt in zip(loaded.nets.params(), loaded.target_nets.params()):
+    for live, tgt in zip(loaded.nets.stacks(), loaded.target_nets.stacks()):
         assert live.value.tobytes() == tgt.value.tobytes()
 
 

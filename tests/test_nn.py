@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fasloc.nn import (MLP, AttentionUnit, GRUCell, Linear, Param, ShapeError,
+from fasloc.nn import (MLP, AttentionUnit, GRUCell, Linear, ShapeError, Stack,
                        _bias_grad, _weight_grad, finite_diff_check,
                        load_params, save_params, softmax_rows, stack_agents)
 
@@ -12,11 +12,11 @@ RNG = np.random.default_rng(0)
 
 
 def _probe(arr, grad):
-    """A Param over arr itself, so finite differences perturb the array a
+    """A Stack over arr itself, so finite differences perturb the array a
     loss reads, carrying its analytic gradient."""
-    p = Param("probe", arr)
-    p.value, p.grad = arr, grad
-    return p
+    s = Stack("probe", arr)
+    s.value, s.grad = arr, grad
+    return s
 
 
 def _assert_near(got, ref, what=None):
@@ -25,7 +25,7 @@ def _assert_near(got, ref, what=None):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), what
 
 
-def _loss_through(forward, params, proj):
+def _loss_through(forward, proj):
     """Scalar loss: fixed random projection of the forward output."""
     def f():
         return float(np.sum(forward() * proj))
@@ -62,7 +62,7 @@ class TestLinearAndMLP:
 
         forward_and_backward()
         err = finite_diff_check(lambda: float(np.sum(mlp.forward(x)[0] * proj)),
-                                mlp.params(), eps=1e-6)
+                                mlp.stacks(), eps=1e-6)
         assert err < 1e-5
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -74,8 +74,8 @@ class TestLinearAndMLP:
         mlp.zero_grads()
         _, cache = mlp.forward(x)
         dx = mlp.backward(proj, cache)
-        loss = _loss_through(lambda: mlp.forward(x)[0], mlp.params(), proj)
-        assert finite_diff_check(loss, mlp.params(), eps=1e-6) < 1e-5
+        loss = _loss_through(lambda: mlp.forward(x)[0], proj)
+        assert finite_diff_check(loss, mlp.stacks(), eps=1e-6) < 1e-5
         assert finite_diff_check(loss, [_probe(x, dx)], eps=1e-6) < 1e-5
 
     def test_stack_matches_slot_by_slot(self):
@@ -88,15 +88,15 @@ class TestLinearAndMLP:
         layer.zero_grads()
         y, cache = layer.forward(x)
         dx = layer.backward(dy, cache)
-        stacked = [p.grad.copy() for p in layer.params()]
+        stacked = [s.grad.copy() for s in layer.stacks()]
         layer.zero_grads()
         for t in range(30):
             y_t, c_t = layer.forward(x[:, t:t + 1])
             assert y_t.tobytes() == y[:, t:t + 1].tobytes()
             assert (layer.backward(dy[:, t:t + 1], c_t).tobytes()
                     == dx[:, t:t + 1].tobytes())
-        for p, g in zip(layer.params(), stacked):
-            _assert_near(g, p.grad, p.name)
+        for s, g in zip(layer.stacks(), stacked):
+            _assert_near(g, s.grad, s.name)
 
     def test_shape_mismatch_raises(self):
         layer = Linear(3, 2, np.random.default_rng(0))
@@ -110,8 +110,8 @@ class TestLinearAndMLP:
 class TestGRU:
     def test_zero_parameters_halve_hidden_state(self):
         gru = GRUCell(3, 5, np.random.default_rng(4))
-        for p in gru.params():
-            p.value[...] = 0.0
+        for s in gru.stacks():
+            s.value[...] = 0.0
         h = np.array([[[1.0, -2.0, 0.5, 4.0, -1.0]]])
         h_new, _ = gru.step(gru.project(np.array([[[0.3, 0.1, -0.2]]])), h)
         # gates sit at 1/2 and the candidate at tanh(0)=0
@@ -120,8 +120,8 @@ class TestGRU:
     def test_zero_input_iteration_contracts_to_fixed_point(self):
         rng = np.random.default_rng(5)
         gru = GRUCell(2, 8, rng)
-        for p in gru.params():
-            p.value *= 0.3
+        for s in gru.stacks():
+            s.value *= 0.3
         x = np.zeros((1, 1, 2))
         h = rng.standard_normal(8)[None, None]
         prev = h
@@ -153,7 +153,7 @@ class TestGRU:
         dhs = np.zeros((1, 8, 1, 4))
         dhs[0, -1, 0] = proj
         gru.backward(dhs, cache)
-        assert finite_diff_check(loss, gru.params(), eps=1e-6) < 1e-4
+        assert finite_diff_check(loss, gru.stacks(), eps=1e-6) < 1e-4
 
     def test_sequence_gradient_matches_central_differences(self):
         # a loss on every step's state, two independent rows per step and a
@@ -171,7 +171,7 @@ class TestGRU:
         gru.zero_grads()
         _, cache = gru.forward(xs, h0)
         dxs, dh0 = gru.backward(proj, cache)
-        assert finite_diff_check(loss, gru.params(), eps=1e-6) < 1e-4
+        assert finite_diff_check(loss, gru.stacks(), eps=1e-6) < 1e-4
         for arr, grad in ((xs, dxs), (h0, dh0)):
             assert finite_diff_check(loss, [_probe(arr, grad)], eps=1e-6) < 1e-4
 
@@ -205,13 +205,13 @@ class TestAttention:
         out, probs = out[0, 0], cache[4][0, 0]
         np.testing.assert_allclose(probs, np.full((6, 6), 1.0 / 6.0), atol=1e-12)
         np.testing.assert_allclose(
-            out, np.tile(row @ att.wv.params[0].value, (6, 1)), atol=1e-12)
+            out, np.tile(row @ att.wv.value[0], (6, 1)), atol=1e-12)
 
     def test_dominant_key_saturates_softmax(self):
         rng = np.random.default_rng(9)
         att = AttentionUnit(2, 2, rng)
-        att.wq.params[0].value[...] = np.eye(2) * 10.0
-        att.wk.params[0].value[...] = np.eye(2) * 10.0
+        att.wq.value[0] = np.eye(2) * 10.0
+        att.wk.value[0] = np.eye(2) * 10.0
         window = np.array([[[5.0, 0.0], [0.1, 0.0], [0.05, 0.0]]])
         _, cache = att.forward(window, _all_rows(window))
         probs = cache[4][0, 0]
@@ -246,7 +246,7 @@ class TestAttention:
         att.zero_grads()
         _, cache = att.forward(window, mask)
         att.backward(proj, cache)
-        assert finite_diff_check(loss, att.params(), eps=1e-6) < 1e-4
+        assert finite_diff_check(loss, att.stacks(), eps=1e-6) < 1e-4
 
     def test_stacked_gradient_matches_central_differences(self):
         rng = np.random.default_rng(23)
@@ -263,7 +263,7 @@ class TestAttention:
         att.zero_grads()
         _, cache = att.forward(windows, mask)
         dwindows = att.backward(proj, cache)
-        assert finite_diff_check(loss, att.params(), eps=1e-6) < 1e-4
+        assert finite_diff_check(loss, att.stacks(), eps=1e-6) < 1e-4
         assert finite_diff_check(loss, [_probe(windows, dwindows)], eps=1e-6) < 1e-4
 
     def test_stack_matches_window_by_window(self):
@@ -277,15 +277,15 @@ class TestAttention:
         att.zero_grads()
         out, cache = att.forward(windows, mask)
         dwin = att.backward(dout, cache)
-        stacked = [p.grad.copy() for p in att.params()]
+        stacked = [s.grad.copy() for s in att.stacks()]
         att.zero_grads()
         for t in range(5):
             out_t, cache_t = att.forward(windows[t:t + 1], mask[t:t + 1])
             assert out_t.tobytes() == out[:, t:t + 1].tobytes()
             assert (att.backward(dout[:, t:t + 1], cache_t).tobytes()
                     == dwin[t:t + 1].tobytes())
-        for p, g in zip(att.params(), stacked):
-            _assert_near(g, p.grad, p.name)
+        for s, g in zip(att.stacks(), stacked):
+            _assert_near(g, s.grad, s.name)
 
     def test_empty_window_rejected(self):
         att = AttentionUnit(3, 2, np.random.default_rng(0))
@@ -326,12 +326,14 @@ def test_stacked_gru_matches_single_agents():
     # one stacked GRU over four agents gives each agent's states and
     # gradients bit for bit as that agent's own one-agent GRU
     rng = np.random.default_rng(30)
-    singles = [GRUCell(6, 8, rng, f"g{k}") for k in range(4)]
-    stacked = stack_agents([GRUCell(6, 8, np.random.default_rng(0), f"g{k}")
-                            for k in range(4)])
-    for p in stacked.params():
-        p.value[...] = 0.0
-    stacked.load_values({p.name: p.value for g in singles for p in g.params()})
+    singles = [GRUCell(6, 8, rng) for _ in range(4)]
+    stacked = stack_agents([GRUCell(6, 8, np.random.default_rng(0))
+                            for _ in range(4)])
+    for s in stacked.stacks():
+        s.value[...] = 0.0
+    stacked.load_values({name: np.concatenate([g.named_values()[name]
+                                               for g in singles])
+                         for name in stacked.named_values()})
     xs = rng.standard_normal((4, 25, 1, 6))
     h0 = rng.standard_normal((4, 1, 8)) * 0.5
     dhs = rng.standard_normal((4, 25, 1, 8))
@@ -343,9 +345,8 @@ def test_stacked_gru_matches_single_agents():
         assert hs_k.tobytes() == hs[k:k + 1].tobytes()
         assert dxs_k.tobytes() == dxs[k:k + 1].tobytes()
         assert dh0_k.tobytes() == dh0[k:k + 1].tobytes()
-        for p in g.params():
-            mine = next(q for q in stacked.params() if q.name == p.name)
-            assert p.grad.tobytes() == mine.grad.tobytes(), p.name
+        for s, mine in zip(g.stacks(), stacked.stacks()):
+            assert s.grad.tobytes() == mine.grad[k:k + 1].tobytes(), s.name
 
 
 def test_stacked_attention_matches_single_heads():
@@ -353,12 +354,14 @@ def test_stacked_attention_matches_single_heads():
     # weight gradients bit for bit as that head's own one-head unit, and
     # the window gradient the heads' gradients summed in head order
     rng = np.random.default_rng(31)
-    singles = [AttentionUnit(6, 4, rng, f"a{k}") for k in range(3)]
-    stacked = stack_agents([AttentionUnit(6, 4, np.random.default_rng(0), f"a{k}")
-                            for k in range(3)])
-    for p in stacked.params():
-        p.value[...] = 0.0
-    stacked.load_values({p.name: p.value for a in singles for p in a.params()})
+    singles = [AttentionUnit(6, 4, rng) for _ in range(3)]
+    stacked = stack_agents([AttentionUnit(6, 4, np.random.default_rng(0))
+                            for _ in range(3)])
+    for s in stacked.stacks():
+        s.value[...] = 0.0
+    stacked.load_values({name: np.concatenate([a.named_values()[name]
+                                               for a in singles])
+                         for name in stacked.named_values()})
     windows = rng.standard_normal((5, 8, 6))
     mask = np.arange(8) >= np.array([7, 4, 0, 0, 2])[:, None]
     dout = rng.standard_normal((3, 5, 8, 4))
@@ -369,9 +372,8 @@ def test_stacked_attention_matches_single_heads():
         out_k, cache_k = a.forward(windows, mask)
         summed += a.backward(dout[k:k + 1], cache_k)
         assert out_k.tobytes() == out[k:k + 1].tobytes()
-        for p in a.params():
-            mine = next(q for q in stacked.params() if q.name == p.name)
-            assert p.grad.tobytes() == mine.grad.tobytes(), p.name
+        for s, mine in zip(a.stacks(), stacked.stacks()):
+            assert s.grad.tobytes() == mine.grad[k:k + 1].tobytes(), s.name
     assert summed.tobytes() == dwindows.tobytes()
 
 
@@ -386,7 +388,7 @@ def test_softmax_shift_invariance():
 class TestFiniteDiff:
     def test_linear_function_is_near_exact(self):
         rng = np.random.default_rng(14)
-        p = Param("w", rng.standard_normal(6))
+        p = Stack("w", rng.standard_normal(6))
         coeff = rng.standard_normal(6)
         p.grad[...] = coeff
         # linear: no truncation term at any stencil width, so a wide stencil
@@ -396,7 +398,7 @@ class TestFiniteDiff:
 
     def test_truncation_error_grows_quadratically(self):
         rng = np.random.default_rng(15)
-        p = Param("w", rng.uniform(0.5, 1.5, 5))
+        p = Stack("w", rng.uniform(0.5, 1.5, 5))
         p.grad[...] = 3.0 * p.value ** 2
 
         def loss():
@@ -428,11 +430,11 @@ class TestFiniteDiff:
             mlp.backward(de, c_mlp)
             return float(pooled @ proj)
 
-        params = mlp.params() + gru.params() + att.params()
-        for p in params:
-            p.grad[...] = 0.0
+        stacks = mlp.stacks() + gru.stacks() + att.stacks()
+        for s in stacks:
+            s.grad[...] = 0.0
         forward(with_grads=True)
-        assert finite_diff_check(lambda: forward(False), params, eps=1e-6) < 1e-4
+        assert finite_diff_check(lambda: forward(False), stacks, eps=1e-6) < 1e-4
 
 
 class TestDeterminismAndCheckpoints:
@@ -470,8 +472,8 @@ class TestDeterminismAndCheckpoints:
     def test_module_load_rejects_wrong_shapes(self):
         rng = np.random.default_rng(19)
         layer = Linear(3, 2, rng, name="lin")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="shape mismatch for lin.w"):
             layer.load_values({"lin.w": np.zeros((2, 2)),
-                               "lin.b": np.zeros(2)})
-        with pytest.raises(ShapeError):
-            layer.load_values({"lin.b": np.zeros(2)})
+                               "lin.b": np.zeros((1, 2))})
+        with pytest.raises(ShapeError, match="missing parameter lin.w"):
+            layer.load_values({"lin.b": np.zeros((1, 2))})

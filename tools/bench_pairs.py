@@ -1,6 +1,7 @@
 """Compare two checkouts' end-to-end benchmark metrics over paired runs.
 
-    python3 tools/bench_pairs.py OLD NEW --workload train_ar_marl --pairs 10 --seconds 12
+    python3 tools/bench_pairs.py OLD NEW --workload train_ar_marl --pairs 10 --seconds 12 \
+        [--json PATH]
 
 OLD and NEW are directories that each hold a checkout of this repository,
 for instance one made with ``git archive <commit> | tar -x -C <dir>``.
@@ -13,7 +14,10 @@ same host.  For every end-to-end metric that NEW's
 the medians against the metric's bound (negative is worse), the number
 of pairs in which NEW did better, and the spread of OLD's runs between
 their quartiles as a share of OLD's median.  A run whose output check
-fails is reported and its pair left out.
+fails is reported and its pair left out.  With --json PATH it also
+writes every run of both sides, left-out pairs included, to PATH: the
+run's seed, side and place in its pair's order, its summary, and the
+host's name and CPU count.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -56,6 +61,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--json", type=Path,
+                        help="write every run of both sides to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
@@ -64,10 +71,14 @@ def main(argv=None) -> int:
              else [args.workload])
 
     runs = {"old": [], "new": []}
+    record = []     # every run, for --json
     for seed in range(1, args.pairs + 1):
         order = ("old", "new") if seed % 2 else ("new", "old")
         pair = {side: run_once(getattr(args, side), args.workload, seed,
                                args.seconds) for side in order}
+        record += [{"seed": seed, "side": side, "order": order.index(side),
+                    "node": platform.node(), "cpu_count": os.cpu_count(),
+                    "summary": pair[side]} for side in order]
         failed = [side for side, summary in pair.items()
                   if not summary["correct"] or summary["failed"]]
         if failed:
@@ -77,6 +88,11 @@ def main(argv=None) -> int:
         for side, summary in pair.items():
             runs[side].append(summary["metrics"])
         print(f"pair {seed}: done", flush=True)
+    if args.json is not None:
+        args.json.write_text(json.dumps(
+            {"workload": args.workload, "seconds": args.seconds,
+             "runs": record},
+            indent=1, sort_keys=True) + "\n")
     if not runs["old"]:
         return 1
 
